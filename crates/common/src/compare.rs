@@ -5,9 +5,13 @@
 //! DataMPI's A-side grouping use these comparators.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
+use bytes::Bytes;
+
+use crate::error::{Error, Result};
 use crate::kv::Record;
-use crate::varint;
+use crate::{ser, varint};
 
 /// Compares two serialized keys.
 pub trait RawComparator: Send + Sync {
@@ -75,21 +79,16 @@ pub fn sort_records<C: RawComparator>(records: &mut [Record], cmp: &C) {
     });
 }
 
-/// Partitions at or below this size sort via the comparison fallback
-/// instead of another radix pass — counting 257 buckets costs more than
-/// pdqsort on tiny slices.
-const RADIX_FALLBACK_AT: usize = 64;
-
-/// Which kernel seals a sorted spill run. Both kernels produce the exact
-/// same order — `(key bytes lexicographic, then value)` — so the choice
-/// is purely a performance dimension (benchmarked by
-/// `figures hotpath-bench`).
+/// Which kernel sorted a spill run before the store kept records as an
+/// index over frame bytes. The forming run is now ordered by
+/// [`sort_index`] whichever variant is selected; the type and its knob
+/// (`JobConfig::sort_kernel`, `PartitionStore::set_sort_kernel`) remain
+/// only because the benchmark package still passes one through.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SortKernel {
-    /// `sort_unstable_by` over the `(key, value)` comparator (pdqsort).
+    /// Formerly `sort_unstable_by` over owned records.
     Comparison,
-    /// MSD radix on key bytes with the comparison fallback on small
-    /// partitions — the default production kernel.
+    /// Formerly an MSD radix over owned records.
     #[default]
     Radix,
 }
@@ -102,83 +101,145 @@ impl SortKernel {
             SortKernel::Radix => "radix",
         }
     }
+}
 
-    /// Sorts `records` into `(key, value)` order with this kernel.
-    pub fn sort(self, records: &mut [Record]) {
-        match self {
-            SortKernel::Comparison => sort_records(records, &BytesComparator),
-            SortKernel::Radix => radix_sort_records(records),
-        }
+/// Key bytes an [`IndexEntry`] carries inline.
+const PREFIX_LEN: usize = 8;
+
+/// One record of a forming run: a sortable reference to where the record
+/// sits in the frame payload it arrived in. 24 bytes, against 64 for an
+/// owned `Record`, and sorting it touches no frame byte until two keys
+/// agree on their first eight.
+#[derive(Clone, Copy, Debug)]
+pub struct IndexEntry {
+    /// First [`PREFIX_LEN`] key bytes, big-endian, zero-padded: integer
+    /// order on it is byte order on those bytes. Padding makes `"a"` and
+    /// `"a\0"` collide, so an equal prefix decides nothing by itself.
+    prefix: u64,
+    /// Which of the run's frames holds the record.
+    frame: u32,
+    key_off: u32,
+    key_len: u32,
+    val_len: u32,
+}
+
+fn key_prefix(key: &[u8]) -> u64 {
+    let mut padded = [0u8; PREFIX_LEN];
+    let n = key.len().min(PREFIX_LEN);
+    padded[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(padded)
+}
+
+/// Appends one [`IndexEntry`] per record framed in `payload`, which the
+/// caller is storing as frame number `frame` of the run. Every offset is
+/// bounds-checked here, so later slicing through the entries cannot go
+/// out of range; on a decode error `index` is left as it was. Offsets are
+/// `u32`: a payload over 4 GiB is an error, not a truncation.
+pub fn index_frame(index: &mut Vec<IndexEntry>, frame: usize, payload: &[u8]) -> Result<()> {
+    let frame = u32::try_from(frame).map_err(|_| Error::corrupt("run holds over 2^32 frames"))?;
+    if u32::try_from(payload.len()).is_err() {
+        return Err(Error::corrupt(format!(
+            "frame payload of {} bytes exceeds the 4 GiB index limit",
+            payload.len()
+        )));
+    }
+    let start = index.len();
+    for span in ser::framed_kv_spans(payload) {
+        let span = match span {
+            Ok(span) => span,
+            Err(e) => {
+                index.truncate(start);
+                return Err(e);
+            }
+        };
+        // Each field is at most `payload.len()`, which fits `u32`.
+        index.push(IndexEntry {
+            prefix: key_prefix(&payload[span.key()]),
+            frame,
+            key_off: span.key_off as u32,
+            key_len: span.key_len as u32,
+            val_len: span.val_len as u32,
+        });
+    }
+    Ok(())
+}
+
+impl IndexEntry {
+    /// Number of the frame holding the record.
+    pub fn frame(&self) -> usize {
+        self.frame as usize
+    }
+
+    /// The key's byte range within its frame.
+    pub fn key_range(&self) -> Range<usize> {
+        let start = self.key_off as usize;
+        start..start + self.key_len as usize
+    }
+
+    /// The value's byte range within its frame.
+    pub fn value_range(&self) -> Range<usize> {
+        let start = self.key_off as usize + self.key_len as usize;
+        start..start + self.val_len as usize
+    }
+
+    /// The key bytes, given the frames the entry was indexed over.
+    pub fn key<'a>(&self, frames: &'a [Bytes]) -> &'a [u8] {
+        &frames[self.frame()][self.key_range()]
+    }
+
+    /// The value bytes, given the frames the entry was indexed over.
+    pub fn value<'a>(&self, frames: &'a [Bytes]) -> &'a [u8] {
+        &frames[self.frame()][self.value_range()]
+    }
+
+    /// Key bytes past the inline prefix (callers check `key_len` first).
+    fn key_tail<'a>(&self, frames: &'a [Bytes]) -> &'a [u8] {
+        &self.key(frames)[PREFIX_LEN..]
+    }
+
+    /// Byte order of the two keys. With equal prefixes and a key no
+    /// longer than the prefix, that key is a prefix of the other (the
+    /// other's extra bytes up to [`PREFIX_LEN`] are the zero padding), so
+    /// length decides without touching a frame — the common case when
+    /// many records share few short keys.
+    fn cmp_key(&self, other: &IndexEntry, frames: &[Bytes]) -> Ordering {
+        self.prefix.cmp(&other.prefix).then_with(|| {
+            if self.key_len.min(other.key_len) as usize <= PREFIX_LEN {
+                self.key_len.cmp(&other.key_len)
+            } else {
+                self.key_tail(frames).cmp(other.key_tail(frames))
+            }
+        })
+    }
+
+    /// Whether both entries carry byte-identical keys.
+    pub fn same_key(&self, other: &IndexEntry, frames: &[Bytes]) -> bool {
+        self.prefix == other.prefix
+            && self.key_len == other.key_len
+            && (self.key_len as usize <= PREFIX_LEN
+                || self.key_tail(frames) == other.key_tail(frames))
     }
 }
 
-/// Sorts records by raw key bytes (then value) with an MSD radix sort —
-/// equivalent to `sort_records(records, &BytesComparator)`, byte for
-/// byte, but distribution-based: one counting pass per shared-prefix
-/// depth instead of `O(n log n)` full key comparisons.
-///
-/// Partitions at or below `RADIX_FALLBACK_AT` records fall back to
-/// `sort_unstable_by` with the same `(key, value)` tiebreak (the total
-/// order documented on [`sort_records`], so unstable is safe). Keys
-/// shorter than the current depth form their own leading bucket; records
-/// inside it have fully-equal keys and are ordered by value only.
-pub fn radix_sort_records(records: &mut [Record]) {
-    // Explicit work stack: recursion depth would otherwise track the
-    // longest shared key prefix, which adversarial inputs control.
-    let mut work: Vec<(usize, usize, usize)> = vec![(0, records.len(), 0)];
-    while let Some((lo, hi, depth)) = work.pop() {
-        let part = &mut records[lo..hi];
-        if part.len() <= RADIX_FALLBACK_AT {
-            // All keys in this partition share their first `depth` bytes,
-            // so comparing full keys is equivalent and simplest.
-            part.sort_unstable_by(|a, b| a.key.cmp(&b.key).then_with(|| a.value.cmp(&b.value)));
-            continue;
+/// Sorts a run's index into `(key, value)` byte order — the order
+/// [`sort_records`] with [`BytesComparator`] gives the same records, so
+/// unstable sorting is safe for the reason documented there. Keys are
+/// ordered first; values are then ordered within each run of equal keys,
+/// which costs one pass and no moves when they already are (every
+/// WordCount value is `1`).
+pub fn sort_index(index: &mut [IndexEntry], frames: &[Bytes]) {
+    index.sort_unstable_by(|a, b| a.cmp_key(b, frames));
+    let mut start = 0;
+    while start < index.len() {
+        let first = index[start];
+        let len = index[start..]
+            .iter()
+            .position(|e| !e.same_key(&first, frames))
+            .unwrap_or(index.len() - start);
+        if len > 1 {
+            index[start..start + len].sort_unstable_by(|a, b| a.value(frames).cmp(b.value(frames)));
         }
-        // Bucket 0 = keys exhausted at this depth (they sort first);
-        // bucket b+1 = key byte `b` at this depth.
-        let bucket = |r: &Record| -> usize {
-            match r.key.get(depth) {
-                Some(&b) => b as usize + 1,
-                None => 0,
-            }
-        };
-        let mut counts = [0usize; 257];
-        for r in part.iter() {
-            counts[bucket(r)] += 1;
-        }
-        let mut starts = [0usize; 257];
-        let mut sum = 0usize;
-        for (s, c) in starts.iter_mut().zip(counts.iter()) {
-            *s = sum;
-            sum += c;
-        }
-        // American-flag pass: swap each record into its bucket region.
-        let mut heads = starts;
-        let mut ends = [0usize; 257];
-        for b in 0..257 {
-            ends[b] = starts[b] + counts[b];
-        }
-        for b in 0..257 {
-            while heads[b] < ends[b] {
-                let tb = bucket(&part[heads[b]]);
-                if tb == b {
-                    heads[b] += 1;
-                } else {
-                    part.swap(heads[b], heads[tb]);
-                    heads[tb] += 1;
-                }
-            }
-        }
-        // Exhausted-key bucket: keys are fully equal here (shorter keys
-        // landed in bucket 0 at an earlier depth), so order by value.
-        if counts[0] > 1 {
-            part[starts[0]..starts[0] + counts[0]].sort_unstable_by(|a, b| a.value.cmp(&b.value));
-        }
-        for b in 1..257 {
-            if counts[b] > 1 {
-                work.push((lo + starts[b], lo + starts[b] + counts[b], depth + 1));
-            }
-        }
+        start += len;
     }
 }
 
@@ -260,7 +321,6 @@ pub fn merge_sorted_runs<C: RawComparator>(runs: Vec<Vec<Record>>, cmp: &C) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
 
     fn rec(k: &str, v: &str) -> Record {
         Record::from_strs(k, v)
@@ -337,25 +397,35 @@ mod tests {
         assert!(merge_sorted_runs(vec![vec![], vec![]], &BytesComparator).is_empty());
     }
 
-    /// Reference order: the stable comparison sort the radix kernel must
-    /// reproduce byte-for-byte.
-    fn reference_sort(mut v: Vec<Record>) -> Vec<Record> {
-        v.sort_by(|a, b| a.key.cmp(&b.key).then_with(|| a.value.cmp(&b.value)));
-        v
+    /// Frames `records` a few per frame, indexes and sorts them, and
+    /// reads the index back as records.
+    fn sorted_through_index(records: &[Record]) -> Vec<Record> {
+        let mut frames = Vec::new();
+        let mut index = Vec::new();
+        for chunk in records.chunks(7) {
+            let mut buf = Vec::new();
+            for r in chunk {
+                ser::frame_record(&mut buf, r);
+            }
+            index_frame(&mut index, frames.len(), &buf).unwrap();
+            frames.push(Bytes::from(buf));
+        }
+        assert_eq!(index.len(), records.len());
+        sort_index(&mut index, &frames);
+        index
+            .iter()
+            .map(|e| Record::new(e.key(&frames).to_vec(), e.value(&frames).to_vec()))
+            .collect()
     }
 
-    fn assert_radix_matches(v: Vec<Record>) {
-        let expected = reference_sort(v.clone());
-        let mut radix = v.clone();
-        radix_sort_records(&mut radix);
-        assert_eq!(radix, expected, "radix kernel diverged from sort_by");
-        let mut std = v;
-        SortKernel::Comparison.sort(&mut std);
-        assert_eq!(std, expected, "comparison kernel diverged from sort_by");
+    fn assert_index_matches(mut records: Vec<Record>) {
+        let got = sorted_through_index(&records);
+        sort_records(&mut records, &BytesComparator);
+        assert_eq!(got, records, "index order diverged from sort_records");
     }
 
     /// Deterministic pseudo-random byte strings (xorshift; no external RNG).
-    fn rand_bytes(state: &mut u64, max_len: usize) -> Vec<u8> {
+    fn rand_bytes(state: &mut u64, max_len: usize, alphabet: u64) -> Vec<u8> {
         let mut step = || {
             *state ^= *state << 13;
             *state ^= *state >> 7;
@@ -363,83 +433,88 @@ mod tests {
             *state
         };
         let len = (step() as usize) % (max_len + 1);
-        (0..len).map(|_| (step() & 0xff) as u8).collect()
+        (0..len).map(|_| (step() % alphabet) as u8).collect()
     }
 
     #[test]
-    fn radix_handles_shared_prefixes() {
-        // Hundreds of keys sharing a long common prefix: forces deep
-        // recursion through single-occupancy depths (work-stack path).
+    fn index_entries_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<IndexEntry>(), 24);
+    }
+
+    #[test]
+    fn index_breaks_zero_padded_prefix_ties_by_length() {
+        // Every key here pads to the same all-zero or "a\0..." prefix.
+        let keys: [&[u8]; 8] = [
+            b"a\0\0",
+            b"",
+            b"a",
+            b"\0\0",
+            b"a\0",
+            b"\0",
+            b"a\0\0\0\0\0\0\0",
+            b"a\0\0\0\0\0\0\0\0",
+        ];
+        let records = keys.iter().map(|k| Record::new(k.to_vec(), b"v".to_vec()));
+        assert_index_matches(records.collect());
+    }
+
+    #[test]
+    fn index_orders_long_keys_sharing_their_prefix() {
         let mut v = Vec::new();
         for i in 0..300u32 {
-            let key = format!("shared/prefix/deeply/nested/{:03}", i % 150);
+            let key = format!("shared/prefix/deeply/nested/{:03}", (i * 37) % 150);
             v.push(rec(&key, &format!("{}", 299 - i)));
+            // One key is the eight-byte prefix itself, another is shorter.
+            v.push(rec("shared/p", &format!("{i}")));
+            v.push(rec("shared", ""));
         }
-        assert_radix_matches(v);
+        assert_index_matches(v);
     }
 
     #[test]
-    fn radix_handles_empty_and_tiny_keys() {
+    fn index_orders_values_within_equal_keys() {
+        // Values that are prefixes of each other under one long and one
+        // short key; and a key whose values are all equal.
         let mut v = Vec::new();
-        for i in 0..200u32 {
-            // Empty keys, 1-byte keys (all 256 values appear via i % 256
-            // over two laps), and a sprinkle of 2-byte keys.
-            match i % 3 {
-                0 => v.push(Record::new(
-                    Bytes::new(),
-                    Bytes::from(vec![(i & 0xff) as u8]),
-                )),
-                1 => v.push(Record::new(
-                    Bytes::from(vec![((i * 7) & 0xff) as u8]),
-                    Bytes::from(format!("{i}")),
-                )),
-                _ => v.push(Record::new(
-                    Bytes::from(vec![(i & 0xff) as u8, ((i * 3) & 0xff) as u8]),
-                    Bytes::new(),
-                )),
-            }
+        for len in (0..40usize).rev() {
+            v.push(rec("k", &"v".repeat(len)));
+            v.push(rec(&"long-key-".repeat(3), &"v".repeat(len % 5)));
+            v.push(rec("same", "1"));
         }
-        assert_radix_matches(v);
+        assert_index_matches(v);
     }
 
     #[test]
-    fn radix_handles_identical_long_keys() {
-        // All keys equal: everything funnels into the exhausted bucket at
-        // the deepest level; order must come from values alone.
-        let key = "k".repeat(100);
-        let v: Vec<Record> = (0..200u32)
-            .map(|i| rec(&key, &format!("{:03}", (i * 37) % 200)))
-            .collect();
-        assert_radix_matches(v);
-    }
-
-    #[test]
-    fn radix_matches_reference_on_random_inputs() {
+    fn index_matches_reference_on_random_inputs() {
         let mut state = 0x9e3779b97f4a7c15u64;
-        for case in 0..8 {
-            let n = 1 + (case * 157) % 1500; // spans fallback and radix paths
+        for case in 0..12u64 {
+            let n = 1 + (case * 157) % 1500;
+            // A small alphabet that includes 0x00 forces prefix ties.
+            let alphabet = if case % 2 == 0 { 3 } else { 256 };
             let v: Vec<Record> = (0..n)
                 .map(|_| {
                     Record::new(
-                        Bytes::from(rand_bytes(&mut state, 12)),
-                        Bytes::from(rand_bytes(&mut state, 6)),
+                        rand_bytes(&mut state, 12, alphabet),
+                        rand_bytes(&mut state, 3, alphabet),
                     )
                 })
                 .collect();
-            assert_radix_matches(v);
+            assert_index_matches(v);
         }
     }
 
     #[test]
-    fn radix_handles_keys_that_are_prefixes_of_each_other() {
-        // "a", "aa", "aaa", ... interleaved in reverse: each depth has a
-        // nonempty exhausted bucket alongside a continuing bucket.
-        let mut v = Vec::new();
-        for len in (0..80usize).rev() {
-            v.push(rec(&"a".repeat(len), &format!("{len}")));
-            v.push(rec(&"a".repeat(len), "dup"));
-        }
-        assert_radix_matches(v);
+    fn index_frame_rejects_a_truncated_payload_and_keeps_the_index() {
+        let mut good = Vec::new();
+        ser::frame_record(&mut good, &rec("k", "v"));
+        let mut index = Vec::new();
+        index_frame(&mut index, 0, &good).unwrap();
+        let mut bad = good.clone();
+        ser::frame_record(&mut bad, &rec("key", "value"));
+        bad.truncate(bad.len() - 1);
+        assert!(index_frame(&mut index, 1, &bad).is_err());
+        assert_eq!(index.len(), 1, "a failed frame must leave no entries");
+        assert!(index_frame(&mut index, 1 << 32, &good).is_err());
     }
 
     #[test]

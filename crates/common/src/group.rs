@@ -8,6 +8,8 @@
 //! interchangeable, which the integration tests exploit to check that all
 //! engines compute identical results.
 
+use std::ops::Range;
+
 use bytes::Bytes;
 
 use crate::kv::{Record, RecordBatch};
@@ -58,26 +60,61 @@ pub fn group_sorted(records: Vec<Record>) -> Vec<GroupedValues> {
     groups
 }
 
-/// Clusters unsorted records by key using a hash map (Common mode).
-/// Group order follows first appearance of each key, which keeps the
-/// output deterministic for a given arrival order.
-pub fn group_hashed(records: Vec<Record>) -> Vec<GroupedValues> {
-    use crate::hashing::FnvHashMap;
-    let mut index: FnvHashMap<Bytes, usize> = FnvHashMap::default();
-    let mut groups: Vec<GroupedValues> = Vec::new();
-    for rec in records {
-        match index.get(&rec.key) {
-            Some(&i) => groups[i].values.push(rec.value),
+/// Incremental hash clustering (Common mode): groups come out in order of
+/// each key's first appearance and hold their values in arrival order,
+/// which keeps the output deterministic for a given arrival order.
+#[derive(Default)]
+pub struct HashGrouper {
+    index: crate::hashing::FnvHashMap<Bytes, usize>,
+    groups: Vec<GroupedValues>,
+}
+
+impl HashGrouper {
+    /// Adds one owned record.
+    pub fn push(&mut self, rec: Record) {
+        match self.index.get(&rec.key) {
+            Some(&i) => self.groups[i].values.push(rec.value),
             None => {
-                index.insert(rec.key.clone(), groups.len());
-                groups.push(GroupedValues {
+                self.index.insert(rec.key.clone(), self.groups.len());
+                self.groups.push(GroupedValues {
                     key: rec.key,
                     values: vec![rec.value],
                 });
             }
         }
     }
-    groups
+
+    /// Adds the pair whose key and value are the given ranges of `frame`,
+    /// as slices sharing the frame's storage. The key is looked up as
+    /// plain bytes and sliced only when it opens a group.
+    pub fn push_slices(&mut self, frame: &Bytes, key: Range<usize>, value: Range<usize>) {
+        match self.index.get(&frame[key.clone()]) {
+            Some(&i) => self.groups[i].values.push(frame.slice(value)),
+            None => {
+                let key = frame.slice(key);
+                self.index.insert(key.clone(), self.groups.len());
+                self.groups.push(GroupedValues {
+                    key,
+                    values: vec![frame.slice(value)],
+                });
+            }
+        }
+    }
+
+    /// The groups, in first-appearance order.
+    pub fn finish(self) -> Vec<GroupedValues> {
+        self.groups
+    }
+}
+
+/// Clusters unsorted records by key using a hash map (Common mode); see
+/// [`HashGrouper`] for the order.
+pub fn group_hashed(records: Vec<Record>) -> Vec<GroupedValues> {
+    let mut grouper = HashGrouper::default();
+    for rec in records {
+        grouper.push(rec);
+    }
+    grouper.finish()
 }
 
 /// A simple collector writing into a [`RecordBatch`] — the A-side output
@@ -86,11 +123,21 @@ pub fn group_hashed(records: Vec<Record>) -> Vec<GroupedValues> {
 pub struct BatchCollector {
     /// Collected records.
     pub batch: RecordBatch,
+    /// Where a pair is joined before its one allocation is made.
+    joined: Vec<u8>,
 }
 
 impl Collector for BatchCollector {
     fn collect(&mut self, key: &[u8], value: &[u8]) {
-        self.batch.push(Record::new(key.to_vec(), value.to_vec()));
+        // One shared allocation per record, sliced into key and value.
+        self.joined.clear();
+        self.joined.extend_from_slice(key);
+        self.joined.extend_from_slice(value);
+        let shared = Bytes::copy_from_slice(&self.joined);
+        self.batch.push(Record {
+            key: shared.slice(..key.len()),
+            value: shared.slice(key.len()..),
+        });
     }
 }
 
@@ -147,7 +194,32 @@ mod tests {
         let mut c = BatchCollector::default();
         c.collect(b"k", b"v");
         c.collect(b"k2", b"v2");
-        assert_eq!(c.batch.len(), 2);
-        assert_eq!(c.batch.records()[1].key_utf8(), "k2");
+        c.collect(b"", b"");
+        assert_eq!(c.batch.len(), 3);
+        assert_eq!(c.batch.records()[0], rec("k", "v"));
+        assert_eq!(c.batch.records()[1], rec("k2", "v2"));
+        assert_eq!(c.batch.records()[2], rec("", ""));
+        // Key and value of one record share one allocation.
+        let r = &c.batch.records()[1];
+        assert_eq!(
+            r.key.as_ref().as_ptr() as usize + 2,
+            r.value.as_ref().as_ptr() as usize
+        );
+    }
+
+    #[test]
+    fn grouper_agrees_on_slices_and_records() {
+        let records = vec![rec("x", "1"), rec("y", "2"), rec("x", "3"), rec("", "")];
+        let mut framed = Vec::new();
+        for r in &records {
+            crate::ser::frame_record(&mut framed, r);
+        }
+        let frame = Bytes::from(framed);
+        let mut grouper = HashGrouper::default();
+        for span in crate::ser::framed_kv_spans(&frame) {
+            let span = span.unwrap();
+            grouper.push_slices(&frame, span.key(), span.value());
+        }
+        assert_eq!(grouper.finish(), group_hashed(records));
     }
 }

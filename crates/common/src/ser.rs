@@ -148,10 +148,15 @@ impl<A: Writable, B: Writable> Writable for (A, B) {
 
 /// Appends the framed form of a record: `varint(klen) varint(vlen) key value`.
 pub fn frame_record(out: &mut Vec<u8>, rec: &Record) {
-    varint::write_u64(out, rec.key.len() as u64);
-    varint::write_u64(out, rec.value.len() as u64);
-    out.extend_from_slice(&rec.key);
-    out.extend_from_slice(&rec.value);
+    frame_kv(out, &rec.key, &rec.value);
+}
+
+/// [`frame_record`] for a pair that is not an owned `Record`.
+pub fn frame_kv(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
+    varint::write_u64(out, key.len() as u64);
+    varint::write_u64(out, value.len() as u64);
+    out.extend_from_slice(key);
+    out.extend_from_slice(value);
 }
 
 /// Parses one record frame's layout from the front of `buf`: returns
@@ -216,6 +221,52 @@ pub fn read_framed_kv(buf: &[u8]) -> Result<(&[u8], &[u8], usize)> {
         &buf[header + klen..total],
         total,
     ))
+}
+
+/// Where one framed record's key and value sit inside the buffer it was
+/// parsed from (the value follows the key directly).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KvSpan {
+    /// Offset of the first key byte.
+    pub key_off: usize,
+    /// Key length in bytes.
+    pub key_len: usize,
+    /// Value length in bytes.
+    pub val_len: usize,
+}
+
+impl KvSpan {
+    /// The key's byte range.
+    pub fn key(&self) -> std::ops::Range<usize> {
+        self.key_off..self.key_off + self.key_len
+    }
+
+    /// The value's byte range; its end is where the next record starts.
+    pub fn value(&self) -> std::ops::Range<usize> {
+        let start = self.key_off + self.key_len;
+        start..start + self.val_len
+    }
+}
+
+/// Walks a buffer of consecutive framed records, yielding each one's
+/// bounds-checked layout as offsets into `buf` — the decode for callers
+/// that keep the buffer and refer back into it (the A-side run index,
+/// the combiner staging window) instead of materializing a `Record` per
+/// pair. Ends after the first error.
+pub fn framed_kv_spans(buf: &[u8]) -> impl Iterator<Item = Result<KvSpan>> + '_ {
+    let mut offset = 0;
+    std::iter::from_fn(move || {
+        if offset >= buf.len() {
+            return None;
+        }
+        let span = frame_layout(&buf[offset..]).map(|(header, key_len, val_len, _)| KvSpan {
+            key_off: offset + header,
+            key_len,
+            val_len,
+        });
+        offset = span.as_ref().map_or(buf.len(), |s| s.value().end);
+        Some(span)
+    })
 }
 
 /// Serializes a whole batch into framed bytes.
@@ -290,37 +341,6 @@ impl<'a> RecordReader<'a> {
             return Ok(None);
         }
         let (rec, n) = read_framed_record(&self.buf[self.offset..])?;
-        self.offset += n;
-        Ok(Some(rec))
-    }
-
-    /// Bytes consumed so far.
-    pub fn position(&self) -> usize {
-        self.offset
-    }
-}
-
-/// Streaming zero-copy reader over a refcounted framed buffer: each
-/// decoded record's key and value share the buffer's storage via
-/// [`Bytes::slice`] instead of copying (see
-/// [`read_framed_record_shared`]).
-pub struct SharedRecordReader {
-    buf: Bytes,
-    offset: usize,
-}
-
-impl SharedRecordReader {
-    /// Wraps a framed refcounted buffer.
-    pub fn new(buf: Bytes) -> Self {
-        SharedRecordReader { buf, offset: 0 }
-    }
-
-    /// Decodes the next record, or `None` at end of buffer.
-    pub fn next_record(&mut self) -> Result<Option<Record>> {
-        if self.offset == self.buf.len() {
-            return Ok(None);
-        }
-        let (rec, n) = read_framed_record_shared(&self.buf, self.offset)?;
         self.offset += n;
         Ok(Some(rec))
     }
@@ -409,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_reader_is_zero_copy_and_agrees_with_the_copying_reader() {
+    fn shared_decode_is_zero_copy_and_agrees_with_the_copying_reader() {
         let recs = vec![
             Record::from_strs("", ""),
             Record::from_strs("key", "value"),
@@ -418,23 +438,35 @@ mod tests {
         let batch: RecordBatch = recs.clone().into_iter().collect();
         let framed = Bytes::from(frame_batch(&batch));
 
-        let mut shared = SharedRecordReader::new(framed.clone());
         let mut copying = RecordReader::new(&framed);
         let base = framed.as_ref().as_ptr() as usize;
-        let mut seen = 0;
-        while let Some(a) = shared.next_record().unwrap() {
+        let mut spans = framed_kv_spans(&framed);
+        let (mut offset, mut seen) = (0, 0);
+        while offset < framed.len() {
+            let (a, n) = read_framed_record_shared(&framed, offset).unwrap();
             let b = copying.next_record().unwrap().unwrap();
             assert_eq!(a, b);
+            // The span walk names the same bytes without touching them.
+            let span = spans.next().unwrap().unwrap();
+            assert_eq!(&framed[span.key()], &a.key[..]);
+            assert_eq!(&framed[span.value()], &a.value[..]);
+            assert_eq!(span.value().end, offset + n);
             // The shared decode's key/value point into the frame buffer.
             if !a.key.is_empty() {
                 let p = a.key.as_ref().as_ptr() as usize;
                 assert!(p >= base && p < base + framed.len(), "key not shared");
             }
+            offset += n;
             seen += 1;
         }
         assert_eq!(seen, recs.len());
         assert!(copying.next_record().unwrap().is_none());
-        assert_eq!(shared.position(), framed.len());
+        assert!(spans.next().is_none());
+        // A truncated buffer yields its whole records, one error, then ends.
+        let mut cut = framed_kv_spans(&framed[..framed.len() - 1]);
+        assert!(cut.by_ref().take(recs.len() - 1).all(|s| s.is_ok()));
+        assert!(cut.next().unwrap().is_err());
+        assert!(cut.next().is_none());
     }
 
     #[test]

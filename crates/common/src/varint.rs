@@ -29,6 +29,12 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
 /// Decodes a LEB128 `u64` from the front of `buf`, returning the value and
 /// the number of bytes consumed.
 pub fn read_u64(buf: &[u8]) -> Result<(u64, usize)> {
+    // Record framing is almost all one-byte lengths.
+    if let Some(&byte) = buf.first() {
+        if byte < 0x80 {
+            return Ok((byte as u64, 1));
+        }
+    }
     let mut value: u64 = 0;
     let mut shift = 0u32;
     for (i, &byte) in buf.iter().enumerate() {

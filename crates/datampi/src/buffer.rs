@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 
-use dmpi_common::group::group_hashed;
+use dmpi_common::group::HashGrouper;
 use dmpi_common::partition::{HashPartitioner, Partitioner};
 use dmpi_common::ser;
 use dmpi_common::Record;
@@ -62,15 +62,15 @@ pub struct KvBuffer {
     tracer: Option<Tracer>,
     /// Largest single-partition buffer occupancy seen, bytes.
     hwm_bytes: usize,
-    /// O-side pre-aggregation: when set, emits are staged as decoded
-    /// records per destination and key-folded through this function
-    /// right before their frame is built, so repeated keys collapse
-    /// locally instead of crossing the wire.
+    /// O-side pre-aggregation: when set, emits are staged per
+    /// destination and key-folded through this function right before
+    /// their frame is built, so repeated keys collapse locally instead
+    /// of crossing the wire.
     combiner: Option<Combiner>,
-    /// Per-destination staging for the combiner (empty when none).
-    pending: Vec<Vec<Record>>,
-    /// Framed-size accounting of `pending`, for threshold decisions.
-    pending_bytes: Vec<usize>,
+    /// Per-destination staging for the combiner (empty when none): the
+    /// window's pairs as framed bytes, exactly what the plain path
+    /// writes into `buffers`, so its length is the threshold measure.
+    staged: Vec<Vec<u8>>,
 }
 
 /// Frames a combiner's output records straight into a destination
@@ -82,10 +82,7 @@ struct FrameCollector<'a> {
 
 impl Collector for FrameCollector<'_> {
     fn collect(&mut self, key: &[u8], value: &[u8]) {
-        dmpi_common::varint::write_u64(self.buf, key.len() as u64);
-        dmpi_common::varint::write_u64(self.buf, value.len() as u64);
-        self.buf.extend_from_slice(key);
-        self.buf.extend_from_slice(value);
+        ser::frame_kv(self.buf, key, value);
         self.records += 1;
     }
 }
@@ -117,17 +114,14 @@ impl KvBuffer {
             tracer: None,
             hwm_bytes: 0,
             combiner: None,
-            pending: Vec::new(),
-            pending_bytes: Vec::new(),
+            staged: Vec::new(),
         }
     }
 
     /// Installs an O-side combiner; see
     /// [`JobConfig::with_combiner`](crate::JobConfig::with_combiner).
     pub fn set_combiner(&mut self, combiner: Combiner) {
-        let parts = self.buffers.len();
-        self.pending = (0..parts).map(|_| Vec::new()).collect();
-        self.pending_bytes = vec![0; parts];
+        self.staged = vec![Vec::new(); self.buffers.len()];
         self.combiner = Some(combiner);
     }
 
@@ -149,78 +143,63 @@ impl KvBuffer {
 
     /// Emits one key-value pair.
     pub fn emit(&mut self, record: &Record) {
-        if self.combiner.is_some() {
-            let p = self.partitioner.partition(&record.key);
-            self.stage(p, record.clone());
-            return;
-        }
-        let p = self.partitioner.partition(&record.key);
-        ser::frame_record(&mut self.buffers[p], record);
-        self.stats.records += 1;
-        self.stats.bytes += record.framed_len() as u64;
-        self.hwm_bytes = self.hwm_bytes.max(self.buffers[p].len());
-        if self.pipelined && self.buffers[p].len() >= self.flush_threshold {
-            self.flush_partition(p);
-            self.stats.early_flushes += 1;
-        }
+        self.emit_kv(&record.key, &record.value);
     }
 
-    /// Emits a raw key/value pair without constructing a `Record`.
+    /// Emits a raw key/value pair without constructing a `Record`: the
+    /// pair is framed into its destination's frame buffer, or, with a
+    /// combiner, into the destination's staging window, which is folded
+    /// and shipped once its framed bytes cross the flush threshold.
     pub fn emit_kv(&mut self, key: &[u8], value: &[u8]) {
-        if self.combiner.is_some() {
-            let p = self.partitioner.partition(key);
-            self.stage(p, Record::new(key.to_vec(), value.to_vec()));
-            return;
-        }
-        // Avoid the Bytes round trip on the hot path.
         let p = self.partitioner.partition(key);
-        let buf = &mut self.buffers[p];
+        let combining = self.combiner.is_some();
+        let buf = if combining {
+            &mut self.staged[p]
+        } else {
+            &mut self.buffers[p]
+        };
         let before = buf.len();
-        dmpi_common::varint::write_u64(buf, key.len() as u64);
-        dmpi_common::varint::write_u64(buf, value.len() as u64);
-        buf.extend_from_slice(key);
-        buf.extend_from_slice(value);
+        ser::frame_kv(buf, key, value);
+        let level = buf.len();
         self.stats.records += 1;
-        self.stats.bytes += (buf.len() - before) as u64;
-        self.hwm_bytes = self.hwm_bytes.max(buf.len());
-        if self.pipelined && buf.len() >= self.flush_threshold {
+        if !combining {
+            self.stats.bytes += (level - before) as u64;
+        }
+        self.hwm_bytes = self.hwm_bytes.max(level);
+        if self.pipelined && level >= self.flush_threshold {
+            if combining {
+                self.combine_partition(p);
+            }
             self.flush_partition(p);
             self.stats.early_flushes += 1;
         }
     }
 
-    /// Combiner path of both emit surfaces: stage the decoded record and
-    /// fold + ship the destination once its staged (framed-size
-    /// equivalent) bytes cross the flush threshold.
-    fn stage(&mut self, p: usize, record: Record) {
-        self.stats.records += 1;
-        self.pending_bytes[p] += record.framed_len();
-        self.pending[p].push(record);
-        self.hwm_bytes = self.hwm_bytes.max(self.pending_bytes[p]);
-        if self.pipelined && self.pending_bytes[p] >= self.flush_threshold {
-            self.combine_partition(p);
-            self.flush_partition(p);
-            self.stats.early_flushes += 1;
-        }
-    }
-
-    /// Folds destination `p`'s staged records through the combiner into
+    /// Folds destination `p`'s staged window through the combiner into
     /// its frame buffer: group by key (first-appearance order — the
     /// A side regroups anyway) and let the combiner collapse each group.
     fn combine_partition(&mut self, p: usize) {
-        if self.pending[p].is_empty() {
+        if self.staged[p].is_empty() {
             return;
         }
-        let combiner = self.combiner.clone().expect("stage requires a combiner");
-        let staged = std::mem::take(&mut self.pending[p]);
-        self.pending_bytes[p] = 0;
-        self.stats.combiner_records_in += staged.len() as u64;
+        let combiner = self.combiner.clone().expect("staging requires a combiner");
+        // The combiner takes refcounted keys and values: one shared copy
+        // of the window, sliced per pair, and the arena keeps its
+        // capacity for the next window.
+        let window = Bytes::copy_from_slice(&self.staged[p]);
+        self.staged[p].clear();
+        let mut grouper = HashGrouper::default();
+        for span in ser::framed_kv_spans(&window) {
+            let span = span.expect("the staging window holds only pairs this buffer framed");
+            grouper.push_slices(&window, span.key(), span.value());
+            self.stats.combiner_records_in += 1;
+        }
         let before = self.buffers[p].len();
         let mut out = FrameCollector {
             buf: &mut self.buffers[p],
             records: 0,
         };
-        for group in &group_hashed(staged) {
+        for group in &grouper.finish() {
             combiner.apply(group, &mut out);
         }
         self.stats.combiner_records_out += out.records;
@@ -483,6 +462,114 @@ mod tests {
             })
             .sum();
         assert_eq!(shipped, stats.combiner_records_out);
+    }
+
+    /// The staging this buffer replaced, kept as the reference: each
+    /// destination's window is a `Vec<Record>`, closed on its framed
+    /// size, grouped by `group_hashed` and folded into one frame.
+    struct RecordStaging {
+        combiner: Combiner,
+        threshold: usize,
+        pending: Vec<Vec<Record>>,
+        pending_bytes: Vec<usize>,
+        frames: Vec<Vec<Vec<u8>>>,
+        stats: BufferStats,
+    }
+
+    impl RecordStaging {
+        fn emit(&mut self, part: &HashPartitioner, key: &[u8], value: &[u8]) {
+            let p = part.partition(key);
+            let record = Record::new(key.to_vec(), value.to_vec());
+            self.stats.records += 1;
+            self.pending_bytes[p] += record.framed_len();
+            self.pending[p].push(record);
+            if self.pending_bytes[p] >= self.threshold {
+                self.close(p);
+                self.stats.early_flushes += 1;
+            }
+        }
+
+        fn close(&mut self, p: usize) {
+            let staged = std::mem::take(&mut self.pending[p]);
+            self.pending_bytes[p] = 0;
+            if staged.is_empty() {
+                return;
+            }
+            self.stats.combiner_records_in += staged.len() as u64;
+            let mut buf = Vec::new();
+            let mut out = FrameCollector {
+                buf: &mut buf,
+                records: 0,
+            };
+            for group in &dmpi_common::group::group_hashed(staged) {
+                self.combiner.apply(group, &mut out);
+            }
+            self.stats.combiner_records_out += out.records;
+            self.stats.bytes += buf.len() as u64;
+            self.stats.frames += 1;
+            self.frames[p].push(buf);
+        }
+    }
+
+    #[test]
+    fn arena_staging_ships_the_frames_record_staging_did() {
+        use dmpi_common::ser::Writable;
+        const PARTS: usize = 3;
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut step = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (seed_round, threshold) in [48usize, 200, 1000, usize::MAX].into_iter().enumerate() {
+            let mut net = Interconnect::new(PARTS);
+            let rxs: Vec<_> = (0..PARTS).map(|r| net.take_receiver(r)).collect();
+            let mut buf = KvBuffer::new(frame_senders(&net), 0, 0, threshold, true);
+            buf.set_combiner(sum_combiner());
+            let mut reference = RecordStaging {
+                combiner: sum_combiner(),
+                threshold,
+                pending: vec![Vec::new(); PARTS],
+                pending_bytes: vec![0; PARTS],
+                frames: vec![Vec::new(); PARTS],
+                stats: BufferStats::default(),
+            };
+            let part = HashPartitioner::new(PARTS);
+            for _ in 0..(1500 + 300 * seed_round) {
+                // Skewed keys of uneven length, the empty key included.
+                let id = step() % 40;
+                let key = "k".repeat((id % 7) as usize) + &id.to_string();
+                let key = if id == 0 { String::new() } else { key };
+                let value = (step() % 1000).to_bytes();
+                buf.emit_kv(key.as_bytes(), &value);
+                reference.emit(&part, key.as_bytes(), &value);
+            }
+            let stats = buf.finish();
+            for p in 0..PARTS {
+                reference.close(p);
+            }
+            assert_eq!(stats, reference.stats, "threshold {threshold}");
+            if threshold < usize::MAX {
+                assert!(
+                    stats.early_flushes as usize > 2 * PARTS,
+                    "threshold {threshold} must close several windows per destination"
+                );
+            }
+            for (p, rx) in rxs.iter().enumerate() {
+                let shipped: Vec<Vec<u8>> = drain(rx)
+                    .iter()
+                    .filter_map(|f| match f {
+                        Frame::Data { payload, .. } => Some(payload.to_vec()),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(
+                    shipped, reference.frames[p],
+                    "threshold {threshold} dest {p}"
+                );
+            }
+        }
     }
 
     #[test]

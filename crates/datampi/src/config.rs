@@ -135,10 +135,9 @@ pub struct JobConfig {
     /// fan small inputs out wider (tests use this); the default is
     /// [`DEFAULT_O_CHUNK_BYTES`].
     pub o_chunk_bytes: usize,
-    /// Which kernel sorts spill runs on the A side —
-    /// [`SortKernel::Radix`] (default) or the comparison sort. Both yield
-    /// identical output order; this is a perf dimension benchmarked by
-    /// `figures hotpath-bench`.
+    /// Unused since the A-side store sorts an index over frame bytes
+    /// (one kernel, see [`dmpi_common::compare::sort_index`]); kept
+    /// because the benchmark package reads the field.
     pub sort_kernel: SortKernel,
     /// Straggler defense ([`crate::speculate`]): progress heartbeats,
     /// median-based outlier detection, and speculative duplicate attempts
@@ -335,7 +334,8 @@ impl JobConfig {
         self
     }
 
-    /// Builder: select the spill-run sort kernel.
+    /// Builder: sets [`sort_kernel`](Self::sort_kernel), which nothing
+    /// reads any more.
     pub fn with_sort_kernel(mut self, kernel: SortKernel) -> Self {
         self.sort_kernel = kernel;
         self

@@ -477,7 +477,6 @@ where
     let ingest = std::thread::scope(|scope| {
         let budget = config.memory_budget;
         let sorted = config.sorted_grouping;
-        let kernel = config.sort_kernel;
         let spill = config.spill_config().with_tag(format!("r{rank}"));
         let ingest = scope.spawn(move || {
             ingest_partition(
@@ -486,7 +485,6 @@ where
                     expected_eofs: ranks,
                     memory_budget: budget,
                     sorted,
-                    kernel,
                     observer,
                     recv_start,
                     rank,

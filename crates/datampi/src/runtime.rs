@@ -42,7 +42,6 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use dmpi_common::compare::SortKernel;
 use dmpi_common::kv::RecordBatch;
 use dmpi_common::{ser, Error, FaultCause, FaultKind, Result};
 
@@ -694,7 +693,6 @@ where
                     let observer = config.observer.as_ref();
                     let budget = config.memory_budget;
                     let sorted = config.sorted_grouping;
-                    let kernel = config.sort_kernel;
                     let spill = config
                         .spill_config()
                         .with_tag(format!("r{rank}-a{attempt}"));
@@ -707,7 +705,6 @@ where
                                 expected_eofs: ranks,
                                 memory_budget: budget,
                                 sorted,
-                                kernel,
                                 observer,
                                 recv_start,
                                 rank,
@@ -1383,8 +1380,6 @@ pub(crate) struct IngestConfig<'a> {
     pub memory_budget: usize,
     /// Sorted (MapReduce-mode) vs hashed (Common-mode) grouping.
     pub sorted: bool,
-    /// Kernel that sorts spill runs when they seal.
-    pub kernel: SortKernel,
     /// Tracing observer, when the job carries one.
     pub observer: Option<&'a Observer>,
     /// Recv-span start, stamped by the rank thread *before* spawning
@@ -1418,7 +1413,6 @@ pub(crate) fn ingest_partition(receiver: FrameReceiver, cfg: IngestConfig<'_>) -
         expected_eofs,
         memory_budget,
         sorted,
-        kernel,
         observer,
         recv_start,
         rank,
@@ -1430,7 +1424,6 @@ pub(crate) fn ingest_partition(receiver: FrameReceiver, cfg: IngestConfig<'_>) -
     // by design); its spans merge into the shared trace on exit.
     let tracer = observer.map(|o| o.rank_tracer(rank as u32, attempt));
     let mut store = PartitionStore::new(memory_budget, sorted);
-    store.set_sort_kernel(kernel);
     store.set_spill_config(spill);
     if let Some(o) = observer {
         // The store gets the Send+Sync observer, not this thread's

@@ -37,6 +37,7 @@
 //! attempts without coordinator bookkeeping.
 
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -250,8 +251,10 @@ impl RunIndex {
 /// CRC-summed, optionally LZ4-compressed (one reusable
 /// [`lz4_flex::Compressor`] hash table for the whole run), and appended
 /// to the image. Records never straddle blocks. The per-block key range
-/// is tracked as a running min/max, so the index stays honest even for
-/// arrival-order (hashed-mode) runs.
+/// is kept as two ranges into the forming block and copied out when the
+/// block closes: a key-sorted run takes its first and last record, an
+/// arrival-order (hashed-mode) run tracks the running min/max, so the
+/// index stays honest either way.
 pub struct RunWriter {
     block_bytes: usize,
     compress: bool,
@@ -259,15 +262,17 @@ pub struct RunWriter {
     raw: Vec<u8>,
     packed: Vec<u8>,
     compressor: lz4_flex::Compressor,
-    first_key: Bytes,
-    last_key: Bytes,
+    /// Where the block's smallest and largest keys sit in `raw`.
+    first_key: Range<usize>,
+    last_key: Range<usize>,
     block_records: u32,
     index: RunIndex,
 }
 
 impl RunWriter {
     /// A writer with the given per-block raw budget. `sorted` records the
-    /// run-level ordering promise in the footer flags.
+    /// run-level ordering promise in the footer flags; the caller must
+    /// then push records in key order.
     pub fn new(block_bytes: usize, compress: bool, sorted: bool) -> Self {
         RunWriter {
             block_bytes: block_bytes.max(1),
@@ -276,8 +281,8 @@ impl RunWriter {
             raw: Vec::new(),
             packed: Vec::new(),
             compressor: lz4_flex::Compressor::new(),
-            first_key: Bytes::new(),
-            last_key: Bytes::new(),
+            first_key: 0..0,
+            last_key: 0..0,
             block_records: 0,
             index: RunIndex {
                 sorted,
@@ -289,18 +294,28 @@ impl RunWriter {
     /// Frames one record into the forming block, closing the block when
     /// it reaches the budget.
     pub fn push(&mut self, rec: &Record) {
+        self.push_kv(&rec.key, &rec.value);
+    }
+
+    /// [`push`](Self::push) for a pair that is not an owned `Record` —
+    /// the store seals runs straight from frame slices.
+    pub fn push_kv(&mut self, key: &[u8], value: &[u8]) {
+        ser::frame_kv(&mut self.raw, key, value);
+        let key_end = self.raw.len() - value.len();
+        let at = key_end - key.len()..key_end;
         if self.block_records == 0 {
-            self.first_key = rec.key.clone();
-            self.last_key = rec.key.clone();
+            self.first_key = at.clone();
+            self.last_key = at;
+        } else if self.index.sorted {
+            self.last_key = at;
         } else {
-            if rec.key < self.first_key {
-                self.first_key = rec.key.clone();
+            if *key < self.raw[self.first_key.clone()] {
+                self.first_key = at.clone();
             }
-            if rec.key > self.last_key {
-                self.last_key = rec.key.clone();
+            if *key > self.raw[self.last_key.clone()] {
+                self.last_key = at;
             }
         }
-        ser::frame_record(&mut self.raw, rec);
         self.block_records += 1;
         if self.raw.len() >= self.block_bytes {
             self.flush_block();
@@ -325,8 +340,8 @@ impl RunWriter {
             &self.raw
         };
         let meta = BlockMeta {
-            first_key: std::mem::take(&mut self.first_key),
-            last_key: std::mem::take(&mut self.last_key),
+            first_key: Bytes::copy_from_slice(&self.raw[self.first_key.clone()]),
+            last_key: Bytes::copy_from_slice(&self.raw[self.last_key.clone()]),
             offset: self.image.len() as u64,
             raw_len,
             stored_len: stored.len() as u32,
@@ -1087,6 +1102,34 @@ mod tests {
         let run = SealedRun::mem(image, index);
         assert_eq!(read_all(&run, &SpillReadCounters::new()), records);
         assert!(run.lookup(b"a", &SpillReadCounters::new()).is_err());
+    }
+
+    #[test]
+    fn sorted_writer_footer_equals_the_running_min_max_footer() {
+        // A sorted run reads its block key ranges off the first and last
+        // record instead of comparing every key; for records that are in
+        // key order the footer must be the same bytes either way.
+        let mut records = sorted_records(400);
+        for i in 0..6 {
+            records.insert(200, rec("key00200", &format!("dup{i}")));
+        }
+        records.insert(0, rec("", "empty key first"));
+        for block_bytes in [1usize, 64, 700, 1 << 20] {
+            let (sorted_image, sorted_index) = build_run(&records, block_bytes, true);
+            let mut w = RunWriter::new(block_bytes, true, false);
+            for r in &records {
+                w.push_kv(&r.key, &r.value);
+            }
+            let (_, mut tracked) = w.finish();
+            assert!(!tracked.sorted);
+            tracked.sorted = true;
+            assert_eq!(sorted_index.encode_footer(), tracked.encode_footer());
+            let footer_at = sorted_image.len() - TRAILER_LEN - tracked.encode_footer().len();
+            assert_eq!(
+                &sorted_image[footer_at..sorted_image.len() - TRAILER_LEN],
+                &tracked.encode_footer()[..]
+            );
+        }
     }
 
     #[test]

@@ -1,42 +1,48 @@
 //! The A-side intermediate store — DataMPI's "data-centric" leg, as a
 //! **streaming run-formation + external-merge pipeline**.
 //!
-//! Frames arriving at an A partition are decoded into records *as they
-//! arrive* (concurrently with the O phase — the ingest thread does this
-//! work while O tasks are still computing) and appended to a forming
-//! in-memory **run**. When the partition outgrows its memory budget the
-//! run is key-sorted and sealed through the indexed, block-compressed
-//! run format of [`crate::spillfmt`] — to a file under the configured
-//! spill directory (the genuinely external-memory path), or to an
-//! in-memory image in the identical format (the default for small
-//! jobs). Grouping then becomes a k-way external merge over all runs
-//! via a [loser tree], streamed one group at a time through
-//! [`GroupStream`], so a spilled job never re-materializes the full
-//! record set in memory: at any moment the merge holds one decoded
-//! block per run plus the group under construction, and the runs'
-//! footer indexes let a range-restricted or checkpoint-resumed merge
-//! *skip* whole blocks instead of scanning them.
+//! Frames arriving at an A partition are **kept as they arrived** and
+//! indexed *as they arrive* (concurrently with the O phase — the ingest
+//! thread does this work while O tasks are still computing): the forming
+//! in-memory **run** is the frame payloads plus one 24-byte
+//! [`IndexEntry`] per record (key prefix, frame number, offsets), never
+//! an owned `Record` per pair. Sorting the run sorts the index; the
+//! frame bytes do not move. When the partition outgrows its memory
+//! budget the run is sorted and sealed through the indexed,
+//! block-compressed run format of [`crate::spillfmt`], key and value
+//! slices streaming straight from the frames into blocks — to a file
+//! under the configured spill directory (the genuinely external-memory
+//! path), or to an in-memory image in the identical format (the default
+//! for small jobs).
 //!
-//! This replaces the seed's collect-then-sort shape (buffer every raw
-//! frame, decode and sort everything in one monolithic pass after all
-//! EOFs) — exactly the Hadoop-style materialization the paper criticizes.
-//! Sorting now overlaps the O phase *and* the ingest thread itself: a
-//! run crossing the budget is handed to a background sealing thread
-//! (sorted with the configured [`SortKernel`] — MSD radix by default —
-//! and re-framed into its spill image) while ingest keeps decoding the
-//! next run; only the final in-memory run (bounded by the budget) is
-//! sorted at merge time. Sealed images are collected in spill order, so
-//! the k-way merge's `(key, value, run)` tiebreak sees the exact run
-//! sequence a synchronous sealer would have produced.
+//! Grouping streams one group at a time through [`GroupStream`]. A
+//! partition that never spilled walks its sorted index directly, each
+//! group's key and values being slices of the frames. Once sealed runs
+//! exist, grouping is a k-way external merge over them and the last
+//! forming run via a [loser tree], so a spilled job never
+//! re-materializes the full record set in memory: at any moment the
+//! merge holds one decoded block per run plus the group under
+//! construction, and the runs' footer indexes let a range-restricted or
+//! checkpoint-resumed merge *skip* whole blocks instead of scanning
+//! them.
+//!
+//! Sorting overlaps the O phase *and* the ingest thread itself: a run
+//! crossing the budget is handed to a background sealing thread while
+//! ingest keeps indexing the next run; only the final in-memory run
+//! (bounded by the budget) is sorted at merge time. Sealed images are
+//! collected in spill order, so the k-way merge's `(key, value, run)`
+//! tiebreak sees the exact run sequence a synchronous sealer would have
+//! produced.
 //!
 //! [loser tree]: https://en.wikipedia.org/wiki/K-way_merge_algorithm
 use std::cmp::Ordering;
 
 use bytes::Bytes;
 
-use dmpi_common::compare::{BytesComparator, RawComparator, SortKernel};
-use dmpi_common::group::GroupedValues;
-use dmpi_common::ser::SharedRecordReader;
+use dmpi_common::compare::{
+    index_frame, sort_index, BytesComparator, IndexEntry, RawComparator, SortKernel,
+};
+use dmpi_common::group::{GroupedValues, HashGrouper};
 use dmpi_common::{Error, Record, Result};
 
 use crate::observe::{HistKind, LogHistogram, Observer, PhaseTotals, SpanKind, Tracer};
@@ -72,10 +78,46 @@ pub struct StoreStats {
     pub frames: u64,
     /// Records decoded from ingested frames.
     pub records: u64,
-    /// Largest number of decoded records the forming run ever held at
+    /// Largest number of records the forming run ever indexed at
     /// once — the proof that grouping streams instead of materializing:
     /// under spill pressure this stays far below `records`.
     pub peak_resident_records: u64,
+}
+
+/// The forming run: the ingested frame payloads, untouched, and one
+/// index entry per record in them. A frame lives exactly as long as the
+/// run does — until the run is sealed into blocks, or, for the run
+/// grouped from memory, until the [`GroupStream`] and the groups it
+/// handed out are dropped.
+#[derive(Default)]
+struct FormingRun {
+    frames: Vec<Bytes>,
+    /// Arrival order until [`sort`](Self::sort) is called.
+    index: Vec<IndexEntry>,
+}
+
+impl FormingRun {
+    /// Indexes `payload`'s records and keeps the payload. This is the
+    /// only place frame bytes are validated; everything downstream
+    /// slices through the entries it produced.
+    fn push_frame(&mut self, payload: Bytes) -> Result<()> {
+        index_frame(&mut self.index, self.frames.len(), &payload)?;
+        self.frames.push(payload);
+        Ok(())
+    }
+
+    /// Orders the index by `(key, value)`; the frames stay put.
+    fn sort(&mut self) {
+        sort_index(&mut self.index, &self.frames);
+    }
+
+    fn key_bytes(&self, e: &IndexEntry) -> Bytes {
+        self.frames[e.frame()].slice(e.key_range())
+    }
+
+    fn value_bytes(&self, e: &IndexEntry) -> Bytes {
+        self.frames[e.frame()].slice(e.value_range())
+    }
 }
 
 /// In-memory (with spill) store for one A partition.
@@ -89,9 +131,9 @@ pub struct PartitionStore {
     /// MapReduce mode: seal runs key-sorted, group by merge. Common
     /// mode: preserve arrival order, group by hash.
     sorted: bool,
-    /// The forming run: records decoded from ingested frames, in arrival
-    /// order (sorted lazily when sealed or when the merge starts).
-    current: Vec<Record>,
+    /// The forming run, in arrival order (sorted lazily when sealed or
+    /// when grouping starts).
+    current: FormingRun,
     /// Sealed runs in the indexed block format (disk files or in-memory
     /// images per `spill_cfg`), key-sorted in sorted mode. Filled by
     /// [`collect_seals`](Self::collect_seals) in spill order.
@@ -112,8 +154,6 @@ pub struct PartitionStore {
     /// store's runs hand out.
     read_counters: SpillReadCounters,
     stats: StoreStats,
-    /// Which kernel sorts runs when they seal (sorted mode only).
-    kernel: SortKernel,
     /// Observability: `(observer, rank, attempt)`. Stored as the
     /// `Send + Sync` observer rather than a thread-local [`Tracer`] so
     /// sealing threads (and the store itself) can cross threads; each
@@ -155,9 +195,8 @@ enum PendingSeal {
 /// tracer built from `observer` on the *calling* thread — valid both
 /// inline on the ingest thread and on a background sealing thread.
 fn seal_run(
-    mut records: Vec<Record>,
+    mut forming: FormingRun,
     sorted: bool,
-    kernel: SortKernel,
     observer: Option<&(Observer, u32, u32)>,
     cfg: &SpillConfig,
     seq: u64,
@@ -166,13 +205,13 @@ fn seal_run(
     let spill_start = tracer.as_ref().map(Tracer::start);
     let wall_start = tracer.as_ref().map(|_| std::time::Instant::now());
     if sorted {
-        kernel.sort(&mut records);
+        forming.sort();
     }
     let mut writer = crate::spillfmt::RunWriter::new(cfg.block_bytes, cfg.compress, sorted);
-    for rec in &records {
-        writer.push(rec);
+    for e in &forming.index {
+        writer.push_kv(e.key(&forming.frames), e.value(&forming.frames));
     }
-    drop(records);
+    drop(forming);
     let (image, index) = writer.finish();
     let run = match &cfg.dir {
         Some(dir) => crate::spillfmt::SealedRun::to_file(
@@ -223,7 +262,7 @@ impl PartitionStore {
         PartitionStore {
             memory_budget,
             sorted,
-            current: Vec::new(),
+            current: FormingRun::default(),
             spilled: Vec::new(),
             sealing: Vec::new(),
             spill_cfg: SpillConfig::default(),
@@ -231,7 +270,6 @@ impl PartitionStore {
             seal_error: None,
             read_counters: SpillReadCounters::new(),
             stats: StoreStats::default(),
-            kernel: SortKernel::default(),
             observer: None,
             background_phase: PhaseTotals::default(),
         }
@@ -258,33 +296,28 @@ impl PartitionStore {
         self.observer = Some((observer, rank, attempt));
     }
 
-    /// Selects the kernel that sorts runs when they seal (sorted mode
-    /// only; both kernels produce the identical order).
-    pub fn set_sort_kernel(&mut self, kernel: SortKernel) {
-        self.kernel = kernel;
-    }
+    /// Does nothing: the index has one sort, whatever the kernel. Kept
+    /// because the benchmark package calls it.
+    pub fn set_sort_kernel(&mut self, _kernel: SortKernel) {}
 
-    /// Ingests one frame payload: decodes its records into the forming
+    /// Ingests one frame payload: indexes its records into the forming
     /// run immediately (streaming — this runs on the ingest thread,
-    /// overlapped with the O phase) and seals the run into a spill image
-    /// if the partition crossed its memory budget.
+    /// overlapped with the O phase), keeping the payload itself as the
+    /// records' storage, and seals the run into a spill image if the
+    /// partition crossed its memory budget.
     ///
     /// A decode failure means corruption slipped past the per-frame CRC
-    /// gate; the caller reports it as a structured fault.
+    /// gate; the caller reports it as a structured fault. The failed
+    /// frame leaves nothing behind in the run.
     pub fn ingest(&mut self, payload: Bytes) -> Result<()> {
+        let bytes = payload.len() as u64;
+        let before = self.current.index.len();
+        self.current.push_frame(payload)?;
+        let resident = self.current.index.len();
         self.stats.frames += 1;
-        self.stats.mem_bytes += payload.len() as u64;
-        // Zero-copy decode: each record's key/value are refcounted
-        // slices of the frame payload, not fresh allocations.
-        let mut reader = SharedRecordReader::new(payload);
-        while let Some(rec) = reader.next_record()? {
-            self.current.push(rec);
-            self.stats.records += 1;
-        }
-        self.stats.peak_resident_records = self
-            .stats
-            .peak_resident_records
-            .max(self.current.len() as u64);
+        self.stats.mem_bytes += bytes;
+        self.stats.records += (resident - before) as u64;
+        self.stats.peak_resident_records = self.stats.peak_resident_records.max(resident as u64);
         self.stats.peak_mem_bytes = self.stats.peak_mem_bytes.max(self.stats.mem_bytes);
         if self.stats.mem_bytes as usize > self.memory_budget {
             self.spill();
@@ -300,7 +333,7 @@ impl PartitionStore {
     /// the image is `mem_bytes` long (the `total_bytes_is_conserved_*`
     /// test pins this). Also used to force residency out, e.g. by tests.
     pub fn spill(&mut self) {
-        if self.current.is_empty() {
+        if self.current.index.is_empty() {
             return;
         }
         let run_bytes = self.stats.mem_bytes;
@@ -309,13 +342,12 @@ impl PartitionStore {
         self.stats.mem_bytes = 0;
         let seq = self.run_seq;
         self.run_seq += 1;
-        let records = std::mem::take(&mut self.current);
+        let forming = std::mem::take(&mut self.current);
         if run_bytes <= SEAL_INLINE_MAX {
             // Small run: a thread spawn costs more than the sort.
             self.sealing.push(PendingSeal::Done(seal_run(
-                records,
+                forming,
                 self.sorted,
-                self.kernel,
                 self.observer.as_ref(),
                 &self.spill_cfg,
                 seq,
@@ -342,12 +374,11 @@ impl PartitionStore {
             }
         }
         let sorted = self.sorted;
-        let kernel = self.kernel;
         let observer = self.observer.clone();
         let cfg = self.spill_cfg.clone();
         self.sealing
             .push(PendingSeal::Thread(std::thread::spawn(move || {
-                seal_run(records, sorted, kernel, observer.as_ref(), &cfg, seq)
+                seal_run(forming, sorted, observer.as_ref(), &cfg, seq)
             })));
     }
 
@@ -412,11 +443,12 @@ impl PartitionStore {
         self.spilled.clone()
     }
 
-    /// Turns the filled store into a streaming group source: a loser-tree
-    /// k-way merge over the sealed runs plus the final in-memory run
-    /// (sorted mode), or a hash-clustering pass in arrival order (Common
-    /// mode). The sorted path holds one decoded block per run at a time;
-    /// it never rebuilds the full record set.
+    /// Turns the filled store into a streaming group source. Sorted
+    /// mode: a walk of the forming run's sorted index when nothing was
+    /// sealed, otherwise a loser-tree k-way merge over the sealed runs
+    /// plus the forming run, holding one decoded block per run at a time
+    /// and never rebuilding the full record set. Common mode: a
+    /// hash-clustering pass in arrival order.
     pub fn into_group_stream(self) -> Result<GroupStream> {
         self.into_group_stream_range(None)
     }
@@ -440,16 +472,27 @@ impl PartitionStore {
             .as_ref()
             .map(|(o, _, _)| o.registry().histograms().handle(HistKind::MergeStep));
         if self.sorted {
-            self.kernel.sort(&mut self.current);
+            let mut forming = self.current;
             if let Some(r) = &range {
-                self.current.retain(|rec| r.contains(&rec.key));
+                let frames = &forming.frames;
+                forming.index.retain(|e| r.contains(e.key(frames)));
+            }
+            forming.sort();
+            if self.spilled.is_empty() {
+                return Ok(GroupStream {
+                    source: GroupSource::Index { forming, next: 0 },
+                    merge_hist,
+                });
             }
             let mut runs: Vec<RunCursor> = Vec::with_capacity(self.spilled.len() + 1);
             for run in &self.spilled {
                 let reader = run.open(&self.read_counters, range.clone())?;
-                runs.push(RunCursor::from_reader(reader)?);
+                runs.push(RunCursor::sealed(reader)?);
             }
-            runs.push(RunCursor::mem(self.current));
+            // Last, so it keeps the newest-run place in the tiebreak.
+            if !forming.index.is_empty() {
+                runs.push(RunCursor::forming(forming));
+            }
             Ok(GroupStream {
                 source: GroupSource::Merge(LoserTreeMerge::new(runs)),
                 merge_hist,
@@ -460,29 +503,19 @@ impl PartitionStore {
             // groups — but it still streams records out of the runs
             // block by block in chronological (arrival) order without an
             // intermediate all-records vector.
-            let mut groups: Vec<GroupedValues> = Vec::new();
-            let mut index: dmpi_common::hashing::FnvHashMap<Bytes, usize> = Default::default();
-            let mut cluster = |rec: Record| match index.get(&rec.key) {
-                Some(&i) => groups[i].values.push(rec.value),
-                None => {
-                    index.insert(rec.key.clone(), groups.len());
-                    groups.push(GroupedValues {
-                        key: rec.key,
-                        values: vec![rec.value],
-                    });
-                }
-            };
+            let mut grouper = HashGrouper::default();
             for run in &self.spilled {
                 let mut reader = run.open(&self.read_counters, None)?;
                 while let Some(rec) = reader.next_record()? {
-                    cluster(rec);
+                    grouper.push(rec);
                 }
             }
-            for rec in self.current.drain(..) {
-                cluster(rec);
+            let forming = self.current;
+            for e in &forming.index {
+                grouper.push_slices(&forming.frames[e.frame()], e.key_range(), e.value_range());
             }
             Ok(GroupStream {
-                source: GroupSource::Hashed(groups.into_iter()),
+                source: GroupSource::Hashed(grouper.finish().into_iter()),
                 merge_hist: None,
             })
         }
@@ -507,46 +540,56 @@ impl PartitionStore {
     }
 }
 
-/// A lazily-decoding cursor over one sorted (or arrival-order) run.
+/// A lazily-decoding cursor over one sorted run of the merge.
 ///
-/// Memory runs hold already-decoded records; sealed runs stream through
-/// an index-driven [`RunReader`], so merging sealed runs costs one
-/// decoded block of memory per run (and skips blocks the reader's range
-/// rules out).
+/// Sealed runs stream through an index-driven [`RunReader`], so merging
+/// them costs one decoded block of memory per run (and skips blocks the
+/// reader's range rules out). The forming run, when a spilled partition
+/// still has one, yields records sliced from its frames in index order.
 struct RunCursor {
-    /// Decoded records for an in-memory (forming) run.
-    mem: std::vec::IntoIter<Record>,
-    /// Block reader for a sealed run (`None` for memory runs).
-    reader: Option<RunReader>,
+    source: CursorSource,
     /// The run's current head record (`None` = exhausted).
     head: Option<Record>,
 }
 
-impl RunCursor {
-    fn mem(records: Vec<Record>) -> Self {
-        let mut it = records.into_iter();
-        let head = it.next();
-        RunCursor {
-            mem: it,
-            reader: None,
-            head,
-        }
-    }
+enum CursorSource {
+    Sealed(RunReader),
+    Forming { forming: FormingRun, next: usize },
+}
 
-    fn from_reader(reader: RunReader) -> Result<Self> {
+impl RunCursor {
+    fn sealed(reader: RunReader) -> Result<Self> {
         let mut cursor = RunCursor {
-            mem: Vec::new().into_iter(),
-            reader: Some(reader),
+            source: CursorSource::Sealed(reader),
             head: None,
         };
         cursor.head = cursor.decode_next()?;
         Ok(cursor)
     }
 
+    /// `forming` must already be sorted.
+    fn forming(forming: FormingRun) -> Self {
+        let mut cursor = RunCursor {
+            source: CursorSource::Forming { forming, next: 0 },
+            head: None,
+        };
+        cursor.head = cursor
+            .decode_next()
+            .expect("an indexed run cannot fail to decode");
+        cursor
+    }
+
     fn decode_next(&mut self) -> Result<Option<Record>> {
-        match &mut self.reader {
-            Some(reader) => reader.next_record(),
-            None => Ok(self.mem.next()),
+        match &mut self.source {
+            CursorSource::Sealed(reader) => reader.next_record(),
+            CursorSource::Forming { forming, next } => {
+                let rec = forming.index.get(*next).map(|e| Record {
+                    key: forming.key_bytes(e),
+                    value: forming.value_bytes(e),
+                });
+                *next += 1;
+                Ok(rec)
+            }
         }
     }
 
@@ -561,15 +604,15 @@ impl RunCursor {
 
     /// The cursor's resume frontier: the block its head record came
     /// from (one past the last block when exhausted). `None` for a
-    /// memory cursor still holding records — such a merge cannot be
+    /// forming-run cursor still holding records — such a merge cannot be
     /// resumed from block boundaries.
     fn frontier(&self) -> Option<Option<usize>> {
-        match (&self.reader, self.head.is_some()) {
-            (Some(reader), _) => Some(Some(reader.frontier_block())),
-            // An exhausted (empty) memory cursor contributes nothing to
-            // a resume — report it as skippable.
-            (None, false) => Some(None),
-            (None, true) => None,
+        match (&self.source, self.head.is_some()) {
+            (CursorSource::Sealed(reader), _) => Some(Some(reader.frontier_block())),
+            // A drained forming run contributes nothing to a resume —
+            // report it as skippable.
+            (CursorSource::Forming { .. }, false) => Some(None),
+            (CursorSource::Forming { .. }, true) => None,
         }
     }
 }
@@ -720,7 +763,11 @@ pub struct GroupStream {
 
 /// Where the groups come from.
 enum GroupSource {
-    /// Sorted (MapReduce) mode: loser-tree external merge.
+    /// Sorted (MapReduce) mode, nothing sealed: the forming run's sorted
+    /// index, walked from `next`.
+    Index { forming: FormingRun, next: usize },
+    /// Sorted (MapReduce) mode with sealed runs: loser-tree external
+    /// merge.
     Merge(LoserTreeMerge),
     /// Hashed (Common) mode: pre-clustered groups in first-appearance
     /// order.
@@ -732,6 +779,28 @@ impl GroupStream {
     pub fn next_group(&mut self) -> Result<Option<GroupedValues>> {
         match &mut self.source {
             GroupSource::Hashed(it) => Ok(it.next()),
+            GroupSource::Index { forming, next } => {
+                let step_start = self.merge_hist.as_ref().map(|_| std::time::Instant::now());
+                let Some(first) = forming.index.get(*next) else {
+                    return Ok(None);
+                };
+                // Equal keys are adjacent and their values already in
+                // order: the group is a slice of the index.
+                let len = forming.index[*next..]
+                    .iter()
+                    .position(|e| !e.same_key(first, &forming.frames))
+                    .unwrap_or(forming.index.len() - *next);
+                let members = &forming.index[*next..*next + len];
+                let group = GroupedValues {
+                    key: forming.key_bytes(first),
+                    values: members.iter().map(|e| forming.value_bytes(e)).collect(),
+                };
+                *next += len;
+                if let (Some(hist), Some(start)) = (&self.merge_hist, step_start) {
+                    hist.record_elapsed_us(start);
+                }
+                Ok(Some(group))
+            }
             GroupSource::Merge(merge) => {
                 let step_start = self.merge_hist.as_ref().map(|_| std::time::Instant::now());
                 let Some(first) = merge.pop()? else {
@@ -770,16 +839,21 @@ impl GroupStream {
     /// frontier hold only records from already-emitted groups.
     ///
     /// `None` for hashed grouping, or when a live in-memory run is part
-    /// of the merge (its records have no block addresses — call
+    /// of the stream (its records have no block addresses — call
     /// [`PartitionStore::seal_all`] before merging to make a stream
     /// resumable).
     pub fn frontier(&self) -> Option<Vec<usize>> {
-        let GroupSource::Merge(merge) = &self.source else {
-            return None;
+        let merge = match &self.source {
+            GroupSource::Merge(merge) => merge,
+            // As with a drained forming cursor: nothing left to resume.
+            GroupSource::Index { forming, next } if *next >= forming.index.len() => {
+                return Some(Vec::new())
+            }
+            GroupSource::Index { .. } | GroupSource::Hashed(_) => return None,
         };
         let mut out = Vec::new();
         for cursor in &merge.runs {
-            // A drained memory cursor contributes nothing to a resume.
+            // A drained forming cursor contributes nothing to a resume.
             if let Some(block) = cursor.frontier()? {
                 out.push(block);
             }
@@ -812,7 +886,7 @@ pub fn resume_group_stream(
     let mut cursors = Vec::with_capacity(runs.len());
     for (run, &start) in runs.iter().zip(frontier) {
         let reader = run.open_at(start, last_key.clone(), counters, None)?;
-        cursors.push(RunCursor::from_reader(reader)?);
+        cursors.push(RunCursor::sealed(reader)?);
     }
     Ok(GroupStream {
         source: GroupSource::Merge(LoserTreeMerge::new(cursors)),

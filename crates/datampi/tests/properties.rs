@@ -10,10 +10,13 @@ use proptest::prelude::*;
 
 use datampi::checkpoint::CheckpointStore;
 use datampi::fault::FaultPlan;
+use datampi::store::PartitionStore;
 use datampi::supervisor::{supervise_job, RetryPolicy};
 use datampi::{run_job, Backend, Combiner, JobConfig, Scheduling, SpeculationConfig};
-use dmpi_common::group::{Collector, GroupedValues};
-use dmpi_common::ser::Writable;
+use dmpi_common::compare::{sort_records, BytesComparator};
+use dmpi_common::group::{group_hashed, Collector, GroupedValues};
+use dmpi_common::ser::{self, Writable};
+use dmpi_common::Record;
 
 fn wc_o(_t: usize, split: &[u8], out: &mut dyn Collector) {
     for line in split.split(|&b| b == b'\n') {
@@ -86,6 +89,112 @@ fn lined_corpus_strategy() -> impl Strategy<Value = Vec<Bytes>> {
         .prop_map(|lines| Bytes::from(lines.join("\n"))),
         0..8,
     )
+}
+
+/// Keys chosen to collide in the store's eight-byte sort prefix: a
+/// shared eight-byte head with the order decided by the tail, keys
+/// shorter than the prefix with trailing `0x00` (zero padding makes
+/// `"a"` and `"a\0"` one prefix), the empty key, one key repeated so
+/// only values differ, and plain random bytes.
+fn adversarial_key() -> impl Strategy<Value = Vec<u8>> {
+    use proptest::collection::vec;
+    prop_oneof![
+        vec(0u8..3, 0..4).prop_map(|tail| [&b"prefix__"[..], &tail].concat()),
+        vec(0u8..2, 0..5),
+        vec(prop_oneof![Just(b'a'), Just(0u8)], 0..10),
+        Just(Vec::new()),
+        Just(b"same-key".to_vec()),
+        Just(b"same-key, past the prefix".to_vec()),
+        vec(any::<u8>(), 0..12),
+    ]
+}
+
+/// Values that are prefixes of each other, or a few small bytes.
+fn adversarial_value() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        (0usize..4).prop_map(|n| vec![b'v'; n]),
+        proptest::collection::vec(0u8..3, 0..3),
+    ]
+}
+
+fn adversarial_records() -> impl Strategy<Value = Vec<Record>> {
+    proptest::collection::vec(
+        (adversarial_key(), adversarial_value()).prop_map(|(k, v)| Record::new(k, v)),
+        0..120,
+    )
+}
+
+/// Ingests `records`, `per_frame` to a frame, under one of three spill
+/// regimes: 0 = nothing spills, 1 = exactly one run is sealed half-way,
+/// 2 = a budget so small that nearly every frame seals a run.
+fn filled_store(
+    records: &[Record],
+    per_frame: usize,
+    regime: usize,
+    sorted: bool,
+) -> PartitionStore {
+    let budget = if regime == 2 { 24 } else { 1 << 20 };
+    let mut store = PartitionStore::new(budget, sorted);
+    let frames: Vec<&[Record]> = records.chunks(per_frame).collect();
+    let (mut total, mut largest) = (0, 0);
+    for (i, frame) in frames.iter().enumerate() {
+        if regime == 1 && i == frames.len() / 2 {
+            store.spill();
+        }
+        let payload = ser::frame_batch(&frame.iter().cloned().collect());
+        total += payload.len();
+        largest = largest.max(payload.len());
+        store.ingest(Bytes::from(payload)).unwrap();
+    }
+    let spills = store.stats().spills as usize;
+    match regime {
+        0 => assert_eq!(spills, 0),
+        1 => assert_eq!(spills, usize::from(frames.len() >= 2)),
+        // A run seals as soon as it passes the budget, so none holds
+        // more than the budget plus one frame, and what is left fits
+        // the budget.
+        _ => assert!(spills * (budget + largest) + budget >= total),
+    }
+    store
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The index order is `sort_records` order, whether the records are
+    /// grouped from memory, merged with one sealed run, or merged from
+    /// many. Dropping the prefix tie-break fails this on the first keys
+    /// that share a prefix.
+    #[test]
+    fn store_order_equals_sort_records_on_adversarial_keys(
+        records in adversarial_records(),
+        per_frame in 1usize..9,
+        regime in 0usize..3,
+    ) {
+        let store = filled_store(&records, per_frame, regime, true);
+        prop_assert_eq!(store.stats().records, records.len() as u64);
+        let mut expected = records;
+        sort_records(&mut expected, &BytesComparator);
+        prop_assert_eq!(store.into_records().unwrap(), expected);
+    }
+
+    /// Hashed mode never sorts: groups come out in order of first
+    /// appearance and values in arrival order, across sealed runs and
+    /// the forming run alike.
+    #[test]
+    fn hashed_store_keeps_first_appearance_and_arrival_order(
+        records in adversarial_records(),
+        per_frame in 1usize..9,
+        regime in 0usize..3,
+    ) {
+        let store = filled_store(&records, per_frame, regime, false);
+        let mut stream = store.into_group_stream().unwrap();
+        let mut groups = Vec::new();
+        while let Some(g) = stream.next_group().unwrap() {
+            groups.push(g);
+        }
+        prop_assert_eq!(groups, group_hashed(records));
+    }
 }
 
 proptest! {

@@ -20,6 +20,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test ==" >&2
 cargo test -q --workspace
 
+echo "== benchmark package: build, unit tests, six-workload smoke ==" >&2
+# benchmark/ is a workspace of its own, so nothing above builds it: a
+# change to a public item it calls, or to output its integrity check
+# reads, shows only here. Each workload prints one driver line, and a
+# mismatched or failed job sets "correct":false without a non-zero exit.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+mkdir -p target/ci
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --workload all --smoke --out target/ci/benchmark-smoke.json \
+    | tee target/ci/benchmark-smoke.log
+[ "$(grep -c '"correct":true' target/ci/benchmark-smoke.log)" -eq 6 ]
+
 echo "== dmpirun multi-process smoke ==" >&2
 # Four real worker processes over TCP must reproduce the in-proc
 # runtime's output byte-for-byte.
