@@ -27,11 +27,6 @@ use parking_lot::Mutex;
 
 use crate::spillfmt::SealedRun;
 
-/// Width recorded for tasks completed through the legacy
-/// [`CheckpointStore::mark_complete`]: matches any recovery width
-/// without re-bucketing.
-const WIDTH_ANY: usize = 0;
-
 /// Shared, thread-safe checkpoint state. Clone-cheap (`Arc` inside); pass
 /// the same store to a restarted job to recover.
 #[derive(Clone, Default)]
@@ -44,8 +39,8 @@ struct Inner {
     /// Frames per completed-or-in-progress O task: `(partition, payload)`.
     frames: HashMap<usize, Vec<(usize, Bytes)>>,
     /// Completed O tasks → the rank width their frames were partitioned
-    /// for ([`WIDTH_ANY`] when unrecorded). Lookup must stay O(1):
-    /// `is_complete` runs once per task on every restart.
+    /// for. Lookup must stay O(1): `is_complete` runs once per task on
+    /// every restart.
     completed: HashMap<usize, usize>,
     /// In-progress A-side merge state per rank: sealed-run handles plus
     /// the last recorded group-boundary frontier.
@@ -102,21 +97,10 @@ impl CheckpointStore {
             .push((partition, payload));
     }
 
-    /// Marks `o_task` complete: its captured frames become recoverable.
-    /// Idempotent. Records no width — recovery at any width replays the
-    /// frames as stored. Prefer [`mark_complete_at`](Self::mark_complete_at)
-    /// when the emitting width is known.
-    pub fn mark_complete(&self, o_task: usize) {
-        self.inner
-            .lock()
-            .completed
-            .entry(o_task)
-            .or_insert(WIDTH_ANY);
-    }
-
-    /// Marks `o_task` complete, recording that its frames were
-    /// partitioned for a mesh of `width` ranks. Idempotent (first writer
-    /// keeps its width — duplicates of a committed task never re-record).
+    /// Marks `o_task` complete — its captured frames become recoverable —
+    /// recording that they were partitioned for a mesh of `width` ranks.
+    /// Idempotent (first writer keeps its width — duplicates of a
+    /// committed task never re-record).
     pub fn mark_complete_at(&self, o_task: usize, width: usize) {
         self.inner.lock().completed.entry(o_task).or_insert(width);
     }
@@ -151,8 +135,8 @@ impl CheckpointStore {
     }
 
     /// The frames of a completed task, re-partitioned for a mesh of
-    /// `parts` ranks. When the recorded width already matches (or was
-    /// never recorded), the stored frames are returned as-is; otherwise
+    /// `parts` ranks. When the recorded width already matches, the
+    /// stored frames are returned as-is; otherwise
     /// every record is re-bucketed through `HashPartitioner::new(parts)`
     /// into one frame per destination. Empty if not complete.
     pub fn recover_frames_for(&self, o_task: usize, parts: usize) -> Vec<(usize, Bytes)> {
@@ -166,7 +150,7 @@ impl CheckpointStore {
                 inner.frames.get(&o_task).cloned().unwrap_or_default(),
             )
         };
-        if width == WIDTH_ANY || width == parts {
+        if width == parts {
             return frames;
         }
         let partitioner = HashPartitioner::new(parts);
@@ -283,7 +267,7 @@ mod tests {
         cp.record_frame(3, 1, Bytes::from_static(b"bb"));
         assert!(!cp.is_complete(3));
         assert!(cp.recover_frames(3).is_empty(), "not yet complete");
-        cp.mark_complete(3);
+        cp.mark_complete_at(3, 2);
         assert!(cp.is_complete(3));
         let frames = cp.recover_frames(3);
         assert_eq!(frames.len(), 2);
@@ -299,7 +283,7 @@ mod tests {
         assert_eq!(cp.total_bytes(), 0);
         // Discard after completion is a no-op.
         cp.record_frame(2, 0, Bytes::from_static(b"done"));
-        cp.mark_complete(2);
+        cp.mark_complete_at(2, 1);
         cp.discard_incomplete(2);
         assert_eq!(cp.recover_frames(2).len(), 1);
     }
@@ -307,13 +291,15 @@ mod tests {
     #[test]
     fn double_complete_is_idempotent() {
         let cp = CheckpointStore::new();
-        cp.mark_complete(0);
-        cp.mark_complete(0);
+        cp.record_frame(0, 1, Bytes::from_static(b"stored"));
+        cp.mark_complete_at(0, 2);
+        cp.mark_complete_at(0, 2);
         assert_eq!(cp.completed_count(), 1);
-        // A later width record does not overwrite the first completion.
+        // A later width record does not overwrite the first completion:
+        // recovery at the first width still returns the frames as stored.
         cp.mark_complete_at(0, 4);
         assert_eq!(cp.completed_count(), 1);
-        assert_eq!(cp.recover_frames_for(0, 2), Vec::new());
+        assert_eq!(cp.recover_frames_for(0, 2), cp.recover_frames(0));
     }
 
     #[test]
@@ -326,7 +312,7 @@ mod tests {
                     for i in 0..100 {
                         cp.record_frame(t, i % 4, Bytes::from(vec![0u8; 10]));
                     }
-                    cp.mark_complete(t);
+                    cp.mark_complete_at(t, 4);
                 })
             })
             .collect();

@@ -11,10 +11,6 @@ use crate::speculate::{Scheduling, SpeculationConfig};
 use crate::task::Combiner;
 use crate::transport::Backend;
 
-/// Default bound on each peer's TCP send window (frames queued behind
-/// one socket before producers block).
-pub const DEFAULT_SEND_WINDOW: usize = 128;
-
 /// Default coalescing watermark for the TCP event loop: raw batch bytes
 /// accumulated before a wire batch seals (it also seals early whenever
 /// the send window runs dry, so latency never waits on this).
@@ -107,10 +103,6 @@ pub struct JobConfig {
     /// the destination mailbox is full — see `comm.rs` for the
     /// deadlock-freedom argument.
     pub mailbox_capacity: usize,
-    /// TCP backend only: frames queued behind one peer's socket before
-    /// producers block on that peer (per-peer backpressure ahead of the
-    /// kernel's own socket buffers).
-    pub send_window: usize,
     /// TCP backend only: the frame-coalescing watermark — raw bytes a
     /// wire batch accumulates before sealing (default
     /// [`DEFAULT_WIRE_BATCH_BYTES`]; clamped by the encoder to
@@ -129,7 +121,7 @@ pub struct JobConfig {
     /// Intra-rank O-executor parallelism: how many pool workers may chew
     /// on one O task's input concurrently. `1` is the sequential path;
     /// the default is [`default_o_parallelism`] (all cores). Output
-    /// frames are byte-identical at any setting — see DESIGN.md §11.
+    /// frames are byte-identical at any setting — see DESIGN.md §7.
     pub o_parallelism: usize,
     /// Target size of one parallel-O input chunk in bytes. Smaller values
     /// fan small inputs out wider (tests use this); the default is
@@ -143,10 +135,13 @@ pub struct JobConfig {
     /// median-based outlier detection, and speculative duplicate attempts
     /// with first-writer-wins commit. Disabled by default — the direct
     /// emission hot path is untouched unless `speculation.enabled`.
+    /// In-proc only: a rank that is a process of its own (`dmpirun`,
+    /// the service) has no shared board and never speculates.
     pub speculation: SpeculationConfig,
     /// How O splits are assigned to ranks: the classic shared queue
     /// (default) or a static `task % ranks` pinning with optional work
-    /// stealing. Output bytes are identical in every mode.
+    /// stealing. Output bytes are identical in every mode. In-proc
+    /// only: separate processes always use the static pinning.
     pub scheduling: Scheduling,
     /// Spill directory for the A-side store: when set, sealed runs are
     /// written as indexed, block-formatted files under it (the
@@ -178,7 +173,6 @@ impl JobConfig {
             observer: None,
             transport: Backend::InProc,
             mailbox_capacity: DEFAULT_MAILBOX_CAPACITY,
-            send_window: DEFAULT_SEND_WINDOW,
             wire_batch_bytes: DEFAULT_WIRE_BATCH_BYTES,
             wire_compression: WireCompression::default(),
             combiner: None,
@@ -206,9 +200,6 @@ impl JobConfig {
         }
         if self.mailbox_capacity == 0 {
             return Err(Error::Config("mailbox capacity must be positive".into()));
-        }
-        if self.send_window == 0 {
-            return Err(Error::Config("send window must be positive".into()));
         }
         if self.wire_batch_bytes == 0 {
             return Err(Error::Config(
@@ -289,12 +280,6 @@ impl JobConfig {
     /// Builder: set the per-rank mailbox capacity (frames).
     pub fn with_mailbox_capacity(mut self, frames: usize) -> Self {
         self.mailbox_capacity = frames;
-        self
-    }
-
-    /// Builder: set the TCP per-peer send window (frames).
-    pub fn with_send_window(mut self, frames: usize) -> Self {
-        self.send_window = frames;
         self
     }
 
@@ -418,7 +403,6 @@ mod tests {
             .with_mailbox_capacity(0)
             .validate()
             .is_err());
-        assert!(JobConfig::new(1).with_send_window(0).validate().is_err());
         assert!(JobConfig::new(1)
             .with_wire_batch_bytes(0)
             .validate()

@@ -9,25 +9,25 @@
 //! 2. each **worker** binds its own data listener on an ephemeral port,
 //!    dials the coordinator (with seeded-jitter retry, so a herd of
 //!    workers restarting together decorrelates), and registers
-//!    `rank <r> <port>`;
+//!    `rank <r> <port> <t0>`, `t0` being its clock reading; the
+//!    coordinator answers `clock <T>` at once, which gives the worker
+//!    its [`ClockSync`];
 //! 3. once every rank has registered, the coordinator broadcasts the
 //!    complete **versioned** rank table (`peers v<version> <addr0>
-//!    <addr1> …` — see [`RankTable`]; the bare `peers <addr0> …` form of
-//!    older launchers still parses as version 0), and every worker
-//!    builds the full TCP mesh with
-//!    [`establish_endpoint`] —
-//!    exactly the fabric the threaded runtime uses for
+//!    <addr1> …` — see [`RankTable`]), and every worker builds the full
+//!    TCP mesh with [`establish_endpoint`] — exactly the fabric the
+//!    threaded runtime uses for
 //!    [`Backend::Tcp`](crate::transport::Backend), so both surfaces run
 //!    the same wire code;
-//! 4. workers run the job ([`run_worker`]): O tasks are assigned
-//!    statically (`task % ranks == rank` — every process derives the
-//!    same schedule with no further coordination), pairs move over the
-//!    mesh, and the rank's A partition is grouped and reduced;
+//! 4. workers run the job ([`run_worker`]): each executes the same
+//!    per-rank body as an in-proc rank thread (`rank.rs`), pulling from
+//!    the static `task % ranks == rank` assignment — every process
+//!    derives the same schedule with no further coordination;
 //! 5. each worker reports a result line back over its rendezvous
 //!    connection; the coordinator aggregates [`JobStats`] across ranks.
 //!
 //! A worker that dies mid-job closes its sockets before sending its
-//! [`Frame::Eof`]; peers surface that as a structured
+//! [`Frame::Eof`](crate::comm::Frame); peers surface that as a structured
 //! [`FaultKind::RankDeath`](dmpi_common::FaultKind) fault (see
 //! `transport::tcp`), their jobs fail cleanly, and the coordinator sees
 //! both the missing result line and the nonzero exit status. With
@@ -45,21 +45,15 @@ use bytes::Bytes;
 use dmpi_common::kv::RecordBatch;
 use dmpi_common::{Error, FaultCause, FaultKind, Result};
 
-use crate::buffer::KvBuffer;
-use crate::comm::Frame;
 use crate::config::JobConfig;
-use crate::observe::{ClockSync, HistKind, SpanKind, Tracer};
-use crate::runtime::{
-    execute_chunks_parallel, ingest_partition, store_decode_fault, ChunkableSplit, IngestConfig,
-    JobStats,
-};
+use crate::observe::{ClockSync, HistKind};
+use crate::rank::{run_rank, JobFailure, RankContext};
+use crate::runtime::JobStats;
 use crate::service::protocol::read_known_line;
-use crate::service::JobMux;
-use crate::task::{BatchCollector, Collector, GroupedValues};
-use crate::transport::{
-    establish_endpoint, jitter_state, retry_backoff, FrameReceiver, FrameSender, TcpOptions,
-    WireStats,
-};
+use crate::service::{JobChannels, JobMux};
+use crate::speculate::{Scheduling, TaskQueues};
+use crate::task::{Collector, GroupedValues};
+use crate::transport::{establish_endpoint, jitter_state, retry_backoff, TcpOptions, WireStats};
 
 /// Environment variable carrying a worker's rank.
 pub const ENV_RANK: &str = "DMPI_RANK";
@@ -129,22 +123,13 @@ impl RankTable {
         format!("peers v{} {addrs}", self.version)
     }
 
-    /// Parses a broadcast line. Accepts the versioned form and, for
-    /// compatibility with pre-versioning launchers, the bare
-    /// `peers <addr0> …` form (which parses as version 0).
+    /// Parses a broadcast line.
     pub fn parse(line: &str) -> Option<RankTable> {
-        let mut it = line.split_whitespace().peekable();
+        let mut it = line.split_whitespace();
         if it.next()? != "peers" {
             return None;
         }
-        let version = match it.peek() {
-            Some(tok) if tok.starts_with('v') => {
-                let v = tok[1..].parse().ok()?;
-                it.next();
-                v
-            }
-            _ => 0,
-        };
+        let version = it.next()?.strip_prefix('v')?.parse().ok()?;
         let peers: Option<Vec<SocketAddr>> = it.map(|a| a.parse().ok()).collect();
         let peers = peers?;
         if peers.is_empty() {
@@ -155,35 +140,24 @@ impl RankTable {
 }
 
 /// Worker side of the rendezvous: dials the coordinator, registers this
-/// rank's data `port`, and blocks until the full rank table arrives.
-/// Returns the (still-open) coordinator stream — the worker later writes
-/// its result line on it — and the versioned [`RankTable`].
+/// rank's data `port`, syncs clocks, and blocks until the full rank table
+/// arrives. Returns the (still-open) coordinator stream — the worker
+/// later writes its result line on it — the versioned [`RankTable`] and
+/// the [`ClockSync`].
 ///
 /// The dial retries with the transport's seeded-jitter exponential
 /// backoff ([`retry_backoff`]): when a whole width of workers restarts
 /// at once (elastic relaunch, supervisor retry), their redials spread
 /// out instead of hammering the coordinator's accept queue in lockstep.
+///
+/// The clock handshake: the worker stamps `t0 = now_us()` into its
+/// registration (`rank <r> <port> <t0>`), the coordinator answers
+/// `clock <T>` with its own reading before the table broadcast, and the
+/// worker derives its [`ClockSync`] from the exchange. `now_us` is the
+/// worker's local µs clock (the same one its observer stamps spans with,
+/// so the returned offset maps those spans onto the coordinator's
+/// timeline).
 pub fn register_with_coordinator(
-    coord: SocketAddr,
-    rank: usize,
-    port: u16,
-) -> Result<(TcpStream, RankTable)> {
-    let epoch = std::time::Instant::now();
-    let (stream, table, _sync) = register_with_coordinator_synced(coord, rank, port, &|| {
-        epoch.elapsed().as_micros() as u64
-    })?;
-    Ok((stream, table))
-}
-
-/// [`register_with_coordinator`] plus the clock handshake: the worker
-/// stamps `t0 = now_us()` into its registration (`rank <r> <port> <t0>`),
-/// the coordinator answers `clock <T>` with its own reading before the
-/// table broadcast, and the worker derives its [`ClockSync`] from the
-/// exchange. `now_us` is the worker's local µs clock (the same one its
-/// observer stamps spans with, so the returned offset maps those spans
-/// onto the coordinator's timeline). A coordinator that never sends a
-/// `clock` line (pre-telemetry launcher) yields the identity sync.
-pub fn register_with_coordinator_synced(
     coord: SocketAddr,
     rank: usize,
     port: u16,
@@ -230,59 +204,33 @@ pub fn register_with_coordinator_synced(
     let mut line = String::new();
     // Forward compatibility: a newer coordinator may interleave verbs
     // this build does not know (the service protocol adds `job`,
-    // `jobdone`, …); the reader skips them instead of erroring, exactly
-    // as newer workers tolerate older coordinators' missing `clock`.
+    // `jobdone`, …); the reader skips them instead of erroring.
     let known = |verb: &str| verb == "clock" || verb == "peers";
     read_known_line(&mut reader, &mut line, known)
         .map_err(|e| rendezvous_fault(format!("rank {rank}: read clock reply: {e}")))?;
-    // The coordinator answers the registration with `clock <T>` before
-    // the table broadcast; a pre-telemetry coordinator goes straight to
-    // the `peers …` line, which leaves the sync at identity.
-    let mut sync = ClockSync::default();
-    if let Some(coord_now) = line
+    let coord_now = line
         .strip_prefix("clock ")
         .and_then(|t| t.trim().parse::<u64>().ok())
-    {
-        sync = ClockSync::from_exchange(t0, coord_now, now_us());
-        line.clear();
-        read_known_line(&mut reader, &mut line, known)
-            .map_err(|e| rendezvous_fault(format!("rank {rank}: read rank table: {e}")))?;
-    }
+        .ok_or_else(|| rendezvous_fault(format!("rank {rank}: bad clock reply {line:?}")))?;
+    let sync = ClockSync::from_exchange(t0, coord_now, now_us());
+    line.clear();
+    read_known_line(&mut reader, &mut line, known)
+        .map_err(|e| rendezvous_fault(format!("rank {rank}: read rank table: {e}")))?;
     let table = RankTable::parse(&line)
         .ok_or_else(|| rendezvous_fault(format!("rank {rank}: bad rank table line {line:?}")))?;
     Ok((reader.into_inner(), table, sync))
 }
 
-/// Coordinator side of the rendezvous at table version 0 (a fresh job).
-/// See [`coordinate_rank_table_versioned`].
-pub fn coordinate_rank_table(listener: &TcpListener, ranks: usize) -> Result<Vec<TcpStream>> {
-    coordinate_rank_table_versioned(listener, ranks, 0)
-}
-
 /// Coordinator side of the rendezvous: accepts one connection per rank,
-/// reads each worker's `rank <r> <port>` registration, then broadcasts
-/// the complete rank table — stamped with `version` — to all of them.
-/// Returns the still-open worker streams indexed by rank (the workers'
-/// result lines arrive on these). Elastic relaunches call this again
-/// with the surviving width and a bumped version.
-pub fn coordinate_rank_table_versioned(
-    listener: &TcpListener,
-    ranks: usize,
-    version: u64,
-) -> Result<Vec<TcpStream>> {
-    let epoch = std::time::Instant::now();
-    coordinate_rank_table_synced(listener, ranks, version, &|| {
-        epoch.elapsed().as_micros() as u64
-    })
-}
-
-/// [`coordinate_rank_table_versioned`] with an explicit coordinator
-/// clock: each worker whose registration carries a `t0` timestamp gets
-/// an immediate `clock <now_us()>` reply (the clock handshake's second
-/// leg) before the table broadcast. `dmpirun` passes its observer's
-/// clock here so worker spans land on the same timeline its own events
-/// use.
-pub fn coordinate_rank_table_synced(
+/// reads each worker's `rank <r> <port> <t0>` registration, answers it
+/// at once with `clock <now_us()>` (the clock handshake's second leg),
+/// then broadcasts the complete rank table — stamped with `version` — to
+/// all of them. Returns the still-open worker streams indexed by rank
+/// (the workers' result lines arrive on these). A fresh job is version
+/// 0; elastic relaunches call this again with the surviving width and a
+/// bumped version. `dmpirun` passes its observer's clock as `now_us` so
+/// worker spans land on the same timeline its own events use.
+pub fn coordinate_rank_table(
     listener: &TcpListener,
     ranks: usize,
     version: u64,
@@ -303,19 +251,17 @@ pub fn coordinate_rank_table_synced(
         // registration with verbs from a future protocol revision.
         read_known_line(&mut reader, &mut line, |verb| verb == "rank")
             .map_err(|e| rendezvous_fault(format!("coordinator read registration: {e}")))?;
-        let (rank, port, t0) = parse_registration(&line)
+        let (rank, port) = parse_registration(&line)
             .ok_or_else(|| rendezvous_fault(format!("bad registration line {line:?}")))?;
         if rank >= ranks || streams[rank].is_some() {
             return Err(rendezvous_fault(format!(
                 "registration for unexpected rank {rank} (of {ranks})"
             )));
         }
-        if t0.is_some() {
-            // Reply per-connection, before waiting on other ranks, so
-            // the worker's measured RTT stays as tight as possible.
-            writeln!(reader.get_mut(), "clock {}", now_us())
-                .map_err(|e| rendezvous_fault(format!("clock reply to rank {rank}: {e}")))?;
-        }
+        // Reply per-connection, before waiting on other ranks, so the
+        // worker's measured RTT stays as tight as possible.
+        writeln!(reader.get_mut(), "clock {}", now_us())
+            .map_err(|e| rendezvous_fault(format!("clock reply to rank {rank}: {e}")))?;
         ports[rank] = port;
         streams[rank] = Some(reader.into_inner());
     }
@@ -337,46 +283,30 @@ pub fn coordinate_rank_table_synced(
     Ok(out)
 }
 
-fn parse_registration(line: &str) -> Option<(usize, u16, Option<u64>)> {
+/// Parses `rank <r> <port> <t0>`. The worker's `t0` only has to be a
+/// clock reading: the sync is computed on the worker's side.
+fn parse_registration(line: &str) -> Option<(usize, u16)> {
     let mut it = line.split_whitespace();
     if it.next()? != "rank" {
         return None;
     }
     let rank = it.next()?.parse().ok()?;
     let port = it.next()?.parse().ok()?;
-    // Pre-telemetry workers register without the clock timestamp; they
-    // get no `clock` reply.
-    let t0 = match it.next() {
-        Some(tok) => Some(tok.parse().ok()?),
-        None => None,
-    };
-    Some((rank, port, t0))
-}
-
-struct EmitAdapter<'a> {
-    buffer: &'a mut KvBuffer,
-}
-
-impl Collector for EmitAdapter<'_> {
-    fn collect(&mut self, key: &[u8], value: &[u8]) {
-        self.buffer.emit_kv(key, value);
-    }
+    it.next()?.parse::<u64>().ok()?;
+    Some((rank, port))
 }
 
 /// Runs one rank of a multi-process job over an already-distributed rank
-/// table: builds this rank's mesh endpoint, executes its statically
-/// assigned O tasks (`task % ranks == rank`) while a dedicated ingest
-/// thread drains the A partition concurrently, then groups and reduces.
+/// table: builds this rank's mesh endpoint, runs the rank
+/// (`run_mesh_rank`) as job 0 of that mesh, and tears the mesh down.
 ///
 /// `inputs` is the *full* task table — every worker derives it
 /// deterministically (same seed), so no split data crosses the
-/// rendezvous. Fault injection plans in `config` are ignored here — a
-/// worker process *is* the fault domain, and `dmpirun` kills whole
-/// processes instead — with one narrow exception:
-/// [`SlowRank`](crate::fault::FaultEvent::SlowRank) pacing is honoured
-/// (a pause before each of this rank's O tasks), because slowness is
-/// not death and `dmpirun --slow-rank` needs a real straggler process
-/// for launcher-level experiments.
+/// rendezvous. A [`FaultPlan`](crate::fault::FaultPlan) in `config` is
+/// honoured as on the in-proc runtime with attempt 0; `dmpirun` only
+/// ever builds [`SlowRank`](crate::fault::FaultEvent::SlowRank) pacing
+/// (`--slow-rank`, a real straggler process) — it kills whole processes
+/// for everything else, a worker process being the fault domain.
 pub fn run_worker<O, A>(
     config: &JobConfig,
     rank: usize,
@@ -396,9 +326,6 @@ where
         return Err(Error::Config(format!("rank {rank} out of 0..{ranks}")));
     }
     let observer = config.observer.as_ref();
-    if let Some(obs) = observer {
-        obs.begin_job(ranks);
-    }
     let mut opts = TcpOptions::from_config(config);
     opts.send_hist = observer.map(|o| o.registry().histograms().handle(HistKind::SendLatency));
     let mut endpoint = establish_endpoint(rank, listener, peers, &opts)?;
@@ -411,18 +338,9 @@ where
     // path (tag on send, route + strip on receive) and the service
     // inherits the one-shot byte-identity guarantees for free.
     let mux = JobMux::new(endpoint);
-    let result = mux.open_job(0).and_then(|channels| {
-        run_job_on_mesh(
-            config,
-            rank,
-            ranks,
-            channels.senders,
-            channels.receiver,
-            inputs,
-            o_fn,
-            a_fn,
-        )
-    });
+    let result = mux
+        .open_job(0)
+        .and_then(|channels| run_mesh_rank(config, rank, ranks, channels, inputs, o_fn, a_fn));
     mux.finish_job(0);
     // Teardown before any error propagates, so writer/reader threads
     // never outlive the report.
@@ -438,21 +356,23 @@ where
     })
 }
 
-/// Runs one job over an already-established mesh attachment: executes
-/// this rank's statically assigned O tasks (`task % ranks == rank`)
-/// while a dedicated ingest thread drains the A partition concurrently,
-/// then groups and reduces. This is the job core shared by one-shot
-/// [`run_worker`] (which runs it as job 0 of a fresh mesh) and the
-/// resident service worker (which runs many of them, concurrently, over
-/// one [`JobMux`]). The caller owns mesh teardown; on error this
-/// function simply drops its channels and returns.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_on_mesh<O, A>(
+/// Runs one rank of one job over its attachment to an established mesh
+/// — the body shared by one-shot [`run_worker`] (job 0 of a fresh mesh)
+/// and the resident service worker (many jobs, concurrently, over one
+/// [`JobMux`]). It is [`run_rank`] with what separate processes cannot
+/// share left out: the split dispenser is the static `task % ranks`
+/// assignment every process computes locally, there is no progress board
+/// and no checkpoint — whatever `config.scheduling` and
+/// `config.speculation` say, since a per-process board would wait
+/// forever for other processes' tasks — the attempt is 0, and the failed
+/// flag is private to this process (peers learn of a failure from their
+/// streams). The caller owns mesh teardown; the channels die with this
+/// call.
+pub(crate) fn run_mesh_rank<O, A>(
     config: &JobConfig,
     rank: usize,
     ranks: usize,
-    senders: Vec<FrameSender>,
-    receiver: FrameReceiver,
+    channels: JobChannels,
     inputs: &[Bytes],
     o_fn: O,
     a_fn: A,
@@ -462,183 +382,43 @@ where
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
     config.validate()?;
-    let observer = config.observer.as_ref();
-    if let Some(obs) = observer {
+    if let Some(obs) = config.observer.as_ref() {
         obs.begin_job(ranks);
     }
-    let mut stats = JobStats::default();
-
-    // This worker's tracer: O-task spans record here; the ingest thread
-    // builds its own from the shared observer.
-    let tracer = observer.map(|o| o.rank_tracer(rank as u32, 0));
-    let recv_start = tracer.as_ref().map(Tracer::start);
-
-    let mut o_panicked = false;
-    let ingest = std::thread::scope(|scope| {
-        let budget = config.memory_budget;
-        let sorted = config.sorted_grouping;
-        let spill = config.spill_config().with_tag(format!("r{rank}"));
-        let ingest = scope.spawn(move || {
-            ingest_partition(
-                receiver,
-                IngestConfig {
-                    expected_eofs: ranks,
-                    memory_budget: budget,
-                    sorted,
-                    observer,
-                    recv_start,
-                    rank,
-                    attempt: 0,
-                    spill,
-                    discard: false,
-                },
-            )
-        });
-
-        let pace = config
-            .faults
-            .as_ref()
-            .and_then(|p| p.slow_rank_delay(rank, 0));
-        for task in (rank..inputs.len()).step_by(ranks.max(1)) {
-            if let Some(d) = pace {
-                std::thread::sleep(d);
-                stats.straggler_delays += 1;
-            }
-            let task_start = tracer.as_ref().map(Tracer::start);
-            let mut buffer = KvBuffer::new(
-                senders.clone(),
-                rank,
-                task,
-                config.flush_threshold,
-                config.pipelined,
-            );
-            if let Some(t) = &tracer {
-                buffer.set_tracer(t.for_task(task as u64));
-            }
-            if let Some(c) = &config.combiner {
-                buffer.set_combiner(c.clone());
-            }
-            // Same intra-rank parallel O executor as the threaded
-            // runtime: large line-decomposable splits fan out, with
-            // chunk-order replay keeping frames byte-identical.
-            let chunks = if config.o_parallelism > 1 {
-                inputs[task].parallel_chunks(config.o_chunk_bytes)
-            } else {
-                None
-            };
-            let run_ok = match chunks {
-                Some(chunks) => {
-                    let shim = |task: usize, split: &Bytes, out: &mut dyn Collector| {
-                        o_fn(task, split, out)
-                    };
-                    let (ok, phase) = execute_chunks_parallel(
-                        task,
-                        chunks,
-                        &shim,
-                        &mut buffer,
-                        config.o_parallelism,
-                        observer,
-                        rank,
-                        0,
-                    );
-                    stats.phase_us.merge(&phase);
-                    ok
-                }
-                None => {
-                    let mut adapter = EmitAdapter {
-                        buffer: &mut buffer,
-                    };
-                    o_fn(task, &inputs[task], &mut adapter);
-                    true
-                }
-            };
-            if !run_ok {
-                // A worker chunk panicked. Mirror what a panic on the
-                // sequential path does to a worker process: stop running
-                // O tasks, still send EOFs so peers tear down cleanly,
-                // and report the failure after the ingest thread joins.
-                o_panicked = true;
-                break;
-            }
-            let b = buffer.finish();
-            if let Some(t) = &tracer {
-                t.for_task(task as u64).span(
-                    SpanKind::OTask,
-                    task_start.unwrap_or(0),
-                    vec![("records", b.records.to_string())],
-                );
-            }
-            stats.o_tasks_run += 1;
-            stats.records_emitted += b.records;
-            stats.bytes_emitted += b.bytes;
-            stats.frames += b.frames;
-            stats.early_flushes += b.early_flushes;
-            stats.combiner_records_in += b.combiner_records_in;
-            stats.combiner_records_out += b.combiner_records_out;
-        }
-        for s in senders.iter() {
-            s.send(Frame::Eof { from_rank: rank });
-        }
-        ingest.join().expect("ingest thread panicked")
-    });
-
-    stats.corrupt_frames += ingest.corrupt_frames;
-    let store = ingest.store;
-    let st = store.stats();
-    stats.spills += st.spills;
-    stats.spilled_bytes += st.spilled_bytes;
-    stats.spilled_wire_bytes += st.spilled_wire_bytes;
-    stats.peak_resident_records = stats.peak_resident_records.max(st.peak_resident_records);
-
-    // The senders die with this function; mesh teardown (real EOFs,
-    // socket close) belongs to the mux owner.
-    drop(senders);
-
-    if o_panicked {
-        return Err(Error::fault(
-            FaultCause::new(FaultKind::TaskPanic, "O task user code panicked").rank(rank),
-        ));
-    }
-
-    if let Some(e) = ingest.first_error {
+    let pinned = Scheduling::Static {
+        work_stealing: false,
+    };
+    let queues = TaskQueues::new(pinned, inputs.len(), ranks, 0);
+    let failure = JobFailure::default();
+    let cx = RankContext {
+        config,
+        rank,
+        ranks,
+        attempt: 0,
+        inputs,
+        queues: &queues,
+        board: None,
+        checkpoint: None,
+        failure: &failure,
+    };
+    let o_fn = move |task: usize, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out);
+    let (partition, mut stats) = run_rank(&cx, &o_fn, &a_fn, channels.senders, channels.receiver)?;
+    if let Some(e) = failure.take() {
         return Err(e);
     }
-
-    // Same streaming A phase as the threaded runtime: pull key groups
-    // one at a time off the store's k-way merge.
-    let mut collector = BatchCollector::default();
-    let read_counters = store.read_counters();
-    let streamed = store.into_group_stream().and_then(|mut stream| {
-        while let Some(g) = stream.next_group()? {
-            stats.groups += 1;
-            a_fn(&g, &mut collector);
-        }
-        Ok(())
-    });
-    if let Err(e) = streamed {
-        return Err(store_decode_fault(e, rank, 0));
-    }
-    let reads = read_counters.snapshot();
-    stats.spill_blocks_read += reads.blocks_read;
-    stats.spill_blocks_skipped += reads.blocks_skipped;
-    stats.spill_seeks += reads.seeks;
-    if let Some(t) = &tracer {
-        t.registry().add_spill_reads(&reads);
-    }
-    if let (Some(obs), Some(t)) = (observer, &tracer) {
-        stats.phase_us.merge(&obs.absorb(t));
-    }
-    stats.phase_us.merge(&ingest.phase);
     stats.attempts = 1;
-    Ok((collector.batch, stats))
+    Ok((partition, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{Observer, SpanKind};
     use crate::runtime::run_job;
     use dmpi_common::ser::Writable;
     use std::thread;
+
+    type OFn = fn(usize, &[u8], &mut dyn Collector);
 
     fn wc_o(_task: usize, split: &[u8], out: &mut dyn Collector) {
         for word in split.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
@@ -655,9 +435,48 @@ mod tests {
         out.collect(&group.key, &total.to_bytes());
     }
 
+    /// A frozen clock for rendezvous calls whose sync nobody reads.
+    fn no_clock() -> u64 {
+        0
+    }
+
     /// The full launcher protocol, with worker *threads* standing in for
-    /// worker processes: rendezvous, mesh establishment, static O
-    /// scheduling, and result equality against the in-proc runtime.
+    /// worker processes: rendezvous at table version 0, mesh
+    /// establishment, [`run_worker`] under `configs[rank]`. Returns each
+    /// rank's result.
+    fn launch(configs: Vec<JobConfig>, inputs: &[Bytes], o: OFn) -> Vec<Result<WorkerReport>> {
+        let ranks = configs.len();
+        let coord = TcpListener::bind("127.0.0.1:0").unwrap();
+        let coord_addr = coord.local_addr().unwrap();
+        let workers: Vec<_> = configs
+            .into_iter()
+            .enumerate()
+            .map(|(rank, config)| {
+                let inputs = inputs.to_vec();
+                thread::spawn(move || {
+                    let data = TcpListener::bind("127.0.0.1:0").unwrap();
+                    let port = data.local_addr().unwrap().port();
+                    let (_stream, table, _sync) =
+                        register_with_coordinator(coord_addr, rank, port, &no_clock).unwrap();
+                    assert_eq!(table.version, 0, "fresh job broadcasts version 0");
+                    run_worker(&config, rank, data, &table.peers, &inputs, o, wc_a)
+                })
+            })
+            .collect();
+        let streams = coordinate_rank_table(&coord, ranks, 0, &no_clock).unwrap();
+        assert_eq!(streams.len(), ranks);
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    }
+
+    fn launch_ok(configs: Vec<JobConfig>, inputs: &[Bytes], o: OFn) -> Vec<WorkerReport> {
+        launch(configs, inputs, o)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect()
+    }
+
+    /// Rendezvous, mesh establishment, static O scheduling, and result
+    /// equality against the in-proc runtime.
     #[test]
     fn protocol_round_trip_matches_in_proc_output() {
         let ranks = 3;
@@ -665,29 +484,7 @@ mod tests {
             .map(|i| Bytes::from(format!("w{} w{} shared", i, (i * 3) % 5)))
             .collect();
         let config = JobConfig::new(ranks);
-
-        let coord = TcpListener::bind("127.0.0.1:0").unwrap();
-        let coord_addr = coord.local_addr().unwrap();
-
-        let workers: Vec<_> = (0..ranks)
-            .map(|rank| {
-                let inputs = inputs.clone();
-                let config = config.clone();
-                thread::spawn(move || {
-                    let data = TcpListener::bind("127.0.0.1:0").unwrap();
-                    let port = data.local_addr().unwrap().port();
-                    let (_stream, table) =
-                        register_with_coordinator(coord_addr, rank, port).unwrap();
-                    assert_eq!(table.version, 0, "fresh job broadcasts version 0");
-                    run_worker(&config, rank, data, &table.peers, &inputs, wc_o, wc_a).unwrap()
-                })
-            })
-            .collect();
-
-        let streams = coordinate_rank_table(&coord, ranks).unwrap();
-        assert_eq!(streams.len(), ranks);
-        let mut reports: Vec<WorkerReport> =
-            workers.into_iter().map(|w| w.join().unwrap()).collect();
+        let mut reports = launch_ok(vec![config.clone(); ranks], &inputs, wc_o);
 
         let baseline = run_job(&config, inputs, wc_o, wc_a, None).unwrap();
         let total_tasks: u64 = reports.iter().map(|r| r.stats.o_tasks_run).sum();
@@ -714,10 +511,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_workers_match_in_proc_sequential_output() {
-        let ranks = 2;
-        let inputs: Vec<Bytes> = (0..4)
+    fn lined_inputs(tasks: usize) -> Vec<Bytes> {
+        (0..tasks)
             .map(|i| {
                 let mut s = String::new();
                 for j in 0..30 {
@@ -725,28 +520,17 @@ mod tests {
                 }
                 Bytes::from(s)
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn parallel_workers_match_in_proc_sequential_output() {
+        let ranks = 2;
+        let inputs = lined_inputs(4);
         let config = JobConfig::new(ranks)
             .with_o_parallelism(4)
             .with_o_chunk_bytes(32);
-
-        let coord = TcpListener::bind("127.0.0.1:0").unwrap();
-        let coord_addr = coord.local_addr().unwrap();
-        let workers: Vec<_> = (0..ranks)
-            .map(|rank| {
-                let inputs = inputs.clone();
-                let config = config.clone();
-                thread::spawn(move || {
-                    let data = TcpListener::bind("127.0.0.1:0").unwrap();
-                    let port = data.local_addr().unwrap().port();
-                    let (_stream, table) =
-                        register_with_coordinator(coord_addr, rank, port).unwrap();
-                    run_worker(&config, rank, data, &table.peers, &inputs, lines_o, wc_a).unwrap()
-                })
-            })
-            .collect();
-        coordinate_rank_table(&coord, ranks).unwrap();
-        let reports: Vec<WorkerReport> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        let reports = launch_ok(vec![config; ranks], &inputs, lines_o);
 
         // Byte-identity bar: multi-process parallel workers equal the
         // in-proc sequential runtime partition for partition.
@@ -763,22 +547,48 @@ mod tests {
         assert_eq!(records, baseline.stats.records_emitted);
     }
 
+    /// Panics on task 0 — rank 0's under the static assignment.
+    fn panics_on_task_zero(task: usize, split: &[u8], out: &mut dyn Collector) {
+        if task == 0 {
+            panic!("user code exploded");
+        }
+        lines_o(task, split, out);
+    }
+
+    #[test]
+    fn panicking_o_task_is_a_fault_on_its_rank_and_no_hang_on_the_peer() {
+        // Direct emission (1) and the chunk pool (4): both must turn the
+        // panic into a TaskPanic fault *after* this rank's EOFs went out,
+        // so neither its own ingest thread nor the peer waits forever.
+        for o_parallelism in [1usize, 4] {
+            let config = JobConfig::new(2)
+                .with_o_parallelism(o_parallelism)
+                .with_o_chunk_bytes(32);
+            let mut results = launch(vec![config; 2], &lined_inputs(4), panics_on_task_zero);
+            // The peer returns (its streams closed cleanly); what it
+            // returns is the launcher's to discard.
+            let _peer = results.pop().unwrap();
+            let err = results.pop().unwrap().unwrap_err();
+            let cause = err.fault_cause().expect("structured cause");
+            assert_eq!(cause.kind, FaultKind::TaskPanic, "p={o_parallelism}");
+            assert_eq!((cause.task, cause.rank), (Some(0), Some(0)));
+        }
+    }
+
     #[test]
     fn registration_lines_parse_and_reject_garbage() {
-        assert_eq!(parse_registration("rank 2 9000\n"), Some((2, 9000, None)));
         assert_eq!(
             parse_registration("rank 2 9000 12345\n"),
-            Some((2, 9000, Some(12345))),
-            "clock-handshake registrations carry t0"
+            Some((2, 9000)),
+            "registrations carry the clock handshake's t0"
         );
-        assert!(parse_registration("rang 2 9000").is_none());
-        assert!(parse_registration("rank x 9000").is_none());
+        assert!(parse_registration("rank 2 9000\n").is_none(), "t0 missing");
+        assert!(parse_registration("rang 2 9000 1").is_none());
+        assert!(parse_registration("rank x 9000 1").is_none());
         assert!(parse_registration("rank 2 9000 notatime").is_none());
         let t = RankTable::parse("peers v3 127.0.0.1:1 127.0.0.1:2\n").unwrap();
         assert_eq!((t.version, t.ranks()), (3, 2));
-        // Pre-versioning launchers broadcast the bare form: version 0.
-        let legacy = RankTable::parse("peers 127.0.0.1:1 127.0.0.1:2\n").unwrap();
-        assert_eq!((legacy.version, legacy.ranks()), (0, 2));
+        assert!(RankTable::parse("peers 127.0.0.1:1 127.0.0.1:2\n").is_none());
         assert!(RankTable::parse("peers").is_none());
         assert!(RankTable::parse("peers v2").is_none());
         assert!(RankTable::parse("peers vx 127.0.0.1:1").is_none());
@@ -808,12 +618,13 @@ mod tests {
         let workers: Vec<_> = (0..ranks)
             .map(|rank| {
                 thread::spawn(move || {
-                    let (_s, table) = register_with_coordinator(coord_addr, rank, 1234).unwrap();
-                    table
+                    register_with_coordinator(coord_addr, rank, 1234, &no_clock)
+                        .unwrap()
+                        .1
                 })
             })
             .collect();
-        coordinate_rank_table_versioned(&coord, ranks, 2).unwrap();
+        coordinate_rank_table(&coord, ranks, 2, &no_clock).unwrap();
         for w in workers {
             let table = w.join().unwrap();
             assert_eq!(table.version, 2);
@@ -832,13 +643,13 @@ mod tests {
                     // A frozen worker clock: t0 == t1 == 1000, so the
                     // exchange is exact (rtt 0) and deterministic.
                     let (_s, table, sync) =
-                        register_with_coordinator_synced(coord_addr, rank, 4321, &|| 1000).unwrap();
+                        register_with_coordinator(coord_addr, rank, 4321, &|| 1000).unwrap();
                     (table, sync)
                 })
             })
             .collect();
         // The coordinator's clock reads 51_000 at every reply.
-        coordinate_rank_table_synced(&coord, ranks, 0, &|| 51_000).unwrap();
+        coordinate_rank_table(&coord, ranks, 0, &|| 51_000).unwrap();
         for w in workers {
             let (table, sync) = w.join().unwrap();
             assert_eq!(table.version, 0);
@@ -850,32 +661,18 @@ mod tests {
 
     #[test]
     fn worker_with_observer_records_spans_and_wire_bytes() {
-        use crate::observe::Observer;
         let ranks = 2;
         let inputs: Vec<Bytes> = (0..4)
             .map(|i| Bytes::from(format!("w{i} shared")))
             .collect();
-        let coord = TcpListener::bind("127.0.0.1:0").unwrap();
-        let coord_addr = coord.local_addr().unwrap();
-        let workers: Vec<_> = (0..ranks)
-            .map(|rank| {
-                let inputs = inputs.clone();
-                thread::spawn(move || {
-                    let obs = Observer::new();
-                    let config = JobConfig::new(ranks).with_observer(obs.clone());
-                    let data = TcpListener::bind("127.0.0.1:0").unwrap();
-                    let port = data.local_addr().unwrap().port();
-                    let (_stream, table) =
-                        register_with_coordinator(coord_addr, rank, port).unwrap();
-                    let report =
-                        run_worker(&config, rank, data, &table.peers, &inputs, wc_o, wc_a).unwrap();
-                    (obs, report)
-                })
-            })
+        let observers: Vec<Observer> = (0..ranks).map(|_| Observer::new()).collect();
+        let configs = observers
+            .iter()
+            .map(|obs| JobConfig::new(ranks).with_observer(obs.clone()))
             .collect();
-        coordinate_rank_table(&coord, ranks).unwrap();
-        for (rank, w) in workers.into_iter().enumerate() {
-            let (obs, report) = w.join().unwrap();
+        let reports = launch_ok(configs, &inputs, wc_o);
+        let (mut records_in, mut records_out) = (0, 0);
+        for (rank, (obs, report)) in observers.iter().zip(&reports).enumerate() {
             let trace = obs.trace();
             assert_eq!(
                 trace.of_kind(SpanKind::OTask).count() as u64,
@@ -883,9 +680,13 @@ mod tests {
                 "rank {rank}: one OTask span per task"
             );
             assert_eq!(trace.of_kind(SpanKind::Recv).count(), 1);
+            assert_eq!(trace.of_kind(SpanKind::Sort).count(), 1, "rank {rank}");
+            assert_eq!(trace.of_kind(SpanKind::ACompute).count(), 1, "rank {rank}");
             let snap = obs.registry().snapshot();
             assert_eq!(snap.wire_bytes_sent, report.wire.bytes_sent);
             assert_eq!(snap.records_out, report.stats.records_emitted);
+            records_in += snap.records_in;
+            records_out += snap.records_out;
             assert!(
                 obs.registry()
                     .histograms()
@@ -895,6 +696,8 @@ mod tests {
                 "rank {rank}: ingest waits must land in the RecvLatency channel"
             );
         }
+        assert!(records_out > 0);
+        assert_eq!(records_in, records_out, "every emitted record was ingested");
     }
 
     #[test]
@@ -906,23 +709,7 @@ mod tests {
             .collect();
         // Rank 1 is paced 30ms per task (3 tasks → ≥90ms); rank 0 is not.
         let config = JobConfig::new(ranks).with_faults(FaultPlan::new(1).slow_rank(1, 0, 30));
-        let coord = TcpListener::bind("127.0.0.1:0").unwrap();
-        let coord_addr = coord.local_addr().unwrap();
-        let workers: Vec<_> = (0..ranks)
-            .map(|rank| {
-                let inputs = inputs.clone();
-                let config = config.clone();
-                thread::spawn(move || {
-                    let data = TcpListener::bind("127.0.0.1:0").unwrap();
-                    let port = data.local_addr().unwrap().port();
-                    let (_stream, table) =
-                        register_with_coordinator(coord_addr, rank, port).unwrap();
-                    run_worker(&config, rank, data, &table.peers, &inputs, wc_o, wc_a).unwrap()
-                })
-            })
-            .collect();
-        coordinate_rank_table(&coord, ranks).unwrap();
-        let reports: Vec<WorkerReport> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        let reports = launch_ok(vec![config; ranks], &inputs, wc_o);
         assert_eq!(reports[0].stats.straggler_delays, 0, "rank 0 unpaced");
         assert_eq!(reports[1].stats.straggler_delays, 3, "one pause per task");
         // Pacing slows a rank; it never changes what the job computes.

@@ -19,7 +19,7 @@ use dmpi_common::Result;
 use crate::checkpoint::CheckpointStore;
 use crate::config::JobConfig;
 use crate::observe::{Observer, SpanKind};
-use crate::runtime::{run_job_generic, ChunkableSplit, JobOutput};
+use crate::runtime::{run_job_core, ChunkableSplit, JobOutput};
 use crate::supervisor::{supervise_job_generic, RetryPolicy};
 
 /// Iteration-mode splits opt out of parallel chunking (the default impl
@@ -152,14 +152,9 @@ where
     O: Fn(usize, &[T], &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
-    run_job_generic(
-        config,
-        cache.handles(),
-        move |task, split: &Arc<Vec<T>>, out: &mut dyn Collector| o_fn(task, split, out),
-        a_fn,
-        checkpoint,
-        attempt,
-    )
+    let o_fn =
+        move |task: usize, split: &Arc<Vec<T>>, out: &mut dyn Collector| o_fn(task, split, out);
+    run_job_core(config, &cache.handles(), &o_fn, &a_fn, checkpoint, attempt).map_err(|e| e.0)
 }
 
 /// Runs one iteration under the bounded-retry supervisor: faulted attempts

@@ -33,15 +33,21 @@
 //! deterministic, seeded faults (task errors, rank deaths, stragglers,
 //! wire corruption caught by per-frame CRCs) to exercise that machinery.
 //!
-//! Two execution surfaces share the same job abstraction:
+//! Every executing surface runs the same per-rank program — ingest
+//! thread, O loop, EOFs, A loop (`rank.rs`; DESIGN.md "Execution core")
+//! — and differs only in where its ranks live and what they can share:
 //!
-//! * a **real multi-threaded runtime** ([`runtime`]) where ranks are
-//!   threads connected by a pluggable [`transport`] — the in-proc
-//!   channel fabric or a real TCP mesh (also the basis of the
-//!   multi-process `dmpirun` launcher) — data really moves, workloads
-//!   really compute (unit of the test suite and the MB-scale benches);
-//! * a **plan compiler** ([`plan`]) that translates the same job into
-//!   `dmpi-dcsim` activities for the paper-scale experiments.
+//! * the **in-proc runtime** ([`runtime`]): ranks are threads of one
+//!   process connected by a pluggable [`transport`] (the in-proc channel
+//!   fabric or a real TCP mesh), sharing one task queue, speculation
+//!   board, checkpoint and failed flag — the surface of the test suite,
+//!   the MB-scale benches and the [`supervisor`];
+//! * **one rank per process** ([`distrib`], the `dmpirun` launcher) and
+//!   **one rank per job on a resident mesh** ([`service`], `dmpid`):
+//!   the static task assignment, no board, no checkpoint.
+//!
+//! Beside them, a **plan compiler** ([`plan`]) translates the same job
+//! into `dmpi-dcsim` activities for the paper-scale experiments.
 
 #![warn(missing_docs)]
 
@@ -54,6 +60,7 @@ pub mod fault;
 pub mod iteration;
 pub mod observe;
 pub mod plan;
+mod rank;
 pub mod runtime;
 pub mod service;
 pub mod speculate;

@@ -21,7 +21,7 @@ use dmpi_common::ser::RecordWriter;
 use dmpi_common::{Error, FaultCause, FaultKind, Result};
 
 use crate::config::JobConfig;
-use crate::distrib::{run_job_on_mesh, RankTable};
+use crate::distrib::{run_mesh_rank, RankTable};
 use crate::observe::{ClockSync, Observer, TelemetrySink};
 use crate::task::{Collector, GroupedValues};
 use crate::transport::{establish_endpoint, TcpOptions};
@@ -183,12 +183,11 @@ fn run_one_job(
             config = config.with_spill_compression(crate::WireCompression::Lz4);
         }
         let wire_handle = Arc::clone(&channels.wire);
-        let result = run_job_on_mesh(
+        let result = run_mesh_rank(
             &config,
             rank,
             ranks,
-            channels.senders,
-            channels.receiver,
+            channels,
             &prepared.inputs,
             prepared.o_fn,
             prepared.a_fn,
@@ -311,6 +310,10 @@ pub fn run_resident_worker(coord: SocketAddr, resolver: Arc<dyn JobResolver>) ->
         let resolver = Arc::clone(&resolver);
         let control = Arc::clone(&control_writer);
         let sync = session.sync;
+        // Reap as we go: a finished job thread's stack and TLS stay
+        // mapped until it is joined, so holding every handle until drain
+        // grows the worker's memory with the number of jobs it has run.
+        jobs.retain(|job| !job.is_finished());
         jobs.push(std::thread::spawn(move || {
             run_one_job(spec, resolver.as_ref(), &mux, &control, rank, ranks, sync);
         }));

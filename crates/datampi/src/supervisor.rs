@@ -143,9 +143,11 @@ where
     )
 }
 
-/// The generic supervisor behind [`supervise_job`] and the Iteration- and
-/// Streaming-mode surfaces: retries over arbitrary resident split types.
-pub fn supervise_job_generic<I, O, A>(
+/// The fixed-width supervisor behind [`supervise_job`] and Iteration
+/// mode, over arbitrary resident split types: the elastic loop with the
+/// floor at the job's own width and no growth, so a rank death is a
+/// plain full-width restart.
+pub(crate) fn supervise_job_generic<I, O, A>(
     config: &JobConfig,
     policy: &RetryPolicy,
     inputs: &[I],
@@ -157,57 +159,8 @@ where
     O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
-    policy.validate()?;
-    // One store shared across attempts is the entire restart mechanism:
-    // attempt N+1 recovers what attempts 0..=N banked.
-    let store = config.checkpointing.then(CheckpointStore::new);
-    let mut wasted = 0u64;
-    let mut last_err: Option<Error> = None;
-
-    for attempt in 0..policy.max_attempts {
-        if attempt > 0 {
-            let pause = policy.backoff_before(attempt);
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
-        }
-        match run_job_core(config, inputs, &o_fn, &a_fn, store.as_ref(), attempt) {
-            Ok(mut out) => {
-                out.stats.attempts = attempt + 1;
-                out.stats.wasted_bytes += wasted;
-                return Ok(out);
-            }
-            Err(boxed) => {
-                let (err, partial) = *boxed;
-                // Partial flushes of the failing task are always waste;
-                // completed tasks' bytes are waste only when no checkpoint
-                // banked them for recovery.
-                wasted += partial.wasted_bytes;
-                if store.is_none() {
-                    wasted += partial.bytes_emitted;
-                }
-                // Recovery decisions get their own trace events: without
-                // them a merged trace shows attempts failing and restarting
-                // for no visible reason.
-                if let Some(obs) = config.observer.as_ref() {
-                    if attempt + 1 < policy.max_attempts {
-                        obs.registry().add_retry();
-                        let jt = obs.job_tracer(attempt);
-                        jt.instant(
-                            SpanKind::Retry,
-                            vec![
-                                ("cause", err.to_string()),
-                                ("next_attempt", (attempt + 1).to_string()),
-                            ],
-                        );
-                        obs.absorb(&jt);
-                    }
-                }
-                last_err = Some(err);
-            }
-        }
-    }
-    Err(last_err.unwrap_or_else(|| Error::fault_msg("retry budget exhausted")))
+    let fixed = ElasticPolicy::default().with_min_ranks(config.ranks);
+    supervise(config, policy, &fixed, inputs, &o_fn, &a_fn).map(|out| out.output)
 }
 
 /// Elastic-membership policy for [`supervise_job_elastic`]: how the
@@ -273,33 +226,9 @@ pub struct ElasticOutput {
     pub grows: u32,
 }
 
-/// Byte-split front end of [`supervise_job_elastic_generic`].
-pub fn supervise_job_elastic<O, A>(
-    config: &JobConfig,
-    policy: &RetryPolicy,
-    elastic: &ElasticPolicy,
-    inputs: Vec<Bytes>,
-    o_fn: O,
-    a_fn: A,
-) -> Result<ElasticOutput>
-where
-    O: Fn(usize, &[u8], &mut dyn Collector) + Send + Sync,
-    A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
-{
-    supervise_job_elastic_generic(
-        config,
-        policy,
-        elastic,
-        &inputs,
-        move |task, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out),
-        a_fn,
-    )
-}
-
-/// Supervision with **elastic membership**: like
-/// [`supervise_job_generic`], but the mesh width may change between
-/// attempts instead of every restart replaying the original fixed-width
-/// job.
+/// Supervision with **elastic membership**: like [`supervise_job`], but
+/// the mesh width may change between attempts instead of every restart
+/// replaying the original fixed-width job.
 ///
 /// * **Shrink on rank death** — when an attempt fails with a
 ///   [`FaultKind::RankDeath`] *and* checkpointing is on (so the
@@ -318,13 +247,32 @@ where
 ///
 /// Every membership change bumps `table_version`, mirroring the
 /// `peers v<N>` line of the wire protocol (`distrib::RankTable`).
-pub fn supervise_job_elastic_generic<I, O, A>(
+pub fn supervise_job_elastic<O, A>(
+    config: &JobConfig,
+    policy: &RetryPolicy,
+    elastic: &ElasticPolicy,
+    inputs: Vec<Bytes>,
+    o_fn: O,
+    a_fn: A,
+) -> Result<ElasticOutput>
+where
+    O: Fn(usize, &[u8], &mut dyn Collector) + Send + Sync,
+    A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
+{
+    elastic.validate()?;
+    let o_fn = move |task: usize, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out);
+    supervise(config, policy, elastic, &inputs, &o_fn, &a_fn)
+}
+
+/// The retry loop: runs the job, and on a fault re-runs it with the
+/// attempt counter advanced and the width `elastic` allows.
+fn supervise<I, O, A>(
     config: &JobConfig,
     policy: &RetryPolicy,
     elastic: &ElasticPolicy,
     inputs: &[I],
-    o_fn: O,
-    a_fn: A,
+    o_fn: &O,
+    a_fn: &A,
 ) -> Result<ElasticOutput>
 where
     I: ChunkableSplit,
@@ -332,7 +280,8 @@ where
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
     policy.validate()?;
-    elastic.validate()?;
+    // One store shared across attempts is the entire restart mechanism:
+    // attempt N+1 recovers what attempts 0..=N banked.
     let store = config.checkpointing.then(CheckpointStore::new);
     let mut ranks = config.ranks;
     let mut table_version = 0u64;
@@ -358,14 +307,7 @@ where
             }
         }
         let attempt_config = config.clone().with_ranks(ranks);
-        match run_job_core(
-            &attempt_config,
-            inputs,
-            &o_fn,
-            &a_fn,
-            store.as_ref(),
-            attempt,
-        ) {
+        match run_job_core(&attempt_config, inputs, o_fn, a_fn, store.as_ref(), attempt) {
             Ok(mut out) => {
                 out.stats.attempts = attempt + 1;
                 out.stats.wasted_bytes += wasted;
@@ -379,6 +321,9 @@ where
             }
             Err(boxed) => {
                 let (err, partial) = *boxed;
+                // Partial flushes of the failing task are always waste;
+                // completed tasks' bytes are waste only when no checkpoint
+                // banked them for recovery.
                 wasted += partial.wasted_bytes;
                 if store.is_none() {
                     wasted += partial.bytes_emitted;
@@ -387,16 +332,16 @@ where
                 // checkpoint covers the lost partitions' data.
                 let rank_died = err
                     .fault_cause()
-                    .map(|c| c.kind == FaultKind::RankDeath)
-                    .unwrap_or(false);
-                let shrunk = if rank_died && store.is_some() && ranks > elastic.min_ranks {
+                    .is_some_and(|c| c.kind == FaultKind::RankDeath);
+                let shrunk = rank_died && store.is_some() && ranks > elastic.min_ranks;
+                if shrunk {
                     ranks -= 1;
                     table_version += 1;
                     shrinks += 1;
-                    true
-                } else {
-                    false
-                };
+                }
+                // Recovery decisions get their own trace events: without
+                // them a merged trace shows attempts failing and restarting
+                // for no visible reason.
                 if let Some(obs) = config.observer.as_ref() {
                     if attempt + 1 < policy.max_attempts {
                         obs.registry().add_retry();
@@ -606,13 +551,63 @@ mod tests {
     fn without_checkpoints_rank_death_restarts_at_full_width() {
         // Nothing banked covers the lost partitions, so graceful
         // degradation is off the table: retry at the original width.
-        let config = JobConfig::new(2).with_faults(FaultPlan::new(0).rank_panic(1, 0));
+        // The death fires in rank 1's A phase — after every O task has
+        // emitted — so the waste is exactly one clean run's emissions.
+        let config = JobConfig::new(2).with_faults(FaultPlan::new(0).merge_panic(1, 0, 1));
         let policy = RetryPolicy::new(3).with_backoff(Duration::ZERO);
         let elastic = ElasticPolicy::default();
         let out = supervise_job_elastic(&config, &policy, &elastic, inputs(4), wc_o, wc_a).unwrap();
         assert_eq!(out.final_ranks, 2);
         assert_eq!(out.shrinks, 0);
-        assert!(out.output.stats.wasted_bytes > 0, "restart re-emits");
+        assert_eq!(out.output.stats.attempts, 2);
+        let clean = crate::run_job(&JobConfig::new(2), inputs(4), wc_o, wc_a, None).unwrap();
+        assert_eq!(
+            out.output.stats.wasted_bytes, clean.stats.bytes_emitted,
+            "restart re-emits everything"
+        );
+    }
+
+    #[test]
+    fn fixed_width_is_the_elastic_loop_with_the_floor_at_the_job_width() {
+        // The same seeded plan through both front ends must give the same
+        // output bytes, attempts and waste. Each plan ends in a RankDeath,
+        // which the floor must turn into a plain full-width restart.
+        let same = |config: JobConfig, attempts: u32| {
+            let policy = RetryPolicy::new(5).with_backoff(Duration::ZERO);
+            let fixed = supervise_job(&config, &policy, inputs(6), wc_o, wc_a).unwrap();
+            let floor = ElasticPolicy::default().with_min_ranks(config.ranks);
+            let elastic =
+                supervise_job_elastic(&config, &policy, &floor, inputs(6), wc_o, wc_a).unwrap();
+            assert_eq!(
+                (elastic.final_ranks, elastic.shrinks, elastic.grows),
+                (2, 0, 0)
+            );
+            assert_eq!(elastic.table_version, 0);
+            assert_eq!(fixed.stats.attempts, attempts);
+            assert_eq!(elastic.output.stats.attempts, attempts);
+            assert_eq!(fixed.stats.wasted_bytes, elastic.output.stats.wasted_bytes);
+            for (pa, pb) in fixed.partitions.iter().zip(&elastic.output.partitions) {
+                assert_eq!(pa.records(), pb.records());
+            }
+            fixed.stats.wasted_bytes
+        };
+        // Checkpointed: O-task errors, then a death the elastic loop
+        // would shrink on were the floor lower. Everything that completed
+        // was banked, however far the other rank got: no waste.
+        let plan = FaultPlan::new(9)
+            .fail_o_task(4, 0)
+            .fail_o_task(4, 1)
+            .merge_panic(1, 2, 1);
+        let checkpointed = JobConfig::new(2).with_checkpointing(true).with_faults(plan);
+        assert_eq!(same(checkpointed, 4), 0);
+        // Not checkpointed: both deaths fire in an A phase, after every O
+        // task has emitted, so each failed attempt wastes one clean run.
+        let plan = FaultPlan::new(9).merge_panic(1, 0, 1).merge_panic(0, 1, 1);
+        let clean = crate::run_job(&JobConfig::new(2), inputs(6), wc_o, wc_a, None).unwrap();
+        assert_eq!(
+            same(JobConfig::new(2).with_faults(plan), 3),
+            2 * clean.stats.bytes_emitted
+        );
     }
 
     #[test]

@@ -37,11 +37,14 @@ use crossbeam::channel::bounded;
 use dmpi_common::{Error, FaultCause, FaultKind, Result};
 
 use crate::comm::{Frame, DEFAULT_MAILBOX_CAPACITY};
-use crate::config::{JobConfig, WireCompression, DEFAULT_SEND_WINDOW, DEFAULT_WIRE_BATCH_BYTES};
+use crate::config::{JobConfig, WireCompression, DEFAULT_WIRE_BATCH_BYTES};
 use crate::observe::LogHistogram;
 
 use super::evloop::{self, LoopCtl, PollerSetup, RecvCounters, Waker};
 use super::{wire, Backend, Endpoint, FrameReceiver, FrameSender, Transport};
+
+/// Default bound on each peer's send window.
+const DEFAULT_SEND_WINDOW: usize = 128;
 
 /// Tuning knobs for the TCP backend.
 #[derive(Clone, Debug)]
@@ -88,11 +91,10 @@ impl Default for TcpOptions {
 }
 
 impl TcpOptions {
-    /// Options derived from a job config (window, mailbox, coalescing,
-    /// and compression knobs).
+    /// Options derived from a job config (mailbox, coalescing, and
+    /// compression knobs).
     pub fn from_config(config: &JobConfig) -> Self {
         TcpOptions {
-            send_window: config.send_window,
             mailbox_capacity: config.mailbox_capacity,
             batch_bytes: config.wire_batch_bytes,
             compression: config.wire_compression,

@@ -2,7 +2,7 @@
 //! reader built at protocol version N must *skip* verbs introduced at
 //! version N+1, not error on them. The property holds at three layers —
 //! the raw [`read_known_line`] primitive, the worker's registration
-//! reader ([`register_with_coordinator_synced`]), and the coordinator's
+//! reader ([`register_with_coordinator`]), and the coordinator's
 //! registration reader ([`coordinate_rank_table`]) — so either side of
 //! the wire can be upgraded first.
 
@@ -11,7 +11,7 @@ use std::net::{TcpListener, TcpStream};
 
 use proptest::prelude::*;
 
-use datampi::distrib::{coordinate_rank_table, register_with_coordinator_synced};
+use datampi::distrib::{coordinate_rank_table, register_with_coordinator};
 use datampi::service::protocol::read_known_line;
 
 /// A verb no current or past protocol version uses: anything
@@ -104,7 +104,7 @@ proptest! {
             writeln!(w, "peers v7 127.0.0.1:9001 127.0.0.1:9002").unwrap();
         });
         let (_stream, table, sync) =
-            register_with_coordinator_synced(addr, 0, 9001, &|| 1000).unwrap();
+            register_with_coordinator(addr, 0, 9001, &|| 1000).unwrap();
         fake_coordinator.join().unwrap();
         prop_assert_eq!(table.ranks(), 2);
         prop_assert_eq!(table.version, 7);
@@ -127,13 +127,16 @@ proptest! {
             for n in &noise {
                 writeln!(w, "{n}").unwrap();
             }
-            writeln!(w, "rank 0 9001").unwrap();
+            writeln!(w, "rank 0 9001 1000").unwrap();
             let mut reader = BufReader::new(stream);
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
+            assert_eq!(line, "clock 5000\n", "clock reply precedes the table");
+            line.clear();
+            reader.read_line(&mut line).unwrap();
             line
         });
-        let streams = coordinate_rank_table(&listener, 1).unwrap();
+        let streams = coordinate_rank_table(&listener, 1, 0, &|| 5000).unwrap();
         assert_eq!(streams.len(), 1);
         let table_line = fake_worker.join().unwrap();
         prop_assert!(

@@ -20,6 +20,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test ==" >&2
 cargo test -q --workspace
 
+echo "== rank-body race guard: supervisor/runtime/distrib unit tests x50, 8 threads ==" >&2
+# Every execution surface runs the one rank body (crates/datampi/src/rank.rs),
+# so a race or a timing-dependent assertion there shows in these three
+# modules first, and oversubscribed test threads are what expose it
+# (~0.4 s per pass, debug build). The first failing pass fails the build.
+for pass in $(seq 50); do
+    cargo test -q -p datampi --lib -- --test-threads 8 supervisor runtime distrib \
+        > target/race-guard.log 2>&1 \
+        || { echo "race guard: pass $pass failed" >&2; cat target/race-guard.log >&2; exit 1; }
+done
+
 echo "== benchmark package: build, unit tests, six-workload smoke ==" >&2
 # benchmark/ is a workspace of its own, so nothing above builds it: a
 # change to a public item it calls, or to output its integrity check
@@ -27,8 +38,10 @@ echo "== benchmark package: build, unit tests, six-workload smoke ==" >&2
 # mismatched or failed job sets "correct":false without a non-zero exit.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# The smoke takes ~2 s; under `timeout` a hang in the rank body (a rank
+# waiting for an EOF that never comes) fails CI instead of stalling it.
 mkdir -p target/ci
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     run --workload all --smoke --out target/ci/benchmark-smoke.json \
     | tee target/ci/benchmark-smoke.log
 [ "$(grep -c '"correct":true' target/ci/benchmark-smoke.log)" -eq 6 ]

@@ -38,12 +38,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use datampi::distrib::{
-    coordinate_rank_table_synced, register_with_coordinator, register_with_coordinator_synced,
-    ENV_ATTEMPT, ENV_COORD, ENV_RANK, ENV_RANKS,
+    coordinate_rank_table, register_with_coordinator, ENV_ATTEMPT, ENV_COORD, ENV_RANK, ENV_RANKS,
 };
 use datampi::observe::{
-    ClockSync, Observer, SpanKind, TelemetryAggregator, TelemetryFrame, TelemetrySink, TraceEvent,
-    JOB_LANE,
+    Observer, SpanKind, TelemetryAggregator, TelemetryFrame, TelemetrySink, TraceEvent, JOB_LANE,
 };
 use datampi::transport::Backend;
 use datampi::{FaultPlan, JobConfig, WireCompression};
@@ -302,15 +300,13 @@ fn run_worker_process(opts: &Options) -> Result<(), String> {
     // span it stamps can be offset-corrected onto the coordinator's
     // timeline.
     let observer = opts.telemetry.then(Observer::new);
-    let (coord_stream, table, sync) = match &observer {
-        Some(obs) => register_with_coordinator_synced(coord, rank, port, &|| obs.now_micros())
-            .map_err(|e| format!("rank {rank}: rendezvous failed: {e}"))?,
-        None => {
-            let (stream, table) = register_with_coordinator(coord, rank, port)
-                .map_err(|e| format!("rank {rank}: rendezvous failed: {e}"))?;
-            (stream, table, ClockSync::default())
-        }
+    let epoch = std::time::Instant::now();
+    let now_us = || match &observer {
+        Some(obs) => obs.now_micros(),
+        None => epoch.elapsed().as_micros() as u64,
     };
+    let (coord_stream, table, sync) = register_with_coordinator(coord, rank, port, &now_us)
+        .map_err(|e| format!("rank {rank}: rendezvous failed: {e}"))?;
     let peers = table.peers;
     if peers.len() != ranks {
         return Err(format!(
@@ -368,8 +364,8 @@ fn run_worker_process(opts: &Options) -> Result<(), String> {
         config = config.with_observer(obs.clone());
     }
     if let Some(slow) = opts.slow_rank {
-        // SlowRank pacing is the one plan `run_worker` honours: this
-        // process becomes a real straggler, pausing before each O task.
+        // This process becomes a real straggler, pausing before each of
+        // its O tasks.
         config = config.with_faults(FaultPlan::new(opts.seed).slow_rank(slow, 0, opts.slow_ms));
     }
     let inputs = opts
@@ -606,7 +602,7 @@ fn launch_attempt(
     // The rendezvous replies each clock handshake with this
     // coordinator's observer clock: worker spans arrive pre-corrected
     // onto the same timeline the coordinator's own events use.
-    let streams = coordinate_rank_table_synced(listener, ranks, version, &|| obs.now_micros())
+    let streams = coordinate_rank_table(listener, ranks, version, &|| obs.now_micros())
         .map_err(|e| format!("rendezvous failed: {e}"))?;
 
     let (tx, rx) = std::sync::mpsc::channel::<RankEvent>();
