@@ -115,6 +115,8 @@ pub struct IndexEntry {
     /// First [`PREFIX_LEN`] key bytes, big-endian, zero-padded: integer
     /// order on it is byte order on those bytes. Padding makes `"a"` and
     /// `"a\0"` collide, so an equal prefix decides nothing by itself.
+    /// [`sort_index`] borrows the field for deeper key bytes while it
+    /// runs and puts this value back before it returns.
     prefix: u64,
     /// Which of the run's frames holds the record.
     frame: u32,
@@ -197,21 +199,6 @@ impl IndexEntry {
         &self.key(frames)[PREFIX_LEN..]
     }
 
-    /// Byte order of the two keys. With equal prefixes and a key no
-    /// longer than the prefix, that key is a prefix of the other (the
-    /// other's extra bytes up to [`PREFIX_LEN`] are the zero padding), so
-    /// length decides without touching a frame — the common case when
-    /// many records share few short keys.
-    fn cmp_key(&self, other: &IndexEntry, frames: &[Bytes]) -> Ordering {
-        self.prefix.cmp(&other.prefix).then_with(|| {
-            if self.key_len.min(other.key_len) as usize <= PREFIX_LEN {
-                self.key_len.cmp(&other.key_len)
-            } else {
-                self.key_tail(frames).cmp(other.key_tail(frames))
-            }
-        })
-    }
-
     /// Whether both entries carry byte-identical keys.
     pub fn same_key(&self, other: &IndexEntry, frames: &[Bytes]) -> bool {
         self.prefix == other.prefix
@@ -221,25 +208,96 @@ impl IndexEntry {
     }
 }
 
+/// Runs this short are finished by comparing key tails: setting up a
+/// refinement level costs more than the few comparisons it would save.
+const SMALL_RUN: usize = 8;
+
+/// Orders a short run whose keys agree on their first `from` bytes (and
+/// are all at least that long) by comparing what follows, then values.
+fn sort_small_run(run: &mut [IndexEntry], from: usize, frames: &[Bytes]) {
+    run.sort_unstable_by(|a, b| {
+        a.key(frames)[from..]
+            .cmp(&b.key(frames)[from..])
+            .then_with(|| a.value(frames).cmp(b.value(frames)))
+    });
+}
+
+/// One refinement level over `run[lo..hi]`, more than [`SMALL_RUN`]
+/// entries whose keys agree on their first `depth` bytes as zero-padded
+/// by [`key_prefix`].
+///
+/// A key that ends within those bytes is a prefix of every other key of
+/// the level (what the others hold up to `depth` is the padding's
+/// zeros), so such keys come first, shortest first, and two of equal
+/// length are the same key: only their values remain to be ordered.
+/// Every other key has its next [`PREFIX_LEN`] bytes loaded into the
+/// `prefix` field — the one read of the frames this level makes per key —
+/// and is ordered on that; entries still tied are finished by comparison
+/// when few and pushed on `pending` for the next level otherwise.
+fn refine_level(
+    run: &mut [IndexEntry],
+    frames: &[Bytes],
+    (lo, hi, depth): (usize, usize, usize),
+    pending: &mut Vec<(usize, usize, usize)>,
+) {
+    let level = &mut run[lo..hi];
+    let mut ended = 0;
+    for i in 0..level.len() {
+        if level[i].key_len as usize <= depth {
+            level.swap(ended, i);
+            ended += 1;
+        }
+    }
+    let (done, rest) = level.split_at_mut(ended);
+    done.sort_unstable_by_key(|e| e.key_len);
+    for same_key in done.chunk_by_mut(|a, b| a.key_len == b.key_len) {
+        if same_key.len() > 1 {
+            same_key.sort_unstable_by(|a, b| a.value(frames).cmp(b.value(frames)));
+        }
+    }
+    for e in rest.iter_mut() {
+        e.prefix = key_prefix(&e.key(frames)[depth..]);
+    }
+    rest.sort_unstable_by_key(|e| e.prefix);
+    let mut at = lo + ended;
+    for tied in rest.chunk_by_mut(|a, b| a.prefix == b.prefix) {
+        if tied.len() > SMALL_RUN {
+            pending.push((at, at + tied.len(), depth + PREFIX_LEN));
+        } else if tied.len() > 1 {
+            sort_small_run(tied, depth, frames);
+        }
+        at += tied.len();
+    }
+}
+
 /// Sorts a run's index into `(key, value)` byte order — the order
 /// [`sort_records`] with [`BytesComparator`] gives the same records, so
-/// unstable sorting is safe for the reason documented there. Keys are
-/// ordered first; values are then ordered within each run of equal keys,
-/// which costs one pass and no moves when they already are (every
-/// WordCount value is `1`).
+/// unstable sorting is safe for the reason documented there.
+///
+/// This is a prefix-refinement sort. The whole index is first ordered on
+/// the inline prefix alone, which reads no frame. Only inside a run of
+/// equal prefixes is more of the keys looked at, eight bytes per level
+/// (`refine_level`), so a key is read once per level it takes part in
+/// rather than once per comparison. Levels are worked off an
+/// explicit list, never by recursion: stack use is the same for 8-byte
+/// and 64 KiB keys. Entries leave with `prefix` restored to the first
+/// bytes of their key, which [`IndexEntry::same_key`] relies on.
 pub fn sort_index(index: &mut [IndexEntry], frames: &[Bytes]) {
-    index.sort_unstable_by(|a, b| a.cmp_key(b, frames));
-    let mut start = 0;
-    while start < index.len() {
-        let first = index[start];
-        let len = index[start..]
-            .iter()
-            .position(|e| !e.same_key(&first, frames))
-            .unwrap_or(index.len() - start);
-        if len > 1 {
-            index[start..start + len].sort_unstable_by(|a, b| a.value(frames).cmp(b.value(frames)));
+    index.sort_unstable_by_key(|e| e.prefix);
+    let mut pending = Vec::new();
+    for run in index.chunk_by_mut(|a, b| a.prefix == b.prefix) {
+        if run.len() > SMALL_RUN {
+            let prefix = run[0].prefix;
+            pending.push((0, run.len(), PREFIX_LEN));
+            while let Some(level) = pending.pop() {
+                refine_level(run, frames, level, &mut pending);
+            }
+            for e in run.iter_mut() {
+                e.prefix = prefix;
+            }
+        } else if run.len() > 1 {
+            sort_small_run(run, 0, frames);
         }
-        start += len;
     }
 }
 
@@ -412,9 +470,16 @@ mod tests {
         }
         assert_eq!(index.len(), records.len());
         sort_index(&mut index, &frames);
+        for e in &index {
+            let key = e.key(&frames);
+            assert_eq!(e.prefix, key_prefix(key), "prefix not restored for {key:?}");
+        }
         index
             .iter()
-            .map(|e| Record::new(e.key(&frames).to_vec(), e.value(&frames).to_vec()))
+            .map(|e| Record {
+                key: frames[e.frame()].slice(e.key_range()),
+                value: frames[e.frame()].slice(e.value_range()),
+            })
             .collect()
     }
 
@@ -484,6 +549,107 @@ mod tests {
         assert_index_matches(v);
     }
 
+    /// `copies` records of every key, so that each run the sort meets is
+    /// longer than [`SMALL_RUN`] and takes the refinement path; values
+    /// descend so that equal keys arrive in the wrong value order.
+    fn repeated(keys: &[Vec<u8>], copies: usize) -> Vec<Record> {
+        assert!(copies > SMALL_RUN);
+        let mut v = Vec::new();
+        for c in (0..copies).rev() {
+            for key in keys.iter().rev() {
+                v.push(Record::new(key.clone(), format!("{c:03}").into_bytes()));
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn index_refines_keys_that_differ_only_after_three_levels() {
+        // 30 shared bytes: levels 1-3 tie, level 4 decides (and for the
+        // last two keys, level 5).
+        let shared = b"0123456789abcdefghijklmnopqrst";
+        let mut keys = Vec::new();
+        for tail in ["zz", "a", "m-and-then-some-more", "m-and-then-some", ""] {
+            keys.push([&shared[..], tail.as_bytes()].concat());
+        }
+        assert_index_matches(repeated(&keys, SMALL_RUN + 3));
+    }
+
+    #[test]
+    fn index_orders_keys_ending_at_level_boundaries_before_their_extensions() {
+        // Keys of exactly 8, 16 and 24 bytes, each a prefix of the next
+        // and of keys one byte longer — 0x00 and 0x01 right after the
+        // boundary, so the padded prefixes of the next level tie or nearly
+        // tie too.
+        let long = b"abcdefghABCDEFGH01234567-tail";
+        let mut keys = Vec::new();
+        for end in [8usize, 16, 24] {
+            keys.push(long[..end].to_vec());
+            keys.push([&long[..end], &b"\0"[..]].concat());
+            keys.push([&long[..end], &b"\0\0"[..]].concat());
+            keys.push([&long[..end], &b"\x01"[..]].concat());
+            keys.push(long[..end - 1].to_vec());
+        }
+        keys.push(long.to_vec());
+        assert_index_matches(repeated(&keys, SMALL_RUN + 1));
+        // The same keys once each: every tie is a short run.
+        let once = keys.iter().map(|k| Record::new(k.clone(), b"v".to_vec()));
+        assert_index_matches(once.collect());
+    }
+
+    #[test]
+    fn index_orders_zero_bytes_across_level_boundaries() {
+        // Zero bytes straddling the 8- and 16-byte boundaries, where the
+        // padding of a shorter key and the data of a longer one coincide.
+        let mut keys = Vec::new();
+        for len in 6..=18usize {
+            keys.push(vec![0u8; len]);
+            let mut k = vec![b'k'; 7];
+            k.resize(len.max(7), 0);
+            keys.push(k);
+            let mut k = vec![0u8; len];
+            k[len - 1] = 1;
+            keys.push(k);
+        }
+        assert_index_matches(repeated(&keys, SMALL_RUN + 2));
+    }
+
+    #[test]
+    fn index_orders_all_equal_keys_by_value() {
+        for key in ["", "short", "exactly8", "a-key-well-past-two-levels"] {
+            let v: Vec<Record> = (0..200u32)
+                .map(|i| rec(key, &format!("{:03}", (i * 77) % 200)))
+                .collect();
+            assert_index_matches(v);
+        }
+    }
+
+    #[test]
+    fn index_sorts_64_kib_keys_differing_in_the_last_byte_on_a_small_stack() {
+        // 8192 levels deep: the pending list, not the call stack, carries
+        // the descent — a frame per level would overrun this thread's
+        // stack many times over. The second round covers the short-run
+        // finish at that depth.
+        const LEN: usize = 64 * 1024;
+        let sorter = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                for n in [1000usize, SMALL_RUN] {
+                    let v: Vec<Record> = (0..n)
+                        .map(|i| {
+                            let mut key = vec![0xABu8; LEN];
+                            key[LEN - 2] = ((i * 7) % 4) as u8;
+                            key[LEN - 1] = ((i * 131) % 251) as u8;
+                            Record::new(key, format!("{}", i % 3).into_bytes())
+                        })
+                        .collect();
+                    assert_index_matches(v);
+                }
+            })
+            .unwrap();
+        sorter.join().expect("sorted within a 256 KiB stack");
+    }
+
     #[test]
     fn index_matches_reference_on_random_inputs() {
         let mut state = 0x9e3779b97f4a7c15u64;
@@ -497,6 +663,19 @@ mod tests {
                         rand_bytes(&mut state, 12, alphabet),
                         rand_bytes(&mut state, 3, alphabet),
                     )
+                })
+                .collect();
+            assert_index_matches(v);
+        }
+        // Two symbols over up to 40 bytes: long runs tie for several
+        // levels, 0x00 at every boundary.
+        for n in [400usize, 3000] {
+            let v: Vec<Record> = (0..n)
+                .map(|_| {
+                    let mut key = rand_bytes(&mut state, 5, 2);
+                    key.resize(key.len() + 24, 0);
+                    key.extend(rand_bytes(&mut state, 11, 2));
+                    Record::new(key, rand_bytes(&mut state, 2, 2))
                 })
                 .collect();
             assert_index_matches(v);

@@ -20,7 +20,7 @@ pub enum FaultKind {
     TaskPanic,
     /// A whole worker rank died before finishing its work.
     RankDeath,
-    /// A frame failed its CRC32 integrity check on receipt.
+    /// A frame failed its CRC-32C integrity check on receipt.
     CorruptFrame,
     /// A simulated cluster node failed.
     NodeFailure,

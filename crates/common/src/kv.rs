@@ -119,6 +119,11 @@ impl RecordBatch {
         other.framed_bytes = 0;
     }
 
+    /// Gives back the room reserved for records that never came.
+    pub fn shrink_to_fit(&mut self) {
+        self.records.shrink_to_fit();
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()

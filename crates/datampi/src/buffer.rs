@@ -170,7 +170,12 @@ impl KvBuffer {
             if combining {
                 self.combine_partition(p);
             }
+            // More is coming for this destination: start its next frame
+            // at the size this one reached instead of regrowing from
+            // nothing by doublings.
+            let reached = self.buffers[p].capacity();
             self.flush_partition(p);
+            self.buffers[p] = Vec::with_capacity(reached);
             self.stats.early_flushes += 1;
         }
     }
@@ -337,6 +342,26 @@ mod tests {
         assert!(stats.frames > 1);
         let total: usize = drain(&rx).iter().map(Frame::payload_len).sum();
         assert_eq!(total as u64, stats.bytes);
+    }
+
+    #[test]
+    fn early_flush_starts_the_next_frame_at_the_flushed_capacity() {
+        let mut net = Interconnect::new(1);
+        let senders = frame_senders(&net);
+        let rx = net.take_receiver(0);
+        let mut buf = KvBuffer::new(senders, 0, 0, 4096, true);
+        while buf.stats().early_flushes == 0 {
+            buf.emit_kv(b"some-key", b"some-value-bytes");
+        }
+        assert!(buf.buffers[0].is_empty());
+        assert!(buf.buffers[0].capacity() >= 4096, "regrows from nothing");
+        let flushed = drain(&rx);
+        assert_eq!(flushed.len(), 1);
+        assert_eq!(flushed[0].payload_len() as u64, buf.stats().bytes);
+        // `finish` has nothing more to come and reserves nothing.
+        buf.emit_kv(b"k", b"v");
+        let stats = buf.finish();
+        assert_eq!((stats.frames, stats.early_flushes), (2, 1));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! bounded mailbox, the ingester drains it, and senders stall at their
 //! bounded per-peer send window until the chain frees up.
 //!
-//! Every data frame carries a CRC32 of its payload, computed at the
+//! Every data frame carries a CRC-32C of its payload, computed at the
 //! sender. Receivers [`Frame::verify`] before ingesting: a mismatch (bit
 //! rot, or the fault-injection harness flipping wire bytes) surfaces as a
 //! structured [`Error::Fault`] instead of silently wrong output.
@@ -47,7 +47,7 @@ pub enum Frame {
         o_task: usize,
         /// Framed records (see `dmpi_common::ser`).
         payload: Bytes,
-        /// CRC32 (IEEE) of `payload`, computed at the sender.
+        /// CRC-32C (Castagnoli) of `payload`, computed at the sender.
         crc: u32,
     },
     /// The sending rank has no more data for this partition.
@@ -58,7 +58,7 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Builds a data frame, stamping the payload's CRC32.
+    /// Builds a data frame, stamping the payload's CRC-32C.
     pub fn data(from_rank: usize, o_task: usize, payload: Bytes) -> Frame {
         let crc = crc32(&payload);
         Frame::Data {

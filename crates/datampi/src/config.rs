@@ -55,13 +55,6 @@ impl WireCompression {
 /// small enough that even modest splits fan out across the worker pool.
 pub const DEFAULT_O_CHUNK_BYTES: usize = 128 * KB as usize;
 
-/// Default O-executor parallelism: every core the host offers.
-pub fn default_o_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Configuration of one DataMPI job.
 #[derive(Clone, Debug)]
 pub struct JobConfig {
@@ -119,9 +112,17 @@ pub struct JobConfig {
     /// ships every emitted pair unmodified.
     pub combiner: Option<Combiner>,
     /// Intra-rank O-executor parallelism: how many pool workers may chew
-    /// on one O task's input concurrently. `1` is the sequential path;
-    /// the default is [`default_o_parallelism`] (all cores). Output
-    /// frames are byte-identical at any setting — see DESIGN.md §7.
+    /// on one O task's input concurrently. `1`, the default, is the
+    /// sequential path: user code emits straight into the task's buffer.
+    ///
+    /// Chunk-parallel O is **opt-in, for line-oriented splits only**: a
+    /// byte split over [`o_chunk_bytes`](Self::o_chunk_bytes) is cut at
+    /// `0x0A` bytes whatever it holds, which is right for text that the
+    /// O function maps line by line and silently wrong for a binary
+    /// split (a compressed sequence file). For such splits output frames
+    /// are byte-identical at any setting — see DESIGN.md §7. Every rank
+    /// of an in-proc job runs its own pool, so a job of `ranks` rank
+    /// threads wants `ranks × o_parallelism` cores.
     pub o_parallelism: usize,
     /// Target size of one parallel-O input chunk in bytes. Smaller values
     /// fan small inputs out wider (tests use this); the default is
@@ -176,7 +177,7 @@ impl JobConfig {
             wire_batch_bytes: DEFAULT_WIRE_BATCH_BYTES,
             wire_compression: WireCompression::default(),
             combiner: None,
-            o_parallelism: default_o_parallelism(),
+            o_parallelism: 1,
             o_chunk_bytes: DEFAULT_O_CHUNK_BYTES,
             sort_kernel: SortKernel::default(),
             speculation: SpeculationConfig::default(),
@@ -305,8 +306,10 @@ impl JobConfig {
         self
     }
 
-    /// Builder: set intra-rank O-executor parallelism (`1` = the
-    /// sequential path; output bytes are identical at any value).
+    /// Builder: set intra-rank O-executor parallelism (`1`, the default,
+    /// = the sequential path). Only for splits that may be cut at any
+    /// newline — see [`o_parallelism`](Self::o_parallelism); for those,
+    /// output bytes are identical at any value.
     pub fn with_o_parallelism(mut self, workers: usize) -> Self {
         self.o_parallelism = workers;
         self
@@ -389,6 +392,13 @@ mod tests {
     #[test]
     fn default_is_valid() {
         JobConfig::new(4).validate().unwrap();
+    }
+
+    #[test]
+    fn chunk_parallel_o_is_opt_in() {
+        // The byte chunker cuts at any 0x0A, so a default job must not
+        // chunk: a binary split would be mis-cut on every multi-core host.
+        assert_eq!(JobConfig::new(4).o_parallelism, 1);
     }
 
     #[test]

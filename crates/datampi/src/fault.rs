@@ -15,7 +15,7 @@
 //! * **straggler delays** — an O task is artificially slowed, modelling
 //!   the slow-node scenario Hadoop answers with speculative execution;
 //! * **frame corruption** — one wire frame of the task gets a byte
-//!   flipped *after* its CRC32 is computed, so the receiving A partition
+//!   flipped *after* its CRC-32C is computed, so the receiving A partition
 //!   detects the mismatch and fails the attempt rather than silently
 //!   producing wrong output.
 //!

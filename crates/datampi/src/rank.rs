@@ -627,7 +627,11 @@ where
             .max(st.peak_resident_records);
         let read_counters = store.read_counters();
 
-        let mut collector = BatchCollector::default();
+        // An identity-shaped A function (Sort) emits a record per record
+        // in; reserving for that up front spares the output vector its
+        // doublings, and `into_batch` returns what a folding one leaves
+        // unused.
+        let mut collector = BatchCollector::with_capacity(st.records as usize);
         let grouped = if failure.is_set() {
             Ok(())
         } else {
@@ -649,7 +653,7 @@ where
         self.stats.phase_us.merge(&ingest.phase);
         self.stats.phase_us.merge(&self.pool_phase);
         grouped.map_err(|e| store_decode_fault(e, rank, cx.attempt))?;
-        Ok((collector.batch, self.stats))
+        Ok((collector.into_batch(), self.stats))
     }
 
     /// Pulls one key group at a time from the store's merge — grouped
@@ -685,7 +689,7 @@ where
             Some(m) => {
                 let mut done = ser::unframe_batch(&m.partial_output)?;
                 groups = m.groups_emitted;
-                collector.batch.append(&mut done);
+                collector.append(&mut done);
                 crate::store::resume_group_stream(
                     &m.runs,
                     &m.frontier,
@@ -705,22 +709,26 @@ where
             );
         }
         let a_start = tracer.map(Tracer::start);
+        // One group, refilled in place: no value vector per group.
+        let mut group = GroupedValues::default();
         let streamed = loop {
-            let g = match stream.next_group() {
-                Ok(Some(g)) => g,
-                Ok(None) => break Ok(()),
+            match stream.next_group_into(&mut group) {
+                Ok(true) => {}
+                Ok(false) => break Ok(()),
                 Err(e) => break Err(e),
-            };
+            }
             groups += 1;
-            a_fn(&g, collector);
+            a_fn(&group, collector);
             if let Some(cp) = merge_cp.filter(|_| groups.is_multiple_of(MERGE_CP_INTERVAL)) {
                 if let Some(frontier) = stream.frontier() {
+                    // `batch()` closes the collector's open chunk first,
+                    // so the framed output holds every group up to here.
                     cp.record_merge_frontier(
                         cx.rank,
                         frontier,
-                        Some(g.key.clone()),
+                        Some(group.key.clone()),
                         groups,
-                        Bytes::from(ser::frame_batch(&collector.batch)),
+                        Bytes::from(ser::frame_batch(collector.batch())),
                     );
                 }
             }

@@ -75,7 +75,7 @@ pub struct JobStats {
     /// checkpoint and therefore had to be re-emitted — the re-execution
     /// cost a checkpointing run avoids.
     pub wasted_bytes: u64,
-    /// Data frames rejected by the receiver-side CRC32 check.
+    /// Data frames rejected by the receiver-side CRC-32C check.
     pub corrupt_frames: u64,
     /// Injected straggler delays served by O tasks.
     pub straggler_delays: u64,

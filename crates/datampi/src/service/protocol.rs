@@ -215,7 +215,7 @@ pub struct WorkerDone {
     pub job: u64,
     /// Reporting rank.
     pub rank: usize,
-    /// CRC32 of the rank's framed partition bytes (the byte-identity
+    /// CRC-32C of the rank's framed partition bytes (the byte-identity
     /// fingerprint `dmpirun --verify-inproc` also uses).
     pub crc: u32,
     /// Wall time this rank spent on the job, µs.

@@ -16,7 +16,7 @@
 //!                   first_key last_key offset raw_len stored_len records crc
 //!                   (keys length-prefixed; integers LEB128; crc over the
 //!                   UNCOMPRESSED block bytes)
-//! trailer (16 B):   footer_offset u64 LE | footer crc32 u32 LE | "SPL1"
+//! trailer (16 B):   footer_offset u64 LE | footer CRC-32C u32 LE | "SPL1"
 //! ```
 //!
 //! The footer index is what turns the k-way merge from a full scan into a
@@ -24,9 +24,10 @@
 //! its bytes, so blocks outside the consumer's key range are *skipped* —
 //! never read, never decompressed — and a checkpointed merge can resume
 //! from a block boundary instead of re-reading the run. Integrity is a
-//! CRC-32 (slicing-by-8, [`dmpi_common::crc`]) over the uncompressed
-//! bytes of each block, checked after decompression and **before** any
-//! record decode, plus a CRC over the footer itself.
+//! CRC-32C ([`dmpi_common::crc`]: the SSE4.2 instruction where the CPU
+//! has it, slicing-by-8 tables otherwise) over the uncompressed bytes of
+//! each block, checked after decompression and **before** any record
+//! decode, plus a CRC-32C over the footer itself.
 //!
 //! Runs live either in memory ([`RunStorage::Mem`], the default for
 //! small jobs) or in a file under a configurable spill directory
@@ -131,7 +132,7 @@ pub struct BlockMeta {
     pub stored_len: u32,
     /// Records framed in the block.
     pub records: u32,
-    /// CRC-32 over the *uncompressed* block bytes.
+    /// CRC-32C over the *uncompressed* block bytes.
     pub crc: u32,
 }
 

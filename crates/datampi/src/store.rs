@@ -776,13 +776,26 @@ enum GroupSource {
 
 impl GroupStream {
     /// Produces the next key group, or `None` when the store is drained.
+    /// Allocates the group's value vector; a loop over every group reuses
+    /// one through [`next_group_into`](Self::next_group_into).
     pub fn next_group(&mut self) -> Result<Option<GroupedValues>> {
+        let mut group = GroupedValues::default();
+        Ok(self.next_group_into(&mut group)?.then_some(group))
+    }
+
+    /// Overwrites `group` with the next key group, keeping its value
+    /// vector's allocation, and returns `false` (leaving `group` as it
+    /// was) when the store is drained.
+    pub fn next_group_into(&mut self, group: &mut GroupedValues) -> Result<bool> {
+        let step_start = self.merge_hist.as_ref().map(|_| std::time::Instant::now());
         match &mut self.source {
-            GroupSource::Hashed(it) => Ok(it.next()),
+            GroupSource::Hashed(it) => match it.next() {
+                Some(next) => *group = next,
+                None => return Ok(false),
+            },
             GroupSource::Index { forming, next } => {
-                let step_start = self.merge_hist.as_ref().map(|_| std::time::Instant::now());
                 let Some(first) = forming.index.get(*next) else {
-                    return Ok(None);
+                    return Ok(false);
                 };
                 // Equal keys are adjacent and their values already in
                 // order: the group is a slice of the index.
@@ -791,25 +804,25 @@ impl GroupStream {
                     .position(|e| !e.same_key(first, &forming.frames))
                     .unwrap_or(forming.index.len() - *next);
                 let members = &forming.index[*next..*next + len];
-                let group = GroupedValues {
-                    key: forming.key_bytes(first),
-                    values: members.iter().map(|e| forming.value_bytes(e)).collect(),
-                };
+                group.key = forming.key_bytes(first);
+                group.values.clear();
+                // Exact, so that a fresh group (`next_group`) is no
+                // larger than its values; nothing to do on a reused one.
+                group.values.reserve_exact(len);
+                group
+                    .values
+                    .extend(members.iter().map(|e| forming.value_bytes(e)));
                 *next += len;
-                if let (Some(hist), Some(start)) = (&self.merge_hist, step_start) {
-                    hist.record_elapsed_us(start);
-                }
-                Ok(Some(group))
             }
             GroupSource::Merge(merge) => {
-                let step_start = self.merge_hist.as_ref().map(|_| std::time::Instant::now());
                 let Some(first) = merge.pop()? else {
-                    return Ok(None);
+                    return Ok(false);
                 };
-                let mut group = GroupedValues {
-                    key: first.key,
-                    values: vec![first.value],
-                };
+                group.key = first.key;
+                group.values.clear();
+                // As above: most groups of a sort hold one value.
+                group.values.reserve_exact(1);
+                group.values.push(first.value);
                 // Keep pulling while the merge head shares the key.
                 loop {
                     let same = match merge.tree[0] {
@@ -824,12 +837,12 @@ impl GroupStream {
                         None => break,
                     }
                 }
-                if let (Some(hist), Some(start)) = (&self.merge_hist, step_start) {
-                    hist.record_elapsed_us(start);
-                }
-                Ok(Some(group))
             }
         }
+        if let (Some(hist), Some(start)) = (&self.merge_hist, step_start) {
+            hist.record_elapsed_us(start);
+        }
+        Ok(true)
     }
 
     /// The merge's resume frontier: for each sealed-run cursor, the
@@ -1004,6 +1017,62 @@ mod tests {
         let c = stream.next_group().unwrap().unwrap();
         assert_eq!(c.key, Bytes::from_static(b"c"));
         assert!(stream.next_group().unwrap().is_none());
+    }
+
+    #[test]
+    fn index_walk_separates_keys_that_agree_after_their_first_eight_bytes() {
+        // Each key repeats often enough for its run to be refined a
+        // level, where both keys load the same bytes into their entries'
+        // prefix field. The walk tells groups apart by that field plus
+        // the key tails, so the sort must have put the first eight bytes
+        // back — or these two keys would come out as one group.
+        let mut s = PartitionStore::new(1 << 20, true);
+        let mut records = Vec::new();
+        for i in 0..40 {
+            records.push(rec("AAAAAAAA-same-tail", &format!("{i:02}")));
+            records.push(rec("BBBBBBBB-same-tail", &format!("{i:02}")));
+        }
+        s.ingest(frame_of(&records)).unwrap();
+        let mut stream = s.into_group_stream().unwrap();
+        let mut group = GroupedValues::default();
+        for key in ["AAAAAAAA-same-tail", "BBBBBBBB-same-tail"] {
+            assert!(stream.next_group_into(&mut group).unwrap());
+            assert_eq!(group.key, Bytes::copy_from_slice(key.as_bytes()));
+            assert_eq!(group.len(), 40);
+        }
+        assert!(!stream.next_group_into(&mut group).unwrap());
+        assert_eq!(group.len(), 40, "a drained stream leaves the group alone");
+    }
+
+    #[test]
+    fn refilled_group_equals_fresh_groups_on_every_source() {
+        // (sorted, spill half-way): index walk, loser-tree merge, hashed.
+        for (sorted, spill) in [(true, false), (true, true), (false, true)] {
+            let fill = || {
+                let mut s = PartitionStore::new(1 << 20, sorted);
+                for i in 0..60 {
+                    if spill && i == 30 {
+                        s.spill();
+                    }
+                    let r = rec(&format!("k{}", (i * 13) % 7), &format!("v{:02}", i % 10));
+                    s.ingest(frame_of(&[r])).unwrap();
+                }
+                s.into_group_stream().unwrap()
+            };
+            let mut fresh = Vec::new();
+            let mut stream = fill();
+            while let Some(g) = stream.next_group().unwrap() {
+                fresh.push(g);
+            }
+            let mut refilled = Vec::new();
+            let mut stream = fill();
+            let mut group = GroupedValues::default();
+            while stream.next_group_into(&mut group).unwrap() {
+                refilled.push(group.clone());
+            }
+            assert_eq!(fresh.len(), 7);
+            assert_eq!(refilled, fresh, "sorted={sorted} spill={spill}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! `body_len` bytes when [`BATCH_FLAG_LZ4`] is set (compression is used
 //! only when it actually shrinks the body). Because the batch body is
 //! built from the *uncompressed* per-frame encodings, the sender-stamped
-//! payload CRC-32 carried in each data frame survives compression
+//! payload CRC-32C carried in each data frame survives compression
 //! unchanged: receivers run the same [`Frame::verify`] integrity gate as
 //! the in-proc backend, so wire corruption (real bit rot or the
 //! fault-injection harness) fails the attempt with a structured cause

@@ -14,7 +14,7 @@ use datampi::store::PartitionStore;
 use datampi::supervisor::{supervise_job, RetryPolicy};
 use datampi::{run_job, Backend, Combiner, JobConfig, Scheduling, SpeculationConfig};
 use dmpi_common::compare::{sort_records, BytesComparator};
-use dmpi_common::group::{group_hashed, Collector, GroupedValues};
+use dmpi_common::group::{group_hashed, group_sorted, Collector, GroupedValues};
 use dmpi_common::ser::{self, Writable};
 use dmpi_common::Record;
 
@@ -124,6 +124,39 @@ fn adversarial_records() -> impl Strategy<Value = Vec<Record>> {
     )
 }
 
+/// Keys that tie for several eight-byte levels of the index sort: a
+/// shared head of 0, 8, 16 or 24 bytes — itself a key, so that keys end
+/// exactly on a level boundary and are prefixes of longer ones — then a
+/// short tail over `0x00`/`0x01`, so that a longer key's data and a
+/// shorter key's zero padding coincide right after the boundary. Few
+/// distinct keys: most runs of equal prefixes are long enough to be
+/// refined level by level, and equal keys abound. Two heads differing
+/// in their first byte only give pairs of keys that differ in the first
+/// level and agree on every later one.
+fn deep_key() -> impl Strategy<Value = Vec<u8>> {
+    use proptest::collection::vec;
+    const HEAD: &[u8] = b"level-1.level-2.level-3.";
+    (0usize..4, vec(0u8..2, 0..4), 0usize..3, any::<bool>()).prop_map(
+        |(levels, tail, more, other_head)| {
+            let mut key = HEAD[..8 * levels].to_vec();
+            if other_head && levels > 0 {
+                key[0] = b'm';
+            }
+            key.extend(tail);
+            // Some keys run on for another level or two past the tail.
+            key.extend(std::iter::repeat_n(0u8, 7 * more));
+            key
+        },
+    )
+}
+
+fn deep_records() -> impl Strategy<Value = Vec<Record>> {
+    proptest::collection::vec(
+        (deep_key(), adversarial_value()).prop_map(|(k, v)| Record::new(k, v)),
+        0..400,
+    )
+}
+
 /// Ingests `records`, `per_frame` to a frame, under one of three spill
 /// regimes: 0 = nothing spills, 1 = exactly one run is sealed half-way,
 /// 2 = a budget so small that nearly every frame seals a run.
@@ -158,6 +191,43 @@ fn filled_store(
     store
 }
 
+/// The sort descends one level per eight key bytes off a list, not by
+/// recursion: 1 000 keys of 64 KiB that differ only at the very end take
+/// 8 192 levels, here on a thread whose stack would not hold a fraction
+/// of that many frames. All-equal keys ride along in the same partition.
+#[test]
+fn store_sorts_64_kib_keys_differing_in_the_last_byte_on_a_small_stack() {
+    const LEN: usize = 64 * 1024;
+    const KEYS: usize = 1000;
+    let sorter = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(|| {
+            let mut store = PartitionStore::new(1 << 30, true);
+            let mut key = vec![0xABu8; LEN];
+            for i in 0..KEYS {
+                key[LEN - 2] = ((i * 7) % 5) as u8;
+                key[LEN - 1] = ((i * 131) % 251) as u8;
+                let mut payload = Vec::with_capacity(LEN + 16);
+                ser::frame_kv(&mut payload, &key, &[(i % 3) as u8]);
+                ser::frame_kv(&mut payload, b"all-equal-key", &[(i % 7) as u8]);
+                store.ingest(Bytes::from(payload)).unwrap();
+            }
+            store.into_records().unwrap()
+        })
+        .unwrap();
+    let records = sorter
+        .join()
+        .expect("the sort must not overflow a 256 KiB stack");
+    assert_eq!(records.len(), 2 * KEYS);
+    let (long, short): (Vec<_>, Vec<_>) = records.iter().partition(|r| r.key.len() == LEN);
+    assert_eq!((long.len(), short.len()), (KEYS, KEYS));
+    let order = |r: &&Record| (r.key[r.key.len() - 2..].to_vec(), r.value.to_vec());
+    assert!(short.windows(2).all(|w| order(&w[0]) <= order(&w[1])));
+    assert!(long.windows(2).all(|w| order(&w[0]) <= order(&w[1])));
+    // "all-equal-key" < 0xAB…: every short record precedes every long one.
+    assert!(records[..KEYS].iter().all(|r| r.key.len() < LEN));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -176,6 +246,27 @@ proptest! {
         let mut expected = records;
         sort_records(&mut expected, &BytesComparator);
         prop_assert_eq!(store.into_records().unwrap(), expected);
+    }
+
+    /// Keys that tie for up to four levels of the refinement sort come
+    /// out in `sort_records` order and in the same groups — the index
+    /// walk finds a group's end by comparing the prefixes the sort must
+    /// have put back — under every spill regime.
+    #[test]
+    fn store_order_and_groups_equal_sort_records_on_deep_keys(
+        records in deep_records(),
+        per_frame in 1usize..40,
+        regime in 0usize..3,
+    ) {
+        let store = filled_store(&records, per_frame, regime, true);
+        let mut stream = store.into_group_stream().unwrap();
+        let mut groups = Vec::new();
+        while let Some(g) = stream.next_group().unwrap() {
+            groups.push(g);
+        }
+        let mut expected = records;
+        sort_records(&mut expected, &BytesComparator);
+        prop_assert_eq!(groups, group_sorted(expected));
     }
 
     /// Hashed mode never sorts: groups come out in order of first

@@ -35,7 +35,7 @@ use crate::namenode::NameNode;
 pub struct MiniDfs {
     namenode: RwLock<NameNode>,
     blocks: RwLock<HashMap<BlockId, Bytes>>,
-    /// CRC-32 per stored block (HDFS-style integrity metadata).
+    /// CRC-32C per stored block (HDFS-style integrity metadata).
     checksums: RwLock<HashMap<BlockId, u32>>,
 }
 

@@ -151,7 +151,7 @@ impl<'c> SortSpillBuffer<'c> {
                     for g in group_sorted(bucket) {
                         combiner(&g, &mut out);
                     }
-                    let mut combined = out.batch.into_records();
+                    let mut combined = out.into_batch().into_records();
                     // A well-formed combiner preserves key order, but do
                     // not trust user code with the merge invariant.
                     sort_records(&mut combined, &BytesComparator);
@@ -380,7 +380,7 @@ where
                             groups += 1;
                             reduce(&g, &mut collector);
                         }
-                        Ok((collector.batch, shuffle_bytes, groups))
+                        Ok((collector.into_batch(), shuffle_bytes, groups))
                     };
                     match work() {
                         Ok((batch, shuffle_bytes, groups)) => {

@@ -342,7 +342,7 @@ impl Rdd {
                     for rec in &batch {
                         f(rec, &mut out);
                     }
-                    Ok(out.batch)
+                    Ok(out.into_batch())
                 })
             }
             RddNode::Filter { parent, pred } => {

@@ -7,7 +7,7 @@
 //!
 //! Part 1 runs a WordCount whose `FaultPlan` kills O task 2 on the first
 //! two attempts, delays a straggler, and flips a byte in one frame (caught
-//! by the per-frame CRC-32). `supervise_job` retries until the job
+//! by the per-frame CRC-32C). `supervise_job` retries until the job
 //! completes, replaying checkpointed O output instead of re-running it.
 //!
 //! Part 2 kills a node mid-job in the cluster simulator and reports the

@@ -46,6 +46,15 @@ timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Carg
     | tee target/ci/benchmark-smoke.log
 [ "$(grep -c '"correct":true' target/ci/benchmark-smoke.log)" -eq 6 ]
 
+echo "== examples: sort_pipeline, quickstart ==" >&2
+# The examples drive the library through `JobConfig::new` defaults, which
+# no test or smoke above does: sort_pipeline runs Text Sort and Normal
+# Sort (binary, compressed splits) on all three engines and cross-checks
+# their outputs; it panicked for a whole PR while CI ran only the
+# `profile` example.
+timeout 300 cargo run -q --release --example sort_pipeline
+timeout 300 cargo run -q --release --example quickstart
+
 echo "== dmpirun multi-process smoke ==" >&2
 # Four real worker processes over TCP must reproduce the in-proc
 # runtime's output byte-for-byte.
