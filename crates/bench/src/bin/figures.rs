@@ -10,28 +10,6 @@
 //! figures fig3b --csv               # CSV for plotting tools
 //! figures ext-iter                  # extension: iterative K-means
 //! figures ext-recovery              # extension: node-failure recovery
-//! figures profile-real              # extension: sim-vs-real profile diff
-//! figures profile-real --write PATH # also write BENCH_profile.json
-//! figures transport-bench           # extension: in-proc vs TCP vs TCP+lz4
-//! figures transport-bench --smoke   # CI variant: smaller grid, same gate
-//! figures transport-bench --write PATH # also write BENCH_transport.json
-//! figures pipeline-bench            # extension: combiner grid + spill probe
-//! figures pipeline-bench --write PATH # also write BENCH_pipeline.json
-//! figures spillfmt-bench            # extension: indexed spill-run format grid
-//! figures spillfmt-bench --smoke    # CI variant: smaller grid, same <50% gate
-//! figures spillfmt-bench --write PATH # also write BENCH_spillfmt.json
-//! figures hotpath-bench             # extension: parallel-O/kernel grid
-//! figures hotpath-bench --smoke     # CI variant: small grid + speedup gate
-//! figures hotpath-bench --write PATH # also write BENCH_hotpath.json
-//! figures straggler-bench           # extension: slow-rank/rank-leave defense grid
-//! figures straggler-bench --smoke   # CI variant: shorter pauses, same 0.5x gate
-//! figures straggler-bench --write PATH # also write BENCH_straggler.json
-//! figures observe-bench             # extension: telemetry overhead pair
-//! figures observe-bench --smoke     # CI variant: smaller job, same 1.05x gate
-//! figures observe-bench --write PATH # also write BENCH_observe.json
-//! figures service-bench             # extension: resident mesh vs one-shot launch
-//! figures service-bench --smoke     # CI variant: fewer jobs, same p50 gate
-//! figures service-bench --write PATH # also write BENCH_service.json
 //! ```
 
 use dmpi_bench::experiments;
@@ -40,11 +18,8 @@ use dmpi_bench::figures::{self, Fig4Case};
 fn usage() -> ! {
     eprintln!(
         "usage: figures <all|table1|table2|fig2a|fig2b|fig3a|fig3b|fig3c|fig3d|\
-         fig4sort|fig4wordcount|fig5|fig6a|fig6b|fig7|ext-iter|ext-recovery|profile-real|\
-         transport-bench|pipeline-bench|spillfmt-bench|hotpath-bench|straggler-bench|\
-         observe-bench|service-bench|summary> \
-         [--markdown] \
-         [--write PATH] [--csv] [--smoke] \
+         fig4sort|fig4wordcount|fig5|fig6a|fig6b|fig7|ext-iter|ext-recovery|summary> \
+         [--markdown] [--write PATH] [--csv] \
          [--series cpu|waitio|disk_read|disk_write|net|mem]"
     );
     std::process::exit(2);
@@ -128,205 +103,6 @@ fn main() {
                 "{}",
                 render(dmpi_bench::recovery::fig_ext_recovery(8)?, csv)
             ),
-            "profile-real" => {
-                let data = dmpi_bench::profile_real::profile_real_data(2, 200_000)?;
-                println!(
-                    "{}",
-                    render(dmpi_bench::profile_real::render_table(&data), csv)
-                );
-                let artifact = write_path
-                    .clone()
-                    .unwrap_or_else(|| "BENCH_profile.json".to_string());
-                let json = dmpi_bench::profile_real::render_artifact_json(&data);
-                std::fs::write(&artifact, json).map_err(|e| {
-                    dmpi_common::Error::InvalidState(format!("cannot write {artifact}: {e}"))
-                })?;
-                println!("wrote {artifact}");
-            }
-            "transport-bench" => {
-                let smoke = args.iter().any(|a| a == "--smoke");
-                let (ranks, tasks, bytes, stream_frames) = if smoke {
-                    (2, 4, 16 * 1024, 128)
-                } else {
-                    (4, 8, 64 * 1024, 512)
-                };
-                let data = dmpi_bench::transport_bench::transport_bench_data(
-                    ranks,
-                    tasks,
-                    bytes,
-                    stream_frames,
-                )?;
-                println!(
-                    "{}",
-                    render(dmpi_bench::transport_bench::render_table(&data), csv)
-                );
-                // The regression gate runs in both modes: the raw stream
-                // must sustain the committed floor on loopback.
-                let rate = dmpi_bench::transport_bench::check_stream_gate(&data)?;
-                println!(
-                    "stream gate ok: {rate:.1} MB/s >= {:.0} MB/s",
-                    dmpi_bench::transport_bench::STREAM_GATE_MB_S
-                );
-                let artifact = write_path
-                    .clone()
-                    .unwrap_or_else(|| "BENCH_transport.json".to_string());
-                let json = dmpi_bench::transport_bench::render_artifact_json(&data);
-                std::fs::write(&artifact, json).map_err(|e| {
-                    dmpi_common::Error::InvalidState(format!("cannot write {artifact}: {e}"))
-                })?;
-                println!("wrote {artifact}");
-            }
-            "hotpath-bench" => {
-                let smoke = args.iter().any(|a| a == "--smoke");
-                let (ranks, tasks, bytes, trials) = if smoke {
-                    (1, 2, 256 * 1024, 3)
-                } else {
-                    (2, 4, 512 * 1024, 3)
-                };
-                let data =
-                    dmpi_bench::hotpath_bench::hotpath_bench_data(ranks, tasks, bytes, trials)?;
-                println!(
-                    "{}",
-                    render(dmpi_bench::hotpath_bench::render_table(&data), csv)
-                );
-                let artifact = write_path
-                    .clone()
-                    .unwrap_or_else(|| "BENCH_hotpath.json".to_string());
-                let json = dmpi_bench::hotpath_bench::render_artifact_json(&data);
-                std::fs::write(&artifact, json).map_err(|e| {
-                    dmpi_common::Error::InvalidState(format!("cannot write {artifact}: {e}"))
-                })?;
-                println!("wrote {artifact}");
-                if smoke {
-                    println!(
-                        "{}",
-                        dmpi_bench::hotpath_bench::speedup_gate(
-                            &data,
-                            dmpi_bench::hotpath_bench::GATE_MIN_SPEEDUP
-                        )?
-                    );
-                }
-            }
-            "straggler-bench" => {
-                let smoke = args.iter().any(|a| a == "--smoke");
-                let (ranks, tasks, slow_ms) = if smoke { (3, 6, 150) } else { (3, 9, 300) };
-                let data =
-                    dmpi_bench::straggler_bench::straggler_bench_data(ranks, tasks, slow_ms, 42)?;
-                println!(
-                    "{}",
-                    render(dmpi_bench::straggler_bench::render_table(&data), csv)
-                );
-                let artifact = write_path
-                    .clone()
-                    .unwrap_or_else(|| "BENCH_straggler.json".to_string());
-                let json = dmpi_bench::straggler_bench::render_artifact_json(&data);
-                std::fs::write(&artifact, json).map_err(|e| {
-                    dmpi_common::Error::InvalidState(format!("cannot write {artifact}: {e}"))
-                })?;
-                println!("wrote {artifact}");
-                println!(
-                    "{}",
-                    dmpi_bench::straggler_bench::completion_gate(&data, 0.5)?
-                );
-            }
-            "observe-bench" => {
-                let smoke = args.iter().any(|a| a == "--smoke");
-                // Min-of-trials needs enough draws to shake scheduler
-                // noise out of a ~30ms job on a loaded 1-core CI host;
-                // 6 smoke trials keep the 1.05x gate honest, not flaky.
-                let (ranks, tasks, split_bytes, trials) = if smoke {
-                    (3, 8, 64 * 1024, 6)
-                } else {
-                    (4, 16, 256 * 1024, 5)
-                };
-                let data = dmpi_bench::observe_bench::observe_bench_data(
-                    ranks,
-                    tasks,
-                    split_bytes,
-                    trials,
-                    42,
-                )?;
-                println!(
-                    "{}",
-                    render(dmpi_bench::observe_bench::render_table(&data), csv)
-                );
-                let artifact = write_path
-                    .clone()
-                    .unwrap_or_else(|| "BENCH_observe.json".to_string());
-                let json = dmpi_bench::observe_bench::render_artifact_json(&data);
-                std::fs::write(&artifact, json).map_err(|e| {
-                    dmpi_common::Error::InvalidState(format!("cannot write {artifact}: {e}"))
-                })?;
-                println!("wrote {artifact}");
-                println!("{}", dmpi_bench::observe_bench::overhead_gate(&data, 1.05)?);
-            }
-            "service-bench" => {
-                let smoke = args.iter().any(|a| a == "--smoke");
-                // Jobs are tiny on purpose: the quantity under test is
-                // per-job launch overhead, which small jobs magnify. The
-                // arrival gap keeps utilization below 1 — an overloaded
-                // open loop measures queueing delay, not launch cost.
-                let (ranks, jobs, tasks, bytes, gap_ms) = if smoke {
-                    (2, 8, 2, 512, 60)
-                } else {
-                    (3, 24, 2, 4 * 1024, 60)
-                };
-                let data = dmpi_bench::service_bench::service_bench_data(
-                    ranks, jobs, tasks, bytes, gap_ms, 42,
-                )?;
-                println!(
-                    "{}",
-                    render(dmpi_bench::service_bench::render_table(&data), csv)
-                );
-                let artifact = write_path
-                    .clone()
-                    .unwrap_or_else(|| "BENCH_service.json".to_string());
-                let json = dmpi_bench::service_bench::render_artifact_json(&data);
-                std::fs::write(&artifact, json).map_err(|e| {
-                    dmpi_common::Error::InvalidState(format!("cannot write {artifact}: {e}"))
-                })?;
-                println!("wrote {artifact}");
-                println!("{}", dmpi_bench::service_bench::submission_gate(&data)?);
-            }
-            "spillfmt-bench" => {
-                let smoke = args.iter().any(|a| a == "--smoke");
-                let (ranks, tasks, bytes) = if smoke {
-                    (2, 4, 16 * 1024)
-                } else {
-                    (4, 8, 64 * 1024)
-                };
-                let data = dmpi_bench::spillfmt_bench::spillfmt_bench_data(ranks, tasks, bytes)?;
-                println!(
-                    "{}",
-                    render(dmpi_bench::spillfmt_bench::render_table(&data), csv)
-                );
-                let artifact = write_path
-                    .clone()
-                    .unwrap_or_else(|| "BENCH_spillfmt.json".to_string());
-                let json = dmpi_bench::spillfmt_bench::render_artifact_json(&data);
-                std::fs::write(&artifact, json).map_err(|e| {
-                    dmpi_common::Error::InvalidState(format!("cannot write {artifact}: {e}"))
-                })?;
-                println!("wrote {artifact}");
-                // The regression gate runs in both modes: a
-                // range-restricted merge must read < 50% of run bytes.
-                println!("{}", dmpi_bench::spillfmt_bench::skip_gate(&data)?);
-            }
-            "pipeline-bench" => {
-                let data = dmpi_bench::pipeline_bench::pipeline_bench_data(4, 8, 64 * 1024)?;
-                println!(
-                    "{}",
-                    render(dmpi_bench::pipeline_bench::render_table(&data), csv)
-                );
-                let artifact = write_path
-                    .clone()
-                    .unwrap_or_else(|| "BENCH_pipeline.json".to_string());
-                let json = dmpi_bench::pipeline_bench::render_artifact_json(&data);
-                std::fs::write(&artifact, json).map_err(|e| {
-                    dmpi_common::Error::InvalidState(format!("cannot write {artifact}: {e}"))
-                })?;
-                println!("wrote {artifact}");
-            }
             "summary" => println!("{}", render(figures::section_4_7_summary()?, csv)),
             _ => usage(),
         }

@@ -96,21 +96,6 @@ pub fn all_entries() -> Result<Vec<Entry>> {
             claim: "Extension experiment: a mid-job node failure costs nonzero recovery time under both disciplines; on the same DAG, Hadoop-style re-execution of lost map output wastes at least as much as checkpoint/restart.",
         },
         Entry {
-            table: crate::profile_real::fig_ext_profile_real()?,
-            paper: "Not in the paper: its Figure 4 curves are measured on the real cluster only. This reproduction predicts them with a simulator, so the extension closes the loop — a real profiled run (this library's observe layer) against the simulator's prediction for the same workload.",
-            claim: "Extension experiment: the observed per-resource curves (CPU, memory, network, disk write) are finite, nonzero where the model predicts activity, and the peak-normalized shape error is reported per resource.",
-        },
-        Entry {
-            table: crate::pipeline_bench::fig_ext_pipeline()?,
-            paper: "Not measured separately: the paper credits DataMPI's wins to overlapping key-value communication with computation and to avoiding Hadoop's collect-then-sort materialization; map-side combining is the standard lever for wordcount-class jobs (cf. the Spark-vs-MPI wordcount study in PAPERS.md).",
-            claim: "Extension experiment: the O-side combiner ships strictly fewer shuffle bytes at equal (canonically identical) output for WordCount and Grep on both backends and both grouping modes, and the spill probe's peak resident records stay far below the record total — the A side groups by external merge, not re-materialization.",
-        },
-        Entry {
-            table: crate::transport_bench::fig_ext_transport()?,
-            paper: "Not measured: the paper's DataMPI rides MVAPICH2, whose interconnect saturation is the MPI library's problem. This reproduction owns its own wire, so the extension measures it — the same jobs over in-proc channels, a real TCP loopback mesh, and that mesh with per-batch LZ4, plus a compute-free frame stream.",
-            claim: "Extension experiment: all transport configurations produce identical record counts; coalescing ships far fewer write syscalls than frames; LZ4 never inflates the wire; and the raw stream sustains hundreds of MB/s on loopback (gated in CI at 200 MB/s).",
-        },
-        Entry {
             table: figures::section_4_7_summary()?,
             paper: "§4.7's aggregates: 40%/54%/36% over Hadoop (micro/small/apps), 14%/33% over Spark, CPU 35/34/59%, network +55%/+59%.",
             claim: "Every aggregate lands within a few points of the paper's figure.",
@@ -129,10 +114,10 @@ pub fn render_markdown(entries: &[Entry]) -> String {
         "# EXPERIMENTS — paper vs. reproduction\n\n\
          Every table and figure of *Performance Benefits of DataMPI: A Case\n\
          Study with BigDataBench*, regenerated by `cargo run -p dmpi-bench\n\
-         --bin figures -- all --markdown`. Absolute times come from the\n\
-         calibrated cluster simulation (see DESIGN.md §1); the reproduction\n\
-         targets the paper's *shapes* — orderings, improvement bands,\n\
-         crossovers and failure modes — not its exact seconds.\n\n",
+         --bin figures -- all --write EXPERIMENTS.md`. Absolute times come\n\
+         from the calibrated cluster simulation (see DESIGN.md §1); the\n\
+         reproduction targets the paper's *shapes* — orderings, improvement\n\
+         bands, crossovers and failure modes — not its exact seconds.\n\n",
     );
     for e in entries {
         out.push_str(&e.table.render_markdown());

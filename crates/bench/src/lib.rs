@@ -17,19 +17,15 @@
 //! (`dmpi_workloads::run_sim`); the *shape* claims of the paper (who wins,
 //! by what factor, where Spark OOMs, where curves peak) are asserted by
 //! this crate's tests. `cargo run -p dmpi-bench --bin figures -- all`
-//! prints everything and can regenerate `EXPERIMENTS.md`.
+//! prints everything and `all --write EXPERIMENTS.md` regenerates the
+//! committed file byte for byte (every entry is simulator output).
+//!
+//! Nothing here measures the real runtime's performance: that is the
+//! `benchmark/` package's job alone (see its README).
 
 pub mod experiments;
 pub mod figures;
-pub mod hotpath_bench;
-pub mod observe_bench;
-pub mod pipeline_bench;
-pub mod profile_real;
 pub mod recovery;
-pub mod service_bench;
-pub mod spillfmt_bench;
-pub mod straggler_bench;
 pub mod table;
-pub mod transport_bench;
 
 pub use table::Table;

@@ -312,11 +312,6 @@ impl RecordWriter {
         self.records
     }
 
-    /// Bytes accumulated so far.
-    pub fn byte_len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Finishes, yielding the framed bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

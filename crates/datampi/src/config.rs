@@ -278,12 +278,6 @@ impl JobConfig {
         self
     }
 
-    /// Builder: set the per-rank mailbox capacity (frames).
-    pub fn with_mailbox_capacity(mut self, frames: usize) -> Self {
-        self.mailbox_capacity = frames;
-        self
-    }
-
     /// Builder: set the TCP frame-coalescing watermark (raw batch
     /// bytes before a seal).
     pub fn with_wire_batch_bytes(mut self, bytes: usize) -> Self {
@@ -319,13 +313,6 @@ impl JobConfig {
     /// test/bench knob — shrinks chunks so small inputs still fan out).
     pub fn with_o_chunk_bytes(mut self, bytes: usize) -> Self {
         self.o_chunk_bytes = bytes;
-        self
-    }
-
-    /// Builder: sets [`sort_kernel`](Self::sort_kernel), which nothing
-    /// reads any more.
-    pub fn with_sort_kernel(mut self, kernel: SortKernel) -> Self {
-        self.sort_kernel = kernel;
         self
     }
 
@@ -409,10 +396,9 @@ mod tests {
             .validate()
             .is_err());
         assert!(JobConfig::new(1).with_memory_budget(0).validate().is_err());
-        assert!(JobConfig::new(1)
-            .with_mailbox_capacity(0)
-            .validate()
-            .is_err());
+        let mut no_mailbox = JobConfig::new(1);
+        no_mailbox.mailbox_capacity = 0;
+        assert!(no_mailbox.validate().is_err());
         assert!(JobConfig::new(1)
             .with_wire_batch_bytes(0)
             .validate()
@@ -456,11 +442,9 @@ mod tests {
             .with_flush_threshold(456)
             .with_o_parallelism(3)
             .with_o_chunk_bytes(789)
-            .with_sort_kernel(SortKernel::Comparison)
             .with_o_task_fault(1, 0);
         assert_eq!(c.o_parallelism, 3);
         assert_eq!(c.o_chunk_bytes, 789);
-        assert_eq!(c.sort_kernel, SortKernel::Comparison);
         assert!(!c.pipelined);
         assert!(c.checkpointing);
         assert_eq!(c.memory_budget, 123);

@@ -217,12 +217,6 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: append an already-constructed event.
-    pub fn with_event(mut self, event: FaultEvent) -> Self {
-        self.events.push(event);
-        self
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed

@@ -18,7 +18,6 @@ use dmpi_common::Result;
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::JobConfig;
-use crate::observe::{Observer, SpanKind};
 use crate::runtime::{run_job_core, ChunkableSplit, JobOutput};
 use crate::supervisor::{supervise_job_generic, RetryPolicy};
 
@@ -60,25 +59,6 @@ impl<T: Send + Sync> IterationCache<T> {
             loads: AtomicU64::new(0),
         };
         cache.loads.store(inputs.len() as u64, Ordering::SeqCst);
-        cache
-    }
-
-    /// Like [`IterationCache::load`], recording the one-time parse as a
-    /// `cache_load` span in `observer`'s trace — the cost every subsequent
-    /// iteration amortizes away, made visible.
-    pub fn load_observed<F>(inputs: &[Bytes], parse: F, observer: &Observer) -> Self
-    where
-        F: Fn(&[u8]) -> Vec<T>,
-    {
-        let jt = observer.job_tracer(0);
-        let start = jt.start();
-        let cache = Self::load(inputs, parse);
-        jt.span(
-            SpanKind::CacheLoad,
-            start,
-            vec![("splits", inputs.len().to_string())],
-        );
-        observer.absorb(&jt);
         cache
     }
 

@@ -151,7 +151,7 @@ pub fn process_rss_bytes() -> Option<f64> {
 /// On hosts without a readable `/proc/self/stat` / `/proc/self/statm`
 /// (non-Linux, locked-down containers) the profiler cannot observe the
 /// process, and fabricating zero CPU / zero RSS would silently pollute
-/// downstream artifacts like `BENCH_profile.json` with plausible-looking
+/// downstream consumers of the profile with plausible-looking
 /// flatlines. The marker makes the degradation explicit: consumers must
 /// check it and drop (or label) the process-level series when it is
 /// [`Unavailable`](ProfileSource::Unavailable). Registry-driven series

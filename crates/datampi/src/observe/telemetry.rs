@@ -25,7 +25,7 @@
 //!   bucket-addition for histograms, append for spans. From it `dmpirun`
 //!   renders the live progress line, the merged Chrome trace
 //!   (`--trace-out`), and the final `job-report.json` (`--report-out`,
-//!   schema documented in BENCHMARKS.md).
+//!   schema documented in DESIGN.md §13).
 
 use std::fmt::Write as _;
 
@@ -33,6 +33,7 @@ use super::histogram::{HistKind, HistogramSnapshot};
 use super::metrics::MetricsSnapshot;
 use super::trace::{json_escape, SpanKind, Trace, TraceEvent};
 use super::Observer;
+use crate::service::protocol::{esc, unesc};
 
 /// Result of the registration-time clock exchange.
 ///
@@ -205,38 +206,6 @@ fn intern_arg_key(key: &str) -> Option<&'static str> {
     KNOWN.iter().find(|k| **k == key).copied()
 }
 
-/// Percent-escapes a string so it contains no whitespace or telemetry
-/// separators (`, ; : = %`).
-fn pct_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b',' | b';' | b':' | b'=' | b'%' | 0x00..=0x20 | 0x7f => {
-                let _ = write!(out, "%{b:02x}");
-            }
-            _ => out.push(b as char),
-        }
-    }
-    out
-}
-
-fn pct_unescape(s: &str) -> Option<String> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = s.get(i + 1..i + 3)?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).ok()
-}
-
 fn encode_span(out: &mut String, e: &TraceEvent) {
     let _ = write!(
         out,
@@ -250,7 +219,7 @@ fn encode_span(out: &mut String, e: &TraceEvent) {
         e.task.map_or_else(|| "-".to_string(), |t| t.to_string()),
     );
     for (k, v) in &e.args {
-        let _ = write!(out, ",{}:{}", k, pct_escape(v));
+        let _ = write!(out, ",{}:{}", k, esc(v));
     }
 }
 
@@ -270,7 +239,7 @@ fn parse_span(s: &str) -> Option<TraceEvent> {
     for pair in it {
         let (k, v) = pair.split_once(':')?;
         if let Some(key) = intern_arg_key(k) {
-            args.push((key, pct_unescape(v)?));
+            args.push((key, unesc(v)?));
         }
     }
     Some(TraceEvent {
@@ -685,7 +654,7 @@ impl TelemetryAggregator {
 
     /// Renders `job-report.json`. `meta` rows are caller-supplied
     /// `(key, rendered-JSON-value)` pairs prepended verbatim (workload
-    /// name, seed, elapsed…); schema in BENCHMARKS.md.
+    /// name, seed, elapsed…); schema in DESIGN.md §13.
     pub fn report_json(&self, meta: &[(&str, String)]) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"schema\": \"dmpi-job-report/v1\"");
@@ -1071,13 +1040,5 @@ mod tests {
         assert!(line.contains("1/2 done"), "{line}");
         assert!(line.contains("500 rec/s"), "{line}");
         assert!(line.contains("lag=r1:-83%"), "{line}");
-    }
-
-    #[test]
-    fn pct_escaping_round_trips() {
-        for s in ["plain", "with space", "a,b;c:d=e%f", "tab\tnl\n", ""] {
-            assert_eq!(pct_unescape(&pct_escape(s)).as_deref(), Some(s));
-        }
-        assert!(pct_unescape("%zz").is_none());
     }
 }

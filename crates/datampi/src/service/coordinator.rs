@@ -17,6 +17,8 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -409,28 +411,23 @@ impl Scheduler {
 pub fn serve(listener: TcpListener, config: ServiceConfig) -> Result<ServiceSummary> {
     let epoch = Instant::now();
     let (events_tx, events_rx): (Sender<Event>, Receiver<Event>) = unbounded();
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| service_fault(format!("coordinator set_nonblocking: {e}")))?;
+    let wake_addr = listener
+        .local_addr()
+        .map_err(|e| service_fault(format!("coordinator local_addr: {e}")))?;
     let accept_events = events_tx.clone();
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let accept_stop = std::sync::Arc::clone(&stop);
+    let stop = Arc::new(AtomicBool::new(false));
+    let accept_stop = Arc::clone(&stop);
     let acceptor = std::thread::spawn(move || {
-        while !accept_stop.load(std::sync::atomic::Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let events = accept_events.clone();
-                    std::thread::spawn(move || classify_connection(stream, &events, epoch));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Kept short: every poll tick is pure submit latency
-                    // for whichever client dialled right after the last
-                    // accept pass.
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => return,
+        // Blocking accept: a poll tick here would be pure submit latency
+        // for every client. `serve` ends the loop by setting `stop` and
+        // dialling `wake_addr` once.
+        while let Ok((stream, _)) = listener.accept() {
+            if accept_stop.load(Ordering::SeqCst) {
+                return;
             }
+            let _ = stream.set_nodelay(true);
+            let events = accept_events.clone();
+            std::thread::spawn(move || classify_connection(stream, &events, epoch));
         }
     });
 
@@ -479,7 +476,9 @@ pub fn serve(listener: TcpListener, config: ServiceConfig) -> Result<ServiceSumm
         }
     }
     sched.finish();
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    stop.store(true, Ordering::SeqCst);
+    // A refused dial means the acceptor already left on an accept error.
+    let _ = TcpStream::connect(wake_addr);
     let _ = acceptor.join();
     Ok(sched.summary)
 }

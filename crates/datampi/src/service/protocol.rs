@@ -29,13 +29,14 @@
 use std::fmt::Write as _;
 use std::io::{self, BufRead};
 
-/// Percent-escapes a free-form value so it contains no whitespace or
-/// field separators (`= % ,`). Mirrors the telemetry plane's escaping.
+/// Percent-escapes a free-form value so it contains no whitespace and
+/// none of the separators of any line protocol here (`= % ,` on service
+/// lines, `; :` as well inside `tlm` span arguments).
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for b in s.bytes() {
         match b {
-            b'=' | b'%' | b',' | 0x00..=0x20 | 0x7f => {
+            b',' | b';' | b':' | b'=' | b'%' | 0x00..=0x20 | 0x7f => {
                 let _ = write!(out, "%{b:02x}");
             }
             _ => out.push(b as char),
@@ -309,8 +310,10 @@ mod tests {
 
     #[test]
     fn escaping_round_trips() {
-        for s in ["plain", "with space", "a=b%c,d", "tab\there", ""] {
-            assert_eq!(unesc(&esc(s)).as_deref(), Some(s));
+        for s in ["plain", "with space", "a,b;c:d=e%f", "tab\tnl\n", ""] {
+            let escaped = esc(s);
+            assert!(!escaped.contains([' ', '\t', '\n', ',', ';', ':', '=']));
+            assert_eq!(unesc(&escaped).as_deref(), Some(s));
         }
         assert!(unesc("%zz").is_none());
     }

@@ -635,10 +635,10 @@ impl Poller {
             conn.hs.extend_from_slice(&self.scratch[..n]);
             match wire::parse_handshake(&conn.hs) {
                 Ok(None) => return true,
-                Ok(Some((hs, consumed))) => {
+                Ok(Some(hs)) => {
                     conn.peer = hs.from_rank;
                     let mut dec = FrameDecoder::new(hs.features);
-                    dec.extend(&conn.hs[consumed..]);
+                    dec.extend(&conn.hs[wire::HANDSHAKE_LEN..]);
                     conn.decoder = Some(dec);
                     conn.hs = Vec::new();
                     // Handshake bytes are preamble, not frame traffic:
@@ -646,7 +646,7 @@ impl Poller {
                     // side, which never counts its own handshake.
                     self.recv
                         .bytes
-                        .fetch_sub(consumed as u64, Ordering::Relaxed);
+                        .fetch_sub(wire::HANDSHAKE_LEN as u64, Ordering::Relaxed);
                     start = n; // everything already handed to the decoder
                 }
                 Err(e) => {

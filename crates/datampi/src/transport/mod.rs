@@ -273,8 +273,8 @@ impl FrameReceiver {
 /// happens); on TCP the byte counters count actual post-handshake
 /// socket traffic (batch headers and compression included), which
 /// `observe` records alongside the logical per-peer matrices. The
-/// batch/syscall counters are what `figures transport-bench` turns into
-/// its batch-size, compression-ratio, and syscalls-per-frame columns.
+/// batch/syscall counters are what the benchmark reports as its
+/// `transport.tcp_batches` and `transport.tcp_*_syscalls` rows.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Actual bytes this endpoint wrote to its peers' sockets.

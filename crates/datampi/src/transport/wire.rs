@@ -28,15 +28,15 @@
 //! negotiation is advertisement, not agreement: the dialing side declares
 //! in the handshake which encodings it may use ([`FEATURE_COALESCE`],
 //! [`FEATURE_LZ4`]), and the receiving side rejects any frame that uses
-//! an unadvertised feature. A v1 handshake (10 bytes, no feature word) is
-//! still accepted and implies no features, so old peers interoperate.
+//! an unadvertised feature. Every peer is spawned from this build, so any
+//! handshake version other than [`VERSION`] is refused.
 //!
 //! Decode problems below the frame level (bad magic, truncated header,
 //! oversized length, corrupt batch) surface as [`FaultKind::Transport`]
 //! faults.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use bytes::Bytes;
 
@@ -46,8 +46,8 @@ use crate::comm::Frame;
 
 /// Protocol magic: `"DMPI"` little-endian.
 pub const MAGIC: u32 = 0x4950_4D44;
-/// Wire protocol version. v2 adds the handshake feature word and the
-/// coalesced-batch frame; v1 streams are still read.
+/// Wire protocol version: the handshake carries a feature word and the
+/// stream may carry coalesced-batch frames.
 pub const VERSION: u16 = 2;
 /// Upper bound on a single frame payload; anything larger is a decode
 /// fault (a corrupted length prefix would otherwise trigger a huge
@@ -92,12 +92,11 @@ fn transport_fault(detail: String) -> Error {
 pub struct Handshake {
     /// Rank of the connecting (sending) side.
     pub from_rank: usize,
-    /// Advertised [`FEATURE_COALESCE`]/[`FEATURE_LZ4`] bits. Always 0
-    /// for a v1 peer.
+    /// Advertised [`FEATURE_COALESCE`]/[`FEATURE_LZ4`] bits.
     pub features: u32,
 }
 
-/// Writes the v2 connection handshake advertising `features`.
+/// Writes the connection handshake advertising `features`.
 pub fn write_handshake(w: &mut impl Write, from_rank: usize, features: u32) -> io::Result<()> {
     w.write_all(&MAGIC.to_le_bytes())?;
     w.write_all(&VERSION.to_le_bytes())?;
@@ -105,49 +104,15 @@ pub fn write_handshake(w: &mut impl Write, from_rank: usize, features: u32) -> i
     w.write_all(&features.to_le_bytes())
 }
 
-/// Reads and validates the connection handshake. Accepts both the v1
-/// (10-byte, featureless) and v2 (14-byte) preambles.
-pub fn read_handshake(r: &mut impl Read) -> Result<Handshake> {
-    let mut buf = [0u8; 10];
-    r.read_exact(&mut buf)
-        .map_err(|e| transport_fault(format!("handshake read failed: {e}")))?;
-    let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(transport_fault(format!(
-            "bad handshake magic {magic:#010x} (expected {MAGIC:#010x})"
-        )));
-    }
-    let version = u16::from_le_bytes(buf[4..6].try_into().unwrap());
-    let from_rank = u32::from_le_bytes(buf[6..10].try_into().unwrap()) as usize;
-    match version {
-        1 => Ok(Handshake {
-            from_rank,
-            features: 0,
-        }),
-        2 => {
-            let mut feat = [0u8; 4];
-            r.read_exact(&mut feat)
-                .map_err(|e| transport_fault(format!("handshake feature read failed: {e}")))?;
-            Ok(Handshake {
-                from_rank,
-                features: u32::from_le_bytes(feat),
-            })
-        }
-        other => Err(transport_fault(format!(
-            "wire protocol version mismatch: peer speaks v{other}, this build v{VERSION}"
-        ))),
-    }
-}
-
 /// Byte length of the handshake this build writes.
 pub const HANDSHAKE_LEN: usize = 14;
 
 /// Incremental handshake parse for nonblocking readers: `Ok(None)` when
-/// `buf` holds only a prefix of the handshake, otherwise the decoded
-/// [`Handshake`] and how many bytes it consumed (v1 peers send 10, v2
-/// peers 14).
-pub fn parse_handshake(buf: &[u8]) -> Result<Option<(Handshake, usize)>> {
-    if buf.len() < 10 {
+/// `buf` holds only a prefix of the handshake, otherwise the
+/// [`Handshake`] decoded from its first [`HANDSHAKE_LEN`] bytes. Magic
+/// and version are checked as soon as they have arrived.
+pub fn parse_handshake(buf: &[u8]) -> Result<Option<Handshake>> {
+    if buf.len() < 6 {
         return Ok(None);
     }
     let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
@@ -157,32 +122,18 @@ pub fn parse_handshake(buf: &[u8]) -> Result<Option<(Handshake, usize)>> {
         )));
     }
     let version = u16::from_le_bytes(buf[4..6].try_into().unwrap());
-    let from_rank = u32::from_le_bytes(buf[6..10].try_into().unwrap()) as usize;
-    match version {
-        1 => Ok(Some((
-            Handshake {
-                from_rank,
-                features: 0,
-            },
-            10,
-        ))),
-        2 => {
-            if buf.len() < HANDSHAKE_LEN {
-                return Ok(None);
-            }
-            let features = u32::from_le_bytes(buf[10..14].try_into().unwrap());
-            Ok(Some((
-                Handshake {
-                    from_rank,
-                    features,
-                },
-                HANDSHAKE_LEN,
-            )))
-        }
-        other => Err(transport_fault(format!(
-            "wire protocol version mismatch: peer speaks v{other}, this build v{VERSION}"
-        ))),
+    if version != VERSION {
+        return Err(transport_fault(format!(
+            "wire protocol version mismatch: peer speaks v{version}, this build v{VERSION}"
+        )));
     }
+    if buf.len() < HANDSHAKE_LEN {
+        return Ok(None);
+    }
+    Ok(Some(Handshake {
+        from_rank: u32::from_le_bytes(buf[6..10].try_into().unwrap()) as usize,
+        features: u32::from_le_bytes(buf[10..14].try_into().unwrap()),
+    }))
 }
 
 /// Encodes one frame onto the stream (caller provides buffering).
@@ -260,77 +211,6 @@ fn parse_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>> {
     }
 }
 
-fn read_exact_or_fault(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<()> {
-    r.read_exact(buf)
-        .map_err(|e| transport_fault(format!("truncated frame ({what}): {e}")))
-}
-
-/// Decodes the next plain frame from a blocking reader. Returns
-/// `Ok(None)` on a clean end-of-stream (the peer shut down its write
-/// side at a frame boundary); a mid-frame end-of-stream or any malformed
-/// header is a [`FaultKind::Transport`] fault. Returns
-/// `(frame, wire_bytes)` on success. Does **not** understand batches —
-/// readiness-driven readers use [`FrameDecoder`], which does.
-///
-/// Allocates a fresh read buffer per call; long-lived readers should
-/// hold a scratch `Vec` and use [`read_frame_pooled`] instead.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(Frame, u64)>> {
-    let mut scratch = Vec::new();
-    read_frame_pooled(r, &mut scratch)
-}
-
-/// [`read_frame`] with a caller-owned scratch buffer pooled across
-/// calls: the payload is read into `scratch` (grown once to the largest
-/// frame seen, then reused) and copied into the frame's shared [`Bytes`]
-/// storage in a single pass — one allocation + one memcpy per frame,
-/// where the naive path paid a zeroed `Vec` allocation per frame *plus*
-/// the storage copy.
-pub fn read_frame_pooled(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<Option<(Frame, u64)>> {
-    let mut tag = [0u8; 1];
-    loop {
-        match r.read(&mut tag) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(transport_fault(format!("stream read failed: {e}"))),
-        }
-    }
-    match tag[0] {
-        TAG_DATA => {
-            let mut header = [0u8; 20];
-            read_exact_or_fault(r, &mut header, "data header")?;
-            let from_rank = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-            let o_task = u64::from_le_bytes(header[4..12].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(header[12..16].try_into().unwrap());
-            let len = u32::from_le_bytes(header[16..20].try_into().unwrap());
-            if len > MAX_PAYLOAD {
-                return Err(transport_fault(format!(
-                    "frame length {len} exceeds the {MAX_PAYLOAD}-byte cap \
-                     (corrupt length prefix?)"
-                )));
-            }
-            scratch.resize(len as usize, 0);
-            read_exact_or_fault(r, &mut scratch[..len as usize], "data payload")?;
-            Ok(Some((
-                Frame::Data {
-                    from_rank,
-                    o_task,
-                    payload: Bytes::copy_from_slice(&scratch[..len as usize]),
-                    crc,
-                },
-                21 + len as u64,
-            )))
-        }
-        TAG_EOF => {
-            let mut header = [0u8; 4];
-            read_exact_or_fault(r, &mut header, "eof header")?;
-            let from_rank = u32::from_le_bytes(header) as usize;
-            Ok(Some((Frame::Eof { from_rank }, 5)))
-        }
-        other => Err(transport_fault(format!("unknown frame tag {other:#04x}"))),
-    }
-}
-
 /// Statistics from sealing one batch, for the transport's syscall and
 /// compression-ratio accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -393,11 +273,6 @@ impl BatchEncoder {
     /// True when nothing has been pushed since the last seal.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Frames in the open batch.
-    pub fn frame_count(&self) -> u32 {
-        self.count
     }
 
     /// Raw bytes in the open batch body.
@@ -467,8 +342,8 @@ pub struct DecodeStats {
 /// [`FrameDecoder::extend`] and then drains complete frames with
 /// [`FrameDecoder::next_frame`]; `Ok(None)` means "need more bytes", never
 /// "end of stream" (end-of-stream is the caller seeing a zero-byte read
-/// with [`FrameDecoder::is_drained`] true). Handles plain v1 frames and
-/// v2 batches transparently, enforcing that the peer only uses features
+/// with [`FrameDecoder::is_drained`] true). Handles plain frames and
+/// batches transparently, enforcing that the peer only uses features
 /// it advertised in its handshake.
 pub struct FrameDecoder {
     features: u32,
@@ -613,14 +488,21 @@ impl FrameDecoder {
 mod tests {
     use super::*;
 
+    /// A fresh decoder, for a peer that advertised `features`, fed `wire`.
+    fn decoder_over(wire: &[u8], features: u32) -> FrameDecoder {
+        let mut dec = FrameDecoder::new(features);
+        dec.extend(wire);
+        dec
+    }
+
     fn round_trip(frame: Frame) -> Frame {
         let mut buf = Vec::new();
         let wrote = write_frame(&mut buf, &frame).unwrap();
         assert_eq!(wrote as usize, buf.len());
-        let mut cursor: &[u8] = &buf;
-        let (decoded, read) = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(read, wrote);
-        assert!(cursor.is_empty(), "frame fully consumed");
+        let mut dec = decoder_over(&buf, 0);
+        let decoded = dec.next_frame().unwrap().unwrap();
+        assert_eq!(dec.stats().raw_bytes, wrote);
+        assert!(dec.is_drained(), "frame fully consumed");
         decoded
     }
 
@@ -673,7 +555,7 @@ mod tests {
         .unwrap();
         let flip = buf.len() - 3; // a payload byte
         buf[flip] ^= 0x20;
-        let (frame, _) = read_frame(&mut &buf[..]).unwrap().unwrap();
+        let frame = decoder_over(&buf, 0).next_frame().unwrap().unwrap();
         let err = frame.verify().unwrap_err();
         let cause = err.fault_cause().expect("structured cause");
         assert_eq!(cause.kind, FaultKind::CorruptFrame);
@@ -683,58 +565,26 @@ mod tests {
 
     #[test]
     fn clean_end_of_stream_is_none() {
-        assert!(read_frame(&mut &[][..]).unwrap().is_none());
+        let mut dec = decoder_over(&[], 0);
+        assert!(dec.next_frame().unwrap().is_none());
+        assert!(dec.is_drained());
     }
 
     #[test]
-    fn pooled_reads_reuse_one_scratch_buffer() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Frame::data(0, 1, Bytes::from(vec![7u8; 64]))).unwrap();
-        write_frame(&mut buf, &Frame::data(0, 2, Bytes::from(vec![9u8; 16]))).unwrap();
-        write_frame(&mut buf, &Frame::Eof { from_rank: 0 }).unwrap();
-        let mut cursor: &[u8] = &buf;
-        let mut scratch = Vec::new();
-        let (a, _) = read_frame_pooled(&mut cursor, &mut scratch)
-            .unwrap()
-            .unwrap();
-        assert_eq!(scratch.capacity(), 64, "scratch grew to the frame size");
-        let cap_after_first = scratch.capacity();
-        let (b, _) = read_frame_pooled(&mut cursor, &mut scratch)
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            scratch.capacity(),
-            cap_after_first,
-            "smaller frame reuses the allocation"
-        );
-        let (eof, _) = read_frame_pooled(&mut cursor, &mut scratch)
-            .unwrap()
-            .unwrap();
-        assert!(read_frame_pooled(&mut cursor, &mut scratch)
-            .unwrap()
-            .is_none());
-        // Payloads are intact copies, not views of the scratch buffer.
-        match (&a, &b) {
-            (Frame::Data { payload: pa, .. }, Frame::Data { payload: pb, .. }) => {
-                assert_eq!(&pa[..], &[7u8; 64][..]);
-                assert_eq!(&pb[..], &[9u8; 16][..]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        a.verify().unwrap();
-        b.verify().unwrap();
-        assert!(matches!(eof, Frame::Eof { from_rank: 0 }));
-    }
-
-    #[test]
-    fn truncated_frame_is_a_transport_fault() {
+    fn truncated_frame_is_not_drained_at_end_of_stream() {
         let mut buf = Vec::new();
         write_frame(&mut buf, &Frame::data(0, 0, Bytes::from_static(b"x"))).unwrap();
         buf.truncate(buf.len() - 1);
-        let err = read_frame(&mut &buf[..]).unwrap_err();
+        let mut dec = decoder_over(&buf, 0);
+        assert!(dec.next_frame().unwrap().is_none(), "partial frame waits");
+        assert!(!dec.is_drained(), "a close here must look truncated");
+    }
+
+    fn assert_transport_fault(err: Error) {
         assert_eq!(
             err.fault_cause().expect("structured").kind,
-            FaultKind::Transport
+            FaultKind::Transport,
+            "{err}"
         );
     }
 
@@ -745,8 +595,18 @@ mod tests {
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame(&mut &buf[..]).unwrap_err();
+        let err = decoder_over(&buf, 0).next_frame().unwrap_err();
         assert!(err.to_string().contains("cap"), "{err}");
+        assert_transport_fault(err);
+    }
+
+    #[test]
+    fn unknown_frame_tag_is_a_transport_fault() {
+        let err = decoder_over(&[0x7F, 0, 0, 0, 0], 0)
+            .next_frame()
+            .unwrap_err();
+        assert!(err.to_string().contains("unknown frame tag"), "{err}");
+        assert_transport_fault(err);
     }
 
     #[test]
@@ -754,26 +614,29 @@ mod tests {
         let mut buf = Vec::new();
         write_handshake(&mut buf, 7, FEATURE_COALESCE | FEATURE_LZ4).unwrap();
         assert_eq!(buf.len(), HANDSHAKE_LEN);
-        let hs = read_handshake(&mut &buf[..]).unwrap();
+        for cut in 0..HANDSHAKE_LEN {
+            assert!(parse_handshake(&buf[..cut]).unwrap().is_none(), "cut={cut}");
+        }
+        // Frame bytes behind the handshake are not its business.
+        buf.push(TAG_EOF);
+        let hs = parse_handshake(&buf).unwrap().unwrap();
         assert_eq!(hs.from_rank, 7);
         assert_eq!(hs.features, FEATURE_COALESCE | FEATURE_LZ4);
-        let garbage = [0xFFu8; 14];
-        let err = read_handshake(&mut &garbage[..]).unwrap_err();
-        assert_eq!(
-            err.fault_cause().expect("structured").kind,
-            FaultKind::Transport
-        );
+        assert_transport_fault(parse_handshake(&[0xFFu8; 14]).unwrap_err());
     }
 
     #[test]
-    fn v1_handshake_still_reads_as_featureless() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC.to_le_bytes());
-        buf.extend_from_slice(&1u16.to_le_bytes());
-        buf.extend_from_slice(&5u32.to_le_bytes());
-        let hs = read_handshake(&mut &buf[..]).unwrap();
-        assert_eq!(hs.from_rank, 5);
-        assert_eq!(hs.features, 0);
+    fn every_handshake_version_but_this_one_is_refused() {
+        // v1 was the 10-byte featureless preamble; no such peer exists.
+        for version in [0u16, 1, 3, u16::MAX] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&MAGIC.to_le_bytes());
+            buf.extend_from_slice(&version.to_le_bytes());
+            buf.extend_from_slice(&5u32.to_le_bytes());
+            let err = parse_handshake(&buf).unwrap_err();
+            assert!(err.to_string().contains("version mismatch"), "{err}");
+            assert_transport_fault(err);
+        }
     }
 
     fn sample_frames() -> Vec<Frame> {

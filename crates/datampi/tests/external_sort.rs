@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
-use datampi::store::PartitionStore;
-use datampi::{run_job, JobConfig, SpillConfig, WireCompression};
+use datampi::store::{GroupStream, PartitionStore};
+use datampi::{run_job, JobConfig, KeyRange, SpillConfig, WireCompression};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 use dmpi_common::{ser, Record};
@@ -47,6 +47,39 @@ fn grouped(records: impl IntoIterator<Item = Record>) -> BTreeMap<Bytes, Vec<Byt
     m
 }
 
+/// Ingests `records` as frames of `per_frame` records and ends the
+/// ingest; returns the largest frame's byte length.
+fn ingest_framed(store: &mut PartitionStore, records: &[Record], per_frame: usize) -> usize {
+    let mut max_frame = 0usize;
+    for chunk in records.chunks(per_frame) {
+        let mut payload = Vec::new();
+        for r in chunk {
+            ser::frame_record(&mut payload, r);
+        }
+        max_frame = max_frame.max(payload.len());
+        store.ingest(Bytes::from(payload)).unwrap();
+    }
+    store.finish_ingest();
+    max_frame
+}
+
+/// Drains a group stream into the `grouped` shape, asserting sorted
+/// key order on the way.
+fn drain_groups(mut stream: GroupStream) -> BTreeMap<Bytes, Vec<Bytes>> {
+    let mut seen: BTreeMap<Bytes, Vec<Bytes>> = BTreeMap::new();
+    let mut last: Option<Bytes> = None;
+    while let Some(g) = stream.next_group().unwrap() {
+        if let Some(prev) = &last {
+            assert!(*prev < g.key, "groups must stream in sorted key order");
+        }
+        last = Some(g.key.clone());
+        let mut values = g.values;
+        values.sort();
+        seen.insert(g.key, values);
+    }
+    seen
+}
+
 #[test]
 fn external_sort_completes_with_bounded_residency() {
     const BUDGET: usize = 4096;
@@ -66,16 +99,7 @@ fn external_sort_completes_with_bounded_residency() {
             .with_compression(true)
             .with_block_bytes(1024),
     );
-    let mut max_frame = 0usize;
-    for chunk in records.chunks(16) {
-        let mut payload = Vec::new();
-        for r in chunk {
-            ser::frame_record(&mut payload, r);
-        }
-        max_frame = max_frame.max(payload.len());
-        store.ingest(Bytes::from(payload)).unwrap();
-    }
-    store.finish_ingest();
+    let max_frame = ingest_framed(&mut store, &records, 16);
 
     let st = store.stats();
     // The residency proof: the forming run never holds more than the
@@ -98,23 +122,44 @@ fn external_sort_completes_with_bounded_residency() {
     // The k-way merge over those disk runs reproduces the reference
     // grouping exactly.
     let expected = grouped(records);
-    let mut stream = store.into_group_stream().unwrap();
-    let mut seen: BTreeMap<Bytes, Vec<Bytes>> = BTreeMap::new();
-    let mut last: Option<Bytes> = None;
-    while let Some(g) = stream.next_group().unwrap() {
-        if let Some(prev) = &last {
-            assert!(*prev < g.key, "groups must stream in sorted key order");
-        }
-        last = Some(g.key.clone());
-        let mut values = g.values;
-        values.sort();
-        seen.insert(g.key, values);
-    }
-    assert_eq!(seen, expected);
+    assert_eq!(drain_groups(store.into_group_stream().unwrap()), expected);
 
     let leftovers = std::fs::read_dir(&dir).map(|it| it.count()).unwrap_or(0);
     assert_eq!(leftovers, 0, "run files must self-delete after the merge");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A merge restricted to ~5% of the keyspace must be served by the
+/// footer index, not by reading every block and filtering: many runs
+/// (16 KiB budget) of many narrow blocks (1 KiB), all sealed so every
+/// read goes through the block format. Counters only, no clock.
+#[test]
+fn range_restricted_merge_reads_under_half_of_the_run_bytes() {
+    let records = gen_records(8192, 7);
+    let mut store = PartitionStore::new(16 * 1024, true);
+    store.set_spill_config(SpillConfig::default().with_block_bytes(1024));
+    ingest_framed(&mut store, &records, 32);
+    store.seal_all();
+    let run_bytes: u64 = store
+        .sealed_run_handles()
+        .iter()
+        .map(|r| r.index().stored_bytes)
+        .sum();
+    let counters = store.read_counters();
+
+    let range = KeyRange::new(&b"k002350"[..], &b"k002600"[..]);
+    let expected = grouped(records.into_iter().filter(|r| range.contains(&r.key)));
+    assert!(expected.len() > 100, "the range must select real work");
+    let stream = store.into_group_stream_range(Some(range)).unwrap();
+    assert_eq!(drain_groups(stream), expected);
+
+    let snap = counters.snapshot();
+    assert!(snap.blocks_skipped > 0, "{snap:?}");
+    assert!(
+        snap.stored_bytes_read * 2 < run_bytes,
+        "range merge read {} of {run_bytes} stored bytes",
+        snap.stored_bytes_read
+    );
 }
 
 fn wc_o(_t: usize, split: &[u8], out: &mut dyn Collector) {

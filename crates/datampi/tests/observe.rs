@@ -81,12 +81,18 @@ proptest! {
 
     /// The registry's counters agree with the runtime's own `JobStats` on
     /// a clean run: same records out, same bytes shipped, and every
-    /// record emitted is a record ingested.
+    /// record emitted is a record ingested. Observing changes no output
+    /// byte: the same job without an observer yields the same partitions.
     #[test]
     fn counters_match_job_stats(inputs in corpus(), ranks in 1usize..4) {
         let observer = Observer::new();
         let config = JobConfig::new(ranks).with_observer(observer.clone());
-        let out = run_job(&config, inputs, wc_o, wc_a, None).unwrap();
+        let out = run_job(&config, inputs.clone(), wc_o, wc_a, None).unwrap();
+        let bare = run_job(&JobConfig::new(ranks), inputs, wc_o, wc_a, None).unwrap();
+        prop_assert_eq!(out.partitions.len(), bare.partitions.len());
+        for (p, q) in out.partitions.iter().zip(&bare.partitions) {
+            prop_assert_eq!(p.records(), q.records());
+        }
         let snap = observer.registry().snapshot();
         prop_assert_eq!(snap.records_out, out.stats.records_emitted);
         prop_assert_eq!(snap.records_in, out.stats.records_emitted);

@@ -47,8 +47,11 @@ proptest! {
         let mut buf = Vec::new();
         let written = wire::write_frame(&mut buf, &frame).unwrap();
         prop_assert_eq!(written, 21 + payload.len() as u64);
-        let (decoded, read) = wire::read_frame(&mut buf.as_slice()).unwrap().unwrap();
-        prop_assert_eq!(read, written);
+        let mut decoder = wire::FrameDecoder::new(0);
+        decoder.extend(&buf);
+        let decoded = decoder.next_frame().unwrap().unwrap();
+        prop_assert_eq!(decoder.stats().raw_bytes, written);
+        prop_assert!(decoder.is_drained());
         decoded.verify().unwrap();
         prop_assert_eq!(decoded.from_rank(), from_rank);
         prop_assert_eq!(decoded.o_task(), Some(o_task as usize));
@@ -72,7 +75,9 @@ proptest! {
         wire::write_frame(&mut buf, &frame).unwrap();
         let idx = buf.len() - payload.len() + victim.index(payload.len());
         buf[idx] ^= flip;
-        let (decoded, _) = wire::read_frame(&mut buf.as_slice()).unwrap().unwrap();
+        let mut decoder = wire::FrameDecoder::new(0);
+        decoder.extend(&buf);
+        let decoded = decoder.next_frame().unwrap().unwrap();
         let err = decoded.verify().unwrap_err();
         let cause = err.fault_cause().expect("structured fault");
         prop_assert_eq!(cause.kind, FaultKind::CorruptFrame);

@@ -2,22 +2,18 @@
 //! profile, and export a Chrome-loadable trace.
 //!
 //! ```text
-//! cargo run --release --example profile                   # demo
-//! cargo run --release --example profile -- --overhead-check
+//! cargo run --release --example profile
 //! ```
 //!
-//! The demo runs a 4-rank WordCount with tracing and the sampling
+//! It runs a 4-rank WordCount with tracing and the sampling
 //! profiler enabled, prints the per-phase wall-time totals and counter
 //! snapshot, dumps the bucketed CPU/memory/network time series
 //! (Figure-4-style), and writes `target/profile_trace.json` — open it in
 //! `chrome://tracing` or <https://ui.perfetto.dev> to see every rank's
-//! spans on its own lane.
-//!
-//! `--overhead-check` instead times the same job with tracing on and off
-//! (best of 3 each) and exits nonzero if tracing costs more than 25% —
-//! the CI guard for the "cheap enough to leave on" claim.
+//! spans on its own lane. What tracing costs is measured by the
+//! benchmark (`runtime.trace_overhead_ratio`), not here.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use datampi_suite::common::group::{Collector, GroupedValues};
@@ -62,49 +58,7 @@ fn inputs(splits: usize, words: usize) -> Vec<Bytes> {
         .collect()
 }
 
-fn run_once(ranks: usize, words: usize, observer: Option<Observer>) -> Duration {
-    let mut config = JobConfig::new(ranks).with_flush_threshold(16 * 1024);
-    if let Some(obs) = observer {
-        config = config.with_observer(obs);
-    }
-    let t0 = Instant::now();
-    run_job(&config, inputs(ranks * 8, words), wc_o, wc_a, None).expect("wordcount");
-    t0.elapsed()
-}
-
-fn best_of_3(ranks: usize, words: usize, traced: bool) -> Duration {
-    (0..3)
-        .map(|_| run_once(ranks, words, traced.then(Observer::new)))
-        .min()
-        .unwrap()
-}
-
-fn overhead_check() -> ! {
-    const RANKS: usize = 4;
-    const WORDS: usize = 400_000;
-    // Warm-up evens out first-touch allocation noise.
-    run_once(RANKS, WORDS, None);
-    let off = best_of_3(RANKS, WORDS, false);
-    let on = best_of_3(RANKS, WORDS, true);
-    let pct = (on.as_secs_f64() / off.as_secs_f64() - 1.0) * 100.0;
-    println!(
-        "tracing off {:.1} ms | on {:.1} ms | overhead {pct:+.1}% (limit +25%)",
-        off.as_secs_f64() * 1e3,
-        on.as_secs_f64() * 1e3,
-    );
-    if pct > 25.0 {
-        eprintln!("FAIL: tracing overhead above 25%");
-        std::process::exit(1);
-    }
-    println!("OK: tracing overhead within budget");
-    std::process::exit(0);
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--overhead-check") {
-        overhead_check();
-    }
-
     const RANKS: usize = 4;
     let observer = Observer::new();
     let config = JobConfig::new(RANKS)

@@ -22,7 +22,7 @@
 //! into a live progress line, a merged multi-process Chrome trace (one
 //! process row per rank, offset-corrected onto the coordinator's
 //! timeline), and a final `job-report.json` (schema
-//! `dmpi-job-report/v1`, documented in BENCHMARKS.md).
+//! `dmpi-job-report/v1`, documented in DESIGN.md §13).
 //!
 //! `--verify-inproc` re-runs the same job on the in-process threaded
 //! runtime and asserts the multi-process output is byte-identical per
