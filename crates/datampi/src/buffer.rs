@@ -18,7 +18,7 @@ use dmpi_common::Record;
 use crate::checkpoint::CheckpointStore;
 use crate::comm::Frame;
 use crate::fault::Corruption;
-use crate::observe::{SpanKind, Tracer};
+use crate::observe::{Counter, SpanKind, Tracer};
 use crate::task::{Collector, Combiner};
 use crate::transport::FrameSender;
 
@@ -261,12 +261,11 @@ impl KvBuffer {
             self.flush_partition(p);
         }
         if let Some(t) = &self.tracer {
-            t.registry().add_records_out(self.stats.records);
-            t.registry().observe_buffer_level(self.hwm_bytes as u64);
-            t.registry().add_combiner(
-                self.stats.combiner_records_in,
-                self.stats.combiner_records_out,
-            );
+            let r = t.registry();
+            r.add(Counter::RecordsOut, self.stats.records);
+            r.raise(Counter::BufferHwmBytes, self.hwm_bytes as u64);
+            r.add(Counter::CombinerRecordsIn, self.stats.combiner_records_in);
+            r.add(Counter::CombinerRecordsOut, self.stats.combiner_records_out);
         }
         self.stats
     }

@@ -23,8 +23,15 @@
 //!    per-rank body as an in-proc rank thread (`rank.rs`), pulling from
 //!    the static `task % ranks == rank` assignment — every process
 //!    derives the same schedule with no further coordination;
-//! 5. each worker reports a result line back over its rendezvous
-//!    connection; the coordinator aggregates [`JobStats`] across ranks.
+//! 5. each worker reports back over its rendezvous connection in the
+//!    resident service's worker vocabulary
+//!    ([`WorkerEvent`](crate::service::protocol::WorkerEvent)), as job 0:
+//!    `jobtlm 0 tlm …` frames while it runs, then `jobdone 0 rank=… …`
+//!    or `jobfail 0 rank=… err=…`; the coordinator sums the `jobdone`
+//!    counters across ranks.
+//!
+//! Every line above is one line of the control-plane grammar, read and
+//! written through the codec in [`crate::service::protocol`].
 //!
 //! A worker that dies mid-job closes its sockets before sending its
 //! [`Frame::Eof`](crate::comm::Frame); peers surface that as a structured
@@ -49,7 +56,7 @@ use crate::config::JobConfig;
 use crate::observe::{ClockSync, HistKind};
 use crate::rank::{run_rank, JobFailure, RankContext};
 use crate::runtime::JobStats;
-use crate::service::protocol::read_known_line;
+use crate::service::protocol::{read_known_line, Line, LineWriter};
 use crate::service::{JobChannels, JobMux};
 use crate::speculate::{Scheduling, TaskQueues};
 use crate::task::{Collector, GroupedValues};
@@ -114,28 +121,19 @@ impl RankTable {
 
     /// The broadcast wire form: `peers v<version> <addr0> <addr1> …`.
     pub fn wire_line(&self) -> String {
-        let addrs = self
-            .peers
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(" ");
-        format!("peers v{} {addrs}", self.version)
+        let line = LineWriter::new("peers").pos(format_args!("v{}", self.version));
+        self.peers.iter().fold(line, LineWriter::pos).finish()
     }
 
     /// Parses a broadcast line.
     pub fn parse(line: &str) -> Option<RankTable> {
-        let mut it = line.split_whitespace();
-        if it.next()? != "peers" {
-            return None;
+        let mut line = Line::of(line, "peers")?;
+        let version = line.word()?.strip_prefix('v')?.parse().ok()?;
+        let mut peers = Vec::new();
+        while let Some(addr) = line.word() {
+            peers.push(addr.parse().ok()?);
         }
-        let version = it.next()?.strip_prefix('v')?.parse().ok()?;
-        let peers: Option<Vec<SocketAddr>> = it.map(|a| a.parse().ok()).collect();
-        let peers = peers?;
-        if peers.is_empty() {
-            return None;
-        }
-        Some(RankTable { version, peers })
+        (!peers.is_empty()).then_some(RankTable { version, peers })
     }
 }
 
@@ -198,7 +196,8 @@ pub fn register_with_coordinator(
         .try_clone()
         .map_err(|e| rendezvous_fault(format!("rank {rank}: clone rendezvous stream: {e}")))?;
     let t0 = now_us();
-    writeln!(writer, "rank {rank} {port} {t0}")
+    let registration = LineWriter::new("rank").pos(rank).pos(port).pos(t0);
+    writeln!(writer, "{}", registration.finish())
         .map_err(|e| rendezvous_fault(format!("rank {rank}: register with coordinator: {e}")))?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -208,9 +207,8 @@ pub fn register_with_coordinator(
     let known = |verb: &str| verb == "clock" || verb == "peers";
     read_known_line(&mut reader, &mut line, known)
         .map_err(|e| rendezvous_fault(format!("rank {rank}: read clock reply: {e}")))?;
-    let coord_now = line
-        .strip_prefix("clock ")
-        .and_then(|t| t.trim().parse::<u64>().ok())
+    let coord_now = Line::of(&line, "clock")
+        .and_then(|mut l| l.pos::<u64>())
         .ok_or_else(|| rendezvous_fault(format!("rank {rank}: bad clock reply {line:?}")))?;
     let sync = ClockSync::from_exchange(t0, coord_now, now_us());
     line.clear();
@@ -260,7 +258,8 @@ pub fn coordinate_rank_table(
         }
         // Reply per-connection, before waiting on other ranks, so the
         // worker's measured RTT stays as tight as possible.
-        writeln!(reader.get_mut(), "clock {}", now_us())
+        let clock = LineWriter::new("clock").pos(now_us());
+        writeln!(reader.get_mut(), "{}", clock.finish())
             .map_err(|e| rendezvous_fault(format!("clock reply to rank {rank}: {e}")))?;
         ports[rank] = port;
         streams[rank] = Some(reader.into_inner());
@@ -286,13 +285,9 @@ pub fn coordinate_rank_table(
 /// Parses `rank <r> <port> <t0>`. The worker's `t0` only has to be a
 /// clock reading: the sync is computed on the worker's side.
 fn parse_registration(line: &str) -> Option<(usize, u16)> {
-    let mut it = line.split_whitespace();
-    if it.next()? != "rank" {
-        return None;
-    }
-    let rank = it.next()?.parse().ok()?;
-    let port = it.next()?.parse().ok()?;
-    it.next()?.parse::<u64>().ok()?;
+    let mut line = Line::of(line, "rank")?;
+    let (rank, port) = (line.pos()?, line.pos()?);
+    line.pos::<u64>()?;
     Some((rank, port))
 }
 
@@ -413,7 +408,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::{Observer, SpanKind};
+    use crate::observe::{Counter, Observer, SpanKind};
     use crate::runtime::run_job;
     use dmpi_common::ser::Writable;
     use std::thread;
@@ -683,10 +678,10 @@ mod tests {
             assert_eq!(trace.of_kind(SpanKind::Sort).count(), 1, "rank {rank}");
             assert_eq!(trace.of_kind(SpanKind::ACompute).count(), 1, "rank {rank}");
             let snap = obs.registry().snapshot();
-            assert_eq!(snap.wire_bytes_sent, report.wire.bytes_sent);
-            assert_eq!(snap.records_out, report.stats.records_emitted);
-            records_in += snap.records_in;
-            records_out += snap.records_out;
+            assert_eq!(snap[Counter::WireBytesSent], report.wire.bytes_sent);
+            assert_eq!(snap[Counter::RecordsOut], report.stats.records_emitted);
+            records_in += snap[Counter::RecordsIn];
+            records_out += snap[Counter::RecordsOut];
             assert!(
                 obs.registry()
                     .histograms()

@@ -1,153 +1,196 @@
 //! Per-rank counters and gauges with cheap atomic updates.
 //!
-//! The registry is shared (behind the observer's `Arc`) by every rank
-//! thread and by the sampling profiler; all updates are single relaxed
-//! atomic ops so the hot emit/recv paths pay a few nanoseconds at most.
-//! Per-peer byte matrices are sized once by [`MetricsRegistry::begin_job`]
-//! before ranks start, so the recording paths never allocate or lock.
+//! [`Counter`] is the one declaration of the job counters; the registry
+//! is shared (behind the observer's `Arc`) by every rank thread and by
+//! the sampling profiler, and all updates are single relaxed atomic ops
+//! so the hot emit/recv paths pay a few nanoseconds at most. Per-peer
+//! byte matrices are sized once by [`MetricsRegistry::begin_job`] before
+//! ranks start, so the recording paths never allocate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::sync::RwLock;
 
 use super::histogram::Histograms;
 
+/// Declares the job counters: variant, wire name, unit, and whether the
+/// cross-rank aggregate sums it (`flow`) or takes the maximum (`gauge`).
+/// The order here is the order of the `tlm` line and of
+/// `job-report.json`: append, never reorder.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident $name:literal $unit:literal $kind:ident,)*) => {
+        /// One job counter. This enum is the single declaration of the
+        /// counter set: the registry, its snapshots, the telemetry wire
+        /// form, the job report and DESIGN.md §13 all iterate
+        /// [`Counter::ALL`].
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Counter {
+            /// How many counters there are.
+            pub const COUNT: usize = Self::SPECS.len();
+            /// Every counter, in wire/report order.
+            pub const ALL: [Counter; Self::COUNT] = [$(Counter::$variant),*];
+            const SPECS: &'static [(&'static str, &'static str, &'static str)] =
+                &[$(($name, $unit, stringify!($kind))),*];
+        }
+    };
+}
+
+counters! {
+    /// KV pairs produced by O tasks.
+    RecordsOut "records_out" "records" flow,
+    /// KV pairs ingested by A partitions.
+    RecordsIn "records_in" "records" flow,
+    /// Data frames shipped.
+    FramesSent "frames_sent" "frames" flow,
+    /// Payload bytes sent: the `sent` peer matrix's total, filled in by `snapshot`.
+    BytesSent "bytes_sent" "bytes" flow,
+    /// Payload bytes received: the `recv` peer matrix's total, filled in by `snapshot`.
+    BytesReceived "bytes_received" "bytes" flow,
+    /// A-store spills.
+    Spills "spills" "runs" flow,
+    /// Raw (uncompressed) bytes written by spills.
+    SpillBytes "spill_bytes" "bytes" flow,
+    /// High-water mark of any single O-side partition buffer.
+    BufferHwmBytes "buffer_hwm_bytes" "bytes" gauge,
+    /// Supervisor retries scheduled.
+    Retries "retries" "attempts" flow,
+    /// O tasks replayed from checkpoint instead of re-running.
+    RecoveredTasks "recovered_tasks" "tasks" flow,
+    /// Encoded bytes written to transport sockets, as sent. Zero in-proc.
+    WireBytesSent "wire_bytes_sent" "bytes" flow,
+    /// Encoded bytes decoded from transport sockets. Zero in-proc.
+    WireBytesReceived "wire_bytes_received" "bytes" flow,
+    /// Records fed into O-side combiners (zero without a combiner).
+    CombinerRecordsIn "combiner_records_in" "records" flow,
+    /// Records O-side combiners shipped after folding `in - out` pairs away.
+    CombinerRecordsOut "combiner_records_out" "records" flow,
+    /// Task transitions reported to the progress board (speculation only).
+    Heartbeats "heartbeats" "events" flow,
+    /// Speculative duplicate attempts launched.
+    SpeculativeAttempts "speculative_attempts" "attempts" flow,
+    /// Speculative duplicates that won the first-writer-wins commit.
+    SpeculativeCommits "speculative_commits" "attempts" flow,
+    /// O splits stolen from another rank's static queue.
+    TasksStolen "tasks_stolen" "tasks" flow,
+    // Wire-detail counters ride behind the original eighteen, and the
+    // spill-format counters behind those, so older frame layouts stay
+    // index-compatible with this one.
+    /// Pre-batching frame bytes handed to the wire encoders; `wire_bytes_sent`
+    /// over this is the achieved wire compression ratio.
+    WireRawBytesSent "wire_raw_bytes_sent" "bytes" flow,
+    /// Logical frames the wire encoders packed into batches.
+    WireFramesSent "wire_frames_sent" "frames" flow,
+    /// Coalesced wire batches sealed; `wire_frames_sent` over this is the
+    /// achieved coalescing factor.
+    WireBatchesSent "wire_batches_sent" "batches" flow,
+    /// Socket write syscalls issued by transport pollers.
+    WireSendSyscalls "wire_send_syscalls" "syscalls" flow,
+    /// Logical frames decoded from inbound wire batches.
+    WireFramesReceived "wire_frames_received" "frames" flow,
+    /// Inbound wire batches decoded.
+    WireBatchesReceived "wire_batches_received" "batches" flow,
+    /// Socket read syscalls issued by transport pollers.
+    WireRecvSyscalls "wire_recv_syscalls" "syscalls" flow,
+    /// Stored bytes sealed runs occupy (blocks post-compression plus footer
+    /// index); over `spill_bytes` this is the achieved spill compression ratio.
+    SpillWireBytes "spill_wire_bytes" "bytes" flow,
+    /// Spill-run blocks loaded and decoded by merges and lookups.
+    SpillBlocksRead "spill_blocks_read" "blocks" flow,
+    /// Spill-run blocks skipped whole via the footer index.
+    SpillBlocksSkipped "spill_blocks_skipped" "blocks" flow,
+    /// Non-sequential spill-run block loads.
+    SpillSeeks "spill_seeks" "seeks" flow,
+}
+
+impl Counter {
+    /// Stable snake_case name used in telemetry frames and reports.
+    pub fn name(self) -> &'static str {
+        Self::SPECS[self as usize].0
+    }
+
+    /// What one increment counts.
+    pub fn unit(self) -> &'static str {
+        Self::SPECS[self as usize].1
+    }
+
+    /// True for a level (ranks aggregate by maximum), false for a flow
+    /// (ranks aggregate by sum).
+    pub fn is_gauge(self) -> bool {
+        Self::SPECS[self as usize].2 == "gauge"
+    }
+
+    /// Parses a wire name back to the counter.
+    pub fn parse(name: &str) -> Option<Counter> {
+        Counter::ALL.into_iter().find(|c| c.name() == name)
+    }
+}
+
+/// `matrix[row][col]` payload bytes between ranks, sized by `begin_job`.
+type PeerMatrix = RwLock<Vec<Vec<AtomicU64>>>;
+
 /// Shared counters/gauges updated live by the runtime and snapshotted by
 /// the profiler.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
-    /// KV pairs produced by O tasks.
-    records_out: AtomicU64,
-    /// KV pairs ingested by A partitions.
-    records_in: AtomicU64,
-    /// Data frames shipped.
-    frames_sent: AtomicU64,
-    /// A-store spills.
-    spills: AtomicU64,
-    /// Raw (uncompressed) bytes written by spills.
-    spill_bytes: AtomicU64,
-    /// Stored bytes sealed runs occupy (blocks post-compression plus
-    /// footer index); with spill compression on, `spill_wire_bytes /
-    /// spill_bytes` is the achieved spill compression ratio.
-    spill_wire_bytes: AtomicU64,
-    /// Spill-run blocks loaded and decoded by merges and lookups.
-    spill_blocks_read: AtomicU64,
-    /// Spill-run blocks skipped whole via the footer index.
-    spill_blocks_skipped: AtomicU64,
-    /// Non-sequential spill-run block loads (seeks).
-    spill_seeks: AtomicU64,
-    /// High-water mark of any single O-side partition buffer, bytes.
-    buffer_hwm_bytes: AtomicU64,
-    /// Supervisor retries scheduled.
-    retries: AtomicU64,
-    /// O tasks replayed from checkpoint instead of re-running.
-    recovered_tasks: AtomicU64,
-    /// Encoded bytes written to transport sockets (header + payload as
-    /// seen on the wire, post-compression). Zero on the in-proc backend.
-    wire_bytes_sent: AtomicU64,
-    /// Encoded bytes decoded from transport sockets. Zero in-proc.
-    wire_bytes_received: AtomicU64,
-    /// Pre-batching frame bytes handed to the wire encoders; with
-    /// compression on, `wire_bytes_sent / wire_raw_bytes_sent` is the
-    /// achieved wire compression ratio.
-    wire_raw_bytes_sent: AtomicU64,
-    /// Logical frames the wire encoders packed into batches.
-    wire_frames_sent: AtomicU64,
-    /// Coalesced wire batches sealed; `wire_frames_sent /
-    /// wire_batches_sent` is the achieved coalescing factor.
-    wire_batches_sent: AtomicU64,
-    /// Socket write syscalls issued by transport pollers.
-    wire_send_syscalls: AtomicU64,
-    /// Logical frames decoded from inbound wire batches.
-    wire_frames_received: AtomicU64,
-    /// Inbound wire batches decoded.
-    wire_batches_received: AtomicU64,
-    /// Socket read syscalls issued by transport pollers.
-    wire_recv_syscalls: AtomicU64,
-    /// Records fed into O-side combiners.
-    combiner_records_in: AtomicU64,
-    /// Records O-side combiners shipped after folding.
-    combiner_records_out: AtomicU64,
-    /// Per-task progress heartbeats reported into the progress board
-    /// (task start/finish/abort transitions).
-    heartbeats: AtomicU64,
-    /// Speculative duplicate attempts launched.
-    speculative_attempts: AtomicU64,
-    /// Speculative duplicates that won the first-writer-wins commit.
-    speculative_commits: AtomicU64,
-    /// O splits stolen from another rank's static queue.
-    tasks_stolen: AtomicU64,
-    /// `sent[from][to]` payload bytes, sized by `begin_job`.
-    sent: RwLock<Vec<Arc<Vec<AtomicU64>>>>,
-    /// `recv[at][from]` payload bytes, sized by `begin_job`.
-    recv: RwLock<Vec<Arc<Vec<AtomicU64>>>>,
+    counters: [AtomicU64; Counter::COUNT],
+    /// `sent[from][to]`.
+    sent: PeerMatrix,
+    /// `recv[at][from]`.
+    recv: PeerMatrix,
     /// Latency/size distributions (see [`HistKind`](super::HistKind)).
     histograms: Histograms,
 }
 
-/// A point-in-time copy of the registry, taken by the profiler and by
-/// end-of-job reporting.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// KV pairs produced by O tasks.
-    pub records_out: u64,
-    /// KV pairs ingested by A partitions.
-    pub records_in: u64,
-    /// Data frames shipped.
-    pub frames_sent: u64,
-    /// Total payload bytes sent across all peers.
-    pub bytes_sent: u64,
-    /// Total payload bytes received across all peers.
-    pub bytes_received: u64,
-    /// A-store spills.
-    pub spills: u64,
-    /// Raw (uncompressed) bytes written by spills.
-    pub spill_bytes: u64,
-    /// Stored bytes sealed runs occupy (post-compression, with index).
-    pub spill_wire_bytes: u64,
-    /// Spill-run blocks loaded and decoded.
-    pub spill_blocks_read: u64,
-    /// Spill-run blocks skipped whole via the footer index.
-    pub spill_blocks_skipped: u64,
-    /// Non-sequential spill-run block loads (seeks).
-    pub spill_seeks: u64,
-    /// High-water mark of any single partition buffer, bytes.
-    pub buffer_hwm_bytes: u64,
-    /// Supervisor retries scheduled.
-    pub retries: u64,
-    /// O tasks replayed from checkpoint.
-    pub recovered_tasks: u64,
-    /// Encoded bytes written to transport sockets (zero in-proc).
-    pub wire_bytes_sent: u64,
-    /// Encoded bytes decoded from transport sockets (zero in-proc).
-    pub wire_bytes_received: u64,
-    /// Pre-batching frame bytes handed to the wire encoders.
-    pub wire_raw_bytes_sent: u64,
-    /// Logical frames packed into outbound wire batches.
-    pub wire_frames_sent: u64,
-    /// Coalesced wire batches sealed.
-    pub wire_batches_sent: u64,
-    /// Socket write syscalls issued by transport pollers.
-    pub wire_send_syscalls: u64,
-    /// Logical frames decoded from inbound wire batches.
-    pub wire_frames_received: u64,
-    /// Inbound wire batches decoded.
-    pub wire_batches_received: u64,
-    /// Socket read syscalls issued by transport pollers.
-    pub wire_recv_syscalls: u64,
-    /// Records fed into O-side combiners (zero without a combiner).
-    pub combiner_records_in: u64,
-    /// Records O-side combiners shipped after folding; `in - out` pairs
-    /// were collapsed before reaching the wire.
-    pub combiner_records_out: u64,
-    /// Per-task progress heartbeats (zero unless speculation is on).
-    pub heartbeats: u64,
-    /// Speculative duplicate attempts launched.
-    pub speculative_attempts: u64,
-    /// Speculative duplicates that won their task's commit.
-    pub speculative_commits: u64,
-    /// O splits stolen across ranks under static scheduling.
-    pub tasks_stolen: u64,
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            sent: RwLock::default(),
+            recv: RwLock::default(),
+            histograms: Histograms::default(),
+        }
+    }
+}
+
+/// A point-in-time copy of the registry's counters, taken by the
+/// profiler and by end-of-job reporting; read with `snap[Counter::…]`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct MetricsSnapshot([u64; Counter::COUNT]);
+
+impl Default for MetricsSnapshot {
+    fn default() -> Self {
+        MetricsSnapshot([0; Counter::COUNT])
+    }
+}
+
+impl MetricsSnapshot {
+    /// Every counter with its value, in wire/report order.
+    pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
+        Counter::ALL.into_iter().zip(self.0.iter().copied())
+    }
+}
+
+impl std::ops::Index<Counter> for MetricsSnapshot {
+    type Output = u64;
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.0[counter as usize]
+    }
+}
+
+impl std::ops::IndexMut<Counter> for MetricsSnapshot {
+    fn index_mut(&mut self, counter: Counter) -> &mut u64 {
+        &mut self.0[counter as usize]
+    }
+}
+
+impl std::fmt::Debug for MetricsSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let named = self.iter().map(|(c, v)| (c.name(), v));
+        f.debug_map().entries(named).finish()
+    }
 }
 
 impl MetricsRegistry {
@@ -156,105 +199,55 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Adds `n` to a flow counter.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Raises a gauge to at least `value`: a true monotonic maximum, so
+    /// concurrent observers can never regress it.
+    pub fn raise(&self, counter: Counter, value: u64) {
+        self.counters[counter as usize].fetch_max(value, Ordering::Relaxed);
+    }
+
     /// (Re)sizes the per-peer byte matrices for a job of `ranks` ranks.
     /// Existing readings are preserved, so a supervised job's attempts
     /// accumulate into the same matrix.
     pub fn begin_job(&self, ranks: usize) {
         for matrix in [&self.sent, &self.recv] {
             let mut rows = matrix.write().unwrap();
-            while rows.len() < ranks {
-                rows.push(Arc::new((0..ranks).map(|_| AtomicU64::new(0)).collect()));
+            if rows.len() < ranks {
+                rows.resize_with(ranks, Vec::new);
             }
-            for row in rows.iter_mut() {
-                if row.len() < ranks {
-                    let mut grown: Vec<AtomicU64> = row
-                        .iter()
-                        .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                        .collect();
-                    grown.resize_with(ranks, || AtomicU64::new(0));
-                    *row = Arc::new(grown);
-                }
+            for row in rows.iter_mut().filter(|row| row.len() < ranks) {
+                row.resize_with(ranks, || AtomicU64::new(0));
             }
         }
     }
 
-    /// The `sent[from]` row, for lock-free updates inside a rank thread.
-    pub fn sent_row(&self, from: usize) -> Option<Arc<Vec<AtomicU64>>> {
-        self.sent.read().unwrap().get(from).cloned()
-    }
-
-    /// The `recv[at]` row, for lock-free updates inside a rank thread.
-    pub fn recv_row(&self, at: usize) -> Option<Arc<Vec<AtomicU64>>> {
-        self.recv.read().unwrap().get(at).cloned()
-    }
-
-    /// Counts `n` KV pairs produced by O tasks.
-    pub fn add_records_out(&self, n: u64) {
-        self.records_out.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts `n` KV pairs ingested by A partitions.
-    pub fn add_records_in(&self, n: u64) {
-        self.records_in.fetch_add(n, Ordering::Relaxed);
+    fn add_to_cell(matrix: &PeerMatrix, row: usize, col: usize, n: u64) {
+        if let Some(cell) = matrix.read().unwrap().get(row).and_then(|r| r.get(col)) {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Counts one shipped data frame of `payload` bytes from `from` to `to`.
     pub fn add_frame_sent(&self, from: usize, to: usize, payload: u64) {
-        self.frames_sent.fetch_add(1, Ordering::Relaxed);
-        if let Some(row) = self.sent_row(from) {
-            if let Some(cell) = row.get(to) {
-                cell.fetch_add(payload, Ordering::Relaxed);
-            }
-        }
+        self.add(Counter::FramesSent, 1);
+        Self::add_to_cell(&self.sent, from, to, payload);
     }
 
     /// Counts `payload` bytes received at rank `at` from rank `from`.
     pub fn add_bytes_received(&self, at: usize, from: usize, payload: u64) {
-        if let Some(row) = self.recv_row(at) {
-            if let Some(cell) = row.get(from) {
-                cell.fetch_add(payload, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Counts one spill of `bytes` raw (uncompressed) bytes.
-    pub fn add_spill(&self, bytes: u64) {
-        self.spills.fetch_add(1, Ordering::Relaxed);
-        self.spill_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Counts `bytes` of stored (on-wire/on-disk) sealed-run bytes.
-    pub fn add_spill_wire(&self, bytes: u64) {
-        self.spill_wire_bytes.fetch_add(bytes, Ordering::Relaxed);
+        Self::add_to_cell(&self.recv, at, from, payload);
     }
 
     /// Folds a merge's spill-read tally (block reads/skips and seeks)
     /// into the registry.
     pub fn add_spill_reads(&self, reads: &crate::spillfmt::SpillReadSnapshot) {
-        self.spill_blocks_read
-            .fetch_add(reads.blocks_read, Ordering::Relaxed);
-        self.spill_blocks_skipped
-            .fetch_add(reads.blocks_skipped, Ordering::Relaxed);
-        self.spill_seeks.fetch_add(reads.seeks, Ordering::Relaxed);
-    }
-
-    /// Raises the buffer high-water mark to at least `bytes`: a true
-    /// monotonic maximum under concurrent O workers. The explicit CAS
-    /// loop publishes a new mark only when it exceeds the current one,
-    /// so racing observers can never regress the gauge.
-    pub fn observe_buffer_level(&self, bytes: u64) {
-        let mut current = self.buffer_hwm_bytes.load(Ordering::Relaxed);
-        while bytes > current {
-            match self.buffer_hwm_bytes.compare_exchange_weak(
-                current,
-                bytes,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => current = seen,
-            }
-        }
+        self.add(Counter::SpillBlocksRead, reads.blocks_read);
+        self.add(Counter::SpillBlocksSkipped, reads.blocks_skipped);
+        self.add(Counter::SpillSeeks, reads.seeks);
     }
 
     /// The histogram channels, for snapshotting or cloning out handles.
@@ -262,78 +255,18 @@ impl MetricsRegistry {
         &self.histograms
     }
 
-    /// Counts one supervisor retry.
-    pub fn add_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` O tasks replayed from checkpoint.
-    pub fn add_recovered_tasks(&self, n: u64) {
-        self.recovered_tasks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one endpoint's wire-level traffic (the full counter set
-    /// reported by [`Endpoint::close`](crate::transport::Endpoint):
-    /// encoded socket bytes, pre-batching raw bytes, frame/batch counts,
-    /// and syscall totals).
+    /// Records one endpoint's wire-level traffic, as reported by
+    /// [`Endpoint::close`](crate::transport::Endpoint).
     pub fn add_wire_stats(&self, wire: &crate::transport::WireStats) {
-        self.wire_bytes_sent
-            .fetch_add(wire.bytes_sent, Ordering::Relaxed);
-        self.wire_bytes_received
-            .fetch_add(wire.bytes_received, Ordering::Relaxed);
-        self.wire_raw_bytes_sent
-            .fetch_add(wire.raw_bytes_sent, Ordering::Relaxed);
-        self.wire_frames_sent
-            .fetch_add(wire.frames_sent, Ordering::Relaxed);
-        self.wire_batches_sent
-            .fetch_add(wire.batches_sent, Ordering::Relaxed);
-        self.wire_send_syscalls
-            .fetch_add(wire.send_syscalls, Ordering::Relaxed);
-        self.wire_frames_received
-            .fetch_add(wire.frames_received, Ordering::Relaxed);
-        self.wire_batches_received
-            .fetch_add(wire.batches_received, Ordering::Relaxed);
-        self.wire_recv_syscalls
-            .fetch_add(wire.recv_syscalls, Ordering::Relaxed);
-    }
-
-    /// Counts an O-side combiner's fold: `records_in` staged records
-    /// collapsed to `records_out` shipped ones.
-    pub fn add_combiner(&self, records_in: u64, records_out: u64) {
-        self.combiner_records_in
-            .fetch_add(records_in, Ordering::Relaxed);
-        self.combiner_records_out
-            .fetch_add(records_out, Ordering::Relaxed);
-    }
-
-    /// Counts `n` progress heartbeats.
-    pub fn add_heartbeats(&self, n: u64) {
-        self.heartbeats.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one launched speculative duplicate attempt.
-    pub fn add_speculative_attempt(&self) {
-        self.speculative_attempts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one speculative duplicate winning its task's commit.
-    pub fn add_speculative_commit(&self) {
-        self.speculative_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one stolen O split.
-    pub fn add_task_stolen(&self) {
-        self.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total payload bytes sent, summed over the peer matrix.
-    pub fn total_bytes_sent(&self) -> u64 {
-        Self::matrix_total(&self.sent)
-    }
-
-    /// Total payload bytes received, summed over the peer matrix.
-    pub fn total_bytes_received(&self) -> u64 {
-        Self::matrix_total(&self.recv)
+        self.add(Counter::WireBytesSent, wire.bytes_sent);
+        self.add(Counter::WireBytesReceived, wire.bytes_received);
+        self.add(Counter::WireRawBytesSent, wire.raw_bytes_sent);
+        self.add(Counter::WireFramesSent, wire.frames_sent);
+        self.add(Counter::WireBatchesSent, wire.batches_sent);
+        self.add(Counter::WireSendSyscalls, wire.send_syscalls);
+        self.add(Counter::WireFramesReceived, wire.frames_received);
+        self.add(Counter::WireBatchesReceived, wire.batches_received);
+        self.add(Counter::WireRecvSyscalls, wire.recv_syscalls);
     }
 
     /// `sent[from][to]` matrix as plain numbers.
@@ -346,21 +279,9 @@ impl MetricsRegistry {
         Self::matrix_values(&self.recv)
     }
 
-    fn matrix_total(matrix: &RwLock<Vec<Arc<Vec<AtomicU64>>>>) -> u64 {
-        matrix
-            .read()
-            .unwrap()
-            .iter()
-            .flat_map(|row| row.iter())
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn matrix_values(matrix: &RwLock<Vec<Arc<Vec<AtomicU64>>>>) -> Vec<Vec<u64>> {
-        matrix
-            .read()
-            .unwrap()
-            .iter()
+    fn matrix_values(matrix: &PeerMatrix) -> Vec<Vec<u64>> {
+        let rows = matrix.read().unwrap();
+        rows.iter()
             .map(|row| row.iter().map(|c| c.load(Ordering::Relaxed)).collect())
             .collect()
     }
@@ -368,43 +289,19 @@ impl MetricsRegistry {
     /// A consistent-enough point-in-time copy (individual counters are
     /// loaded relaxed; the profiler only needs monotone readings).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            records_out: self.records_out.load(Ordering::Relaxed),
-            records_in: self.records_in.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            bytes_sent: self.total_bytes_sent(),
-            bytes_received: self.total_bytes_received(),
-            spills: self.spills.load(Ordering::Relaxed),
-            spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
-            spill_wire_bytes: self.spill_wire_bytes.load(Ordering::Relaxed),
-            spill_blocks_read: self.spill_blocks_read.load(Ordering::Relaxed),
-            spill_blocks_skipped: self.spill_blocks_skipped.load(Ordering::Relaxed),
-            spill_seeks: self.spill_seeks.load(Ordering::Relaxed),
-            buffer_hwm_bytes: self.buffer_hwm_bytes.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            recovered_tasks: self.recovered_tasks.load(Ordering::Relaxed),
-            wire_bytes_sent: self.wire_bytes_sent.load(Ordering::Relaxed),
-            wire_bytes_received: self.wire_bytes_received.load(Ordering::Relaxed),
-            wire_raw_bytes_sent: self.wire_raw_bytes_sent.load(Ordering::Relaxed),
-            wire_frames_sent: self.wire_frames_sent.load(Ordering::Relaxed),
-            wire_batches_sent: self.wire_batches_sent.load(Ordering::Relaxed),
-            wire_send_syscalls: self.wire_send_syscalls.load(Ordering::Relaxed),
-            wire_frames_received: self.wire_frames_received.load(Ordering::Relaxed),
-            wire_batches_received: self.wire_batches_received.load(Ordering::Relaxed),
-            wire_recv_syscalls: self.wire_recv_syscalls.load(Ordering::Relaxed),
-            combiner_records_in: self.combiner_records_in.load(Ordering::Relaxed),
-            combiner_records_out: self.combiner_records_out.load(Ordering::Relaxed),
-            heartbeats: self.heartbeats.load(Ordering::Relaxed),
-            speculative_attempts: self.speculative_attempts.load(Ordering::Relaxed),
-            speculative_commits: self.speculative_commits.load(Ordering::Relaxed),
-            tasks_stolen: self.tasks_stolen.load(Ordering::Relaxed),
-        }
+        let mut snap = MetricsSnapshot(std::array::from_fn(|i| {
+            self.counters[i].load(Ordering::Relaxed)
+        }));
+        snap[Counter::BytesSent] = self.sent_matrix().iter().flatten().sum();
+        snap[Counter::BytesReceived] = self.recv_matrix().iter().flatten().sum();
+        snap
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn peer_matrix_accumulates() {
@@ -414,11 +311,11 @@ mod tests {
         reg.add_frame_sent(0, 2, 50);
         reg.add_frame_sent(1, 0, 7);
         reg.add_bytes_received(2, 0, 150);
-        assert_eq!(reg.total_bytes_sent(), 157);
-        assert_eq!(reg.total_bytes_received(), 150);
+        assert_eq!(reg.snapshot()[Counter::BytesSent], 157);
+        assert_eq!(reg.snapshot()[Counter::BytesReceived], 150);
         assert_eq!(reg.sent_matrix()[0][2], 150);
         assert_eq!(reg.recv_matrix()[2][0], 150);
-        assert_eq!(reg.snapshot().frames_sent, 3);
+        assert_eq!(reg.snapshot()[Counter::FramesSent], 3);
     }
 
     #[test]
@@ -430,7 +327,7 @@ mod tests {
         reg.add_frame_sent(0, 3, 5);
         reg.add_frame_sent(3, 0, 2);
         assert_eq!(reg.sent_matrix()[0][1], 10);
-        assert_eq!(reg.total_bytes_sent(), 17);
+        assert_eq!(reg.snapshot()[Counter::BytesSent], 17);
         // Shrinking never happens: a smaller begin_job keeps the matrix.
         reg.begin_job(2);
         assert_eq!(reg.sent_matrix().len(), 4);
@@ -439,10 +336,10 @@ mod tests {
     #[test]
     fn hwm_is_a_max_not_a_sum() {
         let reg = MetricsRegistry::new();
-        reg.observe_buffer_level(10);
-        reg.observe_buffer_level(4);
-        reg.observe_buffer_level(12);
-        assert_eq!(reg.snapshot().buffer_hwm_bytes, 12);
+        reg.raise(Counter::BufferHwmBytes, 10);
+        reg.raise(Counter::BufferHwmBytes, 4);
+        reg.raise(Counter::BufferHwmBytes, 12);
+        assert_eq!(reg.snapshot()[Counter::BufferHwmBytes], 12);
     }
 
     #[test]
@@ -461,37 +358,69 @@ mod tests {
                     // observations constantly chase high ones.
                     let peak = (t + 1) * per;
                     for v in (1..=peak).rev() {
-                        reg.observe_buffer_level(v);
+                        reg.raise(Counter::BufferHwmBytes, v);
                     }
                 });
             }
         });
-        assert_eq!(reg.snapshot().buffer_hwm_bytes, threads * per);
+        assert_eq!(reg.snapshot()[Counter::BufferHwmBytes], threads * per);
     }
 
     #[test]
-    fn straggler_defense_counters_accumulate() {
+    fn every_counter_accumulates_in_its_own_slot() {
         let reg = MetricsRegistry::new();
-        reg.add_heartbeats(3);
-        reg.add_heartbeats(2);
-        reg.add_speculative_attempt();
-        reg.add_speculative_commit();
-        reg.add_task_stolen();
-        reg.add_task_stolen();
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            reg.add(c, i as u64 + 1);
+            reg.add(c, 100);
+        }
         let snap = reg.snapshot();
-        assert_eq!(snap.heartbeats, 5);
-        assert_eq!(snap.speculative_attempts, 1);
-        assert_eq!(snap.speculative_commits, 1);
-        assert_eq!(snap.tasks_stolen, 2);
+        for (i, (c, v)) in snap.iter().enumerate() {
+            // The two matrix totals are overwritten at snapshot time.
+            let want = match c {
+                Counter::BytesSent | Counter::BytesReceived => 0,
+                _ => i as u64 + 101,
+            };
+            assert_eq!((v, snap[c]), (want, want), "{}", c.name());
+        }
     }
 
     #[test]
-    fn rows_are_shared_handles() {
-        let reg = Arc::new(MetricsRegistry::new());
-        reg.begin_job(2);
-        let row = reg.sent_row(0).unwrap();
-        row[1].fetch_add(33, Ordering::Relaxed);
-        assert_eq!(reg.total_bytes_sent(), 33);
-        assert!(reg.sent_row(9).is_none());
+    fn names_are_unique_parse_back_and_exactly_one_gauge() {
+        for c in Counter::ALL {
+            assert_eq!(Counter::parse(c.name()), Some(c));
+            assert!(!c.unit().is_empty());
+        }
+        assert_eq!(Counter::parse("no_such_counter"), None);
+        let gauges: Vec<_> = Counter::ALL.into_iter().filter(|c| c.is_gauge()).collect();
+        assert_eq!(gauges, [Counter::BufferHwmBytes]);
+        assert_eq!(Counter::ALL.len(), 29);
+        assert_eq!(Counter::ALL[28] as usize, 28, "ALL is in declaration order");
+    }
+
+    /// DESIGN.md §13 prints the counter table; its rows must be the
+    /// declaration's, in order, so the document cannot drift.
+    #[test]
+    fn design_doc_lists_every_counter() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        let doc = std::fs::read_to_string(path).expect("DESIGN.md at the repo root");
+        let documented: Vec<Vec<&str>> = doc
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `"))
+            .map(|row| {
+                row.split('|')
+                    .map(|cell| cell.trim_matches([' ', '`']))
+                    .collect()
+            })
+            .filter(|cells: &Vec<&str>| Counter::parse(cells[0]).is_some())
+            .map(|cells| cells[..3].to_vec())
+            .collect();
+        let declared: Vec<Vec<&str>> = Counter::ALL
+            .into_iter()
+            .map(|c| {
+                let kind = if c.is_gauge() { "gauge" } else { "flow" };
+                vec![c.name(), c.unit(), kind]
+            })
+            .collect();
+        assert_eq!(documented, declared);
     }
 }

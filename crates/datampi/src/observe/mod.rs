@@ -38,13 +38,11 @@ pub use histogram::{
     bucket_bound, bucket_index, HistKind, HistogramSnapshot, Histograms, LogHistogram,
     HISTOGRAM_BUCKETS,
 };
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 pub use profiler::{
     integrate, process_cpu_secs, process_rss_bytes, ProfileSource, Profiler, Sample, SampleSeries,
 };
-pub use telemetry::{
-    ClockSync, RankTelemetry, TelemetryAggregator, TelemetryFrame, TelemetrySink, COUNTER_FIELDS,
-};
+pub use telemetry::{ClockSync, RankTelemetry, TelemetryAggregator, TelemetryFrame, TelemetrySink};
 pub use trace::{PhaseTotals, SpanKind, Trace, TraceEvent, JOB_LANE};
 
 use std::cell::RefCell;

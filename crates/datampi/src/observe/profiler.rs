@@ -12,7 +12,7 @@
 //! The deterministic core is [`SampleSeries`]: tests push hand-made
 //! samples and check the bucketed output without threads or `/proc`.
 
-use super::Observer;
+use super::{Counter, Observer};
 use dmpi_dcsim::metrics::{IntervalRates, MetricsRecorder, ResourceProfile};
 use dmpi_dcsim::ClusterSpec;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -230,8 +230,8 @@ impl Profiler {
                         wall_secs: epoch.elapsed().as_secs_f64(),
                         cpu_secs: cpu,
                         rss_bytes: rss,
-                        net_bytes: snap.bytes_sent as f64,
-                        spill_bytes: snap.spill_bytes as f64,
+                        net_bytes: snap[Counter::BytesSent] as f64,
+                        spill_bytes: snap[Counter::SpillBytes] as f64,
                     });
                     if stop_flag.load(Ordering::Relaxed) {
                         return (series, source);

@@ -15,11 +15,11 @@
 //!   more at job end) a worker snapshots its registry (cumulative
 //!   counters — the coordinator differences consecutive frames into
 //!   rates), its histogram channels, its per-peer byte rows, and drains
-//!   its sealed spans, then ships one `tlm …` line over the rendezvous
-//!   control stream it already holds open for the final `done` line.
-//!   The encoding is line-oriented text like the rest of the rendezvous
-//!   protocol: space-separated `key=value` fields, with percent-escaping
-//!   inside span args.
+//!   its sealed spans, then ships one `jobtlm <job> tlm …` line over the
+//!   control stream it already holds open for its final `jobdone` line.
+//!   The `tlm …` part is a line of the one control-plane grammar
+//!   ([`crate::service::protocol`]): `key=value` fields, the counters in
+//!   [`Counter::ALL`] order, percent-escaping inside span args.
 //! * **Aggregation** ([`TelemetryAggregator`]) — the coordinator absorbs
 //!   frames from all ranks: latest-wins per rank for cumulative state,
 //!   bucket-addition for histograms, append for spans. From it `dmpirun`
@@ -30,10 +30,10 @@
 use std::fmt::Write as _;
 
 use super::histogram::{HistKind, HistogramSnapshot};
-use super::metrics::MetricsSnapshot;
+use super::metrics::{Counter, MetricsSnapshot};
 use super::trace::{json_escape, SpanKind, Trace, TraceEvent};
 use super::Observer;
-use crate::service::protocol::{esc, unesc};
+use crate::service::protocol::{esc, unesc, Line, LineWriter};
 
 /// Result of the registration-time clock exchange.
 ///
@@ -66,114 +66,6 @@ impl ClockSync {
     /// Maps a local timestamp onto the coordinator's timeline.
     pub fn apply(&self, local_ts_us: u64) -> u64 {
         (local_ts_us as i64).saturating_add(self.offset_us).max(0) as u64
-    }
-}
-
-/// The cumulative counter fields a telemetry frame carries, in wire
-/// order. Shared by the encoder, the parser, and the report renderer so
-/// the three can never disagree on a name.
-pub const COUNTER_FIELDS: [&str; 29] = [
-    "records_out",
-    "records_in",
-    "frames_sent",
-    "bytes_sent",
-    "bytes_received",
-    "spills",
-    "spill_bytes",
-    "buffer_hwm_bytes",
-    "retries",
-    "recovered_tasks",
-    "wire_bytes_sent",
-    "wire_bytes_received",
-    "combiner_records_in",
-    "combiner_records_out",
-    "heartbeats",
-    "speculative_attempts",
-    "speculative_commits",
-    "tasks_stolen",
-    // Wire-detail counters ride at the end so older frame layouts stay
-    // index-compatible with this one.
-    "wire_raw_bytes_sent",
-    "wire_frames_sent",
-    "wire_batches_sent",
-    "wire_send_syscalls",
-    "wire_frames_received",
-    "wire_batches_received",
-    "wire_recv_syscalls",
-    // Spill-format counters, appended for the same reason.
-    "spill_wire_bytes",
-    "spill_blocks_read",
-    "spill_blocks_skipped",
-    "spill_seeks",
-];
-
-fn counter_get(s: &MetricsSnapshot, key: &str) -> u64 {
-    match key {
-        "records_out" => s.records_out,
-        "records_in" => s.records_in,
-        "frames_sent" => s.frames_sent,
-        "bytes_sent" => s.bytes_sent,
-        "bytes_received" => s.bytes_received,
-        "spills" => s.spills,
-        "spill_bytes" => s.spill_bytes,
-        "buffer_hwm_bytes" => s.buffer_hwm_bytes,
-        "retries" => s.retries,
-        "recovered_tasks" => s.recovered_tasks,
-        "wire_bytes_sent" => s.wire_bytes_sent,
-        "wire_bytes_received" => s.wire_bytes_received,
-        "combiner_records_in" => s.combiner_records_in,
-        "combiner_records_out" => s.combiner_records_out,
-        "heartbeats" => s.heartbeats,
-        "speculative_attempts" => s.speculative_attempts,
-        "speculative_commits" => s.speculative_commits,
-        "tasks_stolen" => s.tasks_stolen,
-        "wire_raw_bytes_sent" => s.wire_raw_bytes_sent,
-        "wire_frames_sent" => s.wire_frames_sent,
-        "wire_batches_sent" => s.wire_batches_sent,
-        "wire_send_syscalls" => s.wire_send_syscalls,
-        "wire_frames_received" => s.wire_frames_received,
-        "wire_batches_received" => s.wire_batches_received,
-        "wire_recv_syscalls" => s.wire_recv_syscalls,
-        "spill_wire_bytes" => s.spill_wire_bytes,
-        "spill_blocks_read" => s.spill_blocks_read,
-        "spill_blocks_skipped" => s.spill_blocks_skipped,
-        "spill_seeks" => s.spill_seeks,
-        _ => 0,
-    }
-}
-
-fn counter_set(s: &mut MetricsSnapshot, key: &str, v: u64) {
-    match key {
-        "records_out" => s.records_out = v,
-        "records_in" => s.records_in = v,
-        "frames_sent" => s.frames_sent = v,
-        "bytes_sent" => s.bytes_sent = v,
-        "bytes_received" => s.bytes_received = v,
-        "spills" => s.spills = v,
-        "spill_bytes" => s.spill_bytes = v,
-        "buffer_hwm_bytes" => s.buffer_hwm_bytes = v,
-        "retries" => s.retries = v,
-        "recovered_tasks" => s.recovered_tasks = v,
-        "wire_bytes_sent" => s.wire_bytes_sent = v,
-        "wire_bytes_received" => s.wire_bytes_received = v,
-        "combiner_records_in" => s.combiner_records_in = v,
-        "combiner_records_out" => s.combiner_records_out = v,
-        "heartbeats" => s.heartbeats = v,
-        "speculative_attempts" => s.speculative_attempts = v,
-        "speculative_commits" => s.speculative_commits = v,
-        "tasks_stolen" => s.tasks_stolen = v,
-        "wire_raw_bytes_sent" => s.wire_raw_bytes_sent = v,
-        "wire_frames_sent" => s.wire_frames_sent = v,
-        "wire_batches_sent" => s.wire_batches_sent = v,
-        "wire_send_syscalls" => s.wire_send_syscalls = v,
-        "wire_frames_received" => s.wire_frames_received = v,
-        "wire_batches_received" => s.wire_batches_received = v,
-        "wire_recv_syscalls" => s.wire_recv_syscalls = v,
-        "spill_wire_bytes" => s.spill_wire_bytes = v,
-        "spill_blocks_read" => s.spill_blocks_read = v,
-        "spill_blocks_skipped" => s.spill_blocks_skipped = v,
-        "spill_seeks" => s.spill_seeks = v,
-        _ => {}
     }
 }
 
@@ -328,77 +220,81 @@ impl TelemetryFrame {
 
     /// The one-line wire form (`tlm …`, no trailing newline).
     pub fn wire_line(&self) -> String {
-        let mut out = format!(
-            "tlm rank={} seq={} final={} off={} rtt={}",
-            self.rank,
-            self.seq,
-            if self.is_final { 1 } else { 0 },
-            self.offset_us,
-            self.rtt_us
-        );
-        out.push_str(" counters=");
-        for (i, key) in COUNTER_FIELDS.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", key, counter_get(&self.counters, key));
+        let mut line = LineWriter::new("tlm")
+            .field("rank", self.rank)
+            .field("seq", self.seq)
+            .field("final", self.is_final as u8)
+            .field("off", self.offset_us)
+            .field("rtt", self.rtt_us);
+        let out = line.open("counters");
+        for (i, (counter, value)) in self.counters.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{sep}{}:{value}", counter.name());
         }
         for (name, row) in [("sent", &self.sent_row), ("recv", &self.recv_row)] {
             if !row.is_empty() {
-                let _ = write!(out, " {name}=");
+                let out = line.open(name);
                 for (i, v) in row.iter().enumerate() {
-                    if i > 0 {
-                        out.push(':');
-                    }
-                    let _ = write!(out, "{v}");
+                    let sep = if i > 0 { ":" } else { "" };
+                    let _ = write!(out, "{sep}{v}");
                 }
             }
         }
         if !self.histograms.is_empty() {
-            out.push_str(" hist=");
+            let out = line.open("hist");
             for (i, (kind, snap)) in self.histograms.iter().enumerate() {
-                if i > 0 {
-                    out.push('|');
-                }
-                let _ = write!(out, "{}~{}", kind.name(), snap.encode());
+                let sep = if i > 0 { "|" } else { "" };
+                let _ = write!(out, "{sep}{}~{}", kind.name(), snap.encode());
             }
         }
         if !self.spans.is_empty() {
-            out.push_str(" spans=");
+            let out = line.open("spans");
             for (i, e) in self.spans.iter().enumerate() {
                 if i > 0 {
                     out.push(';');
                 }
-                encode_span(&mut out, e);
+                encode_span(out, e);
             }
         }
-        out
+        line.finish()
     }
 
     /// Parses a [`wire_line`](Self::wire_line). Returns `None` for
     /// non-telemetry lines or malformed frames.
     pub fn parse(line: &str) -> Option<TelemetryFrame> {
-        let mut it = line.split_whitespace();
-        if it.next()? != "tlm" {
+        let line = Line::parse(line)?;
+        Self::parse_fields(line.verb(), line)
+    }
+
+    /// Parses the fields behind a `tlm` token — the leading verb of a
+    /// bare frame, or the token after the job id of a `jobtlm` line.
+    pub(crate) fn parse_fields(verb: &str, line: Line<'_>) -> Option<TelemetryFrame> {
+        if verb != "tlm" {
             return None;
         }
         let mut frame = TelemetryFrame::default();
-        for field in it {
-            let (key, value) = field.split_once('=')?;
+        for field in line.fields() {
+            let (key, value) = field?;
             match key {
-                "rank" => frame.rank = value.parse().ok()?,
-                "seq" => frame.seq = value.parse().ok()?,
-                "final" => frame.is_final = value == "1",
-                "off" => frame.offset_us = value.parse().ok()?,
-                "rtt" => frame.rtt_us = value.parse().ok()?,
+                "rank" => frame.rank = value.num()?,
+                "seq" => frame.seq = value.num()?,
+                "final" => frame.is_final = value.flag(),
+                "off" => frame.offset_us = value.num()?,
+                "rtt" => frame.rtt_us = value.num()?,
                 "counters" => {
-                    for pair in value.split(',') {
-                        let (k, v) = pair.split_once(':')?;
-                        counter_set(&mut frame.counters, k, v.parse().ok()?);
+                    for pair in value.0.split(',') {
+                        let (name, v) = pair.split_once(':')?;
+                        let v = v.parse().ok()?;
+                        // A counter this build does not know is a newer
+                        // peer's: skipped, like an unknown field.
+                        if let Some(counter) = Counter::parse(name) {
+                            frame.counters[counter] = v;
+                        }
                     }
                 }
                 "sent" | "recv" => {
-                    let row: Option<Vec<u64>> = value.split(':').map(|v| v.parse().ok()).collect();
+                    let row: Option<Vec<u64>> =
+                        value.0.split(':').map(|v| v.parse().ok()).collect();
                     if key == "sent" {
                         frame.sent_row = row?;
                     } else {
@@ -406,7 +302,7 @@ impl TelemetryFrame {
                     }
                 }
                 "hist" => {
-                    for entry in value.split('|') {
+                    for entry in value.0.split('|') {
                         let (name, enc) = entry.split_once('~')?;
                         frame
                             .histograms
@@ -414,7 +310,7 @@ impl TelemetryFrame {
                     }
                 }
                 "spans" => {
-                    for enc in value.split(';') {
+                    for enc in value.0.split(';') {
                         frame.spans.push(parse_span(enc)?);
                     }
                 }
@@ -542,21 +438,19 @@ impl TelemetryAggregator {
         self.per_rank.iter().filter(|r| r.final_seen).count()
     }
 
-    /// Sums every rank's latest counters (the buffer high-water mark
-    /// takes the max — it is a gauge, not a flow). The aggregate's
+    /// Merges every rank's latest counters: flows add, gauges take the
+    /// maximum ([`Counter::is_gauge`]). The aggregate's
     /// wire-byte totals therefore equal the sum of the per-rank totals
     /// by construction, which the job report's schema promises.
     pub fn aggregate_counters(&self) -> MetricsSnapshot {
         let mut total = MetricsSnapshot::default();
-        for rank in &self.per_rank {
-            let Some(c) = &rank.counters else { continue };
-            for key in COUNTER_FIELDS {
-                let merged = if key == "buffer_hwm_bytes" {
-                    counter_get(&total, key).max(counter_get(c, key))
+        for counters in self.per_rank.iter().filter_map(|r| r.counters.as_ref()) {
+            for (counter, value) in counters.iter() {
+                total[counter] = if counter.is_gauge() {
+                    total[counter].max(value)
                 } else {
-                    counter_get(&total, key) + counter_get(c, key)
+                    total[counter] + value
                 };
-                counter_set(&mut total, key, merged);
             }
         }
         total
@@ -605,25 +499,25 @@ impl TelemetryAggregator {
             .map(|prev| (now_us.saturating_sub(prev)) as f64 / 1e6)
             .unwrap_or(0.0);
         let rec_rate = if dt_s > 0.0 {
-            (agg.records_in.saturating_sub(self.last_records_in)) as f64 / dt_s
+            (agg[Counter::RecordsIn].saturating_sub(self.last_records_in)) as f64 / dt_s
         } else {
             0.0
         };
-        let wire_now = agg.wire_bytes_sent + agg.wire_bytes_received;
+        let wire_now = agg[Counter::WireBytesSent] + agg[Counter::WireBytesReceived];
         let wire_rate = if dt_s > 0.0 {
             (wire_now.saturating_sub(self.last_wire_bytes)) as f64 / dt_s / (1 << 20) as f64
         } else {
             0.0
         };
         self.last_progress_us = Some(now_us);
-        self.last_records_in = agg.records_in;
+        self.last_records_in = agg[Counter::RecordsIn];
         self.last_wire_bytes = wire_now;
 
         // Lag: the slowest rank's ingested records vs the leader's.
         let ingested: Vec<u64> = self
             .per_rank
             .iter()
-            .map(|r| r.counters.as_ref().map_or(0, |c| c.records_in))
+            .map(|r| r.counters.as_ref().map_or(0, |c| c[Counter::RecordsIn]))
             .collect();
         let lead = ingested.iter().copied().max().unwrap_or(0);
         let lag = ingested
@@ -639,7 +533,7 @@ impl TelemetryAggregator {
                 )
             })
             .unwrap_or_default();
-        let spec = agg.speculative_attempts + agg.tasks_stolen;
+        let spec = agg[Counter::SpeculativeAttempts] + agg[Counter::TasksStolen];
         format!(
             "[{:7.2}s] {}/{} done | {:9.0} rec/s | {:7.2} MB/s wire{} | spec={}",
             now_us as f64 / 1e6,
@@ -676,8 +570,10 @@ impl TelemetryAggregator {
             );
             out.push_str(", \"counters\": ");
             push_counters_json(&mut out, &t.counters.clone().unwrap_or_default());
-            push_row_json(&mut out, "sent_bytes_to", &t.sent_row);
-            push_row_json(&mut out, "recv_bytes_from", &t.recv_row);
+            out.push_str(", \"sent_bytes_to\": ");
+            push_row_json(&mut out, &t.sent_row);
+            out.push_str(", \"recv_bytes_from\": ");
+            push_row_json(&mut out, &t.recv_row);
             out.push_str(", \"histograms\": ");
             push_histograms_json(&mut out, &t.histograms);
             out.push('}');
@@ -737,61 +633,50 @@ impl TelemetryAggregator {
     }
 }
 
-fn push_counters_json(out: &mut String, c: &MetricsSnapshot) {
-    out.push('{');
-    for (i, key) in COUNTER_FIELDS.iter().enumerate() {
+/// Appends a JSON list or object: `brackets`' two characters around the
+/// items, each rendered by `each`, `, ` between them.
+fn push_list<T>(
+    out: &mut String,
+    brackets: &str,
+    items: impl IntoIterator<Item = T>,
+    each: impl Fn(&mut String, T),
+) {
+    out.push_str(&brackets[..1]);
+    for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "\"{}\": {}", key, counter_get(c, key));
+        each(out, item);
     }
-    out.push('}');
+    out.push_str(&brackets[1..]);
 }
 
-fn push_row_json(out: &mut String, name: &str, row: &[u64]) {
-    let _ = write!(out, ", \"{name}\": [");
-    for (i, v) in row.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
+fn push_counters_json(out: &mut String, c: &MetricsSnapshot) {
+    push_list(out, "{}", c.iter(), |out, (counter, value)| {
+        let _ = write!(out, "\"{}\": {value}", counter.name());
+    });
+}
+
+fn push_row_json(out: &mut String, row: &[u64]) {
+    push_list(out, "[]", row, |out, v| {
         let _ = write!(out, "{v}");
-    }
-    out.push(']');
+    });
 }
 
 fn push_matrix_json(out: &mut String, matrix: &[Vec<u64>]) {
-    out.push('[');
-    for (i, row) in matrix.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push('[');
-        for (j, v) in row.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push(']');
-    }
-    out.push(']');
+    push_list(out, "[]", matrix, |out, row| push_row_json(out, row));
 }
 
 fn push_histograms_json(out: &mut String, hists: &[(HistKind, HistogramSnapshot)]) {
-    out.push('{');
-    for (i, (kind, snap)) in hists.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
+    push_list(out, "{}", hists, |out, (kind, snap)| {
         let _ = write!(out, "\"{}\": {}", kind.name(), snap.to_json());
-    }
-    out.push('}');
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::{Clock, ManualClock};
+    use crate::observe::{Clock, LogHistogram, ManualClock};
 
     #[test]
     fn clock_sync_midpoint_and_application() {
@@ -812,8 +697,8 @@ mod tests {
     fn sample_frame(rank: u32, seq: u64) -> TelemetryFrame {
         let obs = Observer::with_clock(Clock::Manual(ManualClock::new()));
         obs.begin_job(3);
-        obs.registry().add_records_out(10 + rank as u64);
-        obs.registry().add_records_in(7);
+        obs.registry().add(Counter::RecordsOut, 10 + rank as u64);
+        obs.registry().add(Counter::RecordsIn, 7);
         obs.registry().add_frame_sent(rank as usize, 1, 100);
         obs.registry().add_wire_stats(&crate::transport::WireStats {
             bytes_sent: 1000 + rank as u64,
@@ -847,6 +732,80 @@ mod tests {
         )
     }
 
+    /// A frame with every counter set to a distinct value, two histogram
+    /// channels, both matrix rows and two spans (one arg needs escaping).
+    fn golden_frame(rank: u32) -> TelemetryFrame {
+        let mut counters = MetricsSnapshot::default();
+        for (i, counter) in Counter::ALL.into_iter().enumerate() {
+            counters[counter] = 1000 * (rank as u64 + 1) + 7 * i as u64;
+        }
+        let send = LogHistogram::new();
+        for v in [0, 3, 40, 41, 5000] {
+            send.record(v + rank as u64);
+        }
+        let payload = LogHistogram::new();
+        payload.record(4096);
+        payload.record(65536);
+        TelemetryFrame {
+            rank,
+            seq: 4 + rank as u64,
+            is_final: true,
+            offset_us: -250 + rank as i64,
+            rtt_us: 31,
+            counters,
+            histograms: vec![
+                (HistKind::SendLatency, send.snapshot()),
+                (HistKind::FramePayload, payload.snapshot()),
+            ],
+            sent_row: vec![0, 111 + rank as u64],
+            recv_row: vec![222, 0],
+            spans: vec![
+                TraceEvent {
+                    kind: SpanKind::OTask,
+                    ts_us: 1500,
+                    dur_us: 250,
+                    instant: false,
+                    rank,
+                    attempt: 0,
+                    task: Some(3),
+                    args: vec![("bytes", "12 34;=%".into()), ("peer", "1".into())],
+                },
+                TraceEvent {
+                    kind: SpanKind::Fault,
+                    ts_us: 1800,
+                    dur_us: 0,
+                    instant: true,
+                    rank,
+                    attempt: 1,
+                    task: None,
+                    args: vec![("cause", "rank 1: died\nmid-job".into())],
+                },
+            ],
+        }
+    }
+
+    /// The vocabulary is pinned: these strings were rendered from the
+    /// same frames by the commit before the counters became a table
+    /// (when a name list and 29 named fields spelled them out), so a
+    /// renamed, reordered or dropped counter — or a change to the `tlm`
+    /// grammar or the `dmpi-job-report/v1` layout — fails here.
+    #[test]
+    fn tlm_line_and_job_report_match_the_golden_bytes() {
+        let frame = golden_frame(1);
+        let line = frame.wire_line();
+        assert_eq!(
+            line,
+            include_str!("../../tests/golden/tlm_line.txt").trim_end()
+        );
+        assert_eq!(TelemetryFrame::parse(&line), Some(frame));
+
+        let mut agg = TelemetryAggregator::new(2);
+        agg.absorb(golden_frame(0));
+        agg.absorb(golden_frame(1));
+        let json = agg.report_json(&[("workload", "\"wordcount\"".into())]);
+        assert_eq!(json, include_str!("../../tests/golden/job_report.json"));
+    }
+
     #[test]
     fn frames_round_trip_the_wire() {
         let frame = sample_frame(2, 1);
@@ -855,7 +814,7 @@ mod tests {
         let parsed = TelemetryFrame::parse(&line).expect("parse own encoding");
         assert_eq!(parsed, frame);
         assert!(parsed.is_final);
-        assert_eq!(parsed.counters.records_out, 12);
+        assert_eq!(parsed.counters[Counter::RecordsOut], 12);
         assert_eq!(parsed.sent_row, vec![0, 100, 0]);
         assert_eq!(parsed.spans.len(), 2);
         assert_eq!(parsed.spans[0].args[0].1, "12 34;=%");
@@ -888,11 +847,11 @@ mod tests {
         let per_rank_wire: u64 = agg
             .per_rank()
             .iter()
-            .map(|r| r.counters.as_ref().map_or(0, |c| c.wire_bytes_sent))
+            .map(|r| r.counters.as_ref().map_or(0, |c| c[Counter::WireBytesSent]))
             .sum();
-        assert_eq!(total.wire_bytes_sent, per_rank_wire);
-        assert_eq!(total.wire_bytes_sent, 1000 + 1001 + 1002);
-        assert_eq!(total.records_out, 10 + 11 + 12);
+        assert_eq!(total[Counter::WireBytesSent], per_rank_wire);
+        assert_eq!(total[Counter::WireBytesSent], 1000 + 1001 + 1002);
+        assert_eq!(total[Counter::RecordsOut], 10 + 11 + 12);
         let merged = agg.merged_histograms();
         let recv = merged
             .iter()
@@ -906,14 +865,14 @@ mod tests {
     fn aggregator_ignores_stale_cumulative_state() {
         let mut agg = TelemetryAggregator::new(1);
         let mut newer = sample_frame(0, 5);
-        newer.counters.records_out = 100;
+        newer.counters[Counter::RecordsOut] = 100;
         agg.absorb(newer);
         let mut stale = sample_frame(0, 2);
-        stale.counters.records_out = 7;
+        stale.counters[Counter::RecordsOut] = 7;
         stale.spans.clear();
         agg.absorb(stale);
         assert_eq!(
-            agg.per_rank()[0].counters.as_ref().unwrap().records_out,
+            agg.per_rank()[0].counters.as_ref().unwrap()[Counter::RecordsOut],
             100,
             "stale frame must not roll the rank back"
         );
@@ -1025,15 +984,15 @@ mod tests {
     fn progress_line_reports_rates_and_lag() {
         let mut agg = TelemetryAggregator::new(2);
         let mut f0 = sample_frame(0, 0);
-        f0.counters.records_in = 1000;
+        f0.counters[Counter::RecordsIn] = 1000;
         let mut f1 = sample_frame(1, 0);
-        f1.counters.records_in = 250;
+        f1.counters[Counter::RecordsIn] = 250;
         agg.absorb(f0.clone());
         agg.absorb(f1);
         let first = agg.progress_line(1_000_000, 0);
         assert!(first.contains("0/2 done"), "{first}");
         // One second later rank 0 ingested 500 more records.
-        f0.counters.records_in = 1500;
+        f0.counters[Counter::RecordsIn] = 1500;
         f0.seq = 1;
         agg.absorb(f0);
         let line = agg.progress_line(2_000_000, 1);

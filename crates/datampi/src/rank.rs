@@ -41,7 +41,7 @@ use crate::buffer::{BufferStats, KvBuffer};
 use crate::checkpoint::{CheckpointStore, MergeCheckpoint};
 use crate::comm::Frame;
 use crate::config::JobConfig;
-use crate::observe::{HistKind, Observer, PhaseTotals, SpanKind, Tracer};
+use crate::observe::{Counter, HistKind, Observer, PhaseTotals, SpanKind, Tracer};
 use crate::runtime::{ChunkableSplit, JobStats};
 use crate::speculate::{ProgressBoard, TaskQueues};
 use crate::store::{PartitionStore, StoreStats};
@@ -246,7 +246,7 @@ where
             if dispensed.stolen {
                 self.stats.tasks_stolen += 1;
                 if let Some(t) = &self.tracer {
-                    t.registry().add_task_stolen();
+                    t.registry().add(Counter::TasksStolen, 1);
                 }
             }
             match cx.checkpoint.filter(|cp| cp.is_complete(dispensed.task)) {
@@ -270,7 +270,7 @@ where
         }
         if let Some(t) = &self.tracer {
             t.for_task(task as u64).instant(SpanKind::Recovered, vec![]);
-            t.registry().add_recovered_tasks(1);
+            t.registry().add(Counter::RecoveredTasks, 1);
         }
         self.stats.o_tasks_recovered += 1;
         if let Some(board) = cx.board {
@@ -342,13 +342,13 @@ where
         if speculative {
             self.stats.speculative_attempts += 1;
             if let Some(r) = registry {
-                r.add_speculative_attempt();
+                r.add(Counter::SpeculativeAttempts, 1);
             }
         }
         if let Some(board) = heartbeat_board {
             board.start(task);
             if let Some(r) = registry {
-                r.add_heartbeats(1);
+                r.add(Counter::Heartbeats, 1);
             }
         }
         let task_start = tracer.as_ref().map(Tracer::start);
@@ -381,7 +381,7 @@ where
                     board.abort(task);
                 }
                 if let Some(r) = registry {
-                    r.add_heartbeats(1);
+                    r.add(Counter::Heartbeats, 1);
                 }
                 return;
             }
@@ -461,7 +461,7 @@ where
                 if speculative {
                     self.stats.speculative_commits += 1;
                     if let Some(r) = registry {
-                        r.add_speculative_commit();
+                        r.add(Counter::SpeculativeCommits, 1);
                     }
                 }
                 Some(b.records)
@@ -491,7 +491,7 @@ where
         if let Some(board) = heartbeat_board {
             board.finish(task);
             if let Some(r) = registry {
-                r.add_heartbeats(1);
+                r.add(Counter::Heartbeats, 1);
             }
         }
     }
@@ -701,7 +701,7 @@ where
             None => store.into_group_stream()?,
         };
         if let Some(t) = tracer {
-            t.registry().add_records_in(st.records);
+            t.registry().add(Counter::RecordsIn, st.records);
             t.span(
                 SpanKind::Sort,
                 sort_start.unwrap_or(0),

@@ -4,20 +4,22 @@
 //! resident mesh can interleave only so many jobs before memory budgets
 //! and send windows stop paying off). Tenants submit at will; admission
 //! decides *which queued job dispatches next* so that slot allocation
-//! converges to the max-min fair share — the same progressive-filling
-//! discipline as `dcsim::fairshare::max_min_rates`, specialised here to
-//! a single resource (slots) with per-tenant caps (quotas). The
-//! simulator's float-rate algorithm survives in [`water_fill`], which
-//! computes each tenant's fair share; the controller then dispatches the
-//! queued tenant with the largest *deficit* (fair share minus slots
-//! currently held), which is exactly progressive filling executed one
-//! discrete slot at a time.
+//! converges to the max-min fair share. Each tenant's fair share comes
+//! from the simulator's own progressive filling,
+//! [`dmpi_dcsim::fairshare::max_min_rates`], over a single resource
+//! (slots) with per-tenant caps (quotas) — kept as a float so fractional
+//! shares break discrete-dispatch ties the way the simulator would; the
+//! controller then dispatches the queued tenant with the largest
+//! *deficit* (fair share minus slots currently held), which is exactly
+//! progressive filling executed one discrete slot at a time.
 //!
 //! The controller is work-conserving: when some tenants are idle, the
 //! others may exceed their equal split (never their quota), and the
 //! water level rises to hand the spare capacity out.
 
 use std::collections::{BTreeMap, VecDeque};
+
+use dmpi_dcsim::fairshare::{max_min_rates, Flow};
 
 use super::protocol::JobSpec;
 
@@ -112,8 +114,9 @@ impl FairShareAdmission {
 
     /// Picks the next job to start, or `None` if every queued tenant is
     /// at quota or the mesh is at capacity. The pick maximises the
-    /// tenant's max-min deficit: fair share (from [`water_fill`] over
-    /// the tenants that currently want slots) minus slots already held.
+    /// tenant's max-min deficit: fair share (one water level rising over
+    /// the tenants that currently want slots until the slots are spent
+    /// or every tenant is at its cap) minus slots already held.
     pub fn next_to_dispatch(&mut self) -> Option<JobSpec> {
         if self.running_total >= self.config.mesh_slots {
             return None;
@@ -132,8 +135,8 @@ impl FairShareAdmission {
         if active.is_empty() {
             return None;
         }
-        let caps: Vec<f64> = active.iter().map(|(_, w)| *w).collect();
-        let shares = water_fill(&caps, self.config.mesh_slots as f64);
+        let flows: Vec<Flow> = active.iter().map(|(_, want)| slot_flow(*want)).collect();
+        let shares = max_min_rates(&flows, &[self.config.mesh_slots as f64]);
         let mut best: Option<(&String, f64)> = None;
         for ((name, _), share) in active.iter().zip(shares.iter()) {
             let t = &self.tenants[*name];
@@ -201,50 +204,9 @@ impl FairShareAdmission {
     }
 }
 
-/// Single-resource max-min progressive filling: raises one common water
-/// level until `capacity` is spent or every flow hits its `cap`. This is
-/// `dcsim::fairshare::max_min_rates` with the resource vector collapsed
-/// to the slot pool — kept as a float so fractional fair shares break
-/// discrete-dispatch ties the same way the simulator would.
-pub fn water_fill(caps: &[f64], capacity: f64) -> Vec<f64> {
-    const EPS: f64 = 1e-12;
-    let n = caps.len();
-    let mut rates = vec![0.0f64; n];
-    if n == 0 || capacity <= EPS {
-        return rates;
-    }
-    let mut frozen = vec![false; n];
-    let mut headroom = capacity;
-    loop {
-        let live = frozen.iter().filter(|f| !**f).count();
-        if live == 0 || headroom <= EPS {
-            return rates;
-        }
-        // The next event is either the shared level reaching the
-        // smallest remaining cap, or the capacity running out split
-        // evenly across live flows.
-        let even = headroom / live as f64;
-        let mut delta = even;
-        for i in 0..n {
-            if !frozen[i] {
-                delta = delta.min(caps[i] - rates[i]);
-            }
-        }
-        let delta = delta.max(0.0);
-        for i in 0..n {
-            if !frozen[i] {
-                rates[i] += delta;
-                headroom -= delta;
-                if caps[i] - rates[i] <= EPS {
-                    frozen[i] = true;
-                }
-            }
-        }
-        if delta <= EPS {
-            // Every live flow is at its cap boundary; nothing more moves.
-            return rates;
-        }
-    }
+/// One tenant's demand on the slot pool (resource 0), capped at `cap`.
+fn slot_flow(cap: f64) -> Flow {
+    Flow::with_cap(vec![(0, 1.0)], cap)
 }
 
 #[cfg(test)]
@@ -266,18 +228,23 @@ mod tests {
         }
     }
 
+    fn fair_shares(caps: &[f64], capacity: f64) -> Vec<f64> {
+        let flows: Vec<Flow> = caps.iter().map(|&cap| slot_flow(cap)).collect();
+        max_min_rates(&flows, &[capacity])
+    }
+
     #[test]
-    fn water_fill_matches_max_min_semantics() {
+    fn fair_shares_are_max_min_with_caps() {
         // Uncontended: everyone gets their demand.
-        assert_eq!(water_fill(&[1.0, 2.0], 10.0), vec![1.0, 2.0]);
+        assert_eq!(fair_shares(&[1.0, 2.0], 10.0), vec![1.0, 2.0]);
         // Contended equal demands: even split.
-        assert_eq!(water_fill(&[5.0, 5.0], 4.0), vec![2.0, 2.0]);
+        assert_eq!(fair_shares(&[5.0, 5.0], 4.0), vec![2.0, 2.0]);
         // A small flow frees headroom for the big one.
-        let r = water_fill(&[1.0, 9.0], 4.0);
+        let r = fair_shares(&[1.0, 9.0], 4.0);
         assert!((r[0] - 1.0).abs() < 1e-9 && (r[1] - 3.0).abs() < 1e-9);
         // Degenerate inputs.
-        assert!(water_fill(&[], 4.0).is_empty());
-        assert_eq!(water_fill(&[3.0], 0.0), vec![0.0]);
+        assert!(fair_shares(&[], 4.0).is_empty());
+        assert_eq!(fair_shares(&[3.0], 0.0), vec![0.0]);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! `peers v0 …` table once the mesh is full, and from then on pushes
 //! `job <id> …` dispatch lines to every rank as
 //! [`FairShareAdmission`] frees slots.
-//! Per-job `jobtlm` frames aggregate into a per-job
-//! `dmpi-job-report/v1` document, exactly the artifact the one-shot
-//! launcher writes.
+//! With a `report_dir` the coordinator asks its workers to trace their
+//! jobs (`tlm=1` in the join reply) and aggregates each job's `jobtlm`
+//! frames into a `dmpi-job-report/v1` document, exactly the artifact the
+//! one-shot launcher writes; without one nobody would read the frames,
+//! so jobs run untraced and none are sent.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -26,10 +28,10 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use dmpi_common::{Error, FaultCause, FaultKind, Result};
 
 use crate::distrib::RankTable;
-use crate::observe::{TelemetryAggregator, TelemetryFrame};
+use crate::observe::TelemetryAggregator;
 
 use super::admission::{AdmissionConfig, FairShareAdmission};
-use super::protocol::{esc, parse_jobfail, read_known_line, JobSpec, WorkerDone};
+use super::protocol::{read_known_line, JobSpec, Line, LineWriter, WorkerDone, WorkerEvent};
 
 /// Static coordinator configuration.
 #[derive(Clone, Debug)]
@@ -38,8 +40,8 @@ pub struct ServiceConfig {
     pub ranks: usize,
     /// Fair-share admission knobs.
     pub admission: AdmissionConfig,
-    /// When set, each completed job's `dmpi-job-report/v1` JSON lands
-    /// at `<dir>/job-<id>.json`.
+    /// When set, jobs run traced and each completed job's
+    /// `dmpi-job-report/v1` JSON lands at `<dir>/job-<id>.json`.
     pub report_dir: Option<PathBuf>,
 }
 
@@ -74,17 +76,9 @@ enum Event {
     Drain {
         stream: TcpStream,
     },
-    WorkerDone(WorkerDone),
-    WorkerFail {
-        job: u64,
-        rank: usize,
-        err: String,
-    },
-    WorkerTlm {
-        job: u64,
-        frame: Box<TelemetryFrame>,
-    },
-    WorkerBye,
+    /// A line from a seated worker.
+    Worker(WorkerEvent),
+    /// A seated worker's control stream ended without `bye`.
     WorkerGone {
         rank: usize,
     },
@@ -95,7 +89,8 @@ struct JobState {
     spec: JobSpec,
     client: TcpStream,
     done: Vec<Option<WorkerDone>>,
-    agg: TelemetryAggregator,
+    /// The job's telemetry, kept only when a report will be written.
+    agg: Option<TelemetryAggregator>,
     started: Instant,
 }
 
@@ -112,73 +107,67 @@ fn classify_connection(stream: TcpStream, events: &Sender<Event>, epoch: Instant
     if read_known_line(&mut reader, &mut line, known).unwrap_or(0) == 0 {
         return;
     }
-    let mut it = line.split_whitespace();
-    match it.next() {
-        Some("join") => {
-            let Some(port) = it.next().and_then(|p| p.parse().ok()) else {
+    let Some(mut request) = Line::parse(&line) else {
+        return;
+    };
+    match request.verb() {
+        "join" => {
+            let Some(port) = request.pos() else {
                 return;
             };
             // Answer the clock leg immediately (before the scheduler
             // gets involved) so the worker's measured RTT stays tight.
-            if it.next().is_some() {
+            if request.word().is_some() {
                 let mut w = match stream.try_clone() {
                     Ok(w) => w,
                     Err(_) => return,
                 };
-                let _ = writeln!(w, "clock {}", epoch.elapsed().as_micros() as u64);
+                let clock = LineWriter::new("clock").pos(epoch.elapsed().as_micros() as u64);
+                let _ = writeln!(w, "{}", clock.finish());
             }
             let _ = events.send(Event::Join { stream, port });
         }
-        Some("submit") => {
+        "submit" => {
             if let Some(spec) = JobSpec::parse_submit(&line) {
                 let _ = events.send(Event::Submit { stream, spec });
             } else {
-                let mut stream = stream;
-                let _ = writeln!(stream, "rejected reason={}", esc("malformed submit"));
+                reject(stream, "malformed submit");
             }
         }
-        Some("status") => {
+        "status" => {
             let _ = events.send(Event::Status { stream });
         }
-        Some("drain") => {
+        "drain" => {
             let _ = events.send(Event::Drain { stream });
         }
         _ => {}
     }
 }
 
-/// Drains one resident worker's control stream into scheduler events.
+fn reject(mut client: TcpStream, reason: &str) {
+    let line = LineWriter::new("rejected").text("reason", reason);
+    let _ = writeln!(client, "{}", line.finish());
+}
+
+/// Drains one resident worker's control stream into scheduler events,
+/// ending with exactly one departure: the worker's `bye`, or
+/// [`Event::WorkerGone`] when the stream ends (or fails) without one.
 fn worker_reader(stream: TcpStream, rank: usize, events: Sender<Event>) {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     let known = |v: &str| matches!(v, "jobdone" | "jobfail" | "jobtlm" | "bye");
-    loop {
-        match read_known_line(&mut reader, &mut line, known) {
-            Ok(0) | Err(_) => {
-                let _ = events.send(Event::WorkerGone { rank });
-                return;
-            }
-            Ok(_) => {}
-        }
-        if let Some(done) = WorkerDone::parse(&line) {
-            let _ = events.send(Event::WorkerDone(done));
-        } else if let Some((job, rank, err)) = parse_jobfail(&line) {
-            let _ = events.send(Event::WorkerFail { job, rank, err });
-        } else if let Some(rest) = line.strip_prefix("jobtlm ") {
-            let mut it = rest.splitn(2, ' ');
-            let job = it.next().and_then(|t| t.parse::<u64>().ok());
-            let frame = it.next().and_then(TelemetryFrame::parse);
-            if let (Some(job), Some(frame)) = (job, frame) {
-                let _ = events.send(Event::WorkerTlm {
-                    job,
-                    frame: Box::new(frame),
-                });
-            }
-        } else if line.starts_with("bye") {
-            let _ = events.send(Event::WorkerBye);
+    while read_known_line(&mut reader, &mut line, known).unwrap_or(0) > 0 {
+        // A malformed line of a known verb is dropped like an unknown one.
+        let Some(event) = WorkerEvent::parse(&line) else {
+            continue;
+        };
+        let said_bye = matches!(event, WorkerEvent::Bye { .. });
+        let _ = events.send(Event::Worker(event));
+        if said_bye {
             return;
         }
     }
+    let _ = events.send(Event::WorkerGone { rank });
 }
 
 struct Scheduler {
@@ -194,7 +183,8 @@ struct Scheduler {
     draining: bool,
     drain_sent: bool,
     drain_waiters: Vec<TcpStream>,
-    byes: usize,
+    /// Seated workers that left: said `bye`, or their stream ended.
+    departed: usize,
     events: Sender<Event>,
 }
 
@@ -221,12 +211,22 @@ impl Scheduler {
                 .collect(),
         );
         let table_line = table.wire_line();
+        // Workers trace their jobs only when a report will be written.
+        let traced = self.config.report_dir.is_some() as u8;
         for (rank, (mut stream, _)) in self.joiners.drain(..).enumerate() {
-            let _ = writeln!(stream, "rank {rank} {ranks}");
+            let seat = LineWriter::new("rank")
+                .pos(rank)
+                .pos(ranks)
+                .field("tlm", traced);
+            let _ = writeln!(stream, "{}", seat.finish());
             let _ = writeln!(stream, "{table_line}");
-            if let Ok(read_half) = stream.try_clone() {
-                let events = self.events.clone();
-                std::thread::spawn(move || worker_reader(read_half, rank, events));
+            let events = self.events.clone();
+            match stream.try_clone() {
+                Ok(read_half) => {
+                    std::thread::spawn(move || worker_reader(read_half, rank, events));
+                }
+                // Nobody can read this rank's reports: it has left.
+                Err(_) => drop(events.send(Event::WorkerGone { rank })),
             }
             self.workers.push(stream);
         }
@@ -238,18 +238,23 @@ impl Scheduler {
         match self.admission.submit(spec.clone()) {
             Err(reason) => {
                 self.summary.rejected += 1;
-                let _ = writeln!(stream, "rejected reason={}", esc(&reason.to_string()));
+                reject(stream, &reason.to_string());
             }
             Ok(()) => {
                 self.next_id += 1;
-                let _ = writeln!(stream, "accepted job={}", spec.id);
+                let accepted = LineWriter::new("accepted").field("job", spec.id);
+                let _ = writeln!(stream, "{}", accepted.finish());
                 self.jobs.insert(
                     spec.id,
                     JobState {
                         spec,
                         client: stream,
                         done: (0..self.config.ranks).map(|_| None).collect(),
-                        agg: TelemetryAggregator::new(self.config.ranks),
+                        agg: self
+                            .config
+                            .report_dir
+                            .as_ref()
+                            .map(|_| TelemetryAggregator::new(self.config.ranks)),
                         started: Instant::now(),
                     },
                 );
@@ -296,11 +301,13 @@ impl Scheduler {
             .collect::<Vec<_>>()
             .join(",");
         let elapsed_us = job.started.elapsed().as_micros() as u64;
-        let _ = writeln!(
-            job.client,
-            "jobdone job={id} out_records={out_records} out_bytes={out_bytes} \
-             crcs={crcs} elapsed_us={elapsed_us}"
-        );
+        let done = LineWriter::new("jobdone")
+            .field("job", id)
+            .field("out_records", out_records)
+            .field("out_bytes", out_bytes)
+            .field("crcs", crcs)
+            .field("elapsed_us", elapsed_us);
+        let _ = writeln!(job.client, "{}", done.finish());
         self.write_report(&job, elapsed_us);
         self.summary.completed += 1;
         self.admission.release(&job.spec.tenant);
@@ -309,7 +316,7 @@ impl Scheduler {
     }
 
     fn write_report(&self, job: &JobState, elapsed_us: u64) {
-        let Some(dir) = &self.config.report_dir else {
+        let (Some(dir), Some(agg)) = (&self.config.report_dir, &job.agg) else {
             return;
         };
         let meta = [
@@ -320,7 +327,7 @@ impl Scheduler {
             ("seed", job.spec.seed.to_string()),
             ("elapsed_us", elapsed_us.to_string()),
         ];
-        let json = job.agg.report_json(&meta);
+        let json = agg.report_json(&meta);
         let _ = std::fs::create_dir_all(dir);
         let _ = std::fs::write(dir.join(format!("job-{}.json", job.spec.id)), json);
     }
@@ -329,11 +336,10 @@ impl Scheduler {
         let Some(mut job) = self.jobs.remove(&id) else {
             return; // duplicate failure reports collapse into the first
         };
-        let _ = writeln!(
-            job.client,
-            "jobfail job={id} err={}",
-            esc(&format!("rank {rank}: {err}"))
-        );
+        let fail = LineWriter::new("jobfail")
+            .field("job", id)
+            .text("err", &format!("rank {rank}: {err}"));
+        let _ = writeln!(job.client, "{}", fail.finish());
         self.summary.failed += 1;
         self.admission.release(&job.spec.tenant);
         self.try_dispatch();
@@ -341,8 +347,9 @@ impl Scheduler {
     }
 
     fn on_worker_gone(&mut self, rank: usize) {
+        self.departed += 1;
         if self.drain_sent {
-            // Workers hang up right after `bye`; that is the plan.
+            // Told to leave, it left: only its `bye` is missing.
             return;
         }
         // A resident rank died: the mesh is degraded beyond repair for
@@ -358,19 +365,18 @@ impl Scheduler {
     }
 
     fn on_status(&mut self, mut stream: TcpStream) {
-        let fragments = self.admission.status_fragments().join(",");
-        let _ = writeln!(
-            stream,
-            "status ranks={}/{} queued={} running={} completed={} failed={} rejected={} {}",
-            self.workers.len(),
-            self.config.ranks,
-            self.admission.queued_total(),
-            self.admission.running_total(),
-            self.summary.completed,
-            self.summary.failed,
-            self.summary.rejected,
-            fragments
-        );
+        let seated = format_args!("{}/{}", self.workers.len(), self.config.ranks);
+        let status = LineWriter::new("status")
+            .field("ranks", seated)
+            .field("queued", self.admission.queued_total())
+            .field("running", self.admission.running_total())
+            .field("completed", self.summary.completed)
+            .field("failed", self.summary.failed)
+            .field("rejected", self.summary.rejected)
+            // One `tenant= queued= running=` group per tenant, the groups
+            // comma-joined: the reply's shape since before the codec.
+            .pos(self.admission.status_fragments().join(","));
+        let _ = writeln!(stream, "{}", status.finish());
     }
 
     fn on_drain(&mut self, stream: TcpStream) {
@@ -391,15 +397,18 @@ impl Scheduler {
         }
     }
 
-    /// True once the session is over: drained and every worker said bye
-    /// (or there never was a mesh to say bye from).
+    /// True once the session is over: drained and every seated worker
+    /// has left (or there never was a mesh to leave).
     fn finished(&self) -> bool {
-        self.drain_sent && self.byes >= self.workers.len()
+        self.drain_sent && self.departed >= self.workers.len()
     }
 
     fn finish(&mut self) {
+        let drained = LineWriter::new("drained")
+            .field("completed", self.summary.completed)
+            .finish();
         for mut w in self.drain_waiters.drain(..) {
-            let _ = writeln!(w, "drained completed={}", self.summary.completed);
+            let _ = writeln!(w, "{drained}");
         }
     }
 }
@@ -443,7 +452,7 @@ pub fn serve(listener: TcpListener, config: ServiceConfig) -> Result<ServiceSumm
         draining: false,
         drain_sent: false,
         drain_waiters: Vec::new(),
-        byes: 0,
+        departed: 0,
         events: events_tx,
     };
 
@@ -464,14 +473,16 @@ pub fn serve(listener: TcpListener, config: ServiceConfig) -> Result<ServiceSumm
             Event::Submit { stream, spec } => sched.on_submit(stream, spec),
             Event::Status { stream } => sched.on_status(stream),
             Event::Drain { stream } => sched.on_drain(stream),
-            Event::WorkerDone(done) => sched.on_worker_done(done),
-            Event::WorkerFail { job, rank, err } => sched.on_worker_fail(job, rank, err),
-            Event::WorkerTlm { job, frame } => {
-                if let Some(j) = sched.jobs.get_mut(&job) {
-                    j.agg.absorb(*frame);
+            Event::Worker(WorkerEvent::Done(done)) => sched.on_worker_done(done),
+            Event::Worker(WorkerEvent::Fail { job, rank, err }) => {
+                sched.on_worker_fail(job, rank, err)
+            }
+            Event::Worker(WorkerEvent::Tlm { job, frame }) => {
+                if let Some(agg) = sched.jobs.get_mut(&job).and_then(|j| j.agg.as_mut()) {
+                    agg.absorb(*frame);
                 }
             }
-            Event::WorkerBye => sched.byes += 1,
+            Event::Worker(WorkerEvent::Bye { .. }) => sched.departed += 1,
             Event::WorkerGone { rank } => sched.on_worker_gone(rank),
         }
     }

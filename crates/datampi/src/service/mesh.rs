@@ -29,8 +29,9 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use dmpi_common::{Error, FaultCause, FaultKind, Result};
@@ -61,8 +62,6 @@ struct MuxState {
     /// A mesh-wide transport fault (e.g. a peer died): every job opened
     /// after it surfaced sees it immediately.
     mesh_fault: Option<Error>,
-    /// Peers that sent their mesh-teardown EOF.
-    peers_gone: usize,
     closed: bool,
 }
 
@@ -87,6 +86,8 @@ pub struct JobMux {
     base_senders: Mutex<Vec<FrameSender>>,
     endpoint: Mutex<Option<Endpoint>>,
     state: Arc<Mutex<MuxState>>,
+    /// From the demultiplexer: `true` per teardown EOF, `false` per fault.
+    teardown: Mutex<Receiver<bool>>,
 }
 
 impl JobMux {
@@ -95,15 +96,17 @@ impl JobMux {
     /// flow through the mux from now on.
     pub fn new(mut endpoint: Endpoint) -> Arc<JobMux> {
         let receiver = endpoint.take_receiver();
+        let (teardown_tx, teardown_rx) = unbounded();
         let mux = Arc::new(JobMux {
             rank: endpoint.rank(),
             ranks: endpoint.ranks(),
             base_senders: Mutex::new(endpoint.senders()),
             endpoint: Mutex::new(Some(endpoint)),
             state: Arc::new(Mutex::new(MuxState::default())),
+            teardown: Mutex::new(teardown_rx),
         });
         let state = Arc::clone(&mux.state);
-        std::thread::spawn(move || demux_loop(receiver, &state));
+        std::thread::spawn(move || demux_loop(receiver, &state, &teardown_tx));
         mux
     }
 
@@ -173,9 +176,16 @@ impl JobMux {
 
     /// Tears the mesh down: sends one real [`Frame::Eof`] to every peer
     /// (the signal that lets their readers classify this as a clean
-    /// departure, not a rank death), then closes the endpoint, joining
-    /// its writer threads. Returns the socket-exact wire totals across
-    /// every job the mesh carried. Idempotent; later calls return zeros.
+    /// departure, not a rank death), waits for every peer's in return —
+    /// the discipline a job follows with its own EOFs — then closes the
+    /// endpoint, joining its poller. Returns the socket-exact wire
+    /// totals across every job the mesh carried. Idempotent; later calls
+    /// return zeros.
+    ///
+    /// The wait keeps this rank's data listener up while a slower peer
+    /// is still dialling it: closing the endpoint drops the listener at
+    /// once, and a peer refused there fails to establish its mesh. Past
+    /// the endpoint's accept deadline no peer can still be dialling.
     pub fn close(&self) -> WireStats {
         {
             let mut state = self.state.lock();
@@ -193,10 +203,21 @@ impl JobMux {
         }
         base.clear();
         drop(base);
-        match self.endpoint.lock().take() {
-            Some(endpoint) => endpoint.close(),
-            None => WireStats::default(),
+        let Some(endpoint) = self.endpoint.lock().take() else {
+            return WireStats::default();
+        };
+        if let Some(deadline) = endpoint.accept_deadline() {
+            let teardown = self.teardown.lock();
+            // This rank's own EOF comes back over its self-connection.
+            for _peer in 0..self.ranks {
+                let left = deadline.saturating_duration_since(Instant::now());
+                // A mesh fault, the deadline, or every stream over.
+                if teardown.recv_timeout(left) != Ok(true) {
+                    break;
+                }
+            }
         }
+        endpoint.close()
     }
 }
 
@@ -230,14 +251,14 @@ fn strip_tag(frame: Frame) -> Frame {
     }
 }
 
-fn demux_loop(receiver: FrameReceiver, state: &Mutex<MuxState>) {
+fn demux_loop(receiver: FrameReceiver, state: &Mutex<MuxState>, teardown: &Sender<bool>) {
     loop {
         match receiver.recv() {
             Ok(Some(Frame::Eof { .. })) => {
                 // A peer tore its mesh attachment down (drain / one-shot
                 // shutdown). Job-level EOFs arrive as tagged data, so
                 // this is mesh-scoped bookkeeping only.
-                state.lock().peers_gone += 1;
+                let _ = teardown.send(true);
             }
             Ok(Some(frame)) => {
                 let Some((job, _)) = frame.o_task().and_then(|t| untag_task(t as u64)) else {
@@ -245,6 +266,7 @@ fn demux_loop(receiver: FrameReceiver, state: &Mutex<MuxState>) {
                     // protocol violation worth failing loudly over.
                     broadcast_fault(
                         state,
+                        teardown,
                         Error::fault(FaultCause::new(
                             FaultKind::Transport,
                             format!(
@@ -286,14 +308,15 @@ fn demux_loop(receiver: FrameReceiver, state: &Mutex<MuxState>) {
                 st.open.clear();
                 return;
             }
-            Err(e) => broadcast_fault(state, e),
+            Err(e) => broadcast_fault(state, teardown, e),
         }
     }
 }
 
 /// Routes a transport fault to every open job and pins it for jobs
 /// opened later — a dead peer kills every job sharing the mesh.
-fn broadcast_fault(state: &Mutex<MuxState>, e: Error) {
+fn broadcast_fault(state: &Mutex<MuxState>, teardown: &Sender<bool>, e: Error) {
+    let _ = teardown.send(false);
     let mut st = state.lock();
     for slot in st.open.values() {
         let _ = slot.tx.send(Err(e.clone()));
@@ -321,6 +344,14 @@ mod tests {
         let e0 = establish_endpoint(0, l0, &peers, &TcpOptions::default()).unwrap();
         let e1 = h.join().unwrap();
         (JobMux::new(e0), JobMux::new(e1))
+    }
+
+    /// Closes both ranks at once, as two workers would: each waits for
+    /// the other's teardown EOF before it lets go of its endpoint.
+    fn close_both(m0: &Arc<JobMux>, m1: &Arc<JobMux>) -> (WireStats, WireStats) {
+        let other = Arc::clone(m1);
+        let h = std::thread::spawn(move || other.close());
+        (m0.close(), h.join().unwrap())
     }
 
     #[test]
@@ -363,8 +394,7 @@ mod tests {
         drop(job_b);
         drop(a0);
         drop(b0);
-        m0.close();
-        m1.close();
+        close_both(&m0, &m1);
     }
 
     #[test]
@@ -385,8 +415,7 @@ mod tests {
         ));
         drop(sender_side);
         drop(late);
-        m0.close();
-        m1.close();
+        close_both(&m0, &m1);
     }
 
     #[test]
@@ -395,14 +424,14 @@ mod tests {
         let JobChannels {
             senders, receiver, ..
         } = m1.open_job(0).unwrap();
-        let stats = m0.close();
+        // Rank 1's senders must be gone before close, or the writer join
+        // would wait on us.
+        drop(senders);
+        let (stats, _) = close_both(&m0, &m1);
         // Rank 0 sent one mesh EOF per peer and nothing else.
         assert!(stats.bytes_sent >= 5);
         // Rank 1's open job sees clean end-of-stream (disconnect), not a
-        // RankDeath fault, once its own mux closes too. Its senders must
-        // be gone before close, or the writer join would wait on us.
-        drop(senders);
-        m1.close();
+        // RankDeath fault.
         loop {
             match receiver.recv() {
                 Ok(Some(_)) => continue,
@@ -419,8 +448,21 @@ mod tests {
         assert!(m0.open_job(1).is_err());
         m0.finish_job(1);
         assert!(m0.open_job(1).is_err(), "finished jobs never reopen");
-        m0.close();
+        close_both(&m0, &m1);
         assert!(m0.open_job(2).is_err());
+    }
+
+    #[test]
+    fn close_holds_the_endpoint_until_the_peer_has_left_too() {
+        let (m0, m1) = two_rank_meshes();
+        let first = Arc::clone(&m0);
+        let closing = std::thread::spawn(move || first.close());
+        // Rank 0 is inside `close`, and rank 1's EOF is outstanding.
+        while !m0.state.lock().closed {
+            std::thread::yield_now();
+        }
+        assert!(!closing.is_finished(), "rank 0 must wait for rank 1's EOF");
         m1.close();
+        closing.join().unwrap();
     }
 }

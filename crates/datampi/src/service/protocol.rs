@@ -1,47 +1,64 @@
-//! Service wire protocol: the job verbs layered on the line-oriented
-//! rendezvous protocol.
+//! The control-plane line codec and the verbs that ride on it.
 //!
-//! Everything on a service control stream is one line of text: a verb
-//! token, then space-separated positional or `key=value` fields, with
-//! percent-escaping for free-form values (tenant names, paths, error
-//! messages). The verb families:
+//! Everything on a rendezvous, telemetry or service control stream is
+//! one line of text in one grammar, `verb positional… key=value…`, read
+//! through [`Line`] and written through [`LineWriter`], with free-form
+//! values (tenant names, paths, error messages) percent-escaped.
+//! DESIGN.md §14 has the verb table; the families are:
 //!
-//! * **worker ↔ coordinator** — `join <port> <t0>` (a resident worker
-//!   announcing its data port), answered by `clock <T>`, `rank <r>
-//!   <ranks>` and the usual `peers v<N> …` table broadcast; then any
-//!   number of `job <id> …` dispatches answered per rank by
-//!   `jobdone <id> rank=… …` / `jobfail <id> rank=… err=…`, with
-//!   `jobtlm <id> tlm …` telemetry interleaved; finally `drain` /
-//!   `bye rank=<r>` for graceful deregistration.
+//! * **rendezvous** — `rank <r> <port> <t0>` (one-shot worker) or `join
+//!   <port> <t0>` (resident worker), answered by `clock <T>`, for a
+//!   resident worker its seat `rank <r> <ranks> tlm=<0|1>`, and the
+//!   `peers v<N> …` table broadcast;
+//! * **coordinator → worker** — `job <id> …` dispatches ([`JobSpec`]),
+//!   finally `drain`;
+//! * **worker → coordinator** ([`WorkerEvent`]; a `dmpirun` worker
+//!   speaks it too, as job 0) — `jobdone <id> rank=… …` or `jobfail <id>
+//!   rank=… err=…` per job, `jobtlm <id> tlm …` telemetry interleaved,
+//!   finally `bye rank=<r>`;
 //! * **client ↔ coordinator** — `submit tenant=… workload=… …`,
-//!   answered by `accepted job=<id>` or `rejected reason=…` and later
-//!   a terminal `jobdone job=<id> …` / `jobfail job=<id> err=…`; plus
+//!   answered by `accepted job=<id>` or `rejected reason=…` and later a
+//!   terminal `jobdone job=<id> …` / `jobfail job=<id> err=…`; plus
 //!   one-line `status` and `drain` queries.
 //!
 //! **Forward compatibility** is a protocol rule, not an accident: every
 //! reader skips lines whose leading verb it does not recognize
-//! ([`read_known_line`]), exactly as `TelemetryFrame::parse` ignores
-//! unknown fields. An old worker pointed at a new coordinator (or the
-//! reverse) sees future verbs as noise rather than errors, which is what
-//! lets `job …` verbs ride on the same streams the one-shot launcher
-//! already uses.
+//! ([`read_known_line`]) and every parser ignores fields it does not
+//! know, so an old worker pointed at a new coordinator (or the reverse)
+//! sees future verbs as noise rather than errors. Malformed input — a
+//! token without `=` among the fields, a bad number, a bad escape —
+//! makes a parser return `None`; nothing here panics on input.
 
-use std::fmt::Write as _;
-use std::io::{self, BufRead};
+use std::fmt::{Display, Write as _};
+use std::io::{self, BufRead, Read};
+use std::str::FromStr;
+
+use crate::observe::TelemetryFrame;
+
+/// Longest control line a reader accepts, newline included: room for a
+/// final `tlm` frame of a few hundred thousand spans, and the bound on
+/// what a peer that never sends `\n` can make a reader buffer.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
+fn esc_into(out: &mut String, s: &str) {
+    for b in s.bytes() {
+        match b {
+            // Bytes of a multi-byte character are escaped one by one:
+            // pushed as `char`s they would each become a character.
+            b',' | b';' | b':' | b'=' | b'%' | 0x00..=0x20 | 0x7f..=0xff => {
+                let _ = write!(out, "%{b:02x}");
+            }
+            _ => out.push(b as char),
+        }
+    }
+}
 
 /// Percent-escapes a free-form value so it contains no whitespace and
 /// none of the separators of any line protocol here (`= % ,` on service
 /// lines, `; :` as well inside `tlm` span arguments).
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b',' | b';' | b':' | b'=' | b'%' | 0x00..=0x20 | 0x7f => {
-                let _ = write!(out, "%{b:02x}");
-            }
-            _ => out.push(b as char),
-        }
-    }
+    esc_into(&mut out, s);
     out
 }
 
@@ -63,11 +80,126 @@ pub fn unesc(s: &str) -> Option<String> {
     String::from_utf8(out).ok()
 }
 
+/// A borrowed view of one control line: a cursor that hands out the
+/// positional tokens in order and then the `key=value` fields,
+/// allocating nothing per token.
+#[derive(Clone, Debug)]
+pub struct Line<'a> {
+    verb: &'a str,
+    tokens: std::str::SplitWhitespace<'a>,
+}
+
+impl<'a> Line<'a> {
+    /// Splits the verb off `line`. `None` for a blank line.
+    pub fn parse(line: &'a str) -> Option<Line<'a>> {
+        let mut tokens = line.split_whitespace();
+        let verb = tokens.next()?;
+        Some(Line { verb, tokens })
+    }
+
+    /// [`parse`](Self::parse), but `None` unless the verb is `verb`.
+    pub fn of(line: &'a str, verb: &str) -> Option<Line<'a>> {
+        Line::parse(line).filter(|l| l.verb == verb)
+    }
+
+    /// The leading verb.
+    pub fn verb(&self) -> &'a str {
+        self.verb
+    }
+
+    /// The next positional token, as written.
+    pub fn word(&mut self) -> Option<&'a str> {
+        self.tokens.next()
+    }
+
+    /// The next positional token, typed; `None` if missing or malformed.
+    pub fn pos<T: FromStr>(&mut self) -> Option<T> {
+        self.word()?.parse().ok()
+    }
+
+    /// The remaining tokens as `key=value` fields. A token without `=`
+    /// yields `None`: the line is malformed and its parser gives up.
+    pub fn fields(self) -> impl Iterator<Item = Option<(&'a str, Value<'a>)>> {
+        self.tokens
+            .map(|t| t.split_once('=').map(|(k, v)| (k, Value(v))))
+    }
+
+    /// The first remaining field named `key`.
+    pub fn get(self, key: &str) -> Option<Value<'a>> {
+        let mut fields = self.fields().flatten();
+        fields.find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+}
+
+/// One field's value as written (`.0`), with the typed getters.
+#[derive(Clone, Copy, Debug)]
+pub struct Value<'a>(pub &'a str);
+
+impl Value<'_> {
+    /// The value as a number (or anything else `FromStr`).
+    pub fn num<T: FromStr>(self) -> Option<T> {
+        self.0.parse().ok()
+    }
+
+    /// The value as free-form text, un-escaped.
+    pub fn text(self) -> Option<String> {
+        unesc(self.0)
+    }
+
+    /// The value as a `0`/`1` flag.
+    pub fn flag(self) -> bool {
+        self.0 == "1"
+    }
+}
+
+/// Builds one control line (no trailing newline) for [`Line`] to read.
+#[derive(Debug)]
+pub struct LineWriter(String);
+
+impl LineWriter {
+    /// Starts a line with its verb.
+    pub fn new(verb: &str) -> LineWriter {
+        LineWriter(verb.to_string())
+    }
+
+    /// Appends a positional token.
+    pub fn pos(mut self, value: impl Display) -> LineWriter {
+        let _ = write!(self.0, " {value}");
+        self
+    }
+
+    /// Appends `key=value`; the value must need no escaping (a number).
+    pub fn field(mut self, key: &str, value: impl Display) -> LineWriter {
+        let _ = write!(self.0, " {key}={value}");
+        self
+    }
+
+    /// Appends `key=value` with the free-form `value` escaped.
+    pub fn text(mut self, key: &str, value: &str) -> LineWriter {
+        esc_into(self.open(key), value);
+        self
+    }
+
+    /// Appends `key=` and returns the buffer, for a value with an
+    /// encoding of its own (the `tlm` frame's lists).
+    pub fn open(&mut self, key: &str) -> &mut String {
+        let _ = write!(self.0, " {key}=");
+        &mut self.0
+    }
+
+    /// The finished line.
+    pub fn finish(self) -> String {
+        self.0
+    }
+}
+
 /// Reads the next line whose leading verb `accept` recognizes, skipping
 /// unknown-verb lines (and blank lines) for forward compatibility —
 /// older peers must tolerate verbs introduced after they shipped.
 /// Returns `Ok(0)` at end of stream, otherwise the byte length of the
-/// accepted line (stored in `line`, trailing newline included).
+/// accepted line (stored in `line`, trailing newline included). A line
+/// longer than [`MAX_LINE_BYTES`] is an `InvalidData` error, raised
+/// before more than that many bytes of it were read.
 pub fn read_known_line<R: BufRead>(
     reader: &mut R,
     line: &mut String,
@@ -75,14 +207,16 @@ pub fn read_known_line<R: BufRead>(
 ) -> io::Result<usize> {
     loop {
         line.clear();
-        let n = reader.read_line(line)?;
-        if n == 0 {
-            return Ok(0);
+        let mut capped = reader.by_ref().take(MAX_LINE_BYTES as u64);
+        let n = capped.read_line(line)?;
+        if n == MAX_LINE_BYTES && !line.ends_with('\n') {
+            let detail = format!("control line exceeds {MAX_LINE_BYTES} bytes");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
         }
-        match line.split_whitespace().next() {
-            Some(verb) if accept(verb) => return Ok(n),
-            _ => continue, // unknown or blank: a future peer's verb
+        if n == 0 || Line::parse(line).is_some_and(|l| accept(l.verb())) {
+            return Ok(n);
         }
+        // Unknown or blank: a future peer's verb.
     }
 }
 
@@ -118,63 +252,39 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    fn fields(&self) -> String {
-        let mut s = format!(
-            "tenant={} workload={} tasks={} bytes={} seed={} par={}",
-            esc(&self.tenant),
-            esc(&self.workload),
-            self.tasks,
-            self.bytes_per_task,
-            self.seed,
-            self.o_parallelism,
-        );
+    fn write_fields(&self, line: LineWriter) -> String {
+        let mut line = line
+            .text("tenant", &self.tenant)
+            .text("workload", &self.workload)
+            .field("tasks", self.tasks)
+            .field("bytes", self.bytes_per_task)
+            .field("seed", self.seed)
+            .field("par", self.o_parallelism);
         if let Some(out) = &self.out {
-            let _ = write!(s, " out={}", esc(out));
+            line = line.text("out", out);
         }
         if let Some(dir) = &self.spill_dir {
-            let _ = write!(s, " spilldir={}", esc(dir));
+            line = line.text("spilldir", dir);
         }
         if self.spill_compress {
-            s.push_str(" spillcomp=1");
+            line = line.field("spillcomp", 1);
         }
-        s
+        line.finish()
     }
 
     /// The dispatch form: `job <id> tenant=… workload=… …`.
     pub fn wire_line(&self) -> String {
-        format!("job {} {}", self.id, self.fields())
+        self.write_fields(LineWriter::new("job").pos(self.id))
     }
 
     /// The submission form: `submit tenant=… workload=… …` (no id).
     pub fn submit_line(&self) -> String {
-        format!("submit {}", self.fields())
+        self.write_fields(LineWriter::new("submit"))
     }
 
-    fn parse_fields(mut spec: JobSpec, it: std::str::SplitWhitespace) -> Option<JobSpec> {
-        for field in it {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "tenant" => spec.tenant = unesc(value)?,
-                "workload" => spec.workload = unesc(value)?,
-                "tasks" => spec.tasks = value.parse().ok()?,
-                "bytes" => spec.bytes_per_task = value.parse().ok()?,
-                "seed" => spec.seed = value.parse().ok()?,
-                "par" => spec.o_parallelism = value.parse().ok()?,
-                "out" => spec.out = Some(unesc(value)?),
-                "spilldir" => spec.spill_dir = Some(unesc(value)?),
-                "spillcomp" => spec.spill_compress = value == "1",
-                _ => {} // forward compatibility: ignore unknown fields
-            }
-        }
-        if spec.tenant.is_empty() || spec.workload.is_empty() || spec.tasks == 0 {
-            return None;
-        }
-        Some(spec)
-    }
-
-    fn empty() -> JobSpec {
-        JobSpec {
-            id: 0,
+    fn parse_fields(id: u64, line: Line<'_>) -> Option<JobSpec> {
+        let mut spec = JobSpec {
+            id,
             tenant: String::new(),
             workload: String::new(),
             tasks: 0,
@@ -184,123 +294,184 @@ impl JobSpec {
             out: None,
             spill_dir: None,
             spill_compress: false,
+        };
+        for field in line.fields() {
+            let (key, value) = field?;
+            match key {
+                "tenant" => spec.tenant = value.text()?,
+                "workload" => spec.workload = value.text()?,
+                "tasks" => spec.tasks = value.num()?,
+                "bytes" => spec.bytes_per_task = value.num()?,
+                "seed" => spec.seed = value.num()?,
+                "par" => spec.o_parallelism = value.num()?,
+                "out" => spec.out = Some(value.text()?),
+                "spilldir" => spec.spill_dir = Some(value.text()?),
+                "spillcomp" => spec.spill_compress = value.flag(),
+                _ => {} // forward compatibility: ignore unknown fields
+            }
         }
+        if spec.tenant.is_empty() || spec.workload.is_empty() || spec.tasks == 0 {
+            return None;
+        }
+        Some(spec)
     }
 
     /// Parses a `job <id> …` dispatch line.
     pub fn parse_job(line: &str) -> Option<JobSpec> {
-        let mut it = line.split_whitespace();
-        if it.next()? != "job" {
-            return None;
-        }
-        let mut spec = JobSpec::empty();
-        spec.id = it.next()?.parse().ok()?;
-        Self::parse_fields(spec, it)
+        let mut line = Line::of(line, "job")?;
+        Self::parse_fields(line.pos()?, line)
     }
 
     /// Parses a `submit …` line (id left at 0 for the coordinator to
     /// assign).
     pub fn parse_submit(line: &str) -> Option<JobSpec> {
-        let mut it = line.split_whitespace();
-        if it.next()? != "submit" {
-            return None;
-        }
-        Self::parse_fields(JobSpec::empty(), it)
+        Self::parse_fields(0, Line::of(line, "submit")?)
     }
 }
 
-/// One rank's completion report for one job.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WorkerDone {
-    /// The finished job.
-    pub job: u64,
+/// Declares [`WorkerDone`]: every field after the job id rides on the
+/// `jobdone` line as `name=value` under its own name, so the struct, the
+/// writer and the parser are one list.
+macro_rules! worker_done {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty,)*) => {
+        /// One rank's completion report for one job.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct WorkerDone {
+            /// The finished job.
+            pub job: u64,
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl WorkerDone {
+            /// The wire form: `jobdone <id> rank=… crc=… …`.
+            pub fn wire_line(&self) -> String {
+                let line = LineWriter::new("jobdone").pos(self.job);
+                $(let line = line.field(stringify!($field), self.$field);)*
+                line.finish()
+            }
+
+            fn parse_fields(mut line: Line<'_>) -> Option<WorkerDone> {
+                let mut done = WorkerDone {
+                    job: line.pos()?,
+                    ..WorkerDone::default()
+                };
+                for field in line.fields() {
+                    let (key, value) = field?;
+                    match key {
+                        $(stringify!($field) => done.$field = value.num()?,)*
+                        _ => {} // forward compatibility
+                    }
+                }
+                Some(done)
+            }
+        }
+    };
+}
+
+worker_done! {
     /// Reporting rank.
-    pub rank: usize,
+    rank: usize,
     /// CRC-32C of the rank's framed partition bytes (the byte-identity
     /// fingerprint `dmpirun --verify-inproc` also uses).
-    pub crc: u32,
+    crc: u32,
     /// Wall time this rank spent on the job, µs.
-    pub elapsed_us: u64,
+    elapsed_us: u64,
     /// Records in the rank's A partition.
-    pub out_records: u64,
+    out_records: u64,
     /// Framed partition bytes.
-    pub out_bytes: u64,
+    out_bytes: u64,
     /// Records the rank's O tasks emitted.
-    pub records_emitted: u64,
+    records_emitted: u64,
     /// Key groups reduced.
-    pub groups: u64,
-    /// Estimated encoded bytes this job sent on the shared mesh.
-    pub wire_sent: u64,
-    /// Estimated encoded bytes this job received on the shared mesh.
-    pub wire_recv: u64,
+    groups: u64,
+    /// Encoded bytes this job sent: estimated per job on a shared mesh,
+    /// socket-exact for a one-shot job.
+    wire_sent: u64,
+    /// Encoded bytes this job received (likewise).
+    wire_recv: u64,
+    /// O tasks this rank ran.
+    o_tasks_run: u64,
+    /// Payload bytes the rank's O tasks emitted.
+    bytes_emitted: u64,
+    /// Data frames the rank shipped.
+    frames: u64,
 }
 
 impl WorkerDone {
-    /// The wire form: `jobdone <id> rank=… crc=… …`.
-    pub fn wire_line(&self) -> String {
-        format!(
-            "jobdone {} rank={} crc={} elapsed_us={} out_records={} out_bytes={} \
-             records_emitted={} groups={} wire_sent={} wire_recv={}",
-            self.job,
-            self.rank,
-            self.crc,
-            self.elapsed_us,
-            self.out_records,
-            self.out_bytes,
-            self.records_emitted,
-            self.groups,
-            self.wire_sent,
-            self.wire_recv,
-        )
-    }
-
     /// Parses a [`wire_line`](Self::wire_line).
     pub fn parse(line: &str) -> Option<WorkerDone> {
-        let mut it = line.split_whitespace();
-        if it.next()? != "jobdone" {
-            return None;
-        }
-        let mut done = WorkerDone {
-            job: it.next()?.parse().ok()?,
-            ..WorkerDone::default()
-        };
-        for field in it {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "rank" => done.rank = value.parse().ok()?,
-                "crc" => done.crc = value.parse().ok()?,
-                "elapsed_us" => done.elapsed_us = value.parse().ok()?,
-                "out_records" => done.out_records = value.parse().ok()?,
-                "out_bytes" => done.out_bytes = value.parse().ok()?,
-                "records_emitted" => done.records_emitted = value.parse().ok()?,
-                "groups" => done.groups = value.parse().ok()?,
-                "wire_sent" => done.wire_sent = value.parse().ok()?,
-                "wire_recv" => done.wire_recv = value.parse().ok()?,
-                _ => {}
-            }
-        }
-        Some(done)
+        Self::parse_fields(Line::of(line, "jobdone")?)
     }
 }
 
-/// Parses a worker's `jobfail <id> rank=<r> err=<esc>` line.
-pub fn parse_jobfail(line: &str) -> Option<(u64, usize, String)> {
-    let mut it = line.split_whitespace();
-    if it.next()? != "jobfail" {
-        return None;
-    }
-    let job = it.next()?.parse().ok()?;
-    let mut rank = None;
-    let mut err = None;
-    for field in it {
-        let (key, value) = field.split_once('=')?;
-        match key {
-            "rank" => rank = Some(value.parse().ok()?),
-            "err" => err = Some(unesc(value)?),
-            _ => {}
+/// What a worker tells its coordinator over its control stream: the one
+/// vocabulary of `dmpid` workers and of `dmpirun` workers (job 0).
+#[derive(Clone, Debug, PartialEq)]
+#[allow(missing_docs)] // the fields are named for what they are
+pub enum WorkerEvent {
+    /// `jobdone <id> rank=… …`: the rank finished the job.
+    Done(WorkerDone),
+    /// `jobfail <id> rank=<r> err=<escaped>`: the job failed on the rank
+    /// with `err`, as the rank's `Error` displays.
+    Fail { job: u64, rank: usize, err: String },
+    /// `jobtlm <id> tlm …`: a telemetry frame of the job.
+    Tlm {
+        job: u64,
+        frame: Box<TelemetryFrame>,
+    },
+    /// `bye rank=<r>`: the rank deregisters after `drain`.
+    Bye { rank: usize },
+}
+
+impl WorkerEvent {
+    /// The one-line wire form (no trailing newline).
+    pub fn wire_line(&self) -> String {
+        match self {
+            WorkerEvent::Done(done) => done.wire_line(),
+            WorkerEvent::Fail { job, rank, err } => LineWriter::new("jobfail")
+                .pos(job)
+                .field("rank", rank)
+                .text("err", err)
+                .finish(),
+            WorkerEvent::Tlm { job, frame } => LineWriter::new("jobtlm")
+                .pos(job)
+                .pos(frame.wire_line())
+                .finish(),
+            WorkerEvent::Bye { rank } => LineWriter::new("bye").field("rank", rank).finish(),
         }
     }
-    Some((job, rank?, err?))
+
+    /// Classifies one worker → coordinator line. `None` for another verb
+    /// or a malformed line.
+    pub fn parse(line: &str) -> Option<WorkerEvent> {
+        let mut line = Line::parse(line)?;
+        match line.verb() {
+            "jobdone" => WorkerDone::parse_fields(line).map(WorkerEvent::Done),
+            "jobfail" => {
+                let job = line.pos()?;
+                let (mut rank, mut err) = (None, None);
+                for field in line.fields() {
+                    match field? {
+                        ("rank", value) => rank = Some(value.num()?),
+                        ("err", value) => err = Some(value.text()?),
+                        _ => {}
+                    }
+                }
+                let (rank, err) = (rank?, err?);
+                Some(WorkerEvent::Fail { job, rank, err })
+            }
+            "jobtlm" => {
+                let job = line.pos()?;
+                let frame = Box::new(TelemetryFrame::parse_fields(line.word()?, line)?);
+                Some(WorkerEvent::Tlm { job, frame })
+            }
+            "bye" => line
+                .get("rank")?
+                .num()
+                .map(|rank| WorkerEvent::Bye { rank }),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -310,9 +481,17 @@ mod tests {
 
     #[test]
     fn escaping_round_trips() {
-        for s in ["plain", "with space", "a,b;c:d=e%f", "tab\tnl\n", ""] {
+        for s in [
+            "plain",
+            "with space",
+            "a,b;c:d=e%f",
+            "tab\tnl\n",
+            "",
+            "caf\u{e9} \u{4e16}",
+        ] {
             let escaped = esc(s);
             assert!(!escaped.contains([' ', '\t', '\n', ',', ';', ':', '=']));
+            assert!(escaped.is_ascii(), "{escaped}");
             assert_eq!(unesc(&escaped).as_deref(), Some(s));
         }
         assert!(unesc("%zz").is_none());
@@ -349,7 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_done_and_jobfail_round_trip() {
+    fn worker_events_round_trip() {
         let done = WorkerDone {
             job: 3,
             rank: 1,
@@ -361,14 +540,101 @@ mod tests {
             groups: 9,
             wire_sent: 840,
             wire_recv: 630,
+            o_tasks_run: 2,
+            bytes_emitted: 480,
+            frames: 4,
         };
         assert_eq!(WorkerDone::parse(&done.wire_line()).unwrap(), done);
-        let line = format!("jobfail 7 rank=2 err={}", esc("mesh tore: rank 1 died"));
+        let frame = TelemetryFrame {
+            rank: 1,
+            seq: 2,
+            is_final: true,
+            sent_row: vec![0, 7],
+            ..TelemetryFrame::default()
+        };
+        for event in [
+            WorkerEvent::Done(done),
+            WorkerEvent::Fail {
+                job: 7,
+                rank: 2,
+                err: "mesh tore: rank 1 died\nwith 100% of a=b".into(),
+            },
+            WorkerEvent::Tlm {
+                job: 4,
+                frame: Box::new(frame),
+            },
+            WorkerEvent::Bye { rank: 1 },
+        ] {
+            let line = event.wire_line();
+            assert!(!line.contains('\n'), "{line}");
+            assert_eq!(WorkerEvent::parse(&line), Some(event), "{line}");
+        }
         assert_eq!(
-            parse_jobfail(&line),
-            Some((7, 2, "mesh tore: rank 1 died".to_string()))
+            WorkerEvent::Bye { rank: 1 }.wire_line(),
+            "bye rank=1",
+            "the deregistration line is unchanged"
         );
-        assert!(parse_jobfail("jobfail 7 rank=2").is_none());
+        // Every rejection: a missing field, a bad number, a bad escape, a
+        // token without `=`, a missing job id, another family's verb.
+        for bad in [
+            "jobfail 7 rank=2",
+            "jobfail 7 err=x",
+            "jobfail 7 rank=x err=y",
+            "jobfail 7 rank=2 err=%zz",
+            "jobfail 7 rank=2 stray err=y",
+            "jobfail rank=2 err=y",
+            "jobdone x rank=1",
+            "jobdone 3 rank=1 crc=notanumber",
+            "jobtlm 4 rank=1",
+            "jobtlm x tlm rank=1",
+            "jobtlm 4 tlm rank=x",
+            "bye",
+            "done rank=0 crc=1",
+            "",
+        ] {
+            assert_eq!(WorkerEvent::parse(bad), None, "{bad:?}");
+        }
+        // Unknown fields are ignored (forward compatibility).
+        assert!(WorkerEvent::parse("jobfail 7 rank=2 err=y attempt=3").is_some());
+    }
+
+    #[test]
+    fn line_hands_out_positionals_then_fields() {
+        let mut line = Line::parse("  rank 3 4 tlm=1 note=a%20b\n").unwrap();
+        assert_eq!(line.verb(), "rank");
+        assert_eq!(line.pos::<usize>(), Some(3));
+        assert_eq!(line.word(), Some("4"));
+        let fields: Vec<_> = line.clone().fields().map(Option::unwrap).collect();
+        assert_eq!(fields.len(), 2);
+        assert!(fields[0].1.flag());
+        assert_eq!(fields[1].1.text().as_deref(), Some("a b"));
+        assert_eq!(fields[1].1 .0, "a%20b");
+        assert_eq!(line.clone().get("tlm").and_then(|v| v.num::<u8>()), Some(1));
+        assert!(line.get("absent").is_none());
+        assert!(Line::parse(" \t\n").is_none(), "blank line");
+        assert!(Line::of("rank 1", "join").is_none());
+        let mut short = Line::parse("clock").unwrap();
+        assert_eq!(short.pos::<u64>(), None, "missing positional");
+        assert_eq!(Line::parse("clock x").unwrap().pos::<u64>(), None);
+        // A token without `=` among the fields marks the line malformed.
+        let malformed: Vec<_> = Line::parse("v a=1 b").unwrap().fields().collect();
+        assert!(malformed[0].is_some() && malformed[1].is_none());
+    }
+
+    #[test]
+    fn line_writer_output_reads_back() {
+        let mut w = LineWriter::new("verb")
+            .pos(7)
+            .field("n", -3)
+            .text("t", "a b=c");
+        w.open("list").push_str("1:2");
+        let text = w.finish();
+        assert_eq!(text, "verb 7 n=-3 t=a%20b%3dc list=1:2");
+        let mut line = Line::parse(&text).unwrap();
+        assert_eq!(line.pos::<u32>(), Some(7));
+        assert_eq!(line.clone().get("n").unwrap().num::<i64>(), Some(-3));
+        assert_eq!(line.clone().get("t").unwrap().text().unwrap(), "a b=c");
+        assert_eq!(line.get("list").unwrap().0, "1:2");
     }
 
     #[test]
@@ -384,5 +650,39 @@ mod tests {
             read_known_line(&mut reader, &mut line, |v| v == "job").unwrap(),
             0
         );
+    }
+
+    /// A peer that streams bytes and never a newline.
+    struct Endless {
+        served: usize,
+    }
+
+    impl io::Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            buf.fill(b'x');
+            self.served += buf.len();
+            Ok(buf.len())
+        }
+    }
+
+    #[test]
+    fn a_line_over_the_cap_is_an_error_not_unbounded_memory() {
+        let mut reader = io::BufReader::with_capacity(4096, Endless { served: 0 });
+        let mut line = String::new();
+        let err = read_known_line(&mut reader, &mut line, |_| true).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        assert!(line.len() <= MAX_LINE_BYTES, "buffered {}", line.len());
+        // At most the cap was consumed (what the BufReader prefetched
+        // beyond it stays in its buffer, unread).
+        let consumed = reader.get_ref().served - reader.buffer().len();
+        assert_eq!(consumed, MAX_LINE_BYTES);
+
+        // A line of exactly the cap, newline included, still reads.
+        let mut exact = "y".repeat(MAX_LINE_BYTES - 1);
+        exact.push('\n');
+        let mut reader = Cursor::new(exact);
+        let n = read_known_line(&mut reader, &mut line, |_| true).unwrap();
+        assert_eq!(n, MAX_LINE_BYTES);
     }
 }

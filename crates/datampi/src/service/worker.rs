@@ -5,12 +5,13 @@
 //! literal: rendezvous, TCP mesh establishment, and thread-pool warmup
 //! are paid once at `dmpid` start; every subsequent job costs only a
 //! `job …` control line. Jobs run concurrently — each on its own thread
-//! with its own [`Observer`] and its own [`JobMux`] route — so two
-//! tenants' jobs interleave on the shared sockets without sharing any
-//! runtime state.
+//! with its own [`JobMux`] route (and, when the coordinator writes
+//! reports, its own [`Observer`]) — so two tenants' jobs interleave on
+//! the shared sockets without sharing any runtime state.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -21,13 +22,13 @@ use dmpi_common::ser::RecordWriter;
 use dmpi_common::{Error, FaultCause, FaultKind, Result};
 
 use crate::config::JobConfig;
-use crate::distrib::{run_mesh_rank, RankTable};
+use crate::distrib::{run_mesh_rank, RankTable, WorkerReport};
 use crate::observe::{ClockSync, Observer, TelemetrySink};
 use crate::task::{Collector, GroupedValues};
 use crate::transport::{establish_endpoint, TcpOptions};
 
 use super::mesh::JobMux;
-use super::protocol::{esc, read_known_line, JobSpec, WorkerDone};
+use super::protocol::{read_known_line, JobSpec, Line, LineWriter, WorkerDone, WorkerEvent};
 
 /// A boxed O (map-side) function, as resolved from a job spec.
 pub type BoxedOFn = Box<dyn Fn(usize, &[u8], &mut dyn Collector) + Send + Sync>;
@@ -73,7 +74,10 @@ fn service_fault(detail: String) -> Error {
 struct Session {
     rank: usize,
     table: RankTable,
-    sync: ClockSync,
+    /// `Some` when the coordinator writes job reports (`tlm=1` in its
+    /// reply): jobs then run traced and ship their telemetry, with span
+    /// times corrected by this clock sync.
+    trace: Option<ClockSync>,
     control: BufReader<TcpStream>,
 }
 
@@ -88,11 +92,13 @@ fn join_coordinator(coord: SocketAddr, port: u16, epoch: &Instant) -> Result<Ses
         .try_clone()
         .map_err(|e| service_fault(format!("clone control stream: {e}")))?;
     let t0 = now_us();
-    writeln!(writer, "join {port} {t0}").map_err(|e| service_fault(format!("send join: {e}")))?;
+    let join = LineWriter::new("join").pos(port).pos(t0);
+    writeln!(writer, "{}", join.finish()).map_err(|e| service_fault(format!("send join: {e}")))?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     let mut sync = ClockSync::default();
     let mut rank: Option<usize> = None;
+    let mut traced = false;
     let mut table: Option<RankTable> = None;
     // The handshake answers arrive in order (clock, rank, peers) but
     // tolerate reordering and — forward compatibility — unknown verbs.
@@ -106,14 +112,18 @@ fn join_coordinator(coord: SocketAddr, port: u16, epoch: &Instant) -> Result<Ses
                 "coordinator closed the stream mid-handshake".into(),
             ));
         }
-        if let Some(t) = line.strip_prefix("clock ") {
-            if let Ok(coord_now) = t.trim().parse::<u64>() {
-                sync = ClockSync::from_exchange(t0, coord_now, now_us());
+        let mut reply = Line::parse(&line).expect("read_known_line accepted its verb");
+        match reply.verb() {
+            "clock" => {
+                if let Some(coord_now) = reply.pos::<u64>() {
+                    sync = ClockSync::from_exchange(t0, coord_now, now_us());
+                }
             }
-        } else if let Some(rest) = line.strip_prefix("rank ") {
-            rank = rest.split_whitespace().next().and_then(|r| r.parse().ok());
-        } else {
-            table = RankTable::parse(&line);
+            "rank" => {
+                rank = reply.pos();
+                traced = reply.get("tlm").is_some_and(|v| v.flag());
+            }
+            _ => table = RankTable::parse(&line),
         }
     }
     let table = table.expect("loop exits with a table");
@@ -127,7 +137,7 @@ fn join_coordinator(coord: SocketAddr, port: u16, epoch: &Instant) -> Result<Ses
     Ok(Session {
         rank,
         table,
-        sync,
+        trace: traced.then_some(sync),
         control: reader,
     })
 }
@@ -135,8 +145,9 @@ fn join_coordinator(coord: SocketAddr, port: u16, epoch: &Instant) -> Result<Ses
 /// Runs one dispatched job on its own thread: resolve, attach to the
 /// mux, execute, write the partition, report. Every outcome produces
 /// exactly one terminal line (`jobdone` or `jobfail`) on the control
-/// stream, preceded by the job's final `jobtlm` telemetry frame on
-/// success.
+/// stream, preceded on success by the job's final `jobtlm` telemetry
+/// frame when `trace` carries the session's clock sync (the coordinator
+/// asked for traced jobs); otherwise the job runs without an observer.
 #[allow(clippy::too_many_arguments)]
 fn run_one_job(
     spec: JobSpec,
@@ -145,10 +156,10 @@ fn run_one_job(
     control: &Mutex<TcpStream>,
     rank: usize,
     ranks: usize,
-    sync: ClockSync,
+    trace: Option<ClockSync>,
 ) {
     let started = Instant::now();
-    let outcome = (|| -> Result<(WorkerDone, String)> {
+    let outcome = (|| -> Result<Vec<WorkerEvent>> {
         let channels = mux.open_job(spec.id)?;
         let prepared = match resolver.prepare(&spec) {
             Ok(p) => p,
@@ -162,18 +173,20 @@ fn run_one_job(
                 return Err(e);
             }
         };
-        let observer = Observer::new();
+        let observer = trace.map(|_| Observer::new());
         let mut config = JobConfig::new(ranks)
             .with_o_parallelism(spec.o_parallelism.max(1))
-            .with_sorted_grouping(prepared.sorted)
-            .with_observer(observer.clone());
+            .with_sorted_grouping(prepared.sorted);
+        if let Some(obs) = &observer {
+            config = config.with_observer(obs.clone());
+        }
         // Disk-backed spills live in a per-job subdirectory so one
         // resident worker can run many jobs over a shared spill root;
         // the whole subtree is removed on every exit path below.
         let spill_dir = spec
             .spill_dir
             .as_ref()
-            .map(|dir| std::path::Path::new(dir).join(format!("job-{}", spec.id)));
+            .map(|dir| Path::new(dir).join(format!("job-{}", spec.id)));
         if let Some(dir) = &spill_dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| service_fault(format!("create {}: {e}", dir.display())))?;
@@ -201,53 +214,78 @@ fn run_one_job(
         }
         let (partition, stats) = result?;
         let wire = wire_handle.snapshot();
-        observer.registry().add_wire_stats(&wire);
-
-        let mut writer = RecordWriter::new();
-        for rec in partition.iter() {
-            writer.write(rec);
-        }
-        let framed = writer.into_bytes();
-        let crc = crc32(&framed);
-        if let Some(dir) = &spec.out {
-            let dir = std::path::Path::new(dir);
-            std::fs::create_dir_all(dir)
-                .map_err(|e| service_fault(format!("create {}: {e}", dir.display())))?;
-            let path = dir.join(format!("part-{rank:05}"));
-            std::fs::write(&path, &framed)
-                .map_err(|e| service_fault(format!("write {}: {e}", path.display())))?;
-        }
-        let frame = TelemetrySink::new(observer, rank as u32, sync).next_frame(true);
-        let done = WorkerDone {
-            job: spec.id,
-            rank,
-            crc,
-            elapsed_us: started.elapsed().as_micros() as u64,
-            out_records: partition.len() as u64,
-            out_bytes: framed.len() as u64,
-            records_emitted: stats.records_emitted,
-            groups: stats.groups,
-            wire_sent: wire.bytes_sent,
-            wire_recv: wire.bytes_received,
+        let tlm = observer.zip(trace).map(|(observer, sync)| {
+            observer.registry().add_wire_stats(&wire);
+            let frame = TelemetrySink::new(observer, rank as u32, sync).next_frame(true);
+            let frame = Box::new(frame);
+            WorkerEvent::Tlm {
+                job: spec.id,
+                frame,
+            }
+        });
+        let report = WorkerReport {
+            partition,
+            stats,
+            wire,
         };
-        Ok((done, frame.wire_line()))
+        let out = spec.out.as_deref().map(Path::new);
+        let done = report_partition(spec.id, rank, &report, out, started)?;
+        Ok(tlm.into_iter().chain([WorkerEvent::Done(done)]).collect())
     })();
-    let mut stream = control.lock().expect("control stream lock");
-    match outcome {
-        Ok((done, tlm_line)) => {
-            let _ = writeln!(&mut *stream, "jobtlm {} {tlm_line}", spec.id);
-            let _ = writeln!(&mut *stream, "{}", done.wire_line());
-        }
-        Err(e) => {
-            mux.finish_job(spec.id);
-            let _ = writeln!(
-                &mut *stream,
-                "jobfail {} rank={rank} err={}",
-                spec.id,
-                esc(&e.to_string())
-            );
-        }
+    let events = outcome.unwrap_or_else(|e| {
+        mux.finish_job(spec.id);
+        let err = e.to_string();
+        let job = spec.id;
+        vec![WorkerEvent::Fail { job, rank, err }]
+    });
+    send_events(control, &events);
+}
+
+/// What a worker, resident or one-shot, does with its finished
+/// partition: frames it, fingerprints the bytes, writes them to
+/// `<out>/part-NNNNN` when asked, and fills in the rank's `jobdone`.
+pub fn report_partition(
+    job: u64,
+    rank: usize,
+    report: &WorkerReport,
+    out: Option<&Path>,
+    started: Instant,
+) -> Result<WorkerDone> {
+    let mut writer = RecordWriter::new();
+    for rec in report.partition.iter() {
+        writer.write(rec);
     }
+    let framed = writer.into_bytes();
+    if let Some(dir) = out {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| service_fault(format!("create {}: {e}", dir.display())))?;
+        let path = dir.join(format!("part-{rank:05}"));
+        std::fs::write(&path, &framed)
+            .map_err(|e| service_fault(format!("write {}: {e}", path.display())))?;
+    }
+    Ok(WorkerDone {
+        job,
+        rank,
+        crc: crc32(&framed),
+        elapsed_us: started.elapsed().as_micros() as u64,
+        out_records: report.partition.len() as u64,
+        out_bytes: framed.len() as u64,
+        records_emitted: report.stats.records_emitted,
+        groups: report.stats.groups,
+        wire_sent: report.wire.bytes_sent,
+        wire_recv: report.wire.bytes_received,
+        o_tasks_run: report.stats.o_tasks_run,
+        bytes_emitted: report.stats.bytes_emitted,
+        frames: report.stats.frames,
+    })
+}
+
+/// Writes `events` to the coordinator as one write, so that no other
+/// job's lines land between them.
+fn send_events(control: &Mutex<TcpStream>, events: &[WorkerEvent]) {
+    let lines: String = events.iter().map(|e| e.wire_line() + "\n").collect();
+    let mut stream = control.lock().expect("control stream lock");
+    let _ = stream.write_all(lines.as_bytes());
 }
 
 /// The `dmpid` worker main: binds a data listener, joins `coord`,
@@ -292,38 +330,29 @@ pub fn run_resident_worker(coord: SocketAddr, resolver: Arc<dyn JobResolver>) ->
         let Some(spec) = JobSpec::parse_job(&line) else {
             // A malformed dispatch is the coordinator's bug; report it
             // if the id is recoverable, otherwise skip the line.
-            let id = line
-                .split_whitespace()
-                .nth(1)
-                .and_then(|t| t.parse::<u64>().ok());
-            if let Some(id) = id {
-                let mut s = control_writer.lock().expect("control stream lock");
-                let _ = writeln!(
-                    &mut *s,
-                    "jobfail {id} rank={rank} err={}",
-                    esc("malformed job line")
-                );
+            if let Some(job) = Line::parse(&line).and_then(|mut l| l.pos()) {
+                let err = "malformed job line".into();
+                send_events(&control_writer, &[WorkerEvent::Fail { job, rank, err }]);
             }
             continue;
         };
         let mux = Arc::clone(&mux);
         let resolver = Arc::clone(&resolver);
         let control = Arc::clone(&control_writer);
-        let sync = session.sync;
+        let trace = session.trace;
         // Reap as we go: a finished job thread's stack and TLS stay
         // mapped until it is joined, so holding every handle until drain
         // grows the worker's memory with the number of jobs it has run.
         jobs.retain(|job| !job.is_finished());
         jobs.push(std::thread::spawn(move || {
-            run_one_job(spec, resolver.as_ref(), &mux, &control, rank, ranks, sync);
+            run_one_job(spec, resolver.as_ref(), &mux, &control, rank, ranks, trace);
         }));
     }
     for handle in jobs {
         let _ = handle.join();
     }
     if saw_drain {
-        let mut s = control_writer.lock().expect("control stream lock");
-        let _ = writeln!(&mut *s, "bye rank={rank}");
+        send_events(&control_writer, &[WorkerEvent::Bye { rank }]);
     }
     mux.close();
     Ok(())

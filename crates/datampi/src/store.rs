@@ -45,7 +45,7 @@ use dmpi_common::compare::{
 use dmpi_common::group::{GroupedValues, HashGrouper};
 use dmpi_common::{Error, Record, Result};
 
-use crate::observe::{HistKind, LogHistogram, Observer, PhaseTotals, SpanKind, Tracer};
+use crate::observe::{Counter, HistKind, LogHistogram, Observer, PhaseTotals, SpanKind, Tracer};
 use crate::spillfmt::{KeyRange, RunReader, SpillConfig, SpillReadCounters};
 
 /// Runs at or below this size seal inline on the ingest thread — a
@@ -224,8 +224,9 @@ fn seal_run(
     if let Some(t) = &tracer {
         if let Ok(run) = &run {
             let idx = run.index();
-            t.registry().add_spill(idx.raw_bytes);
-            t.registry().add_spill_wire(idx.file_len);
+            t.registry().add(Counter::Spills, 1);
+            t.registry().add(Counter::SpillBytes, idx.raw_bytes);
+            t.registry().add(Counter::SpillWireBytes, idx.file_len);
             let block_hist = t.registry().histograms().handle(HistKind::SpillBlock);
             for b in &idx.blocks {
                 block_hist.record(b.stored_len as u64);

@@ -30,7 +30,7 @@ use dmpi_common::{Error, FaultKind, Result};
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::JobConfig;
-use crate::observe::SpanKind;
+use crate::observe::{Counter, SpanKind};
 use crate::runtime::{run_job_core, ChunkableSplit, JobOutput};
 use crate::task::{Collector, GroupedValues};
 
@@ -344,7 +344,7 @@ where
                 // for no visible reason.
                 if let Some(obs) = config.observer.as_ref() {
                     if attempt + 1 < policy.max_attempts {
-                        obs.registry().add_retry();
+                        obs.registry().add(Counter::Retries, 1);
                         let jt = obs.job_tracer(attempt);
                         jt.instant(
                             SpanKind::Retry,

@@ -308,6 +308,7 @@ pub struct Endpoint {
     poller: Option<JoinHandle<SendSummary>>,
     ctl: Option<Arc<LoopCtl>>,
     recv_counters: Option<Arc<RecvCounters>>,
+    accept_deadline: Option<Instant>,
 }
 
 impl Endpoint {
@@ -320,6 +321,7 @@ impl Endpoint {
             poller: None,
             ctl: None,
             recv_counters: None,
+            accept_deadline: None,
         }
     }
 
@@ -331,6 +333,7 @@ impl Endpoint {
         poller: JoinHandle<SendSummary>,
         ctl: Arc<LoopCtl>,
         recv_counters: Arc<RecvCounters>,
+        accept_deadline: Instant,
     ) -> Self {
         Endpoint {
             rank,
@@ -339,7 +342,14 @@ impl Endpoint {
             poller: Some(poller),
             ctl: Some(ctl),
             recv_counters: Some(recv_counters),
+            accept_deadline: Some(accept_deadline),
         }
+    }
+
+    /// Until when this endpoint's poller keeps its data listener open
+    /// for peers still dialling in (`None` in-proc: nobody dials).
+    pub(crate) fn accept_deadline(&self) -> Option<Instant> {
+        self.accept_deadline
     }
 
     /// The rank this endpoint belongs to.

@@ -226,6 +226,7 @@ pub fn establish_endpoint(
     }
 
     let recv = Arc::new(RecvCounters::default());
+    let accept_deadline = Instant::now() + opts.accept_timeout;
     let setup = PollerSetup {
         rank,
         expected_peers: ranks,
@@ -234,7 +235,7 @@ pub fn establish_endpoint(
         mailbox: mailbox_tx,
         wake_rx,
         ctl: Arc::clone(&ctl),
-        accept_deadline: Instant::now() + opts.accept_timeout,
+        accept_deadline,
         batch_bytes: opts.batch_bytes,
         lz4,
         send_hist: opts.send_hist.clone(),
@@ -252,6 +253,7 @@ pub fn establish_endpoint(
         poller,
         ctl,
         recv,
+        accept_deadline,
     ))
 }
 

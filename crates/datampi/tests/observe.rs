@@ -8,7 +8,9 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use datampi::fault::FaultPlan;
-use datampi::observe::{integrate, Observer, Sample, SampleSeries, SpanKind, Trace, JOB_LANE};
+use datampi::observe::{
+    integrate, Counter, Observer, Sample, SampleSeries, SpanKind, Trace, JOB_LANE,
+};
 use datampi::supervisor::{supervise_job, RetryPolicy};
 use datampi::{run_job, JobConfig};
 use dmpi_common::group::{Collector, GroupedValues};
@@ -94,10 +96,10 @@ proptest! {
             prop_assert_eq!(p.records(), q.records());
         }
         let snap = observer.registry().snapshot();
-        prop_assert_eq!(snap.records_out, out.stats.records_emitted);
-        prop_assert_eq!(snap.records_in, out.stats.records_emitted);
-        prop_assert_eq!(snap.bytes_sent, out.stats.bytes_emitted);
-        prop_assert_eq!(snap.bytes_received, snap.bytes_sent);
+        prop_assert_eq!(snap[Counter::RecordsOut], out.stats.records_emitted);
+        prop_assert_eq!(snap[Counter::RecordsIn], out.stats.records_emitted);
+        prop_assert_eq!(snap[Counter::BytesSent], out.stats.bytes_emitted);
+        prop_assert_eq!(snap[Counter::BytesReceived], snap[Counter::BytesSent]);
         // The peer matrices are just a finer-grained view of the totals.
         let matrix_total: u64 = observer
             .registry()
@@ -105,7 +107,7 @@ proptest! {
             .iter()
             .flatten()
             .sum();
-        prop_assert_eq!(matrix_total, snap.bytes_sent);
+        prop_assert_eq!(matrix_total, snap[Counter::BytesSent]);
     }
 
     /// A bucketed series built from the job's counters integrates back to
@@ -140,20 +142,20 @@ proptest! {
                 wall_secs: 0.1 * (i + 1) as f64,
                 cpu_secs: 0.0,
                 rss_bytes: 0.0,
-                net_bytes: snap.bytes_sent as f64 * f,
-                spill_bytes: snap.spill_bytes as f64 * f,
+                net_bytes: snap[Counter::BytesSent] as f64 * f,
+                spill_bytes: snap[Counter::SpillBytes] as f64 * f,
             });
         }
         let profile = series.finish();
         let mb = 1024.0 * 1024.0;
         let net_total = integrate(&profile.net_mb_s, profile.bucket_secs) * mb;
         prop_assert!(
-            (net_total - snap.bytes_sent as f64).abs() < 1.0,
+            (net_total - snap[Counter::BytesSent] as f64).abs() < 1.0,
             "net integrates to {net_total}, counters say {}",
-            snap.bytes_sent
+            snap[Counter::BytesSent]
         );
         let spill_total = integrate(&profile.disk_write_mb_s, profile.bucket_secs) * mb;
-        prop_assert!((spill_total - snap.spill_bytes as f64).abs() < 1.0);
+        prop_assert!((spill_total - snap[Counter::SpillBytes] as f64).abs() < 1.0);
     }
 }
 
@@ -198,8 +200,8 @@ fn recovered_run_trace_contains_both_attempts() {
     assert_eq!(trace.of_kind(SpanKind::Attempt).count(), 2);
 
     let snap = observer.registry().snapshot();
-    assert_eq!(snap.retries, 1);
-    assert!(snap.recovered_tasks > 0);
+    assert_eq!(snap[Counter::Retries], 1);
+    assert!(snap[Counter::RecoveredTasks] > 0);
 
     // The exported Chrome JSON carries every event of both attempts.
     let json = trace.to_chrome_json();

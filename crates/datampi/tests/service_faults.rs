@@ -1,32 +1,45 @@
 //! A user-code panic inside a resident-service job must fail that job —
 //! a `jobfail` line to its client — and nothing else: the mesh slot is
 //! released, the next job on the same mesh completes, and drain joins
-//! every service thread. The whole scenario runs under a watchdog, so a
-//! hang (the rank's ingest thread waiting for an EOF its panicked O
-//! phase never sent) is a test failure, not a stalled suite.
+//! every service thread. So must a job that fails before it starts, and
+//! whatever its error says — spaces, `=`, `%`, a newline — reaches the
+//! client intact, escaped into the one `jobfail` line. The whole scenario
+//! runs under a watchdog, so a hang (the rank's ingest thread waiting for
+//! an EOF its panicked O phase never sent) is a test failure, not a
+//! stalled suite.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{mpsc, Arc};
+mod common;
+
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 
+use datampi::service::protocol::Line;
 use datampi::service::{
     run_resident_worker, serve, AdmissionConfig, JobResolver, JobSpec, PreparedJob, ServiceConfig,
 };
 use dmpi_common::group::{Collector, GroupedValues};
-use dmpi_common::Result;
+use dmpi_common::{Error, Result};
 
 const RANKS: usize = 2;
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// What resolving workload `badspec` fails with: every character the
+/// line protocol has a use for.
+const BAD_SPEC: &str = "bad spec: tasks=4 is 100% wrong\nfor a,b;c:d";
+
 /// Resolves every workload to a tiny WordCount; workload `boom` panics
-/// in O task 0 (rank 0's under the static assignment).
+/// in O task 0 (rank 0's under the static assignment), and `badspec`
+/// does not resolve at all.
 struct PanickyResolver;
 
 impl JobResolver for PanickyResolver {
     fn prepare(&self, spec: &JobSpec) -> Result<PreparedJob> {
+        if spec.workload == "badspec" {
+            return Err(Error::Config(BAD_SPEC.into()));
+        }
         let boom = spec.workload == "boom";
         Ok(PreparedJob {
             inputs: (0..spec.tasks)
@@ -48,30 +61,12 @@ impl JobResolver for PanickyResolver {
     }
 }
 
-/// Sends one line on a fresh connection and returns the first reply
-/// line `until` accepts; a closed or silent (read timeout) peer is an
-/// error.
 fn request(
     addr: SocketAddr,
     line: &str,
     until: impl Fn(&str) -> bool,
 ) -> std::result::Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("dial: {e}"))?;
-    stream
-        .set_read_timeout(Some(READ_TIMEOUT))
-        .map_err(|e| e.to_string())?;
-    writeln!(stream, "{line}").map_err(|e| format!("send {line}: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut reply = String::new();
-    loop {
-        reply.clear();
-        match reader.read_line(&mut reply) {
-            Ok(0) => return Err(format!("{line}: peer closed without a reply")),
-            Ok(_) if until(&reply) => return Ok(reply),
-            Ok(_) => {}
-            Err(e) => return Err(format!("{line}: no terminal line: {e}")),
-        }
-    }
+    common::request(addr, line, until, READ_TIMEOUT)
 }
 
 fn submit(addr: SocketAddr, workload: &str) -> std::result::Result<String, String> {
@@ -113,6 +108,14 @@ fn scenario() -> std::result::Result<(), String> {
     if !failed.starts_with("jobfail") || !failed.contains("panicked") {
         return Err(format!("panicking job must end in jobfail, got {failed:?}"));
     }
+    let unresolved = submit(addr, "badspec")?;
+    let err = Line::of(&unresolved, "jobfail")
+        .and_then(|l| l.get("err"))
+        .and_then(|v| v.text())
+        .ok_or_else(|| format!("a job that cannot resolve must end in jobfail: {unresolved:?}"))?;
+    if !err.contains(BAD_SPEC) || unresolved.trim_end().contains('\n') {
+        return Err(format!("the error text must arrive intact: {err:?}"));
+    }
     let done = submit(addr, "fine")?;
     if !done.starts_with("jobdone") || !done.contains("out_records=5") {
         return Err(format!("the next job must complete, got {done:?}"));
@@ -123,8 +126,8 @@ fn scenario() -> std::result::Result<(), String> {
         .join()
         .map_err(|_| "coordinator panicked".to_string())?
         .map_err(|e| e.to_string())?;
-    if (summary.completed, summary.failed) != (1, 1) {
-        return Err(format!("one job each way, got {summary:?}"));
+    if (summary.completed, summary.failed) != (1, 2) {
+        return Err(format!("one job done and two failed, got {summary:?}"));
     }
     for worker in workers {
         worker
@@ -137,10 +140,6 @@ fn scenario() -> std::result::Result<(), String> {
 
 #[test]
 fn panicking_job_fails_alone_and_the_mesh_keeps_serving() {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || tx.send(scenario()));
-    match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(verdict) => verdict.unwrap(),
-        Err(_) => panic!("service scenario hung: a job thread or worker never finished"),
-    }
+    // A hang here is a job thread or a worker that never finished.
+    common::under_watchdog(Duration::from_secs(60), scenario);
 }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use datampi::comm::Frame;
 use datampi::fault::FaultPlan;
-use datampi::observe::Observer;
+use datampi::observe::{Counter, Observer};
 use datampi::supervisor::{supervise_job, RetryPolicy};
 use datampi::transport::{wire, Backend, TcpOptions, TcpTransport, Transport};
 use datampi::{run_job, JobConfig};
@@ -190,15 +190,16 @@ fn tcp_job_is_byte_identical_to_inproc_job() {
 
     let snapshot = observer.registry().snapshot();
     assert!(
-        snapshot.wire_bytes_sent > 0,
+        snapshot[Counter::WireBytesSent] > 0,
         "TCP job must report encoded socket bytes"
     );
     assert_eq!(
-        snapshot.wire_bytes_sent, snapshot.wire_bytes_received,
+        snapshot[Counter::WireBytesSent],
+        snapshot[Counter::WireBytesReceived],
         "loopback mesh: every byte written is read"
     );
     assert!(
-        snapshot.wire_bytes_sent > snapshot.bytes_sent,
+        snapshot[Counter::WireBytesSent] > snapshot[Counter::BytesSent],
         "wire bytes include frame headers on top of payload bytes"
     );
 }

@@ -17,7 +17,7 @@
 use bytes::Bytes;
 use datampi_suite::common::group::{Collector, GroupedValues};
 use datampi_suite::common::ser::Writable;
-use datampi_suite::datampi::observe::Observer;
+use datampi_suite::datampi::observe::{Counter, Observer};
 use datampi_suite::datampi::{supervise_job, FaultPlan, JobConfig, RetryPolicy};
 use datampi_suite::dcsim::{Activity, ClusterSpec, NodeId, RecoveryModel, Simulation, TaskSpec};
 use std::time::Duration;
@@ -68,7 +68,7 @@ fn main() {
         "trace: {} events over attempts {:?} ({} retries recorded)",
         trace.len(),
         trace.attempts(),
-        observer.registry().snapshot().retries
+        observer.registry().snapshot()[Counter::Retries]
     );
 
     // ---- Part 2: recovery-time overhead in the simulator ----

@@ -18,7 +18,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use datampi_suite::common::group::{Collector, GroupedValues};
 use datampi_suite::common::ser::Writable;
-use datampi_suite::datampi::observe::{Observer, Profiler};
+use datampi_suite::datampi::observe::{Counter, Observer, Profiler};
 use datampi_suite::datampi::{run_job, JobConfig};
 
 fn wc_o(_task: usize, split: &[u8], out: &mut dyn Collector) {
@@ -85,7 +85,11 @@ fn main() {
     println!("\n-- counters --");
     println!(
         "frames {} | bytes sent {} | records in {} | spills {} | buffer hwm {} B",
-        snap.frames_sent, snap.bytes_sent, snap.records_in, snap.spills, snap.buffer_hwm_bytes
+        snap[Counter::FramesSent],
+        snap[Counter::BytesSent],
+        snap[Counter::RecordsIn],
+        snap[Counter::Spills],
+        snap[Counter::BufferHwmBytes]
     );
 
     println!(

@@ -35,6 +35,17 @@ for pass in $(seq 50); do
         || { echo "race guard: pass $pass failed" >&2; cat target/ci/race-guard.log >&2; exit 1; }
 done
 
+echo "== control-plane hang guard: resident start -> ranks=N/N -> drain, 10 x 200 cycles ==" >&2
+# A resident session that does not end (a rank waited for after it left,
+# a listener dropped under a peer's dial) shows as a hang, one in a
+# thousand-odd cycles when it was last seen: the test runs 200 cycles
+# under its own watchdog, `timeout` bounds the ten repeats together.
+cargo test -q -p datampi --test service_drain --no-run
+timeout 600 bash -c 'for pass in $(seq 10); do
+    cargo test -q -p datampi --test service_drain cycles > target/ci/drain-guard.log 2>&1 \
+        || { echo "drain guard: pass $pass failed" >&2; cat target/ci/drain-guard.log >&2; exit 1; }
+done'
+
 echo "== benchmark package: build, unit tests, six-workload smoke ==" >&2
 # benchmark/ is a workspace of its own, so nothing above builds it: a
 # change to a public item it calls, or to output its integrity check
@@ -66,7 +77,11 @@ cargo run -q --release -p dmpi-bench --bin figures -- all --write target/ci/EXPE
 diff target/ci/EXPERIMENTS.md EXPERIMENTS.md
 
 echo "== dmpirun smokes: each must match the in-proc reference byte for byte ==" >&2
-dmpirun() { cargo run -q --release --bin dmpirun -- "$@"; }
+# Everything from here on starts processes that talk to each other, so
+# every step runs under `timeout`: a control-plane hang fails the run
+# instead of stalling it.
+cargo build -q --release --bin dmpirun --bin dmpid --bin dmpi
+dmpirun() { timeout 120 target/release/dmpirun "$@"; }
 # Four real worker processes over TCP.
 dmpirun --ranks 4 --tasks 8 --verify-inproc wordcount
 # Per-batch LZ4 on the wire: changes what crosses the sockets, never the output.
@@ -96,22 +111,27 @@ echo "== resident service smoke ==" >&2
 # document per job, and drain gracefully.
 SMOKE=target/ci/service-smoke
 rm -rf "$SMOKE" && mkdir -p "$SMOKE/reports"
-cargo build -q --release --bin dmpid --bin dmpi
 target/release/dmpid --coordinator --ranks 2 --spawn-workers \
     --port-file "$SMOKE/addr" --report-dir "$SMOKE/reports" &
 DMPID_PID=$!
 trap 'kill "$DMPID_PID" 2>/dev/null || true' EXIT
 for _ in $(seq 100); do [ -s "$SMOKE/addr" ] && break; sleep 0.1; done
 ADDR=$(cat "$SMOKE/addr")
-target/release/dmpi submit --coord "$ADDR" --tenant alice --tasks 4 \
+timeout 60 target/release/dmpi submit --coord "$ADDR" --tenant alice --tasks 4 \
     --bytes-per-task 2000 --seed 71 --out "$SMOKE/alice" wordcount &
 SUBMIT_A=$!
-target/release/dmpi submit --coord "$ADDR" --tenant bob --tasks 4 \
+timeout 60 target/release/dmpi submit --coord "$ADDR" --tenant bob --tasks 4 \
     --bytes-per-task 2000 --seed 72 --out "$SMOKE/bob" sort &
 SUBMIT_B=$!
 wait "$SUBMIT_A"
 wait "$SUBMIT_B"
-target/release/dmpi drain --coord "$ADDR" | grep -q drained
+timeout 60 target/release/dmpi drain --coord "$ADDR" | grep -q drained
+# The coordinator exits once its workers have left: poll, do not block.
+for _ in $(seq 300); do kill -0 "$DMPID_PID" 2>/dev/null || break; sleep 0.1; done
+if kill -0 "$DMPID_PID" 2>/dev/null; then
+    echo "dmpid still running 30 s after drain" >&2
+    exit 1
+fi
 wait "$DMPID_PID"
 grep -q '"schema": "dmpi-job-report/v1"' "$SMOKE/reports/job-0.json"
 grep -q '"schema": "dmpi-job-report/v1"' "$SMOKE/reports/job-1.json"

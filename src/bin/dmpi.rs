@@ -9,11 +9,11 @@
 //! * `dmpi drain` — graceful shutdown: running jobs finish, new ones
 //!   are rejected, workers deregister.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 
-use datampi::service::protocol::{unesc, JobSpec};
+use datampi::service::protocol::{read_known_line, JobSpec, Line};
 
 const USAGE: &str = "\
 dmpi — client for the dmpid resident job service
@@ -45,17 +45,10 @@ fn read_reply(
     stop: impl Fn(&str) -> bool,
 ) -> Result<String, String> {
     let mut line = String::new();
-    loop {
-        line.clear();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read reply: {e}"))?;
-        if n == 0 {
-            return Err("coordinator closed the connection".into());
-        }
-        if line.split_whitespace().next().map(&stop).unwrap_or(false) {
-            return Ok(line.trim_end().to_string());
-        }
+    match read_known_line(reader, &mut line, stop) {
+        Ok(0) => Err("coordinator closed the connection".into()),
+        Ok(_) => Ok(line.trim_end().to_string()),
+        Err(e) => Err(format!("read reply: {e}")),
     }
 }
 
@@ -63,16 +56,15 @@ fn submit(coord: SocketAddr, spec: &JobSpec) -> Result<(), String> {
     let (mut stream, mut reader) = connect(coord)?;
     writeln!(stream, "{}", spec.submit_line()).map_err(|e| format!("send submit: {e}"))?;
     let verdict = read_reply(&mut reader, |v| v == "accepted" || v == "rejected")?;
-    if let Some(reason) = verdict
-        .strip_prefix("rejected reason=")
-        .map(|r| unesc(r).unwrap_or_else(|| r.to_string()))
-    {
+    if let Some(rejected) = Line::of(&verdict, "rejected") {
+        let reason = rejected.get("reason").and_then(|r| r.text());
+        let reason = reason.unwrap_or_else(|| verdict.clone());
         return Err(format!("submission rejected: {reason}"));
     }
     println!("{verdict}");
     let terminal = read_reply(&mut reader, |v| v == "jobdone" || v == "jobfail")?;
     println!("{terminal}");
-    if terminal.starts_with("jobfail") {
+    if Line::of(&terminal, "jobfail").is_some() {
         return Err("job failed".into());
     }
     Ok(())

@@ -10,15 +10,18 @@
 //! listener, spawns one copy of itself per rank in worker mode (rank,
 //! rank count and coordinator address travel in the `DMPI_RANK` /
 //! `DMPI_RANKS` / `DMPI_COORD` environment variables), distributes the
-//! rank table, and aggregates every worker's result line into one job
+//! rank table, and sums every worker's `jobdone` line into one job
 //! summary. Workers generate their input splits deterministically from
 //! the shared seed, so no split data crosses the rendezvous channel.
+//! A worker reports as a resident `dmpid` worker does, in the one
+//! [`WorkerEvent`] vocabulary, its job being job 0: `jobdone 0 rank=… …`
+//! or `jobfail 0 rank=… err=…`.
 //!
 //! With `--trace-out`, `--report-out` or `--progress` the **telemetry
 //! plane** comes up: each worker runs its job under an
 //! [`Observer`], clock-syncs with the coordinator at registration, and
-//! ships periodic `tlm` frames (counters, latency histograms, sealed
-//! spans) over its rendezvous stream. The coordinator aggregates them
+//! ships periodic `jobtlm 0 tlm …` frames (counters, latency histograms,
+//! sealed spans) over its rendezvous stream. The coordinator aggregates them
 //! into a live progress line, a merged multi-process Chrome trace (one
 //! process row per rank, offset-corrected onto the coordinator's
 //! timeline), and a final `job-report.json` (schema
@@ -29,8 +32,8 @@
 //! partition (and that the record counters agree with the in-proc
 //! observer) — the catalogue's determinism contract makes that exact.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,8 +44,11 @@ use datampi::distrib::{
     coordinate_rank_table, register_with_coordinator, ENV_ATTEMPT, ENV_COORD, ENV_RANK, ENV_RANKS,
 };
 use datampi::observe::{
-    Observer, SpanKind, TelemetryAggregator, TelemetryFrame, TelemetrySink, TraceEvent, JOB_LANE,
+    Counter, Observer, SpanKind, TelemetryAggregator, TelemetryFrame, TelemetrySink, TraceEvent,
+    JOB_LANE,
 };
+use datampi::service::protocol::{read_known_line, WorkerDone, WorkerEvent};
+use datampi::service::worker::report_partition;
 use datampi::transport::Backend;
 use datampi::{FaultPlan, JobConfig, WireCompression};
 use dmpi_common::crc::crc32;
@@ -279,6 +285,23 @@ fn env_usize(name: &str) -> Result<usize, String> {
         .map_err(|e| format!("bad {name}: {e}"))
 }
 
+/// The one-shot job's id in the worker vocabulary: the whole launch is
+/// job 0 of its mesh, as `datampi::distrib::run_worker` runs it.
+const JOB: u64 = 0;
+
+fn tlm(frame: TelemetryFrame) -> WorkerEvent {
+    let frame = Box::new(frame);
+    WorkerEvent::Tlm { job: JOB, frame }
+}
+
+/// Writes one event to the coordinator as one write: telemetry frames
+/// and the result line share the stream, and the mutex keeps each whole.
+fn send_event(stream: &Mutex<TcpStream>, event: &WorkerEvent) -> std::io::Result<()> {
+    let line = event.wire_line() + "\n";
+    let mut stream = stream.lock().expect("coord stream lock");
+    stream.write_all(line.as_bytes())
+}
+
 fn run_worker_process(opts: &Options) -> Result<(), String> {
     let rank = env_usize(ENV_RANK)?;
     let ranks = env_usize(ENV_RANKS)?;
@@ -390,9 +413,7 @@ fn run_worker_process(opts: &Options) -> Result<(), String> {
                     }
                     std::thread::sleep(Duration::from_millis(10));
                 }
-                let frame = sink.next_frame(false);
-                let mut s = stream.lock().expect("coord stream lock");
-                if writeln!(&mut *s, "{}", frame.wire_line()).is_err() {
+                if send_event(&stream, &tlm(sink.next_frame(false))).is_err() {
                     // Coordinator gone mid-job: stop shipping, let the
                     // job finish (the done line will fail on its own).
                     break 'ship;
@@ -418,124 +439,37 @@ fn run_worker_process(opts: &Options) -> Result<(), String> {
     // It must precede the terminal line because the coordinator's reader
     // stops at the first non-telemetry line.
     if let Some(sink) = sink.as_mut() {
-        let frame = sink.next_frame(true);
-        let mut s = coord_stream.lock().expect("coord stream lock");
-        let _ = writeln!(&mut *s, "{}", frame.wire_line());
+        let _ = send_event(&coord_stream, &tlm(sink.next_frame(true)));
     }
     let report = match outcome {
         Ok(report) => report,
         Err(e) => {
-            let mut s = coord_stream.lock().expect("coord stream lock");
-            let _ = writeln!(&mut *s, "fail rank={rank} err={e}");
+            let (job, err) = (JOB, e.to_string());
+            let _ = send_event(&coord_stream, &WorkerEvent::Fail { job, rank, err });
             return Err(format!("rank {rank}: job failed: {e}"));
         }
     };
 
-    let mut writer = RecordWriter::new();
-    for rec in report.partition.iter() {
-        writer.write(rec);
-    }
-    let framed = writer.into_bytes();
-    let crc = crc32(&framed);
-    if let Some(dir) = &opts.out {
-        let path = dir.join(format!("part-{rank:05}"));
-        std::fs::write(&path, &framed)
-            .map_err(|e| format!("rank {rank}: write {}: {e}", path.display()))?;
-    }
-    let s = &report.stats;
-    let mut stream = coord_stream.lock().expect("coord stream lock");
-    writeln!(
-        &mut *stream,
-        "done rank={rank} crc={crc} out_records={} out_bytes={} o_tasks_run={} \
-         records_emitted={} bytes_emitted={} frames={} early_flushes={} spills={} \
-         spilled_bytes={} groups={} wire_sent={} wire_recv={} spilled_wire_bytes={}",
-        report.partition.len(),
-        framed.len(),
-        s.o_tasks_run,
-        s.records_emitted,
-        s.bytes_emitted,
-        s.frames,
-        s.early_flushes,
-        s.spills,
-        s.spilled_bytes,
-        s.groups,
-        report.wire.bytes_sent,
-        report.wire.bytes_received,
-        s.spilled_wire_bytes,
-    )
-    .map_err(|e| format!("rank {rank}: report result: {e}"))?;
-    Ok(())
+    let done = report_partition(JOB, rank, &report, opts.out.as_deref(), epoch)
+        .map_err(|e| format!("rank {rank}: {e}"))?;
+    send_event(&coord_stream, &WorkerEvent::Done(done))
+        .map_err(|e| format!("rank {rank}: report result: {e}"))
 }
 
 // ---------------------------------------------------- coordinator mode
 
-/// One worker's parsed `done` line.
-#[derive(Default, Clone, Copy)]
-struct RankResult {
-    crc: u32,
-    counters: [u64; 12],
-}
-
-/// Per-rank outcome of one attempt: `(result, wire_recv)` per surviving
-/// rank, plus the failure messages gathered from dead or erroring ones.
-type AttemptResults = (Vec<Option<(RankResult, u64)>>, Vec<String>);
-
-const COUNTER_KEYS: [&str; 12] = [
-    "out_records",
-    "out_bytes",
-    "o_tasks_run",
-    "records_emitted",
-    "bytes_emitted",
-    "frames",
-    "early_flushes",
-    "spills",
-    "spilled_bytes",
-    "groups",
-    "wire_sent",
-    // Rides at the end so the indexes above stay stable.
-    "spilled_wire_bytes",
-];
-
-fn parse_done_line(line: &str) -> Option<(usize, RankResult, u64)> {
-    let mut rank = None;
-    let mut result = RankResult::default();
-    let mut wire_recv = 0;
-    let mut it = line.split_whitespace();
-    if it.next()? != "done" {
-        return None;
-    }
-    for field in it {
-        let (key, value) = field.split_once('=')?;
-        match key {
-            "rank" => rank = Some(value.parse().ok()?),
-            "crc" => result.crc = value.parse().ok()?,
-            "wire_recv" => wire_recv = value.parse().ok()?,
-            _ => {
-                let idx = COUNTER_KEYS.iter().position(|k| *k == key)?;
-                result.counters[idx] = value.parse().ok()?;
-            }
-        }
-    }
-    Some((rank?, result, wire_recv))
-}
-
-/// What a per-rank rendezvous reader thread forwards to the aggregation
-/// loop.
-enum RankEvent {
-    /// A telemetry frame (possibly many per rank).
-    Frame(Box<TelemetryFrame>),
-    /// The rank's `done` line: `(rank, result, wire_recv)`. Terminal.
-    Done(usize, RankResult, u64),
-    /// The rank died or reported failure. Terminal.
-    Failed(usize, String),
-}
+/// Per-rank outcome of one attempt: each surviving rank's `jobdone`
+/// report, plus the failure messages gathered from dead or erroring ones.
+type AttemptResults = (Vec<Option<WorkerDone>>, Vec<String>);
 
 /// Spawns `ranks` workers, runs one rendezvous at `version`, and
 /// collects their telemetry and result lines. Each worker stream gets a
 /// dedicated reader thread (telemetry frames arrive continuously, and a
 /// serial read loop would let one slow rank block the live view of the
-/// others); the calling thread absorbs frames into the returned
-/// [`TelemetryAggregator`] and renders the progress line. Returns
+/// others) that forwards the rank's [`WorkerEvent`]s up to its terminal
+/// one: its own `jobdone`, or a `Fail` saying what went wrong (the rank's
+/// `jobfail` being one case). The calling thread absorbs frames into the
+/// returned [`TelemetryAggregator`] and renders the progress line. Returns
 /// per-rank results plus the failures observed (dead workers, bad
 /// result lines, nonzero exits).
 #[allow(clippy::too_many_arguments)] // internal: one call site, mirrors the attempt loop's state
@@ -605,56 +539,41 @@ fn launch_attempt(
     let streams = coordinate_rank_table(listener, ranks, version, &|| obs.now_micros())
         .map_err(|e| format!("rendezvous failed: {e}"))?;
 
-    let (tx, rx) = std::sync::mpsc::channel::<RankEvent>();
+    let (tx, rx) = std::sync::mpsc::channel::<WorkerEvent>();
     let mut readers = Vec::with_capacity(ranks);
     for (rank, stream) in streams.into_iter().enumerate() {
         let tx = tx.clone();
         readers.push(std::thread::spawn(move || {
             let mut reader = BufReader::new(stream);
             let mut line = String::new();
-            loop {
-                line.clear();
-                match reader.read_line(&mut line) {
-                    Ok(0) => {
-                        let _ = tx.send(RankEvent::Failed(
-                            rank,
-                            format!("rank {rank} died without reporting"),
-                        ));
-                        return;
-                    }
-                    Ok(_) => {
-                        if let Some(frame) = TelemetryFrame::parse(&line) {
-                            let _ = tx.send(RankEvent::Frame(Box::new(frame)));
-                            continue;
-                        }
-                        if let Some((r, result, wire_recv)) = parse_done_line(&line) {
-                            if r == rank {
-                                let _ = tx.send(RankEvent::Done(rank, result, wire_recv));
-                                return;
-                            }
-                        }
-                        if line.starts_with("fail ") || line.starts_with("done ") {
-                            // A malformed or wrong-rank terminal line is
-                            // still terminal.
-                            let _ = tx.send(RankEvent::Failed(
-                                rank,
-                                format!("rank {rank} failed: {}", line.trim_end()),
-                            ));
-                            return;
-                        }
-                        // Forward compatibility: a newer worker may emit
-                        // verbs this launcher does not know (the service
-                        // protocol's `job…` family). Skip, don't fail.
-                    }
-                    Err(e) => {
-                        let _ = tx.send(RankEvent::Failed(
-                            rank,
-                            format!("rank {rank} result read failed: {e}"),
-                        ));
-                        return;
-                    }
+            // Forward compatibility: a newer worker may emit verbs this
+            // launcher does not know; the reader skips them.
+            let known = |v: &str| matches!(v, "jobdone" | "jobfail" | "jobtlm");
+            let err = loop {
+                match read_known_line(&mut reader, &mut line, known) {
+                    Ok(0) => break format!("rank {rank} died without reporting"),
+                    Ok(_) => {}
+                    Err(e) => break format!("rank {rank} result read failed: {e}"),
                 }
-            }
+                match WorkerEvent::parse(&line) {
+                    Some(event @ WorkerEvent::Tlm { .. }) => {
+                        let _ = tx.send(event);
+                    }
+                    Some(WorkerEvent::Done(done)) if done.rank == rank => {
+                        let _ = tx.send(WorkerEvent::Done(done));
+                        return;
+                    }
+                    Some(WorkerEvent::Fail { err, .. }) => {
+                        break format!("rank {rank} failed: {err}")
+                    }
+                    // A malformed telemetry frame is dropped; a malformed
+                    // or wrong-rank terminal line is still terminal.
+                    None if line.starts_with("jobtlm") => {}
+                    _ => break format!("rank {rank} failed: {}", line.trim_end()),
+                }
+            };
+            let job = JOB;
+            let _ = tx.send(WorkerEvent::Fail { job, rank, err });
         }));
     }
     drop(tx);
@@ -662,18 +581,20 @@ fn launch_attempt(
     // Absorb until every rank reached a terminal event, redrawing the
     // progress line as telemetry flows in.
     let mut agg = TelemetryAggregator::new(ranks);
-    let mut results: Vec<Option<(RankResult, u64)>> = vec![None; ranks];
+    let mut results: Vec<Option<WorkerDone>> = vec![None; ranks];
     let mut failures = Vec::new();
     let mut terminal = 0usize;
     let mut last_progress = 0u64;
     while terminal < ranks {
         match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(RankEvent::Frame(frame)) => agg.absorb(*frame),
-            Ok(RankEvent::Done(rank, result, wire_recv)) => {
-                results[rank] = Some((result, wire_recv));
+            Ok(WorkerEvent::Tlm { frame, .. }) => agg.absorb(*frame),
+            Ok(WorkerEvent::Done(done)) => {
+                let rank = done.rank;
+                results[rank] = Some(done);
                 terminal += 1;
             }
-            Ok(RankEvent::Failed(rank, msg)) => {
+            Ok(WorkerEvent::Bye { .. }) => {} // not a verb the readers admit
+            Ok(WorkerEvent::Fail { rank, err, .. }) => {
                 agg.record(TraceEvent {
                     kind: SpanKind::Fault,
                     ts_us: obs.now_micros(),
@@ -684,7 +605,7 @@ fn launch_attempt(
                     task: None,
                     args: vec![("cause", "worker failed".into())],
                 });
-                failures.push(msg);
+                failures.push(err);
                 terminal += 1;
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
@@ -832,30 +753,23 @@ fn run_coordinator(opts: &Options) -> Result<(), String> {
             return Err(failures.join("; "));
         }
 
-        let mut totals = [0u64; 12];
-        let mut wire_recv_total = 0u64;
-        for result in results.iter().flatten() {
-            for (t, c) in totals.iter_mut().zip(result.0.counters) {
-                *t += c;
-            }
-            wire_recv_total += result.1;
-        }
+        let total = |of: fn(&WorkerDone) -> u64| results.iter().flatten().map(of).sum::<u64>();
+        let wire_sent = total(|d| d.wire_sent);
         println!(
             "dmpirun: {} over {} ranks ({} tasks, seed {}, table v{version}): \
              o_tasks_run={} records_emitted={} bytes_emitted={} frames={} groups={} \
-             out_records={} wire_sent={} wire_recv={}",
+             out_records={} wire_sent={wire_sent} wire_recv={}",
             opts.workload.name(),
             ranks,
             opts.tasks,
             opts.seed,
-            totals[2],
-            totals[3],
-            totals[4],
-            totals[5],
-            totals[9],
-            totals[0],
-            totals[10],
-            wire_recv_total,
+            total(|d| d.o_tasks_run),
+            total(|d| d.records_emitted),
+            total(|d| d.bytes_emitted),
+            total(|d| d.frames),
+            total(|d| d.groups),
+            total(|d| d.out_records),
+            total(|d| d.wire_recv),
         );
 
         if opts.wants_telemetry() {
@@ -865,24 +779,23 @@ fn run_coordinator(opts: &Options) -> Result<(), String> {
             // Telemetry's own consistency gate: the aggregate's wire
             // totals must equal the sum of the per-rank totals, and —
             // when every rank's final frame arrived — agree with the
-            // independently-reported done lines.
-            let aggregate = agg.aggregate_counters();
+            // independently-reported jobdone lines.
+            let aggregate = agg.aggregate_counters()[Counter::WireBytesSent];
             let per_rank_wire: u64 = agg
                 .per_rank()
                 .iter()
-                .map(|r| r.counters.as_ref().map_or(0, |c| c.wire_bytes_sent))
+                .map(|r| r.counters.as_ref().map_or(0, |c| c[Counter::WireBytesSent]))
                 .sum();
-            if aggregate.wire_bytes_sent != per_rank_wire {
+            if aggregate != per_rank_wire {
                 return Err(format!(
-                    "telemetry invariant broken: aggregate wire_bytes_sent {} != per-rank sum {}",
-                    aggregate.wire_bytes_sent, per_rank_wire
+                    "telemetry invariant broken: aggregate wire_bytes_sent {aggregate} != \
+                     per-rank sum {per_rank_wire}"
                 ));
             }
-            if agg.finals_seen() == ranks && aggregate.wire_bytes_sent != totals[10] {
+            if agg.finals_seen() == ranks && aggregate != wire_sent {
                 return Err(format!(
-                    "telemetry disagrees with done lines: aggregate wire_bytes_sent {} != \
-                     reported {}",
-                    aggregate.wire_bytes_sent, totals[10]
+                    "telemetry disagrees with done lines: aggregate wire_bytes_sent \
+                     {aggregate} != reported {wire_sent}"
                 ));
             }
             write_telemetry_artifacts(opts, &agg, ranks, version, attempt, obs.now_micros(), "ok")?;
@@ -1043,7 +956,7 @@ fn run_inproc_coordinator(opts: &Options) -> Result<(), String> {
 fn verify_inproc(
     opts: &Options,
     ranks: usize,
-    results: &[Option<(RankResult, u64)>],
+    results: &[Option<WorkerDone>],
 ) -> Result<(), String> {
     let observer = Observer::new();
     // The reference run is always sequential (o_parallelism 1), so when
@@ -1065,22 +978,22 @@ fn verify_inproc(
             writer.write(rec);
         }
         let framed = writer.into_bytes();
-        let (result, _) = results[rank].as_ref().ok_or("missing rank result")?;
+        let result = results[rank].as_ref().ok_or("missing rank result")?;
         if crc32(&framed) != result.crc {
             return Err(format!(
                 "partition {rank} differs from the in-proc runtime \
                  (in-proc {} records, worker {})",
                 partition.len(),
-                result.counters[0],
+                result.out_records,
             ));
         }
     }
-    let emitted: u64 = results.iter().flatten().map(|(r, _)| r.counters[3]).sum();
-    let snapshot = observer.registry().snapshot();
-    if snapshot.records_out != emitted {
+    let emitted: u64 = results.iter().flatten().map(|r| r.records_emitted).sum();
+    let observed = observer.registry().snapshot()[Counter::RecordsOut];
+    if observed != emitted {
         return Err(format!(
-            "record counters disagree: in-proc observer saw {} emitted, workers reported {}",
-            snapshot.records_out, emitted
+            "record counters disagree: in-proc observer saw {observed} emitted, \
+             workers reported {emitted}"
         ));
     }
     Ok(())
