@@ -39,8 +39,7 @@ impl WireCompression {
         }
     }
 
-    /// Parses a compression name as accepted by `dmpirun --compress` and
-    /// the bench CLI.
+    /// Parses a compression name: `none` (or `off`) or `lz4`.
     pub fn parse(s: &str) -> Option<WireCompression> {
         match s {
             "none" | "off" => Some(WireCompression::None),

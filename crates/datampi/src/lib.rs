@@ -42,9 +42,10 @@
 //!   fabric or a real TCP mesh), sharing one task queue, speculation
 //!   board, checkpoint and failed flag — the surface of the test suite,
 //!   the MB-scale benches and the [`supervisor`];
-//! * **one rank per process** ([`distrib`], the `dmpirun` launcher) and
-//!   **one rank per job on a resident mesh** ([`service`], `dmpid`):
-//!   the static task assignment, no board, no checkpoint.
+//! * **one rank per process**, in a job service session ([`service`]
+//!   over [`distrib`]): kept resident for many jobs by `dmpid`, or
+//!   started for one by the `dmpirun` launcher — the static task
+//!   assignment, no board, no checkpoint.
 //!
 //! Beside them, a **plan compiler** ([`plan`]) translates the same job
 //! into `dmpi-dcsim` activities for the paper-scale experiments.

@@ -142,6 +142,16 @@ impl LogHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
+    /// Folds a snapshot's samples in, as if each had been recorded here.
+    pub fn record_snapshot(&self, snap: &HistogramSnapshot) {
+        for (bucket, n) in self.buckets.iter().zip(snap.buckets) {
+            bucket.fetch_add(n, Ordering::Relaxed);
+        }
+        self.count.fetch_add(snap.count, Ordering::Relaxed);
+        self.sum.fetch_add(snap.sum, Ordering::Relaxed);
+        self.max.fetch_max(snap.max, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy, mergeable and serializable.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -195,6 +205,20 @@ impl HistogramSnapshot {
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
+    }
+
+    /// The samples recorded since `earlier`, a snapshot of the same
+    /// histogram (the live atomics wrap, so the differences do too). A
+    /// maximum cannot be taken apart, so the result keeps this
+    /// snapshot's (exact when `earlier` is empty).
+    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+        let count = self.count.wrapping_sub(earlier.count);
+        HistogramSnapshot {
+            buckets: std::array::from_fn(|i| self.buckets[i].wrapping_sub(earlier.buckets[i])),
+            count,
+            sum: self.sum.wrapping_sub(earlier.sum),
+            max: if count == 0 { 0 } else { self.max },
+        }
     }
 
     /// Mean sample value (0 when empty).
@@ -430,6 +454,49 @@ mod tests {
             assert_eq!(ab_c.count, a.count + b.count + c.count);
             assert_eq!(ab_c.sum, a.sum.saturating_add(b.sum).saturating_add(c.sum));
         }
+    }
+
+    #[test]
+    fn samples_since_a_snapshot_replay_to_the_same_histogram() {
+        let mut next = rng(0xBEEF);
+        for case in 0..10 {
+            let (live, alone) = (LogHistogram::new(), LogHistogram::new());
+            for _ in 0..case * 7 {
+                live.record(next() >> (next() % 60));
+            }
+            let before = live.snapshot();
+            for _ in 0..40 {
+                let v = next() >> (next() % 60);
+                live.record(v);
+                alone.record(v);
+            }
+            let delta = live.snapshot().since(&before);
+            let expect = alone.snapshot();
+            assert_eq!(
+                (delta.buckets, delta.count, delta.sum),
+                (expect.buckets, expect.count, expect.sum)
+            );
+            assert!(
+                delta.max >= expect.max,
+                "case {case}: max is an upper bound"
+            );
+            let replay = LogHistogram::new();
+            replay.record_snapshot(&delta);
+            assert_eq!(replay.snapshot(), delta, "case {case}");
+        }
+        let empty = LogHistogram::new().snapshot();
+        let one = LogHistogram::new();
+        one.record(9);
+        assert_eq!(
+            one.snapshot().since(&empty),
+            one.snapshot(),
+            "exact from empty"
+        );
+        assert_eq!(
+            one.snapshot().since(&one.snapshot()),
+            empty,
+            "nothing new is empty"
+        );
     }
 
     #[test]

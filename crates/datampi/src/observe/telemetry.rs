@@ -1,31 +1,31 @@
 //! The distributed telemetry plane: how per-rank observations reach the
 //! coordinator.
 //!
-//! A multi-process job (`dmpirun`) runs every rank in its own process,
-//! so the in-proc [`Observer`]'s shared registry and span log do not
-//! exist job-wide. This module closes that gap in three pieces:
+//! A multi-process job (a `dmpid` or `dmpirun` session) runs every rank
+//! in its own process, so the in-proc [`Observer`]'s shared registry and
+//! span log do not exist job-wide. This module closes that gap in three
+//! pieces:
 //!
-//! * **Clock sync** ([`ClockSync`]) — at registration each worker runs a
-//!   one-round offset exchange with the coordinator (send local time,
-//!   read coordinator time, midpoint-correct by half the RTT). Every
-//!   span timestamp the worker ships is pre-corrected onto the
+//! * **Clock sync** ([`ClockSync`]) — when a worker joins a session it
+//!   runs a one-round offset exchange with the coordinator (send local
+//!   time, read coordinator time, midpoint-correct by half the RTT).
+//!   Every span timestamp the worker ships is pre-corrected onto the
 //!   coordinator's timeline, so a merged trace from N processes lines up
 //!   on one time axis.
-//! * **Telemetry frames** ([`TelemetryFrame`]) — periodically (and once
-//!   more at job end) a worker snapshots its registry (cumulative
-//!   counters — the coordinator differences consecutive frames into
-//!   rates), its histogram channels, its per-peer byte rows, and drains
-//!   its sealed spans, then ships one `jobtlm <job> tlm …` line over the
-//!   control stream it already holds open for its final `jobdone` line.
-//!   The `tlm …` part is a line of the one control-plane grammar
-//!   ([`crate::service::protocol`]): `key=value` fields, the counters in
-//!   [`Counter::ALL`] order, percent-escaping inside span args.
+//! * **Telemetry frames** ([`TelemetryFrame`]) — once per traced job, at
+//!   its end and whatever its outcome, a worker snapshots its registry
+//!   (cumulative counters), its histogram channels, its per-peer byte
+//!   rows, and drains its sealed spans, then ships one `jobtlm <job> tlm
+//!   …` line over its control stream, right before the job's `jobdone`
+//!   or `jobfail`. The `tlm …` part is a line of the one control-plane
+//!   grammar ([`crate::service::protocol`]): `key=value` fields, the
+//!   counters in [`Counter::ALL`] order, percent-escaping inside span
+//!   args.
 //! * **Aggregation** ([`TelemetryAggregator`]) — the coordinator absorbs
 //!   frames from all ranks: latest-wins per rank for cumulative state,
-//!   bucket-addition for histograms, append for spans. From it `dmpirun`
-//!   renders the live progress line, the merged Chrome trace
-//!   (`--trace-out`), and the final `job-report.json` (`--report-out`,
-//!   schema documented in DESIGN.md §13).
+//!   bucket-addition for histograms, append for spans. From it the
+//!   coordinator renders each job's merged Chrome trace and its
+//!   `job-report.json` (schema documented in DESIGN.md §13).
 
 use std::fmt::Write as _;
 
@@ -33,12 +33,12 @@ use super::histogram::{HistKind, HistogramSnapshot};
 use super::metrics::{Counter, MetricsSnapshot};
 use super::trace::{json_escape, SpanKind, Trace, TraceEvent};
 use super::Observer;
-use crate::service::protocol::{esc, unesc, Line, LineWriter};
+use crate::service::protocol::{esc, unesc, JobSpec, Line, LineWriter};
 
-/// Result of the registration-time clock exchange.
+/// Result of the join-time clock exchange.
 ///
-/// The worker records `t0` (its clock) just before sending its
-/// registration, the coordinator stamps `coord_now` when it answers, and
+/// The worker records `t0` (its clock) just before sending its `join`
+/// line, the coordinator stamps `coord_now` when it answers, and
 /// the worker records `t1` on receipt. Assuming the reply sits at the
 /// midpoint of the round trip, the worker's clock is behind the
 /// coordinator's by `offset_us = coord_now - (t0 + t1) / 2`.
@@ -47,8 +47,8 @@ pub struct ClockSync {
     /// Microseconds to add to a local timestamp to land on the
     /// coordinator's timeline (may be negative).
     pub offset_us: i64,
-    /// The measured registration round trip, µs — the error bound on
-    /// the offset.
+    /// The measured join round trip, µs — the error bound on the
+    /// offset.
     pub rtt_us: u64,
 }
 
@@ -160,7 +160,7 @@ pub struct TelemetryFrame {
     pub is_final: bool,
     /// The rank's clock offset onto the coordinator timeline, µs.
     pub offset_us: i64,
-    /// The offset's error bound (registration RTT), µs.
+    /// The offset's error bound (join RTT), µs.
     pub rtt_us: u64,
     /// Cumulative registry counters as of this frame.
     pub counters: MetricsSnapshot,
@@ -322,7 +322,7 @@ impl TelemetryFrame {
 }
 
 /// Worker-side frame factory: owns the sequence counter and clock sync,
-/// so the shipping thread just asks for the next frame.
+/// so the worker just asks for the next frame.
 #[derive(Debug)]
 pub struct TelemetrySink {
     observer: Observer,
@@ -376,16 +376,11 @@ pub struct RankTelemetry {
 }
 
 /// Coordinator-side aggregation: absorbs [`TelemetryFrame`]s from every
-/// rank and answers for the progress view, the merged trace, and the
-/// job report.
+/// rank and answers for the merged trace and the job report.
 #[derive(Debug)]
 pub struct TelemetryAggregator {
     per_rank: Vec<RankTelemetry>,
     spans: Vec<TraceEvent>,
-    // Progress-rate state: the previous rendering's totals.
-    last_progress_us: Option<u64>,
-    last_records_in: u64,
-    last_wire_bytes: u64,
 }
 
 impl TelemetryAggregator {
@@ -394,10 +389,24 @@ impl TelemetryAggregator {
         TelemetryAggregator {
             per_rank: vec![RankTelemetry::default(); ranks],
             spans: Vec::new(),
-            last_progress_us: None,
-            last_records_in: 0,
-            last_wire_bytes: 0,
         }
+    }
+
+    /// The aggregator of a finished in-proc job, whose ranks shared
+    /// `observer`: one final frame per rank carrying its matrix rows,
+    /// with the process-global counters, histograms and spans under rank
+    /// 0, so the aggregate still equals the per-rank sum.
+    pub fn from_observer(observer: &Observer, ranks: usize) -> TelemetryAggregator {
+        let mut agg = TelemetryAggregator::new(ranks);
+        for rank in 0..ranks as u32 {
+            let mut frame = TelemetryFrame::collect(observer, rank, 0, true, ClockSync::default());
+            if rank > 0 {
+                frame.counters = MetricsSnapshot::default();
+                frame.histograms.clear();
+            }
+            agg.absorb(frame);
+        }
+        agg
     }
 
     /// Absorbs one frame. Spans always append (they are deltas);
@@ -488,62 +497,22 @@ impl TelemetryAggregator {
         self.per_rank.iter().map(|r| r.recv_row.clone()).collect()
     }
 
-    /// Renders the live single-line progress view and advances the rate
-    /// baseline: records/s and wire MB/s over the interval since the
-    /// last call, the laggiest rank's shortfall against the leader, and
-    /// the straggler-defense event count.
-    pub fn progress_line(&mut self, now_us: u64, done: usize) -> String {
-        let agg = self.aggregate_counters();
-        let dt_s = self
-            .last_progress_us
-            .map(|prev| (now_us.saturating_sub(prev)) as f64 / 1e6)
-            .unwrap_or(0.0);
-        let rec_rate = if dt_s > 0.0 {
-            (agg[Counter::RecordsIn].saturating_sub(self.last_records_in)) as f64 / dt_s
-        } else {
-            0.0
-        };
-        let wire_now = agg[Counter::WireBytesSent] + agg[Counter::WireBytesReceived];
-        let wire_rate = if dt_s > 0.0 {
-            (wire_now.saturating_sub(self.last_wire_bytes)) as f64 / dt_s / (1 << 20) as f64
-        } else {
-            0.0
-        };
-        self.last_progress_us = Some(now_us);
-        self.last_records_in = agg[Counter::RecordsIn];
-        self.last_wire_bytes = wire_now;
-
-        // Lag: the slowest rank's ingested records vs the leader's.
-        let ingested: Vec<u64> = self
-            .per_rank
-            .iter()
-            .map(|r| r.counters.as_ref().map_or(0, |c| c[Counter::RecordsIn]))
-            .collect();
-        let lead = ingested.iter().copied().max().unwrap_or(0);
-        let lag = ingested
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, v)| **v)
-            .filter(|_| lead > 0)
-            .map(|(rank, v)| {
-                format!(
-                    " lag=r{}:-{}%",
-                    rank,
-                    (lead.saturating_sub(*v)) * 100 / lead.max(1)
-                )
-            })
-            .unwrap_or_default();
-        let spec = agg[Counter::SpeculativeAttempts] + agg[Counter::TasksStolen];
-        format!(
-            "[{:7.2}s] {}/{} done | {:9.0} rec/s | {:7.2} MB/s wire{} | spec={}",
-            now_us as f64 / 1e6,
-            done,
-            self.per_rank.len(),
-            rec_rate,
-            wire_rate,
-            lag,
-            spec
-        )
+    /// Renders the report of job `spec` under the one meta key set every
+    /// job report carries, whichever backend ran it: `job tenant workload
+    /// backend tasks seed elapsed_us status finals_seen`.
+    pub fn job_report(&self, spec: &JobSpec, backend: &str, elapsed_us: u64, ok: bool) -> String {
+        let meta = [
+            ("job", spec.id.to_string()),
+            ("tenant", format!("{:?}", spec.tenant)),
+            ("workload", format!("{:?}", spec.workload)),
+            ("backend", format!("{backend:?}")),
+            ("tasks", spec.tasks.to_string()),
+            ("seed", spec.seed.to_string()),
+            ("elapsed_us", elapsed_us.to_string()),
+            ("status", format!("{:?}", if ok { "ok" } else { "failed" })),
+            ("finals_seen", self.finals_seen().to_string()),
+        ];
+        self.report_json(&meta)
     }
 
     /// Renders `job-report.json`. `meta` rows are caller-supplied
@@ -978,26 +947,5 @@ mod tests {
         for rank in 0..3 {
             assert!(chrome.contains(&format!("\"name\":\"rank {rank}\"")));
         }
-    }
-
-    #[test]
-    fn progress_line_reports_rates_and_lag() {
-        let mut agg = TelemetryAggregator::new(2);
-        let mut f0 = sample_frame(0, 0);
-        f0.counters[Counter::RecordsIn] = 1000;
-        let mut f1 = sample_frame(1, 0);
-        f1.counters[Counter::RecordsIn] = 250;
-        agg.absorb(f0.clone());
-        agg.absorb(f1);
-        let first = agg.progress_line(1_000_000, 0);
-        assert!(first.contains("0/2 done"), "{first}");
-        // One second later rank 0 ingested 500 more records.
-        f0.counters[Counter::RecordsIn] = 1500;
-        f0.seq = 1;
-        agg.absorb(f0);
-        let line = agg.progress_line(2_000_000, 1);
-        assert!(line.contains("1/2 done"), "{line}");
-        assert!(line.contains("500 rec/s"), "{line}");
-        assert!(line.contains("lag=r1:-83%"), "{line}");
     }
 }

@@ -9,11 +9,15 @@
 //! `peers v0 …` table once the mesh is full, and from then on pushes
 //! `job <id> …` dispatch lines to every rank as
 //! [`FairShareAdmission`] frees slots.
-//! With a `report_dir` the coordinator asks its workers to trace their
-//! jobs (`tlm=1` in the join reply) and aggregates each job's `jobtlm`
-//! frames into a `dmpi-job-report/v1` document, exactly the artifact the
-//! one-shot launcher writes; without one nobody would read the frames,
-//! so jobs run untraced and none are sent.
+//!
+//! A job is terminal once every rank has reported it or left the session:
+//! only then does its client get one line — `jobdone` with the ranks'
+//! counters summed, or `jobfail` with every failed rank's reason in rank
+//! order — and its admission slot come free. With a `report_dir` the
+//! workers trace their jobs (`tlm=1` in the seat line) and at the
+//! terminal the coordinator writes the job's `dmpi-job-report/v1` and
+//! Chrome trace (with its own dispatch → terminal span); without one
+//! nobody would read the frames, so jobs run untraced and none are sent.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -28,7 +32,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use dmpi_common::{Error, FaultCause, FaultKind, Result};
 
 use crate::distrib::RankTable;
-use crate::observe::TelemetryAggregator;
+use crate::observe::{SpanKind, TelemetryAggregator, TraceEvent, JOB_LANE};
 
 use super::admission::{AdmissionConfig, FairShareAdmission};
 use super::protocol::{read_known_line, JobSpec, Line, LineWriter, WorkerDone, WorkerEvent};
@@ -40,8 +44,9 @@ pub struct ServiceConfig {
     pub ranks: usize,
     /// Fair-share admission knobs.
     pub admission: AdmissionConfig,
-    /// When set, jobs run traced and each completed job's
-    /// `dmpi-job-report/v1` JSON lands at `<dir>/job-<id>.json`.
+    /// When set, jobs run traced and each finished job's
+    /// `dmpi-job-report/v1` JSON lands at `<dir>/job-<id>.json`, its
+    /// Chrome trace at `<dir>/job-<id>.trace.json`.
     pub report_dir: Option<PathBuf>,
 }
 
@@ -78,20 +83,25 @@ enum Event {
     },
     /// A line from a seated worker.
     Worker(WorkerEvent),
-    /// A seated worker's control stream ended without `bye`.
-    WorkerGone {
+    /// A seated worker left: it said `bye`, or its control stream ended.
+    Left {
         rank: usize,
     },
 }
+
+/// A rank's outcome of one job: its report, or why there is none.
+type Outcome = std::result::Result<WorkerDone, String>;
 
 /// One admitted job's runtime state on the scheduler.
 struct JobState {
     spec: JobSpec,
     client: TcpStream,
-    done: Vec<Option<WorkerDone>>,
+    /// Per rank, once known; the job is terminal when all are.
+    outcomes: Vec<Option<Outcome>>,
     /// The job's telemetry, kept only when a report will be written.
     agg: Option<TelemetryAggregator>,
-    started: Instant,
+    /// `None` while queued.
+    dispatched: Option<Instant>,
 }
 
 /// Classifies one fresh connection by its first known verb and forwards
@@ -123,7 +133,7 @@ fn classify_connection(stream: TcpStream, events: &Sender<Event>, epoch: Instant
                     Err(_) => return,
                 };
                 let clock = LineWriter::new("clock").pos(epoch.elapsed().as_micros() as u64);
-                let _ = writeln!(w, "{}", clock.finish());
+                let _ = clock.send(&mut w);
             }
             let _ = events.send(Event::Join { stream, port });
         }
@@ -146,28 +156,25 @@ fn classify_connection(stream: TcpStream, events: &Sender<Event>, epoch: Instant
 
 fn reject(mut client: TcpStream, reason: &str) {
     let line = LineWriter::new("rejected").text("reason", reason);
-    let _ = writeln!(client, "{}", line.finish());
+    let _ = line.send(&mut client);
 }
 
 /// Drains one resident worker's control stream into scheduler events,
-/// ending with exactly one departure: the worker's `bye`, or
-/// [`Event::WorkerGone`] when the stream ends (or fails) without one.
+/// ending with exactly one [`Event::Left`]: at the worker's `bye`, or
+/// when the stream ends (or fails) without one.
 fn worker_reader(stream: TcpStream, rank: usize, events: Sender<Event>) {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     let known = |v: &str| matches!(v, "jobdone" | "jobfail" | "jobtlm" | "bye");
     while read_known_line(&mut reader, &mut line, known).unwrap_or(0) > 0 {
         // A malformed line of a known verb is dropped like an unknown one.
-        let Some(event) = WorkerEvent::parse(&line) else {
-            continue;
-        };
-        let said_bye = matches!(event, WorkerEvent::Bye { .. });
-        let _ = events.send(Event::Worker(event));
-        if said_bye {
-            return;
+        match WorkerEvent::parse(&line) {
+            Some(WorkerEvent::Bye { .. }) => break,
+            Some(event) => drop(events.send(Event::Worker(event))),
+            None => {}
         }
     }
-    let _ = events.send(Event::WorkerGone { rank });
+    let _ = events.send(Event::Left { rank });
 }
 
 struct Scheduler {
@@ -183,8 +190,10 @@ struct Scheduler {
     draining: bool,
     drain_sent: bool,
     drain_waiters: Vec<TcpStream>,
-    /// Seated workers that left: said `bye`, or their stream ended.
-    departed: usize,
+    /// Per rank: left the session (said `bye`, or its stream ended).
+    left: Vec<bool>,
+    /// The session clock: clock replies and the coordinator's spans.
+    epoch: Instant,
     events: Sender<Event>,
 }
 
@@ -194,8 +203,10 @@ impl Scheduler {
     }
 
     fn on_join(&mut self, stream: TcpStream, port: u16) {
-        if self.mesh_ready() || self.draining {
+        if self.mesh_ready() || self.drain_sent {
             // A late joiner has no seat: closing the stream tells it so.
+            // (Draining with jobs still queued, a session keeps seating:
+            // those jobs need a mesh to run on.)
             return;
         }
         self.joiners.push((stream, port));
@@ -204,13 +215,12 @@ impl Scheduler {
         }
         let ranks = self.config.ranks;
         let table = RankTable::new(
-            0,
             self.joiners
                 .iter()
                 .map(|(_, p)| format!("127.0.0.1:{p}").parse().expect("loopback addr"))
                 .collect(),
         );
-        let table_line = table.wire_line();
+        let table_line = table.wire_line() + "\n";
         // Workers trace their jobs only when a report will be written.
         let traced = self.config.report_dir.is_some() as u8;
         for (rank, (mut stream, _)) in self.joiners.drain(..).enumerate() {
@@ -218,15 +228,14 @@ impl Scheduler {
                 .pos(rank)
                 .pos(ranks)
                 .field("tlm", traced);
-            let _ = writeln!(stream, "{}", seat.finish());
-            let _ = writeln!(stream, "{table_line}");
+            let _ = stream.write_all((seat.finish() + "\n" + &table_line).as_bytes());
             let events = self.events.clone();
             match stream.try_clone() {
                 Ok(read_half) => {
                     std::thread::spawn(move || worker_reader(read_half, rank, events));
                 }
                 // Nobody can read this rank's reports: it has left.
-                Err(_) => drop(events.send(Event::WorkerGone { rank })),
+                Err(_) => drop(events.send(Event::Left { rank })),
             }
             self.workers.push(stream);
         }
@@ -243,19 +252,19 @@ impl Scheduler {
             Ok(()) => {
                 self.next_id += 1;
                 let accepted = LineWriter::new("accepted").field("job", spec.id);
-                let _ = writeln!(stream, "{}", accepted.finish());
+                let _ = accepted.send(&mut stream);
                 self.jobs.insert(
                     spec.id,
                     JobState {
                         spec,
                         client: stream,
-                        done: (0..self.config.ranks).map(|_| None).collect(),
+                        outcomes: (0..self.config.ranks).map(|_| None).collect(),
                         agg: self
                             .config
                             .report_dir
                             .as_ref()
                             .map(|_| TelemetryAggregator::new(self.config.ranks)),
-                        started: Instant::now(),
+                        dispatched: None,
                     },
                 );
                 self.try_dispatch();
@@ -263,104 +272,144 @@ impl Scheduler {
         }
     }
 
-    /// Pushes every job admission will currently allow onto the mesh.
+    /// Pushes every job admission will currently allow onto the mesh. A
+    /// rank that has already left is settled for each job at once.
     fn try_dispatch(&mut self) {
-        if !self.mesh_ready() {
-            return;
-        }
-        while let Some(spec) = self.admission.next_to_dispatch() {
-            let line = spec.wire_line();
-            for w in &mut self.workers {
-                let _ = writeln!(w, "{line}");
-            }
+        while self.mesh_ready() {
+            let Some(spec) = self.admission.next_to_dispatch() else {
+                return;
+            };
             if let Some(job) = self.jobs.get_mut(&spec.id) {
-                job.started = Instant::now();
+                job.dispatched = Some(Instant::now());
+            }
+            let line = spec.wire_line() + "\n";
+            for w in &mut self.workers {
+                let _ = w.write_all(line.as_bytes());
+            }
+            let gone: Vec<usize> = (0..self.left.len()).filter(|&r| self.left[r]).collect();
+            for rank in gone {
+                self.settle(spec.id, rank, Err(died(rank)));
             }
         }
     }
 
-    fn on_worker_done(&mut self, done: WorkerDone) {
-        let Some(job) = self.jobs.get_mut(&done.job) else {
-            return; // already failed and retired
+    /// Takes a worker's report of a job; a job it makes terminal frees
+    /// its slot for the next.
+    fn on_outcome(&mut self, id: u64, rank: usize, outcome: Outcome) {
+        if self.settle(id, rank, outcome) {
+            self.try_dispatch();
+            self.maybe_start_worker_drain();
+        }
+    }
+
+    /// Records rank `rank`'s outcome of job `id` — its first; later ones
+    /// and unknown jobs are dropped — and finishes the job when that was
+    /// the last one missing. Returns whether it was.
+    fn settle(&mut self, id: u64, rank: usize, outcome: Outcome) -> bool {
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return false;
         };
-        if done.rank < job.done.len() {
-            let rank = done.rank;
-            job.done[rank] = Some(done);
+        let Some(slot @ None) = job.outcomes.get_mut(rank) else {
+            return false;
+        };
+        if let (Err(cause), Some(agg)) = (&outcome, job.agg.as_mut()) {
+            agg.record(TraceEvent {
+                kind: SpanKind::Fault,
+                ts_us: self.epoch.elapsed().as_micros() as u64,
+                dur_us: 0,
+                instant: true,
+                rank: rank as u32,
+                attempt: 0,
+                task: None,
+                args: vec![("cause", cause.clone())],
+            });
         }
-        if !job.done.iter().all(Option::is_some) {
-            return;
+        *slot = Some(outcome);
+        if !job.outcomes.iter().all(Option::is_some) {
+            return false;
         }
-        let id = job.spec.id;
-        let mut job = self.jobs.remove(&id).expect("checked above");
-        let reports: Vec<&WorkerDone> = job.done.iter().map(|d| d.as_ref().unwrap()).collect();
-        let out_records: u64 = reports.iter().map(|d| d.out_records).sum();
-        let out_bytes: u64 = reports.iter().map(|d| d.out_bytes).sum();
-        let crcs = reports
+        self.finish_job(id);
+        true
+    }
+
+    /// Answers a terminal job's client, writes its report, and returns
+    /// its admission slot.
+    fn finish_job(&mut self, id: u64) {
+        let mut job = self.jobs.remove(&id).expect("settled jobs are live");
+        let elapsed_us = job.dispatched.map_or(0, |t| t.elapsed().as_micros() as u64);
+        let outcomes: Vec<Outcome> = job.outcomes.drain(..).flatten().collect();
+        let failures: Vec<&str> = outcomes
             .iter()
-            .map(|d| d.crc.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let elapsed_us = job.started.elapsed().as_micros() as u64;
-        let done = LineWriter::new("jobdone")
-            .field("job", id)
-            .field("out_records", out_records)
-            .field("out_bytes", out_bytes)
-            .field("crcs", crcs)
-            .field("elapsed_us", elapsed_us);
-        let _ = writeln!(job.client, "{}", done.finish());
-        self.write_report(&job, elapsed_us);
-        self.summary.completed += 1;
-        self.admission.release(&job.spec.tenant);
-        self.try_dispatch();
-        self.maybe_start_worker_drain();
-    }
-
-    fn write_report(&self, job: &JobState, elapsed_us: u64) {
-        let (Some(dir), Some(agg)) = (&self.config.report_dir, &job.agg) else {
-            return;
+            .filter_map(|o| o.as_ref().err())
+            .map(String::as_str)
+            .collect();
+        let ok = failures.is_empty();
+        let line = if ok {
+            let done: Vec<&WorkerDone> = outcomes.iter().flatten().collect();
+            let sum = |of: fn(&WorkerDone) -> u64| done.iter().map(|d| of(d)).sum::<u64>();
+            let crcs: Vec<String> = done.iter().map(|d| d.crc.to_string()).collect();
+            LineWriter::new("jobdone")
+                .field("job", id)
+                .field("out_records", sum(|d| d.out_records))
+                .field("out_bytes", sum(|d| d.out_bytes))
+                .field("crcs", crcs.join(","))
+                .field("elapsed_us", elapsed_us)
+                .field("o_tasks_run", sum(|d| d.o_tasks_run))
+                .field("records_emitted", sum(|d| d.records_emitted))
+                .field("bytes_emitted", sum(|d| d.bytes_emitted))
+                .field("frames", sum(|d| d.frames))
+                .field("groups", sum(|d| d.groups))
+                .field("wire_sent", sum(|d| d.wire_sent))
+                .field("wire_recv", sum(|d| d.wire_recv))
+        } else {
+            let err = failures.join("; ");
+            LineWriter::new("jobfail")
+                .field("job", id)
+                .text("err", &err)
         };
-        let meta = [
-            ("job", job.spec.id.to_string()),
-            ("tenant", format!("{:?}", job.spec.tenant)),
-            ("workload", format!("{:?}", job.spec.workload)),
-            ("tasks", job.spec.tasks.to_string()),
-            ("seed", job.spec.seed.to_string()),
-            ("elapsed_us", elapsed_us.to_string()),
-        ];
-        let json = agg.report_json(&meta);
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(dir.join(format!("job-{}.json", job.spec.id)), json);
-    }
-
-    fn on_worker_fail(&mut self, id: u64, rank: usize, err: String) {
-        let Some(mut job) = self.jobs.remove(&id) else {
-            return; // duplicate failure reports collapse into the first
-        };
-        let fail = LineWriter::new("jobfail")
-            .field("job", id)
-            .text("err", &format!("rank {rank}: {err}"));
-        let _ = writeln!(job.client, "{}", fail.finish());
-        self.summary.failed += 1;
+        let _ = line.send(&mut job.client);
+        if let (Some(dir), Some(agg)) = (&self.config.report_dir, job.agg.as_mut()) {
+            if let Some(at) = job.dispatched {
+                agg.record(TraceEvent {
+                    kind: SpanKind::Attempt,
+                    ts_us: at.duration_since(self.epoch).as_micros() as u64,
+                    dur_us: elapsed_us,
+                    instant: false,
+                    rank: JOB_LANE,
+                    attempt: 0,
+                    task: None,
+                    args: vec![("ranks", self.config.ranks.to_string())],
+                });
+            }
+            let report = agg.job_report(&job.spec, "tcp", elapsed_us, ok);
+            let _ = std::fs::create_dir_all(dir);
+            let _ = std::fs::write(dir.join(format!("job-{id}.json")), report);
+            let trace = agg.trace().to_chrome_json_by_rank();
+            let _ = std::fs::write(dir.join(format!("job-{id}.trace.json")), trace);
+        }
+        self.summary.completed += ok as u64;
+        self.summary.failed += !ok as u64;
         self.admission.release(&job.spec.tenant);
-        self.try_dispatch();
-        self.maybe_start_worker_drain();
     }
 
-    fn on_worker_gone(&mut self, rank: usize) {
-        self.departed += 1;
+    fn on_left(&mut self, rank: usize) {
+        if let Some(left) = self.left.get_mut(rank) {
+            *left = true;
+        }
         if self.drain_sent {
-            // Told to leave, it left: only its `bye` is missing.
+            // Told to leave, it left.
             return;
         }
-        // A resident rank died: the mesh is degraded beyond repair for
-        // every job on it. Fail in-flight jobs, stop admitting, drain.
-        let err = format!("resident rank {rank} left the mesh");
-        let ids: Vec<u64> = self.jobs.keys().copied().collect();
-        for id in ids {
-            self.on_worker_fail(id, rank, err.clone());
+        // A resident rank died: the mesh is degraded beyond repair. Every
+        // dispatched job has lost the rank's report; stop admitting and
+        // drain (queued jobs still dispatch, and fail fast).
+        let jobs = self.jobs.iter().filter(|(_, job)| job.dispatched.is_some());
+        for id in jobs.map(|(&id, _)| id).collect::<Vec<_>>() {
+            self.settle(id, rank, Err(died(rank)));
         }
         self.admission.start_drain();
         self.draining = true;
+        self.try_dispatch();
         self.maybe_start_worker_drain();
     }
 
@@ -376,7 +425,7 @@ impl Scheduler {
             // One `tenant= queued= running=` group per tenant, the groups
             // comma-joined: the reply's shape since before the codec.
             .pos(self.admission.status_fragments().join(","));
-        let _ = writeln!(stream, "{}", status.finish());
+        let _ = status.send(&mut stream);
     }
 
     fn on_drain(&mut self, stream: TcpStream) {
@@ -393,22 +442,23 @@ impl Scheduler {
         }
         self.drain_sent = true;
         for w in &mut self.workers {
-            let _ = writeln!(w, "drain");
+            let _ = w.write_all(b"drain\n");
         }
     }
 
     /// True once the session is over: drained and every seated worker
     /// has left (or there never was a mesh to leave).
     fn finished(&self) -> bool {
-        self.drain_sent && self.departed >= self.workers.len()
+        self.drain_sent && self.left[..self.workers.len()].iter().all(|&l| l)
     }
 
     fn finish(&mut self) {
         let drained = LineWriter::new("drained")
             .field("completed", self.summary.completed)
-            .finish();
+            .finish()
+            + "\n";
         for mut w in self.drain_waiters.drain(..) {
-            let _ = writeln!(w, "{drained}");
+            let _ = w.write_all(drained.as_bytes());
         }
     }
 }
@@ -442,6 +492,7 @@ pub fn serve(listener: TcpListener, config: ServiceConfig) -> Result<ServiceSumm
 
     let admission = FairShareAdmission::new(config.admission.clone());
     let mut sched = Scheduler {
+        left: vec![false; config.ranks],
         config,
         joiners: Vec::new(),
         workers: Vec::new(),
@@ -452,7 +503,7 @@ pub fn serve(listener: TcpListener, config: ServiceConfig) -> Result<ServiceSumm
         draining: false,
         drain_sent: false,
         drain_waiters: Vec::new(),
-        departed: 0,
+        epoch,
         events: events_tx,
     };
 
@@ -473,17 +524,20 @@ pub fn serve(listener: TcpListener, config: ServiceConfig) -> Result<ServiceSumm
             Event::Submit { stream, spec } => sched.on_submit(stream, spec),
             Event::Status { stream } => sched.on_status(stream),
             Event::Drain { stream } => sched.on_drain(stream),
-            Event::Worker(WorkerEvent::Done(done)) => sched.on_worker_done(done),
+            Event::Worker(WorkerEvent::Done(done)) => {
+                sched.on_outcome(done.job, done.rank, Ok(done))
+            }
             Event::Worker(WorkerEvent::Fail { job, rank, err }) => {
-                sched.on_worker_fail(job, rank, err)
+                sched.on_outcome(job, rank, Err(format!("rank {rank}: {err}")))
             }
             Event::Worker(WorkerEvent::Tlm { job, frame }) => {
                 if let Some(agg) = sched.jobs.get_mut(&job).and_then(|j| j.agg.as_mut()) {
                     agg.absorb(*frame);
                 }
             }
-            Event::Worker(WorkerEvent::Bye { .. }) => sched.departed += 1,
-            Event::WorkerGone { rank } => sched.on_worker_gone(rank),
+            // The reader turns `bye` into `Left`.
+            Event::Worker(WorkerEvent::Bye { .. }) => {}
+            Event::Left { rank } => sched.on_left(rank),
         }
     }
     sched.finish();
@@ -492,4 +546,9 @@ pub fn serve(listener: TcpListener, config: ServiceConfig) -> Result<ServiceSumm
     let _ = TcpStream::connect(wake_addr);
     let _ = acceptor.join();
     Ok(sched.summary)
+}
+
+/// Why a rank that left has no outcome for a job.
+fn died(rank: usize) -> String {
+    format!("rank {rank} died without reporting")
 }

@@ -1,25 +1,25 @@
 //! The control-plane line codec and the verbs that ride on it.
 //!
-//! Everything on a rendezvous, telemetry or service control stream is
-//! one line of text in one grammar, `verb positional… key=value…`, read
-//! through [`Line`] and written through [`LineWriter`], with free-form
-//! values (tenant names, paths, error messages) percent-escaped.
-//! DESIGN.md §14 has the verb table; the families are:
+//! Everything on a service control stream — `dmpid`'s or a `dmpirun`
+//! launch's — is one line of text in one grammar, `verb positional…
+//! key=value…`, read through [`Line`] and written through
+//! [`LineWriter`], with free-form values (tenant names, paths, error
+//! messages) percent-escaped. DESIGN.md §14 has the verb table; the
+//! families are:
 //!
-//! * **rendezvous** — `rank <r> <port> <t0>` (one-shot worker) or `join
-//!   <port> <t0>` (resident worker), answered by `clock <T>`, for a
-//!   resident worker its seat `rank <r> <ranks> tlm=<0|1>`, and the
-//!   `peers v<N> …` table broadcast;
+//! * **join** — `join <port> <t0>`, answered by `clock <T>`, the seat
+//!   `rank <r> <ranks> tlm=<0|1>`, and the `peers v0 …` table broadcast;
 //! * **coordinator → worker** — `job <id> …` dispatches ([`JobSpec`]),
 //!   finally `drain`;
-//! * **worker → coordinator** ([`WorkerEvent`]; a `dmpirun` worker
-//!   speaks it too, as job 0) — `jobdone <id> rank=… …` or `jobfail <id>
-//!   rank=… err=…` per job, `jobtlm <id> tlm …` telemetry interleaved,
-//!   finally `bye rank=<r>`;
+//! * **worker → coordinator** ([`WorkerEvent`]) — per job an optional
+//!   final `jobtlm <id> tlm …` frame, then `jobdone <id> rank=… …` or
+//!   `jobfail <id> rank=… err=…`; finally `bye rank=<r>`;
 //! * **client ↔ coordinator** — `submit tenant=… workload=… …`,
-//!   answered by `accepted job=<id>` or `rejected reason=…` and later a
-//!   terminal `jobdone job=<id> …` / `jobfail job=<id> err=…`; plus
-//!   one-line `status` and `drain` queries.
+//!   answered by `accepted job=<id>` or `rejected reason=…` and, once
+//!   every rank has reported or left, one terminal `jobdone job=<id> …`
+//!   (the ranks' counters summed) or `jobfail job=<id> err=…` (every
+//!   failed rank's reason); plus one-line `status` and `drain` queries,
+//!   all sent through the client calls of [`super::client`].
 //!
 //! **Forward compatibility** is a protocol rule, not an accident: every
 //! reader skips lines whose leading verb it does not recognize
@@ -30,7 +30,7 @@
 //! makes a parser return `None`; nothing here panics on input.
 
 use std::fmt::{Display, Write as _};
-use std::io::{self, BufRead, Read};
+use std::io::{self, BufRead, Read, Write};
 use std::str::FromStr;
 
 use crate::observe::TelemetryFrame;
@@ -190,6 +190,12 @@ impl LineWriter {
     /// The finished line.
     pub fn finish(self) -> String {
         self.0
+    }
+
+    /// Writes the finished line and its newline to `w` in one write, so
+    /// the reader wakes once per line, not once per piece of it.
+    pub(crate) fn send<W: Write + ?Sized>(self, w: &mut W) -> io::Result<()> {
+        w.write_all((self.0 + "\n").as_bytes())
     }
 }
 
@@ -404,8 +410,7 @@ impl WorkerDone {
     }
 }
 
-/// What a worker tells its coordinator over its control stream: the one
-/// vocabulary of `dmpid` workers and of `dmpirun` workers (job 0).
+/// What a worker tells its coordinator over its control stream.
 #[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // the fields are named for what they are
 pub enum WorkerEvent {

@@ -171,9 +171,9 @@ pub struct ElasticPolicy {
     /// many ranks (a final-width-1 job is always still a valid job, so
     /// the default floor is 1).
     pub min_ranks: usize,
-    /// Simulated replacement registration: on attempt `.0` the mesh grows
-    /// to `.1` ranks (bumping the rank-table version), modelling a spare
-    /// rank joining through the rendezvous protocol.
+    /// Simulated replacement: on attempt `.0` the mesh grows to `.1`
+    /// ranks (bumping the table version), modelling a spare rank joining
+    /// the job.
     pub grow_on_attempt: Option<(u32, usize)>,
 }
 
@@ -241,12 +241,13 @@ pub struct ElasticOutput {
 ///   checkpoint the supervisor retries at full width (a plain restart) —
 ///   there is nothing banked to degrade gracefully *from*.
 /// * **Grow on replacement** — [`ElasticPolicy::grow_on_attempt`] models
-///   a spare rank registering through the versioned rendezvous protocol
-///   (`dmpirun --elastic` does this with real processes): the chosen
-///   attempt runs wider, again recovering re-bucketed checkpoints.
+///   a spare rank joining between attempts: the chosen attempt runs
+///   wider, again recovering re-bucketed checkpoints.
 ///
-/// Every membership change bumps `table_version`, mirroring the
-/// `peers v<N>` line of the wire protocol (`distrib::RankTable`).
+/// Every membership change bumps `table_version`, so each attempt's
+/// width is named by the version it ran under. (`dmpirun --elastic` is
+/// the process-level cousin: whole one-job sessions, each one rank
+/// narrower, with no checkpoint carried across.)
 pub fn supervise_job_elastic<O, A>(
     config: &JobConfig,
     policy: &RetryPolicy,

@@ -18,9 +18,10 @@
 //! the same shape on both backends: a [`FrameSender`] per peer (indexed
 //! by destination partition) and one [`FrameReceiver`] mailbox, so the
 //! runtime, `KvBuffer`, and the A-side ingest loop are backend-agnostic.
-//! Multi-process launches (`dmpirun`) skip the trait's all-ranks
-//! [`Transport::open`] and build a single rank's endpoint directly with
-//! [`tcp::establish_endpoint`] from a distributed rank table.
+//! Multi-process sessions (`dmpid`, `dmpirun`) skip the trait's
+//! all-ranks [`Transport::open`] and build a single rank's endpoint
+//! directly with [`tcp::establish_endpoint`] from the session's rank
+//! table.
 
 mod evloop;
 pub mod inproc;
@@ -54,7 +55,7 @@ pub enum Backend {
     #[default]
     InProc,
     /// Ranks talk real TCP (loopback mesh when launched by
-    /// [`Transport::open`]; arbitrary hosts via `dmpirun`'s rank table).
+    /// [`Transport::open`]; arbitrary hosts via a session's rank table).
     Tcp,
 }
 
@@ -67,8 +68,8 @@ impl Backend {
         }
     }
 
-    /// Parses a backend name as accepted by `dmpirun --transport` and
-    /// the bench CLI.
+    /// Parses a backend name as accepted by `dmpirun --backend` and the
+    /// bench CLI.
     pub fn parse(s: &str) -> Option<Backend> {
         match s {
             "inproc" | "in-proc" | "channel" => Some(Backend::InProc),

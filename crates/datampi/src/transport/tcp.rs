@@ -180,8 +180,8 @@ fn connect_with_retry(
 /// `peers` (indexed by rank), then hands the listener, the connected
 /// streams, and their send windows to this rank's poller thread, which
 /// accepts the `peers.len()` inbound connections (one per peer, itself
-/// included) and runs all I/O from then on. This is the entry point
-/// `dmpirun` workers use once the coordinator has distributed the rank
+/// included) and runs all I/O from then on. This is the entry point a
+/// session's workers use once the coordinator has broadcast the rank
 /// table; [`TcpTransport::open`] calls it once per rank for
 /// single-process loopback meshes.
 pub fn establish_endpoint(

@@ -1,18 +1,17 @@
-//! Forward compatibility of the rendezvous/service wire protocol: a
-//! reader built at protocol version N must *skip* verbs introduced at
-//! version N+1, not error on them. The property holds at three layers —
-//! the raw [`read_known_line`] primitive, the worker's registration
-//! reader ([`register_with_coordinator`]), and the coordinator's
-//! registration reader ([`coordinate_rank_table`]) — so either side of
-//! the wire can be upgraded first.
+//! Forward compatibility of the control-plane protocol: a reader built
+//! at protocol version N must *skip* verbs introduced at version N+1, not
+//! error on them. The property holds at three layers — the raw
+//! [`read_known_line`] primitive, the worker's side of the `join`
+//! handshake ([`Seat::join`]), and the coordinator's ([`serve`]) — so
+//! either side of the wire can be upgraded first.
 
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::{TcpListener, TcpStream};
 
 use proptest::prelude::*;
 
-use datampi::distrib::{coordinate_rank_table, register_with_coordinator};
 use datampi::service::protocol::read_known_line;
+use datampi::service::{request, serve, AdmissionConfig, Seat, ServiceConfig};
 
 /// A verb no current or past protocol version uses: anything
 /// alphanumeric that is not in the known set. Blank and whitespace-only
@@ -31,10 +30,14 @@ fn unknown_line() -> impl Strategy<Value = String> {
     .prop_filter("must not collide with a known verb", |line| {
         !matches!(
             line.split_whitespace().next(),
-            Some("clock") | Some("peers") | Some("rank") | Some("target")
+            Some("clock" | "peers" | "rank" | "target" | "join" | "submit" | "status" | "drain")
         )
     })
 }
+
+/// A coordinator clock far from any worker's, so a sync that never
+/// happened (offset 0) cannot pass for one that did.
+const COORD_NOW: u64 = 50_000_000_000;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -77,12 +80,14 @@ proptest! {
         prop_assert_eq!(n, 0);
     }
 
-    /// The worker's registration reader: a future coordinator may
-    /// interleave unknown verbs around `clock` and `peers`; the worker
-    /// must still come away with the right clock sync and rank table.
+    /// The worker's side of `join`: a future coordinator may interleave
+    /// unknown verbs before `clock`, the seat and `peers`; the worker
+    /// must still come away with its seat, the rank table and the clock
+    /// sync.
     #[test]
-    fn worker_registration_survives_future_coordinator_verbs(
+    fn worker_join_survives_future_coordinator_verbs(
         pre_clock in prop::collection::vec(unknown_line(), 0..4),
+        pre_seat in prop::collection::vec(unknown_line(), 0..4),
         pre_table in prop::collection::vec(unknown_line(), 0..4),
     ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -92,58 +97,68 @@ proptest! {
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
-            assert!(line.starts_with("rank 0 "), "registration line: {line:?}");
+            assert!(line.starts_with("join "), "join line: {line:?}");
             let mut w = stream;
-            for n in &pre_clock {
-                writeln!(w, "{n}").unwrap();
+            for (noise, line) in [
+                (&pre_clock, format!("clock {COORD_NOW}")),
+                (&pre_seat, "rank 1 2 tlm=1".to_string()),
+                (&pre_table, "peers v7 127.0.0.1:9001 127.0.0.1:9002".to_string()),
+            ] {
+                for n in noise {
+                    writeln!(w, "{n}").unwrap();
+                }
+                writeln!(w, "{line}").unwrap();
             }
-            writeln!(w, "clock 123456").unwrap();
-            for n in &pre_table {
-                writeln!(w, "{n}").unwrap();
-            }
-            writeln!(w, "peers v7 127.0.0.1:9001 127.0.0.1:9002").unwrap();
         });
-        let (_stream, table, sync) =
-            register_with_coordinator(addr, 0, 9001, &|| 1000).unwrap();
+        let seat = Seat::join(addr).unwrap();
         fake_coordinator.join().unwrap();
-        prop_assert_eq!(table.ranks(), 2);
-        prop_assert_eq!(table.version, 7);
-        // clock handshake happened: sync maps local 1000 onto coord 123456
-        prop_assert_eq!(sync.apply(1000), 123456);
+        prop_assert_eq!(seat.rank, 1);
+        prop_assert_eq!(seat.table.ranks(), 2);
+        // The clock handshake happened: the worker's clock, started at
+        // join, maps onto the coordinator's within the round trip.
+        let sync = seat.sync.expect("tlm=1 asks for traced jobs");
+        let lag = COORD_NOW as i64 - sync.offset_us;
+        prop_assert!((0..10_000_000).contains(&lag), "offset {}", sync.offset_us);
     }
 
-    /// The coordinator's registration reader: a future worker may send
-    /// unknown verbs before its `rank …` registration; the coordinator
-    /// must still assemble and broadcast the full table.
+    /// The coordinator's side of `join`: a future worker may send
+    /// unknown verbs before its `join`; the coordinator must still answer
+    /// the clock leg, seat it and broadcast the table.
     #[test]
-    fn coordinator_registration_survives_future_worker_verbs(
+    fn coordinator_join_survives_future_worker_verbs(
         noise in prop::collection::vec(unknown_line(), 0..4),
     ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let fake_worker = std::thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut w = stream.try_clone().unwrap();
-            for n in &noise {
-                writeln!(w, "{n}").unwrap();
-            }
-            writeln!(w, "rank 0 9001 1000").unwrap();
-            let mut reader = BufReader::new(stream);
+        let config = ServiceConfig {
+            ranks: 1,
+            admission: AdmissionConfig::default(),
+            report_dir: None,
+        };
+        let coordinator = std::thread::spawn(move || serve(listener, config));
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut w = stream.try_clone().unwrap();
+        for n in &noise {
+            writeln!(w, "{n}").unwrap();
+        }
+        writeln!(w, "join 9001 1000").unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut replies = Vec::new();
+        for _ in 0..3 {
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
-            assert_eq!(line, "clock 5000\n", "clock reply precedes the table");
-            line.clear();
-            reader.read_line(&mut line).unwrap();
-            line
-        });
-        let streams = coordinate_rank_table(&listener, 1, 0, &|| 5000).unwrap();
-        assert_eq!(streams.len(), 1);
-        let table_line = fake_worker.join().unwrap();
-        prop_assert!(
-            table_line.starts_with("peers v0 "),
-            "broadcast line: {}",
-            table_line
-        );
-        prop_assert!(table_line.contains("9001"));
+            replies.push(line);
+        }
+        prop_assert!(replies[0].starts_with("clock "), "clock leg first: {:?}", replies);
+        prop_assert_eq!(replies[1].as_str(), "rank 0 1 tlm=0\n");
+        prop_assert_eq!(replies[2].as_str(), "peers v0 127.0.0.1:9001\n");
+        // Leave as a drained worker does, so the session ends.
+        let drain = std::thread::spawn(move || request(addr, "drain", "drained"));
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        prop_assert_eq!(line.as_str(), "drain\n");
+        writeln!(w, "bye rank=0").unwrap();
+        prop_assert!(drain.join().unwrap().is_ok());
+        prop_assert!(coordinator.join().unwrap().is_ok());
     }
 }

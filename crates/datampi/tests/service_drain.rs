@@ -5,7 +5,8 @@
 //! stream ended without `bye` was waited for forever, and a drain right
 //! after start made the faster rank drop its listener under the slower
 //! one's dial, which then failed to establish its mesh and left without
-//! `bye`.
+//! `bye`. A session drained before its workers have joined — `dmpirun`'s
+//! order — must still seat them and run the jobs it had queued.
 //!
 //! The odd ranks here are fakes: raw `TcpStream`s speaking `join` (as
 //! `tests/forward_compat.rs` does for the rendezvous) beside one real
@@ -24,8 +25,8 @@ use datampi::comm::Frame;
 use datampi::distrib::RankTable;
 use datampi::service::protocol::Line;
 use datampi::service::{
-    run_resident_worker, serve, AdmissionConfig, JobResolver, JobSpec, PreparedJob, ServiceConfig,
-    ServiceSummary,
+    run_resident_worker, serve, submit, AdmissionConfig, JobResolver, JobSpec, PreparedJob,
+    ServiceConfig, ServiceSummary,
 };
 use datampi::transport::wire;
 use dmpi_common::{Error, Result};
@@ -39,7 +40,8 @@ fn request(addr: SocketAddr, line: &str, until: &str, patience: Duration) -> Out
     common::request(addr, line, |reply| reply.starts_with(until), patience)
 }
 
-/// No scenario here submits a job.
+/// The scenarios here end sessions; a job submitted to one fails to
+/// resolve.
 struct NoJobs;
 
 impl JobResolver for NoJobs {
@@ -221,6 +223,69 @@ fn dial_after_drain() -> Outcome<()> {
 #[test]
 fn a_draining_rank_keeps_its_listener_until_its_peers_have_dialled() {
     under_watchdog(Duration::from_secs(60), dial_after_drain);
+}
+
+/// `dmpirun`'s order: submit, drain, and only then do the workers join.
+/// Draining stops admission, not seating: the queued job still needs its
+/// mesh, and it reaches its terminal line before the session ends.
+fn drain_before_the_mesh_forms() -> Outcome<()> {
+    let service = start_service()?;
+    let addr = service.addr;
+    let job = submit(addr, &spec("queued"))?;
+    let drain =
+        std::thread::spawn(move || request(addr, "drain", "drained", Duration::from_secs(20)));
+    // A `draining` rejection proves the scheduler has taken the drain;
+    // a probe it accepts first is queued and runs too.
+    let mut probes = 0;
+    loop {
+        match submit(addr, &spec("probe")) {
+            Ok(_) => probes += 1,
+            Err(e) if e.ends_with("draining") => break,
+            Err(e) => return Err(e),
+        }
+    }
+    let workers: Vec<_> = (0..RANKS).map(|_| real_worker(addr)).collect();
+    match job.outcome() {
+        Err(e) if e.contains("no catalogue: queued") => {}
+        other => {
+            return Err(format!(
+                "the queued job must run on the late mesh: {other:?}"
+            ))
+        }
+    }
+    drain
+        .join()
+        .map_err(|_| "drain client panicked".to_string())??;
+    let summary = joined(service.coordinator, "serve")?;
+    if (summary.completed, summary.failed, summary.rejected) != (0, 1 + probes, 1) {
+        return Err(format!(
+            "every queued job runs, one turned away: {summary:?}"
+        ));
+    }
+    for worker in workers {
+        joined(worker, "a worker seated while draining")?;
+    }
+    Ok(())
+}
+
+fn spec(workload: &str) -> JobSpec {
+    JobSpec {
+        id: 0,
+        tenant: "t".into(),
+        workload: workload.into(),
+        tasks: RANKS,
+        bytes_per_task: 64,
+        seed: 1,
+        o_parallelism: 1,
+        out: None,
+        spill_dir: None,
+        spill_compress: false,
+    }
+}
+
+#[test]
+fn a_session_drained_before_its_mesh_forms_still_runs_its_queued_job() {
+    under_watchdog(Duration::from_secs(60), drain_before_the_mesh_forms);
 }
 
 /// Resident start → `ranks=N/N` → drain, over and over: the shape of the

@@ -1,17 +1,16 @@
-//! The really-executable workload catalogue behind `dmpirun`.
+//! The really-executable workload catalogue behind `dmpirun` and `dmpid`.
 //!
 //! Each entry pairs one of the micro-benchmarks' engine-agnostic O/A
 //! functions with a deterministic input generator, so every process of a
 //! multi-process job — and the in-proc runtime used to verify it — can
 //! derive identical inputs from `(seed, task)` alone and no split data
-//! ever crosses the launcher's rendezvous channel. All entries use
+//! ever crosses the control plane. All entries use
 //! sorted (MapReduce-mode) grouping and order-insensitive A functions,
 //! which is what makes the output byte-identical between the in-proc
 //! and multi-process surfaces.
 
 use bytes::Bytes;
 
-use datampi::distrib::{run_worker, WorkerReport};
 use datampi::runtime::{run_job, JobOutput};
 use datampi::service::{JobResolver, JobSpec, PreparedJob};
 use datampi::{Combiner, JobConfig};
@@ -130,34 +129,13 @@ impl ExecWorkload {
     pub fn run_raw(&self, config: &JobConfig, inputs: Vec<Bytes>) -> Result<JobOutput> {
         run_job(config, inputs, self.o_fn(), self.a_fn(), None)
     }
-
-    /// Runs one rank of a multi-process job (the `dmpirun` worker path).
-    pub fn run_worker(
-        &self,
-        config: &JobConfig,
-        rank: usize,
-        listener: std::net::TcpListener,
-        peers: &[std::net::SocketAddr],
-        inputs: &[Bytes],
-    ) -> Result<WorkerReport> {
-        let config = config.clone().with_sorted_grouping(true);
-        run_worker(
-            &config,
-            rank,
-            listener,
-            peers,
-            inputs,
-            self.o_fn(),
-            self.a_fn(),
-        )
-    }
 }
 
-/// The catalogue as a [`JobResolver`]: `dmpid` injects this so resident
-/// workers resolve submitted workload names exactly as `dmpirun`
-/// resolves its CLI argument — same deterministic inputs, same O/A
-/// functions, forced sorted grouping — which is what keeps service
-/// outputs byte-identical to one-shot runs of the same seeds.
+/// The catalogue as a [`JobResolver`]: `dmpid` and `dmpirun` workers
+/// inject this to resolve submitted workload names — same deterministic
+/// inputs, same O/A functions, forced sorted grouping as
+/// [`ExecWorkload::run_inproc`] — which is what keeps multi-process
+/// outputs byte-identical to in-proc runs of the same seeds.
 pub struct CatalogueResolver;
 
 impl JobResolver for CatalogueResolver {

@@ -84,31 +84,48 @@ cargo build -q --release --bin dmpirun --bin dmpid --bin dmpi
 dmpirun() { timeout 120 target/release/dmpirun "$@"; }
 # Four real worker processes over TCP.
 dmpirun --ranks 4 --tasks 8 --verify-inproc wordcount
-# Per-batch LZ4 on the wire: changes what crosses the sockets, never the output.
-dmpirun --ranks 4 --tasks 8 --compress lz4 --verify-inproc wordcount
 # Parallel O executor: 4 threads per task against the *sequential* reference.
 dmpirun --ranks 2 --tasks 4 --o-parallelism 4 --verify-inproc wordcount
-# Rank 1 dies on attempt 0; the coordinator relaunches one rank narrower
-# (table v1) and the survivors' output must match at the final width.
+# Rank 1 dies on attempt 0; the launcher relaunches the job one rank
+# narrower and the survivors' output must match at the final width.
 dmpirun --ranks 3 --tasks 6 --fail-rank 1 --elastic --verify-inproc wordcount
-# Rank 1 is paced by a seeded SlowRank injection.
+# Rank 1 pauses before each of its O tasks.
 dmpirun --ranks 3 --tasks 6 --slow-rank 1 --slow-ms 50 --verify-inproc wordcount
 
+echo "== dmpirun one-shot repeat guard: 50 launches, 5 passes of tests/dmpirun.rs ==" >&2
+# A launch is a one-job session: start, join, submit, drain, `bye`. A
+# hang anywhere in that sequence fails here instead of stalling CI.
+for pass in $(seq 50); do
+    dmpirun --ranks 2 --tasks 2 wordcount > target/ci/oneshot-guard.log 2>&1 \
+        || { echo "one-shot guard: launch $pass failed" >&2; cat target/ci/oneshot-guard.log >&2; exit 1; }
+done
+cargo test -q --release --test dmpirun --no-run
+timeout 600 bash -c 'for pass in $(seq 5); do
+    cargo test -q --release --test dmpirun > target/ci/dmpirun-guard.log 2>&1 \
+        || { echo "dmpirun guard: pass $pass failed" >&2; cat target/ci/dmpirun-guard.log >&2; exit 1; }
+done'
+
 echo "== dmpirun telemetry smoke ==" >&2
-# 4 TCP workers clock-sync with the coordinator and ship counters,
-# histograms and spans; the run must produce a merged Chrome trace with
-# all 4 rank processes on one timeline and a job report whose aggregate
-# wire-byte totals equal the per-rank sum (the coordinator enforces both
-# before exiting 0).
+# 4 TCP workers clock-sync with the coordinator as they join and ship
+# counters, histograms and spans with their job's outcome; the run must
+# produce a merged Chrome trace with all 4 rank processes and the
+# coordinator's own row on one timeline, and a job report whose aggregate
+# wire bytes (its last `wire_bytes_sent`) equal the `wire_sent` the ranks'
+# `jobdone` lines summed, which the summary line prints.
 dmpirun --backend tcp -n 4 --tasks 8 \
-    --trace-out target/ci/trace.json --report-out target/ci/job-report.json wordcount
+    --trace-out target/ci/trace.json --report-out target/ci/job-report.json wordcount \
+    | tee target/ci/telemetry-smoke.log
 grep -q '"name":"rank 3"' target/ci/trace.json
+grep -q '"name":"coordinator"' target/ci/trace.json
 grep -q '"schema": "dmpi-job-report/v1"' target/ci/job-report.json
+WIRE_SENT=$(grep -o ' wire_sent=[0-9]*' target/ci/telemetry-smoke.log | cut -d= -f2)
+WIRE_AGG=$(grep -o '"wire_bytes_sent": [0-9]*' target/ci/job-report.json | tail -1 | cut -d' ' -f2)
+[ -n "$WIRE_SENT" ] && [ "$WIRE_SENT" = "$WIRE_AGG" ]
 
 echo "== resident service smoke ==" >&2
 # A 2-rank resident mesh (dmpid coordinator + self-hosted workers) must
 # accept two tenants' jobs concurrently, write one dmpi-job-report/v1
-# document per job, and drain gracefully.
+# document (and one trace) per job, and drain gracefully.
 SMOKE=target/ci/service-smoke
 rm -rf "$SMOKE" && mkdir -p "$SMOKE/reports"
 target/release/dmpid --coordinator --ranks 2 --spawn-workers \

@@ -3,17 +3,17 @@
 //! Talks the service's line protocol to a running `dmpid --coordinator`:
 //!
 //! * `dmpi submit … WORKLOAD` — submit a job for a tenant and block
-//!   until its terminal `jobdone`/`jobfail` line arrives;
+//!   until its terminal `jobdone`/`jobfail` line arrives (a `jobfail`'s
+//!   error goes to stderr, and the exit code is 1);
 //! * `dmpi status` — one-line scheduler snapshot (per-tenant queue and
 //!   slot usage included);
 //! * `dmpi drain` — graceful shutdown: running jobs finish, new ones
 //!   are rejected, workers deregister.
 
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::process::ExitCode;
 
-use datampi::service::protocol::{read_known_line, JobSpec, Line};
+use datampi::service::{request, submit, JobSpec};
 
 const USAGE: &str = "\
 dmpi — client for the dmpid resident job service
@@ -30,53 +30,6 @@ dmpi — client for the dmpid resident job service
   dmpi status --coord ADDR
   dmpi drain  --coord ADDR
 ";
-
-fn connect(coord: SocketAddr) -> Result<(TcpStream, BufReader<TcpStream>), String> {
-    let stream = TcpStream::connect(coord).map_err(|e| format!("dial {coord}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    Ok((stream, reader))
-}
-
-/// Reads reply lines until `stop` accepts one; unknown verbs skip
-/// (forward compatibility with newer coordinators).
-fn read_reply(
-    reader: &mut BufReader<TcpStream>,
-    stop: impl Fn(&str) -> bool,
-) -> Result<String, String> {
-    let mut line = String::new();
-    match read_known_line(reader, &mut line, stop) {
-        Ok(0) => Err("coordinator closed the connection".into()),
-        Ok(_) => Ok(line.trim_end().to_string()),
-        Err(e) => Err(format!("read reply: {e}")),
-    }
-}
-
-fn submit(coord: SocketAddr, spec: &JobSpec) -> Result<(), String> {
-    let (mut stream, mut reader) = connect(coord)?;
-    writeln!(stream, "{}", spec.submit_line()).map_err(|e| format!("send submit: {e}"))?;
-    let verdict = read_reply(&mut reader, |v| v == "accepted" || v == "rejected")?;
-    if let Some(rejected) = Line::of(&verdict, "rejected") {
-        let reason = rejected.get("reason").and_then(|r| r.text());
-        let reason = reason.unwrap_or_else(|| verdict.clone());
-        return Err(format!("submission rejected: {reason}"));
-    }
-    println!("{verdict}");
-    let terminal = read_reply(&mut reader, |v| v == "jobdone" || v == "jobfail")?;
-    println!("{terminal}");
-    if Line::of(&terminal, "jobfail").is_some() {
-        return Err("job failed".into());
-    }
-    Ok(())
-}
-
-fn one_liner(coord: SocketAddr, verb: &str, stop: &str) -> Result<(), String> {
-    let (mut stream, mut reader) = connect(coord)?;
-    writeln!(stream, "{verb}").map_err(|e| format!("send {verb}: {e}"))?;
-    let reply = read_reply(&mut reader, |v| v == stop)?;
-    println!("{reply}");
-    Ok(())
-}
 
 fn parse_and_run() -> Result<(), String> {
     let mut args = std::env::args().skip(1);
@@ -142,7 +95,7 @@ fn parse_and_run() -> Result<(), String> {
         }
     }
     let coord = coord.ok_or("--coord ADDR is required")?;
-    match mode.as_str() {
+    let reply = match mode.as_str() {
         "submit" => {
             if spec.tenant.is_empty() {
                 return Err("submit requires --tenant NAME".into());
@@ -150,12 +103,16 @@ fn parse_and_run() -> Result<(), String> {
             if spec.workload.is_empty() {
                 return Err("submit requires a WORKLOAD argument".into());
             }
-            submit(coord, &spec)
+            let job = submit(coord, &spec)?;
+            let accepted = job.accepted.clone();
+            format!("{accepted}\n{}", job.outcome()?)
         }
-        "status" => one_liner(coord, "status", "status"),
-        "drain" => one_liner(coord, "drain", "drained"),
-        other => Err(format!("unknown mode {other:?}\n\n{USAGE}")),
-    }
+        "status" => request(coord, "status", "status")?,
+        "drain" => request(coord, "drain", "drained")?,
+        other => return Err(format!("unknown mode {other:?}\n\n{USAGE}")),
+    };
+    println!("{reply}");
+    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -9,8 +9,11 @@
 //! * **coordinator** (`--coordinator`): accepts worker joins and client
 //!   submissions (`dmpi submit/status/drain`) on one listener,
 //!   schedules jobs concurrently onto the resident mesh under
-//!   fair-share admission, and writes per-job `dmpi-job-report/v1`
-//!   documents.
+//!   fair-share admission, and with `--report-dir` writes each job's
+//!   `dmpi-job-report/v1` document and Chrome trace.
+//!
+//! `dmpirun` runs the same two halves for a single job: a one-job
+//! coordinator on a thread of the launcher, one worker per rank.
 //!
 //! A two-rank resident mesh, self-hosted workers and all:
 //!
@@ -38,7 +41,8 @@ Coordinator mode:
   dmpid --coordinator --ranks N [options]
   --ranks N           resident mesh width (required)
   --port-file PATH    write the listener address to PATH once bound
-  --report-dir DIR    write per-job reports to DIR/job-<id>.json
+  --report-dir DIR    trace jobs; write each job's report and trace
+                      to DIR/job-<id>.json and DIR/job-<id>.trace.json
   --spawn-workers     self-host: spawn N `dmpid --coord …` children
   --slots N           concurrent job slots on the mesh   [default: ranks]
   --queue-limit N     bounded submission queue           [default: 64]

@@ -199,8 +199,8 @@ fn telemetry_artifacts_merge_all_ranks_onto_one_timeline() {
     let report = std::fs::read_to_string(&report_path).expect("report written");
     assert!(report.contains("\"schema\": \"dmpi-job-report/v1\""));
     assert!(report.contains("\"backend\": \"tcp\""));
-    // Drain-on-shutdown: every rank's shipper flushes a final frame
-    // before its done line, so the report must have all of them.
+    // Every rank ships its final telemetry frame before its done line,
+    // so the report must have all of them.
     assert!(
         report.contains(&format!("\"finals_seen\": {RANKS}")),
         "every rank's final telemetry frame must be flushed: {report}"
@@ -210,7 +210,10 @@ fn telemetry_artifacts_merge_all_ranks_onto_one_timeline() {
         RANKS,
         "each per-rank entry must record its flushed final frame: {report}"
     );
-    for key in ["wire_bytes_sent", "wire_bytes_received"] {
+    for (key, done_key) in [
+        ("wire_bytes_sent", "wire_sent"),
+        ("wire_bytes_received", "wire_recv"),
+    ] {
         let values = number_fields(&report, key);
         // One value per rank plus the aggregate (last, per report_json).
         assert_eq!(values.len(), RANKS + 1, "{key}: {values:?}");
@@ -221,7 +224,88 @@ fn telemetry_artifacts_merge_all_ranks_onto_one_timeline() {
             "{key}: aggregate must equal the per-rank sum"
         );
         assert!(*agg > 0, "{key}: a 4-rank exchange moves real bytes");
+        // Every rank's final frame is in (finals_seen above), so the
+        // telemetry must agree with the counters the ranks' `jobdone`
+        // lines reported, which the summary line prints summed.
+        let summary = summary_field(&stdout, done_key);
+        assert_eq!(*agg, summary, "{key} vs the summary's {done_key}");
     }
+    // The mesh's own send latencies reach the report: every rank's, and
+    // the aggregate.
+    let sends: Vec<u64> = report
+        .split("\"send_latency_us\": ")
+        .skip(1)
+        .map(|hist| number_fields(hist, "count")[0])
+        .collect();
+    assert_eq!(sends.len(), RANKS + 1, "send_latency_us: {report}");
+    assert!(
+        sends.iter().all(|&n| n > 0),
+        "send latency counts: {sends:?}"
+    );
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+/// `key=<n>` from dmpirun's summary line.
+fn summary_field(stdout: &str, key: &str) -> u64 {
+    let needle = format!(" {key}=");
+    let at = stdout
+        .find(&needle)
+        .unwrap_or_else(|| panic!("{key} in {stdout}"))
+        + needle.len();
+    let digits: String = stdout[at..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect();
+    digits.parse().unwrap()
+}
+
+/// `(pid, dur)` of every `o_task` span in a Chrome trace: the pid is the
+/// rank, the duration in µs.
+fn o_task_spans(trace: &str) -> Vec<(u64, u64)> {
+    trace
+        .split("{\"name\":")
+        .filter(|event| event.starts_with("\"o_task\""))
+        .map(|event| {
+            (
+                number_fields(event, "pid")[0],
+                number_fields(event, "dur")[0],
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn slow_rank_paces_only_its_own_o_tasks() {
+    const PAUSE_MS: u64 = 150;
+    let out_dir = scratch_dir("slow");
+    let trace_path = out_dir.join("trace.json");
+    let output = dmpirun()
+        .args(["--ranks", "2", "--tasks", "4", "--slow-rank", "1"])
+        .args(["--slow-ms", &PAUSE_MS.to_string()])
+        .arg("--trace-out")
+        .arg(&trace_path)
+        .arg("wordcount")
+        .output()
+        .expect("launcher must spawn");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let trace = std::fs::read_to_string(&trace_path).expect("trace written");
+    let spans = o_task_spans(&trace);
+    let pause_us = PAUSE_MS * 1000;
+    let (slow, fast): (Vec<_>, Vec<_>) = spans.iter().partition(|&&(rank, _)| rank == 1);
+    // Tasks go to ranks by `task % ranks`: two each.
+    assert_eq!((slow.len(), fast.len()), (2, 2), "o_task spans: {spans:?}");
+    assert!(
+        slow.iter().all(|&&(_, dur)| dur >= pause_us),
+        "every rank-1 task pauses {PAUSE_MS} ms: {spans:?}"
+    );
+    assert!(
+        fast.iter().all(|&&(_, dur)| dur < pause_us),
+        "rank 0's tasks do not pause: {spans:?}"
+    );
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
@@ -254,9 +338,9 @@ fn inproc_backend_produces_the_same_artifacts() {
 
 #[test]
 fn failed_job_still_flushes_survivor_telemetry() {
-    // A worker dies mid-job; the survivors' drain-on-shutdown path must
-    // still ship their final frames, and the coordinator must still
-    // write the report — marked failed, with the survivors' finals.
+    // A worker dies mid-job; the survivors must still ship their final
+    // frames with their failures, and the coordinator must still write
+    // the report — marked failed, with the survivors' finals.
     let out_dir = scratch_dir("tlm-fail");
     let report_path = out_dir.join("job-report.json");
     let output = dmpirun()
@@ -281,6 +365,54 @@ fn failed_job_still_flushes_survivor_telemetry() {
         report.contains("\"finals_seen\": 2"),
         "both surviving ranks' shutdown flushes must land: {report}"
     );
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+#[test]
+fn a_killed_worker_leaves_no_spill_files() {
+    let spill_root = scratch_dir("spill-fail");
+    let output = dmpirun()
+        .args(["--ranks", "3", "--tasks", "6", "--fail-rank", "1"])
+        .arg("--spill-dir")
+        .arg(&spill_root)
+        .arg("wordcount")
+        .output()
+        .expect("launcher must spawn");
+    assert!(!output.status.success(), "a dead worker fails the job");
+    let left: Vec<_> = std::fs::read_dir(&spill_root).unwrap().collect();
+    assert!(left.is_empty(), "the spill root must be empty: {left:?}");
+    let _ = std::fs::remove_dir_all(&spill_root);
+}
+
+#[test]
+fn elastic_relaunch_keeps_the_failed_attempts_report() {
+    let out_dir = scratch_dir("elastic");
+    let report_path = out_dir.join("job-report.json");
+    let output = dmpirun()
+        .args([
+            "--ranks",
+            "3",
+            "--tasks",
+            "6",
+            "--fail-rank",
+            "1",
+            "--elastic",
+        ])
+        .arg("--report-out")
+        .arg(&report_path)
+        .arg("wordcount")
+        .output()
+        .expect("launcher must spawn");
+    assert!(
+        output.status.success(),
+        "the narrower relaunch must succeed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let report = std::fs::read_to_string(&report_path).expect("final report written");
+    assert!(report.contains("\"status\": \"ok\""), "{report}");
+    let failed = std::fs::read_to_string(out_dir.join("job-report.json.attempt-0"))
+        .expect("the failed attempt's report is kept");
+    assert!(failed.contains("\"status\": \"failed\""), "{failed}");
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 

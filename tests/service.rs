@@ -185,13 +185,20 @@ fn concurrent_tenants_match_oneshot_byte_for_byte() {
     assert!(status.success(), "dmpid must exit 0 after a clean drain");
 
     // Per-job reports: one dmpi-job-report/v1 document per job, tenants
-    // recorded.
-    let mut docs = Vec::new();
+    // recorded, each beside its job's trace.
+    let (mut docs, mut traces) = (Vec::new(), 0);
     for entry in std::fs::read_dir(&reports).expect("report dir must exist") {
         let path = entry.unwrap().path();
-        docs.push(std::fs::read_to_string(&path).unwrap());
+        let text = std::fs::read_to_string(&path).unwrap();
+        if path.to_string_lossy().ends_with(".trace.json") {
+            assert!(text.contains("\"name\":\"coordinator\""), "{text}");
+            traces += 1;
+        } else {
+            docs.push(text);
+        }
     }
     assert_eq!(docs.len(), 2, "one report per completed job");
+    assert_eq!(traces, 2, "one trace per completed job");
     let all = docs.join("\n");
     for needle in [
         "\"schema\": \"dmpi-job-report/v1\"",
