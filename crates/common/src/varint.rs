@@ -26,6 +26,23 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
     }
 }
 
+/// Encodes `value` into the caller's stack buffer and returns the encoded
+/// prefix: the bytes [`write_u64`] would append, with no heap allocation.
+/// This is how a map function emits a per-record count.
+pub fn encode_u64(mut value: u64, buf: &mut [u8; MAX_VARINT_LEN]) -> &[u8] {
+    let mut n = 0;
+    loop {
+        let byte = (value & 0x7f) as u8;
+        value >>= 7;
+        if value == 0 {
+            buf[n] = byte;
+            return &buf[..n + 1];
+        }
+        buf[n] = byte | 0x80;
+        n += 1;
+    }
+}
+
 /// Decodes a LEB128 `u64` from the front of `buf`, returning the value and
 /// the number of bytes consumed.
 pub fn read_u64(buf: &[u8]) -> Result<(u64, usize)> {
@@ -114,6 +131,19 @@ mod tests {
             let (decoded, read) = read_u64(&buf).unwrap();
             assert_eq!(decoded, v);
             assert_eq!(read, buf.len());
+        }
+    }
+
+    #[test]
+    fn stack_encoding_matches_write_u64_at_every_length() {
+        let mut stack = [0u8; MAX_VARINT_LEN];
+        let values = (0..64).flat_map(|s| [(1u64 << s) - 1, 1u64 << s]);
+        for v in values.chain([u64::MAX]) {
+            let mut heap = Vec::new();
+            write_u64(&mut heap, v);
+            let encoded = encode_u64(v, &mut stack);
+            assert_eq!(encoded, &heap[..], "encode_u64({v})");
+            assert_eq!(read_u64(encoded).unwrap(), (v, encoded.len()));
         }
     }
 

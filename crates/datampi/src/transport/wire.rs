@@ -86,6 +86,36 @@ fn transport_fault(detail: String) -> Error {
     Error::fault(FaultCause::new(FaultKind::Transport, detail))
 }
 
+/// The `N` bytes of the header field at `buf[at..at + N]`.
+///
+/// Every caller first checks that `buf` holds the fixed-size header part
+/// the field lies in, answering `Ok(None)` when fewer bytes have arrived,
+/// so the range is in bounds whatever the peer sends; an out-of-range read
+/// here would be a bug in this module and panics.
+fn field<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    let mut bytes = [0; N];
+    bytes.copy_from_slice(&buf[at..at + N]);
+    bytes
+}
+
+/// Little-endian `u16` header field at `at` (length checked by the caller,
+/// see [`field`]).
+fn le_u16(buf: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes(field(buf, at))
+}
+
+/// Little-endian `u32` header field at `at` (length checked by the caller,
+/// see [`field`]).
+fn le_u32(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(field(buf, at))
+}
+
+/// Little-endian `u64` header field at `at` (length checked by the caller,
+/// see [`field`]).
+fn le_u64(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(field(buf, at))
+}
+
 /// The decoded connection preamble: who is talking and which wire
 /// features they may use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,13 +145,13 @@ pub fn parse_handshake(buf: &[u8]) -> Result<Option<Handshake>> {
     if buf.len() < 6 {
         return Ok(None);
     }
-    let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
+    let magic = le_u32(buf, 0);
     if magic != MAGIC {
         return Err(transport_fault(format!(
             "bad handshake magic {magic:#010x} (expected {MAGIC:#010x})"
         )));
     }
-    let version = u16::from_le_bytes(buf[4..6].try_into().unwrap());
+    let version = le_u16(buf, 4);
     if version != VERSION {
         return Err(transport_fault(format!(
             "wire protocol version mismatch: peer speaks v{version}, this build v{VERSION}"
@@ -131,8 +161,8 @@ pub fn parse_handshake(buf: &[u8]) -> Result<Option<Handshake>> {
         return Ok(None);
     }
     Ok(Some(Handshake {
-        from_rank: u32::from_le_bytes(buf[6..10].try_into().unwrap()) as usize,
-        features: u32::from_le_bytes(buf[10..14].try_into().unwrap()),
+        from_rank: le_u32(buf, 6) as usize,
+        features: le_u32(buf, 10),
     }))
 }
 
@@ -176,10 +206,10 @@ fn parse_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>> {
             if buf.len() < 21 {
                 return Ok(None);
             }
-            let from_rank = u32::from_le_bytes(buf[1..5].try_into().unwrap()) as usize;
-            let o_task = u64::from_le_bytes(buf[5..13].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(buf[13..17].try_into().unwrap());
-            let len = u32::from_le_bytes(buf[17..21].try_into().unwrap());
+            let from_rank = le_u32(buf, 1) as usize;
+            let o_task = le_u64(buf, 5) as usize;
+            let crc = le_u32(buf, 13);
+            let len = le_u32(buf, 17);
             if len > MAX_PAYLOAD {
                 return Err(transport_fault(format!(
                     "frame length {len} exceeds the {MAX_PAYLOAD}-byte cap \
@@ -204,7 +234,7 @@ fn parse_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>> {
             if buf.len() < 5 {
                 return Ok(None);
             }
-            let from_rank = u32::from_le_bytes(buf[1..5].try_into().unwrap()) as usize;
+            let from_rank = le_u32(buf, 1) as usize;
             Ok(Some((Frame::Eof { from_rank }, 5)))
         }
         other => Err(transport_fault(format!("unknown frame tag {other:#04x}"))),
@@ -420,9 +450,9 @@ impl FrameDecoder {
                 return Ok(None);
             }
             let flags = avail[1];
-            let count = u32::from_le_bytes(avail[2..6].try_into().unwrap());
-            let raw_len = u32::from_le_bytes(avail[6..10].try_into().unwrap());
-            let body_len = u32::from_le_bytes(avail[10..14].try_into().unwrap());
+            let count = le_u32(avail, 2);
+            let raw_len = le_u32(avail, 6);
+            let body_len = le_u32(avail, 10);
             if flags & !BATCH_FLAG_LZ4 != 0 {
                 return Err(transport_fault(format!("unknown batch flags {flags:#04x}")));
             }
@@ -614,9 +644,6 @@ mod tests {
         let mut buf = Vec::new();
         write_handshake(&mut buf, 7, FEATURE_COALESCE | FEATURE_LZ4).unwrap();
         assert_eq!(buf.len(), HANDSHAKE_LEN);
-        for cut in 0..HANDSHAKE_LEN {
-            assert!(parse_handshake(&buf[..cut]).unwrap().is_none(), "cut={cut}");
-        }
         // Frame bytes behind the handshake are not its business.
         buf.push(TAG_EOF);
         let hs = parse_handshake(&buf).unwrap().unwrap();
@@ -803,6 +830,41 @@ mod tests {
         let got = dec.next_frame().unwrap().unwrap();
         assert_eq!(got, frames[0]);
         got.verify().unwrap();
+    }
+
+    #[test]
+    fn every_prefix_of_a_valid_stream_waits_instead_of_panicking() {
+        let mut handshake = Vec::new();
+        write_handshake(&mut handshake, 3, FEATURE_COALESCE | FEATURE_LZ4).unwrap();
+        for cut in 0..handshake.len() {
+            assert!(
+                parse_handshake(&handshake[..cut]).unwrap().is_none(),
+                "handshake cut={cut}"
+            );
+        }
+        let mut data = Vec::new();
+        write_frame(
+            &mut data,
+            &Frame::data(3, 8, Bytes::from_static(b"payload")),
+        )
+        .unwrap();
+        let mut eof = Vec::new();
+        write_frame(&mut eof, &Frame::Eof { from_rank: 3 }).unwrap();
+        let (plain_batch, _) = seal_batch(&sample_frames(), false);
+        let (lz4_batch, seal) = seal_batch(&sample_frames(), true);
+        assert!(seal.compressed);
+        for (name, wire) in [
+            ("data", data),
+            ("eof", eof),
+            ("batch", plain_batch),
+            ("lz4 batch", lz4_batch),
+        ] {
+            for cut in 0..wire.len() {
+                let mut dec = decoder_over(&wire[..cut], FEATURE_COALESCE | FEATURE_LZ4);
+                assert!(dec.next_frame().unwrap().is_none(), "{name} cut={cut}");
+                assert_eq!(dec.is_drained(), cut == 0, "{name} cut={cut}");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use bytes::Bytes;
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::kv::{Record, RecordBatch};
 use dmpi_common::ser::Writable;
+use dmpi_common::varint::{encode_u64, MAX_VARINT_LEN};
 use dmpi_common::{Error, Result};
 
 use crate::calib;
@@ -71,6 +72,8 @@ pub fn corpus_to_inputs(corpus: &[LabeledDoc], docs_per_split: usize) -> Vec<Byt
 /// Map: emit `((category, word), 1)` per occurrence and a per-document
 /// marker for priors.
 pub fn count_map(_task: usize, split: &[u8], out: &mut dyn Collector) {
+    let mut buf = [0; MAX_VARINT_LEN];
+    let one = encode_u64(1, &mut buf);
     let mut reader = dmpi_common::ser::RecordReader::new(split);
     while let Some(rec) = reader.next_record().expect("valid bayes input") {
         let label = &rec.key;
@@ -78,14 +81,14 @@ pub fn count_map(_task: usize, split: &[u8], out: &mut dyn Collector) {
         doc_key.extend_from_slice(label);
         doc_key.push(SEP);
         doc_key.extend_from_slice(DOC_MARKER);
-        out.collect(&doc_key, &1u64.to_bytes());
+        out.collect(&doc_key, one);
         for line in dmpi_datagen::text::lines(&rec.value) {
             for word in dmpi_datagen::text::words(line) {
                 let mut key = Vec::with_capacity(label.len() + 1 + word.len());
                 key.extend_from_slice(label);
                 key.push(SEP);
                 key.extend_from_slice(word);
-                out.collect(&key, &1u64.to_bytes());
+                out.collect(&key, one);
             }
         }
     }

@@ -9,6 +9,7 @@ use bytes::Bytes;
 
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
+use dmpi_common::varint::{encode_u64, MAX_VARINT_LEN};
 use dmpi_common::Result;
 use dmpi_dfs::InputSplit;
 
@@ -37,10 +38,11 @@ pub fn count_matches(haystack: &[u8], needle: &[u8]) -> usize {
 pub fn map_fn(pattern: &str) -> impl Fn(usize, &[u8], &mut dyn Collector) + Send + Sync {
     let pattern = pattern.as_bytes().to_vec();
     move |_task, split, out| {
+        let mut buf = [0; MAX_VARINT_LEN];
         for line in dmpi_datagen::text::lines(split) {
             let n = count_matches(line, &pattern);
             if n > 0 {
-                out.collect(&pattern, &(n as u64).to_bytes());
+                out.collect(&pattern, encode_u64(n as u64, &mut buf));
             }
         }
     }
@@ -93,7 +95,7 @@ pub fn run_spark(
         .flat_map(move |rec, out| {
             let n = count_matches(&rec.key, &pat);
             if n > 0 {
-                out.collect(b"match", &(n as u64).to_bytes());
+                out.collect(b"match", encode_u64(n as u64, &mut [0; MAX_VARINT_LEN]));
             }
         })
         .reduce_by_key(4, |a, b| {

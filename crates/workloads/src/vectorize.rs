@@ -24,6 +24,7 @@ use bytes::Bytes;
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::kv::{Record, RecordBatch};
 use dmpi_common::ser::Writable;
+use dmpi_common::varint::{encode_u64, MAX_VARINT_LEN};
 use dmpi_common::{Error, Result};
 use dmpi_datagen::vectors::SparseVector;
 
@@ -94,9 +95,11 @@ impl Dictionary {
 }
 
 fn wc_map(_t: usize, split: &[u8], out: &mut dyn Collector) {
+    let mut buf = [0; MAX_VARINT_LEN];
+    let one = encode_u64(1, &mut buf);
     for line in dmpi_datagen::text::lines(split) {
         for word in dmpi_datagen::text::words(line) {
-            out.collect(word, &1u64.to_bytes());
+            out.collect(word, one);
         }
     }
 }

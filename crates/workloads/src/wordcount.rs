@@ -10,6 +10,7 @@ use bytes::Bytes;
 
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
+use dmpi_common::varint::{encode_u64, MAX_VARINT_LEN};
 use dmpi_common::Result;
 use dmpi_dfs::InputSplit;
 
@@ -17,9 +18,11 @@ use crate::calib;
 
 /// O/map function: tokenize lines, emit `(word, 1)`.
 pub fn map(_task: usize, split: &[u8], out: &mut dyn Collector) {
+    let mut buf = [0; MAX_VARINT_LEN];
+    let one = encode_u64(1, &mut buf);
     for line in dmpi_datagen::text::lines(split) {
         for word in dmpi_datagen::text::words(line) {
-            out.collect(word, &1u64.to_bytes());
+            out.collect(word, one);
         }
     }
 }
@@ -68,8 +71,10 @@ pub fn run_spark(
     let rdd = ctx
         .text_source(inputs)
         .flat_map(|rec, out| {
+            let mut buf = [0; MAX_VARINT_LEN];
+            let one = encode_u64(1, &mut buf);
             for word in dmpi_datagen::text::words(&rec.key) {
-                out.collect(word, &1u64.to_bytes());
+                out.collect(word, one);
             }
         })
         .reduce_by_key(8, |a, b| {

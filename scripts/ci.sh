@@ -4,7 +4,8 @@
 #   ./scripts/ci.sh
 #
 # The vendored crates under vendor/ are excluded from the workspace, so
-# fmt/clippy/test only touch first-party code. Performance is not gated
+# fmt/clippy/test only touch first-party code; vendor/bytes, the one with
+# `unsafe`, gets its own test and clippy step. Performance is not gated
 # here: it is judged by `benchmark compare` (benchmark/README.md).
 # Artifacts land under target/ci/, never in the repo root, and the last
 # step fails a run that dirtied a tracked file.
@@ -23,6 +24,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== cargo test ==" >&2
 cargo test -q --workspace
+
+echo "== vendored bytes: tests and clippy ==" >&2
+# vendor/ is outside the workspace, so nothing above compiles this crate's
+# tests; every key, value and frame is its `Bytes`, whose views rest on
+# `unsafe` pointer reads.
+cargo test -q --offline --manifest-path vendor/bytes/Cargo.toml
+cargo clippy --offline --manifest-path vendor/bytes/Cargo.toml --all-targets -- -D warnings
 
 echo "== rank-body race guard: supervisor/runtime/distrib unit tests x50, 8 threads ==" >&2
 # Every execution surface runs the one rank body (crates/datampi/src/rank.rs),
