@@ -7,19 +7,24 @@
 //! the O task keeps computing — the overlap the paper identifies as
 //! DataMPI's main advantage. In staged mode (the Hadoop-like ablation)
 //! everything is held until [`KvBuffer::finish`].
+//!
+//! With a combiner installed, a destination's pairs are clustered by key
+//! in a window as they are emitted, and the window is folded into a frame
+//! when it closes — on the same emit that would have flushed the framed
+//! pairs.
 
 use bytes::Bytes;
 
-use dmpi_common::group::HashGrouper;
+use dmpi_common::hashing::fnv1a;
 use dmpi_common::partition::{HashPartitioner, Partitioner};
-use dmpi_common::ser;
 use dmpi_common::Record;
+use dmpi_common::{ser, varint};
 
 use crate::checkpoint::CheckpointStore;
 use crate::comm::Frame;
 use crate::fault::Corruption;
 use crate::observe::{Counter, SpanKind, Tracer};
-use crate::task::{Collector, Combiner};
+use crate::task::{Collector, Combiner, GroupedValues};
 use crate::transport::FrameSender;
 
 /// Counters reported by a finished buffer.
@@ -62,15 +67,226 @@ pub struct KvBuffer {
     tracer: Option<Tracer>,
     /// Largest single-partition buffer occupancy seen, bytes.
     hwm_bytes: usize,
-    /// O-side pre-aggregation: when set, emits are staged per
-    /// destination and key-folded through this function right before
+    /// O-side pre-aggregation: when set, emits are clustered per
+    /// destination and key-folded through the combiner right before
     /// their frame is built, so repeated keys collapse locally instead
     /// of crossing the wire.
-    combiner: Option<Combiner>,
-    /// Per-destination staging for the combiner (empty when none): the
-    /// window's pairs as framed bytes, exactly what the plain path
-    /// writes into `buffers`, so its length is the threshold measure.
-    staged: Vec<Vec<u8>>,
+    combining: Option<Combining>,
+}
+
+/// A combiner with its per-destination windows and the scratch a closing
+/// window is folded through. Built once per task: closing a window
+/// clears its tables without freeing them.
+struct Combining {
+    combiner: Combiner,
+    windows: Vec<Window>,
+    /// Counting-sort scratch: per group id, where its pairs end in
+    /// `sorted`.
+    ends: Vec<usize>,
+    /// Counting-sort scratch: the closing window's pairs as positions in
+    /// its `values`, by group id and in arrival order within a group.
+    sorted: Vec<usize>,
+    /// The group handed to the combiner, refilled for each key.
+    group: GroupedValues,
+}
+
+impl Combining {
+    fn new(combiner: Combiner, parts: usize) -> Self {
+        Combining {
+            combiner,
+            windows: (0..parts).map(|_| Window::default()).collect(),
+            ends: Vec::new(),
+            sorted: Vec::new(),
+            group: GroupedValues::default(),
+        }
+    }
+
+    /// Folds destination `p`'s window through the combiner into `out`,
+    /// one group per distinct key in first-appearance order with its
+    /// values in arrival order, and empties the window. Returns the
+    /// number of pairs folded.
+    fn close(&mut self, p: usize, out: &mut dyn Collector) -> u64 {
+        let window = &mut self.windows[p];
+        if window.pairs.is_empty() {
+            return 0;
+        }
+        // Counting sort by group id: count each group's pairs, turn the
+        // counts into start offsets, then place every pair at its group's
+        // cursor, which leaves `ends[g]` where group `g` ends.
+        self.ends.clear();
+        self.ends.resize(window.groups.len(), 0);
+        for &g in &window.pairs {
+            self.ends[g] += 1;
+        }
+        let mut start = 0;
+        for end in &mut self.ends {
+            let count = *end;
+            *end = start;
+            start += count;
+        }
+        self.sorted.clear();
+        self.sorted.resize(window.pairs.len(), 0);
+        let mut at = 0;
+        for &g in &window.pairs {
+            self.sorted[self.ends[g]] = at;
+            self.ends[g] += 1;
+            let len = read_varint(&window.values, &mut at);
+            at += len;
+        }
+        // The combiner takes refcounted keys and values: one shared copy
+        // of each arena, sliced per key and per value, while the arenas
+        // keep their capacity for the next window.
+        let keys = Bytes::copy_from_slice(&window.keys);
+        let values = Bytes::copy_from_slice(&window.values);
+        let mut start = 0;
+        for (group, &end) in window.groups.iter().zip(&self.ends) {
+            self.group.key = keys.slice(group.key_start..group.key_end);
+            self.group.values.clear();
+            self.group
+                .values
+                .extend(self.sorted[start..end].iter().map(|&prefix| {
+                    let mut at = prefix;
+                    let len = read_varint(&values, &mut at);
+                    values.slice(at..at + len)
+                }));
+            self.combiner.apply(&self.group, out);
+            start = end;
+        }
+        // Drop the last group's slices, so the copies go now.
+        self.group.key = Bytes::new();
+        self.group.values.clear();
+        let folded = window.pairs.len() as u64;
+        window.clear();
+        folded
+    }
+}
+
+/// A free slot of [`Window::index`].
+const EMPTY: usize = usize::MAX;
+
+/// Slots a window's index opens with.
+const MIN_INDEX_SLOTS: usize = 16;
+
+/// One destination's open combiner window: its pairs clustered by key as
+/// they arrive.
+#[derive(Default)]
+struct Window {
+    /// Each distinct key once, in first-appearance order.
+    keys: Vec<u8>,
+    /// Per group id (first-appearance order): its key's hash and span in
+    /// `keys`.
+    groups: Vec<Group>,
+    /// Key → group id by open addressing with linear probing: a power of
+    /// two of slots, at most half of them taken, `EMPTY` where free.
+    index: Vec<usize>,
+    /// Per pair, in arrival order: its group id.
+    pairs: Vec<usize>,
+    /// Per pair, in arrival order: its value's length as a varint, then
+    /// the value. The prefix delimits the values in place of a value end
+    /// per pair, which would double `pairs`.
+    values: Vec<u8>,
+    /// The bytes the pairs would take framed — varint lengths, key and
+    /// value — which is the flush-threshold measure.
+    framed: usize,
+}
+
+#[derive(Clone, Copy)]
+struct Group {
+    hash: u64,
+    key_start: usize,
+    key_end: usize,
+}
+
+impl Window {
+    /// Adds a pair whose key hashes to `hash`; returns the window's
+    /// framed size.
+    fn push(&mut self, hash: u64, key: &[u8], value: &[u8]) -> usize {
+        let group = self.group_of(hash, key);
+        self.pairs.push(group);
+        let prefix = varint::write_u64(&mut self.values, value.len() as u64);
+        self.values.extend_from_slice(value);
+        self.framed += varint::encoded_len(key.len() as u64) + key.len() + prefix + value.len();
+        self.framed
+    }
+
+    /// The id of `key`'s group, opened if this is the key's first pair.
+    fn group_of(&mut self, hash: u64, key: &[u8]) -> usize {
+        if 2 * (self.groups.len() + 1) > self.index.len() {
+            self.grow();
+        }
+        let mask = self.index.len() - 1;
+        let mut slot = home_slot(hash, self.index.len());
+        loop {
+            let g = self.index[slot];
+            if g == EMPTY {
+                break;
+            }
+            let group = self.groups[g];
+            if group.hash == hash && self.keys[group.key_start..group.key_end] == *key {
+                return g;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let g = self.groups.len();
+        let key_start = self.keys.len();
+        self.keys.extend_from_slice(key);
+        self.groups.push(Group {
+            hash,
+            key_start,
+            key_end: self.keys.len(),
+        });
+        self.index[slot] = g;
+        g
+    }
+
+    /// Doubles the index (or opens it) and re-seats every group from its
+    /// kept hash; no key is hashed again.
+    fn grow(&mut self) {
+        let slots = (2 * self.index.len()).max(MIN_INDEX_SLOTS);
+        self.index.clear();
+        self.index.resize(slots, EMPTY);
+        for (g, group) in self.groups.iter().enumerate() {
+            let mut slot = home_slot(group.hash, slots);
+            while self.index[slot] != EMPTY {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.index[slot] = g;
+        }
+    }
+
+    /// Empties the window, keeping every table's capacity.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.groups.clear();
+        self.index.fill(EMPTY);
+        self.pairs.clear();
+        self.values.clear();
+        self.framed = 0;
+    }
+}
+
+/// Decodes the varint at `bytes[*at..]` — a value length a window wrote
+/// with `varint::write_u64` — and moves `at` past it. Unlike
+/// `varint::read_u64` it trusts its input, which is the window's own.
+fn read_varint(bytes: &[u8], at: &mut usize) -> usize {
+    let mut value = 0;
+    let mut shift = 0;
+    loop {
+        let byte = bytes[*at];
+        *at += 1;
+        value |= usize::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return value;
+        }
+        shift += 7;
+    }
+}
+
+/// The slot a key hashing to `hash` probes first in an index of `slots`
+/// slots (a power of two): the hash's top bits. Every key of one window
+/// shares `hash % parts`, and FNV-1a mixes its low bits least.
+fn home_slot(hash: u64, slots: usize) -> usize {
+    (hash >> (64 - slots.trailing_zeros())) as usize
 }
 
 /// Frames a combiner's output records straight into a destination
@@ -113,16 +329,14 @@ impl KvBuffer {
             corruption: None,
             tracer: None,
             hwm_bytes: 0,
-            combiner: None,
-            staged: Vec::new(),
+            combining: None,
         }
     }
 
     /// Installs an O-side combiner; see
     /// [`JobConfig::with_combiner`](crate::JobConfig::with_combiner).
     pub fn set_combiner(&mut self, combiner: Combiner) {
-        self.staged = vec![Vec::new(); self.buffers.len()];
-        self.combiner = Some(combiner);
+        self.combining = Some(Combining::new(combiner, self.buffers.len()));
     }
 
     /// Enables the checkpoint tee.
@@ -148,28 +362,31 @@ impl KvBuffer {
 
     /// Emits a raw key/value pair without constructing a `Record`: the
     /// pair is framed into its destination's frame buffer, or, with a
-    /// combiner, into the destination's staging window, which is folded
-    /// and shipped once its framed bytes cross the flush threshold.
+    /// combiner, added to the destination's window, which is folded and
+    /// shipped once its framed size crosses the flush threshold.
     pub fn emit_kv(&mut self, key: &[u8], value: &[u8]) {
-        let p = self.partitioner.partition(key);
-        let combining = self.combiner.is_some();
-        let buf = if combining {
-            &mut self.staged[p]
-        } else {
-            &mut self.buffers[p]
-        };
-        let before = buf.len();
-        ser::frame_kv(buf, key, value);
-        let level = buf.len();
         self.stats.records += 1;
-        if !combining {
-            self.stats.bytes += (level - before) as u64;
-        }
+        let (p, level) = match &mut self.combining {
+            Some(combining) => {
+                // One hash serves twice: the destination is what
+                // `HashPartitioner::partition` returns, and the window
+                // probes with the same hash.
+                let hash = fnv1a(key);
+                let p = (hash % self.partitioner.num_partitions() as u64) as usize;
+                (p, combining.windows[p].push(hash, key, value))
+            }
+            None => {
+                let p = self.partitioner.partition(key);
+                let buf = &mut self.buffers[p];
+                let before = buf.len();
+                ser::frame_kv(buf, key, value);
+                self.stats.bytes += (buf.len() - before) as u64;
+                (p, buf.len())
+            }
+        };
         self.hwm_bytes = self.hwm_bytes.max(level);
         if self.pipelined && level >= self.flush_threshold {
-            if combining {
-                self.combine_partition(p);
-            }
+            self.combine_partition(p);
             // More is coming for this destination: start its next frame
             // at the size this one reached instead of regrowing from
             // nothing by doublings.
@@ -180,33 +397,20 @@ impl KvBuffer {
         }
     }
 
-    /// Folds destination `p`'s staged window through the combiner into
-    /// its frame buffer: group by key (first-appearance order — the
-    /// A side regroups anyway) and let the combiner collapse each group.
+    /// Folds destination `p`'s combiner window, if a combiner is
+    /// installed, into its frame buffer: one group per key, in
+    /// first-appearance order (the A side regroups anyway), each
+    /// collapsed by the combiner.
     fn combine_partition(&mut self, p: usize) {
-        if self.staged[p].is_empty() {
+        let Some(combining) = &mut self.combining else {
             return;
-        }
-        let combiner = self.combiner.clone().expect("staging requires a combiner");
-        // The combiner takes refcounted keys and values: one shared copy
-        // of the window, sliced per pair, and the arena keeps its
-        // capacity for the next window.
-        let window = Bytes::copy_from_slice(&self.staged[p]);
-        self.staged[p].clear();
-        let mut grouper = HashGrouper::default();
-        for span in ser::framed_kv_spans(&window) {
-            let span = span.expect("the staging window holds only pairs this buffer framed");
-            grouper.push_slices(&window, span.key(), span.value());
-            self.stats.combiner_records_in += 1;
-        }
+        };
         let before = self.buffers[p].len();
         let mut out = FrameCollector {
             buf: &mut self.buffers[p],
             records: 0,
         };
-        for group in &grouper.finish() {
-            combiner.apply(group, &mut out);
-        }
+        self.stats.combiner_records_in += combining.close(p, &mut out);
         self.stats.combiner_records_out += out.records;
         self.stats.bytes += (self.buffers[p].len() - before) as u64;
     }
@@ -250,14 +454,12 @@ impl KvBuffer {
         }
     }
 
-    /// Flushes all remaining data (folding staged records through the
+    /// Flushes all remaining data (folding each open window through the
     /// combiner first, when one is installed) and returns the task's
     /// counters.
     pub fn finish(mut self) -> BufferStats {
         for p in 0..self.buffers.len() {
-            if self.combiner.is_some() {
-                self.combine_partition(p);
-            }
+            self.combine_partition(p);
             self.flush_partition(p);
         }
         if let Some(t) = &self.tracer {
@@ -494,20 +696,42 @@ mod tests {
     struct RecordStaging {
         combiner: Combiner,
         threshold: usize,
+        pipelined: bool,
+        part: HashPartitioner,
         pending: Vec<Vec<Record>>,
         pending_bytes: Vec<usize>,
         frames: Vec<Vec<Vec<u8>>>,
         stats: BufferStats,
+        /// Largest window, framed bytes: the buffer's `hwm_bytes`.
+        hwm_bytes: usize,
+        /// Most distinct keys a closed window held.
+        widest: usize,
     }
 
     impl RecordStaging {
-        fn emit(&mut self, part: &HashPartitioner, key: &[u8], value: &[u8]) {
-            let p = part.partition(key);
+        fn new(combiner: Combiner, parts: usize, threshold: usize, pipelined: bool) -> Self {
+            RecordStaging {
+                combiner,
+                threshold,
+                pipelined,
+                part: HashPartitioner::new(parts),
+                pending: vec![Vec::new(); parts],
+                pending_bytes: vec![0; parts],
+                frames: vec![Vec::new(); parts],
+                stats: BufferStats::default(),
+                hwm_bytes: 0,
+                widest: 0,
+            }
+        }
+
+        fn emit(&mut self, key: &[u8], value: &[u8]) {
+            let p = self.part.partition(key);
             let record = Record::new(key.to_vec(), value.to_vec());
             self.stats.records += 1;
             self.pending_bytes[p] += record.framed_len();
+            self.hwm_bytes = self.hwm_bytes.max(self.pending_bytes[p]);
             self.pending[p].push(record);
-            if self.pending_bytes[p] >= self.threshold {
+            if self.pipelined && self.pending_bytes[p] >= self.threshold {
                 self.close(p);
                 self.stats.early_flushes += 1;
             }
@@ -520,12 +744,14 @@ mod tests {
                 return;
             }
             self.stats.combiner_records_in += staged.len() as u64;
+            let groups = dmpi_common::group::group_hashed(staged);
+            self.widest = self.widest.max(groups.len());
             let mut buf = Vec::new();
             let mut out = FrameCollector {
                 buf: &mut buf,
                 records: 0,
             };
-            for group in &dmpi_common::group::group_hashed(staged) {
+            for group in &groups {
                 self.combiner.apply(group, &mut out);
             }
             self.stats.combiner_records_out += out.records;
@@ -535,65 +761,183 @@ mod tests {
         }
     }
 
-    #[test]
-    fn arena_staging_ships_the_frames_record_staging_did() {
-        use dmpi_common::ser::Writable;
-        const PARTS: usize = 3;
-        let mut state = 0x2545f4914f6cdd1du64;
-        let mut step = move || {
+    /// Feeds `pairs` to a combining buffer and to [`RecordStaging`] and
+    /// asserts that both ship the same frames to every destination, with
+    /// the same counters and occupancy high-water mark. Returns the
+    /// reference for the caller's own checks.
+    fn assert_ships_what_record_staging_did(
+        pairs: &[(Vec<u8>, Vec<u8>)],
+        parts: usize,
+        threshold: usize,
+        pipelined: bool,
+        combiner: fn() -> Combiner,
+    ) -> RecordStaging {
+        // Room for every frame: a pair closes at most one window.
+        let mut net = Interconnect::with_capacity(parts, pairs.len() + 1);
+        let rxs: Vec<_> = (0..parts).map(|r| net.take_receiver(r)).collect();
+        let mut buf = KvBuffer::new(frame_senders(&net), 0, 0, threshold, pipelined);
+        buf.set_combiner(combiner());
+        let mut reference = RecordStaging::new(combiner(), parts, threshold, pipelined);
+        for (key, value) in pairs {
+            buf.emit_kv(key, value);
+            reference.emit(key, value);
+        }
+        let hwm_bytes = buf.hwm_bytes;
+        let stats = buf.finish();
+        for p in 0..parts {
+            reference.close(p);
+        }
+        let case = format!("threshold {threshold}, pipelined {pipelined}");
+        assert_eq!(stats, reference.stats, "{case}");
+        assert_eq!(hwm_bytes, reference.hwm_bytes, "{case}");
+        for (p, rx) in rxs.iter().enumerate() {
+            let shipped: Vec<Vec<u8>> = drain(rx)
+                .iter()
+                .filter_map(|f| match f {
+                    Frame::Data { payload, .. } => Some(payload.to_vec()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(shipped, reference.frames[p], "{case}, dest {p}");
+        }
+        reference
+    }
+
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
+        }
+    }
+
+    #[test]
+    fn arena_staging_ships_the_frames_record_staging_did() {
+        use dmpi_common::ser::Writable;
+        const PARTS: usize = 3;
+        let mut step = xorshift(0x2545f4914f6cdd1d);
         for (seed_round, threshold) in [48usize, 200, 1000, usize::MAX].into_iter().enumerate() {
-            let mut net = Interconnect::new(PARTS);
-            let rxs: Vec<_> = (0..PARTS).map(|r| net.take_receiver(r)).collect();
-            let mut buf = KvBuffer::new(frame_senders(&net), 0, 0, threshold, true);
-            buf.set_combiner(sum_combiner());
-            let mut reference = RecordStaging {
-                combiner: sum_combiner(),
-                threshold,
-                pending: vec![Vec::new(); PARTS],
-                pending_bytes: vec![0; PARTS],
-                frames: vec![Vec::new(); PARTS],
-                stats: BufferStats::default(),
-            };
-            let part = HashPartitioner::new(PARTS);
-            for _ in 0..(1500 + 300 * seed_round) {
-                // Skewed keys of uneven length, the empty key included.
-                let id = step() % 40;
-                let key = "k".repeat((id % 7) as usize) + &id.to_string();
-                let key = if id == 0 { String::new() } else { key };
-                let value = (step() % 1000).to_bytes();
-                buf.emit_kv(key.as_bytes(), &value);
-                reference.emit(&part, key.as_bytes(), &value);
-            }
-            let stats = buf.finish();
-            for p in 0..PARTS {
-                reference.close(p);
-            }
-            assert_eq!(stats, reference.stats, "threshold {threshold}");
+            let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..(1500 + 300 * seed_round))
+                .map(|_| {
+                    // Skewed keys of uneven length, the empty key included.
+                    let id = step() % 40;
+                    let key = "k".repeat((id % 7) as usize) + &id.to_string();
+                    let key = if id == 0 { String::new() } else { key };
+                    (key.into_bytes(), (step() % 1000).to_bytes())
+                })
+                .collect();
+            let reference =
+                assert_ships_what_record_staging_did(&pairs, PARTS, threshold, true, sum_combiner);
             if threshold < usize::MAX {
                 assert!(
-                    stats.early_flushes as usize > 2 * PARTS,
+                    reference.stats.early_flushes as usize > 2 * PARTS,
                     "threshold {threshold} must close several windows per destination"
                 );
             }
-            for (p, rx) in rxs.iter().enumerate() {
-                let shipped: Vec<Vec<u8>> = drain(rx)
-                    .iter()
-                    .filter_map(|f| match f {
-                        Frame::Data { payload, .. } => Some(payload.to_vec()),
-                        _ => None,
-                    })
-                    .collect();
-                assert_eq!(
-                    shipped, reference.frames[p],
-                    "threshold {threshold} dest {p}"
+        }
+    }
+
+    /// A combiner that keeps every value in its order — the group's
+    /// values length-prefixed back to back — so a value moved to another
+    /// group or position changes the frame.
+    fn concat_combiner() -> Combiner {
+        Combiner::new(|g, out| {
+            let mut joined = Vec::new();
+            for v in &g.values {
+                varint::write_u64(&mut joined, v.len() as u64);
+                joined.extend_from_slice(v);
+            }
+            out.collect(&g.key, &joined);
+        })
+    }
+
+    #[test]
+    fn arena_staging_matches_record_staging_while_the_index_grows() {
+        const PARTS: usize = 3;
+        let mut step = xorshift(0x9e37_79b9_7f4a_7c15);
+        // Four pairs in five carry a fresh 3-byte key, so a large window
+        // gathers thousands of distinct keys and its index doubles while
+        // it is open; the rest repeat a hot set that holds the empty key.
+        // A third of the values are empty.
+        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..60_000)
+            .map(|_| {
+                let key = if step().is_multiple_of(5) {
+                    match step() % 40 {
+                        0 => Vec::new(),
+                        hot => format!("hot{hot}").into_bytes(),
+                    }
+                } else {
+                    step().to_le_bytes()[..3].to_vec()
+                };
+                let value = (0..step() % 3).map(|_| step() as u8).collect();
+                (key, value)
+            })
+            .collect();
+        for threshold in [48, 200, 1000, 64 * 1024, usize::MAX] {
+            let reference = assert_ships_what_record_staging_did(
+                &pairs,
+                PARTS,
+                threshold,
+                true,
+                concat_combiner,
+            );
+            if threshold >= 64 * 1024 {
+                assert!(
+                    reference.widest >= 5000,
+                    "threshold {threshold}: widest window {}",
+                    reference.widest
                 );
             }
         }
+        let staged =
+            assert_ships_what_record_staging_did(&pairs, PARTS, 48, false, concat_combiner);
+        assert_eq!(staged.stats.early_flushes, 0);
+        assert_eq!(staged.stats.frames, PARTS as u64);
+        assert!(staged.widest >= 5000);
+    }
+
+    #[test]
+    fn a_second_window_over_the_same_keys_rebuilds_no_table() {
+        use dmpi_common::ser::Writable;
+        let one = 1u64.to_bytes();
+        let keys: Vec<Vec<u8>> = (0..1000).map(|i| format!("key{i}").into_bytes()).collect();
+        let window_bytes: usize = keys
+            .iter()
+            .map(|k| Record::new(k.clone(), one.clone()).framed_len())
+            .sum();
+        let mut net = Interconnect::new(1);
+        let rx = net.take_receiver(0);
+        let mut buf = KvBuffer::new(frame_senders(&net), 0, 0, window_bytes, true);
+        buf.set_combiner(sum_combiner());
+        let tables = |buf: &KvBuffer| {
+            let w = &buf.combining.as_ref().unwrap().windows[0];
+            (
+                (w.index.len(), w.index.as_ptr()),
+                (w.keys.capacity(), w.keys.as_ptr()),
+                (w.groups.capacity(), w.groups.as_ptr()),
+                (w.pairs.capacity(), w.pairs.as_ptr()),
+                (w.values.capacity(), w.values.as_ptr()),
+            )
+        };
+        for key in &keys {
+            buf.emit_kv(key, &one);
+        }
+        assert_eq!(buf.stats().early_flushes, 1, "closes on its last pair");
+        let first = tables(&buf);
+        assert!(
+            first.0 .0 >= 2 * keys.len(),
+            "the index grew to hold the window"
+        );
+        for key in &keys {
+            buf.emit_kv(key, &one);
+        }
+        assert_eq!(buf.stats().early_flushes, 2);
+        assert_eq!(tables(&buf), first, "the second window reuses every table");
+        let stats = buf.finish();
+        assert_eq!(stats.frames, 2);
+        assert_eq!(stats.combiner_records_out, 2 * keys.len() as u64);
+        assert_eq!(drain(&rx).len(), 2);
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub fn count_reduce(group: &GroupedValues, out: &mut dyn Collector) {
         .iter()
         .map(|v| u64::from_bytes(v).unwrap_or(0))
         .sum();
-    out.collect(&group.key, &total.to_bytes());
+    out.collect(&group.key, encode_u64(total, &mut [0; MAX_VARINT_LEN]));
 }
 
 /// A trained multinomial Naive Bayes model.

@@ -110,7 +110,7 @@ fn wc_reduce(g: &GroupedValues, out: &mut dyn Collector) {
         .iter()
         .map(|v| u64::from_bytes(v).unwrap_or(0))
         .sum();
-    out.collect(&g.key, &total.to_bytes());
+    out.collect(&g.key, encode_u64(total, &mut [0; MAX_VARINT_LEN]));
 }
 
 /// Job 1: builds the dictionary by running WordCount on the chosen engine.

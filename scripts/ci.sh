@@ -67,6 +67,14 @@ timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Carg
     run --workload all --smoke --out target/ci/benchmark-smoke.json \
     | tee target/ci/benchmark-smoke.log
 [ "$(grep -c '"correct":true' target/ci/benchmark-smoke.log)" -eq 6 ]
+# At --smoke scale a WordCount task stages ~100 KiB per destination, under
+# the 1 MiB flush threshold, so the smoke never closes a combiner window
+# before `finish`. At full scale the combiner closes four early, and this
+# run checks their output end to end.
+timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --workload wordcount-combine-tcp --seconds 1 --out target/ci/benchmark-combine.json \
+    | tee target/ci/benchmark-combine.log
+grep -q '"correct":true' target/ci/benchmark-combine.log
 
 echo "== examples: sort_pipeline, quickstart, profile ==" >&2
 # The examples drive the library through `JobConfig::new` defaults, which
