@@ -115,8 +115,9 @@ pub struct IndexEntry {
     /// First [`PREFIX_LEN`] key bytes, big-endian, zero-padded: integer
     /// order on it is byte order on those bytes. Padding makes `"a"` and
     /// `"a\0"` collide, so an equal prefix decides nothing by itself.
-    /// [`sort_index`] borrows the field for deeper key bytes while it
-    /// runs and puts this value back before it returns.
+    /// [`sort_index`] borrows the field for deeper key bytes and for
+    /// value bytes while it runs and puts this value back before it
+    /// returns.
     prefix: u64,
     /// Which of the run's frames holds the record.
     frame: u32,
@@ -222,6 +223,33 @@ fn sort_small_run(run: &mut [IndexEntry], from: usize, frames: &[Bytes]) {
     });
 }
 
+/// Orders entries that share one key by value. A run longer than
+/// [`SMALL_RUN`] reads each value once: its first [`PREFIX_LEN`] bytes
+/// go into the `prefix` field, as [`key_prefix`] loads keys, and the run
+/// sorts on that and the length capped at `PREFIX_LEN + 1`. Of two
+/// values with equal padded prefixes, a shorter one that fits the prefix
+/// is a prefix of the other and comes first, so only values longer than
+/// `PREFIX_LEN` still tie, and those few are finished by comparing what
+/// follows the prefix.
+fn sort_values(same_key: &mut [IndexEntry], frames: &[Bytes]) {
+    if same_key.len() <= SMALL_RUN {
+        same_key.sort_unstable_by(|a, b| a.value(frames).cmp(b.value(frames)));
+        return;
+    }
+    for e in same_key.iter_mut() {
+        e.prefix = key_prefix(e.value(frames));
+    }
+    let rank = |e: &IndexEntry| (e.prefix, e.val_len.min(PREFIX_LEN as u32 + 1));
+    same_key.sort_unstable_by_key(rank);
+    for tied in same_key.chunk_by_mut(|a, b| rank(a) == rank(b)) {
+        if tied.len() > 1 && tied[0].val_len as usize > PREFIX_LEN {
+            tied.sort_unstable_by(|a, b| {
+                a.value(frames)[PREFIX_LEN..].cmp(&b.value(frames)[PREFIX_LEN..])
+            });
+        }
+    }
+}
+
 /// One refinement level over `run[lo..hi]`, more than [`SMALL_RUN`]
 /// entries whose keys agree on their first `depth` bytes as zero-padded
 /// by [`key_prefix`].
@@ -251,9 +279,7 @@ fn refine_level(
     let (done, rest) = level.split_at_mut(ended);
     done.sort_unstable_by_key(|e| e.key_len);
     for same_key in done.chunk_by_mut(|a, b| a.key_len == b.key_len) {
-        if same_key.len() > 1 {
-            same_key.sort_unstable_by(|a, b| a.value(frames).cmp(b.value(frames)));
-        }
+        sort_values(same_key, frames);
     }
     for e in rest.iter_mut() {
         e.prefix = key_prefix(&e.key(frames)[depth..]);
@@ -278,7 +304,8 @@ fn refine_level(
 /// the inline prefix alone, which reads no frame. Only inside a run of
 /// equal prefixes is more of the keys looked at, eight bytes per level
 /// (`refine_level`), so a key is read once per level it takes part in
-/// rather than once per comparison. Levels are worked off an
+/// rather than once per comparison; a long run of one key reads each
+/// value's first eight bytes once (`sort_values`). Levels are worked off an
 /// explicit list, never by recursion: stack use is the same for 8-byte
 /// and 64 KiB keys. Entries leave with `prefix` restored to the first
 /// bytes of their key, which [`IndexEntry::same_key`] relies on.

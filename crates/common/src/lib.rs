@@ -20,6 +20,7 @@
 //!   `GzipCodec` (used by the *Normal Sort* workload's compressed sequence
 //!   files).
 //! * [`hashing`] — a fast FNV-1a hasher for hot hash-partitioning paths.
+//! * [`scan`] — word-at-a-time byte search for the text scans.
 //! * [`units`] — byte-size constants and formatting helpers.
 //! * [`error`] — the shared error type.
 
@@ -33,6 +34,7 @@ pub mod group;
 pub mod hashing;
 pub mod kv;
 pub mod partition;
+pub mod scan;
 pub mod ser;
 pub mod units;
 pub mod varint;

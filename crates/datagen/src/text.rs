@@ -9,6 +9,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use dmpi_common::scan::find_byte;
 use dmpi_common::Result;
 use dmpi_dcsim::NodeId;
 use dmpi_dfs::MiniDfs;
@@ -111,13 +112,40 @@ impl TextGenerator {
 
 /// Splits raw corpus bytes into lines (without allocating per line);
 /// shared helper for engines tokenizing input splits.
-pub fn lines(data: &[u8]) -> impl Iterator<Item = &[u8]> {
-    data.split(|&b| b == b'\n').filter(|l| !l.is_empty())
+pub fn lines(data: &[u8]) -> Pieces<'_> {
+    Pieces {
+        rest: data,
+        sep: b'\n',
+    }
 }
 
 /// Splits a line into words.
-pub fn words(line: &[u8]) -> impl Iterator<Item = &[u8]> {
-    line.split(|&b| b == b' ').filter(|w| !w.is_empty())
+pub fn words(line: &[u8]) -> Pieces<'_> {
+    Pieces {
+        rest: line,
+        sep: b' ',
+    }
+}
+
+/// The non-empty pieces of a byte slice between `sep` bytes — what
+/// `split(|&b| b == sep).filter(|p| !p.is_empty())` yields — found by
+/// jumping from separator to separator with [`find_byte`].
+#[derive(Clone, Debug)]
+pub struct Pieces<'a> {
+    rest: &'a [u8],
+    sep: u8,
+}
+
+impl<'a> Iterator for Pieces<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let start = self.rest.iter().position(|&b| b != self.sep)?;
+        let rest = &self.rest[start..];
+        let end = find_byte(self.sep, rest).unwrap_or(rest.len());
+        self.rest = rest.get(end + 1..).unwrap_or_default();
+        Some(&rest[..end])
+    }
 }
 
 #[cfg(test)]

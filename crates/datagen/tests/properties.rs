@@ -5,8 +5,74 @@ use proptest::prelude::*;
 
 use dmpi_common::ser::Writable;
 use dmpi_datagen::seqfile;
+use dmpi_datagen::text::{lines, words};
 use dmpi_datagen::vectors::{vectorize, SparseVector};
 use dmpi_datagen::{SeedModel, TextGenerator};
+
+/// What `lines` / `words` must yield: the non-empty pieces between `sep`.
+fn split_reference(data: &[u8], sep: u8) -> Vec<&[u8]> {
+    data.split(|&b| b == sep)
+        .filter(|p| !p.is_empty())
+        .collect()
+}
+
+fn assert_splits_like_reference(data: &[u8]) {
+    assert_eq!(
+        lines(data).collect::<Vec<_>>(),
+        split_reference(data, b'\n')
+    );
+    assert_eq!(words(data).collect::<Vec<_>>(), split_reference(data, b' '));
+}
+
+/// Bytes where both separators are common and `0x00`, `0x80` and `0xFF`
+/// (the ends of the word-at-a-time lane arithmetic) occur often.
+fn separator_heavy_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(
+        prop_oneof![
+            Just(b'\n'),
+            Just(b' '),
+            Just(0x00u8),
+            Just(0x80u8),
+            Just(0xFFu8),
+            Just(b'\n' ^ 1),
+            Just(b' ' ^ 1),
+            any::<u8>(),
+        ],
+        0..80,
+    )
+}
+
+/// One separator, or a run of two, at every offset of haystacks up to
+/// three words long, so that each lane of the eight-byte scan and its
+/// tail meet a separator.
+#[test]
+fn splitters_match_the_reference_at_every_separator_offset() {
+    for len in 0..=24usize {
+        assert_splits_like_reference(&vec![b'x'; len]);
+        for at in 0..len {
+            for run in 1..=2usize {
+                for sep in [b'\n', b' '] {
+                    let mut data = vec![b'x'; len];
+                    data[at..(at + run).min(len)].fill(sep);
+                    assert_splits_like_reference(&data);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn splitters_match_the_reference_on_arbitrary_bytes(
+        pad in 0usize..8,
+        body in separator_heavy_bytes(),
+    ) {
+        // The pad shifts the body through every alignment mod 8.
+        assert_splits_like_reference(&[&vec![b'\n'; pad][..], &body].concat());
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]

@@ -36,9 +36,6 @@ pub enum HistKind {
     WindowWait,
     /// Spill-run seal duration (sort + frame into the spill image), µs.
     SpillSeal,
-    /// One A-phase merge step (`next_group` call: loser-tree pops for a
-    /// whole key group), µs.
-    MergeStep,
     /// Stored sizes of sealed spill-run blocks (post-compression),
     /// bytes.
     SpillBlock,
@@ -46,13 +43,12 @@ pub enum HistKind {
 
 impl HistKind {
     /// Every channel, in wire/report order.
-    pub const ALL: [HistKind; 7] = [
+    pub const ALL: [HistKind; 6] = [
         HistKind::SendLatency,
         HistKind::RecvLatency,
         HistKind::FramePayload,
         HistKind::WindowWait,
         HistKind::SpillSeal,
-        HistKind::MergeStep,
         HistKind::SpillBlock,
     ];
 
@@ -64,7 +60,6 @@ impl HistKind {
             HistKind::FramePayload => "frame_payload_bytes",
             HistKind::WindowWait => "window_wait_us",
             HistKind::SpillSeal => "spill_seal_us",
-            HistKind::MergeStep => "merge_step_us",
             HistKind::SpillBlock => "spill_block_bytes",
         }
     }

@@ -695,7 +695,6 @@ where
                     &m.frontier,
                     m.last_key.clone(),
                     &store.read_counters(),
-                    cx.config.observer.as_ref(),
                 )?
             }
             None => store.into_group_stream()?,

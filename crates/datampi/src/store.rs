@@ -45,7 +45,7 @@ use dmpi_common::compare::{
 use dmpi_common::group::{GroupedValues, HashGrouper};
 use dmpi_common::{Error, Record, Result};
 
-use crate::observe::{Counter, HistKind, LogHistogram, Observer, PhaseTotals, SpanKind, Tracer};
+use crate::observe::{Counter, HistKind, Observer, PhaseTotals, SpanKind, Tracer};
 use crate::spillfmt::{KeyRange, RunReader, SpillConfig, SpillReadCounters};
 
 /// Runs at or below this size seal inline on the ingest thread — a
@@ -465,13 +465,6 @@ impl PartitionStore {
         if let Some(e) = self.seal_error.take() {
             return Err(e);
         }
-        // Merge-step durations flow into the observer's MergeStep
-        // histogram channel (sorted mode only — the hashed path's "step"
-        // is an iterator next).
-        let merge_hist = self
-            .observer
-            .as_ref()
-            .map(|(o, _, _)| o.registry().histograms().handle(HistKind::MergeStep));
         if self.sorted {
             let mut forming = self.current;
             if let Some(r) = &range {
@@ -482,7 +475,6 @@ impl PartitionStore {
             if self.spilled.is_empty() {
                 return Ok(GroupStream {
                     source: GroupSource::Index { forming, next: 0 },
-                    merge_hist,
                 });
             }
             let mut runs: Vec<RunCursor> = Vec::with_capacity(self.spilled.len() + 1);
@@ -496,7 +488,6 @@ impl PartitionStore {
             }
             Ok(GroupStream {
                 source: GroupSource::Merge(LoserTreeMerge::new(runs)),
-                merge_hist,
             })
         } else {
             // Hash grouping needs every key's full value list before any
@@ -517,7 +508,6 @@ impl PartitionStore {
             }
             Ok(GroupStream {
                 source: GroupSource::Hashed(grouper.finish().into_iter()),
-                merge_hist: None,
             })
         }
     }
@@ -757,9 +747,6 @@ impl LoserTreeMerge {
 /// sorted mode.
 pub struct GroupStream {
     source: GroupSource,
-    /// Observer's MergeStep channel: per-group merge durations (sorted
-    /// mode, observer installed).
-    merge_hist: Option<std::sync::Arc<LogHistogram>>,
 }
 
 /// Where the groups come from.
@@ -788,7 +775,6 @@ impl GroupStream {
     /// vector's allocation, and returns `false` (leaving `group` as it
     /// was) when the store is drained.
     pub fn next_group_into(&mut self, group: &mut GroupedValues) -> Result<bool> {
-        let step_start = self.merge_hist.as_ref().map(|_| std::time::Instant::now());
         match &mut self.source {
             GroupSource::Hashed(it) => match it.next() {
                 Some(next) => *group = next,
@@ -799,11 +785,12 @@ impl GroupStream {
                     return Ok(false);
                 };
                 // Equal keys are adjacent and their values already in
-                // order: the group is a slice of the index.
-                let len = forming.index[*next..]
+                // order: the group is a slice of the index, `first` and
+                // the entries after it that share its key.
+                let len = 1 + forming.index[*next + 1..]
                     .iter()
                     .position(|e| !e.same_key(first, &forming.frames))
-                    .unwrap_or(forming.index.len() - *next);
+                    .unwrap_or(forming.index.len() - *next - 1);
                 let members = &forming.index[*next..*next + len];
                 group.key = forming.key_bytes(first);
                 group.values.clear();
@@ -839,9 +826,6 @@ impl GroupStream {
                     }
                 }
             }
-        }
-        if let (Some(hist), Some(start)) = (&self.merge_hist, step_start) {
-            hist.record_elapsed_us(start);
         }
         Ok(true)
     }
@@ -887,7 +871,6 @@ pub fn resume_group_stream(
     frontier: &[usize],
     last_key: Option<Bytes>,
     counters: &SpillReadCounters,
-    observer: Option<&Observer>,
 ) -> Result<GroupStream> {
     if runs.len() != frontier.len() {
         return Err(Error::InvalidState(format!(
@@ -896,7 +879,6 @@ pub fn resume_group_stream(
             runs.len()
         )));
     }
-    let merge_hist = observer.map(|o| o.registry().histograms().handle(HistKind::MergeStep));
     let mut cursors = Vec::with_capacity(runs.len());
     for (run, &start) in runs.iter().zip(frontier) {
         let reader = run.open_at(start, last_key.clone(), counters, None)?;
@@ -904,7 +886,6 @@ pub fn resume_group_stream(
     }
     Ok(GroupStream {
         source: GroupSource::Merge(LoserTreeMerge::new(cursors)),
-        merge_hist,
     })
 }
 

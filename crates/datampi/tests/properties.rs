@@ -157,6 +157,28 @@ fn deep_records() -> impl Strategy<Value = Vec<Record>> {
     )
 }
 
+/// Values for one heavy key, 0 to 20 bytes: up to eight bytes of one
+/// shared head, then up to twelve of `0x00`/`0x01`. Many agree on their
+/// zero-padded first eight bytes, end in `0x00`, or are prefixes of one
+/// another, which are the ties the value step of the index sort must
+/// break by length and, past eight bytes, by the bytes that follow.
+fn heavy_key_records() -> impl Strategy<Value = Vec<Record>> {
+    use proptest::collection::vec;
+    let key = prop_oneof![
+        Just(Vec::new()),
+        Just(b"a".to_vec()),
+        Just(b"a heavy key, three levels deep".to_vec()),
+    ];
+    let value = (0usize..=8, vec(0u8..2, 0..=12))
+        .prop_map(|(head, tail)| [&b"shared-8"[..head], &tail].concat());
+    (key, vec(value, 0..300)).prop_map(|(key, values)| {
+        values
+            .into_iter()
+            .map(|v| Record::new(key.clone(), v))
+            .collect()
+    })
+}
+
 /// Ingests `records`, `per_frame` to a frame, under one of three spill
 /// regimes: 0 = nothing spills, 1 = exactly one run is sealed half-way,
 /// 2 = a budget so small that nearly every frame seals a run.
@@ -267,6 +289,21 @@ proptest! {
         let mut expected = records;
         sort_records(&mut expected, &BytesComparator);
         prop_assert_eq!(groups, group_sorted(expected));
+    }
+
+    /// One key carrying every record, as Grep's partition does: its
+    /// values come out in `sort_records` order whether the forming run
+    /// is walked from memory or merged with sealed runs.
+    #[test]
+    fn store_orders_one_heavy_keys_values_like_sort_records(
+        records in heavy_key_records(),
+        per_frame in 1usize..64,
+        regime in 0usize..3,
+    ) {
+        let store = filled_store(&records, per_frame, regime, true);
+        let mut expected = records;
+        sort_records(&mut expected, &BytesComparator);
+        prop_assert_eq!(store.into_records().unwrap(), expected);
     }
 
     /// Hashed mode never sorts: groups come out in order of first

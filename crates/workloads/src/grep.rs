@@ -8,6 +8,7 @@
 use bytes::Bytes;
 
 use dmpi_common::group::{Collector, GroupedValues};
+use dmpi_common::scan::find_byte;
 use dmpi_common::ser::Writable;
 use dmpi_common::varint::{encode_u64, MAX_VARINT_LEN};
 use dmpi_common::Result;
@@ -15,19 +16,25 @@ use dmpi_dfs::InputSplit;
 
 use crate::calib;
 
-/// Counts occurrences of `needle` in `haystack` (non-overlapping).
+/// Counts occurrences of `needle` in `haystack` (leftmost first,
+/// non-overlapping). A longer needle is only compared where its first
+/// byte occurs.
 pub fn count_matches(haystack: &[u8], needle: &[u8]) -> usize {
-    if needle.is_empty() || haystack.len() < needle.len() {
+    let &[first, ..] = needle else {
         return 0;
+    };
+    if needle.len() == 1 {
+        return haystack.iter().filter(|&&b| b == first).count();
     }
     let mut count = 0;
     let mut i = 0;
-    while i + needle.len() <= haystack.len() {
-        if &haystack[i..i + needle.len()] == needle {
+    while let Some(at) = find_byte(first, &haystack[i..]) {
+        let candidate = i + at;
+        if haystack[candidate..].starts_with(needle) {
             count += 1;
-            i += needle.len();
+            i = candidate + needle.len();
         } else {
-            i += 1;
+            i = candidate + 1;
         }
     }
     count
@@ -186,6 +193,9 @@ mod tests {
     fn match_counting() {
         assert_eq!(count_matches(b"abcabcabc", b"abc"), 3);
         assert_eq!(count_matches(b"aaaa", b"aa"), 2, "non-overlapping");
+        assert_eq!(count_matches(b"aaaaa", b"aa"), 2, "leftmost first");
+        assert_eq!(count_matches(b"abababa", b"aba"), 2);
+        assert_eq!(count_matches(b"aaaaa", b"a"), 5);
         assert_eq!(count_matches(b"hello", b"xyz"), 0);
         assert_eq!(count_matches(b"", b"x"), 0);
         assert_eq!(count_matches(b"x", b""), 0);

@@ -75,6 +75,13 @@ timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Carg
     run --workload wordcount-combine-tcp --seconds 1 --out target/ci/benchmark-combine.json \
     | tee target/ci/benchmark-combine.log
 grep -q '"correct":true' target/ci/benchmark-combine.log
+# Grep's whole partition is one key. At --smoke scale its run holds ~46 k
+# values; at full scale ~741 k, which drives the index sort's value step
+# over a production-sized run end to end.
+timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --workload grep-inproc --seconds 1 --out target/ci/benchmark-grep.json \
+    | tee target/ci/benchmark-grep.log
+grep -q '"correct":true' target/ci/benchmark-grep.log
 
 echo "== examples: sort_pipeline, quickstart, profile ==" >&2
 # The examples drive the library through `JobConfig::new` defaults, which
