@@ -49,11 +49,6 @@ impl WireCompression {
     }
 }
 
-/// Default target size of one parallel-O input chunk. Large enough that
-/// per-chunk overhead (a tracer span, a captured frame buffer) is noise;
-/// small enough that even modest splits fan out across the worker pool.
-pub const DEFAULT_O_CHUNK_BYTES: usize = 128 * KB as usize;
-
 /// Configuration of one DataMPI job.
 #[derive(Clone, Debug)]
 pub struct JobConfig {
@@ -110,23 +105,6 @@ pub struct JobConfig {
     /// associative workloads (WordCount, Grep). `None` (the default)
     /// ships every emitted pair unmodified.
     pub combiner: Option<Combiner>,
-    /// Intra-rank O-executor parallelism: how many pool workers may chew
-    /// on one O task's input concurrently. `1`, the default, is the
-    /// sequential path: user code emits straight into the task's buffer.
-    ///
-    /// Chunk-parallel O is **opt-in, for line-oriented splits only**: a
-    /// byte split over [`o_chunk_bytes`](Self::o_chunk_bytes) is cut at
-    /// `0x0A` bytes whatever it holds, which is right for text that the
-    /// O function maps line by line and silently wrong for a binary
-    /// split (a compressed sequence file). For such splits output frames
-    /// are byte-identical at any setting — see DESIGN.md §7. Every rank
-    /// of an in-proc job runs its own pool, so a job of `ranks` rank
-    /// threads wants `ranks × o_parallelism` cores.
-    pub o_parallelism: usize,
-    /// Target size of one parallel-O input chunk in bytes. Smaller values
-    /// fan small inputs out wider (tests use this); the default is
-    /// [`DEFAULT_O_CHUNK_BYTES`].
-    pub o_chunk_bytes: usize,
     /// Unused since the A-side store sorts an index over frame bytes
     /// (one kernel, see [`dmpi_common::compare::sort_index`]); kept
     /// because the benchmark package reads the field.
@@ -176,8 +154,6 @@ impl JobConfig {
             wire_batch_bytes: DEFAULT_WIRE_BATCH_BYTES,
             wire_compression: WireCompression::default(),
             combiner: None,
-            o_parallelism: 1,
-            o_chunk_bytes: DEFAULT_O_CHUNK_BYTES,
             sort_kernel: SortKernel::default(),
             speculation: SpeculationConfig::default(),
             scheduling: Scheduling::default(),
@@ -205,12 +181,6 @@ impl JobConfig {
             return Err(Error::Config(
                 "wire batch watermark must be positive".into(),
             ));
-        }
-        if self.o_parallelism == 0 {
-            return Err(Error::Config("O parallelism must be positive".into()));
-        }
-        if self.o_chunk_bytes == 0 {
-            return Err(Error::Config("O chunk size must be positive".into()));
         }
         if self.spill_block_bytes == 0 {
             return Err(Error::Config("spill block size must be positive".into()));
@@ -299,19 +269,8 @@ impl JobConfig {
         self
     }
 
-    /// Builder: set intra-rank O-executor parallelism (`1`, the default,
-    /// = the sequential path). Only for splits that may be cut at any
-    /// newline — see [`o_parallelism`](Self::o_parallelism); for those,
-    /// output bytes are identical at any value.
-    pub fn with_o_parallelism(mut self, workers: usize) -> Self {
-        self.o_parallelism = workers;
-        self
-    }
-
-    /// Builder: set the parallel-O chunk target size in bytes (mainly a
-    /// test/bench knob — shrinks chunks so small inputs still fan out).
-    pub fn with_o_chunk_bytes(mut self, bytes: usize) -> Self {
-        self.o_chunk_bytes = bytes;
+    /// No-op, kept because `benchmark/src/run.rs` calls it (ROADMAP item 1 unpins it).
+    pub fn with_o_parallelism(self, _workers: usize) -> Self {
         self
     }
 
@@ -381,13 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_parallel_o_is_opt_in() {
-        // The byte chunker cuts at any 0x0A, so a default job must not
-        // chunk: a binary split would be mis-cut on every multi-core host.
-        assert_eq!(JobConfig::new(4).o_parallelism, 1);
-    }
-
-    #[test]
     fn invalid_configs_rejected() {
         assert!(JobConfig::new(0).validate().is_err());
         assert!(JobConfig::new(1)
@@ -402,8 +354,6 @@ mod tests {
             .with_wire_batch_bytes(0)
             .validate()
             .is_err());
-        assert!(JobConfig::new(1).with_o_parallelism(0).validate().is_err());
-        assert!(JobConfig::new(1).with_o_chunk_bytes(0).validate().is_err());
         // An invalid fault plan makes the whole config invalid.
         let plan = FaultPlan::new(0).straggler(0, 0, FaultPlan::MAX_STRAGGLER_MS + 1);
         assert!(JobConfig::new(1).with_faults(plan).validate().is_err());
@@ -439,11 +389,7 @@ mod tests {
             .with_memory_budget(123)
             .with_sorted_grouping(false)
             .with_flush_threshold(456)
-            .with_o_parallelism(3)
-            .with_o_chunk_bytes(789)
             .with_o_task_fault(1, 0);
-        assert_eq!(c.o_parallelism, 3);
-        assert_eq!(c.o_chunk_bytes, 789);
         assert!(!c.pipelined);
         assert!(c.checkpointing);
         assert_eq!(c.memory_budget, 123);

@@ -18,13 +18,8 @@ use dmpi_common::Result;
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::JobConfig;
-use crate::runtime::{run_job_core, ChunkableSplit, JobOutput};
+use crate::runtime::{run_job_core, JobOutput};
 use crate::supervisor::{supervise_job_generic, RetryPolicy};
-
-/// Iteration-mode splits opt out of parallel chunking (the default impl
-/// never cuts): element vectors have no byte-level cut points, so the O
-/// function always sees its whole split on the sequential path.
-impl<T: Send + Sync> ChunkableSplit for Arc<Vec<T>> {}
 
 /// Deserialized splits held resident across iterations.
 ///

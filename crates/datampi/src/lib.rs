@@ -18,10 +18,8 @@
 //! * **Data-centric** — emitted pairs are partitioned and buffered at the
 //!   A-side worker ([`store`]), so A tasks read their input locally;
 //! * **Diversified** — [`task`] exposes Common and MapReduce-style modes,
-//!   [`iteration`] implements Iteration mode (deserialized splits stay
-//!   resident in worker memory across jobs, the pattern K-means uses),
-//!   and [`streaming`] implements Streaming mode (windowed processing
-//!   with persistent per-key state).
+//!   and [`iteration`] implements Iteration mode (deserialized splits stay
+//!   resident in worker memory across jobs, the pattern K-means uses).
 //!
 //! Communication is **pipelined**: O-task computation overlaps with
 //! key-value movement ([`buffer::KvBuffer`] flushes asynchronously while
@@ -67,7 +65,6 @@ pub mod service;
 pub mod speculate;
 pub mod spillfmt;
 pub mod store;
-pub mod streaming;
 pub mod supervisor;
 pub mod task;
 pub mod transport;
@@ -75,7 +72,7 @@ pub mod transport;
 pub use config::{JobConfig, WireCompression};
 pub use fault::FaultPlan;
 pub use observe::{Observer, PhaseTotals, Profiler, SpanKind, Trace};
-pub use runtime::{run_job, ChunkableSplit, JobOutput, JobStats};
+pub use runtime::{run_job, JobOutput, JobStats};
 pub use speculate::{Scheduling, SpeculationConfig};
 pub use spillfmt::{KeyRange, SealedRun, SpillConfig, SpillReadCounters};
 pub use supervisor::{

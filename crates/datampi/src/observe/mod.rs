@@ -42,7 +42,7 @@ pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 pub use profiler::{
     integrate, process_cpu_secs, process_rss_bytes, ProfileSource, Profiler, Sample, SampleSeries,
 };
-pub use telemetry::{ClockSync, RankTelemetry, TelemetryAggregator, TelemetryFrame, TelemetrySink};
+pub use telemetry::{ClockSync, RankTelemetry, TelemetryAggregator, TelemetryFrame};
 pub use trace::{PhaseTotals, SpanKind, Trace, TraceEvent, JOB_LANE};
 
 use std::cell::RefCell;

@@ -73,14 +73,13 @@ impl ClockSync {
 /// strings [`TraceEvent`] requires; unknown keys are dropped rather than
 /// leaked.
 fn intern_arg_key(key: &str) -> Option<&'static str> {
-    const KNOWN: [&str; 20] = [
+    const KNOWN: [&str; 18] = [
         "bytes",
         "cause",
         "peer",
         "records",
         "frames",
         "groups",
-        "chunk",
         "splits",
         "ranks",
         "shrunk",
@@ -92,7 +91,6 @@ fn intern_arg_key(key: &str) -> Option<&'static str> {
         "recv",
         "sort",
         "spill",
-        "window",
         "crc",
     ];
     KNOWN.iter().find(|k| **k == key).copied()
@@ -318,37 +316,6 @@ impl TelemetryFrame {
             }
         }
         Some(frame)
-    }
-}
-
-/// Worker-side frame factory: owns the sequence counter and clock sync,
-/// so the worker just asks for the next frame.
-#[derive(Debug)]
-pub struct TelemetrySink {
-    observer: Observer,
-    rank: u32,
-    sync: ClockSync,
-    seq: u64,
-}
-
-impl TelemetrySink {
-    /// A sink for `rank`, correcting onto the coordinator timeline with
-    /// `sync`.
-    pub fn new(observer: Observer, rank: u32, sync: ClockSync) -> TelemetrySink {
-        TelemetrySink {
-            observer,
-            rank,
-            sync,
-            seq: 0,
-        }
-    }
-
-    /// Collects the next frame (bumping the sequence number).
-    pub fn next_frame(&mut self, is_final: bool) -> TelemetryFrame {
-        let frame =
-            TelemetryFrame::collect(&self.observer, self.rank, self.seq, is_final, self.sync);
-        self.seq += 1;
-        frame
     }
 }
 

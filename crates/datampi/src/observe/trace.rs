@@ -29,10 +29,6 @@ pub enum SpanKind {
     Spill,
     /// The A-side user compute over grouped records.
     ACompute,
-    /// One streaming window (job-level lane).
-    Window,
-    /// Iteration-mode cache parse/load (job-level lane, once per cache).
-    CacheLoad,
     /// Instant: an O task replayed from checkpoint instead of re-running.
     Recovered,
     /// Instant: a fault observed by a rank or the supervisor.
@@ -52,8 +48,6 @@ impl SpanKind {
             SpanKind::Sort => "sort",
             SpanKind::Spill => "spill",
             SpanKind::ACompute => "a_compute",
-            SpanKind::Window => "window",
-            SpanKind::CacheLoad => "cache_load",
             SpanKind::Recovered => "recovered",
             SpanKind::Fault => "fault",
             SpanKind::Retry => "retry",
@@ -63,7 +57,7 @@ impl SpanKind {
     /// Parses a [`name`](Self::name) back to the kind — the telemetry
     /// wire protocol ships spans by name.
     pub fn parse(name: &str) -> Option<SpanKind> {
-        const ALL: [SpanKind; 12] = [
+        const ALL: [SpanKind; 10] = [
             SpanKind::Attempt,
             SpanKind::OTask,
             SpanKind::Send,
@@ -71,8 +65,6 @@ impl SpanKind {
             SpanKind::Sort,
             SpanKind::Spill,
             SpanKind::ACompute,
-            SpanKind::Window,
-            SpanKind::CacheLoad,
             SpanKind::Recovered,
             SpanKind::Fault,
             SpanKind::Retry,
@@ -83,7 +75,7 @@ impl SpanKind {
     /// Chrome trace category.
     pub fn category(self) -> &'static str {
         match self {
-            SpanKind::Attempt | SpanKind::Window | SpanKind::CacheLoad => "job",
+            SpanKind::Attempt => "job",
             SpanKind::OTask | SpanKind::Send => "o",
             SpanKind::Recv | SpanKind::Sort | SpanKind::Spill | SpanKind::ACompute => "a",
             SpanKind::Recovered | SpanKind::Fault | SpanKind::Retry => "recovery",
@@ -91,7 +83,7 @@ impl SpanKind {
     }
 }
 
-/// The pseudo-rank used for job-level events (attempts, windows, retries):
+/// The pseudo-rank used for job-level events (attempts, retries):
 /// they belong to the supervisor, not to any worker rank.
 pub const JOB_LANE: u32 = u32::MAX;
 
@@ -469,8 +461,6 @@ mod tests {
             "sort",
             "spill",
             "a_compute",
-            "window",
-            "cache_load",
             "recovered",
             "fault",
             "retry",

@@ -10,7 +10,7 @@
 //!    TCP it also drains the sockets while O computes.
 //! 2. **O phase** — the rank pulls splits from the job's [`TaskQueues`]
 //!    and runs each through `run_o_task`: checkpoint replay, injected
-//!    faults, user code in one of three emission modes, panic → fault,
+//!    faults, user code in one of two emission modes, panic → fault,
 //!    stats fold. With a [`ProgressBoard`] an idle rank also speculates on
 //!    detected stragglers. Whatever ends the phase — queue drained, failed
 //!    flag, user panic, injected death — the rank then sends its EOF to
@@ -28,7 +28,7 @@
 //! caller.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -42,7 +42,7 @@ use crate::checkpoint::{CheckpointStore, MergeCheckpoint};
 use crate::comm::Frame;
 use crate::config::JobConfig;
 use crate::observe::{Counter, HistKind, Observer, PhaseTotals, SpanKind, Tracer};
-use crate::runtime::{ChunkableSplit, JobStats};
+use crate::runtime::JobStats;
 use crate::speculate::{ProgressBoard, TaskQueues};
 use crate::store::{PartitionStore, StoreStats};
 use crate::task::{BatchCollector, Collector, GroupedValues};
@@ -123,7 +123,7 @@ pub(crate) fn run_rank<I, O, A>(
     receiver: FrameReceiver,
 ) -> Result<(RecordBatch, JobStats)>
 where
-    I: ChunkableSplit,
+    I: Sync,
     O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
@@ -137,7 +137,6 @@ where
         // merges into the job trace when this rank exits.
         tracer: observer.map(|o| o.rank_tracer(rank as u32, attempt)),
         stats: JobStats::default(),
-        pool_phase: PhaseTotals::default(),
     };
 
     // Injected rank death: this rank does no O work at all — the failed
@@ -186,9 +185,6 @@ struct Rank<'a, I, O> {
     senders: Vec<FrameSender>,
     tracer: Option<Tracer>,
     stats: JobStats,
-    /// O time traced by chunk-pool workers, merged after this rank's own
-    /// tracer is absorbed.
-    pool_phase: PhaseTotals,
 }
 
 /// How one attempt at an O task ended.
@@ -204,7 +200,7 @@ enum Emitted {
 
 impl<I, O> Rank<'_, I, O>
 where
-    I: ChunkableSplit,
+    I: Sync,
     O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
 {
     /// Records a fault on this rank's lane and fails the job with it.
@@ -328,8 +324,6 @@ where
     ///   a capture only, and the attempt ships (by replaying the capture
     ///   through the task's buffer) only if it wins the board's
     ///   first-writer-wins commit (DESIGN.md §7);
-    /// * `o_parallelism > 1` and a split that cuts into chunks ⇒
-    ///   **chunk-parallel capture**, replayed in chunk order;
     /// * otherwise **direct emission**: user code writes straight into
     ///   the task's buffer, no copy.
     fn run_o_task(&mut self, task: usize, speculative: bool) {
@@ -388,7 +382,6 @@ where
         }
 
         let (o_fn, split) = (self.o_fn, &cx.inputs[task]);
-        let mut chunked = false;
         let emitted = if let Some(board) = cx.board {
             let mut capture = CaptureCollector { buf: Vec::new() };
             let ran = catch_unwind(AssertUnwindSafe(|| o_fn(task, split, &mut capture))).is_ok();
@@ -404,23 +397,16 @@ where
             }
         } else {
             let mut buffer = self.task_buffer(task);
-            let chunks = (cx.config.o_parallelism > 1)
-                .then(|| split.parallel_chunks(cx.config.o_chunk_bytes))
-                .flatten();
-            chunked = chunks.is_some();
             // User code may panic; that becomes a clean job fault so peer
             // ranks still receive our EOFs instead of deadlocking in
             // their A phase.
-            let ran = match chunks {
-                Some(chunks) => self.run_chunks(task, chunks, &mut buffer),
-                None => catch_unwind(AssertUnwindSafe(|| {
-                    let mut adapter = EmitAdapter {
-                        buffer: &mut buffer,
-                    };
-                    o_fn(task, split, &mut adapter);
-                }))
-                .is_ok(),
-            };
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                let mut adapter = EmitAdapter {
+                    buffer: &mut buffer,
+                };
+                o_fn(task, split, &mut adapter);
+            }))
+            .is_ok();
             if ran {
                 Emitted::Shipped(buffer.finish())
             } else {
@@ -472,10 +458,7 @@ where
                 None
             }
         };
-        // A chunked task's O time is already in its workers' per-chunk
-        // OTask spans (summed work, not wall clock); the enclosing
-        // wall-clock span would double-count the phase.
-        if let Some(t) = tracer.as_ref().filter(|_| !chunked) {
+        if let Some(t) = &tracer {
             let mut args = Vec::new();
             if let Some(records) = shipped {
                 args.push(("records", records.to_string()));
@@ -494,98 +477,6 @@ where
                 r.add(Counter::Heartbeats, 1);
             }
         }
-    }
-
-    /// Runs one O task's chunks on a scoped worker pool, replaying each
-    /// chunk's captured emissions into `buffer` strictly in chunk order.
-    ///
-    /// Determinism: the task's single real [`KvBuffer`] sees exactly the
-    /// emission sequence the sequential path would produce, so framing,
-    /// combiner windows, checkpoint tees, corruption injection, and stats
-    /// are all byte-identical at any worker count. Workers overlap with
-    /// the replay: the coordinator replays chunk `i` while later chunks
-    /// still compute.
-    ///
-    /// Returns `false` (after all workers drained) if any chunk's user
-    /// code panicked. The workers' traced O-task time lands in
-    /// `pool_phase`, attributed via per-worker tracers rather than
-    /// wall-clock deltas so overlapped workers sum correctly.
-    fn run_chunks(&mut self, task: usize, chunks: Vec<I>, buffer: &mut KvBuffer) -> bool {
-        let (config, rank, attempt) = (self.cx.config, self.cx.rank, self.cx.attempt);
-        let (o_fn, observer) = (self.o_fn, config.observer.as_ref());
-        let workers = config.o_parallelism.min(chunks.len()).max(1);
-        let aborted = AtomicBool::new(false);
-        let next = AtomicUsize::new(0);
-        let pool_phase = Mutex::new(PhaseTotals::default());
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, std::result::Result<Vec<u8>, ()>)>();
-        let (chunks, aborted, next, pool_phase_ref) = (&chunks, &aborted, &next, &pool_phase);
-        let mut ok = true;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    // Tracers are thread-local: each worker builds its own and
-                    // absorbs it on exit, so overlapped chunk spans accumulate
-                    // as summed work time, not double-counted wall time.
-                    let tracer = observer.map(|o| o.rank_tracer(rank as u32, attempt));
-                    loop {
-                        if aborted.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let idx = next.fetch_add(1, Ordering::SeqCst);
-                        if idx >= chunks.len() {
-                            break;
-                        }
-                        let start = tracer.as_ref().map(Tracer::start);
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            let mut capture = CaptureCollector { buf: Vec::new() };
-                            o_fn(task, &chunks[idx], &mut capture);
-                            capture.buf
-                        }));
-                        if let Some(t) = &tracer {
-                            t.for_task(task as u64).span(
-                                SpanKind::OTask,
-                                start.unwrap_or(0),
-                                vec![("chunk", idx.to_string())],
-                            );
-                        }
-                        if run.is_err() {
-                            aborted.store(true, Ordering::SeqCst);
-                        }
-                        let _ = tx.send((idx, run.map_err(|_| ())));
-                    }
-                    if let (Some(obs), Some(t)) = (observer, &tracer) {
-                        let mut p = pool_phase_ref.lock().expect("pool phase lock");
-                        p.merge(&obs.absorb(t));
-                    }
-                });
-            }
-            drop(tx);
-            // Coordinator: replay completed captures strictly in chunk order,
-            // stashing out-of-order arrivals. Runs inside the scope so replay
-            // overlaps the still-computing workers.
-            let mut stash: std::collections::BTreeMap<usize, Vec<u8>> = Default::default();
-            let mut next_replay = 0usize;
-            for (idx, result) in rx {
-                match result {
-                    Ok(capture) if ok => {
-                        stash.insert(idx, capture);
-                        while let Some(capture) = stash.remove(&next_replay) {
-                            replay_capture(&capture, buffer);
-                            next_replay += 1;
-                        }
-                    }
-                    Ok(_) => {}
-                    Err(()) => ok = false,
-                }
-            }
-            if ok {
-                debug_assert_eq!(next_replay, chunks.len(), "all chunks replayed");
-            }
-        });
-        let phase = pool_phase.into_inner().expect("pool phase lock");
-        self.pool_phase.merge(&phase);
-        ok
     }
 
     /// Groups and reduces the ingested partition, then closes this
@@ -651,7 +542,6 @@ where
             self.stats.phase_us = obs.absorb(t);
         }
         self.stats.phase_us.merge(&ingest.phase);
-        self.stats.phase_us.merge(&self.pool_phase);
         grouped.map_err(|e| store_decode_fault(e, rank, cx.attempt))?;
         Ok((collector.into_batch(), self.stats))
     }

@@ -163,63 +163,6 @@ impl JobOutput {
     }
 }
 
-/// An input split the intra-rank parallel O executor knows how to cut
-/// into independently-processable chunks.
-///
-/// **Contract:** processing the chunks of one split in chunk order must
-/// make the O function emit exactly the pairs, in exactly the order, it
-/// would emit over the whole split. For the byte-split surface the cut
-/// points are `'\n'` boundaries (the separator byte is dropped), so the
-/// contract holds for any O function that maps newline-separated
-/// segments independently — every catalogue workload does. O functions
-/// that carry state *across* lines must run with
-/// [`JobConfig::with_o_parallelism`]`(1)`.
-///
-/// The default implementation never chunks, which is always correct:
-/// such splits simply take the sequential path.
-pub trait ChunkableSplit: Sync {
-    /// Cuts `self` into two or more chunks of roughly `target_bytes`
-    /// each, or `None` when the split is too small or offers no safe cut
-    /// point.
-    fn parallel_chunks(&self, target_bytes: usize) -> Option<Vec<Self>>
-    where
-        Self: Sized,
-    {
-        let _ = target_bytes;
-        None
-    }
-}
-
-impl ChunkableSplit for Bytes {
-    /// Zero-copy chunking on line boundaries: each chunk is a refcounted
-    /// [`Bytes::slice`] of the split; the `'\n'` separating two chunks
-    /// belongs to neither, so the concatenation of every chunk's line
-    /// list is exactly the whole split's line list.
-    fn parallel_chunks(&self, target_bytes: usize) -> Option<Vec<Bytes>> {
-        if self.len() <= target_bytes {
-            return None;
-        }
-        let mut chunks = Vec::new();
-        let mut start = 0usize;
-        while self.len() - start > target_bytes {
-            let tentative = start + target_bytes;
-            match self[tentative..].iter().position(|&b| b == b'\n') {
-                Some(off) => {
-                    let cut = tentative + off;
-                    chunks.push(self.slice(start..cut));
-                    start = cut + 1;
-                }
-                None => break,
-            }
-        }
-        chunks.push(self.slice(start..));
-        if chunks.len() < 2 {
-            return None;
-        }
-        Some(chunks)
-    }
-}
-
 /// Runs a DataMPI job (first attempt). See [`run_job_attempt`].
 ///
 /// # Examples
@@ -288,7 +231,7 @@ pub(crate) fn run_job_core<I, O, A>(
     attempt: u32,
 ) -> std::result::Result<JobOutput, Box<(Error, JobStats)>>
 where
-    I: ChunkableSplit,
+    I: Sync,
     O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
@@ -734,104 +677,11 @@ mod tests {
     }
 
     #[test]
-    fn byte_splits_chunk_on_line_boundaries() {
-        let b = Bytes::from_static(b"aa\nbb\ncc\ndd");
-        let chunks = b.parallel_chunks(3).expect("large enough to chunk");
-        assert!(chunks.len() >= 2);
-        // Concatenating every chunk's line list reproduces the whole
-        // split's line list — the contract the parallel executor needs.
-        let whole: Vec<Vec<u8>> = b.split(|&x| x == b'\n').map(<[u8]>::to_vec).collect();
-        let mut pieces: Vec<Vec<u8>> = Vec::new();
-        for c in &chunks {
-            pieces.extend(c.split(|&x| x == b'\n').map(<[u8]>::to_vec));
-        }
-        assert_eq!(whole, pieces);
-        // Chunks are zero-copy views of the parent split.
-        let base = b.as_ref().as_ptr() as usize;
-        for c in &chunks {
-            if !c.is_empty() {
-                let p = c.as_ref().as_ptr() as usize;
-                assert!(p >= base && p < base + b.len(), "chunk not shared");
-            }
-        }
-        assert!(b.parallel_chunks(100).is_none(), "small splits stay whole");
-        assert!(
-            Bytes::from_static(b"nonewlineatall")
-                .parallel_chunks(4)
-                .is_none(),
-            "no safe cut point means no chunking"
-        );
-    }
-
-    #[test]
-    fn parallel_o_is_byte_identical_to_sequential() {
-        for parallelism in [2usize, 8] {
-            let seq = JobConfig::new(2).with_o_parallelism(1);
-            let par = JobConfig::new(2)
-                .with_o_parallelism(parallelism)
-                .with_o_chunk_bytes(64);
-            let a = run_job(&seq, lined_inputs(4, 40), wordcount_o, wordcount_a, None).unwrap();
-            let b = run_job(&par, lined_inputs(4, 40), wordcount_o, wordcount_a, None).unwrap();
-            for (pa, pb) in a.partitions.iter().zip(&b.partitions) {
-                assert_eq!(pa.records(), pb.records(), "parallelism={parallelism}");
-            }
-            assert_eq!(a.stats.records_emitted, b.stats.records_emitted);
-            assert_eq!(a.stats.bytes_emitted, b.stats.bytes_emitted);
-            assert_eq!(a.stats.frames, b.stats.frames);
-            assert_eq!(a.stats.o_tasks_run, b.stats.o_tasks_run);
-        }
-    }
-
-    #[test]
-    fn parallel_o_with_combiner_stays_identical() {
-        let mk = |parallelism: usize| {
-            JobConfig::new(2)
-                .with_o_parallelism(parallelism)
-                .with_o_chunk_bytes(48)
-                .with_flush_threshold(64)
-                .with_combiner(crate::task::Combiner::new(wordcount_a))
-        };
-        let a = run_job(&mk(1), lined_inputs(3, 30), wordcount_o, wordcount_a, None).unwrap();
-        let b = run_job(&mk(4), lined_inputs(3, 30), wordcount_o, wordcount_a, None).unwrap();
-        for (pa, pb) in a.partitions.iter().zip(&b.partitions) {
-            assert_eq!(pa.records(), pb.records());
-        }
-        assert_eq!(a.stats.bytes_emitted, b.stats.bytes_emitted);
-        assert_eq!(a.stats.combiner_records_in, b.stats.combiner_records_in);
-        assert_eq!(a.stats.combiner_records_out, b.stats.combiner_records_out);
-    }
-
-    #[test]
-    fn panicking_parallel_chunk_reports_fault_not_hang() {
-        let config = JobConfig::new(2)
-            .with_o_parallelism(4)
-            .with_o_chunk_bytes(4);
-        let inputs = vec![Bytes::from_static(b"aa\nbb\nboom\ncc\ndd\nee")];
-        let o = |_t: usize, split: &[u8], out: &mut dyn Collector| {
-            for line in split.split(|&b| b == b'\n') {
-                if line == b"boom" {
-                    panic!("chunk exploded");
-                }
-                out.collect(line, b"1");
-            }
-        };
-        let a = |_g: &GroupedValues, _out: &mut dyn Collector| {};
-        let err = run_job(&config, inputs, o, a, None).unwrap_err();
-        assert_eq!(
-            err.fault_cause().expect("structured cause").kind,
-            dmpi_common::FaultKind::TaskPanic
-        );
-    }
-
-    #[test]
-    fn phase_totals_stay_consistent_under_parallel_workers() {
-        // The regression ISSUE 5 guards: stats.phase_us must equal the
-        // span log's totals even when pool workers and background seals
-        // record phase time off the rank threads.
+    fn phase_totals_stay_consistent_under_background_seals() {
+        // stats.phase_us must equal the span log's totals even when
+        // background seals record phase time off the rank threads.
         let obs = Observer::new();
         let config = JobConfig::new(2)
-            .with_o_parallelism(4)
-            .with_o_chunk_bytes(32)
             .with_memory_budget(256)
             .with_observer(obs.clone());
         let out = run_job(&config, lined_inputs(4, 50), wordcount_o, wordcount_a, None).unwrap();

@@ -245,7 +245,7 @@ pub struct JobSpec {
     pub bytes_per_task: usize,
     /// Input-generation seed.
     pub seed: u64,
-    /// Worker threads per O task.
+    /// Unread, kept for `benchmark/src/service.rs`'s struct literal (ROADMAP item 1 unpins it).
     pub o_parallelism: usize,
     /// When set, each rank writes its partition to `<out>/part-NNNNN`.
     pub out: Option<String>,
@@ -264,8 +264,7 @@ impl JobSpec {
             .text("workload", &self.workload)
             .field("tasks", self.tasks)
             .field("bytes", self.bytes_per_task)
-            .field("seed", self.seed)
-            .field("par", self.o_parallelism);
+            .field("seed", self.seed);
         if let Some(out) = &self.out {
             line = line.text("out", out);
         }
@@ -309,7 +308,6 @@ impl JobSpec {
                 "tasks" => spec.tasks = value.num()?,
                 "bytes" => spec.bytes_per_task = value.num()?,
                 "seed" => spec.seed = value.num()?,
-                "par" => spec.o_parallelism = value.num()?,
                 "out" => spec.out = Some(value.text()?),
                 "spilldir" => spec.spill_dir = Some(value.text()?),
                 "spillcomp" => spec.spill_compress = value.flag(),
@@ -511,7 +509,7 @@ mod tests {
             tasks: 4,
             bytes_per_task: 2048,
             seed: 7,
-            o_parallelism: 2,
+            o_parallelism: 1,
             out: Some("/tmp/out dir".into()),
             spill_dir: Some("/tmp/spill root".into()),
             spill_compress: true,
@@ -530,6 +528,15 @@ mod tests {
         );
         // Unknown fields are skipped, not fatal (forward compatibility).
         assert!(JobSpec::parse_job("job 1 tenant=a workload=w tasks=1 priority=9").is_some());
+    }
+
+    #[test]
+    fn an_old_clients_par_field_is_skipped() {
+        // Clients from before chunk-parallel O was removed send `par=N`;
+        // it is skipped like any unknown field.
+        let line = "submit tenant=a workload=wordcount tasks=4 bytes=2048 seed=7";
+        let spec = JobSpec::parse_submit(line).expect("a valid submit line");
+        assert_eq!(JobSpec::parse_submit(&format!("{line} par=4")), Some(spec));
     }
 
     #[test]

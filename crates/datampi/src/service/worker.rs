@@ -28,7 +28,7 @@ use dmpi_common::{Error, FaultCause, FaultKind, Result};
 
 use crate::config::JobConfig;
 use crate::distrib::{run_mesh_rank, RankTable};
-use crate::observe::{Clock, ClockSync, HistKind, Histograms, Observer, TelemetrySink};
+use crate::observe::{Clock, ClockSync, HistKind, Histograms, Observer, TelemetryFrame};
 use crate::runtime::JobStats;
 use crate::task::{Collector, GroupedValues};
 use crate::transport::{establish_endpoint, TcpOptions, WireStats};
@@ -294,9 +294,7 @@ fn run_one_job(
                 return Err(e);
             }
         };
-        let mut config = JobConfig::new(ranks)
-            .with_o_parallelism(spec.o_parallelism.max(1))
-            .with_sorted_grouping(prepared.sorted);
+        let mut config = JobConfig::new(ranks).with_sorted_grouping(prepared.sorted);
         if let Some(obs) = &observer {
             config = config.with_observer(obs.clone());
         }
@@ -348,7 +346,7 @@ fn run_one_job(
             let hist = observer.registry().histograms().handle(*kind);
             hist.record_snapshot(&now.since(before));
         }
-        let frame = TelemetrySink::new(observer, rank as u32, trace.sync).next_frame(true);
+        let frame = TelemetryFrame::collect(&observer, rank as u32, 0, true, trace.sync);
         let frame = Box::new(frame);
         events.push(WorkerEvent::Tlm { job, frame });
     }

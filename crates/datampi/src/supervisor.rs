@@ -31,7 +31,7 @@ use dmpi_common::{Error, FaultKind, Result};
 use crate::checkpoint::CheckpointStore;
 use crate::config::JobConfig;
 use crate::observe::{Counter, SpanKind};
-use crate::runtime::{run_job_core, ChunkableSplit, JobOutput};
+use crate::runtime::{run_job_core, JobOutput};
 use crate::task::{Collector, GroupedValues};
 
 /// Bounded-retry policy for [`supervise_job`].
@@ -155,7 +155,7 @@ pub(crate) fn supervise_job_generic<I, O, A>(
     a_fn: A,
 ) -> Result<JobOutput>
 where
-    I: ChunkableSplit,
+    I: Sync,
     O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
@@ -276,7 +276,7 @@ fn supervise<I, O, A>(
     a_fn: &A,
 ) -> Result<ElasticOutput>
 where
-    I: ChunkableSplit,
+    I: Sync,
     O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {

@@ -36,12 +36,6 @@ pub use dmpi_common::group::{
 /// and commutative** reduction and `a` folds the same operation. The
 /// runtime cannot check this; a non-associative combiner silently
 /// changes results.
-///
-/// Combiners compose with the intra-rank parallel O executor
-/// ([`JobConfig::with_o_parallelism`](crate::JobConfig::with_o_parallelism)):
-/// workers' captured emissions are replayed in chunk order into the
-/// task's single real buffer, so the combiner sees exactly the staging
-/// windows the sequential path produces and ships byte-identical frames.
 #[derive(Clone)]
 pub struct Combiner(Arc<CombinerFn>);
 

@@ -78,19 +78,6 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Bytes>> {
     )
 }
 
-/// Multi-line splits, so the parallel O executor's line-boundary
-/// chunking actually triggers (paired with a tiny `o_chunk_bytes`).
-fn lined_corpus_strategy() -> impl Strategy<Value = Vec<Bytes>> {
-    proptest::collection::vec(
-        proptest::collection::vec(
-            proptest::collection::vec("[a-e]{1,4}", 0..5).prop_map(|ws| ws.join(" ")),
-            1..12,
-        )
-        .prop_map(|lines| Bytes::from(lines.join("\n"))),
-        0..8,
-    )
-}
-
 /// Keys chosen to collide in the store's eight-byte sort prefix: a
 /// shared eight-byte head with the order decided by the tail, keys
 /// shorter than the prefix with trailing `0x00` (zero padding makes
@@ -467,79 +454,6 @@ proptest! {
         let out = supervise_job(&faulty, &policy, inputs.clone(), wc_o, wc_a).unwrap();
         let clean_config = JobConfig::new(ranks).with_sorted_grouping(true);
         let clean = run_job(&clean_config, inputs, wc_o, wc_a, None).unwrap();
-        prop_assert_eq!(out.partitions.len(), clean.partitions.len());
-        for (p, q) in out.partitions.iter().zip(&clean.partitions) {
-            prop_assert_eq!(p.records(), q.records());
-        }
-    }
-
-    #[test]
-    fn parallel_o_is_byte_identical_across_backends(
-        inputs in lined_corpus_strategy(),
-        ranks in 1usize..4,
-        parallelism in prop_oneof![Just(2usize), Just(8)],
-        tcp in any::<bool>(),
-        with_combiner in any::<bool>(),
-    ) {
-        // ISSUE 5's headline invariant: at any worker count, on either
-        // interconnect, with or without a combiner, the frames a job
-        // ships — and so its partition outputs and byte counters — are
-        // identical to the sequential path.
-        let backend = if tcp { Backend::Tcp } else { Backend::InProc };
-        let mk = |workers: usize| {
-            let c = JobConfig::new(ranks)
-                .with_transport(backend)
-                .with_o_parallelism(workers)
-                .with_o_chunk_bytes(16)
-                .with_flush_threshold(64);
-            if with_combiner {
-                c.with_combiner(Combiner::new(wc_a))
-            } else {
-                c
-            }
-        };
-        let a = run_job(&mk(1), inputs.clone(), wc_o, wc_a, None).unwrap();
-        let b = run_job(&mk(parallelism), inputs, wc_o, wc_a, None).unwrap();
-        prop_assert_eq!(a.partitions.len(), b.partitions.len());
-        for (p, q) in a.partitions.iter().zip(&b.partitions) {
-            prop_assert_eq!(p.records(), q.records());
-        }
-        prop_assert_eq!(a.stats.records_emitted, b.stats.records_emitted);
-        prop_assert_eq!(a.stats.bytes_emitted, b.stats.bytes_emitted);
-        prop_assert_eq!(a.stats.frames, b.stats.frames);
-    }
-
-    #[test]
-    fn parallel_identity_holds_under_fault_plan_retries(
-        inputs in lined_corpus_strategy(),
-        ranks in 1usize..4,
-        seed in any::<u64>(),
-        events in proptest::collection::vec(event_strategy(), 1..4),
-    ) {
-        // The parallel executor composes with fault injection, the
-        // checkpoint tee, and supervised retries: recovery must still
-        // reproduce the clean sequential output byte for byte.
-        let plan = events.iter().fold(FaultPlan::new(seed), |p, e| match *e {
-            Ev::Err(t, a) => p.fail_o_task(t, a),
-            Ev::Panic(r, a) => p.rank_panic(r, a),
-            Ev::Slow(t, a, d) => p.straggler(t, a, d),
-            Ev::Corrupt(t, a) => p.corrupt_frame(t, a),
-        });
-        let faulty = JobConfig::new(ranks)
-            .with_checkpointing(true)
-            .with_faults(plan)
-            .with_o_parallelism(4)
-            .with_o_chunk_bytes(16);
-        let policy = RetryPolicy::new(4).with_backoff(std::time::Duration::ZERO);
-        let out = supervise_job(&faulty, &policy, inputs.clone(), wc_o, wc_a).unwrap();
-        let clean = run_job(
-            &JobConfig::new(ranks).with_o_parallelism(1),
-            inputs,
-            wc_o,
-            wc_a,
-            None,
-        )
-        .unwrap();
         prop_assert_eq!(out.partitions.len(), clean.partitions.len());
         for (p, q) in out.partitions.iter().zip(&clean.partitions) {
             prop_assert_eq!(p.records(), q.records());

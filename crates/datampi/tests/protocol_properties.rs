@@ -30,7 +30,7 @@ fn text() -> impl Strategy<Value = String> {
 }
 
 fn job_spec() -> impl Strategy<Value = JobSpec> {
-    let numbers = prop::collection::vec(any::<u64>(), 5);
+    let numbers = prop::collection::vec(any::<u64>(), 4);
     let paths = prop::collection::vec(text(), 2);
     (numbers, "[ -~]{1,12}", "[ -~]{1,12}", paths, any::<u8>()).prop_map(
         |(n, tenant, workload, paths, flags)| JobSpec {
@@ -40,7 +40,7 @@ fn job_spec() -> impl Strategy<Value = JobSpec> {
             tasks: (n[1] % 1000) as usize + 1,
             bytes_per_task: n[2] as usize,
             seed: n[3],
-            o_parallelism: n[4] as usize,
+            o_parallelism: 1,
             out: (flags & 1 == 1).then(|| paths[0].clone()),
             spill_dir: (flags & 2 == 2).then(|| paths[1].clone()),
             spill_compress: flags & 4 == 4,
@@ -66,7 +66,7 @@ fn worker_done() -> impl Strategy<Value = WorkerDone> {
     })
 }
 
-const SPAN_KINDS: [&str; 12] = [
+const SPAN_KINDS: [&str; 10] = [
     "attempt",
     "o_task",
     "send",
@@ -74,8 +74,6 @@ const SPAN_KINDS: [&str; 12] = [
     "sort",
     "spill",
     "a_compute",
-    "window",
-    "cache_load",
     "recovered",
     "fault",
     "retry",

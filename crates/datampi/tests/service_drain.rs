@@ -15,7 +15,7 @@
 
 mod common;
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -88,13 +88,13 @@ fn joined<T>(handle: JoinHandle<Result<T>>, who: &str) -> Outcome<T> {
 }
 
 /// A seated rank that is no `run_resident_worker`: it holds a data
-/// listener (never accepted from: the real rank's dial completes against
-/// its backlog) and its control stream.
+/// listener, the peers' dials it accepted there, and its control stream.
 struct FakeWorker {
     rank: usize,
     table: RankTable,
     control: BufReader<TcpStream>,
-    _data: TcpListener,
+    data: TcpListener,
+    heard: Vec<TcpStream>,
 }
 
 impl FakeWorker {
@@ -123,7 +123,8 @@ impl FakeWorker {
                     rank,
                     table,
                     control,
-                    _data: data,
+                    data,
+                    heard: Vec::new(),
                 });
             }
         }
@@ -164,6 +165,22 @@ impl FakeWorker {
         }
         Ok(())
     }
+
+    /// Accepts every real peer's dial on the data listener and reads its
+    /// handshake, keeping the streams open. Once this returns, no peer's
+    /// mesh set-up still needs this rank: hanging up after it cannot
+    /// reset a handshake or send a dialler into its connect-retry backoff.
+    fn hear_peers(&mut self) -> Outcome<()> {
+        for _ in 1..self.table.peers.len() {
+            let (mut stream, _) = self.data.accept().map_err(|e| format!("accept: {e}"))?;
+            let mut handshake = [0u8; wire::HANDSHAKE_LEN];
+            stream
+                .read_exact(&mut handshake)
+                .map_err(|e| format!("read a peer's handshake: {e}"))?;
+            self.heard.push(stream);
+        }
+        Ok(())
+    }
 }
 
 fn hang_up_without_bye() -> Outcome<()> {
@@ -171,6 +188,7 @@ fn hang_up_without_bye() -> Outcome<()> {
     let real = real_worker(service.addr);
     let mut fake = FakeWorker::join(service.addr)?;
     fake.dial_peers()?;
+    fake.hear_peers()?;
     wait_seated(service.addr)?;
 
     let addr = service.addr;

@@ -74,7 +74,7 @@ fn request(
     common::request(addr, line, until, READ_TIMEOUT)
 }
 
-fn spec(workload: &str, tasks: usize, o_parallelism: usize) -> JobSpec {
+fn spec(workload: &str, tasks: usize) -> JobSpec {
     JobSpec {
         id: 0,
         tenant: "t".into(),
@@ -82,7 +82,7 @@ fn spec(workload: &str, tasks: usize, o_parallelism: usize) -> JobSpec {
         tasks,
         bytes_per_task: 64,
         seed: 1,
-        o_parallelism,
+        o_parallelism: 1,
         out: None,
         spill_dir: None,
         spill_compress: false,
@@ -96,7 +96,7 @@ fn submit_with(addr: SocketAddr, spec: &JobSpec) -> std::result::Result<String, 
 }
 
 fn submit(addr: SocketAddr, workload: &str) -> std::result::Result<String, String> {
-    submit_with(addr, &spec(workload, 4, 1))
+    submit_with(addr, &spec(workload, 4))
 }
 
 fn wait_seated(addr: SocketAddr) -> std::result::Result<(), String> {
@@ -121,17 +121,13 @@ fn scenario() -> std::result::Result<(), String> {
         .collect();
     wait_seated(addr)?;
 
-    // Direct emission and the chunk pool alike turn the panic into a
-    // fault after the rank's EOFs went out, so the peer never hangs.
-    // The fault is structured and names task 0's rank, rank 0.
-    for o_parallelism in [1, 4] {
-        let failed = submit_with(addr, &spec("boom", 4, o_parallelism))?;
-        let err = Line::of(&failed, "jobfail").and_then(|l| l.get("err")?.text());
-        if !err
-            .is_some_and(|e| e.contains("panicked") && e.contains("task panic [task 0] [rank 0]"))
-        {
-            return Err(format!("panicking job must end in jobfail, got {failed:?}"));
-        }
+    // The panic becomes a fault after the rank's EOFs went out, so the
+    // peer never hangs. The fault is structured and names task 0's rank,
+    // rank 0.
+    let failed = submit(addr, "boom")?;
+    let err = Line::of(&failed, "jobfail").and_then(|l| l.get("err")?.text());
+    if !err.is_some_and(|e| e.contains("panicked") && e.contains("task panic [task 0] [rank 0]")) {
+        return Err(format!("panicking job must end in jobfail, got {failed:?}"));
     }
     let unresolved = submit(addr, "badspec")?;
     let err = Line::of(&unresolved, "jobfail")
@@ -141,7 +137,7 @@ fn scenario() -> std::result::Result<(), String> {
     if !err.contains(BAD_SPEC) || unresolved.trim_end().contains('\n') {
         return Err(format!("the error text must arrive intact: {err:?}"));
     }
-    match client_submit(addr, &spec("badspec", 4, 1)).and_then(|job| job.outcome()) {
+    match client_submit(addr, &spec("badspec", 4)).and_then(|job| job.outcome()) {
         Err(err) if err.contains(BAD_SPEC) => {}
         other => {
             return Err(format!(
@@ -159,8 +155,8 @@ fn scenario() -> std::result::Result<(), String> {
         .join()
         .map_err(|_| "coordinator panicked".to_string())?
         .map_err(|e| e.to_string())?;
-    if (summary.completed, summary.failed) != (1, 4) {
-        return Err(format!("one job done and four failed, got {summary:?}"));
+    if (summary.completed, summary.failed) != (1, 3) {
+        return Err(format!("one job done and three failed, got {summary:?}"));
     }
     for worker in workers {
         worker
@@ -258,8 +254,8 @@ fn outcome_waits_for_every_rank() -> std::result::Result<(), String> {
     wait_seated(addr)?;
 
     // tasks = ranks = 2: rank 0 fails task 0 at once, rank 1 holds task 1.
-    let mut gated = accepted(addr, &spec("gated", RANKS, 1))?;
-    let mut next = accepted(addr, &spec("fine", RANKS, 1))?;
+    let mut gated = accepted(addr, &spec("gated", RANKS))?;
+    let mut next = accepted(addr, &spec("fine", RANKS))?;
     started
         .recv_timeout(READ_TIMEOUT)
         .map_err(|_| "task 1 never started".to_string())?;

@@ -293,17 +293,13 @@ mod tests {
     }
 
     #[test]
-    fn normal_sort_of_a_split_over_the_chunk_size_runs_under_the_default_config() {
+    fn normal_sort_of_a_large_binary_split_matches_mapreduce() {
         // A compressed sequence file is binary: it holds 0x0A bytes that
-        // are not line ends. The byte chunker cuts any split over
-        // `o_chunk_bytes` at such bytes, so chunk-parallel O must be
-        // opt-in — when `JobConfig::new` defaulted it to the core count,
-        // `seq_map` panicked on the fragments on every multi-core host.
+        // are not line ends, and the O function must see it whole.
         let mut g = TextGenerator::new(SeedModel::lda_wiki1w(), 24);
-        let text = g.generate_bytes(3 * datampi::config::DEFAULT_O_CHUNK_BYTES);
+        let text = g.generate_bytes(384 * 1024);
         let (img, _) = seqfile::to_seq_file(&text);
-        assert!(img.len() > datampi::config::DEFAULT_O_CHUNK_BYTES);
-        assert!(img.contains(&b'\n'), "the image offers the chunker a cut");
+        assert!(img.contains(&b'\n'), "the image holds 0x0A bytes");
         let imgs = vec![Bytes::from(img)];
         let dm = run_normal_datampi(&datampi::JobConfig::new(2), imgs.clone()).unwrap();
         let mr = run_normal_mapred(&dmpi_mapred::MapRedConfig::new(2), imgs).unwrap();

@@ -43,14 +43,15 @@ for pass in $(seq 50); do
         || { echo "race guard: pass $pass failed" >&2; cat target/ci/race-guard.log >&2; exit 1; }
 done
 
-echo "== control-plane hang guard: resident start -> ranks=N/N -> drain, 10 x 200 cycles ==" >&2
+echo "== control-plane hang guard: tests/service_drain.rs x10 (200 start -> drain cycles each) ==" >&2
 # A resident session that does not end (a rank waited for after it left,
-# a listener dropped under a peer's dial) shows as a hang, one in a
-# thousand-odd cycles when it was last seen: the test runs 200 cycles
-# under its own watchdog, `timeout` bounds the ten repeats together.
+# a listener dropped under a peer's dial, a seated rank hanging up without
+# `bye`) shows as a hang, one in a thousand-odd cycles when it was last
+# seen: every scenario runs under its own watchdog, `timeout` bounds the
+# ten repeats together.
 cargo test -q -p datampi --test service_drain --no-run
 timeout 600 bash -c 'for pass in $(seq 10); do
-    cargo test -q -p datampi --test service_drain cycles > target/ci/drain-guard.log 2>&1 \
+    cargo test -q -p datampi --test service_drain > target/ci/drain-guard.log 2>&1 \
         || { echo "drain guard: pass $pass failed" >&2; cat target/ci/drain-guard.log >&2; exit 1; }
 done'
 
@@ -107,8 +108,6 @@ cargo build -q --release --bin dmpirun --bin dmpid --bin dmpi
 dmpirun() { timeout 120 target/release/dmpirun "$@"; }
 # Four real worker processes over TCP.
 dmpirun --ranks 4 --tasks 8 --verify-inproc wordcount
-# Parallel O executor: 4 threads per task against the *sequential* reference.
-dmpirun --ranks 2 --tasks 4 --o-parallelism 4 --verify-inproc wordcount
 # Rank 1 dies on attempt 0; the launcher relaunches the job one rank
 # narrower and the survivors' output must match at the final width.
 dmpirun --ranks 3 --tasks 6 --fail-rank 1 --elastic --verify-inproc wordcount

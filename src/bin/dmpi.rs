@@ -22,7 +22,6 @@ dmpi — client for the dmpid resident job service
       --tasks N           O tasks                  [default: 4]
       --bytes-per-task N  split size, bytes        [default: 4096]
       --seed N            input seed               [default: 42]
-      --o-parallelism N   worker threads per task  [default: 1]
       --out DIR           write each rank's partition to DIR/part-NNNNN
       --spill-dir DIR     workers seal spill runs to files under
                           DIR/job-<id>/ (removed when the job ends)
@@ -75,11 +74,6 @@ fn parse_and_run() -> Result<(), String> {
                 spec.seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--o-parallelism" => {
-                spec.o_parallelism = value("--o-parallelism")?
-                    .parse()
-                    .map_err(|e| format!("--o-parallelism: {e}"))?
             }
             "--out" => spec.out = Some(value("--out")?),
             "--spill-dir" => spec.spill_dir = Some(value("--spill-dir")?),

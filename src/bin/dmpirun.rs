@@ -53,8 +53,6 @@ options:
   --ranks N, -n N     worker processes to launch (default 4)
   --tasks T           O tasks in the job (default 2*ranks)
   --bytes-per-task B  minimum split size in bytes (default 4096)
-  --o-parallelism N   worker threads per O task (default 1; output is
-                      byte-identical at any setting)
   --seed S            input-generation seed (default 42)
   --backend B         tcp (default: worker processes) or inproc (threads
                       of this process; same job, same artifacts)
@@ -78,8 +76,8 @@ options:
 
 struct Options {
     workload: ExecWorkload,
-    /// The launch's one job: tasks, split size, seed, O parallelism,
-    /// output and spill directories.
+    /// The launch's one job: tasks, split size, seed, output and spill
+    /// directories.
     spec: JobSpec,
     ranks: usize,
     backend: Backend,
@@ -135,7 +133,6 @@ fn parse_args() -> Result<Options, String> {
             "--ranks" | "-n" => opts.ranks = value(&arg, args.next())?,
             "--tasks" => opts.spec.tasks = value(&arg, args.next())?,
             "--bytes-per-task" => opts.spec.bytes_per_task = value(&arg, args.next())?,
-            "--o-parallelism" => opts.spec.o_parallelism = value(&arg, args.next())?,
             "--seed" => opts.spec.seed = value(&arg, args.next())?,
             "--backend" => {
                 let name: String = value(&arg, args.next())?;
@@ -168,9 +165,6 @@ fn parse_args() -> Result<Options, String> {
     opts.spec.workload = opts.workload.name().into();
     if opts.ranks == 0 {
         return Err("--ranks must be at least 1".into());
-    }
-    if opts.spec.o_parallelism == 0 {
-        return Err("--o-parallelism must be at least 1".into());
     }
     if opts.spec.tasks == 0 {
         opts.spec.tasks = 2 * opts.ranks;
@@ -454,9 +448,7 @@ fn run_inproc(opts: &Options) -> Result<(), String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
     }
     let obs = Observer::new();
-    let mut config = JobConfig::new(opts.ranks)
-        .with_o_parallelism(spec.o_parallelism)
-        .with_observer(obs.clone());
+    let mut config = JobConfig::new(opts.ranks).with_observer(obs.clone());
     if let Some(dir) = &spec.spill_dir {
         config = config.with_spill_dir(dir);
     }
@@ -518,9 +510,7 @@ fn run_inproc(opts: &Options) -> Result<(), String> {
 /// counter agrees with the workers' summed `records_emitted`.
 fn verify_inproc(opts: &Options, ranks: usize, done: &str) -> Result<(), String> {
     let observer = Observer::new();
-    // Sequential (o_parallelism 1), so this is also the parallel executor's
-    // byte-identity gate; `ranks` is the final width, under --elastic the
-    // narrower mesh's.
+    // `ranks` is the final width, under --elastic the narrower mesh's.
     let config = JobConfig::new(ranks).with_observer(observer.clone());
     let spec = &opts.spec;
     let inputs = opts

@@ -75,33 +75,6 @@ fn multiprocess_wordcount_is_byte_identical_to_inproc() {
 }
 
 #[test]
-fn parallel_workers_verify_against_sequential_inproc() {
-    // `--o-parallelism 4` fans each O task out across worker threads in
-    // every rank process; `--verify-inproc` compares the result against
-    // a *sequential* in-proc run, so this is the cross-process
-    // byte-identity gate for the parallel executor.
-    let output = dmpirun()
-        .args(["--ranks", "2", "--tasks", "4"])
-        .args(["--bytes-per-task", "3000"])
-        .args(["--o-parallelism", "4"])
-        .args(["--seed", &SEED.to_string()])
-        .arg("--verify-inproc")
-        .arg("wordcount")
-        .output()
-        .expect("launcher must spawn");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        output.status.success(),
-        "dmpirun failed.\nstdout: {stdout}\nstderr: {stderr}"
-    );
-    assert!(
-        stdout.contains("verified"),
-        "parallel workers must verify against sequential in-proc: {stdout}"
-    );
-}
-
-#[test]
 fn killed_worker_fails_the_job_with_rank_death() {
     let output = dmpirun()
         .args(["--ranks", "3", "--tasks", "6", "--fail-rank", "1"])
