@@ -18,6 +18,17 @@ use crate::kv::{Record, RecordBatch};
 pub trait Collector {
     /// Emits one key-value pair.
     fn collect(&mut self, key: &[u8], value: &[u8]);
+
+    /// Emits a pair whose key and value are already shared handles, such
+    /// as a group's own key and values: an A function that passes its
+    /// input through unchanged (Sort's identity) calls this instead of
+    /// [`collect`](Self::collect). A collector that stores records may
+    /// keep the handles rather than copy their bytes, which pins the
+    /// buffer they slice for as long as the record lives. Computed
+    /// output goes through `collect`. The default copies.
+    fn collect_shared(&mut self, key: &Bytes, value: &Bytes) {
+        self.collect(key, value);
+    }
 }
 
 /// A key and all values received for it at one A partition.
@@ -119,7 +130,10 @@ pub fn group_hashed(records: Vec<Record>) -> Vec<GroupedValues> {
 
 /// Most output bytes a chunk gathers before it closes. Large enough that
 /// the per-chunk allocation is noise against the pairs it carries, small
-/// enough that a consumer holding one record pins little besides it.
+/// enough that a consumer holding one copied record pins little besides
+/// it. A record added by `collect_shared` pins the buffer its caller's
+/// handles slice instead: for the rank body, a received frame (up to
+/// 1 MiB) or a decoded spill block (64 KiB).
 const CHUNK_BYTES: usize = 256 * 1024;
 
 /// A collector writing into a [`RecordBatch`] — the A-side output surface
@@ -133,6 +147,10 @@ const CHUNK_BYTES: usize = 256 * 1024;
 /// larger than a chunk closes what is open and gets a chunk to itself.
 /// The buffer grows with what is collected, so a job with a few KiB of
 /// output holds a few KiB.
+///
+/// [`collect_shared`](Collector::collect_shared) copies nothing: it
+/// closes the open chunk, so records stay in collection order, and keeps
+/// the two handles as the record.
 #[derive(Default)]
 pub struct BatchCollector {
     /// Records cut out of closed chunks.
@@ -205,6 +223,14 @@ impl Collector for BatchCollector {
         self.chunk.extend_from_slice(key);
         self.chunk.extend_from_slice(value);
         self.pairs.push((key.len(), value.len()));
+    }
+
+    fn collect_shared(&mut self, key: &Bytes, value: &Bytes) {
+        self.close_chunk();
+        self.batch.push(Record {
+            key: key.clone(),
+            value: value.clone(),
+        });
     }
 }
 
@@ -336,6 +362,24 @@ mod tests {
                 r.value.as_ref().as_ptr() as usize
             );
         }
+    }
+
+    #[test]
+    fn collect_shared_keeps_the_handles_it_is_given() {
+        let frame = Bytes::from(b"key-1value-1".to_vec());
+        let (key, value) = (frame.slice(0..5), frame.slice(5..12));
+        let mut c = BatchCollector::default();
+        c.collect(b"a", b"1");
+        c.collect_shared(&key, &value);
+        c.collect(b"b", b"2");
+        let batch = c.into_batch();
+        let expected: RecordBatch = [rec("a", "1"), rec("key-1", "value-1"), rec("b", "2")]
+            .into_iter()
+            .collect();
+        assert_same_batch(&batch, &expected);
+        let shared = &batch.records()[1];
+        assert_eq!(shared.key.as_ptr(), key.as_ptr());
+        assert_eq!(shared.value.as_ptr(), value.as_ptr());
     }
 
     #[test]

@@ -4,8 +4,10 @@
 
 use proptest::prelude::*;
 
+use bytes::Bytes;
 use dmpi_common::codec;
 use dmpi_common::compare::{is_sorted, merge_sorted_runs, sort_records, BytesComparator};
+use dmpi_common::group::{BatchCollector, Collector};
 use dmpi_common::kv::{Record, RecordBatch};
 use dmpi_common::partition::{HashPartitioner, Partitioner, RangePartitioner};
 use dmpi_common::ser::{self, Writable};
@@ -167,5 +169,37 @@ proptest! {
         let merged = merge_sorted_runs(runs, &BytesComparator);
         sort_records(&mut all, &BytesComparator);
         prop_assert_eq!(merged, all);
+    }
+
+    /// Sharing a pair's handles instead of copying its bytes changes
+    /// nothing a reader of the batch can see: not the order, not the
+    /// byte counts, not a mid-way view.
+    #[test]
+    fn collect_shared_interleaves_with_collect_like_collect_alone(
+        ops in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..48),
+             proptest::collection::vec(any::<u8>(), 0..48),
+             any::<bool>(),
+             any::<bool>()),
+            0..64,
+        )
+    ) {
+        let mut mixed = BatchCollector::default();
+        let mut copied = BatchCollector::default();
+        for (key, value, shared, view) in &ops {
+            if *shared {
+                mixed.collect_shared(&Bytes::from(key.clone()), &Bytes::from(value.clone()));
+            } else {
+                mixed.collect(key, value);
+            }
+            copied.collect(key, value);
+            if *view {
+                prop_assert_eq!(mixed.batch().records(), copied.batch().records());
+            }
+        }
+        let (mixed, copied) = (mixed.into_batch(), copied.into_batch());
+        prop_assert_eq!(mixed.records(), copied.records());
+        prop_assert_eq!(mixed.payload_bytes(), copied.payload_bytes());
+        prop_assert_eq!(mixed.framed_bytes(), copied.framed_bytes());
     }
 }

@@ -481,7 +481,7 @@ mod tests {
         };
         let a = |g: &GroupedValues, out: &mut dyn Collector| {
             for v in &g.values {
-                out.collect(&g.key, v);
+                out.collect_shared(&g.key, v);
             }
         };
         let result = run_job(&config, inputs, o, a, None).unwrap();

@@ -367,7 +367,8 @@ impl Scheduler {
                 .field("job", id)
                 .text("err", &err)
         };
-        let _ = line.send(&mut job.client);
+        // The report is on disk before the client hears the outcome, so
+        // a client may read it as soon as its line arrives.
         if let (Some(dir), Some(agg)) = (&self.config.report_dir, job.agg.as_mut()) {
             if let Some(at) = job.dispatched {
                 agg.record(TraceEvent {
@@ -387,6 +388,7 @@ impl Scheduler {
             let trace = agg.trace().to_chrome_json_by_rank();
             let _ = std::fs::write(dir.join(format!("job-{id}.trace.json")), trace);
         }
+        let _ = line.send(&mut job.client);
         self.summary.completed += ok as u64;
         self.summary.failed += !ok as u64;
         self.admission.release(&job.spec.tenant);

@@ -189,6 +189,15 @@ enum PendingSeal {
     Thread(std::thread::JoinHandle<SealOutcome>),
 }
 
+/// Joins a sealing thread. A thread that panicked sealed nothing: its
+/// outcome is an error, which the merge reports like any failed seal.
+fn join_seal(handle: std::thread::JoinHandle<SealOutcome>) -> SealOutcome {
+    handle.join().unwrap_or_else(|_| SealOutcome {
+        run: Err(Error::InvalidState("sealing thread panicked".into())),
+        phase: PhaseTotals::default(),
+    })
+}
+
 /// Sorts (sorted mode) and seals one run through the indexed block
 /// format — to a spill file when the config has a directory, or to an
 /// in-memory image — recording the `Spill` span and counters against a
@@ -370,7 +379,7 @@ impl PartitionStore {
             {
                 let pending = std::mem::replace(slot, PendingSeal::Done(SealOutcome::default()));
                 if let PendingSeal::Thread(handle) = pending {
-                    *slot = PendingSeal::Done(handle.join().expect("sealing thread panicked"));
+                    *slot = PendingSeal::Done(join_seal(handle));
                 }
             }
         }
@@ -391,7 +400,7 @@ impl PartitionStore {
         for pending in self.sealing.drain(..) {
             let sealed = match pending {
                 PendingSeal::Done(sealed) => sealed,
-                PendingSeal::Thread(handle) => handle.join().expect("sealing thread panicked"),
+                PendingSeal::Thread(handle) => join_seal(handle),
             };
             self.background_phase.merge(&sealed.phase);
             match sealed.run {
@@ -657,20 +666,18 @@ impl LoserTreeMerge {
     fn rebuild(&mut self) {
         // Winner of the subtree rooted at internal node `i`, computed
         // bottom-up: start from the leaves, carry winners upward and
-        // record losers at each internal node.
-        let mut winners: Vec<usize> = (0..self.leaves)
-            .map(|leaf| leaf.min(self.runs.len().saturating_sub(1)))
+        // record losers at each internal node. Phantom leaves (past the
+        // last run, when runs.len() is not a power of two) are marked
+        // `usize::MAX`, which `play` makes lose every match.
+        let mut level: Vec<usize> = (0..self.leaves)
+            .map(|leaf| {
+                if leaf < self.runs.len() {
+                    leaf
+                } else {
+                    usize::MAX
+                }
+            })
             .collect();
-        // Phantom leaves point at an arbitrary run but must lose every
-        // match once that run is exhausted; when runs.len() is not a
-        // power of two we instead mark them with the *last* run index,
-        // which is safe because head_cmp breaks ties by index.
-        for (leaf, w) in winners.iter_mut().enumerate() {
-            if leaf >= self.runs.len() {
-                *w = usize::MAX;
-            }
-        }
-        let mut level: Vec<usize> = winners;
         let mut node = self.leaves / 2;
         while node >= 1 {
             let mut next: Vec<usize> = Vec::with_capacity(node);
@@ -1199,5 +1206,18 @@ mod tests {
             sort_records(&mut all, &BytesComparator);
             assert_eq!(merged, all, "runs={runs}");
         }
+    }
+
+    #[test]
+    fn a_panicked_sealing_thread_fails_the_merge_without_panicking() {
+        let panicking = || std::thread::spawn(|| -> SealOutcome { panic!("seal blew up") });
+        let outcome = join_seal(panicking());
+        assert!(matches!(outcome.run, Err(Error::InvalidState(_))));
+        // Through the store: the first failed seal is the merge's error.
+        let mut s = PartitionStore::new(1 << 20, true);
+        s.ingest(frame_of(&[rec("a", "1")])).unwrap();
+        s.sealing.push(PendingSeal::Thread(panicking()));
+        let err = s.into_group_stream().err().expect("the merge must fail");
+        assert!(err.to_string().contains("sealing thread panicked"), "{err}");
     }
 }

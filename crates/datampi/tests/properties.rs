@@ -200,6 +200,48 @@ fn filled_store(
     store
 }
 
+/// Text Sort's shape: each line a record keyed by its content, with a
+/// non-empty value so that values are shared too.
+fn sort_o(_t: usize, split: &[u8], out: &mut dyn Collector) {
+    for line in split.split(|&b| b == b'\n') {
+        out.collect(line, &line[..line.len().min(3)]);
+    }
+}
+
+/// Identity A that keeps the group's handles.
+fn sharing_a(g: &GroupedValues, out: &mut dyn Collector) {
+    for v in &g.values {
+        out.collect_shared(&g.key, v);
+    }
+}
+
+/// Identity A that copies every byte.
+fn copying_a(g: &GroupedValues, out: &mut dyn Collector) {
+    for v in &g.values {
+        out.collect(&g.key, v);
+    }
+}
+
+/// Lines over a small alphabet, so keys repeat and share prefixes.
+fn lines_strategy() -> impl Strategy<Value = Vec<Bytes>> {
+    proptest::collection::vec(
+        proptest::collection::vec("[a-c]{0,6}", 0..40)
+            .prop_map(|lines| Bytes::from(lines.join("\n"))),
+        0..8,
+    )
+}
+
+/// A unique spill directory per case, so concurrent cases never collide.
+fn spill_dir() -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "dmpi-props-shared-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 /// The sort descends one level per eight key bytes off a list, not by
 /// recursion: 1 000 keys of 64 KiB that differ only at the very end take
 /// 8 192 levels, here on a thread whose stack would not hold a fraction
@@ -523,6 +565,42 @@ proptest! {
         let out = supervise_job(&config, &policy, inputs.clone(), wc_o, wc_a).unwrap();
         prop_assert_eq!(out.stats.wasted_bytes, expected_waste);
         prop_assert_eq!(engine_counts(out), reference_counts(&inputs));
+    }
+
+    /// A Sort-shaped job's output does not depend on whether its identity
+    /// A copies each pair or keeps the group's handles, whichever source
+    /// the groups come from: the walk of an in-memory index, a merge over
+    /// runs spilled to disk, or hashed grouping.
+    #[test]
+    fn sharing_identity_a_is_byte_identical_to_copying(
+        inputs in lines_strategy(),
+        ranks in 1usize..4,
+        source in 0usize..3,
+    ) {
+        let dir = spill_dir();
+        let config = match source {
+            0 => JobConfig::new(ranks),
+            1 => JobConfig::new(ranks).with_memory_budget(64).with_spill_dir(dir.clone()),
+            // Hashed groups come out in arrival order, which only one
+            // rank keeps the same from run to run.
+            _ => JobConfig::new(1).with_sorted_grouping(false),
+        };
+        let shared = run_job(&config, inputs.clone(), sort_o, sharing_a, None).unwrap();
+        let copied = run_job(&config, inputs, sort_o, copying_a, None).unwrap();
+        if source == 1 {
+            // Past `ranks` budgets of input, some partition went over.
+            // How many runs it sealed depends on the order frames arrive.
+            let over = copied.stats.bytes_emitted > 64 * ranks as u64;
+            prop_assert!(shared.stats.spills > 0 || !over);
+            prop_assert!(copied.stats.spills > 0 || !over);
+        } else {
+            prop_assert_eq!(shared.stats.spills, 0);
+        }
+        prop_assert_eq!(shared.partitions.len(), copied.partitions.len());
+        for (p, q) in shared.partitions.iter().zip(&copied.partitions) {
+            prop_assert_eq!(ser::frame_batch(p), ser::frame_batch(q));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -39,9 +39,11 @@ pub fn seq_map(_task: usize, split: &[u8], out: &mut dyn Collector) {
 }
 
 /// A/reduce: identity — the engine's grouping already sorted the keys.
+/// Hands the group's own handles on, so a collector that keeps them
+/// copies nothing.
 pub fn identity_reduce(group: &GroupedValues, out: &mut dyn Collector) {
     for v in &group.values {
-        out.collect(&group.key, v);
+        out.collect_shared(&group.key, v);
     }
 }
 

@@ -169,7 +169,7 @@ pub fn vectorize_documents(
     };
     let identity = |g: &GroupedValues, out: &mut dyn Collector| {
         for v in &g.values {
-            out.collect(&g.key, v);
+            out.collect_shared(&g.key, v);
         }
     };
     let batch = match engine {

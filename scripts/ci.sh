@@ -83,6 +83,17 @@ timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Carg
     run --workload grep-inproc --seconds 1 --out target/ci/benchmark-grep.json \
     | tee target/ci/benchmark-grep.log
 grep -q '"correct":true' target/ci/benchmark-grep.log
+# Sort's A function keeps the group's own handles as its output records,
+# so each output record pins the buffer it slices: a received frame (up
+# to 1 MiB) or a decoded 64 KiB spill block. The smoke's 1/16-scale jobs
+# never fill a frame and seal runs of only a few blocks; these two
+# full-scale runs share full frames and merge runs of ~32 blocks.
+for workload in sort-tcp sort-spill; do
+    timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        run --workload "$workload" --seconds 1 --out "target/ci/benchmark-$workload.json" \
+        | tee "target/ci/benchmark-$workload.log"
+    grep -q '"correct":true' "target/ci/benchmark-$workload.log"
+done
 
 echo "== examples: sort_pipeline, quickstart, profile ==" >&2
 # The examples drive the library through `JobConfig::new` defaults, which
@@ -108,6 +119,8 @@ cargo build -q --release --bin dmpirun --bin dmpid --bin dmpi
 dmpirun() { timeout 120 target/release/dmpirun "$@"; }
 # Four real worker processes over TCP.
 dmpirun --ranks 4 --tasks 8 --verify-inproc wordcount
+# Sort's output records are slices of the frames each worker received.
+dmpirun --ranks 2 --tasks 8 --verify-inproc sort
 # Rank 1 dies on attempt 0; the launcher relaunches the job one rank
 # narrower and the survivors' output must match at the final width.
 dmpirun --ranks 3 --tasks 6 --fail-rank 1 --elastic --verify-inproc wordcount
