@@ -39,7 +39,7 @@
 //!   process connected by a pluggable [`transport`] (the in-proc channel
 //!   fabric or a real TCP mesh), sharing one task queue, speculation
 //!   board, checkpoint and failed flag — the surface of the test suite,
-//!   the MB-scale benches and the [`supervisor`];
+//!   the benchmark package's data workloads and the [`supervisor`];
 //! * **one rank per process**, in a job service session ([`service`]
 //!   over [`distrib`]): kept resident for many jobs by `dmpid`, or
 //!   started for one by the `dmpirun` launcher — the static task

@@ -29,10 +29,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 
 use dmpi_common::kv::RecordBatch;
 use dmpi_common::{ser, Error, FaultCause, FaultKind, Result};
@@ -66,7 +66,7 @@ pub(crate) struct JobFailure {
 impl JobFailure {
     /// Marks the job failed, keeping `err` if it is the first.
     pub(crate) fn fail_with(&self, err: Error) {
-        let mut first = self.first.lock().expect("failure lock");
+        let mut first = self.first.lock();
         if first.is_none() {
             *first = Some(err);
         }
@@ -81,7 +81,7 @@ impl JobFailure {
     /// The job's error, if it failed.
     pub(crate) fn take(&self) -> Option<Error> {
         self.is_set().then(|| {
-            let first = self.first.lock().expect("failure lock").take();
+            let first = self.first.lock().take();
             first.unwrap_or_else(|| Error::fault_msg("job failed"))
         })
     }

@@ -376,16 +376,13 @@ impl RunWriter {
 
 /// Parses trailer + footer out of a complete run image.
 pub fn parse_image(image: &[u8]) -> Result<RunIndex> {
-    if image.len() < TRAILER_LEN {
+    let Some((head, trailer)) = image.split_last_chunk::<TRAILER_LEN>() else {
         return Err(Error::corrupt("run shorter than its trailer"));
-    }
-    let trailer = &image[image.len() - TRAILER_LEN..];
-    let footer_end = image.len() - TRAILER_LEN;
+    };
     let mut index = parse_trailer_footer(trailer, |offset| {
-        if offset > footer_end {
-            return Err(Error::corrupt("footer span out of bounds"));
-        }
-        Ok(image[offset..footer_end].to_vec())
+        head.get(offset..)
+            .map(<[u8]>::to_vec)
+            .ok_or_else(|| Error::corrupt("footer span out of bounds"))
     })?;
     index.file_len = image.len() as u64;
     Ok(index)
@@ -393,14 +390,17 @@ pub fn parse_image(image: &[u8]) -> Result<RunIndex> {
 
 /// Shared trailer validation: checks the magic, fetches the footer span
 /// via `read_span(footer_offset)` (offset → end-of-footer), checks the
-/// footer CRC, decodes.
+/// footer CRC, decodes, and checks that every block lies before the
+/// footer, so no reader sizes a buffer from a span the run cannot hold.
 fn parse_trailer_footer(
-    trailer: &[u8],
+    trailer: &[u8; TRAILER_LEN],
     read_span: impl FnOnce(usize) -> Result<Vec<u8>>,
 ) -> Result<RunIndex> {
-    let footer_offset = u64::from_le_bytes(trailer[0..8].try_into().expect("8-byte slice"));
-    let footer_crc = u32::from_le_bytes(trailer[8..12].try_into().expect("4-byte slice"));
-    let magic = u32::from_le_bytes(trailer[12..16].try_into().expect("4-byte slice"));
+    // `footer_offset u64 | footer_crc u32 | magic u32`, all little-endian.
+    let trailer = u128::from_le_bytes(*trailer);
+    let footer_offset = trailer as u64;
+    let footer_crc = (trailer >> 64) as u32;
+    let magic = (trailer >> 96) as u32;
     if magic != RUN_MAGIC {
         return Err(Error::corrupt("bad run magic"));
     }
@@ -409,7 +409,19 @@ fn parse_trailer_footer(
     if crc32(&footer) != footer_crc {
         return Err(Error::corrupt("footer crc mismatch"));
     }
-    RunIndex::decode_footer(&footer)
+    let index = RunIndex::decode_footer(&footer)?;
+    for b in &index.blocks {
+        if b.offset
+            .checked_add(b.stored_len as u64)
+            .is_none_or(|end| end > footer_offset)
+        {
+            return Err(Error::corrupt(format!(
+                "block span {}+{} runs past the footer at {footer_offset}",
+                b.offset, b.stored_len
+            )));
+        }
+    }
+    Ok(index)
 }
 
 /// Where a sealed run's bytes live.
@@ -1011,6 +1023,40 @@ mod tests {
         let at = image.len() - TRAILER_LEN - 1;
         image[at] ^= 1;
         assert!(parse_image(&image).is_err());
+    }
+
+    #[test]
+    fn block_span_past_the_footer_is_rejected() {
+        // A footer whose CRC is right but whose block spans run past the
+        // blocks region: both parsers must refuse it before any reader
+        // sizes a buffer from `stored_len`.
+        let dir = std::env::temp_dir().join(format!("dmpi-spillspan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (image, index) = build_run(&sorted_records(100), 256, false);
+        let footer_offset = image.len() - TRAILER_LEN - index.encode_footer().len();
+        let last = index.blocks.last().unwrap();
+        let hostile = [
+            (last.offset, u32::MAX),                     // 4 GiB stored_len
+            (u64::MAX, last.stored_len),                 // offset + len overflows
+            (footer_offset as u64 + 1, last.stored_len), // starts past the footer
+        ];
+        for (case, (offset, stored_len)) in hostile.into_iter().enumerate() {
+            let mut bad = index.clone();
+            let block = bad.blocks.last_mut().unwrap();
+            block.offset = offset;
+            block.stored_len = stored_len;
+            let footer = bad.encode_footer();
+            let mut forged = image[..footer_offset].to_vec();
+            forged.extend_from_slice(&footer);
+            forged.extend_from_slice(&(footer_offset as u64).to_le_bytes());
+            forged.extend_from_slice(&crc32(&footer).to_le_bytes());
+            forged.extend_from_slice(&RUN_MAGIC.to_le_bytes());
+            assert!(parse_image(&forged).is_err(), "case {case}: parse_image");
+            let path = dir.join(format!("forged-{case}.spill"));
+            std::fs::write(&path, &forged).unwrap();
+            assert!(SealedRun::load(path).is_err(), "case {case}: load");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

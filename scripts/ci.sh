@@ -22,8 +22,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (deny warnings) ==" >&2
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "== cargo test ==" >&2
-cargo test -q --workspace
+echo "== cargo test --workspace x10 ==" >&2
+# "Green" is the whole workspace, every time: a test that fails one run
+# in ten (a timing-dependent assertion, a hang) fails here. `timeout`
+# bounds the ten passes together (~15 s a pass on 2 vCPUs, debug build).
+cargo test -q --workspace --no-run
+timeout 1200 bash -c 'for pass in $(seq 10); do
+    cargo test -q --workspace > target/ci/workspace-tests.log 2>&1 \
+        || { echo "workspace tests: pass $pass failed" >&2; cat target/ci/workspace-tests.log >&2; exit 1; }
+done'
 
 echo "== vendored bytes: tests and clippy ==" >&2
 # vendor/ is outside the workspace, so nothing above compiles this crate's
