@@ -8,8 +8,6 @@
 //! interchangeable, which the integration tests exploit to check that all
 //! engines compute identical results.
 
-use std::ops::Range;
-
 use bytes::Bytes;
 
 use crate::kv::{Record, RecordBatch};
@@ -52,11 +50,8 @@ impl GroupedValues {
     }
 }
 
-/// Groups a run of records by key. If the records are key-sorted the
-/// grouping is a single pass; for unsorted (Common-mode) input, equal keys
-/// are still adjacent only if pre-grouped, so this helper always handles
-/// the general case by keeping a map for non-adjacent keys being
-/// impossible after sorting — the runtime sorts or hash-clusters first.
+/// Groups a key-sorted run of records by key in a single pass: equal
+/// keys must be adjacent, which sorting guarantees.
 pub fn group_sorted(records: Vec<Record>) -> Vec<GroupedValues> {
     let mut groups: Vec<GroupedValues> = Vec::new();
     for rec in records {
@@ -71,61 +66,25 @@ pub fn group_sorted(records: Vec<Record>) -> Vec<GroupedValues> {
     groups
 }
 
-/// Incremental hash clustering (Common mode): groups come out in order of
-/// each key's first appearance and hold their values in arrival order,
-/// which keeps the output deterministic for a given arrival order.
-#[derive(Default)]
-pub struct HashGrouper {
-    index: crate::hashing::FnvHashMap<Bytes, usize>,
-    groups: Vec<GroupedValues>,
-}
-
-impl HashGrouper {
-    /// Adds one owned record.
-    pub fn push(&mut self, rec: Record) {
-        match self.index.get(&rec.key) {
-            Some(&i) => self.groups[i].values.push(rec.value),
+/// Clusters unsorted records by key using a hash map: groups come out in
+/// order of each key's first appearance and hold their values in arrival
+/// order, which keeps the output deterministic for a given arrival order.
+pub fn group_hashed(records: Vec<Record>) -> Vec<GroupedValues> {
+    let mut index: crate::hashing::FnvHashMap<Bytes, usize> = Default::default();
+    let mut groups: Vec<GroupedValues> = Vec::new();
+    for rec in records {
+        match index.get(&rec.key) {
+            Some(&i) => groups[i].values.push(rec.value),
             None => {
-                self.index.insert(rec.key.clone(), self.groups.len());
-                self.groups.push(GroupedValues {
+                index.insert(rec.key.clone(), groups.len());
+                groups.push(GroupedValues {
                     key: rec.key,
                     values: vec![rec.value],
                 });
             }
         }
     }
-
-    /// Adds the pair whose key and value are the given ranges of `frame`,
-    /// as slices sharing the frame's storage. The key is looked up as
-    /// plain bytes and sliced only when it opens a group.
-    pub fn push_slices(&mut self, frame: &Bytes, key: Range<usize>, value: Range<usize>) {
-        match self.index.get(&frame[key.clone()]) {
-            Some(&i) => self.groups[i].values.push(frame.slice(value)),
-            None => {
-                let key = frame.slice(key);
-                self.index.insert(key.clone(), self.groups.len());
-                self.groups.push(GroupedValues {
-                    key,
-                    values: vec![frame.slice(value)],
-                });
-            }
-        }
-    }
-
-    /// The groups, in first-appearance order.
-    pub fn finish(self) -> Vec<GroupedValues> {
-        self.groups
-    }
-}
-
-/// Clusters unsorted records by key using a hash map (Common mode); see
-/// [`HashGrouper`] for the order.
-pub fn group_hashed(records: Vec<Record>) -> Vec<GroupedValues> {
-    let mut grouper = HashGrouper::default();
-    for rec in records {
-        grouper.push(rec);
-    }
-    grouper.finish()
+    groups
 }
 
 /// Most output bytes a chunk gathers before it closes. Large enough that
@@ -393,21 +352,5 @@ mod tests {
             .into_iter()
             .collect();
         assert_same_batch(&c.into_batch(), &expected);
-    }
-
-    #[test]
-    fn grouper_agrees_on_slices_and_records() {
-        let records = vec![rec("x", "1"), rec("y", "2"), rec("x", "3"), rec("", "")];
-        let mut framed = Vec::new();
-        for r in &records {
-            crate::ser::frame_record(&mut framed, r);
-        }
-        let frame = Bytes::from(framed);
-        let mut grouper = HashGrouper::default();
-        for span in crate::ser::framed_kv_spans(&frame) {
-            let span = span.unwrap();
-            grouper.push_slices(&frame, span.key(), span.value());
-        }
-        assert_eq!(grouper.finish(), group_hashed(records));
     }
 }

@@ -481,16 +481,11 @@ impl KvBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::Interconnect;
+    use crate::comm::DEFAULT_MAILBOX_CAPACITY;
+    use crate::transport::inproc::mailboxes;
+    use crossbeam::channel::Receiver;
 
-    fn frame_senders(net: &Interconnect) -> Vec<FrameSender> {
-        net.senders()
-            .into_iter()
-            .map(FrameSender::from_channel)
-            .collect()
-    }
-
-    fn drain(rx: &crossbeam::channel::Receiver<Frame>) -> Vec<Frame> {
+    fn drain(rx: &Receiver<Frame>) -> Vec<Frame> {
         let mut frames = Vec::new();
         while let Ok(f) = rx.try_recv() {
             frames.push(f);
@@ -500,9 +495,7 @@ mod tests {
 
     #[test]
     fn records_land_in_consistent_partitions() {
-        let mut net = Interconnect::new(4);
-        let senders = frame_senders(&net);
-        let rxs: Vec<_> = (0..4).map(|r| net.take_receiver(r)).collect();
+        let (senders, rxs) = mailboxes(4, DEFAULT_MAILBOX_CAPACITY);
         let mut buf = KvBuffer::new(senders, 0, 0, usize::MAX, true);
         let part = HashPartitioner::new(4);
         let mut expected = [0u64; 4];
@@ -531,9 +524,8 @@ mod tests {
 
     #[test]
     fn pipelined_mode_flushes_early() {
-        let mut net = Interconnect::new(1);
-        let senders = frame_senders(&net);
-        let rx = net.take_receiver(0);
+        let (senders, rxs) = mailboxes(1, DEFAULT_MAILBOX_CAPACITY);
+        let rx = &rxs[0];
         let mut buf = KvBuffer::new(senders, 0, 0, 64, true);
         for i in 0..100 {
             buf.emit_kv(format!("k{i}").as_bytes(), b"value-bytes");
@@ -541,22 +533,21 @@ mod tests {
         let stats = buf.finish();
         assert!(stats.early_flushes > 0, "should flush during emission");
         assert!(stats.frames > 1);
-        let total: usize = drain(&rx).iter().map(Frame::payload_len).sum();
+        let total: usize = drain(rx).iter().map(Frame::payload_len).sum();
         assert_eq!(total as u64, stats.bytes);
     }
 
     #[test]
     fn early_flush_starts_the_next_frame_at_the_flushed_capacity() {
-        let mut net = Interconnect::new(1);
-        let senders = frame_senders(&net);
-        let rx = net.take_receiver(0);
+        let (senders, rxs) = mailboxes(1, DEFAULT_MAILBOX_CAPACITY);
+        let rx = &rxs[0];
         let mut buf = KvBuffer::new(senders, 0, 0, 4096, true);
         while buf.stats().early_flushes == 0 {
             buf.emit_kv(b"some-key", b"some-value-bytes");
         }
         assert!(buf.buffers[0].is_empty());
         assert!(buf.buffers[0].capacity() >= 4096, "regrows from nothing");
-        let flushed = drain(&rx);
+        let flushed = drain(rx);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].payload_len() as u64, buf.stats().bytes);
         // `finish` has nothing more to come and reserves nothing.
@@ -567,18 +558,17 @@ mod tests {
 
     #[test]
     fn staged_mode_ships_once_at_finish() {
-        let mut net = Interconnect::new(1);
-        let senders = frame_senders(&net);
-        let rx = net.take_receiver(0);
+        let (senders, rxs) = mailboxes(1, DEFAULT_MAILBOX_CAPACITY);
+        let rx = &rxs[0];
         let mut buf = KvBuffer::new(senders, 0, 3, 64, false);
         for i in 0..100 {
             buf.emit_kv(format!("k{i}").as_bytes(), b"value-bytes");
         }
-        assert!(drain(&rx).is_empty(), "nothing shipped before finish");
+        assert!(drain(rx).is_empty(), "nothing shipped before finish");
         let stats = buf.finish();
         assert_eq!(stats.early_flushes, 0);
         assert_eq!(stats.frames, 1);
-        let frames = drain(&rx);
+        let frames = drain(rx);
         assert_eq!(frames.len(), 1);
         match &frames[0] {
             Frame::Data { o_task, .. } => assert_eq!(*o_task, 3),
@@ -588,9 +578,8 @@ mod tests {
 
     #[test]
     fn armed_corruption_flips_the_wire_but_not_the_checkpoint() {
-        let mut net = Interconnect::new(1);
-        let senders = frame_senders(&net);
-        let rx = net.take_receiver(0);
+        let (senders, rxs) = mailboxes(1, DEFAULT_MAILBOX_CAPACITY);
+        let rx = &rxs[0];
         let cp = crate::checkpoint::CheckpointStore::new();
         let mut buf = KvBuffer::new(senders, 0, 4, usize::MAX, false);
         buf.set_tee(cp.clone());
@@ -628,9 +617,8 @@ mod tests {
     #[test]
     fn combiner_collapses_repeated_keys_before_the_wire() {
         use dmpi_common::ser::Writable;
-        let mut net = Interconnect::new(1);
-        let senders = frame_senders(&net);
-        let rx = net.take_receiver(0);
+        let (senders, rxs) = mailboxes(1, DEFAULT_MAILBOX_CAPACITY);
+        let rx = &rxs[0];
         let mut buf = KvBuffer::new(senders, 0, 0, usize::MAX, true);
         buf.set_combiner(sum_combiner());
         for _ in 0..50 {
@@ -641,7 +629,7 @@ mod tests {
         assert_eq!(stats.records, 100, "user emits counted pre-combine");
         assert_eq!(stats.combiner_records_in, 100);
         assert_eq!(stats.combiner_records_out, 2);
-        let frames = drain(&rx);
+        let frames = drain(rx);
         let records: Vec<Record> = frames
             .iter()
             .filter_map(|f| match f {
@@ -661,9 +649,8 @@ mod tests {
     #[test]
     fn combiner_respects_the_flush_threshold() {
         use dmpi_common::ser::Writable;
-        let mut net = Interconnect::new(1);
-        let senders = frame_senders(&net);
-        let rx = net.take_receiver(0);
+        let (senders, rxs) = mailboxes(1, DEFAULT_MAILBOX_CAPACITY);
+        let rx = &rxs[0];
         let mut buf = KvBuffer::new(senders, 0, 0, 256, true);
         buf.set_combiner(sum_combiner());
         for i in 0..200 {
@@ -678,7 +665,7 @@ mod tests {
         // Each early flush folds its own window, so per-key partial sums
         // appear once per flushed frame — still far fewer than 200.
         assert!(stats.combiner_records_out < stats.combiner_records_in);
-        let shipped: u64 = drain(&rx)
+        let shipped: u64 = drain(rx)
             .iter()
             .filter_map(|f| match f {
                 Frame::Data { payload, .. } => {
@@ -773,9 +760,8 @@ mod tests {
         combiner: fn() -> Combiner,
     ) -> RecordStaging {
         // Room for every frame: a pair closes at most one window.
-        let mut net = Interconnect::with_capacity(parts, pairs.len() + 1);
-        let rxs: Vec<_> = (0..parts).map(|r| net.take_receiver(r)).collect();
-        let mut buf = KvBuffer::new(frame_senders(&net), 0, 0, threshold, pipelined);
+        let (senders, rxs) = mailboxes(parts, pairs.len() + 1);
+        let mut buf = KvBuffer::new(senders, 0, 0, threshold, pipelined);
         buf.set_combiner(combiner());
         let mut reference = RecordStaging::new(combiner(), parts, threshold, pipelined);
         for (key, value) in pairs {
@@ -906,9 +892,8 @@ mod tests {
             .iter()
             .map(|k| Record::new(k.clone(), one.clone()).framed_len())
             .sum();
-        let mut net = Interconnect::new(1);
-        let rx = net.take_receiver(0);
-        let mut buf = KvBuffer::new(frame_senders(&net), 0, 0, window_bytes, true);
+        let (senders, rxs) = mailboxes(1, DEFAULT_MAILBOX_CAPACITY);
+        let mut buf = KvBuffer::new(senders, 0, 0, window_bytes, true);
         buf.set_combiner(sum_combiner());
         let tables = |buf: &KvBuffer| {
             let w = &buf.combining.as_ref().unwrap().windows[0];
@@ -937,17 +922,15 @@ mod tests {
         let stats = buf.finish();
         assert_eq!(stats.frames, 2);
         assert_eq!(stats.combiner_records_out, 2 * keys.len() as u64);
-        assert_eq!(drain(&rx).len(), 2);
+        assert_eq!(drain(&rxs[0]).len(), 2);
     }
 
     #[test]
     fn combiner_emit_and_emit_kv_agree() {
-        let mut net_a = Interconnect::new(2);
-        let mut net_b = Interconnect::new(2);
-        let rx_a: Vec<_> = (0..2).map(|r| net_a.take_receiver(r)).collect();
-        let rx_b: Vec<_> = (0..2).map(|r| net_b.take_receiver(r)).collect();
-        let mut a = KvBuffer::new(frame_senders(&net_a), 0, 0, usize::MAX, true);
-        let mut b = KvBuffer::new(frame_senders(&net_b), 0, 0, usize::MAX, true);
+        let (senders_a, rx_a) = mailboxes(2, DEFAULT_MAILBOX_CAPACITY);
+        let (senders_b, rx_b) = mailboxes(2, DEFAULT_MAILBOX_CAPACITY);
+        let mut a = KvBuffer::new(senders_a, 0, 0, usize::MAX, true);
+        let mut b = KvBuffer::new(senders_b, 0, 0, usize::MAX, true);
         a.set_combiner(sum_combiner());
         b.set_combiner(sum_combiner());
         use dmpi_common::ser::Writable;
@@ -958,7 +941,7 @@ mod tests {
         }
         assert_eq!(a.finish(), b.finish());
         for (ra, rb) in rx_a.iter().zip(&rx_b) {
-            let payload = |rx: &crossbeam::channel::Receiver<Frame>| -> Vec<u8> {
+            let payload = |rx: &Receiver<Frame>| -> Vec<u8> {
                 drain(rx)
                     .iter()
                     .flat_map(|f| match f {
@@ -973,12 +956,10 @@ mod tests {
 
     #[test]
     fn emit_and_emit_kv_agree() {
-        let mut net_a = Interconnect::new(2);
-        let mut net_b = Interconnect::new(2);
-        let rx_a: Vec<_> = (0..2).map(|r| net_a.take_receiver(r)).collect();
-        let rx_b: Vec<_> = (0..2).map(|r| net_b.take_receiver(r)).collect();
-        let mut a = KvBuffer::new(frame_senders(&net_a), 0, 0, usize::MAX, true);
-        let mut b = KvBuffer::new(frame_senders(&net_b), 0, 0, usize::MAX, true);
+        let (senders_a, rx_a) = mailboxes(2, DEFAULT_MAILBOX_CAPACITY);
+        let (senders_b, rx_b) = mailboxes(2, DEFAULT_MAILBOX_CAPACITY);
+        let mut a = KvBuffer::new(senders_a, 0, 0, usize::MAX, true);
+        let mut b = KvBuffer::new(senders_b, 0, 0, usize::MAX, true);
         for i in 0..20 {
             let rec = Record::from_strs(&format!("k{i}"), &format!("v{i}"));
             a.emit(&rec);

@@ -3,10 +3,11 @@
 //!
 //! Each rank owns a mailbox — a **bounded** channel standing in for MPI's
 //! eager-protocol message queue, whose capacity comes from
-//! [`JobConfig::mailbox_capacity`](crate::JobConfig). O-side senders ship
-//! [`Frame::Data`] messages as buffers fill (the pipelined path) and
-//! close the stream with one [`Frame::Eof`] per sender so receivers know
-//! when their partition is complete. A sender whose destination mailbox
+//! [`JobConfig::mailbox_capacity`](crate::JobConfig); the in-proc fabric
+//! ([`crate::transport::InProcTransport`]) builds one per rank. O-side
+//! senders ship [`Frame::Data`] messages as buffers fill (the pipelined
+//! path) and close the stream with one [`Frame::Eof`] per sender so
+//! receivers know when their partition is complete. A sender whose destination mailbox
 //! is full *blocks* — the same backpressure semantics the TCP backend
 //! gets from the kernel's socket buffers, so in-proc runs exercise the
 //! production flow-control path.
@@ -30,7 +31,6 @@
 //! structured [`Error::Fault`] instead of silently wrong output.
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
 
 use dmpi_common::crc::crc32;
 use dmpi_common::{Error, FaultCause, FaultKind, Result};
@@ -185,54 +185,11 @@ pub fn wire_size_estimate(frame: &Frame) -> u64 {
     }
 }
 
-/// The full mesh of mailboxes for a job: one receiver per A partition,
-/// senders cloneable by every O executor.
-pub struct Interconnect {
-    senders: Vec<Sender<Frame>>,
-    receivers: Vec<Option<Receiver<Frame>>>,
-}
-
-impl Interconnect {
-    /// Builds mailboxes for `ranks` partitions with the default capacity.
-    pub fn new(ranks: usize) -> Self {
-        Self::with_capacity(ranks, DEFAULT_MAILBOX_CAPACITY)
-    }
-
-    /// Builds mailboxes for `ranks` partitions, each holding at most
-    /// `capacity` frames before senders block (see the module docs for
-    /// why this cannot deadlock the runtime).
-    pub fn with_capacity(ranks: usize, capacity: usize) -> Self {
-        let mut senders = Vec::with_capacity(ranks);
-        let mut receivers = Vec::with_capacity(ranks);
-        for _ in 0..ranks {
-            let (tx, rx) = bounded(capacity.max(1));
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        Interconnect { senders, receivers }
-    }
-
-    /// Cloneable sender handles to every partition (indexed by partition).
-    pub fn senders(&self) -> Vec<Sender<Frame>> {
-        self.senders.clone()
-    }
-
-    /// Takes ownership of partition `rank`'s receiver (each rank takes its
-    /// own exactly once).
-    pub fn take_receiver(&mut self, rank: usize) -> Receiver<Frame> {
-        self.receivers[rank]
-            .take()
-            .expect("receiver already taken for this rank")
-    }
-
-    /// Drops the master's sender handles so receivers see disconnect after
-    /// all worker clones are gone (hygiene for clean shutdown).
-    pub fn close(self) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::inproc::mailboxes;
+    use crate::transport::{InProcTransport, Transport};
 
     #[test]
     fn job_tags_round_trip_and_leave_legacy_tasks_alone() {
@@ -259,15 +216,10 @@ mod tests {
 
     #[test]
     fn frames_route_to_the_right_partition() {
-        let mut net = Interconnect::new(2);
-        let senders = net.senders();
-        let rx0 = net.take_receiver(0);
-        let rx1 = net.take_receiver(1);
-        senders[0]
-            .send(Frame::data(1, 7, Bytes::from_static(b"abc")))
-            .unwrap();
-        senders[1].send(Frame::Eof { from_rank: 1 }).unwrap();
-        match rx0.recv().unwrap() {
+        let (senders, rxs) = mailboxes(2, DEFAULT_MAILBOX_CAPACITY);
+        assert!(senders[0].send(Frame::data(1, 7, Bytes::from_static(b"abc"))));
+        assert!(senders[1].send(Frame::Eof { from_rank: 1 }));
+        match rxs[0].recv().unwrap() {
             Frame::Data {
                 from_rank,
                 o_task,
@@ -280,7 +232,7 @@ mod tests {
             }
             other => panic!("unexpected frame {other:?}"),
         }
-        match rx1.recv().unwrap() {
+        match rxs[1].recv().unwrap() {
             Frame::Eof { from_rank } => assert_eq!(from_rank, 1),
             other => panic!("unexpected frame {other:?}"),
         }
@@ -333,22 +285,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "already taken")]
     fn double_take_panics() {
-        let mut net = Interconnect::new(1);
-        let _a = net.take_receiver(0);
-        let _b = net.take_receiver(0);
+        let mut endpoints = InProcTransport::new(1, 1).open().unwrap();
+        let _a = endpoints[0].take_receiver();
+        let _b = endpoints[0].take_receiver();
     }
 
     #[test]
     fn bounded_mailbox_blocks_full_senders_until_drained() {
-        let mut net = Interconnect::with_capacity(1, 2);
-        let senders = net.senders();
-        let rx = net.take_receiver(0);
-        senders[0].send(Frame::Eof { from_rank: 0 }).unwrap();
-        senders[0].send(Frame::Eof { from_rank: 1 }).unwrap();
+        let (senders, rxs) = mailboxes(1, 2);
+        let rx = &rxs[0];
+        assert!(senders[0].send(Frame::Eof { from_rank: 0 }));
+        assert!(senders[0].send(Frame::Eof { from_rank: 1 }));
         // Mailbox is full: the next send must block until a recv frees a
         // slot — the backpressure semantics shared with the TCP backend.
         let h = std::thread::spawn(move || {
-            senders[0].send(Frame::Eof { from_rank: 2 }).unwrap();
+            assert!(senders[0].send(Frame::Eof { from_rank: 2 }));
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(matches!(rx.recv().unwrap(), Frame::Eof { from_rank: 0 }));
@@ -359,19 +310,15 @@ mod tests {
 
     #[test]
     fn cross_thread_delivery() {
-        let mut net = Interconnect::new(1);
-        let senders = net.senders();
-        let rx = net.take_receiver(0);
+        let (senders, rxs) = mailboxes(1, DEFAULT_MAILBOX_CAPACITY);
         let h = std::thread::spawn(move || {
             for i in 0..100usize {
-                senders[0]
-                    .send(Frame::data(0, i, Bytes::from(vec![0u8; i])))
-                    .unwrap();
+                assert!(senders[0].send(Frame::data(0, i, Bytes::from(vec![0u8; i]))));
             }
-            senders[0].send(Frame::Eof { from_rank: 0 }).unwrap();
+            assert!(senders[0].send(Frame::Eof { from_rank: 0 }));
         });
         let mut seen = 0;
-        while let Frame::Data { o_task, .. } = rx.recv().unwrap() {
+        while let Frame::Data { o_task, .. } = rxs[0].recv().unwrap() {
             assert_eq!(o_task, seen);
             seen += 1;
         }

@@ -70,9 +70,8 @@ pub struct JobConfig {
     /// Whether completed O tasks checkpoint their emitted pairs for
     /// restart.
     pub checkpointing: bool,
-    /// Whether A-side grouping sorts keys (MapReduce mode) or only groups
-    /// by hash (Common mode, cheaper — used by WordCount-style jobs where
-    /// output order is irrelevant).
+    /// Unused since every job groups by key-sorted merge; kept because
+    /// `benchmark/src/layers.rs` reads it.
     pub sorted_grouping: bool,
     /// Fault injection: a deterministic, seeded schedule of O-task
     /// errors, rank deaths, straggler delays, and frame corruptions
@@ -214,12 +213,6 @@ impl JobConfig {
     /// Builder: set the A-store memory budget.
     pub fn with_memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = bytes;
-        self
-    }
-
-    /// Builder: set sorted (MapReduce) vs hash (Common) grouping.
-    pub fn with_sorted_grouping(mut self, on: bool) -> Self {
-        self.sorted_grouping = on;
         self
     }
 
@@ -387,13 +380,11 @@ mod tests {
             .with_pipelined(false)
             .with_checkpointing(true)
             .with_memory_budget(123)
-            .with_sorted_grouping(false)
             .with_flush_threshold(456)
             .with_o_task_fault(1, 0);
         assert!(!c.pipelined);
         assert!(c.checkpointing);
         assert_eq!(c.memory_budget, 123);
-        assert!(!c.sorted_grouping);
         assert_eq!(c.flush_threshold, 456);
         let plan = c.faults.as_ref().expect("plan installed");
         assert!(plan.o_task_error(1, 0));

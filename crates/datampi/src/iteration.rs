@@ -1,7 +1,7 @@
 //! Iteration mode — one of DataMPI's "diversified" communication modes.
 //!
 //! Iterative algorithms (K-means is the paper's example) run the same job
-//! shape repeatedly over the same input. In Common/MapReduce mode every
+//! shape repeatedly over the same input. In MapReduce mode every
 //! iteration would re-read and re-deserialize its splits; Iteration mode
 //! keeps the **deserialized objects resident** in worker memory across
 //! jobs, so each subsequent iteration starts from parsed data — DataMPI's

@@ -17,9 +17,10 @@
 //!   runtime's shared queue hands splits to whichever rank is free);
 //! * **Data-centric** — emitted pairs are partitioned and buffered at the
 //!   A-side worker ([`store`]), so A tasks read their input locally;
-//! * **Diversified** — [`task`] exposes Common and MapReduce-style modes,
-//!   and [`iteration`] implements Iteration mode (deserialized splits stay
-//!   resident in worker memory across jobs, the pattern K-means uses).
+//! * **Diversified** — [`task`] exposes MapReduce mode (key-sorted
+//!   groups, with an optional O-side combiner), and [`iteration`]
+//!   implements Iteration mode (deserialized splits stay resident in
+//!   worker memory across jobs, the pattern K-means uses).
 //!
 //! Communication is **pipelined**: O-task computation overlaps with
 //! key-value movement ([`buffer::KvBuffer`] flushes asynchronously while

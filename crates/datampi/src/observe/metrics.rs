@@ -8,7 +8,8 @@
 //! ranks start, so the recording paths never allocate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+
+use parking_lot::RwLock;
 
 use super::histogram::Histograms;
 
@@ -215,7 +216,7 @@ impl MetricsRegistry {
     /// accumulate into the same matrix.
     pub fn begin_job(&self, ranks: usize) {
         for matrix in [&self.sent, &self.recv] {
-            let mut rows = matrix.write().unwrap();
+            let mut rows = matrix.write();
             if rows.len() < ranks {
                 rows.resize_with(ranks, Vec::new);
             }
@@ -226,7 +227,7 @@ impl MetricsRegistry {
     }
 
     fn add_to_cell(matrix: &PeerMatrix, row: usize, col: usize, n: u64) {
-        if let Some(cell) = matrix.read().unwrap().get(row).and_then(|r| r.get(col)) {
+        if let Some(cell) = matrix.read().get(row).and_then(|r| r.get(col)) {
             cell.fetch_add(n, Ordering::Relaxed);
         }
     }
@@ -280,7 +281,7 @@ impl MetricsRegistry {
     }
 
     fn matrix_values(matrix: &PeerMatrix) -> Vec<Vec<u64>> {
-        let rows = matrix.read().unwrap();
+        let rows = matrix.read();
         rows.iter()
             .map(|row| row.iter().map(|c| c.load(Ordering::Relaxed)).collect())
             .collect()

@@ -47,7 +47,9 @@ pub use trace::{PhaseTotals, SpanKind, Trace, TraceEvent, JOB_LANE};
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 #[derive(Debug)]
 struct Inner {
@@ -130,25 +132,25 @@ impl Observer {
         for ev in drained.iter() {
             totals.add_event(ev);
         }
-        self.inner.events.lock().unwrap().append(&mut drained);
+        self.inner.events.lock().append(&mut drained);
         totals
     }
 
     /// Records one event directly into the job-wide log (used by the
     /// supervisor, which runs outside any rank thread).
     pub fn record(&self, ev: TraceEvent) {
-        self.inner.events.lock().unwrap().push(ev);
+        self.inner.events.lock().push(ev);
     }
 
     /// A snapshot of everything absorbed so far, sorted by start time.
     pub fn trace(&self) -> Trace {
-        Trace::new(self.inner.events.lock().unwrap().clone())
+        Trace::new(self.inner.events.lock().clone())
     }
 
     /// Drains the absorbed events, leaving the log empty. The telemetry
     /// shipper uses this so each span crosses the wire exactly once.
     pub fn take_events(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.inner.events.lock().unwrap())
+        std::mem::take(&mut *self.inner.events.lock())
     }
 }
 
@@ -268,6 +270,22 @@ mod tests {
         assert_eq!(trace.events()[0].task, Some(7));
         assert_eq!(trace.events()[1].task, None);
         assert!(trace.events().iter().all(|e| e.rank == 3 && e.attempt == 1));
+    }
+
+    #[test]
+    fn a_panic_holding_the_events_lock_leaves_the_observer_usable() {
+        let obs = Observer::with_clock(Clock::Manual(ManualClock::new()));
+        let held = obs.clone();
+        let died = std::thread::spawn(move || {
+            let _events = held.inner.events.lock();
+            panic!("die holding the events lock");
+        })
+        .join();
+        assert!(died.is_err());
+        let t = obs.rank_tracer(0, 0);
+        t.span(SpanKind::OTask, t.start(), vec![]);
+        obs.absorb(&t);
+        assert_eq!(obs.trace().len(), 1);
     }
 
     #[test]

@@ -155,7 +155,6 @@ where
     // checkpoint's run handles.
     let merge_resume = cx
         .checkpoint
-        .filter(|_| config.sorted_grouping)
         .and_then(|cp| cp.merge_checkpoint(rank, ranks));
     let discard = merge_resume.is_some();
     // Stamped *before* the ingest thread spawns: the rank's Recv span
@@ -501,9 +500,7 @@ where
         // run — a live in-memory cursor cannot name a block frontier —
         // so the forming run is sealed through the same block format as
         // the spills before the merge opens.
-        let merge_cp = cx
-            .checkpoint
-            .filter(|_| config.sorted_grouping && !failure.is_set());
+        let merge_cp = cx.checkpoint.filter(|_| !failure.is_set());
         if let Some(cp) = merge_cp.filter(|_| merge_resume.is_none()) {
             store.seal_all();
             cp.register_merge_runs(rank, cx.ranks, store.sealed_run_handles());
@@ -760,7 +757,7 @@ fn ingest_partition(
     // The tracer must be built on this thread (tracers are thread-local
     // by design); its spans merge into the shared trace on exit.
     let tracer = observer.map(|o| o.rank_tracer(rank as u32, attempt));
-    let mut store = PartitionStore::new(config.memory_budget, config.sorted_grouping);
+    let mut store = PartitionStore::new(config.memory_budget, true);
     store.set_spill_config(
         config
             .spill_config()

@@ -494,16 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_grouping_mode_counts_correctly() {
-        let config = JobConfig::new(2).with_sorted_grouping(false);
-        let inputs = vec![Bytes::from_static(b"x y x y x")];
-        let out = run_job(&config, inputs, wordcount_o, wordcount_a, None).unwrap();
-        let counts = counts_of(out);
-        assert_eq!(counts["x"], 3);
-        assert_eq!(counts["y"], 2);
-    }
-
-    #[test]
     fn pipelining_ablation_preserves_results() {
         let inputs: Vec<Bytes> = (0..6)
             .map(|i| Bytes::from(format!("word{} word{} word{}", i, i % 3, i % 2)))

@@ -42,9 +42,7 @@ pub type BoxedOFn = Box<dyn Fn(usize, &[u8], &mut dyn Collector) + Send + Sync>;
 pub type BoxedAFn = Box<dyn Fn(&GroupedValues, &mut dyn Collector) + Send + Sync>;
 
 /// A job the resolver has made runnable: deterministic inputs plus the
-/// O and A functions. `sorted` asks for sorted grouping — the catalogue
-/// resolver keeps it `true` so job outputs stay byte-identical to
-/// in-proc runs of the same seeds.
+/// O and A functions.
 pub struct PreparedJob {
     /// The full task table (every rank derives the same one).
     pub inputs: Vec<Bytes>,
@@ -52,8 +50,6 @@ pub struct PreparedJob {
     pub o_fn: BoxedOFn,
     /// The A (reduce-side) function.
     pub a_fn: BoxedAFn,
-    /// Whether grouping must be sorted (deterministic output order).
-    pub sorted: bool,
 }
 
 /// Turns a [`JobSpec`] into a runnable job. The trait keeps
@@ -294,7 +290,7 @@ fn run_one_job(
                 return Err(e);
             }
         };
-        let mut config = JobConfig::new(ranks).with_sorted_grouping(prepared.sorted);
+        let mut config = JobConfig::new(ranks);
         if let Some(obs) = &observer {
             config = config.with_observer(obs.clone());
         }

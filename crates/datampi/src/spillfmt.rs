@@ -49,8 +49,8 @@ use dmpi_common::crc::crc32;
 use dmpi_common::{ser, varint, Error, Record, Result};
 
 /// Default block budget: big enough that per-block overhead (index entry,
-/// CRC, LZ4 token stream) is noise, small enough that a point lookup
-/// decompresses a few tens of KiB, not a whole run.
+/// CRC, LZ4 token stream) is noise, small enough that a resumed merge
+/// re-reads a few tens of KiB per run, not a whole run.
 pub const DEFAULT_SPILL_BLOCK_BYTES: usize = 64 * 1024;
 
 /// Fixed trailer length: `footer_offset u64 | footer_crc u32 | magic u32`.
@@ -254,8 +254,8 @@ impl RunIndex {
 /// to the image. Records never straddle blocks. The per-block key range
 /// is kept as two ranges into the forming block and copied out when the
 /// block closes: a key-sorted run takes its first and last record, an
-/// arrival-order (hashed-mode) run tracks the running min/max, so the
-/// index stays honest either way.
+/// arrival-order run tracks the running min/max, so the index stays
+/// honest either way.
 pub struct RunWriter {
     block_bytes: usize,
     compress: bool,
@@ -374,28 +374,14 @@ impl RunWriter {
     }
 }
 
-/// Parses trailer + footer out of a complete run image.
+/// Parses trailer + footer out of a complete run image: checks the
+/// magic, the footer span and its CRC, decodes the footer, and checks
+/// that every block lies before the footer, so no reader sizes a buffer
+/// from a span the run cannot hold.
 pub fn parse_image(image: &[u8]) -> Result<RunIndex> {
     let Some((head, trailer)) = image.split_last_chunk::<TRAILER_LEN>() else {
         return Err(Error::corrupt("run shorter than its trailer"));
     };
-    let mut index = parse_trailer_footer(trailer, |offset| {
-        head.get(offset..)
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| Error::corrupt("footer span out of bounds"))
-    })?;
-    index.file_len = image.len() as u64;
-    Ok(index)
-}
-
-/// Shared trailer validation: checks the magic, fetches the footer span
-/// via `read_span(footer_offset)` (offset → end-of-footer), checks the
-/// footer CRC, decodes, and checks that every block lies before the
-/// footer, so no reader sizes a buffer from a span the run cannot hold.
-fn parse_trailer_footer(
-    trailer: &[u8; TRAILER_LEN],
-    read_span: impl FnOnce(usize) -> Result<Vec<u8>>,
-) -> Result<RunIndex> {
     // `footer_offset u64 | footer_crc u32 | magic u32`, all little-endian.
     let trailer = u128::from_le_bytes(*trailer);
     let footer_offset = trailer as u64;
@@ -404,12 +390,14 @@ fn parse_trailer_footer(
     if magic != RUN_MAGIC {
         return Err(Error::corrupt("bad run magic"));
     }
-    let offset = usize::try_from(footer_offset).map_err(|_| Error::corrupt("footer offset"))?;
-    let footer = read_span(offset)?;
-    if crc32(&footer) != footer_crc {
+    let footer = usize::try_from(footer_offset)
+        .ok()
+        .and_then(|offset| head.get(offset..))
+        .ok_or_else(|| Error::corrupt("footer span out of bounds"))?;
+    if crc32(footer) != footer_crc {
         return Err(Error::corrupt("footer crc mismatch"));
     }
-    let index = RunIndex::decode_footer(&footer)?;
+    let mut index = RunIndex::decode_footer(footer)?;
     for b in &index.blocks {
         if b.offset
             .checked_add(b.stored_len as u64)
@@ -421,6 +409,7 @@ fn parse_trailer_footer(
             )));
         }
     }
+    index.file_len = image.len() as u64;
     Ok(index)
 }
 
@@ -431,9 +420,6 @@ pub enum RunStorage {
     Mem(Bytes),
     /// Disk file owned by this run, deleted when the last handle drops.
     File(Arc<RunFileGuard>),
-    /// Disk file opened read-only via [`SealedRun::load`]; never deleted
-    /// by the run (whoever created the file keeps deletion rights).
-    LoadedFile(PathBuf),
 }
 
 /// RAII owner of a run file: removes the file when the last
@@ -589,43 +575,6 @@ impl SealedRun {
         })
     }
 
-    /// Opens an existing run file, reading only its trailer and footer
-    /// (not the blocks). The returned run does **not** own the file
-    /// for deletion purposes — `load` is a reader's entry point.
-    pub fn load(path: PathBuf) -> Result<Self> {
-        let mut f = std::fs::File::open(&path)
-            .map_err(|e| Error::Config(format!("spill file {}: {e}", path.display())))?;
-        let len = f
-            .seek(SeekFrom::End(0))
-            .map_err(|e| Error::corrupt(format!("seek: {e}")))?;
-        if (len as usize) < TRAILER_LEN {
-            return Err(Error::corrupt("run file shorter than its trailer"));
-        }
-        let mut trailer = [0u8; TRAILER_LEN];
-        f.seek(SeekFrom::End(-(TRAILER_LEN as i64)))
-            .map_err(|e| Error::corrupt(format!("seek: {e}")))?;
-        f.read_exact(&mut trailer)
-            .map_err(|e| Error::corrupt(format!("read trailer: {e}")))?;
-        let file_len = len;
-        let mut index = parse_trailer_footer(&trailer, |offset| {
-            let footer_len = (file_len as usize)
-                .checked_sub(TRAILER_LEN)
-                .and_then(|e| e.checked_sub(offset))
-                .ok_or_else(|| Error::corrupt("footer span out of bounds"))?;
-            let mut footer = vec![0u8; footer_len];
-            f.seek(SeekFrom::Start(offset as u64))
-                .map_err(|e| Error::corrupt(format!("seek: {e}")))?;
-            f.read_exact(&mut footer)
-                .map_err(|e| Error::corrupt(format!("read footer: {e}")))?;
-            Ok(footer)
-        })?;
-        index.file_len = file_len;
-        Ok(SealedRun {
-            storage: RunStorage::LoadedFile(path),
-            index: Arc::new(index),
-        })
-    }
-
     /// The run's footer index.
     pub fn index(&self) -> &RunIndex {
         &self.index
@@ -633,7 +582,7 @@ impl SealedRun {
 
     /// Whether the run's bytes live on disk.
     pub fn is_disk(&self) -> bool {
-        !matches!(self.storage, RunStorage::Mem(_))
+        matches!(self.storage, RunStorage::File(_))
     }
 
     /// Opens a sequential reader over the whole run, optionally
@@ -659,10 +608,6 @@ impl SealedRun {
             RunStorage::Mem(image) => Backing::Mem(image.clone()),
             RunStorage::File(guard) => Backing::File(
                 std::fs::File::open(&guard.path)
-                    .map_err(|e| Error::corrupt(format!("open spill run: {e}")))?,
-            ),
-            RunStorage::LoadedFile(path) => Backing::File(
-                std::fs::File::open(path)
                     .map_err(|e| Error::corrupt(format!("open spill run: {e}")))?,
             ),
         };
@@ -693,37 +638,6 @@ impl SealedRun {
             scratch: Vec::new(),
             done: false,
         })
-    }
-
-    /// Indexed point lookup: the values stored under `key`, in run
-    /// order. Requires a key-sorted run.
-    pub fn lookup(&self, key: &[u8], counters: &SpillReadCounters) -> Result<Vec<Bytes>> {
-        let range = KeyRange::new(Bytes::copy_from_slice(key), Bytes::copy_from_slice(key));
-        Ok(self
-            .scan_range(&range, counters)?
-            .into_iter()
-            .map(|r| r.value)
-            .collect())
-    }
-
-    /// Indexed range scan: every record with `lo <= key <= hi`, in run
-    /// order. Requires a key-sorted run.
-    pub fn scan_range(
-        &self,
-        range: &KeyRange,
-        counters: &SpillReadCounters,
-    ) -> Result<Vec<Record>> {
-        if !self.index.sorted {
-            return Err(Error::InvalidState(
-                "indexed lookup requires a key-sorted run".into(),
-            ));
-        }
-        let mut reader = self.open(counters, Some(range.clone()))?;
-        let mut out = Vec::new();
-        while let Some(rec) = reader.next_record()? {
-            out.push(rec);
-        }
-        Ok(out)
     }
 }
 
@@ -984,10 +898,6 @@ mod tests {
         assert!(path.exists());
         let counters = SpillReadCounters::new();
         assert_eq!(read_all(&run, &counters), records);
-        // Loading from disk reparses the same index.
-        let loaded = SealedRun::load(path.clone()).unwrap();
-        assert_eq!(loaded.index().blocks.len(), run.index().blocks.len());
-        assert_eq!(read_all(&loaded, &SpillReadCounters::new()), records);
         drop(run);
         assert!(!path.exists(), "guard must delete the run file");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1028,10 +938,8 @@ mod tests {
     #[test]
     fn block_span_past_the_footer_is_rejected() {
         // A footer whose CRC is right but whose block spans run past the
-        // blocks region: both parsers must refuse it before any reader
+        // blocks region: the parser must refuse it before any reader
         // sizes a buffer from `stored_len`.
-        let dir = std::env::temp_dir().join(format!("dmpi-spillspan-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let (image, index) = build_run(&sorted_records(100), 256, false);
         let footer_offset = image.len() - TRAILER_LEN - index.encode_footer().len();
         let last = index.blocks.last().unwrap();
@@ -1052,11 +960,7 @@ mod tests {
             forged.extend_from_slice(&crc32(&footer).to_le_bytes());
             forged.extend_from_slice(&RUN_MAGIC.to_le_bytes());
             assert!(parse_image(&forged).is_err(), "case {case}: parse_image");
-            let path = dir.join(format!("forged-{case}.spill"));
-            std::fs::write(&path, &forged).unwrap();
-            assert!(SealedRun::load(path).is_err(), "case {case}: load");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1083,21 +987,6 @@ mod tests {
         );
         assert!(snap.blocks_skipped > 0);
         assert!(snap.seeks >= 1, "range fast-forward counts as a seek");
-    }
-
-    #[test]
-    fn point_lookup_finds_all_values() {
-        let mut records = sorted_records(500);
-        // Duplicate one key across a block boundary's worth of records.
-        for i in 0..5 {
-            records.insert(250, rec("key00250", &format!("dup{i}")));
-        }
-        let (image, index) = build_run(&records, 256, true);
-        let run = SealedRun::mem(image, index);
-        let counters = SpillReadCounters::new();
-        let values = run.lookup(b"key00250", &counters).unwrap();
-        assert_eq!(values.len(), 6);
-        assert!(run.lookup(b"nope", &counters).unwrap().is_empty());
     }
 
     #[test]
@@ -1148,7 +1037,6 @@ mod tests {
         }
         let run = SealedRun::mem(image, index);
         assert_eq!(read_all(&run, &SpillReadCounters::new()), records);
-        assert!(run.lookup(b"a", &SpillReadCounters::new()).is_err());
     }
 
     #[test]

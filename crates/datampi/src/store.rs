@@ -15,16 +15,16 @@
 //! path), or to an in-memory image in the identical format (the default
 //! for small jobs).
 //!
-//! Grouping streams one group at a time through [`GroupStream`]. A
-//! partition that never spilled walks its sorted index directly, each
-//! group's key and values being slices of the frames. Once sealed runs
-//! exist, grouping is a k-way external merge over them and the last
-//! forming run via a [loser tree], so a spilled job never
-//! re-materializes the full record set in memory: at any moment the
-//! merge holds one decoded block per run plus the group under
-//! construction, and the runs' footer indexes let a range-restricted or
-//! checkpoint-resumed merge *skip* whole blocks instead of scanning
-//! them.
+//! Groups leave the store one way, in key order, through
+//! [`PartitionStore::into_group_stream`]. A partition that never spilled
+//! walks its sorted index directly, each group's key and values being
+//! slices of the frames. Once sealed runs exist, grouping is a k-way
+//! external merge over them and the last forming run via a [loser
+//! tree], so a spilled job never re-materializes the full record set in
+//! memory: at any moment the merge holds one decoded block per run plus
+//! the group under construction, and the runs' footer indexes let a
+//! checkpoint-resumed merge ([`resume_group_stream`]) *skip* whole
+//! blocks instead of scanning them.
 //!
 //! Sorting overlaps the O phase *and* the ingest thread itself: a run
 //! crossing the budget is handed to a background sealing thread while
@@ -42,11 +42,11 @@ use bytes::Bytes;
 use dmpi_common::compare::{
     index_frame, sort_index, BytesComparator, IndexEntry, RawComparator, SortKernel,
 };
-use dmpi_common::group::{GroupedValues, HashGrouper};
+use dmpi_common::group::GroupedValues;
 use dmpi_common::{Error, Record, Result};
 
 use crate::observe::{Counter, HistKind, Observer, PhaseTotals, SpanKind, Tracer};
-use crate::spillfmt::{KeyRange, RunReader, SpillConfig, SpillReadCounters};
+use crate::spillfmt::{RunReader, SpillConfig, SpillReadCounters};
 
 /// Runs at or below this size seal inline on the ingest thread — a
 /// thread spawn costs more than sorting and framing a few KiB.
@@ -120,22 +120,15 @@ impl FormingRun {
     }
 }
 
-/// In-memory (with spill) store for one A partition.
-///
-/// The store is mode-aware: in sorted (MapReduce) mode spill runs are
-/// key-sorted when sealed so the final grouping is a pure k-way merge;
-/// in hashed (Common) mode runs keep arrival order and grouping hash-
-/// clusters the streamed records.
+/// In-memory (with spill) store for one A partition. Every run is
+/// key-sorted when sealed, so the final grouping is a pure k-way merge.
 pub struct PartitionStore {
     memory_budget: usize,
-    /// MapReduce mode: seal runs key-sorted, group by merge. Common
-    /// mode: preserve arrival order, group by hash.
-    sorted: bool,
     /// The forming run, in arrival order (sorted lazily when sealed or
     /// when grouping starts).
     current: FormingRun,
-    /// Sealed runs in the indexed block format (disk files or in-memory
-    /// images per `spill_cfg`), key-sorted in sorted mode. Filled by
+    /// Sealed, key-sorted runs in the indexed block format (disk files
+    /// or in-memory images per `spill_cfg`). Filled by
     /// [`collect_seals`](Self::collect_seals) in spill order.
     spilled: Vec<crate::spillfmt::SealedRun>,
     /// Runs handed off for sealing (inline results and in-flight
@@ -198,14 +191,13 @@ fn join_seal(handle: std::thread::JoinHandle<SealOutcome>) -> SealOutcome {
     })
 }
 
-/// Sorts (sorted mode) and seals one run through the indexed block
-/// format — to a spill file when the config has a directory, or to an
-/// in-memory image — recording the `Spill` span and counters against a
-/// tracer built from `observer` on the *calling* thread — valid both
-/// inline on the ingest thread and on a background sealing thread.
+/// Sorts and seals one run through the indexed block format — to a
+/// spill file when the config has a directory, or to an in-memory
+/// image — recording the `Spill` span and counters against a tracer
+/// built from `observer` on the *calling* thread — valid both inline on
+/// the ingest thread and on a background sealing thread.
 fn seal_run(
     mut forming: FormingRun,
-    sorted: bool,
     observer: Option<&(Observer, u32, u32)>,
     cfg: &SpillConfig,
     seq: u64,
@@ -213,10 +205,8 @@ fn seal_run(
     let tracer = observer.map(|(o, rank, attempt)| o.rank_tracer(*rank, *attempt));
     let spill_start = tracer.as_ref().map(Tracer::start);
     let wall_start = tracer.as_ref().map(|_| std::time::Instant::now());
-    if sorted {
-        forming.sort();
-    }
-    let mut writer = crate::spillfmt::RunWriter::new(cfg.block_bytes, cfg.compress, sorted);
+    forming.sort();
+    let mut writer = crate::spillfmt::RunWriter::new(cfg.block_bytes, cfg.compress, true);
     for e in &forming.index {
         writer.push_kv(e.key(&forming.frames), e.value(&forming.frames));
     }
@@ -265,13 +255,12 @@ fn seal_run(
 }
 
 impl PartitionStore {
-    /// Creates a store with the given per-partition memory budget.
-    /// `sorted` selects MapReduce-mode (key-sorted runs, merge grouping)
-    /// vs Common-mode (arrival order, hash grouping).
-    pub fn new(memory_budget: usize, sorted: bool) -> Self {
+    /// Creates a store with the given per-partition memory budget. The
+    /// `bool` does nothing: every store groups by key-sorted merge. Kept
+    /// because the benchmark package passes one.
+    pub fn new(memory_budget: usize, _sorted: bool) -> Self {
         PartitionStore {
             memory_budget,
-            sorted,
             current: FormingRun::default(),
             spilled: Vec::new(),
             sealing: Vec::new(),
@@ -336,7 +325,7 @@ impl PartitionStore {
     }
 
     /// Seals the forming run to (simulated) disk: hands it off for
-    /// sorting (sorted mode) and framing into a spill image. Runs above
+    /// sorting and framing into a spill image. Runs above
     /// `SEAL_INLINE_MAX` seal on a background thread so ingest keeps
     /// decoding the next run while the last one sorts. Accounting happens
     /// up front — spill images re-frame exactly the ingested records, so
@@ -357,7 +346,6 @@ impl PartitionStore {
             // Small run: a thread spawn costs more than the sort.
             self.sealing.push(PendingSeal::Done(seal_run(
                 forming,
-                self.sorted,
                 self.observer.as_ref(),
                 &self.spill_cfg,
                 seq,
@@ -383,12 +371,11 @@ impl PartitionStore {
                 }
             }
         }
-        let sorted = self.sorted;
         let observer = self.observer.clone();
         let cfg = self.spill_cfg.clone();
         self.sealing
             .push(PendingSeal::Thread(std::thread::spawn(move || {
-                seal_run(forming, sorted, observer.as_ref(), &cfg, seq)
+                seal_run(forming, observer.as_ref(), &cfg, seq)
             })));
     }
 
@@ -453,77 +440,40 @@ impl PartitionStore {
         self.spilled.clone()
     }
 
-    /// Turns the filled store into a streaming group source. Sorted
-    /// mode: a walk of the forming run's sorted index when nothing was
+    /// Turns the filled store into a streaming group source, in key
+    /// order: a walk of the forming run's sorted index when nothing was
     /// sealed, otherwise a loser-tree k-way merge over the sealed runs
     /// plus the forming run, holding one decoded block per run at a time
-    /// and never rebuilding the full record set. Common mode: a
-    /// hash-clustering pass in arrival order.
-    pub fn into_group_stream(self) -> Result<GroupStream> {
-        self.into_group_stream_range(None)
-    }
-
-    /// Like [`into_group_stream`](Self::into_group_stream), but
-    /// restricted to keys inside `range`: the merge opens every run
-    /// through its footer index and *skips whole blocks* whose key range
-    /// falls outside the consumer's — they are never read, checked or
-    /// decompressed. Output equals the unrestricted stream filtered to
-    /// the range.
-    pub fn into_group_stream_range(mut self, range: Option<KeyRange>) -> Result<GroupStream> {
+    /// and never rebuilding the full record set.
+    pub fn into_group_stream(mut self) -> Result<GroupStream> {
         self.collect_seals();
         if let Some(e) = self.seal_error.take() {
             return Err(e);
         }
-        if self.sorted {
-            let mut forming = self.current;
-            if let Some(r) = &range {
-                let frames = &forming.frames;
-                forming.index.retain(|e| r.contains(e.key(frames)));
-            }
-            forming.sort();
-            if self.spilled.is_empty() {
-                return Ok(GroupStream {
-                    source: GroupSource::Index { forming, next: 0 },
-                });
-            }
-            let mut runs: Vec<RunCursor> = Vec::with_capacity(self.spilled.len() + 1);
-            for run in &self.spilled {
-                let reader = run.open(&self.read_counters, range.clone())?;
-                runs.push(RunCursor::sealed(reader)?);
-            }
-            // Last, so it keeps the newest-run place in the tiebreak.
-            if !forming.index.is_empty() {
-                runs.push(RunCursor::forming(forming));
-            }
-            Ok(GroupStream {
-                source: GroupSource::Merge(LoserTreeMerge::new(runs)),
-            })
-        } else {
-            // Hash grouping needs every key's full value list before any
-            // group can be emitted, so this mode necessarily gathers the
-            // groups — but it still streams records out of the runs
-            // block by block in chronological (arrival) order without an
-            // intermediate all-records vector.
-            let mut grouper = HashGrouper::default();
-            for run in &self.spilled {
-                let mut reader = run.open(&self.read_counters, None)?;
-                while let Some(rec) = reader.next_record()? {
-                    grouper.push(rec);
-                }
-            }
-            let forming = self.current;
-            for e in &forming.index {
-                grouper.push_slices(&forming.frames[e.frame()], e.key_range(), e.value_range());
-            }
-            Ok(GroupStream {
-                source: GroupSource::Hashed(grouper.finish().into_iter()),
-            })
+        let mut forming = self.current;
+        forming.sort();
+        if self.spilled.is_empty() {
+            return Ok(GroupStream {
+                source: GroupSource::Index { forming, next: 0 },
+            });
         }
+        let mut runs: Vec<RunCursor> = Vec::with_capacity(self.spilled.len() + 1);
+        for run in &self.spilled {
+            let reader = run.open(&self.read_counters, None)?;
+            runs.push(RunCursor::sealed(reader)?);
+        }
+        // Last, so it keeps the newest-run place in the tiebreak.
+        if !forming.index.is_empty() {
+            runs.push(RunCursor::forming(forming));
+        }
+        Ok(GroupStream {
+            source: GroupSource::Merge(LoserTreeMerge::new(runs)),
+        })
     }
 
-    /// Convenience: drains the whole store into a flat record vector
-    /// (key-sorted in sorted mode, arrival order otherwise). Tests and
-    /// small tools use this; the runtime streams via
+    /// Convenience: drains the whole store into a flat, key-sorted
+    /// record vector. Tests and small tools use this; the runtime
+    /// streams via
     /// [`into_group_stream`](Self::into_group_stream) instead.
     pub fn into_records(self) -> Result<Vec<Record>> {
         let mut out = Vec::new();
@@ -543,8 +493,7 @@ impl PartitionStore {
 /// A lazily-decoding cursor over one sorted run of the merge.
 ///
 /// Sealed runs stream through an index-driven [`RunReader`], so merging
-/// them costs one decoded block of memory per run (and skips blocks the
-/// reader's range rules out). The forming run, when a spilled partition
+/// them costs one decoded block of memory per run. The forming run, when a spilled partition
 /// still has one, yields records sliced from its frames in index order.
 struct RunCursor {
     source: CursorSource,
@@ -750,23 +699,18 @@ impl LoserTreeMerge {
 
 /// A streaming source of key groups out of a drained [`PartitionStore`]:
 /// the A phase pulls one [`GroupedValues`] at a time and hands it to the
-/// user's A function, so grouped data is never all resident at once in
-/// sorted mode.
+/// user's A function, so grouped data is never all resident at once.
 pub struct GroupStream {
     source: GroupSource,
 }
 
 /// Where the groups come from.
 enum GroupSource {
-    /// Sorted (MapReduce) mode, nothing sealed: the forming run's sorted
-    /// index, walked from `next`.
+    /// Nothing sealed: the forming run's sorted index, walked from
+    /// `next`.
     Index { forming: FormingRun, next: usize },
-    /// Sorted (MapReduce) mode with sealed runs: loser-tree external
-    /// merge.
+    /// Sealed runs: loser-tree external merge.
     Merge(LoserTreeMerge),
-    /// Hashed (Common) mode: pre-clustered groups in first-appearance
-    /// order.
-    Hashed(std::vec::IntoIter<GroupedValues>),
 }
 
 impl GroupStream {
@@ -783,10 +727,6 @@ impl GroupStream {
     /// was) when the store is drained.
     pub fn next_group_into(&mut self, group: &mut GroupedValues) -> Result<bool> {
         match &mut self.source {
-            GroupSource::Hashed(it) => match it.next() {
-                Some(next) => *group = next,
-                None => return Ok(false),
-            },
             GroupSource::Index { forming, next } => {
                 let Some(first) = forming.index.get(*next) else {
                     return Ok(false);
@@ -843,8 +783,8 @@ impl GroupStream {
     /// restart needs to reopen the runs mid-way: blocks before the
     /// frontier hold only records from already-emitted groups.
     ///
-    /// `None` for hashed grouping, or when a live in-memory run is part
-    /// of the stream (its records have no block addresses — call
+    /// `None` when a live in-memory run is part of the stream (its
+    /// records have no block addresses — call
     /// [`PartitionStore::seal_all`] before merging to make a stream
     /// resumable).
     pub fn frontier(&self) -> Option<Vec<usize>> {
@@ -854,7 +794,7 @@ impl GroupStream {
             GroupSource::Index { forming, next } if *next >= forming.index.len() => {
                 return Some(Vec::new())
             }
-            GroupSource::Index { .. } | GroupSource::Hashed(_) => return None,
+            GroupSource::Index { .. } => return None,
         };
         let mut out = Vec::new();
         for cursor in &merge.runs {
@@ -962,33 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_mode_preserves_all_records() {
-        let mut s = PartitionStore::new(32, false);
-        for i in 0..20 {
-            s.ingest(frame_of(&[rec(&format!("k{i}"), "v")])).unwrap();
-        }
-        let records = s.into_records().unwrap();
-        assert_eq!(records.len(), 20);
-    }
-
-    #[test]
-    fn hashed_mode_groups_interleaved_keys() {
-        let mut s = PartitionStore::new(40, false);
-        for i in 0..30 {
-            s.ingest(frame_of(&[rec(&format!("k{}", i % 3), &format!("{i}"))]))
-                .unwrap();
-        }
-        assert!(s.stats().spills > 0);
-        let mut stream = s.into_group_stream().unwrap();
-        let mut groups = Vec::new();
-        while let Some(g) = stream.next_group().unwrap() {
-            groups.push(g);
-        }
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups.iter().map(GroupedValues::len).sum::<usize>(), 30);
-    }
-
-    #[test]
     fn group_stream_merges_across_runs() {
         let mut s = PartitionStore::new(1 << 20, true);
         s.ingest(frame_of(&[rec("b", "1"), rec("a", "1")])).unwrap();
@@ -1035,10 +948,10 @@ mod tests {
 
     #[test]
     fn refilled_group_equals_fresh_groups_on_every_source() {
-        // (sorted, spill half-way): index walk, loser-tree merge, hashed.
-        for (sorted, spill) in [(true, false), (true, true), (false, true)] {
+        // Spill half-way or not: loser-tree merge or index walk.
+        for spill in [false, true] {
             let fill = || {
-                let mut s = PartitionStore::new(1 << 20, sorted);
+                let mut s = PartitionStore::new(1 << 20, true);
                 for i in 0..60 {
                     if spill && i == 30 {
                         s.spill();
@@ -1060,7 +973,7 @@ mod tests {
                 refilled.push(group.clone());
             }
             assert_eq!(fresh.len(), 7);
-            assert_eq!(refilled, fresh, "sorted={sorted} spill={spill}");
+            assert_eq!(refilled, fresh, "spill={spill}");
         }
     }
 
@@ -1098,7 +1011,7 @@ mod tests {
     fn empty_store_yields_nothing() {
         let s = PartitionStore::new(1024, true);
         assert!(s.into_records().unwrap().is_empty());
-        let s = PartitionStore::new(1024, false);
+        let s = PartitionStore::new(1024, true);
         assert!(s
             .into_group_stream()
             .unwrap()

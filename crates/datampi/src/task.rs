@@ -1,23 +1,20 @@
 //! User-facing task abstractions: O functions, A functions, and the
 //! grouped-value iteration surface.
 //!
-//! DataMPI's "diversified" modes map onto two function shapes:
+//! An A function receives one key group at a time, in key-sorted order
+//! (DataMPI's MapReduce mode): what Sort and the Mahout-derived
+//! applications need, and what makes every surface's output
+//! byte-identical. Counting workloads fold early through an O-side
+//! [`Combiner`] instead of a cheaper, unsorted A-side grouping.
 //!
-//! * **Common mode** — the A side receives records grouped by key in hash
-//!   order (no global sort): cheap, used by counting workloads.
-//! * **MapReduce mode** — the A side receives groups in key-sorted order:
-//!   what Sort and the Mahout-derived applications need.
-//!
-//! The mode is chosen by `JobConfig::sorted_grouping`. The concrete types
-//! live in `dmpi_common::group` so the baseline engines can speak the same
-//! language; they are re-exported here as the library's public surface.
+//! The concrete types live in `dmpi_common::group` so the baseline
+//! engines can speak the same language; they are re-exported here as the
+//! library's public surface.
 
 use std::fmt;
 use std::sync::Arc;
 
-pub use dmpi_common::group::{
-    group_hashed, group_sorted, BatchCollector, Collector, GroupedValues,
-};
+pub use dmpi_common::group::{group_sorted, BatchCollector, Collector, GroupedValues};
 
 /// An O-side pre-aggregation function ("combiner" in MapReduce terms),
 /// installed via [`JobConfig::with_combiner`](crate::JobConfig::with_combiner).

@@ -5,9 +5,8 @@
 //! bounded mailbox. There are no writer threads and no wire encoding,
 //! so [`Endpoint::close`] reports zero wire bytes.
 
+use crossbeam::channel::bounded;
 use dmpi_common::Result;
-
-use crate::comm::Interconnect;
 
 use super::{Backend, Endpoint, FrameReceiver, FrameSender, Transport};
 
@@ -19,7 +18,8 @@ pub struct InProcTransport {
 
 impl InProcTransport {
     /// Sizes the fabric for `ranks` mailboxes of `mailbox_capacity`
-    /// frames each.
+    /// frames each; a sender blocks while its destination's mailbox is
+    /// full (`comm`'s module docs argue why that cannot deadlock a job).
     pub fn new(ranks: usize, mailbox_capacity: usize) -> Self {
         InProcTransport {
             ranks,
@@ -38,22 +38,40 @@ impl Transport for InProcTransport {
     }
 
     fn open(&mut self) -> Result<Vec<Endpoint>> {
-        let mut net = Interconnect::with_capacity(self.ranks, self.mailbox_capacity);
-        let senders: Vec<FrameSender> = net
-            .senders()
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..self.ranks)
+            .map(|_| bounded(self.mailbox_capacity.max(1)))
+            .unzip();
+        let senders: Vec<FrameSender> =
+            senders.into_iter().map(FrameSender::from_channel).collect();
+        Ok(receivers
             .into_iter()
-            .map(FrameSender::from_channel)
-            .collect();
-        Ok((0..self.ranks)
-            .map(|rank| {
-                Endpoint::new(
-                    rank,
-                    senders.clone(),
-                    FrameReceiver::Direct(net.take_receiver(rank)),
-                )
-            })
+            .enumerate()
+            .map(|(rank, rx)| Endpoint::new(rank, senders.clone(), FrameReceiver::Direct(rx)))
             .collect())
     }
+}
+
+/// Test fixture: `ranks` mailboxes of `capacity` frames, built by
+/// [`InProcTransport::open`] — the senders, and each rank's channel,
+/// which a test may also drain without blocking.
+#[cfg(test)]
+pub(crate) fn mailboxes(
+    ranks: usize,
+    capacity: usize,
+) -> (
+    Vec<FrameSender>,
+    Vec<crossbeam::channel::Receiver<crate::comm::Frame>>,
+) {
+    let mut endpoints = InProcTransport::new(ranks, capacity).open().unwrap();
+    let senders = endpoints[0].senders();
+    let receivers = endpoints
+        .iter_mut()
+        .map(|e| match e.take_receiver() {
+            FrameReceiver::Direct(rx) => rx,
+            FrameReceiver::Checked(_) => unreachable!("in-proc mailboxes are direct"),
+        })
+        .collect();
+    (senders, receivers)
 }
 
 #[cfg(test)]
@@ -63,7 +81,7 @@ mod tests {
     use bytes::Bytes;
 
     #[test]
-    fn endpoints_route_like_the_raw_interconnect() {
+    fn endpoints_route_frames_and_report_no_wire_traffic() {
         let mut fabric = InProcTransport::new(2, 8);
         assert_eq!(fabric.backend(), Backend::InProc);
         assert_eq!(fabric.ranks(), 2);

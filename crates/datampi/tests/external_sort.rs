@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 
 use datampi::store::{GroupStream, PartitionStore};
-use datampi::{run_job, JobConfig, KeyRange, SpillConfig, WireCompression};
+use datampi::{run_job, JobConfig, SpillConfig, WireCompression};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 use dmpi_common::{ser, Record};
@@ -129,39 +129,6 @@ fn external_sort_completes_with_bounded_residency() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A merge restricted to ~5% of the keyspace must be served by the
-/// footer index, not by reading every block and filtering: many runs
-/// (16 KiB budget) of many narrow blocks (1 KiB), all sealed so every
-/// read goes through the block format. Counters only, no clock.
-#[test]
-fn range_restricted_merge_reads_under_half_of_the_run_bytes() {
-    let records = gen_records(8192, 7);
-    let mut store = PartitionStore::new(16 * 1024, true);
-    store.set_spill_config(SpillConfig::default().with_block_bytes(1024));
-    ingest_framed(&mut store, &records, 32);
-    store.seal_all();
-    let run_bytes: u64 = store
-        .sealed_run_handles()
-        .iter()
-        .map(|r| r.index().stored_bytes)
-        .sum();
-    let counters = store.read_counters();
-
-    let range = KeyRange::new(&b"k002350"[..], &b"k002600"[..]);
-    let expected = grouped(records.into_iter().filter(|r| range.contains(&r.key)));
-    assert!(expected.len() > 100, "the range must select real work");
-    let stream = store.into_group_stream_range(Some(range)).unwrap();
-    assert_eq!(drain_groups(stream), expected);
-
-    let snap = counters.snapshot();
-    assert!(snap.blocks_skipped > 0, "{snap:?}");
-    assert!(
-        snap.stored_bytes_read * 2 < run_bytes,
-        "range merge read {} of {run_bytes} stored bytes",
-        snap.stored_bytes_read
-    );
-}
-
 fn wc_o(_t: usize, split: &[u8], out: &mut dyn Collector) {
     for w in split.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
         out.collect(w, &1u64.to_bytes());
@@ -193,7 +160,6 @@ fn end_to_end_job_sorts_externally_under_tight_budget() {
 
     let dir = scratch_dir("job");
     let config = JobConfig::new(2)
-        .with_sorted_grouping(true)
         .with_memory_budget(BUDGET)
         .with_spill_dir(dir.clone())
         .with_spill_compression(WireCompression::Lz4)
@@ -204,14 +170,7 @@ fn end_to_end_job_sorts_externally_under_tight_budget() {
     // Compressed runs occupy less than the raw record bytes they hold.
     assert!(out.stats.spilled_wire_bytes < out.stats.spilled_bytes);
 
-    let baseline = run_job(
-        &JobConfig::new(2).with_sorted_grouping(true),
-        inputs,
-        wc_o,
-        wc_a,
-        None,
-    )
-    .unwrap();
+    let baseline = run_job(&JobConfig::new(2), inputs, wc_o, wc_a, None).unwrap();
     assert_eq!(out.partitions.len(), baseline.partitions.len());
     for (p, q) in out.partitions.iter().zip(&baseline.partitions) {
         assert_eq!(p.records(), q.records());

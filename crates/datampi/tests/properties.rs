@@ -14,7 +14,7 @@ use datampi::store::PartitionStore;
 use datampi::supervisor::{supervise_job, RetryPolicy};
 use datampi::{run_job, Backend, Combiner, JobConfig, Scheduling, SpeculationConfig};
 use dmpi_common::compare::{sort_records, BytesComparator};
-use dmpi_common::group::{group_hashed, group_sorted, Collector, GroupedValues};
+use dmpi_common::group::{group_sorted, Collector, GroupedValues};
 use dmpi_common::ser::{self, Writable};
 use dmpi_common::Record;
 
@@ -169,14 +169,9 @@ fn heavy_key_records() -> impl Strategy<Value = Vec<Record>> {
 /// Ingests `records`, `per_frame` to a frame, under one of three spill
 /// regimes: 0 = nothing spills, 1 = exactly one run is sealed half-way,
 /// 2 = a budget so small that nearly every frame seals a run.
-fn filled_store(
-    records: &[Record],
-    per_frame: usize,
-    regime: usize,
-    sorted: bool,
-) -> PartitionStore {
+fn filled_store(records: &[Record], per_frame: usize, regime: usize) -> PartitionStore {
     let budget = if regime == 2 { 24 } else { 1 << 20 };
-    let mut store = PartitionStore::new(budget, sorted);
+    let mut store = PartitionStore::new(budget, true);
     let frames: Vec<&[Record]> = records.chunks(per_frame).collect();
     let (mut total, mut largest) = (0, 0);
     for (i, frame) in frames.iter().enumerate() {
@@ -292,7 +287,7 @@ proptest! {
         per_frame in 1usize..9,
         regime in 0usize..3,
     ) {
-        let store = filled_store(&records, per_frame, regime, true);
+        let store = filled_store(&records, per_frame, regime);
         prop_assert_eq!(store.stats().records, records.len() as u64);
         let mut expected = records;
         sort_records(&mut expected, &BytesComparator);
@@ -309,7 +304,7 @@ proptest! {
         per_frame in 1usize..40,
         regime in 0usize..3,
     ) {
-        let store = filled_store(&records, per_frame, regime, true);
+        let store = filled_store(&records, per_frame, regime);
         let mut stream = store.into_group_stream().unwrap();
         let mut groups = Vec::new();
         while let Some(g) = stream.next_group().unwrap() {
@@ -329,28 +324,10 @@ proptest! {
         per_frame in 1usize..64,
         regime in 0usize..3,
     ) {
-        let store = filled_store(&records, per_frame, regime, true);
+        let store = filled_store(&records, per_frame, regime);
         let mut expected = records;
         sort_records(&mut expected, &BytesComparator);
         prop_assert_eq!(store.into_records().unwrap(), expected);
-    }
-
-    /// Hashed mode never sorts: groups come out in order of first
-    /// appearance and values in arrival order, across sealed runs and
-    /// the forming run alike.
-    #[test]
-    fn hashed_store_keeps_first_appearance_and_arrival_order(
-        records in adversarial_records(),
-        per_frame in 1usize..9,
-        regime in 0usize..3,
-    ) {
-        let store = filled_store(&records, per_frame, regime, false);
-        let mut stream = store.into_group_stream().unwrap();
-        let mut groups = Vec::new();
-        while let Some(g) = stream.next_group().unwrap() {
-            groups.push(g);
-        }
-        prop_assert_eq!(groups, group_hashed(records));
     }
 }
 
@@ -362,12 +339,10 @@ proptest! {
         inputs in corpus_strategy(),
         ranks in 1usize..6,
         pipelined in any::<bool>(),
-        sorted in any::<bool>(),
         flush in prop_oneof![Just(16usize), Just(256), Just(1 << 20)],
     ) {
         let config = JobConfig::new(ranks)
             .with_pipelined(pipelined)
-            .with_sorted_grouping(sorted)
             .with_flush_threshold(flush);
         let expected = reference_counts(&inputs);
         let out = run_job(&config, inputs, wc_o, wc_a, None).unwrap();
@@ -452,7 +427,6 @@ proptest! {
         // output byte — even when the tiny memory budget forces the A side
         // through key-sorted spills and the external merge.
         let plain = JobConfig::new(ranks)
-            .with_sorted_grouping(true)
             .with_memory_budget(budget)
             .with_flush_threshold(flush);
         let combined = plain.clone().with_combiner(Combiner::new(wc_a));
@@ -487,14 +461,13 @@ proptest! {
             Ev::Corrupt(t, a) => p.corrupt_frame(t, a),
         });
         let faulty = JobConfig::new(ranks)
-            .with_sorted_grouping(true)
             .with_memory_budget(256)
             .with_checkpointing(true)
             .with_faults(plan)
             .with_combiner(Combiner::new(wc_a));
         let policy = RetryPolicy::new(4).with_backoff(std::time::Duration::ZERO);
         let out = supervise_job(&faulty, &policy, inputs.clone(), wc_o, wc_a).unwrap();
-        let clean_config = JobConfig::new(ranks).with_sorted_grouping(true);
+        let clean_config = JobConfig::new(ranks);
         let clean = run_job(&clean_config, inputs, wc_o, wc_a, None).unwrap();
         prop_assert_eq!(out.partitions.len(), clean.partitions.len());
         for (p, q) in out.partitions.iter().zip(&clean.partitions) {
@@ -569,25 +542,23 @@ proptest! {
 
     /// A Sort-shaped job's output does not depend on whether its identity
     /// A copies each pair or keeps the group's handles, whichever source
-    /// the groups come from: the walk of an in-memory index, a merge over
-    /// runs spilled to disk, or hashed grouping.
+    /// the groups come from: the walk of an in-memory index or a merge
+    /// over runs spilled to disk.
     #[test]
     fn sharing_identity_a_is_byte_identical_to_copying(
         inputs in lines_strategy(),
         ranks in 1usize..4,
-        source in 0usize..3,
+        spilled in any::<bool>(),
     ) {
         let dir = spill_dir();
-        let config = match source {
-            0 => JobConfig::new(ranks),
-            1 => JobConfig::new(ranks).with_memory_budget(64).with_spill_dir(dir.clone()),
-            // Hashed groups come out in arrival order, which only one
-            // rank keeps the same from run to run.
-            _ => JobConfig::new(1).with_sorted_grouping(false),
+        let config = if spilled {
+            JobConfig::new(ranks).with_memory_budget(64).with_spill_dir(dir.clone())
+        } else {
+            JobConfig::new(ranks)
         };
         let shared = run_job(&config, inputs.clone(), sort_o, sharing_a, None).unwrap();
         let copied = run_job(&config, inputs, sort_o, copying_a, None).unwrap();
-        if source == 1 {
+        if spilled {
             // Past `ranks` budgets of input, some partition went over.
             // How many runs it sealed depends on the order frames arrive.
             let over = copied.stats.bytes_emitted > 64 * ranks as u64;

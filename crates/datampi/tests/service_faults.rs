@@ -61,7 +61,6 @@ impl JobResolver for PanickyResolver {
             a_fn: Box::new(|g: &GroupedValues, out: &mut dyn Collector| {
                 out.collect(&g.key, g.values.len().to_string().as_bytes());
             }),
-            sorted: true,
         })
     }
 }
@@ -204,7 +203,6 @@ impl JobResolver for GatedResolver {
             a_fn: Box::new(|g: &GroupedValues, out: &mut dyn Collector| {
                 out.collect(&g.key, g.values.len().to_string().as_bytes());
             }),
-            sorted: true,
         })
     }
 }

@@ -69,7 +69,6 @@ impl JobResolver for WordCount {
             inputs: inputs(spec.seed),
             o_fn: Box::new(wc_o),
             a_fn: Box::new(wc_a),
-            sorted: true,
         })
     }
 }
@@ -106,7 +105,7 @@ fn spans(trace: &str) -> Vec<(String, u64, u64, u64)> {
 
 /// The framed-partition fingerprints of the in-proc run of `seed`'s job.
 fn inproc_crcs(seed: u64) -> Vec<String> {
-    let config = JobConfig::new(RANKS).with_sorted_grouping(true);
+    let config = JobConfig::new(RANKS);
     let output = run_job(&config, inputs(seed), wc_o, wc_a, None).unwrap();
     let framed = |partition: &dmpi_common::kv::RecordBatch| {
         let mut writer = RecordWriter::new();

@@ -4,10 +4,10 @@
 //! functions with a deterministic input generator, so every process of a
 //! multi-process job — and the in-proc runtime used to verify it — can
 //! derive identical inputs from `(seed, task)` alone and no split data
-//! ever crosses the control plane. All entries use
-//! sorted (MapReduce-mode) grouping and order-insensitive A functions,
-//! which is what makes the output byte-identical between the in-proc
-//! and multi-process surfaces.
+//! ever crosses the control plane. The A side groups by key-sorted merge
+//! on every surface and the A functions are order-insensitive, which is
+//! what makes the output byte-identical between the in-proc and
+//! multi-process surfaces.
 
 use bytes::Bytes;
 
@@ -115,17 +115,10 @@ impl ExecWorkload {
         }
     }
 
-    /// Runs the workload on the in-proc threaded runtime (any transport
-    /// backend the config selects). Forces sorted grouping — the
-    /// catalogue's determinism contract.
-    pub fn run_inproc(&self, config: &JobConfig, inputs: Vec<Bytes>) -> Result<JobOutput> {
-        let config = config.clone().with_sorted_grouping(true);
-        run_job(&config, inputs, self.o_fn(), self.a_fn(), None)
-    }
-
-    /// Runs the workload honouring `config` exactly — no forced sorted
-    /// grouping. The benchmark surface: lets callers measure hashed
-    /// (Common-mode) grouping and combiner settings as configured.
+    /// Runs the workload on the in-proc threaded runtime, honouring
+    /// `config` exactly (transport backend, combiner, spill settings).
+    /// `dmpirun --verify-inproc` checks multi-process output against
+    /// this run, and the benchmark package times it.
     pub fn run_raw(&self, config: &JobConfig, inputs: Vec<Bytes>) -> Result<JobOutput> {
         run_job(config, inputs, self.o_fn(), self.a_fn(), None)
     }
@@ -133,9 +126,9 @@ impl ExecWorkload {
 
 /// The catalogue as a [`JobResolver`]: `dmpid` and `dmpirun` workers
 /// inject this to resolve submitted workload names — same deterministic
-/// inputs, same O/A functions, forced sorted grouping as
-/// [`ExecWorkload::run_inproc`] — which is what keeps multi-process
-/// outputs byte-identical to in-proc runs of the same seeds.
+/// inputs, same O/A functions as [`ExecWorkload::run_raw`] — which is
+/// what keeps multi-process outputs byte-identical to in-proc runs of
+/// the same seeds.
 pub struct CatalogueResolver;
 
 impl JobResolver for CatalogueResolver {
@@ -146,7 +139,6 @@ impl JobResolver for CatalogueResolver {
             inputs: w.inputs(spec.tasks, spec.bytes_per_task, spec.seed),
             o_fn: w.o_fn(),
             a_fn: Box::new(w.a_fn()),
-            sorted: true,
         })
     }
 }
@@ -178,7 +170,7 @@ mod tests {
     fn every_entry_runs_and_produces_output() {
         let config = JobConfig::new(2);
         for w in ExecWorkload::ALL {
-            let out = w.run_inproc(&config, w.inputs(4, 800, 7)).unwrap();
+            let out = w.run_raw(&config, w.inputs(4, 800, 7)).unwrap();
             assert_eq!(out.stats.o_tasks_run, 4, "{}", w.name());
             assert!(out.stats.records_emitted > 0, "{}", w.name());
         }
@@ -190,8 +182,8 @@ mod tests {
         for w in ExecWorkload::ALL {
             let Some(c) = w.combiner() else { continue };
             let combined = plain.clone().with_combiner(c);
-            let a = w.run_inproc(&plain, w.inputs(4, 1500, 11)).unwrap();
-            let b = w.run_inproc(&combined, w.inputs(4, 1500, 11)).unwrap();
+            let a = w.run_raw(&plain, w.inputs(4, 1500, 11)).unwrap();
+            let b = w.run_raw(&combined, w.inputs(4, 1500, 11)).unwrap();
             for (pa, pb) in a.partitions.iter().zip(&b.partitions) {
                 assert_eq!(pa.records(), pb.records(), "{}", w.name());
             }
@@ -207,9 +199,7 @@ mod tests {
     #[test]
     fn grep_pattern_occurs_in_generated_text() {
         let w = ExecWorkload::Grep;
-        let out = w
-            .run_inproc(&JobConfig::new(2), w.inputs(3, 2000, 1))
-            .unwrap();
+        let out = w.run_raw(&JobConfig::new(2), w.inputs(3, 2000, 1)).unwrap();
         assert!(
             out.stats.records_emitted > 0,
             "the fixed pattern must appear in the corpus"

@@ -4,7 +4,9 @@
 //! characteristic (§4.4): the dictionary is small relative to the corpus,
 //! so with map-side combining almost no intermediate data moves — the
 //! benchmark is **CPU-bound**, and Hadoop loses by spending CPU on
-//! sort/spill that DataMPI and Spark avoid via hash aggregation.
+//! map-side sort/spill. DataMPI's combiner folds each word on the O side
+//! before the shuffle, and its A side sorts an index over the few
+//! records that arrive; Spark aggregates in hash maps.
 
 use bytes::Bytes;
 

@@ -22,6 +22,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (deny warnings) ==" >&2
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+echo "== size figures (ROADMAP aim 2) ==" >&2
+./scripts/size.sh | tee target/ci/size.txt
+
 echo "== cargo test --workspace x10 ==" >&2
 # "Green" is the whole workspace, every time: a test that fails one run
 # in ten (a timing-dependent assertion, a hang) fails here. `timeout`

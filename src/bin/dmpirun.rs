@@ -461,7 +461,7 @@ fn run_inproc(opts: &Options) -> Result<(), String> {
     let start = obs.now_micros();
     let output = opts
         .workload
-        .run_inproc(&config, inputs)
+        .run_raw(&config, inputs)
         .map_err(|e| format!("in-proc job failed: {e}"))?;
     let elapsed = obs.now_micros().saturating_sub(start);
 
@@ -518,7 +518,7 @@ fn verify_inproc(opts: &Options, ranks: usize, done: &str) -> Result<(), String>
         .inputs(spec.tasks, spec.bytes_per_task, spec.seed);
     let output = opts
         .workload
-        .run_inproc(&config, inputs)
+        .run_raw(&config, inputs)
         .map_err(|e| format!("in-proc verification run failed: {e}"))?;
     let crc = |p: &RecordBatch| crc32(&framed(p)).to_string();
     let inproc: Vec<String> = output.partitions.iter().map(crc).collect();

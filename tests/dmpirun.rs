@@ -55,7 +55,7 @@ fn multiprocess_wordcount_is_byte_identical_to_inproc() {
     // the workers wrote, byte for byte.
     let workload = ExecWorkload::WordCount;
     let inputs = workload.inputs(TASKS, BYTES_PER_TASK, SEED);
-    let baseline = workload.run_inproc(&JobConfig::new(RANKS), inputs).unwrap();
+    let baseline = workload.run_raw(&JobConfig::new(RANKS), inputs).unwrap();
     assert!(baseline.stats.records_emitted > 0);
     for (rank, partition) in baseline.partitions.iter().enumerate() {
         let mut writer = RecordWriter::new();

@@ -121,7 +121,6 @@ fn merge_resumes_from_block_frontier_after_mid_merge_death() {
     let cp = CheckpointStore::new();
     let base = datampi_suite::datampi::JobConfig::new(1)
         .with_checkpointing(true)
-        .with_sorted_grouping(true)
         .with_memory_budget(2048)
         .with_spill_dir(spill_dir.clone())
         .with_spill_compression(datampi_suite::datampi::WireCompression::Lz4)
@@ -182,7 +181,7 @@ fn merge_resumes_from_block_frontier_after_mid_merge_death() {
 
     // Byte-identical to a clean, checkpoint-free run.
     let clean = datampi_suite::datampi::run_job(
-        &datampi_suite::datampi::JobConfig::new(1).with_sorted_grouping(true),
+        &datampi_suite::datampi::JobConfig::new(1),
         inputs,
         wordcount::map,
         wordcount::reduce,
