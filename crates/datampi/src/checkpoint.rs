@@ -8,6 +8,12 @@
 //! "key-value pair based checkpoint/restart" the paper attributes to
 //! DataMPI (§2.3).
 //!
+//! The store is the whole restart API: passing one to
+//! [`run_job`](crate::run_job), [`run_iteration`](crate::iteration::run_iteration)
+//! or a supervisor makes the run restartable, and every run against the
+//! same store is the next attempt (0 on a fresh store, then counting up),
+//! which is what fault plans and fault provenance key on.
+//!
 //! Checkpoints are **width-portable**: each completed task records the
 //! rank width its frames were partitioned for, and
 //! [`CheckpointStore::recover_frames_for`] re-buckets the stored records
@@ -29,6 +35,26 @@ use crate::spillfmt::SealedRun;
 
 /// Shared, thread-safe checkpoint state. Clone-cheap (`Arc` inside); pass
 /// the same store to a restarted job to recover.
+///
+/// # Examples
+/// ```
+/// use datampi::checkpoint::CheckpointStore;
+/// use datampi::{run_job, FaultPlan, JobConfig};
+/// use dmpi_common::group::{Collector, GroupedValues};
+///
+/// // Task 2 fails on attempt 0 only; the second run against the same
+/// // store is attempt 1 and replays tasks 0 and 1 from the checkpoint.
+/// let config = JobConfig::new(1).with_faults(FaultPlan::new(0).fail_o_task(2, 0));
+/// let o = |_t: usize, s: &[u8], out: &mut dyn Collector| out.collect(s, b"1");
+/// let a = |g: &GroupedValues, out: &mut dyn Collector| out.collect(&g.key, b"1");
+/// let inputs = || vec!["a".into(), "b".into(), "c".into()];
+/// let cp = CheckpointStore::new();
+/// let err = run_job(&config, inputs(), o, a, Some(&cp)).unwrap_err();
+/// assert_eq!(err.fault_cause().and_then(|c| c.attempt), Some(0));
+/// let out = run_job(&config, inputs(), o, a, Some(&cp))?;
+/// assert_eq!(out.stats.o_tasks_recovered, 2);
+/// # Ok::<(), dmpi_common::Error>(())
+/// ```
 #[derive(Clone, Default)]
 pub struct CheckpointStore {
     inner: Arc<Mutex<Inner>>,
@@ -45,6 +71,8 @@ struct Inner {
     /// In-progress A-side merge state per rank: sealed-run handles plus
     /// the last recorded group-boundary frontier.
     merges: HashMap<usize, MergeState>,
+    /// Attempts begun against this store.
+    attempts: u32,
 }
 
 struct MergeState {
@@ -85,6 +113,15 @@ impl CheckpointStore {
     /// Fresh empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Begins the next attempt run against this store and returns its
+    /// number: 0 on a fresh store, then counting up.
+    pub(crate) fn begin_attempt(&self) -> u32 {
+        let mut inner = self.inner.lock();
+        let attempt = inner.attempts;
+        inner.attempts += 1;
+        attempt
     }
 
     /// Records a frame emitted by `o_task` towards `partition`.
@@ -273,6 +310,14 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert_eq!(cp.completed_count(), 1);
         assert_eq!(cp.total_bytes(), 4);
+    }
+
+    #[test]
+    fn attempts_count_up_from_zero_across_clones() {
+        let cp = CheckpointStore::new();
+        assert_eq!(cp.begin_attempt(), 0);
+        assert_eq!(cp.clone().begin_attempt(), 1, "clones share the count");
+        assert_eq!(cp.begin_attempt(), 2);
     }
 
     #[test]

@@ -67,9 +67,6 @@ pub struct JobConfig {
     /// Per-rank in-memory budget for the A-side intermediate store; beyond
     /// it partitions spill to simulated disk.
     pub memory_budget: usize,
-    /// Whether completed O tasks checkpoint their emitted pairs for
-    /// restart.
-    pub checkpointing: bool,
     /// Unused since every job groups by key-sorted merge; kept because
     /// `benchmark/src/layers.rs` reads it.
     pub sorted_grouping: bool,
@@ -144,7 +141,6 @@ impl JobConfig {
             flush_threshold: MB as usize,
             pipelined: true,
             memory_budget: 64 * MB as usize,
-            checkpointing: false,
             sorted_grouping: true,
             faults: None,
             observer: None,
@@ -201,12 +197,6 @@ impl JobConfig {
     /// Builder: set pipelining.
     pub fn with_pipelined(mut self, on: bool) -> Self {
         self.pipelined = on;
-        self
-    }
-
-    /// Builder: set checkpointing.
-    pub fn with_checkpointing(mut self, on: bool) -> Self {
-        self.checkpointing = on;
         self
     }
 
@@ -310,17 +300,6 @@ impl JobConfig {
             ..crate::spillfmt::SpillConfig::default()
         }
     }
-
-    /// Builder: inject a single O-task error (shorthand for the most
-    /// common single-fault plan).
-    pub fn with_o_task_fault(self, task: usize, on_attempt: u32) -> Self {
-        let plan = self
-            .faults
-            .clone()
-            .unwrap_or_default()
-            .fail_o_task(task, on_attempt);
-        self.with_faults(plan)
-    }
 }
 
 #[cfg(test)]
@@ -378,12 +357,10 @@ mod tests {
     fn builders_compose() {
         let c = JobConfig::new(2)
             .with_pipelined(false)
-            .with_checkpointing(true)
             .with_memory_budget(123)
             .with_flush_threshold(456)
-            .with_o_task_fault(1, 0);
+            .with_faults(FaultPlan::new(0).fail_o_task(1, 0));
         assert!(!c.pipelined);
-        assert!(c.checkpointing);
         assert_eq!(c.memory_budget, 123);
         assert_eq!(c.flush_threshold, 456);
         let plan = c.faults.as_ref().expect("plan installed");
@@ -433,16 +410,5 @@ mod tests {
             .with_spill_block_bytes(0)
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn o_task_fault_shorthand_extends_an_existing_plan() {
-        let c = JobConfig::new(1)
-            .with_faults(FaultPlan::new(9).rank_panic(0, 0))
-            .with_o_task_fault(2, 1);
-        let plan = c.faults.unwrap();
-        assert_eq!(plan.seed(), 9, "shorthand keeps the existing seed");
-        assert!(plan.rank_panics(0, 0));
-        assert!(plan.o_task_error(2, 1));
     }
 }

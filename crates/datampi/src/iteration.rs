@@ -6,9 +6,11 @@
 //! keeps the **deserialized objects resident** in worker memory across
 //! jobs, so each subsequent iteration starts from parsed data — DataMPI's
 //! answer to Spark's RDD cache, without lineage (the resident data is the
-//! source of truth; a restarted job reloads from the DFS).
+//! source of truth; a restarted job reloads from the DFS). An iteration
+//! run against a [`CheckpointStore`] restarts like any job: running it
+//! again against the same store is the next attempt, over the same
+//! resident splits, so a restart never re-parses them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -19,7 +21,6 @@ use dmpi_common::Result;
 use crate::checkpoint::CheckpointStore;
 use crate::config::JobConfig;
 use crate::runtime::{run_job_core, JobOutput};
-use crate::supervisor::{supervise_job_generic, RetryPolicy};
 
 /// Deserialized splits held resident across iterations.
 ///
@@ -36,25 +37,20 @@ use crate::supervisor::{supervise_job_generic, RetryPolicy};
 ///         .collect()
 /// });
 /// assert_eq!(cache.len(), 3);
-/// assert_eq!(cache.parse_count(), 1); // never grows across iterations
 /// ```
 pub struct IterationCache<T> {
     splits: Vec<Arc<Vec<T>>>,
-    loads: AtomicU64,
 }
 
 impl<T: Send + Sync> IterationCache<T> {
     /// Parses every input split once with `parse` and pins the results.
-    pub fn load<F>(inputs: &[Bytes], parse: F) -> Self
+    pub fn load<F>(inputs: &[Bytes], mut parse: F) -> Self
     where
-        F: Fn(&[u8]) -> Vec<T>,
+        F: FnMut(&[u8]) -> Vec<T>,
     {
-        let cache = IterationCache {
+        IterationCache {
             splits: inputs.iter().map(|b| Arc::new(parse(b))).collect(),
-            loads: AtomicU64::new(0),
-        };
-        cache.loads.store(inputs.len() as u64, Ordering::SeqCst);
-        cache
+        }
     }
 
     /// Number of resident splits.
@@ -72,13 +68,6 @@ impl<T: Send + Sync> IterationCache<T> {
         self.len() == 0
     }
 
-    /// How many splits have been parsed since construction — stays equal
-    /// to `num_splits()` no matter how many iterations run, which is the
-    /// mode's entire point.
-    pub fn parse_count(&self) -> u64 {
-        self.loads.load(Ordering::SeqCst)
-    }
-
     /// Borrow one resident split.
     pub fn split(&self, i: usize) -> &Arc<Vec<T>> {
         &self.splits[i]
@@ -88,73 +77,28 @@ impl<T: Send + Sync> IterationCache<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.splits.iter().flat_map(|s| s.iter())
     }
-
-    /// Cheap handles to the resident splits (Arc clones).
-    fn handles(&self) -> Vec<Arc<Vec<T>>> {
-        self.splits.clone()
-    }
 }
 
 /// Runs one iteration over a resident cache: the O function receives the
-/// parsed objects of its split directly.
+/// parsed objects of its split directly. `checkpoint` works as in
+/// [`run_job`](crate::run_job): with a store, the run is the store's next
+/// attempt and recovers what earlier attempts banked.
 pub fn run_iteration<T, O, A>(
     config: &JobConfig,
     cache: &IterationCache<T>,
     o_fn: O,
     a_fn: A,
-) -> Result<JobOutput>
-where
-    T: Send + Sync,
-    O: Fn(usize, &[T], &mut dyn Collector) + Send + Sync,
-    A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
-{
-    run_iteration_attempt(config, cache, o_fn, a_fn, None, 0)
-}
-
-/// Runs one iteration identifying the attempt number, optionally against a
-/// [`CheckpointStore`] shared across attempts — the restartable form of
-/// [`run_iteration`].
-pub fn run_iteration_attempt<T, O, A>(
-    config: &JobConfig,
-    cache: &IterationCache<T>,
-    o_fn: O,
-    a_fn: A,
     checkpoint: Option<&CheckpointStore>,
-    attempt: u32,
 ) -> Result<JobOutput>
 where
     T: Send + Sync,
     O: Fn(usize, &[T], &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
+    let attempt = checkpoint.map_or(0, CheckpointStore::begin_attempt);
     let o_fn =
         move |task: usize, split: &Arc<Vec<T>>, out: &mut dyn Collector| o_fn(task, split, out);
-    run_job_core(config, &cache.handles(), &o_fn, &a_fn, checkpoint, attempt).map_err(|e| e.0)
-}
-
-/// Runs one iteration under the bounded-retry supervisor: faulted attempts
-/// restart from checkpoint (when the config enables checkpointing) while
-/// the resident cache — the mode's entire point — is never re-parsed.
-pub fn supervise_iteration<T, O, A>(
-    config: &JobConfig,
-    policy: &RetryPolicy,
-    cache: &IterationCache<T>,
-    o_fn: O,
-    a_fn: A,
-) -> Result<JobOutput>
-where
-    T: Send + Sync,
-    O: Fn(usize, &[T], &mut dyn Collector) + Send + Sync,
-    A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
-{
-    let handles = cache.handles();
-    supervise_job_generic(
-        config,
-        policy,
-        &handles,
-        move |task, split: &Arc<Vec<T>>, out: &mut dyn Collector| o_fn(task, split, out),
-        a_fn,
-    )
+    run_job_core(config, &cache.splits, &o_fn, &a_fn, checkpoint, attempt).map_err(|e| e.0)
 }
 
 #[cfg(test)]
@@ -181,22 +125,31 @@ mod tests {
         out.collect(&g.key, &total.to_bytes());
     }
 
+    /// Loads `inputs` through `parse_words`, counting the parse calls.
+    fn counted_load(inputs: &[Bytes], parses: &mut usize) -> IterationCache<Vec<u8>> {
+        IterationCache::load(inputs, |split| {
+            *parses += 1;
+            parse_words(split)
+        })
+    }
+
     #[test]
     fn cache_parses_each_split_exactly_once() {
         let inputs = vec![Bytes::from_static(b"a b a"), Bytes::from_static(b"b c")];
-        let cache = IterationCache::load(&inputs, parse_words);
+        let mut parses = 0;
+        let cache = counted_load(&inputs, &mut parses);
         assert_eq!(cache.num_splits(), 2);
         assert_eq!(cache.len(), 5);
         assert!(!cache.is_empty());
-        assert_eq!(cache.parse_count(), 2);
+        assert_eq!(parses, 2);
 
         // Five iterations: parse count must not move.
         let config = JobConfig::new(2);
         for _ in 0..5 {
-            let out = run_iteration(&config, &cache, count_o, sum_a).unwrap();
+            let out = run_iteration(&config, &cache, count_o, sum_a, None).unwrap();
             assert_eq!(out.stats.records_emitted, 5);
         }
-        assert_eq!(cache.parse_count(), 2, "no re-deserialization");
+        assert_eq!(parses, 2, "no re-deserialization");
     }
 
     #[test]
@@ -204,7 +157,7 @@ mod tests {
         let inputs = vec![Bytes::from_static(b"x y x z"), Bytes::from_static(b"z z y")];
         let cache = IterationCache::load(&inputs, parse_words);
         let config = JobConfig::new(3);
-        let iter_out = run_iteration(&config, &cache, count_o, sum_a).unwrap();
+        let iter_out = run_iteration(&config, &cache, count_o, sum_a, None).unwrap();
         let byte_out = crate::run_job(
             &config,
             inputs,
@@ -231,38 +184,8 @@ mod tests {
     fn empty_cache_runs_cleanly() {
         let cache: IterationCache<Vec<u8>> = IterationCache::load(&[], parse_words);
         assert!(cache.is_empty());
-        let out = run_iteration(&JobConfig::new(2), &cache, count_o, sum_a).unwrap();
+        let out = run_iteration(&JobConfig::new(2), &cache, count_o, sum_a, None).unwrap();
         assert_eq!(out.stats.o_tasks_run, 0);
-    }
-
-    #[test]
-    fn supervised_iteration_survives_transient_fault_without_reparsing() {
-        use crate::fault::FaultPlan;
-
-        let inputs = vec![
-            Bytes::from_static(b"a b a"),
-            Bytes::from_static(b"b c"),
-            Bytes::from_static(b"c c a"),
-        ];
-        let cache = IterationCache::load(&inputs, parse_words);
-        let config = JobConfig::new(1)
-            .with_checkpointing(true)
-            .with_faults(FaultPlan::new(5).fail_o_task(2, 0));
-        let policy = RetryPolicy::new(3).with_backoff(std::time::Duration::ZERO);
-        let out = supervise_iteration(&config, &policy, &cache, count_o, sum_a).unwrap();
-        assert_eq!(out.stats.attempts, 2);
-        assert!(out.stats.o_tasks_recovered > 0, "tasks 0-1 replayed");
-        assert_eq!(cache.parse_count(), 3, "retries never re-deserialize");
-
-        let clean = run_iteration(&JobConfig::new(1), &cache, count_o, sum_a).unwrap();
-        let canon = |o: JobOutput| {
-            o.into_single_batch()
-                .into_records()
-                .into_iter()
-                .map(|r| (r.key.to_vec(), r.value.to_vec()))
-                .collect::<std::collections::BTreeSet<_>>()
-        };
-        assert_eq!(canon(out), canon(clean));
     }
 
     #[test]
@@ -274,18 +197,28 @@ mod tests {
             Bytes::from_static(b"q r"),
             Bytes::from_static(b"r s"),
         ];
-        let cache = IterationCache::load(&inputs, parse_words);
+        let mut parses = 0;
+        let cache = counted_load(&inputs, &mut parses);
         let cp = crate::checkpoint::CheckpointStore::new();
-        let failing = JobConfig::new(1)
-            .with_checkpointing(true)
-            .with_faults(FaultPlan::new(9).fail_o_task(2, 0));
-        let err =
-            run_iteration_attempt(&failing, &cache, count_o, sum_a, Some(&cp), 0).unwrap_err();
+        let config = JobConfig::new(1).with_faults(FaultPlan::new(9).fail_o_task(2, 0));
+        let err = run_iteration(&config, &cache, count_o, sum_a, Some(&cp)).unwrap_err();
         assert!(err.fault_cause().expect("cause").is_injected());
         assert_eq!(cp.completed_count(), 2, "splits 0-1 checkpointed");
-        let out = run_iteration_attempt(&failing, &cache, count_o, sum_a, Some(&cp), 1).unwrap();
+        // The same iteration against the same store is attempt 1.
+        let out = run_iteration(&config, &cache, count_o, sum_a, Some(&cp)).unwrap();
         assert_eq!(out.stats.o_tasks_recovered, 2);
         assert_eq!(out.stats.o_tasks_run, 1);
+        assert_eq!(parses, 3, "restarts never re-parse");
+
+        let clean = run_iteration(&JobConfig::new(1), &cache, count_o, sum_a, None).unwrap();
+        let canon = |o: JobOutput| {
+            o.into_single_batch()
+                .into_records()
+                .into_iter()
+                .map(|r| (r.key.to_vec(), r.value.to_vec()))
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        assert_eq!(canon(out), canon(clean));
     }
 
     #[test]
@@ -309,6 +242,7 @@ mod tests {
                     }
                 },
                 |g, out| out.collect(&g.key, &g.values[0]),
+                None,
             )
             .unwrap();
             let emitted = out.stats.records_emitted;

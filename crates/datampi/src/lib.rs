@@ -27,8 +27,11 @@
 //! the task keeps producing), which the paper credits for most of
 //! DataMPI's speedup. Intermediate data stays in worker memory (spilling
 //! only under pressure), avoiding Hadoop's redundant disk materialization.
-//! Fault tolerance is key-value checkpoint/restart ([`checkpoint`]) driven
-//! by a bounded-retry [`supervisor`]; the [`fault`] module injects
+//! Fault tolerance is key-value checkpoint/restart ([`checkpoint`]): a
+//! run given a [`CheckpointStore`](checkpoint::CheckpointStore) is
+//! restartable, every run against the same store is its next attempt,
+//! and the bounded-retry [`supervisor`] repeats that run for the caller;
+//! the [`fault`] module injects
 //! deterministic, seeded faults (task errors, rank deaths, stragglers,
 //! wire corruption caught by per-frame CRCs) to exercise that machinery.
 //!

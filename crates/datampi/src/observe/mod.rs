@@ -23,8 +23,8 @@
 //!   deterministically.
 //!
 //! Export a merged trace with [`Trace::to_chrome_json`] and load it in
-//! `chrome://tracing` or <https://ui.perfetto.dev>: attempts appear as
-//! process rows, ranks as thread rows, recovery events as instants.
+//! `chrome://tracing` or <https://ui.perfetto.dev>: ranks appear as
+//! process rows, attempts as thread rows, recovery events as instants.
 
 mod clock;
 mod histogram;

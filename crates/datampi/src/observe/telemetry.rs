@@ -910,7 +910,7 @@ mod tests {
             assert_eq!(spans.iter().map(|e| e.ts_us).min(), Some(100_000));
         }
         // The Chrome export puts every rank in its own process row.
-        let chrome = trace.to_chrome_json_by_rank();
+        let chrome = trace.to_chrome_json();
         for rank in 0..3 {
             assert!(chrome.contains(&format!("\"name\":\"rank {rank}\"")));
         }

@@ -228,55 +228,13 @@ impl Trace {
 
     /// Renders the Chrome `trace_event` JSON object
     /// (`{"traceEvents": [...]}`) — load it in `chrome://tracing` or
-    /// Perfetto. Timestamps are µs, as the format requires.
+    /// Perfetto. One **process row per rank** (`pid` = rank, `tid` =
+    /// attempt), with `process_name` metadata so Perfetto labels each
+    /// row; job-level events sit in the `coordinator` process. The same
+    /// layout serves an in-proc trace and one merged from N worker
+    /// processes on the coordinator's offset-corrected timeline.
+    /// Timestamps are µs, as the format requires.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.events.len() * 96);
-        out.push_str("{\"traceEvents\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let ph = if e.instant { "i" } else { "X" };
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},",
-                e.kind.name(),
-                e.kind.category(),
-                ph,
-                e.ts_us
-            );
-            if !e.instant {
-                let _ = write!(out, "\"dur\":{},", e.dur_us);
-            } else {
-                out.push_str("\"s\":\"t\",");
-            }
-            let _ = write!(out, "\"pid\":{},\"tid\":{},\"args\":{{", e.attempt, e.rank);
-            let mut first = true;
-            if let Some(task) = e.task {
-                let _ = write!(out, "\"task\":{task}");
-                first = false;
-            }
-            for (k, v) in &e.args {
-                if !first {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":\"{}\"", k, json_escape(v));
-                first = false;
-            }
-            out.push_str("}}");
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
-    }
-
-    /// Renders the multi-process Chrome view: one **process row per
-    /// rank** (`pid` = rank, `tid` = attempt), with `process_name`
-    /// metadata so Perfetto labels each row. This is the export
-    /// `dmpirun --trace-out` uses for a trace merged from N worker
-    /// processes on the coordinator's offset-corrected timeline; the
-    /// in-proc [`to_chrome_json`](Self::to_chrome_json) keeps attempts
-    /// as processes instead.
-    pub fn to_chrome_json_by_rank(&self) -> String {
         let mut out = String::with_capacity(256 + self.events.len() * 96);
         out.push_str("{\"traceEvents\":[");
         let mut ranks: Vec<u32> = self.events.iter().map(|e| e.rank).collect();
@@ -334,30 +292,6 @@ impl Trace {
             out.push_str("}}");
         }
         out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
-    }
-
-    /// Renders the compact JSONL log: one event object per line.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 80);
-        for e in &self.events {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"{}\",\"ts_us\":{},\"dur_us\":{},\"rank\":{},\"attempt\":{}",
-                e.kind.name(),
-                e.ts_us,
-                e.dur_us,
-                e.rank,
-                e.attempt
-            );
-            if let Some(task) = e.task {
-                let _ = write!(out, ",\"task\":{task}");
-            }
-            for (k, v) in &e.args {
-                let _ = write!(out, ",\"{}\":\"{}\"", k, json_escape(v));
-            }
-            out.push_str("}\n");
-        }
         out
     }
 }
@@ -425,7 +359,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ts\":10"));
         assert!(json.contains("\"dur\":5"));
-        assert!(json.contains("\"pid\":0,\"tid\":2"));
+        assert!(json.contains("\"pid\":2,\"tid\":0"));
         assert!(json.contains("\"task\":3"));
         assert!(json.contains("\"peer\":\"1\""));
         assert!(json.ends_with("}"));
@@ -443,12 +377,10 @@ mod tests {
             task: None,
             args: vec![("cause", "injected \"quote\"".into())],
         };
-        let json = Trace::new(vec![ev.clone()]).to_chrome_json();
+        let json = Trace::new(vec![ev]).to_chrome_json();
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("injected \\\"quote\\\""));
-        let jsonl = Trace::new(vec![ev]).to_jsonl();
-        assert_eq!(jsonl.lines().count(), 1);
-        assert!(jsonl.contains("\"kind\":\"retry\""));
+        assert!(json.contains("\"name\":\"coordinator\""));
     }
 
     #[test]
@@ -477,12 +409,11 @@ mod tests {
             e.attempt = 1;
             e
         }]);
-        let json = t.to_chrome_json_by_rank();
+        let json = t.to_chrome_json();
         assert!(json.contains("\"name\":\"process_name\""));
         assert!(json.contains("\"name\":\"rank 1\""));
         assert!(json.contains("\"name\":\"rank 2\""));
-        // pid carries the rank, tid the attempt — inverted vs the
-        // in-proc export.
+        // pid carries the rank, tid the attempt.
         assert!(json.contains("\"pid\":1,\"tid\":0"));
         assert!(json.contains("\"pid\":2,\"tid\":1"));
     }

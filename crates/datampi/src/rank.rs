@@ -597,7 +597,9 @@ where
         let a_start = tracer.map(Tracer::start);
         // One group, refilled in place: no value vector per group.
         let mut group = GroupedValues::default();
-        let streamed = loop {
+        // User code may panic; like an O task's, that becomes a clean job
+        // fault, so the rank still reports instead of dying with its job.
+        let streamed = catch_unwind(AssertUnwindSafe(|| loop {
             match stream.next_group_into(&mut group) {
                 Ok(true) => {}
                 Ok(false) => break Ok(()),
@@ -622,7 +624,11 @@ where
                 self.fail(FaultKind::RankDeath, "injected merge death", None);
                 break Ok(());
             }
-        };
+        }))
+        .unwrap_or_else(|_| {
+            self.fail(FaultKind::TaskPanic, "A function user code panicked", None);
+            Ok(())
+        });
         self.stats.groups += groups;
         if let Some(t) = tracer {
             t.span(

@@ -14,12 +14,15 @@
 //! Failures: an O task error, rank death, or corrupt frame marks the job
 //! failed; every surviving rank still sends its EOFs so the job tears down
 //! cleanly rather than deadlocking, and the job returns the first error
-//! with a structured [`FaultCause`]. With checkpointing enabled, completed
-//! O tasks are recovered on restart without re-running user code
-//! ([`crate::checkpoint`]); [`crate::supervisor::supervise_job`] drives
-//! those restarts automatically under a bounded-retry policy. Faults are
-//! injected deterministically from the config's
-//! [`FaultPlan`](crate::fault::FaultPlan).
+//! with a structured [`FaultCause`]. The optional [`CheckpointStore`] is
+//! the one restart switch: a job run against a store banks its completed
+//! O tasks there, and running it again against the same store is the
+//! next attempt, which recovers them without re-running user code
+//! ([`crate::checkpoint`]); [`crate::supervisor::supervise_job`] repeats
+//! that run under a bounded-retry policy. Faults are injected
+//! deterministically from the config's
+//! [`FaultPlan`](crate::fault::FaultPlan), keyed on the attempt number
+//! the store hands out.
 
 use bytes::Bytes;
 
@@ -163,7 +166,13 @@ impl JobOutput {
     }
 }
 
-/// Runs a DataMPI job (first attempt). See [`run_job_attempt`].
+/// Runs a DataMPI job. `inputs[i]` is the raw content of O task `i`'s
+/// split.
+///
+/// Without a `checkpoint` every call is attempt 0. With one, the call is
+/// the store's next attempt (0 on a fresh store, then counting up): it
+/// replays the O tasks earlier attempts banked there, runs the rest, and
+/// banks what it completes for the attempt after it.
 ///
 /// # Examples
 /// ```
@@ -196,24 +205,7 @@ where
     O: Fn(usize, &[u8], &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
-    run_job_attempt(config, inputs, o_fn, a_fn, checkpoint, 0)
-}
-
-/// Runs a DataMPI job, identifying the `attempt` number for fault-injection
-/// and recovery accounting. `inputs[i]` is the raw content of O task `i`'s
-/// split.
-pub fn run_job_attempt<O, A>(
-    config: &JobConfig,
-    inputs: Vec<Bytes>,
-    o_fn: O,
-    a_fn: A,
-    checkpoint: Option<&CheckpointStore>,
-    attempt: u32,
-) -> Result<JobOutput>
-where
-    O: Fn(usize, &[u8], &mut dyn Collector) + Send + Sync,
-    A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
-{
+    let attempt = checkpoint.map_or(0, CheckpointStore::begin_attempt);
     let o_fn = move |task: usize, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out);
     run_job_core(config, &inputs, &o_fn, &a_fn, checkpoint, attempt).map_err(|e| e.0)
 }
@@ -237,12 +229,6 @@ where
 {
     if let Err(e) = config.validate() {
         return Err(Box::new((e, JobStats::default())));
-    }
-    if config.checkpointing && checkpoint.is_none() {
-        return Err(Box::new((
-            Error::Config("checkpointing enabled but no CheckpointStore supplied".into()),
-            JobStats::default(),
-        )));
     }
     let ranks = config.ranks;
     let observer = config.observer.as_ref();
@@ -334,7 +320,8 @@ where
     }
 
     // The attempt span is recorded for failed attempts too, so a
-    // supervised run's trace shows every attempt as its own process row.
+    // supervised run's trace shows every attempt as its own thread row
+    // (`tid` = attempt) of the job lane's process.
     if let Some(obs) = observer {
         let jt = obs.job_tracer(attempt);
         jt.span(
@@ -533,7 +520,7 @@ mod tests {
 
     #[test]
     fn injected_fault_fails_the_job_cleanly() {
-        let config = JobConfig::new(2).with_o_task_fault(1, 0);
+        let config = JobConfig::new(2).with_faults(FaultPlan::new(0).fail_o_task(1, 0));
         let inputs = vec![
             Bytes::from_static(b"a b"),
             Bytes::from_static(b"c d"),
@@ -550,13 +537,18 @@ mod tests {
     fn injected_rank_death_fails_cleanly_without_hanging() {
         let config = JobConfig::new(3).with_faults(FaultPlan::new(0).rank_panic(1, 0));
         let inputs: Vec<Bytes> = (0..6).map(|i| Bytes::from(format!("w{i}"))).collect();
-        let err = run_job(&config, inputs.clone(), wordcount_o, wordcount_a, None).unwrap_err();
+        let cp = CheckpointStore::new();
+        let err =
+            run_job(&config, inputs.clone(), wordcount_o, wordcount_a, Some(&cp)).unwrap_err();
         let cause = err.fault_cause().expect("structured cause");
         assert_eq!(cause.kind, dmpi_common::FaultKind::RankDeath);
         assert_eq!(cause.rank, Some(1));
-        // The death was scheduled for attempt 0 only: attempt 1 is clean.
-        let out = run_job_attempt(&config, inputs, wordcount_o, wordcount_a, None, 1).unwrap();
-        assert_eq!(out.stats.o_tasks_run, 6);
+        // The death was scheduled for attempt 0 only: attempt 1 is clean,
+        // replays exactly what the surviving ranks banked and runs the rest.
+        let banked = cp.completed_count() as u64;
+        let out = run_job(&config, inputs, wordcount_o, wordcount_a, Some(&cp)).unwrap();
+        assert_eq!(out.stats.o_tasks_recovered, banked);
+        assert_eq!(out.stats.o_tasks_run, 6 - banked);
     }
 
     #[test]
@@ -566,13 +558,15 @@ mod tests {
             Bytes::from_static(b"alpha beta gamma"),
             Bytes::from_static(b"delta"),
         ];
-        let err = run_job(&config, inputs.clone(), wordcount_o, wordcount_a, None).unwrap_err();
+        let cp = CheckpointStore::new();
+        let err =
+            run_job(&config, inputs.clone(), wordcount_o, wordcount_a, Some(&cp)).unwrap_err();
         let cause = err.fault_cause().expect("structured cause");
         assert_eq!(cause.kind, dmpi_common::FaultKind::CorruptFrame);
         assert_eq!(cause.task, Some(0));
         // Corruption was wire-only and scheduled for attempt 0: retrying
         // as attempt 1 produces the right answer.
-        let out = run_job_attempt(&config, inputs, wordcount_o, wordcount_a, None, 1).unwrap();
+        let out = run_job(&config, inputs, wordcount_o, wordcount_a, Some(&cp)).unwrap();
         assert_eq!(counts_of(out)["alpha"], 1);
     }
 
@@ -588,53 +582,62 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restart_recovers_completed_tasks() {
-        let cp = CheckpointStore::new();
+    fn restart_against_the_same_store_is_the_next_attempt() {
+        // The plan fails task k on attempt 0 only; one rank runs tasks in
+        // order, so tasks 0..k complete first. Nobody passes an attempt
+        // number: the second call against the store is attempt 1, which
+        // replays the k banked tasks and runs the rest, and a third call
+        // is attempt 2 and replays all of them.
         let inputs: Vec<Bytes> = (0..8)
             .map(|i| Bytes::from(format!("w{i} shared")))
             .collect();
-
-        // Attempt 0: task 7 fails after others complete (single rank makes
-        // completion order deterministic: tasks 0..6 run first).
-        let failing = JobConfig::new(1)
-            .with_checkpointing(true)
-            .with_o_task_fault(7, 0);
-        let err = run_job_attempt(
-            &failing,
+        let clean = run_job(
+            &JobConfig::new(1),
             inputs.clone(),
             wordcount_o,
             wordcount_a,
-            Some(&cp),
-            0,
-        )
-        .unwrap_err();
-        assert!(err.fault_cause().expect("structured cause").is_injected());
-        assert_eq!(cp.completed_count(), 7, "tasks 0-6 checkpointed");
+            None,
+        );
+        let clean = counts_of(clean.unwrap());
+        for k in 0..inputs.len() {
+            let config = JobConfig::new(1).with_faults(FaultPlan::new(0).fail_o_task(k, 0));
+            let cp = CheckpointStore::new();
+            let run = || run_job(&config, inputs.clone(), wordcount_o, wordcount_a, Some(&cp));
+            let err = run().unwrap_err();
+            let cause = err.fault_cause().expect("structured cause");
+            assert!(cause.is_injected());
+            assert_eq!(cause.attempt, Some(0));
+            assert_eq!(cp.completed_count(), k, "tasks before {k} checkpointed");
 
-        // Attempt 1: recovery replays 7 tasks, runs only the failed one.
-        let retry = JobConfig::new(1).with_checkpointing(true);
-        let out = run_job_attempt(
-            &retry,
-            inputs.clone(),
-            wordcount_o,
-            wordcount_a,
-            Some(&cp),
-            1,
-        )
-        .unwrap();
-        assert_eq!(out.stats.o_tasks_recovered, 7);
-        assert_eq!(out.stats.o_tasks_run, 1);
+            let out = run().unwrap();
+            assert_eq!(out.stats.o_tasks_recovered, k as u64);
+            assert_eq!(out.stats.o_tasks_run, (inputs.len() - k) as u64);
+            assert_eq!(counts_of(out), clean, "output equals a clean run");
 
-        // Output equals a clean run.
-        let clean = run_job(&JobConfig::new(1), inputs, wordcount_o, wordcount_a, None).unwrap();
-        assert_eq!(counts_of(out), counts_of(clean));
+            let again = run().unwrap();
+            assert_eq!(again.stats.o_tasks_recovered, inputs.len() as u64);
+            assert_eq!(cp.begin_attempt(), 3);
+        }
     }
 
     #[test]
-    fn checkpointing_without_store_is_a_config_error() {
-        let config = JobConfig::new(1).with_checkpointing(true);
-        let err = run_job(&config, vec![], wordcount_o, wordcount_a, None).unwrap_err();
-        assert!(matches!(err, Error::Config(_)));
+    fn panicking_a_function_reports_a_task_panic_naming_the_rank() {
+        use dmpi_common::partition::{HashPartitioner, Partitioner};
+        // The A function panics on one key; the rank that owns that key
+        // fails the job with a structured task panic instead of dying.
+        let config = JobConfig::new(2);
+        let inputs = vec![Bytes::from_static(b"boom ok fine")];
+        let a = |g: &GroupedValues, out: &mut dyn Collector| {
+            if &g.key[..] == b"boom" {
+                panic!("A user code exploded");
+            }
+            wordcount_a(g, out);
+        };
+        let err = run_job(&config, inputs, wordcount_o, a, None).unwrap_err();
+        let cause = err.fault_cause().expect("structured cause");
+        assert_eq!(cause.kind, dmpi_common::FaultKind::TaskPanic);
+        assert_eq!(cause.rank, Some(HashPartitioner::new(2).partition(b"boom")));
+        assert_eq!(cause.attempt, Some(0));
     }
 
     #[test]
@@ -693,7 +696,6 @@ mod tests {
         let spec = plain
             .clone()
             .with_speculation(SpeculationConfig::enabled())
-            .with_checkpointing(true)
             .with_combiner(crate::task::Combiner::new(wordcount_a));
         let speced = run_job(&spec, inputs(), wordcount_o, wordcount_a, Some(&cp)).unwrap();
         for (pa, pb) in direct.partitions.iter().zip(&speced.partitions) {
@@ -704,9 +706,7 @@ mod tests {
         assert_eq!(cp.completed_count(), 5, "tee rides the committed replay");
 
         // A restart against that checkpoint recovers every task.
-        let retry = plain.clone().with_checkpointing(true);
-        let rec =
-            run_job_attempt(&retry, inputs(), wordcount_o, wordcount_a, Some(&cp), 1).unwrap();
+        let rec = run_job(&plain, inputs(), wordcount_o, wordcount_a, Some(&cp)).unwrap();
         assert_eq!(rec.stats.o_tasks_recovered, 5);
         for (pa, pb) in direct.partitions.iter().zip(&rec.partitions) {
             assert_eq!(pa.records(), pb.records());

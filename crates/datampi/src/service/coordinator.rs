@@ -385,7 +385,7 @@ impl Scheduler {
             let report = agg.job_report(&job.spec, "tcp", elapsed_us, ok);
             let _ = std::fs::create_dir_all(dir);
             let _ = std::fs::write(dir.join(format!("job-{id}.json")), report);
-            let trace = agg.trace().to_chrome_json_by_rank();
+            let trace = agg.trace().to_chrome_json();
             let _ = std::fs::write(dir.join(format!("job-{id}.trace.json")), trace);
         }
         let _ = line.send(&mut job.client);

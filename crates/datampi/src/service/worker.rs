@@ -15,11 +15,13 @@
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 
 use dmpi_common::crc::crc32;
 use dmpi_common::kv::RecordBatch;
@@ -255,10 +257,13 @@ struct Tracing {
 /// Runs one dispatched job on its own thread: resolve, attach to the
 /// mux, execute, write the partition, report. Every outcome produces
 /// exactly one terminal line (`jobdone` or `jobfail`) on the control
-/// stream. With `trace` set (the coordinator asked for traced jobs) the
-/// job runs under an observer on the session clock, and its final
-/// `jobtlm` frame — spans mapped onto the coordinator's timeline by the
-/// sync — precedes the terminal line whatever the outcome.
+/// stream; a panic that escapes the job (user code panics are already
+/// faults) is caught, sends this rank's EOFs so no peer waits on it, and
+/// is reported as the job's `jobfail`. With `trace` set (the coordinator
+/// asked for traced jobs) the job runs under an observer on the session
+/// clock, and its final `jobtlm` frame — spans mapped onto the
+/// coordinator's timeline by the sync — precedes the terminal line
+/// whatever the outcome.
 #[allow(clippy::too_many_arguments)]
 fn run_one_job(
     spec: JobSpec,
@@ -276,62 +281,70 @@ fn run_one_job(
     let mesh_before = trace
         .as_ref()
         .map_or_else(Vec::new, |t| t.mesh.snapshot_all());
-    let outcome = (|| -> Result<WorkerDone> {
-        let channels = mux.open_job(spec.id)?;
-        let prepared = match resolver.prepare(&spec) {
-            Ok(p) => p,
-            Err(e) => {
-                // Resolution failures are deterministic and symmetric
-                // across ranks, but send this job's EOFs anyway so a
-                // peer that somehow did start never hangs waiting on us.
-                for s in &channels.senders {
-                    s.send(crate::comm::Frame::Eof { from_rank: rank });
-                }
-                return Err(e);
+    let outcome = mux.open_job(spec.id).and_then(|channels| {
+        let eof_senders = channels.senders.clone();
+        let mut ran_body = false;
+        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<WorkerDone> {
+            let prepared = resolver.prepare(&spec)?;
+            let mut config = JobConfig::new(ranks);
+            if let Some(obs) = &observer {
+                config = config.with_observer(obs.clone());
             }
-        };
-        let mut config = JobConfig::new(ranks);
-        if let Some(obs) = &observer {
-            config = config.with_observer(obs.clone());
+            // Disk-backed spills live in a per-job subdirectory so one
+            // resident worker can run many jobs over a shared spill root;
+            // the whole subtree is removed on every exit path below.
+            let spill_dir = spec
+                .spill_dir
+                .as_ref()
+                .map(|dir| Path::new(dir).join(format!("job-{}", spec.id)));
+            if let Some(dir) = &spill_dir {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| service_fault(format!("create {}: {e}", dir.display())))?;
+                config = config.with_spill_dir(dir.clone());
+            }
+            if spec.spill_compress {
+                config = config.with_spill_compression(crate::WireCompression::Lz4);
+            }
+            let wire_handle = Arc::clone(&channels.wire);
+            ran_body = true;
+            let result = run_mesh_rank(
+                &config,
+                rank,
+                ranks,
+                channels,
+                &prepared.inputs,
+                prepared.o_fn,
+                prepared.a_fn,
+            );
+            // The store's run-file guards already deleted every sealed run
+            // they owned; this sweeps the (now empty, or crash-littered)
+            // job subdirectory itself, on failure as well as success.
+            if let Some(dir) = &spill_dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+            let (partition, stats) = result?;
+            let wire = wire_handle.snapshot();
+            if let Some(obs) = &observer {
+                obs.registry().add_wire_stats(&wire);
+            }
+            report_partition(&spec, rank, &partition, &stats, &wire, started)
+        }));
+        // The rank body sends this rank's EOFs. A failure before it (a
+        // resolver error, a spill directory that cannot be made) or a
+        // panic anywhere still owes them to a peer that did start; a
+        // duplicate after the body sent them can only end a peer's ingest
+        // early in a job that fails anyway.
+        if outcome.is_err() || !ran_body {
+            for s in &eof_senders {
+                s.send(crate::comm::Frame::Eof { from_rank: rank });
+            }
         }
-        // Disk-backed spills live in a per-job subdirectory so one
-        // resident worker can run many jobs over a shared spill root;
-        // the whole subtree is removed on every exit path below.
-        let spill_dir = spec
-            .spill_dir
-            .as_ref()
-            .map(|dir| Path::new(dir).join(format!("job-{}", spec.id)));
-        if let Some(dir) = &spill_dir {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| service_fault(format!("create {}: {e}", dir.display())))?;
-            config = config.with_spill_dir(dir.clone());
-        }
-        if spec.spill_compress {
-            config = config.with_spill_compression(crate::WireCompression::Lz4);
-        }
-        let wire_handle = Arc::clone(&channels.wire);
-        let result = run_mesh_rank(
-            &config,
-            rank,
-            ranks,
-            channels,
-            &prepared.inputs,
-            prepared.o_fn,
-            prepared.a_fn,
-        );
-        // The store's run-file guards already deleted every sealed run
-        // they owned; this sweeps the (now empty, or crash-littered)
-        // job subdirectory itself, on failure as well as success.
-        if let Some(dir) = &spill_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        let (partition, stats) = result?;
-        let wire = wire_handle.snapshot();
-        if let Some(obs) = &observer {
-            obs.registry().add_wire_stats(&wire);
-        }
-        report_partition(&spec, rank, &partition, &stats, &wire, started)
-    })();
+        outcome.unwrap_or_else(|_| {
+            Err(Error::fault(
+                FaultCause::new(FaultKind::TaskPanic, "job thread panicked").rank(rank),
+            ))
+        })
+    });
     mux.finish_job(spec.id);
     let (job, mut events) = (spec.id, Vec::with_capacity(2));
     if let Some((observer, trace)) = observer.zip(trace) {
@@ -401,7 +414,7 @@ fn report_partition(
 /// job's lines land between them.
 fn send_events(control: &Mutex<TcpStream>, events: &[WorkerEvent]) {
     let lines: String = events.iter().map(|e| e.wire_line() + "\n").collect();
-    let mut stream = control.lock().expect("control stream lock");
+    let mut stream = control.lock();
     let _ = stream.write_all(lines.as_bytes());
 }
 

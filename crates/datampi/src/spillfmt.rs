@@ -376,8 +376,9 @@ impl RunWriter {
 
 /// Parses trailer + footer out of a complete run image: checks the
 /// magic, the footer span and its CRC, decodes the footer, and checks
-/// that every block lies before the footer, so no reader sizes a buffer
-/// from a span the run cannot hold.
+/// that every block lies before the footer and claims no more raw bytes
+/// than LZ4 can expand its stored bytes into, so no reader sizes a
+/// buffer from a span the run cannot hold.
 pub fn parse_image(image: &[u8]) -> Result<RunIndex> {
     let Some((head, trailer)) = image.split_last_chunk::<TRAILER_LEN>() else {
         return Err(Error::corrupt("run shorter than its trailer"));
@@ -406,6 +407,14 @@ pub fn parse_image(image: &[u8]) -> Result<RunIndex> {
             return Err(Error::corrupt(format!(
                 "block span {}+{} runs past the footer at {footer_offset}",
                 b.offset, b.stored_len
+            )));
+        }
+        // An LZ4 sequence grows its output by at most 255 bytes per
+        // input byte (one match-length extension byte).
+        if b.is_compressed() && u64::from(b.raw_len) > 255 * u64::from(b.stored_len) {
+            return Err(Error::corrupt(format!(
+                "block claims {} raw bytes from {} stored, past LZ4's 255x",
+                b.raw_len, b.stored_len
             )));
         }
     }
@@ -938,21 +947,25 @@ mod tests {
     #[test]
     fn block_span_past_the_footer_is_rejected() {
         // A footer whose CRC is right but whose block spans run past the
-        // blocks region: the parser must refuse it before any reader
-        // sizes a buffer from `stored_len`.
+        // blocks region, or whose block claims a raw length no stored
+        // bytes can decompress to: the parser must refuse it before any
+        // reader sizes a buffer from `stored_len` or `raw_len`.
         let (image, index) = build_run(&sorted_records(100), 256, false);
         let footer_offset = image.len() - TRAILER_LEN - index.encode_footer().len();
         let last = index.blocks.last().unwrap();
+        let (offset, stored, raw) = (last.offset, last.stored_len, last.raw_len);
         let hostile = [
-            (last.offset, u32::MAX),                     // 4 GiB stored_len
-            (u64::MAX, last.stored_len),                 // offset + len overflows
-            (footer_offset as u64 + 1, last.stored_len), // starts past the footer
+            (offset, u32::MAX, raw),                 // 4 GiB stored_len
+            (u64::MAX, stored, raw),                 // offset + len overflows
+            (footer_offset as u64 + 1, stored, raw), // starts past the footer
+            (offset, 1, u32::MAX),                   // 1 byte "expands" to 4 GiB
         ];
-        for (case, (offset, stored_len)) in hostile.into_iter().enumerate() {
+        for (case, (offset, stored_len, raw_len)) in hostile.into_iter().enumerate() {
             let mut bad = index.clone();
             let block = bad.blocks.last_mut().unwrap();
             block.offset = offset;
             block.stored_len = stored_len;
+            block.raw_len = raw_len;
             let footer = bad.encode_footer();
             let mut forged = image[..footer_offset].to_vec();
             forged.extend_from_slice(&footer);

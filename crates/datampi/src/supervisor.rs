@@ -3,12 +3,13 @@
 //!
 //! The paper credits DataMPI's production-worthiness to key-value-pair
 //! checkpoint/restart (§2.3) — but a checkpoint is only half of fault
-//! tolerance; something has to *drive* the restart. [`supervise_job`]
-//! wraps the runtime in a [`RetryPolicy`]: it runs the job, and on a
-//! fault re-runs it with the attempt counter advanced, sharing one
-//! [`CheckpointStore`] across attempts (when the config enables
-//! checkpointing) so completed O tasks are recovered instead of
-//! re-executed. A job whose faults are transient — an injected
+//! tolerance; something has to *drive* the restart. A restart is the
+//! same job run again against the same [`CheckpointStore`], and
+//! [`supervise_job`] does exactly that under a [`RetryPolicy`]: it runs
+//! the job against the caller's store, and on a fault runs it again, so
+//! each retry is the store's next attempt and recovers the O tasks
+//! earlier attempts completed instead of re-executing them. A job whose faults
+//! are transient — an injected
 //! [`FaultPlan`](crate::fault::FaultPlan) that stops firing after attempt
 //! *k*, say — completes without caller intervention, and its
 //! [`JobStats`](crate::runtime::JobStats) reports the recovery
@@ -16,8 +17,9 @@
 //! `o_tasks_recovered` vs `o_tasks_run`, and `wasted_bytes` (emitted
 //! work that no checkpoint banked and that had to be redone).
 //!
-//! With checkpointing *disabled* the supervisor still retries, but every
-//! failed attempt's output is wasted — exactly Hadoop's re-execution
+//! Without a store the supervisor still retries (numbering the attempts
+//! itself, so a fault plan still advances), but every failed attempt's
+//! output is wasted — exactly Hadoop's re-execution
 //! model, which makes the two recovery strategies directly comparable on
 //! the same workload (see `dmpi-bench`'s recovery experiment for the
 //! simulated, paper-scale version of that comparison).
@@ -95,21 +97,21 @@ impl RetryPolicy {
 }
 
 /// Runs a byte-split job under supervision: retries faulted attempts up
-/// to the policy's budget, restarting from checkpoint when the config
-/// enables checkpointing. See the module docs for the telemetry the
+/// to the policy's budget, each retry restarting from `checkpoint` when
+/// the caller passes one. See the module docs for the telemetry the
 /// returned [`JobStats`](crate::runtime::JobStats) carries.
 ///
 /// # Examples
 /// ```
+/// use datampi::checkpoint::CheckpointStore;
 /// use datampi::fault::FaultPlan;
 /// use datampi::supervisor::{supervise_job, RetryPolicy};
 /// use datampi::JobConfig;
 /// use dmpi_common::group::{Collector, GroupedValues};
 ///
 /// // Task 1 fails on attempts 0 and 1; the supervisor absorbs both.
-/// let config = JobConfig::new(2)
-///     .with_checkpointing(true)
-///     .with_faults(FaultPlan::new(7).fail_o_task(1, 0).fail_o_task(1, 1));
+/// let config =
+///     JobConfig::new(2).with_faults(FaultPlan::new(7).fail_o_task(1, 0).fail_o_task(1, 1));
 /// let o = |_t: usize, s: &[u8], out: &mut dyn Collector| out.collect(s, b"1");
 /// let a = |g: &GroupedValues, out: &mut dyn Collector| out.collect(&g.key, b"1");
 /// let out = supervise_job(
@@ -118,6 +120,7 @@ impl RetryPolicy {
 ///     vec!["a".into(), "b".into(), "c".into()],
 ///     o,
 ///     a,
+///     Some(&CheckpointStore::new()),
 /// )
 /// .unwrap();
 /// assert_eq!(out.stats.attempts, 3);
@@ -129,38 +132,16 @@ pub fn supervise_job<O, A>(
     inputs: Vec<Bytes>,
     o_fn: O,
     a_fn: A,
+    checkpoint: Option<&CheckpointStore>,
 ) -> Result<JobOutput>
 where
     O: Fn(usize, &[u8], &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
-    supervise_job_generic(
-        config,
-        policy,
-        &inputs,
-        move |task, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out),
-        a_fn,
-    )
-}
-
-/// The fixed-width supervisor behind [`supervise_job`] and Iteration
-/// mode, over arbitrary resident split types: the elastic loop with the
-/// floor at the job's own width and no growth, so a rank death is a
-/// plain full-width restart.
-pub(crate) fn supervise_job_generic<I, O, A>(
-    config: &JobConfig,
-    policy: &RetryPolicy,
-    inputs: &[I],
-    o_fn: O,
-    a_fn: A,
-) -> Result<JobOutput>
-where
-    I: Sync,
-    O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
-    A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
-{
+    // Fixed width is the elastic loop with the floor at the job's own
+    // width and no growth, so a rank death is a plain full-width restart.
     let fixed = ElasticPolicy::default().with_min_ranks(config.ranks);
-    supervise(config, policy, &fixed, inputs, &o_fn, &a_fn).map(|out| out.output)
+    supervise(config, policy, &fixed, inputs, o_fn, a_fn, checkpoint).map(|out| out.output)
 }
 
 /// Elastic-membership policy for [`supervise_job_elastic`]: how the
@@ -231,7 +212,7 @@ pub struct ElasticOutput {
 /// replaying the original fixed-width job.
 ///
 /// * **Shrink on rank death** — when an attempt fails with a
-///   [`FaultKind::RankDeath`] *and* checkpointing is on (so the
+///   [`FaultKind::RankDeath`] *and* the run has a checkpoint store (so the
 ///   completed tasks' key-value pairs cover what the lost rank would
 ///   have re-emitted), the next attempt runs one rank narrower: graceful
 ///   degradation instead of waiting for a replacement. The checkpoint
@@ -255,35 +236,35 @@ pub fn supervise_job_elastic<O, A>(
     inputs: Vec<Bytes>,
     o_fn: O,
     a_fn: A,
+    checkpoint: Option<&CheckpointStore>,
 ) -> Result<ElasticOutput>
 where
     O: Fn(usize, &[u8], &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
     elastic.validate()?;
-    let o_fn = move |task: usize, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out);
-    supervise(config, policy, elastic, &inputs, &o_fn, &a_fn)
+    supervise(config, policy, elastic, inputs, o_fn, a_fn, checkpoint)
 }
 
-/// The retry loop: runs the job, and on a fault re-runs it with the
-/// attempt counter advanced and the width `elastic` allows.
-fn supervise<I, O, A>(
+/// The retry loop: runs the job, and on a fault runs it again as the
+/// next attempt, at the width `elastic` allows. One store shared across
+/// attempts is the entire restart mechanism: attempt N+1 recovers what
+/// attempts 0..=N banked.
+fn supervise<O, A>(
     config: &JobConfig,
     policy: &RetryPolicy,
     elastic: &ElasticPolicy,
-    inputs: &[I],
-    o_fn: &O,
-    a_fn: &A,
+    inputs: Vec<Bytes>,
+    o_fn: O,
+    a_fn: A,
+    store: Option<&CheckpointStore>,
 ) -> Result<ElasticOutput>
 where
-    I: Sync,
-    O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
+    O: Fn(usize, &[u8], &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
     policy.validate()?;
-    // One store shared across attempts is the entire restart mechanism:
-    // attempt N+1 recovers what attempts 0..=N banked.
-    let store = config.checkpointing.then(CheckpointStore::new);
+    let o_fn = move |task: usize, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out);
     let mut ranks = config.ranks;
     let mut table_version = 0u64;
     let mut shrinks = 0u32;
@@ -291,13 +272,16 @@ where
     let mut wasted = 0u64;
     let mut last_err: Option<Error> = None;
 
-    for attempt in 0..policy.max_attempts {
-        if attempt > 0 {
-            let pause = policy.backoff_before(attempt);
+    for retry in 0..policy.max_attempts {
+        if retry > 0 {
+            let pause = policy.backoff_before(retry);
             if !pause.is_zero() {
                 std::thread::sleep(pause);
             }
         }
+        // Without a store nothing else numbers the attempts, but a fault
+        // plan must still see them advance.
+        let attempt = store.map_or(retry, CheckpointStore::begin_attempt);
         // A replacement registered: widen the mesh under a new table
         // version before launching this attempt.
         if let Some((on, to)) = elastic.grow_on_attempt {
@@ -308,9 +292,9 @@ where
             }
         }
         let attempt_config = config.clone().with_ranks(ranks);
-        match run_job_core(&attempt_config, inputs, o_fn, a_fn, store.as_ref(), attempt) {
+        match run_job_core(&attempt_config, &inputs, &o_fn, &a_fn, store, attempt) {
             Ok(mut out) => {
-                out.stats.attempts = attempt + 1;
+                out.stats.attempts = retry + 1;
                 out.stats.wasted_bytes += wasted;
                 return Ok(ElasticOutput {
                     output: out,
@@ -344,7 +328,7 @@ where
                 // them a merged trace shows attempts failing and restarting
                 // for no visible reason.
                 if let Some(obs) = config.observer.as_ref() {
-                    if attempt + 1 < policy.max_attempts {
+                    if retry + 1 < policy.max_attempts {
                         obs.registry().add(Counter::Retries, 1);
                         let jt = obs.job_tracer(attempt);
                         jt.instant(
@@ -402,11 +386,11 @@ mod tests {
     fn transient_fault_job_completes_with_recovery_counters() {
         // The ISSUE's acceptance scenario: O task 2 fails on attempts 0
         // and 1; the supervisor absorbs both and reports the telemetry.
-        let config = JobConfig::new(1)
-            .with_checkpointing(true)
-            .with_faults(FaultPlan::new(3).fail_o_task(2, 0).fail_o_task(2, 1));
+        let config =
+            JobConfig::new(1).with_faults(FaultPlan::new(3).fail_o_task(2, 0).fail_o_task(2, 1));
         let policy = RetryPolicy::new(4).with_backoff(Duration::ZERO);
-        let out = supervise_job(&config, &policy, inputs(5), wc_o, wc_a).unwrap();
+        let cp = CheckpointStore::new();
+        let out = supervise_job(&config, &policy, inputs(5), wc_o, wc_a, Some(&cp)).unwrap();
         assert_eq!(out.stats.attempts, 3);
         assert!(
             out.stats.o_tasks_recovered > 0,
@@ -419,11 +403,10 @@ mod tests {
 
     #[test]
     fn corrupt_frame_triggers_retry_and_correct_output() {
-        let config = JobConfig::new(2)
-            .with_checkpointing(true)
-            .with_faults(FaultPlan::new(11).corrupt_frame(1, 0));
+        let config = JobConfig::new(2).with_faults(FaultPlan::new(11).corrupt_frame(1, 0));
         let policy = RetryPolicy::new(3).with_backoff(Duration::ZERO);
-        let out = supervise_job(&config, &policy, inputs(4), wc_o, wc_a).unwrap();
+        let cp = CheckpointStore::new();
+        let out = supervise_job(&config, &policy, inputs(4), wc_o, wc_a, Some(&cp)).unwrap();
         assert_eq!(out.stats.attempts, 2, "one corrupt attempt, one clean");
         let clean = crate::run_job(&JobConfig::new(2), inputs(4), wc_o, wc_a, None).unwrap();
         assert_eq!(counts(out), counts(clean));
@@ -431,11 +414,10 @@ mod tests {
 
     #[test]
     fn rank_death_is_survived() {
-        let config = JobConfig::new(3)
-            .with_checkpointing(true)
-            .with_faults(FaultPlan::new(0).rank_panic(2, 0));
+        let config = JobConfig::new(3).with_faults(FaultPlan::new(0).rank_panic(2, 0));
         let policy = RetryPolicy::new(3).with_backoff(Duration::ZERO);
-        let out = supervise_job(&config, &policy, inputs(6), wc_o, wc_a).unwrap();
+        let cp = CheckpointStore::new();
+        let out = supervise_job(&config, &policy, inputs(6), wc_o, wc_a, Some(&cp)).unwrap();
         assert_eq!(out.stats.attempts, 2);
         let clean = crate::run_job(&JobConfig::new(3), inputs(6), wc_o, wc_a, None).unwrap();
         assert_eq!(counts(out), counts(clean));
@@ -445,9 +427,9 @@ mod tests {
     fn uncheckpointed_retries_count_wasted_bytes() {
         // Single rank: tasks 0..2 complete (and emit) before task 3
         // fails. Without a checkpoint those bytes are all re-emitted.
-        let config = JobConfig::new(1).with_o_task_fault(3, 0);
+        let config = JobConfig::new(1).with_faults(FaultPlan::new(0).fail_o_task(3, 0));
         let policy = RetryPolicy::new(2).with_backoff(Duration::ZERO);
-        let out = supervise_job(&config, &policy, inputs(4), wc_o, wc_a).unwrap();
+        let out = supervise_job(&config, &policy, inputs(4), wc_o, wc_a, None).unwrap();
         assert_eq!(out.stats.attempts, 2);
         assert_eq!(out.stats.o_tasks_recovered, 0);
         assert!(out.stats.wasted_bytes > 0, "re-executed work is waste");
@@ -456,9 +438,10 @@ mod tests {
     #[test]
     fn permanent_fault_exhausts_the_budget() {
         let plan = (0..3).fold(FaultPlan::new(0), |p, a| p.fail_o_task(0, a));
-        let config = JobConfig::new(1).with_checkpointing(true).with_faults(plan);
+        let config = JobConfig::new(1).with_faults(plan);
         let policy = RetryPolicy::new(3).with_backoff(Duration::ZERO);
-        let err = supervise_job(&config, &policy, inputs(2), wc_o, wc_a).unwrap_err();
+        let cp = CheckpointStore::new();
+        let err = supervise_job(&config, &policy, inputs(2), wc_o, wc_a, Some(&cp)).unwrap_err();
         let cause = err.fault_cause().expect("structured cause");
         assert_eq!(cause.kind, FaultKind::InjectedError);
         assert_eq!(cause.attempt, Some(2), "the last attempt's fault");
@@ -472,6 +455,7 @@ mod tests {
             inputs(1),
             wc_o,
             wc_a,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, Error::Config(_)));
@@ -493,13 +477,21 @@ mod tests {
         // attempt 1 loses rank 2 → the supervisor degrades to width 2
         // instead of restarting; attempt 2 recovers the width-3
         // checkpoints re-bucketed for the narrower mesh and finishes.
-        let config = JobConfig::new(3)
-            .with_checkpointing(true)
-            .with_faults(FaultPlan::new(7).fail_o_task(10, 0).rank_panic(2, 1));
+        let config =
+            JobConfig::new(3).with_faults(FaultPlan::new(7).fail_o_task(10, 0).rank_panic(2, 1));
         let policy = RetryPolicy::new(4).with_backoff(Duration::ZERO);
         let elastic = ElasticPolicy::default();
-        let out =
-            supervise_job_elastic(&config, &policy, &elastic, inputs(12), wc_o, wc_a).unwrap();
+        let cp = CheckpointStore::new();
+        let out = supervise_job_elastic(
+            &config,
+            &policy,
+            &elastic,
+            inputs(12),
+            wc_o,
+            wc_a,
+            Some(&cp),
+        )
+        .unwrap();
         assert_eq!(out.final_ranks, 2, "one rank absorbed");
         assert_eq!(out.shrinks, 1);
         assert_eq!(out.grows, 0);
@@ -519,12 +511,13 @@ mod tests {
 
     #[test]
     fn replacement_registration_grows_the_mesh() {
-        let config = JobConfig::new(2)
-            .with_checkpointing(true)
-            .with_faults(FaultPlan::new(5).fail_o_task(5, 0));
+        let config = JobConfig::new(2).with_faults(FaultPlan::new(5).fail_o_task(5, 0));
         let policy = RetryPolicy::new(3).with_backoff(Duration::ZERO);
         let elastic = ElasticPolicy::default().with_grow_on_attempt(1, 4);
-        let out = supervise_job_elastic(&config, &policy, &elastic, inputs(8), wc_o, wc_a).unwrap();
+        let cp = CheckpointStore::new();
+        let out =
+            supervise_job_elastic(&config, &policy, &elastic, inputs(8), wc_o, wc_a, Some(&cp))
+                .unwrap();
         assert_eq!(out.final_ranks, 4, "replacement widened the mesh");
         assert_eq!(out.grows, 1);
         assert_eq!(out.shrinks, 0);
@@ -537,12 +530,13 @@ mod tests {
 
     #[test]
     fn shrink_respects_the_width_floor() {
-        let config = JobConfig::new(2)
-            .with_checkpointing(true)
-            .with_faults(FaultPlan::new(0).rank_panic(1, 0));
+        let config = JobConfig::new(2).with_faults(FaultPlan::new(0).rank_panic(1, 0));
         let policy = RetryPolicy::new(3).with_backoff(Duration::ZERO);
         let elastic = ElasticPolicy::default().with_min_ranks(2);
-        let out = supervise_job_elastic(&config, &policy, &elastic, inputs(4), wc_o, wc_a).unwrap();
+        let cp = CheckpointStore::new();
+        let out =
+            supervise_job_elastic(&config, &policy, &elastic, inputs(4), wc_o, wc_a, Some(&cp))
+                .unwrap();
         assert_eq!(out.final_ranks, 2, "floor held: plain full-width retry");
         assert_eq!(out.shrinks, 0);
         assert_eq!(out.table_version, 0);
@@ -557,7 +551,8 @@ mod tests {
         let config = JobConfig::new(2).with_faults(FaultPlan::new(0).merge_panic(1, 0, 1));
         let policy = RetryPolicy::new(3).with_backoff(Duration::ZERO);
         let elastic = ElasticPolicy::default();
-        let out = supervise_job_elastic(&config, &policy, &elastic, inputs(4), wc_o, wc_a).unwrap();
+        let out =
+            supervise_job_elastic(&config, &policy, &elastic, inputs(4), wc_o, wc_a, None).unwrap();
         assert_eq!(out.final_ranks, 2);
         assert_eq!(out.shrinks, 0);
         assert_eq!(out.output.stats.attempts, 2);
@@ -573,12 +568,16 @@ mod tests {
         // The same seeded plan through both front ends must give the same
         // output bytes, attempts and waste. Each plan ends in a RankDeath,
         // which the floor must turn into a plain full-width restart.
-        let same = |config: JobConfig, attempts: u32| {
+        let same = |config: JobConfig, checkpointed: bool, attempts: u32| {
             let policy = RetryPolicy::new(5).with_backoff(Duration::ZERO);
-            let fixed = supervise_job(&config, &policy, inputs(6), wc_o, wc_a).unwrap();
+            let store = || checkpointed.then(CheckpointStore::new);
+            let fixed =
+                supervise_job(&config, &policy, inputs(6), wc_o, wc_a, store().as_ref()).unwrap();
             let floor = ElasticPolicy::default().with_min_ranks(config.ranks);
+            let (o, a) = (wc_o, wc_a);
             let elastic =
-                supervise_job_elastic(&config, &policy, &floor, inputs(6), wc_o, wc_a).unwrap();
+                supervise_job_elastic(&config, &policy, &floor, inputs(6), o, a, store().as_ref())
+                    .unwrap();
             assert_eq!(
                 (elastic.final_ranks, elastic.shrinks, elastic.grows),
                 (2, 0, 0)
@@ -599,14 +598,13 @@ mod tests {
             .fail_o_task(4, 0)
             .fail_o_task(4, 1)
             .merge_panic(1, 2, 1);
-        let checkpointed = JobConfig::new(2).with_checkpointing(true).with_faults(plan);
-        assert_eq!(same(checkpointed, 4), 0);
+        assert_eq!(same(JobConfig::new(2).with_faults(plan), true, 4), 0);
         // Not checkpointed: both deaths fire in an A phase, after every O
         // task has emitted, so each failed attempt wastes one clean run.
         let plan = FaultPlan::new(9).merge_panic(1, 0, 1).merge_panic(0, 1, 1);
         let clean = crate::run_job(&JobConfig::new(2), inputs(6), wc_o, wc_a, None).unwrap();
         assert_eq!(
-            same(JobConfig::new(2).with_faults(plan), 3),
+            same(JobConfig::new(2).with_faults(plan), false, 3),
             2 * clean.stats.bytes_emitted
         );
     }
@@ -620,6 +618,7 @@ mod tests {
             inputs(1),
             wc_o,
             wc_a,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, Error::Config(_)));

@@ -7,6 +7,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use datampi::checkpoint::CheckpointStore;
 use datampi::fault::FaultPlan;
 use datampi::observe::{
     integrate, Counter, Observer, Sample, SampleSeries, SpanKind, Trace, JOB_LANE,
@@ -167,14 +168,14 @@ fn recovered_run_trace_contains_both_attempts() {
     let observer = Observer::new();
     let plan = FaultPlan::new(7).fail_o_task(1, 0);
     let config = JobConfig::new(2)
-        .with_checkpointing(true)
         .with_faults(plan)
         .with_observer(observer.clone());
     let policy = RetryPolicy::new(3).with_backoff(std::time::Duration::ZERO);
     let inputs: Vec<Bytes> = (0..4)
         .map(|i| Bytes::from(format!("k{i} shared key")))
         .collect();
-    let out = supervise_job(&config, &policy, inputs, wc_o, wc_a).unwrap();
+    let cp = CheckpointStore::new();
+    let out = supervise_job(&config, &policy, inputs, wc_o, wc_a, Some(&cp)).unwrap();
     assert_eq!(out.stats.attempts, 2);
 
     let trace = observer.trace();
@@ -203,7 +204,10 @@ fn recovered_run_trace_contains_both_attempts() {
     assert_eq!(snap[Counter::Retries], 1);
     assert!(snap[Counter::RecoveredTasks] > 0);
 
-    // The exported Chrome JSON carries every event of both attempts.
+    // The exported Chrome JSON carries every event of both attempts, plus
+    // one `process_name` row per rank lane (the job lane included).
     let json = trace.to_chrome_json();
-    assert_eq!(json.matches("\"pid\":").count(), trace.len());
+    let lanes: std::collections::BTreeSet<u32> = trace.events().iter().map(|e| e.rank).collect();
+    assert_eq!(json.matches("\"pid\":").count(), trace.len() + lanes.len());
+    assert_eq!(json.matches("\"process_name\"").count(), lanes.len());
 }

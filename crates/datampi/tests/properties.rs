@@ -367,20 +367,12 @@ proptest! {
     ) {
         let fail_task = fail_at.index(inputs.len());
         let cp = CheckpointStore::new();
-        let failing = JobConfig::new(1)
-            .with_checkpointing(true)
-            .with_o_task_fault(fail_task, 0);
-        let err = datampi::runtime::run_job_attempt(
-            &failing, inputs.clone(), wc_o, wc_a, Some(&cp), 0,
-        )
-        .unwrap_err();
+        let config = JobConfig::new(1).with_faults(FaultPlan::new(0).fail_o_task(fail_task, 0));
+        let err = run_job(&config, inputs.clone(), wc_o, wc_a, Some(&cp)).unwrap_err();
         prop_assert!(matches!(err, dmpi_common::Error::Fault(_)));
 
-        let retry = JobConfig::new(1).with_checkpointing(true);
-        let out = datampi::runtime::run_job_attempt(
-            &retry, inputs.clone(), wc_o, wc_a, Some(&cp), 1,
-        )
-        .unwrap();
+        // The same job against the same store is attempt 1.
+        let out = run_job(&config, inputs.clone(), wc_o, wc_a, Some(&cp)).unwrap();
         // Tasks before the failure were recovered, not re-run.
         prop_assert_eq!(out.stats.o_tasks_recovered as usize, fail_task);
         let clean = run_job(&JobConfig::new(1), inputs, wc_o, wc_a, None).unwrap();
@@ -403,11 +395,10 @@ proptest! {
             Ev::Slow(t, a, d) => p.straggler(t, a, d),
             Ev::Corrupt(t, a) => p.corrupt_frame(t, a),
         });
-        let config = JobConfig::new(ranks)
-            .with_checkpointing(true)
-            .with_faults(plan);
+        let config = JobConfig::new(ranks).with_faults(plan);
         let policy = RetryPolicy::new(4).with_backoff(std::time::Duration::ZERO);
-        let out = supervise_job(&config, &policy, inputs.clone(), wc_o, wc_a).unwrap();
+        let cp = CheckpointStore::new();
+        let out = supervise_job(&config, &policy, inputs.clone(), wc_o, wc_a, Some(&cp)).unwrap();
         let clean = run_job(&JobConfig::new(ranks), inputs, wc_o, wc_a, None).unwrap();
         prop_assert_eq!(out.partitions.len(), clean.partitions.len());
         for (p, q) in out.partitions.iter().zip(&clean.partitions) {
@@ -462,11 +453,11 @@ proptest! {
         });
         let faulty = JobConfig::new(ranks)
             .with_memory_budget(256)
-            .with_checkpointing(true)
             .with_faults(plan)
             .with_combiner(Combiner::new(wc_a));
         let policy = RetryPolicy::new(4).with_backoff(std::time::Duration::ZERO);
-        let out = supervise_job(&faulty, &policy, inputs.clone(), wc_o, wc_a).unwrap();
+        let cp = CheckpointStore::new();
+        let out = supervise_job(&faulty, &policy, inputs.clone(), wc_o, wc_a, Some(&cp)).unwrap();
         let clean_config = JobConfig::new(ranks);
         let clean = run_job(&clean_config, inputs, wc_o, wc_a, None).unwrap();
         prop_assert_eq!(out.partitions.len(), clean.partitions.len());
@@ -528,14 +519,14 @@ proptest! {
             .fold(FaultPlan::new(seed), |p, &(t, a)| p.fail_o_task(t, a));
         let mut config = JobConfig::new(1)
             .with_transport(backend)
-            .with_checkpointing(checkpointed)
             .with_scheduling(scheduling)
             .with_faults(plan);
         if speculation {
             config = config.with_speculation(SpeculationConfig::enabled().with_seed(seed));
         }
         let policy = RetryPolicy::new(4).with_backoff(std::time::Duration::ZERO);
-        let out = supervise_job(&config, &policy, inputs.clone(), wc_o, wc_a).unwrap();
+        let cp = checkpointed.then(CheckpointStore::new);
+        let out = supervise_job(&config, &policy, inputs.clone(), wc_o, wc_a, cp.as_ref()).unwrap();
         prop_assert_eq!(out.stats.wasted_bytes, expected_waste);
         prop_assert_eq!(engine_counts(out), reference_counts(&inputs));
     }

@@ -1,4 +1,5 @@
-//! A user-code panic inside a resident-service job must fail that job —
+//! A user-code panic inside a resident-service job, in its O or its A
+//! function, must fail that job —
 //! a `jobfail` line to its client — and nothing else: the mesh slot is
 //! released, the next job on the same mesh completes, and drain joins
 //! every service thread. So must a job that fails before it starts, and
@@ -8,7 +9,8 @@
 //! every rank's: one rank failing early answers nobody and frees no slot
 //! until the other rank has reported too. Every scenario runs under a
 //! watchdog, so a hang (the rank's ingest thread waiting for an EOF its
-//! panicked O phase never sent) is a test failure, not a stalled suite.
+//! panicked O phase, or a panicked peer's job thread, never sent) is a
+//! test failure, not a stalled suite.
 
 mod common;
 
@@ -26,6 +28,7 @@ use datampi::service::{
     PreparedJob, ServiceConfig,
 };
 use dmpi_common::group::{Collector, GroupedValues};
+use dmpi_common::partition::{HashPartitioner, Partitioner};
 use dmpi_common::{Error, Result};
 
 const RANKS: usize = 2;
@@ -36,16 +39,24 @@ const READ_TIMEOUT: Duration = Duration::from_secs(10);
 const BAD_SPEC: &str = "bad spec: tasks=4 is 100% wrong\nfor a,b;c:d";
 
 /// Resolves every workload to a tiny WordCount; workload `boom` panics
-/// in O task 0 (rank 0's under the static assignment), and `badspec`
-/// does not resolve at all.
-struct PanickyResolver;
+/// in O task 0 (rank 0's under the static assignment), `aboom` panics in
+/// the A function on key `shared`, `pboom` panics while resolving on
+/// the one worker whose `prepare_panics` is set, so its peer runs alone,
+/// and `badspec` does not resolve at all.
+struct PanickyResolver {
+    prepare_panics: bool,
+}
 
 impl JobResolver for PanickyResolver {
     fn prepare(&self, spec: &JobSpec) -> Result<PreparedJob> {
         if spec.workload == "badspec" {
             return Err(Error::Config(BAD_SPEC.into()));
         }
+        if spec.workload == "pboom" && self.prepare_panics {
+            panic!("resolver exploded");
+        }
         let boom = spec.workload == "boom";
+        let aboom = spec.workload == "aboom";
         Ok(PreparedJob {
             inputs: (0..spec.tasks)
                 .map(|t| Bytes::from(format!("w{t} shared w{}", t % 2)))
@@ -58,7 +69,10 @@ impl JobResolver for PanickyResolver {
                     out.collect(word, b"1");
                 }
             }),
-            a_fn: Box::new(|g: &GroupedValues, out: &mut dyn Collector| {
+            a_fn: Box::new(move |g: &GroupedValues, out: &mut dyn Collector| {
+                if aboom && &g.key[..] == b"shared" {
+                    panic!("A user code exploded");
+                }
                 out.collect(&g.key, g.values.len().to_string().as_bytes());
             }),
         })
@@ -116,7 +130,12 @@ fn scenario() -> std::result::Result<(), String> {
     };
     let coordinator = std::thread::spawn(move || serve(listener, config));
     let workers: Vec<_> = (0..RANKS)
-        .map(|_| std::thread::spawn(move || run_resident_worker(addr, Arc::new(PanickyResolver))))
+        .map(|i| {
+            let resolver = Arc::new(PanickyResolver {
+                prepare_panics: i == 0,
+            });
+            std::thread::spawn(move || run_resident_worker(addr, resolver))
+        })
         .collect();
     wait_seated(addr)?;
 
@@ -127,6 +146,23 @@ fn scenario() -> std::result::Result<(), String> {
     let err = Line::of(&failed, "jobfail").and_then(|l| l.get("err")?.text());
     if !err.is_some_and(|e| e.contains("panicked") && e.contains("task panic [task 0] [rank 0]")) {
         return Err(format!("panicking job must end in jobfail, got {failed:?}"));
+    }
+    // So does a panic in the A function, on the rank that owns the key.
+    let failed = submit(addr, "aboom")?;
+    let err = Line::of(&failed, "jobfail").and_then(|l| l.get("err")?.text());
+    let owner = HashPartitioner::new(RANKS).partition(b"shared");
+    let want = format!("task panic [rank {owner}] [attempt 0]: A function user code panicked");
+    if !err.is_some_and(|e| e.contains(&want)) {
+        return Err(format!("an A panic must end in jobfail, got {failed:?}"));
+    }
+    // A panic that escapes the job on one rank only: its job thread still
+    // sends the EOFs the peer's ingest waits for.
+    let failed = submit(addr, "pboom")?;
+    let err = Line::of(&failed, "jobfail").and_then(|l| l.get("err")?.text());
+    if !err.is_some_and(|e| e.contains("task panic") && e.contains("job thread panicked")) {
+        return Err(format!(
+            "an escaped panic must end in jobfail, got {failed:?}"
+        ));
     }
     let unresolved = submit(addr, "badspec")?;
     let err = Line::of(&unresolved, "jobfail")
@@ -154,8 +190,8 @@ fn scenario() -> std::result::Result<(), String> {
         .join()
         .map_err(|_| "coordinator panicked".to_string())?
         .map_err(|e| e.to_string())?;
-    if (summary.completed, summary.failed) != (1, 3) {
-        return Err(format!("one job done and three failed, got {summary:?}"));
+    if (summary.completed, summary.failed) != (1, 5) {
+        return Err(format!("one job done and five failed, got {summary:?}"));
     }
     for worker in workers {
         worker

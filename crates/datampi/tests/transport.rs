@@ -227,7 +227,15 @@ fn supervised_rank_death_recovers_over_tcp() {
     let config = JobConfig::new(3)
         .with_transport(Backend::Tcp)
         .with_faults(FaultPlan::new(5).rank_panic(1, 0));
-    let out = supervise_job(&config, &RetryPolicy::new(3), inputs.clone(), wc_o, wc_a).unwrap();
+    let out = supervise_job(
+        &config,
+        &RetryPolicy::new(3),
+        inputs.clone(),
+        wc_o,
+        wc_a,
+        None,
+    )
+    .unwrap();
     assert_eq!(out.stats.attempts, 2, "attempt 0 dies, attempt 1 succeeds");
 
     let clean = run_job(&JobConfig::new(3), inputs, wc_o, wc_a, None).unwrap();

@@ -206,7 +206,7 @@ proptest! {
             .with_wire_batch_bytes(batch_bytes)
             .with_faults(plan);
         let policy = RetryPolicy::new(4).with_backoff(std::time::Duration::ZERO);
-        let out = supervise_job(&config, &policy, inputs.clone(), wc_o, wc_a).unwrap();
+        let out = supervise_job(&config, &policy, inputs.clone(), wc_o, wc_a, None).unwrap();
         let clean = run_job(&JobConfig::new(2), inputs, wc_o, wc_a, None).unwrap();
         prop_assert_eq!(out.partitions.len(), clean.partitions.len());
         for (p, q) in out.partitions.iter().zip(&clean.partitions) {

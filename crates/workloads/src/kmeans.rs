@@ -254,9 +254,13 @@ pub fn train(
 /// into an [`datampi::iteration::IterationCache`] and stay resident across
 /// iterations — the library's counterpart to Spark's RDD cache, and the
 /// "detail performance comparison between Spark and DataMPI in the
-/// iterative applications" the paper defers to future work.
+/// iterative applications" the paper defers to future work. Returns the
+/// centroids, the iterations run, and how many splits were parsed (one
+/// per input, however many iterations ran).
 pub fn train_iterative(params: &KMeans, inputs: &[Bytes]) -> Result<(Vec<Vec<f64>>, usize, u64)> {
+    let mut parses = 0u64;
     let cache = datampi::iteration::IterationCache::load(inputs, |split| {
+        parses += 1;
         let mut reader = dmpi_common::ser::RecordReader::new(split);
         let mut vectors = Vec::new();
         while let Some(rec) = reader.next_record().expect("valid kmeans input") {
@@ -294,6 +298,7 @@ pub fn train_iterative(params: &KMeans, inputs: &[Bytes]) -> Result<(Vec<Vec<f64
                 }
             },
             update_reduce,
+            None,
         )?
         .into_single_batch();
         let mut next = decode_centroids(output, params.k, params.dims)?;
@@ -305,10 +310,10 @@ pub fn train_iterative(params: &KMeans, inputs: &[Bytes]) -> Result<(Vec<Vec<f64
         let shift = max_shift_sq(&centroids, &next);
         centroids = next;
         if shift < params.tol {
-            return Ok((centroids, iter + 1, cache.parse_count()));
+            return Ok((centroids, iter + 1, parses));
         }
     }
-    Ok((centroids, params.max_iters, cache.parse_count()))
+    Ok((centroids, params.max_iters, parses))
 }
 
 /// Trains on the RDD engine with a cached dataset — Spark's headline

@@ -8,7 +8,8 @@
 //! Part 1 runs a WordCount whose `FaultPlan` kills O task 2 on the first
 //! two attempts, delays a straggler, and flips a byte in one frame (caught
 //! by the per-frame CRC-32C). `supervise_job` retries until the job
-//! completes, replaying checkpointed O output instead of re-running it.
+//! completes; every retry runs against the same `CheckpointStore`, so it
+//! replays checkpointed O output instead of re-running it.
 //!
 //! Part 2 kills a node mid-job in the cluster simulator and reports the
 //! recovery-time overhead of DataMPI-style checkpoint/restart vs
@@ -17,6 +18,7 @@
 use bytes::Bytes;
 use datampi_suite::common::group::{Collector, GroupedValues};
 use datampi_suite::common::ser::Writable;
+use datampi_suite::datampi::checkpoint::CheckpointStore;
 use datampi_suite::datampi::observe::{Counter, Observer};
 use datampi_suite::datampi::{supervise_job, FaultPlan, JobConfig, RetryPolicy};
 use datampi_suite::dcsim::{Activity, ClusterSpec, NodeId, RecoveryModel, Simulation, TaskSpec};
@@ -42,7 +44,6 @@ fn main() {
         .corrupt_frame(3, 1); // one of task 3's frames arrives corrupted
     let observer = Observer::new();
     let config = JobConfig::new(2)
-        .with_checkpointing(true)
         .with_faults(plan)
         .with_observer(observer.clone());
     let policy = RetryPolicy::new(5).with_backoff(Duration::from_millis(1));
@@ -50,7 +51,9 @@ fn main() {
         .map(|i| Bytes::from(format!("w{i} shared fault tolerant")))
         .collect();
 
-    let out = supervise_job(&config, &policy, inputs, wc_o, wc_a).expect("supervisor heals");
+    let store = CheckpointStore::new();
+    let out = supervise_job(&config, &policy, inputs, wc_o, wc_a, Some(&store))
+        .expect("supervisor heals");
     println!("-- supervised job --");
     println!(
         "attempts {} | O run {} | O recovered from checkpoint {} | wasted bytes {}",

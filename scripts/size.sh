@@ -5,6 +5,8 @@
 #
 # - nontest_lines: lines of crates/datampi/src and src/bin, each file
 #   counted up to its first `#[cfg(test)]`;
+# - entry_points: public `run_*` / `supervise_*` job runners in the
+#   non-test lines of the runtime, iteration and supervisor modules;
 # - jobconfig_with: `JobConfig::with_*` methods;
 # - dmpirun_flags: flags `dmpirun` parses;
 # - nontest_unwrap_expect: `unwrap()` and `expect(` sites in the same
@@ -12,12 +14,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Prints the given files, each up to its first `#[cfg(test)]`.
+live() {
+    awk 'FNR == 1 { live = 1 } /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 } live' "$@"
+}
+
+# The file names hold no spaces, so word splitting is safe here.
+# shellcheck disable=SC2046
 nontest() {
-    find crates/datampi/src src/bin -name '*.rs' | sort \
-        | xargs awk 'FNR == 1 { live = 1 } /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 } live'
+    live $(find crates/datampi/src src/bin -name '*.rs' | sort)
 }
 
 echo "nontest_lines $(nontest | wc -l)"
+echo "entry_points $(live crates/datampi/src/{runtime,iteration,supervisor}.rs \
+    | grep -cE '^pub fn (run|supervise)_')"
 echo "jobconfig_with $(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /pub fn with_/' \
     crates/datampi/src/config.rs | wc -l)"
 echo "dmpirun_flags $(grep -cE '^[[:space:]]*"--[a-z-]+"[^=]*=>' src/bin/dmpirun.rs)"

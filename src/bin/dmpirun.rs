@@ -494,7 +494,7 @@ fn run_inproc(opts: &Options) -> Result<(), String> {
     }
     let agg = TelemetryAggregator::from_observer(&obs, opts.ranks);
     if let Some(path) = &opts.trace_out {
-        let trace = agg.trace().to_chrome_json_by_rank();
+        let trace = agg.trace().to_chrome_json();
         write_artifact(path, "merged trace", trace.as_bytes())?;
     }
     if let Some(path) = &opts.report_out {

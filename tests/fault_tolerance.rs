@@ -5,6 +5,7 @@ use bytes::Bytes;
 use datampi_suite::common::ser::Writable;
 use datampi_suite::datagen::{SeedModel, TextGenerator};
 use datampi_suite::datampi::checkpoint::CheckpointStore;
+use datampi_suite::datampi::{run_job, FaultPlan, JobConfig, JobOutput, WireCompression};
 use datampi_suite::dcsim::NodeId;
 use datampi_suite::dfs::{DfsConfig, MiniDfs};
 use datampi_suite::workloads::wordcount;
@@ -22,45 +23,41 @@ fn datampi_survives_a_mid_job_failure_via_checkpoint() {
     let cp = CheckpointStore::new();
 
     // Attempt 0 fails on task 6 (single rank for deterministic ordering).
-    let failing = datampi_suite::datampi::JobConfig::new(1)
-        .with_checkpointing(true)
-        .with_o_task_fault(6, 0);
-    datampi_suite::datampi::runtime::run_job_attempt(
-        &failing,
+    let config = JobConfig::new(1).with_faults(FaultPlan::new(0).fail_o_task(6, 0));
+    run_job(
+        &config,
         inputs.clone(),
         wordcount::map,
         wordcount::reduce,
         Some(&cp),
-        0,
     )
     .unwrap_err();
     assert_eq!(cp.completed_count(), 6);
     assert!(cp.total_bytes() > 0, "pairs were checkpointed");
 
-    // Restart recovers the six finished tasks without re-running them.
-    let retry = datampi_suite::datampi::JobConfig::new(1).with_checkpointing(true);
-    let out = datampi_suite::datampi::runtime::run_job_attempt(
-        &retry,
+    // Restart recovers the six finished tasks without re-running them:
+    // the same job against the same store is attempt 1.
+    let out = run_job(
+        &config,
         inputs.clone(),
         wordcount::map,
         wordcount::reduce,
         Some(&cp),
-        1,
     )
     .unwrap();
     assert_eq!(out.stats.o_tasks_recovered, 6);
     assert_eq!(out.stats.o_tasks_run, 4);
 
     // And the answer equals a clean run's.
-    let clean = datampi_suite::datampi::run_job(
-        &datampi_suite::datampi::JobConfig::new(1),
+    let clean = run_job(
+        &JobConfig::new(1),
         inputs,
         wordcount::map,
         wordcount::reduce,
         None,
     )
     .unwrap();
-    let decode = |o: datampi_suite::datampi::JobOutput| {
+    let decode = |o: JobOutput| {
         o.into_single_batch()
             .into_records()
             .into_iter()
@@ -78,29 +75,26 @@ fn repeated_failures_make_monotone_progress() {
     let cp = CheckpointStore::new();
     let mut recovered_last = 0;
     for attempt in 0..3u32 {
-        let config = datampi_suite::datampi::JobConfig::new(1)
-            .with_checkpointing(true)
-            .with_o_task_fault(2 + attempt as usize, attempt);
-        let result = datampi_suite::datampi::runtime::run_job_attempt(
-            &config,
+        let plan = FaultPlan::new(0).fail_o_task(2 + attempt as usize, attempt);
+        let result = run_job(
+            &JobConfig::new(1).with_faults(plan),
             inputs.clone(),
             wordcount::map,
             wordcount::reduce,
             Some(&cp),
-            attempt,
         );
         assert!(result.is_err(), "attempt {attempt} should fail");
         assert!(cp.completed_count() > recovered_last);
         recovered_last = cp.completed_count();
     }
-    // Final attempt with no fault completes from mostly recovered state.
-    let out = datampi_suite::datampi::runtime::run_job_attempt(
-        &datampi_suite::datampi::JobConfig::new(1).with_checkpointing(true),
+    // Final attempt (the store's fourth) with no fault completes from
+    // mostly recovered state.
+    let out = run_job(
+        &JobConfig::new(1),
         inputs,
         wordcount::map,
         wordcount::reduce,
         Some(&cp),
-        3,
     )
     .unwrap();
     // Attempts 0-2 failed at tasks 2, 3, 4 — so tasks 0-3 are recovered
@@ -119,25 +113,20 @@ fn merge_resumes_from_block_frontier_after_mid_merge_death() {
     let inputs = corpus(16, 10);
     let spill_dir = std::env::temp_dir().join(format!("dmpi-merge-resume-{}", std::process::id()));
     let cp = CheckpointStore::new();
-    let base = datampi_suite::datampi::JobConfig::new(1)
-        .with_checkpointing(true)
-        .with_memory_budget(2048)
-        .with_spill_dir(spill_dir.clone())
-        .with_spill_compression(datampi_suite::datampi::WireCompression::Lz4)
-        .with_spill_block_bytes(128);
-
     // Attempt 0 dies after 300 groups; the frontier interval is 32, so
     // the last boundary recorded before the death is group 288.
-    let failing = base
-        .clone()
-        .with_faults(datampi_suite::datampi::FaultPlan::new(7).merge_panic(0, 0, 300));
-    datampi_suite::datampi::runtime::run_job_attempt(
-        &failing,
+    let config = JobConfig::new(1)
+        .with_memory_budget(2048)
+        .with_spill_dir(spill_dir.clone())
+        .with_spill_compression(WireCompression::Lz4)
+        .with_spill_block_bytes(128)
+        .with_faults(FaultPlan::new(7).merge_panic(0, 0, 300));
+    run_job(
+        &config,
         inputs.clone(),
         wordcount::map,
         wordcount::reduce,
         Some(&cp),
-        0,
     )
     .unwrap_err();
 
@@ -152,13 +141,12 @@ fn merge_resumes_from_block_frontier_after_mid_merge_death() {
     );
     assert!(frontier_blocks > 0, "a mid-run boundary was recorded");
 
-    let out = datampi_suite::datampi::runtime::run_job_attempt(
-        &base,
+    let out = run_job(
+        &config,
         inputs.clone(),
         wordcount::map,
         wordcount::reduce,
         Some(&cp),
-        1,
     )
     .unwrap();
     // Every O task was banked before the merge death.
@@ -180,8 +168,8 @@ fn merge_resumes_from_block_frontier_after_mid_merge_death() {
     );
 
     // Byte-identical to a clean, checkpoint-free run.
-    let clean = datampi_suite::datampi::run_job(
-        &datampi_suite::datampi::JobConfig::new(1),
+    let clean = run_job(
+        &JobConfig::new(1),
         inputs,
         wordcount::map,
         wordcount::reduce,
