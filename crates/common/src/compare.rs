@@ -1,8 +1,10 @@
-//! Raw-byte comparators, after Hadoop's `RawComparator`.
+//! Byte-order sorting and merging of serialized records.
 //!
 //! Sorting serialized records without deserializing them is one of the core
-//! MapReduce efficiency tricks; both the mapred engine's sort/spill path and
-//! DataMPI's A-side grouping use these comparators.
+//! MapReduce efficiency tricks. Every key in this codebase sorts by its raw
+//! bytes: the mapred engine's sort/spill path, the RDD engine's
+//! `sort_by_key` and DataMPI's A-side index sort and merge all use the
+//! order defined here.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -11,70 +13,24 @@ use bytes::Bytes;
 
 use crate::error::{Error, Result};
 use crate::kv::Record;
-use crate::{ser, varint};
+use crate::ser;
 
-/// Compares two serialized keys.
-pub trait RawComparator: Send + Sync {
-    /// Compares raw key bytes.
-    fn compare(&self, a: &[u8], b: &[u8]) -> Ordering;
-
-    /// Compares two records by key (default: delegate to `compare`).
-    fn compare_records(&self, a: &Record, b: &Record) -> Ordering {
-        self.compare(&a.key, &b.key)
-    }
-}
-
-/// Lexicographic byte comparison — correct for UTF-8 text keys and for the
-/// sequence-file keys used by the Sort workloads.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BytesComparator;
-
-impl RawComparator for BytesComparator {
-    #[inline]
-    fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
-        a.cmp(b)
-    }
-}
-
-/// Compares keys that are varint-encoded `u64`s numerically.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VarintU64Comparator;
-
-impl RawComparator for VarintU64Comparator {
-    fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
-        let av = varint::read_u64(a).map(|(v, _)| v).unwrap_or(u64::MAX);
-        let bv = varint::read_u64(b).map(|(v, _)| v).unwrap_or(u64::MAX);
-        av.cmp(&bv)
-    }
-}
-
-/// Reverses another comparator (descending sorts).
-#[derive(Clone, Copy, Debug)]
-pub struct Reversed<C>(pub C);
-
-impl<C: RawComparator> RawComparator for Reversed<C> {
-    fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
-        self.0.compare(b, a)
-    }
-}
-
-/// Sorts a mutable slice of records with a raw comparator, breaking key ties
-/// by value bytes so results are fully deterministic.
+/// Sorts records into `(key, value)` byte order, so results are fully
+/// deterministic.
 ///
 /// # Stability invariant
 ///
-/// This uses an **unstable** sort on purpose. The effective comparator —
-/// `(cmp(key), value)` everywhere in this codebase, `(key, value, run)`
-/// in the A-side merge — is *total up to indistinguishability*: two
-/// records it reports `Equal` for have byte-identical keys and values, so
-/// any permutation of them is the same output. Stability therefore buys
-/// nothing, while `sort_unstable_by` (pdqsort) avoids the stable sort's
-/// allocation and runs faster on the spill path. Callers adding a new
-/// comparator must preserve that property (or sort stably themselves) if
-/// they care about the relative order of equal-comparing records.
-pub fn sort_records<C: RawComparator>(records: &mut [Record], cmp: &C) {
+/// This uses an **unstable** sort on purpose. The order — `(key, value)`
+/// everywhere in this codebase, `(key, value, run)` in the A-side merge —
+/// is *total up to indistinguishability*: two records it reports `Equal`
+/// for have byte-identical keys and values, so any permutation of them
+/// is the same output. Stability therefore buys nothing, while
+/// `sort_unstable_by` (pdqsort) avoids the stable sort's allocation and
+/// runs faster on the spill path.
+pub fn sort_records(records: &mut [Record]) {
     records.sort_unstable_by(|a, b| {
-        cmp.compare(&a.key, &b.key)
+        a.key[..]
+            .cmp(&b.key[..])
             .then_with(|| a.value.cmp(&b.value))
     });
 }
@@ -297,8 +253,8 @@ fn refine_level(
 }
 
 /// Sorts a run's index into `(key, value)` byte order — the order
-/// [`sort_records`] with [`BytesComparator`] gives the same records, so
-/// unstable sorting is safe for the reason documented there.
+/// [`sort_records`] gives the same records, so unstable sorting is safe
+/// for the reason documented there.
 ///
 /// This is a prefix-refinement sort. The whole index is first ordered on
 /// the inline prefix alone, which reads no frame. Only inside a run of
@@ -328,19 +284,17 @@ pub fn sort_index(index: &mut [IndexEntry], frames: &[Bytes]) {
     }
 }
 
-/// Checks that `records` is non-decreasing under `cmp` — used by tests and
-/// by merge-phase debug assertions.
-pub fn is_sorted<C: RawComparator>(records: &[Record], cmp: &C) -> bool {
-    records
-        .windows(2)
-        .all(|w| cmp.compare(&w[0].key, &w[1].key) != Ordering::Greater)
+/// Checks that `records` is non-decreasing by key bytes — used by tests
+/// and by merge-phase debug assertions.
+pub fn is_sorted(records: &[Record]) -> bool {
+    records.windows(2).all(|w| w[0].key <= w[1].key)
 }
 
 /// K-way merge of already-sorted runs into one sorted vector.
 ///
-/// This is the algorithm both the mapred engine's spill merge and DataMPI's
-/// A-side grouped iteration use. Runs must each be sorted under `cmp`.
-pub fn merge_sorted_runs<C: RawComparator>(runs: Vec<Vec<Record>>, cmp: &C) -> Vec<Record> {
+/// The mapred engine's spill and reduce merges. Runs must each be
+/// sorted by key bytes.
+pub fn merge_sorted_runs(runs: Vec<Vec<Record>>) -> Vec<Record> {
     use std::collections::BinaryHeap;
 
     struct HeapItem {
@@ -377,7 +331,7 @@ pub fn merge_sorted_runs<C: RawComparator>(runs: Vec<Vec<Record>>, cmp: &C) -> V
     let mut heap = BinaryHeap::with_capacity(runs.len());
     for (i, run) in runs.iter().enumerate() {
         if let Some(first) = run.first() {
-            debug_assert!(is_sorted(run, cmp), "merge input run {i} not sorted");
+            debug_assert!(is_sorted(run), "merge input run {i} not sorted");
             heap.push(HeapItem {
                 ord: first.key.to_vec(),
                 tiebreak: first.value.to_vec(),
@@ -412,37 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn bytes_comparator_is_lexicographic() {
-        let c = BytesComparator;
-        assert_eq!(c.compare(b"a", b"b"), Ordering::Less);
-        assert_eq!(c.compare(b"ab", b"a"), Ordering::Greater);
-        assert_eq!(c.compare(b"", b""), Ordering::Equal);
-    }
-
-    #[test]
-    fn varint_comparator_is_numeric() {
-        let c = VarintU64Comparator;
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        varint::write_u64(&mut a, 300); // two bytes
-        varint::write_u64(&mut b, 5); // one byte but numerically smaller
-        assert_eq!(c.compare(&a, &b), Ordering::Greater);
-        // Lexicographic on raw bytes would have said Less (0xAC < 0x05 is
-        // false, but multi-byte comparisons are what trips naive code).
-    }
-
-    #[test]
-    fn reversed_flips_order() {
-        let c = Reversed(BytesComparator);
-        assert_eq!(c.compare(b"a", b"b"), Ordering::Greater);
-    }
-
-    #[test]
     fn sort_and_check() {
         let mut v = vec![rec("c", "1"), rec("a", "2"), rec("b", "3"), rec("a", "1")];
-        assert!(!is_sorted(&v, &BytesComparator));
-        sort_records(&mut v, &BytesComparator);
-        assert!(is_sorted(&v, &BytesComparator));
+        assert!(!is_sorted(&v));
+        sort_records(&mut v);
+        assert!(is_sorted(&v));
         assert_eq!(v[0].value_utf8(), "1"); // ("a","1") before ("a","2")
     }
 
@@ -451,35 +379,29 @@ mod tests {
         let run1 = vec![rec("a", "1"), rec("d", "4"), rec("f", "6")];
         let run2 = vec![rec("b", "2"), rec("e", "5")];
         let run3 = vec![rec("c", "3")];
-        let merged = merge_sorted_runs(
-            vec![run1.clone(), run2.clone(), run3.clone()],
-            &BytesComparator,
-        );
+        let merged = merge_sorted_runs(vec![run1.clone(), run2.clone(), run3.clone()]);
         let mut all: Vec<Record> = run1.into_iter().chain(run2).chain(run3).collect();
-        sort_records(&mut all, &BytesComparator);
+        sort_records(&mut all);
         assert_eq!(merged, all);
     }
 
     #[test]
     fn merge_handles_empty_runs_and_duplicates() {
-        let merged = merge_sorted_runs(
-            vec![
-                vec![],
-                vec![rec("x", "2"), rec("x", "3")],
-                vec![rec("x", "1")],
-            ],
-            &BytesComparator,
-        );
+        let merged = merge_sorted_runs(vec![
+            vec![],
+            vec![rec("x", "2"), rec("x", "3")],
+            vec![rec("x", "1")],
+        ]);
         assert_eq!(merged.len(), 3);
-        assert!(is_sorted(&merged, &BytesComparator));
+        assert!(is_sorted(&merged));
         let values: Vec<String> = merged.iter().map(|r| r.value_utf8()).collect();
         assert_eq!(values, ["1", "2", "3"]);
     }
 
     #[test]
     fn merge_of_nothing_is_empty() {
-        assert!(merge_sorted_runs(vec![], &BytesComparator).is_empty());
-        assert!(merge_sorted_runs(vec![vec![], vec![]], &BytesComparator).is_empty());
+        assert!(merge_sorted_runs(vec![]).is_empty());
+        assert!(merge_sorted_runs(vec![vec![], vec![]]).is_empty());
     }
 
     /// Frames `records` a few per frame, indexes and sorts them, and
@@ -512,7 +434,7 @@ mod tests {
 
     fn assert_index_matches(mut records: Vec<Record>) {
         let got = sorted_through_index(&records);
-        sort_records(&mut records, &BytesComparator);
+        sort_records(&mut records);
         assert_eq!(got, records, "index order diverged from sort_records");
     }
 

@@ -12,8 +12,8 @@
 //!   format.
 //! * [`varint`] — LEB128 variable-length integers used by the framing layer
 //!   and the block codec.
-//! * [`compare`] — raw-byte comparators so sorting can operate on serialized
-//!   records without deserializing them (Hadoop's `RawComparator` idea).
+//! * [`compare`] — byte-order sorting and merging, so sorting can operate
+//!   on serialized records without deserializing them.
 //! * [`partition`] — hash and range partitioners mapping keys to reducer /
 //!   A-communicator indices.
 //! * [`codec`] — a from-scratch LZ77 block codec standing in for Hadoop's

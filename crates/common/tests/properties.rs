@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use bytes::Bytes;
 use dmpi_common::codec;
-use dmpi_common::compare::{is_sorted, merge_sorted_runs, sort_records, BytesComparator};
+use dmpi_common::compare::{is_sorted, merge_sorted_runs, sort_records};
 use dmpi_common::group::{BatchCollector, Collector};
 use dmpi_common::kv::{Record, RecordBatch};
 use dmpi_common::partition::{HashPartitioner, Partitioner, RangePartitioner};
@@ -136,8 +136,8 @@ proptest! {
             .map(|(k, v)| Record::new(k.clone(), vec![*v]))
             .collect();
         let mut expected = records.clone();
-        sort_records(&mut records, &BytesComparator);
-        prop_assert!(is_sorted(&records, &BytesComparator));
+        sort_records(&mut records);
+        prop_assert!(is_sorted(&records));
         // Permutation check: sort both multiset representations.
         let canon = |v: &[Record]| {
             let mut c: Vec<(Vec<u8>, Vec<u8>)> =
@@ -161,13 +161,13 @@ proptest! {
             .map(|keys| {
                 let mut v: Vec<Record> =
                     keys.into_iter().map(|k| Record::new(k, vec![])).collect();
-                sort_records(&mut v, &BytesComparator);
+                sort_records(&mut v);
                 v
             })
             .collect();
         let mut all: Vec<Record> = runs.iter().flatten().cloned().collect();
-        let merged = merge_sorted_runs(runs, &BytesComparator);
-        sort_records(&mut all, &BytesComparator);
+        let merged = merge_sorted_runs(runs);
+        sort_records(&mut all);
         prop_assert_eq!(merged, all);
     }
 

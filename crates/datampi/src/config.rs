@@ -16,7 +16,7 @@ use crate::transport::Backend;
 /// the send window runs dry, so latency never waits on this).
 pub const DEFAULT_WIRE_BATCH_BYTES: usize = 256 * KB as usize;
 
-/// Per-batch wire compression for the TCP backend (see DESIGN.md §15:
+/// Per-batch wire compression for the TCP backend (see DESIGN.md §9:
 /// the batch body is compressed after per-frame CRC stamping, so the
 /// receiver's integrity gate is unchanged).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -121,7 +121,7 @@ pub struct JobConfig {
     /// written as indexed, block-formatted files under it (the
     /// external-memory path for data ≫ RAM); `None` (the default) keeps
     /// runs as in-memory images in the same format. Grouped output is
-    /// byte-identical either way — see DESIGN.md §16.
+    /// byte-identical either way — see DESIGN.md §12.
     pub spill_dir: Option<std::path::PathBuf>,
     /// LZ4 block compression for sealed spill runs (reuses the wire
     /// codec; each block's CRC covers the uncompressed bytes, and the
@@ -410,5 +410,23 @@ mod tests {
             .with_spill_block_bytes(0)
             .validate()
             .is_err());
+    }
+
+    /// DESIGN.md prints the knob table; its rows must be this file's
+    /// `with_*` builders, in order, so the document cannot drift.
+    #[test]
+    fn design_doc_lists_every_knob() {
+        let source = include_str!("config.rs");
+        let live = source.split("#[cfg(test)]").next().unwrap_or_default();
+        let declared: Vec<String> = live
+            .lines()
+            .filter_map(|line| line.trim_start().strip_prefix("pub fn with_"))
+            .map(|rest| format!("with_{}", &rest[..rest.find('(').unwrap_or(rest.len())]))
+            .collect();
+        let documented: Vec<String> = crate::design_table("| knob |")
+            .into_iter()
+            .map(|row| row[0].clone())
+            .collect();
+        assert_eq!(documented, declared);
     }
 }

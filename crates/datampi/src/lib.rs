@@ -86,3 +86,26 @@ pub use task::{Collector, Combiner, GroupedValues};
 pub use transport::{
     Backend, Endpoint, FrameReceiver, FrameSender, TcpOptions, Transport, WireStats,
 };
+
+/// The body rows of the DESIGN.md table whose header row starts with
+/// `header`, each as its cells with spaces and backticks trimmed. The
+/// tests that pin the document's tables to the code read them here.
+#[cfg(test)]
+pub(crate) fn design_table(header: &str) -> Vec<Vec<String>> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+    let doc = std::fs::read_to_string(path).expect("DESIGN.md at the repo root");
+    let rows: Vec<Vec<String>> = doc
+        .lines()
+        .skip_while(|line| !line.starts_with(header))
+        .skip(2) // the header row and its separator
+        .take_while(|line| line.starts_with('|'))
+        .map(|row| {
+            let cells = row.trim_matches('|').split('|');
+            cells
+                .map(|cell| cell.trim_matches([' ', '`']).to_string())
+                .collect()
+        })
+        .collect();
+    assert!(!rows.is_empty(), "DESIGN.md has no table headed {header:?}");
+    rows
+}

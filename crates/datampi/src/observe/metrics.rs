@@ -21,7 +21,7 @@ macro_rules! counters {
     ($($(#[$doc:meta])* $variant:ident $name:literal $unit:literal $kind:ident,)*) => {
         /// One job counter. This enum is the single declaration of the
         /// counter set: the registry, its snapshots, the telemetry wire
-        /// form, the job report and DESIGN.md §13 all iterate
+        /// form, the job report and DESIGN.md §16 all iterate
         /// [`Counter::ALL`].
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         pub enum Counter {
@@ -398,28 +398,19 @@ mod tests {
         assert_eq!(Counter::ALL[28] as usize, 28, "ALL is in declaration order");
     }
 
-    /// DESIGN.md §13 prints the counter table; its rows must be the
+    /// DESIGN.md prints the counter table; its rows must be the
     /// declaration's, in order, so the document cannot drift.
     #[test]
     fn design_doc_lists_every_counter() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
-        let doc = std::fs::read_to_string(path).expect("DESIGN.md at the repo root");
-        let documented: Vec<Vec<&str>> = doc
-            .lines()
-            .filter_map(|line| line.strip_prefix("| `"))
-            .map(|row| {
-                row.split('|')
-                    .map(|cell| cell.trim_matches([' ', '`']))
-                    .collect()
-            })
-            .filter(|cells: &Vec<&str>| Counter::parse(cells[0]).is_some())
-            .map(|cells| cells[..3].to_vec())
+        let documented: Vec<Vec<String>> = crate::design_table("| counter |")
+            .into_iter()
+            .map(|row| row[..3].to_vec())
             .collect();
-        let declared: Vec<Vec<&str>> = Counter::ALL
+        let declared: Vec<Vec<String>> = Counter::ALL
             .into_iter()
             .map(|c| {
                 let kind = if c.is_gauge() { "gauge" } else { "flow" };
-                vec![c.name(), c.unit(), kind]
+                vec![c.name().into(), c.unit().into(), kind.into()]
             })
             .collect();
         assert_eq!(documented, declared);

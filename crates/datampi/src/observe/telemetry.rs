@@ -25,7 +25,7 @@
 //!   frames from all ranks: latest-wins per rank for cumulative state,
 //!   bucket-addition for histograms, append for spans. From it the
 //!   coordinator renders each job's merged Chrome trace and its
-//!   `job-report.json` (schema documented in DESIGN.md §13).
+//!   `job-report.json` (schema documented in DESIGN.md §16).
 
 use std::fmt::Write as _;
 
@@ -359,23 +359,6 @@ impl TelemetryAggregator {
         }
     }
 
-    /// The aggregator of a finished in-proc job, whose ranks shared
-    /// `observer`: one final frame per rank carrying its matrix rows,
-    /// with the process-global counters, histograms and spans under rank
-    /// 0, so the aggregate still equals the per-rank sum.
-    pub fn from_observer(observer: &Observer, ranks: usize) -> TelemetryAggregator {
-        let mut agg = TelemetryAggregator::new(ranks);
-        for rank in 0..ranks as u32 {
-            let mut frame = TelemetryFrame::collect(observer, rank, 0, true, ClockSync::default());
-            if rank > 0 {
-                frame.counters = MetricsSnapshot::default();
-                frame.histograms.clear();
-            }
-            agg.absorb(frame);
-        }
-        agg
-    }
-
     /// Absorbs one frame. Spans always append (they are deltas);
     /// cumulative state is latest-wins, guarded by the sequence number
     /// so a reordered stale frame cannot roll a rank backwards.
@@ -484,7 +467,7 @@ impl TelemetryAggregator {
 
     /// Renders `job-report.json`. `meta` rows are caller-supplied
     /// `(key, rendered-JSON-value)` pairs prepended verbatim (workload
-    /// name, seed, elapsed…); schema in DESIGN.md §13.
+    /// name, seed, elapsed…); schema in DESIGN.md §16.
     pub fn report_json(&self, meta: &[(&str, String)]) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"schema\": \"dmpi-job-report/v1\"");

@@ -444,7 +444,7 @@ impl Scheduler {
         }
         self.drain_sent = true;
         for w in &mut self.workers {
-            let _ = w.write_all(b"drain\n");
+            let _ = LineWriter::new("drain").send(w);
         }
     }
 

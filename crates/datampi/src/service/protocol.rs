@@ -4,7 +4,7 @@
 //! launch's — is one line of text in one grammar, `verb positional…
 //! key=value…`, read through [`Line`] and written through
 //! [`LineWriter`], with free-form values (tenant names, paths, error
-//! messages) percent-escaped. DESIGN.md §14 has the verb table; the
+//! messages) percent-escaped. DESIGN.md §6 has the verb table; the
 //! families are:
 //!
 //! * **join** — `join <port> <t0>`, answered by `clock <T>`, the seat
@@ -696,5 +696,37 @@ mod tests {
         let mut reader = Cursor::new(exact);
         let n = read_known_line(&mut reader, &mut line, |_| true).unwrap();
         assert_eq!(n, MAX_LINE_BYTES);
+    }
+
+    /// DESIGN.md prints the verb table; its rows must be the verbs this
+    /// crate writes (`LineWriter::new` outside tests), one row each, so
+    /// the document cannot drift.
+    #[test]
+    fn design_doc_lists_every_verb() {
+        let mut written = std::collections::BTreeSet::new();
+        let mut dirs = vec![std::path::PathBuf::from(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/src"
+        ))];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else if path.extension().is_some_and(|ext| ext == "rs") {
+                    let source = std::fs::read_to_string(&path).unwrap();
+                    let live = source.split("#[cfg(test)]").next().unwrap_or_default();
+                    for call in live.split("LineWriter::new(\"").skip(1) {
+                        written.insert(call[..call.find('"').unwrap()].to_string());
+                    }
+                }
+            }
+        }
+        let mut documented: Vec<String> = crate::design_table("| verb |")
+            .into_iter()
+            .map(|row| row[0].clone())
+            .collect();
+        documented.sort();
+        assert_eq!(documented, written.into_iter().collect::<Vec<_>>());
     }
 }

@@ -21,7 +21,7 @@
 //!   `(seed, task)` alone, stealing moves no data and the A-side
 //!   content-sorted output stays byte-identical to the static schedule.
 //!
-//! Commit rules (DESIGN.md §7, "Execution core"): an attempt runs the user's
+//! Commit rules (DESIGN.md §7): an attempt runs the user's
 //! O function into a capture buffer *without* touching the interconnect,
 //! then calls [`ProgressBoard::try_commit`]. The single winner replays
 //! its capture through a real [`crate::buffer::KvBuffer`] (producing

@@ -39,9 +39,7 @@ use std::cmp::Ordering;
 
 use bytes::Bytes;
 
-use dmpi_common::compare::{
-    index_frame, sort_index, BytesComparator, IndexEntry, RawComparator, SortKernel,
-};
+use dmpi_common::compare::{index_frame, sort_index, IndexEntry, SortKernel};
 use dmpi_common::group::GroupedValues;
 use dmpi_common::{Error, Record, Result};
 
@@ -572,8 +570,8 @@ impl RunCursor {
 /// [`sort_records`] of everything.
 fn head_cmp(runs: &[RunCursor], a: usize, b: usize) -> Ordering {
     match (&runs[a].head, &runs[b].head) {
-        (Some(x), Some(y)) => BytesComparator
-            .compare(&x.key, &y.key)
+        (Some(x), Some(y)) => x.key[..]
+            .cmp(&y.key[..])
             .then_with(|| x.value.cmp(&y.value))
             .then_with(|| a.cmp(&b)),
         (Some(_), None) => Ordering::Less,
@@ -860,7 +858,7 @@ mod tests {
         assert_eq!(s.stats().records, 2);
         let records = s.into_records().unwrap();
         assert_eq!(records.len(), 2);
-        assert!(is_sorted(&records, &BytesComparator));
+        assert!(is_sorted(&records));
     }
 
     #[test]
@@ -876,8 +874,8 @@ mod tests {
         assert!(s.stats().spilled_bytes > 0);
         let records = s.into_records().unwrap();
         assert_eq!(records.len(), 50);
-        assert!(is_sorted(&records, &BytesComparator));
-        sort_records(&mut expected, &BytesComparator);
+        assert!(is_sorted(&records));
+        sort_records(&mut expected);
         assert_eq!(records, expected);
     }
 
@@ -898,7 +896,7 @@ mod tests {
         // And the merge still yields everything, sorted.
         let records = s.into_records().unwrap();
         assert_eq!(records.len(), 200);
-        assert!(is_sorted(&records, &BytesComparator));
+        assert!(is_sorted(&records));
     }
 
     #[test]
@@ -989,7 +987,7 @@ mod tests {
             s.ingest(frame_of(&[r])).unwrap();
         }
         let merged = s.into_records().unwrap();
-        sort_records(&mut all, &BytesComparator);
+        sort_records(&mut all);
         assert_eq!(merged, all);
     }
 
@@ -1060,7 +1058,7 @@ mod tests {
         assert!(s.stats().spills >= 2, "must spill repeatedly");
         assert_eq!(s.total_bytes(), sent, "upfront accounting conserved");
         let merged = s.into_records().unwrap();
-        sort_records(&mut all, &BytesComparator);
+        sort_records(&mut all);
         assert_eq!(merged, all);
     }
 
@@ -1116,7 +1114,7 @@ mod tests {
                 s.ingest(frame_of(&[r])).unwrap();
             }
             let merged = s.into_records().unwrap();
-            sort_records(&mut all, &BytesComparator);
+            sort_records(&mut all);
             assert_eq!(merged, all, "runs={runs}");
         }
     }

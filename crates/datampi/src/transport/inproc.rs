@@ -8,7 +8,7 @@
 use crossbeam::channel::bounded;
 use dmpi_common::Result;
 
-use super::{Backend, Endpoint, FrameReceiver, FrameSender, Transport};
+use super::{Endpoint, FrameReceiver, FrameSender, Transport};
 
 /// Fabric of bounded in-memory mailboxes, one per rank.
 pub struct InProcTransport {
@@ -29,14 +29,6 @@ impl InProcTransport {
 }
 
 impl Transport for InProcTransport {
-    fn backend(&self) -> Backend {
-        Backend::InProc
-    }
-
-    fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     fn open(&mut self) -> Result<Vec<Endpoint>> {
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..self.ranks)
             .map(|_| bounded(self.mailbox_capacity.max(1)))
@@ -83,8 +75,6 @@ mod tests {
     #[test]
     fn endpoints_route_frames_and_report_no_wire_traffic() {
         let mut fabric = InProcTransport::new(2, 8);
-        assert_eq!(fabric.backend(), Backend::InProc);
-        assert_eq!(fabric.ranks(), 2);
         let mut eps = fabric.open().unwrap();
         let mut ep1 = eps.pop().unwrap();
         let mut ep0 = eps.pop().unwrap();

@@ -59,26 +59,6 @@ pub enum Backend {
     Tcp,
 }
 
-impl Backend {
-    /// Stable lowercase name, used by CLI flags and artifact JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::InProc => "inproc",
-            Backend::Tcp => "tcp",
-        }
-    }
-
-    /// Parses a backend name as accepted by `dmpirun --backend` and the
-    /// bench CLI.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "inproc" | "in-proc" | "channel" => Some(Backend::InProc),
-            "tcp" => Some(Backend::Tcp),
-            _ => None,
-        }
-    }
-}
-
 /// Per-job wire accounting on a shared (multiplexed) mesh: the socket
 /// counters span every job at once, so tagged senders and the
 /// demultiplexer attribute estimated encoded bytes per job here.
@@ -421,12 +401,6 @@ impl Endpoint {
 /// for a job (all ranks in this process — threads for in-proc, a
 /// loopback socket mesh for TCP).
 pub trait Transport: Send {
-    /// Which backend this is.
-    fn backend(&self) -> Backend;
-
-    /// Number of ranks the fabric was sized for.
-    fn ranks(&self) -> usize;
-
     /// Establishes the mesh and returns one endpoint per rank, indexed
     /// by rank. Consumes the fabric's setup state; call once.
     fn open(&mut self) -> Result<Vec<Endpoint>>;

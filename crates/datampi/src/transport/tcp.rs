@@ -8,7 +8,7 @@
 //! handshake; everything after that (accepting inbound connections,
 //! draining send windows, coalescing frames into wire batches, decoding
 //! inbound streams) happens on **one poller thread per rank** — the
-//! readiness event loop in `evloop` (see DESIGN.md §15).
+//! readiness event loop in `evloop` (see DESIGN.md §9).
 //!
 //! Backpressure is layered: producers block on a bounded per-peer send
 //! window ([`TcpOptions::send_window`] frames) in front of each socket,
@@ -41,7 +41,7 @@ use crate::config::{JobConfig, WireCompression, DEFAULT_WIRE_BATCH_BYTES};
 use crate::observe::LogHistogram;
 
 use super::evloop::{self, LoopCtl, PollerSetup, RecvCounters, Waker};
-use super::{wire, Backend, Endpoint, FrameReceiver, FrameSender, Transport};
+use super::{wire, Endpoint, FrameReceiver, FrameSender, Transport};
 
 /// Default bound on each peer's send window.
 const DEFAULT_SEND_WINDOW: usize = 128;
@@ -275,14 +275,6 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn backend(&self) -> Backend {
-        Backend::Tcp
-    }
-
-    fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     fn open(&mut self) -> Result<Vec<Endpoint>> {
         let mut listeners = Vec::with_capacity(self.ranks);
         let mut addrs = Vec::with_capacity(self.ranks);
@@ -332,7 +324,6 @@ mod tests {
 
     fn mesh_round_trip(opts: TcpOptions) {
         let mut fabric = TcpTransport::loopback(2, opts);
-        assert_eq!(fabric.backend(), Backend::Tcp);
         let mut eps = fabric.open().unwrap();
         let mut ep1 = eps.pop().unwrap();
         let ep0 = eps.pop().unwrap();

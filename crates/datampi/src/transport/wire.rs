@@ -261,7 +261,7 @@ pub struct BatchSeal {
 /// The owner pushes frames as they drain from the send windows and seals
 /// when [`BatchEncoder::should_seal`] fires (the size watermark) or when
 /// the windows run dry (the imminent-idle watermark) — the two-watermark
-/// policy described in DESIGN.md §15. Compression is attempted per batch
+/// policy described in DESIGN.md §9. Compression is attempted per batch
 /// and kept only when it shrinks the body.
 pub struct BatchEncoder {
     body: Vec<u8>,
@@ -469,6 +469,15 @@ impl FrameDecoder {
             if flags & BATCH_FLAG_LZ4 == 0 && body_len != raw_len {
                 return Err(transport_fault(format!(
                     "uncompressed batch with body_len {body_len} != raw_len {raw_len}"
+                )));
+            }
+            // An LZ4 sequence grows its output by at most 255 bytes per
+            // input byte, so a larger claim is a lie the decompressor
+            // would size its output buffer by.
+            if flags & BATCH_FLAG_LZ4 != 0 && u64::from(raw_len) > 255 * u64::from(body_len) {
+                return Err(transport_fault(format!(
+                    "compressed batch claims raw_len {raw_len} from body_len {body_len}, \
+                     past LZ4's 255x"
                 )));
             }
             let total = BATCH_HEADER_LEN + body_len as usize;
@@ -750,6 +759,30 @@ mod tests {
         dec.extend(&wire);
         let err = dec.next_frame().unwrap_err();
         assert!(err.to_string().contains("FEATURE_LZ4"), "{err}");
+    }
+
+    #[test]
+    fn forged_lz4_batch_cannot_size_the_decompression_buffer() {
+        let mut wire = Vec::new();
+        write_handshake(&mut wire, 1, FEATURE_COALESCE | FEATURE_LZ4).unwrap();
+        let hs = parse_handshake(&wire).unwrap().unwrap();
+        // A 15-byte batch: one body byte claiming ~300 MiB of output,
+        // under MAX_BATCH_RAW.
+        let raw_len: u32 = 300 << 20;
+        assert!(raw_len <= MAX_BATCH_RAW);
+        let mut batch = vec![TAG_BATCH, BATCH_FLAG_LZ4];
+        batch.extend_from_slice(&1u32.to_le_bytes());
+        batch.extend_from_slice(&raw_len.to_le_bytes());
+        batch.extend_from_slice(&1u32.to_le_bytes());
+        batch.push(0xF0);
+        assert_eq!(batch.len(), BATCH_HEADER_LEN + 1);
+        let mut dec = decoder_over(&batch, hs.features);
+        assert_transport_fault(dec.next_frame().unwrap_err());
+        assert!(
+            dec.raw.capacity() < 1 << 20,
+            "a header reserved {} bytes",
+            dec.raw.capacity()
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use datampi::fault::FaultPlan;
 use datampi::store::PartitionStore;
 use datampi::supervisor::{supervise_job, RetryPolicy};
 use datampi::{run_job, Backend, Combiner, JobConfig, Scheduling, SpeculationConfig};
-use dmpi_common::compare::{sort_records, BytesComparator};
+use dmpi_common::compare::sort_records;
 use dmpi_common::group::{group_sorted, Collector, GroupedValues};
 use dmpi_common::ser::{self, Writable};
 use dmpi_common::Record;
@@ -290,7 +290,7 @@ proptest! {
         let store = filled_store(&records, per_frame, regime);
         prop_assert_eq!(store.stats().records, records.len() as u64);
         let mut expected = records;
-        sort_records(&mut expected, &BytesComparator);
+        sort_records(&mut expected);
         prop_assert_eq!(store.into_records().unwrap(), expected);
     }
 
@@ -311,7 +311,7 @@ proptest! {
             groups.push(g);
         }
         let mut expected = records;
-        sort_records(&mut expected, &BytesComparator);
+        sort_records(&mut expected);
         prop_assert_eq!(groups, group_sorted(expected));
     }
 
@@ -326,7 +326,7 @@ proptest! {
     ) {
         let store = filled_store(&records, per_frame, regime);
         let mut expected = records;
-        sort_records(&mut expected, &BytesComparator);
+        sort_records(&mut expected);
         prop_assert_eq!(store.into_records().unwrap(), expected);
     }
 }

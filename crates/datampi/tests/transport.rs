@@ -100,7 +100,6 @@ fn per_sender_order_and_eof_per_sender() {
             ..TcpOptions::default()
         },
     );
-    assert_eq!(fabric.backend(), Backend::Tcp);
     let mut endpoints = fabric.open().unwrap();
     let mut target = endpoints.remove(0);
     let receiver = target.take_receiver();

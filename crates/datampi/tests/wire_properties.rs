@@ -1,8 +1,13 @@
 //! Property-based tests of the v2 wire codec: coalesced batches must
 //! round-trip arbitrary frame sequences through arbitrary socket split
-//! points, compression must never change a delivered byte, and injected
+//! points, compression must never change a delivered byte, injected
 //! corruption must never be delivered silently — at the codec level and
-//! end-to-end through real TCP jobs under the seeded fault injector.
+//! end-to-end through real TCP jobs under the seeded fault injector —
+//! and hostile bytes must be rejected without a panic and without an
+//! allocation sized by a length field.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -11,7 +16,8 @@ use datampi::comm::Frame;
 use datampi::fault::FaultPlan;
 use datampi::supervisor::{supervise_job, RetryPolicy};
 use datampi::transport::wire::{
-    BatchEncoder, FrameDecoder, FEATURE_COALESCE, FEATURE_LZ4, MIN_COALESCE_BYTES,
+    parse_handshake, write_handshake, BatchEncoder, FrameDecoder, FEATURE_COALESCE, FEATURE_LZ4,
+    HANDSHAKE_LEN, MIN_COALESCE_BYTES, TAG_BATCH,
 };
 use datampi::transport::Backend;
 use datampi::{run_job, JobConfig, WireCompression};
@@ -212,5 +218,184 @@ proptest! {
         for (p, q) in out.partitions.iter().zip(&clean.partitions) {
             prop_assert_eq!(p.records(), q.records());
         }
+    }
+}
+
+/// The system allocator, counting the bytes each thread holds and the
+/// most it held since [`peak_since`] last asked.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn track(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters
+// are thread-local cells that never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            track(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            track(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        track(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            track(new_size as isize - layout.size() as isize);
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Runs `f` and returns what it returned and the most bytes this thread
+/// held allocated meanwhile beyond what it held before.
+fn peak_since<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - base).max(0) as usize)
+}
+
+/// Bytes a decoder may hold per byte it was fed: LZ4's largest expansion
+/// (255x) times a generous 32 bytes kept per decoded byte (the pending
+/// frame queue, payload copies, buffer doubling). A length field read
+/// from the input must never raise the bound.
+const HELD_PER_FED_BYTE: usize = 255 * 32;
+/// Fixed allowance: error messages and the first small allocations.
+const HELD_SLACK: usize = 64 * 1024;
+
+/// What a hostile peer might send: noise, or a batch or data header with
+/// attacker-chosen counts and lengths followed by noise.
+fn hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let noise = || proptest::collection::vec(any::<u8>(), 0..300);
+    // Small lengths a body can meet, large ones under every cap, any.
+    let len = || prop_oneof![0u32..64, (1u32 << 16)..(1 << 28), any::<u32>()];
+    let flags = prop_oneof![Just(1u8), 0u8..4]; // 1: LZ4
+    let batch = (flags, 0u32..4, len(), len(), noise()).prop_map(
+        |(flags, count, raw_len, body_len, tail)| {
+            let mut b = vec![TAG_BATCH, flags];
+            for field in [count, raw_len, body_len] {
+                b.extend_from_slice(&field.to_le_bytes());
+            }
+            b.extend(tail);
+            b
+        },
+    );
+    let data = (len(), noise()).prop_map(|(payload_len, tail)| {
+        let mut b = vec![1u8];
+        b.extend_from_slice(&[0; 16]); // from_rank, o_task, crc
+        b.extend_from_slice(&payload_len.to_le_bytes());
+        b.extend(tail);
+        b
+    });
+    prop_oneof![noise(), batch, data]
+}
+
+/// Feeds `bytes` to a decoder for `features` in `chunk`-byte pieces,
+/// draining after each, until the bytes run out or it faults. Returns
+/// the most bytes held meanwhile.
+fn decode_hostile(features: u32, bytes: &[u8], chunk: usize) -> usize {
+    let (_, held) = peak_since(|| {
+        let mut dec = FrameDecoder::new(features);
+        for piece in bytes.chunks(chunk.max(1)) {
+            dec.extend(piece);
+            loop {
+                match dec.next_frame() {
+                    Ok(Some(_)) => continue,
+                    Ok(None) => break,
+                    Err(_) => return,
+                }
+            }
+        }
+        let _ = dec.is_drained();
+    });
+    held
+}
+
+fn held_bound(fed: usize) -> usize {
+    HELD_PER_FED_BYTE * fed + HELD_SLACK
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any bytes at all, in any chunks, parse to a handshake, a wait or
+    /// a fault — never a panic.
+    #[test]
+    fn arbitrary_handshake_bytes_never_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..32),
+        chunk in 1usize..16,
+    ) {
+        let mut seen = Vec::new();
+        for piece in bytes.chunks(chunk) {
+            seen.extend_from_slice(piece);
+            match parse_handshake(&seen) {
+                Ok(None) => continue,
+                Ok(Some(_)) | Err(_) => break,
+            }
+        }
+    }
+
+    /// A bare decoder, whatever features it was built for, meets hostile
+    /// bytes with frames, waits or a fault, and holds memory in
+    /// proportion to what it was fed.
+    #[test]
+    fn bare_decoder_bounds_memory_by_bytes_fed(
+        features in prop_oneof![Just(FEATURE_COALESCE | FEATURE_LZ4), 0u32..4],
+        bytes in hostile_bytes(),
+        chunk in 1usize..64,
+    ) {
+        let held = decode_hostile(features, &bytes, chunk);
+        prop_assert!(held <= held_bound(bytes.len()), "held {held} after {} bytes", bytes.len());
+    }
+
+    /// The same behind a valid handshake advertising any feature word:
+    /// the connection's decoder is the one the handshake asks for.
+    #[test]
+    fn decoder_behind_a_handshake_bounds_memory_by_bytes_fed(
+        from_rank in 0usize..1024,
+        features in prop_oneof![Just(FEATURE_COALESCE | FEATURE_LZ4), any::<u32>()],
+        bytes in hostile_bytes(),
+        chunk in 1usize..64,
+    ) {
+        let mut stream = Vec::new();
+        write_handshake(&mut stream, from_rank, features).unwrap();
+        stream.extend_from_slice(&bytes);
+        let mut seen = Vec::new();
+        let mut hs = None;
+        for piece in stream[..HANDSHAKE_LEN].chunks(chunk) {
+            seen.extend_from_slice(piece);
+            hs = parse_handshake(&seen).unwrap();
+        }
+        let hs = hs.expect("a whole handshake parses");
+        prop_assert_eq!((hs.from_rank, hs.features), (from_rank, features));
+        let held = decode_hostile(hs.features, &stream[HANDSHAKE_LEN..], chunk);
+        prop_assert!(held <= held_bound(bytes.len()), "held {held} after {} bytes", bytes.len());
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 use bytes::Bytes;
 
-use dmpi_common::compare::{merge_sorted_runs, sort_records, BytesComparator};
+use dmpi_common::compare::{merge_sorted_runs, sort_records};
 use dmpi_common::group::{group_sorted, BatchCollector, Collector, GroupedValues};
 use dmpi_common::kv::{Record, RecordBatch};
 use dmpi_common::partition::{HashPartitioner, Partitioner};
@@ -144,7 +144,7 @@ impl<'c> SortSpillBuffer<'c> {
         }
         let mut segments = Vec::with_capacity(parts);
         for mut bucket in buckets {
-            sort_records(&mut bucket, &BytesComparator);
+            sort_records(&mut bucket);
             let bucket = match self.combiner {
                 Some(combiner) => {
                     let mut out = BatchCollector::default();
@@ -154,7 +154,7 @@ impl<'c> SortSpillBuffer<'c> {
                     let mut combined = out.into_batch().into_records();
                     // A well-formed combiner preserves key order, but do
                     // not trust user code with the merge invariant.
-                    sort_records(&mut combined, &BytesComparator);
+                    sort_records(&mut combined);
                     combined
                 }
                 None => bucket,
@@ -184,7 +184,7 @@ impl<'c> SortSpillBuffer<'c> {
             for spill in &self.spills {
                 runs.push(ser::unframe_batch(&spill.segments[p])?.into_records());
             }
-            let records = merge_sorted_runs(runs, &BytesComparator);
+            let records = merge_sorted_runs(runs);
             let batch: RecordBatch = records.into_iter().collect();
             let image = ser::frame_batch(&batch);
             // The merge re-writes the data (Hadoop's multi-pass merge).
@@ -373,7 +373,7 @@ where
                             runs.push(ser::unframe_batch(segment)?.into_records());
                         }
                         // Reduce-side merge + group + reduce.
-                        let merged = merge_sorted_runs(runs, &BytesComparator);
+                        let merged = merge_sorted_runs(runs);
                         let mut collector = BatchCollector::default();
                         let mut groups = 0u64;
                         for g in group_sorted(merged) {

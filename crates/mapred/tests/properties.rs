@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use dmpi_common::compare::{is_sorted, BytesComparator};
+use dmpi_common::compare::is_sorted;
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 use dmpi_mapred::{run_mapreduce, MapRedConfig};
@@ -69,7 +69,7 @@ proptest! {
         .unwrap();
         // Reducer outputs are key-sorted (the MapReduce contract).
         for p in &out.partitions {
-            prop_assert!(is_sorted(p.records(), &BytesComparator));
+            prop_assert!(is_sorted(p.records()));
         }
         let got: BTreeMap<Vec<u8>, u64> = out
             .into_single_batch()

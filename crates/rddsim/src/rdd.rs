@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dmpi_common::compare::{sort_records, BytesComparator};
+use dmpi_common::compare::sort_records;
 use dmpi_common::group::{group_hashed, Collector};
 use dmpi_common::kv::{Record, RecordBatch};
 use dmpi_common::partition::{HashPartitioner, Partitioner, RangePartitioner};
@@ -575,7 +575,7 @@ impl Rdd {
         }
         let mut out = Vec::with_capacity(buckets.len());
         for mut bucket in buckets {
-            sort_records(&mut bucket, &BytesComparator);
+            sort_records(&mut bucket);
             out.push(bucket.into_iter().collect());
         }
         Ok(out)

@@ -200,7 +200,7 @@ pub fn spark_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmpi_common::compare::{is_sorted, BytesComparator};
+    use dmpi_common::compare::is_sorted;
     use dmpi_datagen::{seqfile, SeedModel, TextGenerator};
 
     fn text_inputs() -> Vec<Bytes> {
@@ -227,7 +227,7 @@ mod tests {
         let mut got: Vec<Vec<u8>> = Vec::new();
         for p in &parts {
             let records = p.records();
-            assert!(is_sorted(records, &BytesComparator));
+            assert!(is_sorted(records));
             got.extend(records.iter().map(|r| r.key.to_vec()));
         }
         got.sort();
@@ -274,7 +274,7 @@ mod tests {
         let lines = dmpi_datagen::text::lines(&text).count();
         assert_eq!(total, lines);
         for p in &parts {
-            assert!(is_sorted(p.records(), &BytesComparator));
+            assert!(is_sorted(p.records()));
             for r in p {
                 assert_eq!(r.key, r.value, "ToSeqFile sets key = value");
             }

@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use bytes::Bytes;
-use datampi_suite::common::compare::{is_sorted, BytesComparator};
+use datampi_suite::common::compare::is_sorted;
 use datampi_suite::datagen::{seqfile, SeedModel, TextGenerator};
 use datampi_suite::dfs::{DfsConfig, MiniDfs};
 use datampi_suite::workloads::sort;
@@ -63,7 +63,7 @@ fn main() {
     for (engine, parts) in [("datampi", &dm), ("mapreduce", &mr), ("rdd", &sp)] {
         let records: usize = parts.iter().map(|p| p.len()).sum();
         for p in parts {
-            assert!(is_sorted(p.records(), &BytesComparator));
+            assert!(is_sorted(p.records()));
         }
         println!("{engine}: {records} records, every partition key-sorted");
     }

@@ -157,7 +157,7 @@ echo "== dmpirun telemetry smoke ==" >&2
 # coordinator's own row on one timeline, and a job report whose aggregate
 # wire bytes (its last `wire_bytes_sent`) equal the `wire_sent` the ranks'
 # `jobdone` lines summed, which the summary line prints.
-dmpirun --backend tcp -n 4 --tasks 8 \
+dmpirun -n 4 --tasks 8 \
     --trace-out target/ci/trace.json --report-out target/ci/job-report.json wordcount \
     | tee target/ci/telemetry-smoke.log
 grep -q '"name":"rank 3"' target/ci/trace.json

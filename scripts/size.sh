@@ -11,6 +11,7 @@
 # - dmpirun_flags: flags `dmpirun` parses;
 # - nontest_unwrap_expect: `unwrap()` and `expect(` sites in the same
 #   non-test lines.
+# - design_lines: lines of DESIGN.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,3 +33,4 @@ echo "jobconfig_with $(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /pub fn wit
     crates/datampi/src/config.rs | wc -l)"
 echo "dmpirun_flags $(grep -cE '^[[:space:]]*"--[a-z-]+"[^=]*=>' src/bin/dmpirun.rs)"
 echo "nontest_unwrap_expect $(nontest | grep -oE 'unwrap\(\)|expect\(' | wc -l)"
+echo "design_lines $(wc -l < DESIGN.md)"

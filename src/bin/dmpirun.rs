@@ -14,7 +14,7 @@
 //! worker joins ([`Seat::join`]) and serves the job as job 0, as any
 //! `dmpid` worker would, generating its splits from the shared seed.
 //! With `--trace-out` / `--report-out` the coordinator writes the job's
-//! report and merged trace (DESIGN.md §13) to a private directory, and
+//! report and merged trace (DESIGN.md §16) to a private directory, and
 //! the launcher moves them to the paths asked for.
 //!
 //! `--verify-inproc` re-runs the same job on the in-process threaded
@@ -31,13 +31,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use datampi::distrib::ENV_COORD;
-use datampi::observe::{Counter, Observer, TelemetryAggregator};
+use datampi::observe::{Counter, Observer};
 use datampi::service::protocol::Line;
 use datampi::service::{
     request, serve, submit, AdmissionConfig, JobResolver, JobSpec, PreparedJob, Seat, ServiceConfig,
 };
-use datampi::transport::{establish_endpoint, Backend, TcpOptions};
-use datampi::{JobConfig, WireCompression};
+use datampi::transport::{establish_endpoint, TcpOptions};
+use datampi::JobConfig;
 use dmpi_common::crc::crc32;
 use dmpi_common::kv::RecordBatch;
 use dmpi_common::ser::RecordWriter;
@@ -54,8 +54,6 @@ options:
   --tasks T           O tasks in the job (default 2*ranks)
   --bytes-per-task B  minimum split size in bytes (default 4096)
   --seed S            input-generation seed (default 42)
-  --backend B         tcp (default: worker processes) or inproc (threads
-                      of this process; same job, same artifacts)
   --spill-dir DIR     seal A-store spill runs to files under
                       DIR/job-<pid>/, removed when the launch ends
   --spill-compress    LZ4-compress spill-run blocks
@@ -80,7 +78,6 @@ struct Options {
     /// directories.
     spec: JobSpec,
     ranks: usize,
-    backend: Backend,
     trace_out: Option<PathBuf>,
     report_out: Option<PathBuf>,
     verify_inproc: bool,
@@ -116,7 +113,6 @@ fn parse_args() -> Result<Options, String> {
             spill_compress: false,
         },
         ranks: 4,
-        backend: Backend::Tcp,
         trace_out: None,
         report_out: None,
         verify_inproc: false,
@@ -134,11 +130,6 @@ fn parse_args() -> Result<Options, String> {
             "--tasks" => opts.spec.tasks = value(&arg, args.next())?,
             "--bytes-per-task" => opts.spec.bytes_per_task = value(&arg, args.next())?,
             "--seed" => opts.spec.seed = value(&arg, args.next())?,
-            "--backend" => {
-                let name: String = value(&arg, args.next())?;
-                opts.backend = Backend::parse(&name)
-                    .ok_or_else(|| format!("unknown backend {name:?} (try tcp|inproc)"))?;
-            }
             "--spill-dir" => opts.spec.spill_dir = Some(value(&arg, args.next())?),
             "--spill-compress" => opts.spec.spill_compress = true,
             "--out" => opts.spec.out = Some(value(&arg, args.next())?),
@@ -270,10 +261,11 @@ fn private_dir() -> Result<RemoveOnDrop, String> {
     Ok(RemoveOnDrop(dir))
 }
 
-/// Runs the launch's job on the chosen backend. `--spill-dir` becomes a
-/// fresh `job-<pid>` subdirectory (so concurrent launches sharing one
-/// spill root never collide), removed on exit with whatever run files a
-/// failed attempt left behind.
+/// Runs the job as one-job sessions: one, or under `--elastic` up to
+/// three, each one rank narrower than the failed one before (width 1 is
+/// the floor). `--spill-dir` becomes a fresh `job-<pid>` subdirectory (so
+/// concurrent launches sharing one spill root never collide), removed on
+/// exit with whatever run files a failed attempt left behind.
 fn launch(mut opts: Options) -> Result<(), String> {
     let _spill_root = match opts.spec.spill_dir.take() {
         Some(dir) => {
@@ -285,16 +277,7 @@ fn launch(mut opts: Options) -> Result<(), String> {
         }
         None => None,
     };
-    match opts.backend {
-        Backend::InProc => run_inproc(&opts),
-        Backend::Tcp => run_coordinator(&opts),
-    }
-}
-
-/// Runs the job as one-job sessions: one, or under `--elastic` up to
-/// three, each one rank narrower than the failed one before (width 1
-/// is the floor).
-fn run_coordinator(opts: &Options) -> Result<(), String> {
+    let opts = &opts;
     let traced = opts.trace_out.is_some() || opts.report_out.is_some();
     let (mut ranks, mut attempt) = (opts.ranks, 0);
     loop {
@@ -392,14 +375,10 @@ fn save_artifacts(opts: &Options, dir: &Path, retried: Option<u32>) -> Result<()
             path.push(format!(".attempt-{attempt}"));
         }
         let contents = std::fs::read(dir.join(name)).map_err(|e| format!("read {name}: {e}"))?;
-        write_artifact(Path::new(&path), what, &contents)?;
+        let path = Path::new(&path);
+        std::fs::write(path, contents).map_err(|e| format!("write {}: {e}", path.display()))?;
+        println!("dmpirun: wrote {what} to {}", path.display());
     }
-    Ok(())
-}
-
-fn write_artifact(path: &Path, what: &str, contents: &[u8]) -> Result<(), String> {
-    std::fs::write(path, contents).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("dmpirun: wrote {what} to {}", path.display());
     Ok(())
 }
 
@@ -437,71 +416,6 @@ fn framed(partition: &RecordBatch) -> Vec<u8> {
     let mut writer = RecordWriter::new();
     partition.iter().for_each(|rec| writer.write(rec));
     writer.into_bytes()
-}
-
-/// `--backend inproc`: the same job and artifacts on the threaded runtime
-/// in this process. Counters and histograms are process-global here, so
-/// the report has them under rank 0; the peer byte matrices stay exact.
-fn run_inproc(opts: &Options) -> Result<(), String> {
-    let spec = &opts.spec;
-    if let Some(dir) = &spec.out {
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
-    }
-    let obs = Observer::new();
-    let mut config = JobConfig::new(opts.ranks).with_observer(obs.clone());
-    if let Some(dir) = &spec.spill_dir {
-        config = config.with_spill_dir(dir);
-    }
-    if spec.spill_compress {
-        config = config.with_spill_compression(WireCompression::Lz4);
-    }
-    let inputs = opts
-        .workload
-        .inputs(spec.tasks, spec.bytes_per_task, spec.seed);
-    let start = obs.now_micros();
-    let output = opts
-        .workload
-        .run_raw(&config, inputs)
-        .map_err(|e| format!("in-proc job failed: {e}"))?;
-    let elapsed = obs.now_micros().saturating_sub(start);
-
-    let mut out_records = 0u64;
-    for (rank, partition) in output.partitions.iter().enumerate() {
-        out_records += partition.len() as u64;
-        if let Some(dir) = &spec.out {
-            let path = Path::new(dir).join(format!("part-{rank:05}"));
-            std::fs::write(&path, framed(partition))
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-        }
-    }
-    let s = &output.stats;
-    println!(
-        "dmpirun: {} in-proc over {} ranks ({} tasks, seed {}): o_tasks_run={} \
-         records_emitted={} bytes_emitted={} frames={} groups={} out_records={out_records}",
-        opts.workload.name(),
-        opts.ranks,
-        spec.tasks,
-        spec.seed,
-        s.o_tasks_run,
-        s.records_emitted,
-        s.bytes_emitted,
-        s.frames,
-        s.groups,
-    );
-
-    if opts.trace_out.is_none() && opts.report_out.is_none() {
-        return Ok(());
-    }
-    let agg = TelemetryAggregator::from_observer(&obs, opts.ranks);
-    if let Some(path) = &opts.trace_out {
-        let trace = agg.trace().to_chrome_json();
-        write_artifact(path, "merged trace", trace.as_bytes())?;
-    }
-    if let Some(path) = &opts.report_out {
-        let report = agg.job_report(spec, "inproc", elapsed, true);
-        write_artifact(path, "job report", report.as_bytes())?;
-    }
-    Ok(())
 }
 
 /// Re-runs the job on the in-process threaded runtime and checks that

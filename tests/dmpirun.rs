@@ -122,7 +122,7 @@ fn telemetry_artifacts_merge_all_ranks_onto_one_timeline() {
     let trace_path = out_dir.join("trace.json");
     let report_path = out_dir.join("job-report.json");
     let output = dmpirun()
-        .args(["--backend", "tcp", "-n", &RANKS.to_string()])
+        .args(["-n", &RANKS.to_string()])
         .args(["--tasks", &TASKS.to_string()])
         .args(["--bytes-per-task", &BYTES_PER_TASK.to_string()])
         .args(["--seed", &SEED.to_string()])
@@ -283,33 +283,6 @@ fn slow_rank_paces_only_its_own_o_tasks() {
 }
 
 #[test]
-fn inproc_backend_produces_the_same_artifacts() {
-    let out_dir = scratch_dir("tlm-ip");
-    let trace_path = out_dir.join("trace.json");
-    let report_path = out_dir.join("job-report.json");
-    let output = dmpirun()
-        .args(["--backend", "inproc", "-n", "3", "--tasks", "6"])
-        .arg("--trace-out")
-        .arg(&trace_path)
-        .arg("--report-out")
-        .arg(&report_path)
-        .arg("wordcount")
-        .output()
-        .expect("launcher must spawn");
-    assert!(
-        output.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let trace = std::fs::read_to_string(&trace_path).expect("trace written");
-    assert!(trace.contains("\"name\":\"rank 0\""));
-    let report = std::fs::read_to_string(&report_path).expect("report written");
-    assert!(report.contains("\"schema\": \"dmpi-job-report/v1\""));
-    assert!(report.contains("\"backend\": \"inproc\""));
-    let _ = std::fs::remove_dir_all(&out_dir);
-}
-
-#[test]
 fn failed_job_still_flushes_survivor_telemetry() {
     // A worker dies mid-job; the survivors must still ship their final
     // frames with their failures, and the coordinator must still write
@@ -395,4 +368,12 @@ fn usage_errors_exit_with_code_two() {
     assert_eq!(output.status.code(), Some(2));
     let output = dmpirun().output().unwrap();
     assert_eq!(output.status.code(), Some(2), "workload is required");
+    // There is one launch path: worker processes over TCP.
+    let output = dmpirun()
+        .args(["--backend", "inproc", "wordcount"])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2), "--backend is not a flag");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("usage: dmpirun"), "{stderr}");
 }
