@@ -7,7 +7,6 @@ use dmpi_common::{Error, Result};
 use crate::comm::DEFAULT_MAILBOX_CAPACITY;
 use crate::fault::FaultPlan;
 use crate::observe::Observer;
-use crate::speculate::{Scheduling, SpeculationConfig};
 use crate::task::Combiner;
 use crate::transport::Backend;
 
@@ -105,18 +104,6 @@ pub struct JobConfig {
     /// (one kernel, see [`dmpi_common::compare::sort_index`]); kept
     /// because the benchmark package reads the field.
     pub sort_kernel: SortKernel,
-    /// Straggler defense ([`crate::speculate`]): progress heartbeats,
-    /// median-based outlier detection, and speculative duplicate attempts
-    /// with first-writer-wins commit. Disabled by default — the direct
-    /// emission hot path is untouched unless `speculation.enabled`.
-    /// In-proc only: a rank that is a process of its own (`dmpirun`,
-    /// the service) has no shared board and never speculates.
-    pub speculation: SpeculationConfig,
-    /// How O splits are assigned to ranks: the classic shared queue
-    /// (default) or a static `task % ranks` pinning with optional work
-    /// stealing. Output bytes are identical in every mode. In-proc
-    /// only: separate processes always use the static pinning.
-    pub scheduling: Scheduling,
     /// Spill directory for the A-side store: when set, sealed runs are
     /// written as indexed, block-formatted files under it (the
     /// external-memory path for data ≫ RAM); `None` (the default) keeps
@@ -150,8 +137,6 @@ impl JobConfig {
             wire_compression: WireCompression::default(),
             combiner: None,
             sort_kernel: SortKernel::default(),
-            speculation: SpeculationConfig::default(),
-            scheduling: Scheduling::default(),
             spill_dir: None,
             spill_compression: WireCompression::default(),
             spill_block_bytes: crate::spillfmt::DEFAULT_SPILL_BLOCK_BYTES,
@@ -180,7 +165,6 @@ impl JobConfig {
         if self.spill_block_bytes == 0 {
             return Err(Error::Config("spill block size must be positive".into()));
         }
-        self.speculation.validate()?;
         if let Some(plan) = &self.faults {
             plan.validate()?;
         }
@@ -257,19 +241,6 @@ impl JobConfig {
         self
     }
 
-    /// Builder: configure straggler defense (speculative duplicate
-    /// attempts with first-writer-wins commit).
-    pub fn with_speculation(mut self, speculation: SpeculationConfig) -> Self {
-        self.speculation = speculation;
-        self
-    }
-
-    /// Builder: select the O-split scheduling mode.
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
-        self
-    }
-
     /// Builder: spill sealed runs to files under `dir` (the
     /// external-memory path; runs are cleaned up when their last handle
     /// drops, covering failed and elastic attempts).
@@ -329,37 +300,17 @@ mod tests {
         // An invalid fault plan makes the whole config invalid.
         let plan = FaultPlan::new(0).straggler(0, 0, FaultPlan::MAX_STRAGGLER_MS + 1);
         assert!(JobConfig::new(1).with_faults(plan).validate().is_err());
-        // So does an invalid (enabled) speculation config.
-        let spec = SpeculationConfig::enabled().with_slow_factor(0.1);
-        assert!(JobConfig::new(1).with_speculation(spec).validate().is_err());
-    }
-
-    #[test]
-    fn ranks_speculation_and_scheduling_builders() {
-        let c = JobConfig::new(2)
-            .with_ranks(5)
-            .with_speculation(SpeculationConfig::enabled())
-            .with_scheduling(Scheduling::Static {
-                work_stealing: true,
-            });
-        assert_eq!(c.ranks, 5);
-        assert!(c.speculation.enabled);
-        assert_eq!(
-            c.scheduling,
-            Scheduling::Static {
-                work_stealing: true
-            }
-        );
-        c.validate().unwrap();
     }
 
     #[test]
     fn builders_compose() {
         let c = JobConfig::new(2)
+            .with_ranks(5)
             .with_pipelined(false)
             .with_memory_budget(123)
             .with_flush_threshold(456)
             .with_faults(FaultPlan::new(0).fail_o_task(1, 0));
+        assert_eq!(c.ranks, 5);
         assert!(!c.pipelined);
         assert_eq!(c.memory_budget, 123);
         assert_eq!(c.flush_threshold, 456);

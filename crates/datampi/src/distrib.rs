@@ -39,11 +39,10 @@ use dmpi_common::kv::RecordBatch;
 use dmpi_common::Result;
 
 use crate::config::JobConfig;
-use crate::rank::{run_rank, JobFailure, RankContext};
+use crate::rank::{run_rank, JobFailure, RankContext, TaskQueues};
 use crate::runtime::JobStats;
 use crate::service::protocol::{Line, LineWriter};
 use crate::service::JobChannels;
-use crate::speculate::{Scheduling, TaskQueues};
 use crate::task::{Collector, GroupedValues};
 
 /// Environment variable carrying the coordinator's address to a
@@ -93,12 +92,10 @@ impl RankTable {
 /// the body of every resident job, `dmpirun`'s job 0 included. It is
 /// [`run_rank`] with what separate processes cannot share left out: the
 /// split dispenser is the static `task % ranks` assignment every process
-/// computes locally, there is no progress board and no checkpoint —
-/// whatever `config.scheduling` and `config.speculation` say, since a
-/// per-process board would wait forever for other processes' tasks — the
-/// attempt is 0, and the failed flag is private to this process (peers
-/// learn of a failure from their streams). The caller owns mesh teardown;
-/// the channels die with this call.
+/// computes locally, there is no checkpoint, the attempt is 0, and the
+/// failed flag is private to this process (peers learn of a failure from
+/// their streams). The caller owns mesh teardown; the channels die with
+/// this call.
 pub(crate) fn run_mesh_rank<O, A>(
     config: &JobConfig,
     rank: usize,
@@ -116,10 +113,7 @@ where
     if let Some(obs) = config.observer.as_ref() {
         obs.begin_job(ranks);
     }
-    let pinned = Scheduling::Static {
-        work_stealing: false,
-    };
-    let queues = TaskQueues::new(pinned, inputs.len(), ranks, 0);
+    let queues = TaskQueues::pinned(inputs.len(), ranks);
     let failure = JobFailure::default();
     let cx = RankContext {
         config,
@@ -128,7 +122,6 @@ where
         attempt: 0,
         inputs,
         queues: &queues,
-        board: None,
         checkpoint: None,
         failure: &failure,
     };

@@ -4,7 +4,7 @@
 //! event names its target (an O task or a rank) and the job attempt on
 //! which it fires, so a plan replays identically run after run — the
 //! property the self-healing supervisor tests and the byte-identical
-//! output property test depend on. Four fault kinds are supported:
+//! output property test depend on. Five fault kinds are supported:
 //!
 //! * **O-task errors** — the task returns an injected [`Error::Fault`]
 //!   before running user code (the original `FaultSpec` behaviour);
@@ -12,8 +12,10 @@
 //!   phase (it still tears its streams down cleanly so peers do not
 //!   deadlock, exactly like a real process whose connections are closed
 //!   by the OS);
-//! * **straggler delays** — an O task is artificially slowed, modelling
-//!   the slow-node scenario Hadoop answers with speculative execution;
+//! * **mid-merge deaths** — a rank dies after emitting a set number of A
+//!   groups, the crash the merge checkpoint resumes from;
+//! * **straggler delays** — an O task is artificially slowed before its
+//!   user code runs, modelling a slow node;
 //! * **frame corruption** — one wire frame of the task gets a byte
 //!   flipped *after* its CRC-32C is computed, so the receiving A partition
 //!   detects the mismatch and fails the attempt rather than silently
@@ -78,19 +80,6 @@ pub enum FaultEvent {
         /// Number of groups the rank emits before dying.
         after_groups: u64,
     },
-    /// Every O task run by rank `rank` on attempt `on_attempt` is delayed
-    /// by `delay_ms` before user code — the whole-node straggler the
-    /// speculation layer defends against, as opposed to
-    /// [`FaultEvent::Straggler`]'s single-task delay.
-    SlowRank {
-        /// Target worker rank.
-        rank: usize,
-        /// 0-based job attempt on which the pacing applies.
-        on_attempt: u32,
-        /// Per-task injected delay in milliseconds (bounded by
-        /// [`FaultPlan::MAX_STRAGGLER_MS`]).
-        delay_ms: u64,
-    },
 }
 
 impl FaultEvent {
@@ -101,8 +90,7 @@ impl FaultEvent {
             | FaultEvent::RankPanic { on_attempt, .. }
             | FaultEvent::Straggler { on_attempt, .. }
             | FaultEvent::CorruptFrame { on_attempt, .. }
-            | FaultEvent::MergePanic { on_attempt, .. }
-            | FaultEvent::SlowRank { on_attempt, .. } => on_attempt,
+            | FaultEvent::MergePanic { on_attempt, .. } => on_attempt,
         }
     }
 }
@@ -206,17 +194,6 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: schedule a whole-rank slowdown (every task the rank runs
-    /// on that attempt is paced by `delay_ms`).
-    pub fn slow_rank(mut self, rank: usize, on_attempt: u32, delay_ms: u64) -> Self {
-        self.events.push(FaultEvent::SlowRank {
-            rank,
-            on_attempt,
-            delay_ms,
-        });
-        self
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -242,9 +219,7 @@ impl FaultPlan {
     /// Validates the plan (delay bounds).
     pub fn validate(&self) -> Result<()> {
         for e in &self.events {
-            if let FaultEvent::Straggler { delay_ms, .. } | FaultEvent::SlowRank { delay_ms, .. } =
-                e
-            {
+            if let FaultEvent::Straggler { delay_ms, .. } = e {
                 if *delay_ms > Self::MAX_STRAGGLER_MS {
                     return Err(Error::Config(format!(
                         "straggler delay {delay_ms} ms exceeds cap {} ms",
@@ -297,24 +272,6 @@ impl FaultPlan {
                     on_attempt,
                     delay_ms,
                 } if *t == task && *on_attempt == attempt => Some(*delay_ms),
-                _ => None,
-            })
-            .sum();
-        (ms > 0).then(|| Duration::from_millis(ms))
-    }
-
-    /// Per-task pacing delay for rank `rank` on `attempt` (sums if
-    /// several slow-rank events target the same rank/attempt).
-    pub fn slow_rank_delay(&self, rank: usize, attempt: u32) -> Option<Duration> {
-        let ms: u64 = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::SlowRank {
-                    rank: r,
-                    on_attempt,
-                    delay_ms,
-                } if *r == rank && *on_attempt == attempt => Some(*delay_ms),
                 _ => None,
             })
             .sum();
@@ -410,18 +367,6 @@ mod tests {
         assert_eq!(plan.merge_panic_after(0, 0), None);
         assert_eq!(plan.last_faulty_attempt(), Some(1));
         plan.validate().unwrap();
-    }
-
-    #[test]
-    fn slow_rank_paces_every_task_of_the_rank() {
-        let plan = FaultPlan::new(0).slow_rank(1, 0, 20).slow_rank(1, 0, 5);
-        assert_eq!(plan.slow_rank_delay(1, 0), Some(Duration::from_millis(25)));
-        assert_eq!(plan.slow_rank_delay(0, 0), None);
-        assert_eq!(plan.slow_rank_delay(1, 1), None);
-        assert_eq!(plan.last_faulty_attempt(), Some(0));
-        plan.validate().unwrap();
-        let too_slow = FaultPlan::new(0).slow_rank(0, 0, FaultPlan::MAX_STRAGGLER_MS + 1);
-        assert!(too_slow.validate().is_err());
     }
 
     #[test]

@@ -36,18 +36,18 @@
 //! wire corruption caught by per-frame CRCs) to exercise that machinery.
 //!
 //! Every executing surface runs the same per-rank program — ingest
-//! thread, O loop, EOFs, A loop (`rank.rs`; DESIGN.md "Execution core")
-//! — and differs only in where its ranks live and what they can share:
+//! thread, O loop, EOFs, A loop (`rank.rs`; DESIGN.md §5) — and differs
+//! only in where its ranks live and what they can share:
 //!
 //! * the **in-proc runtime** ([`runtime`]): ranks are threads of one
 //!   process connected by a pluggable [`transport`] (the in-proc channel
-//!   fabric or a real TCP mesh), sharing one task queue, speculation
-//!   board, checkpoint and failed flag — the surface of the test suite,
-//!   the benchmark package's data workloads and the [`supervisor`];
+//!   fabric or a real TCP mesh), sharing one task queue, checkpoint and
+//!   failed flag — the surface of the test suite, the benchmark
+//!   package's data workloads and the [`supervisor`];
 //! * **one rank per process**, in a job service session ([`service`]
 //!   over [`distrib`]): kept resident for many jobs by `dmpid`, or
-//!   started for one by the `dmpirun` launcher — the static task
-//!   assignment, no board, no checkpoint.
+//!   started for one by the `dmpirun` launcher — the static
+//!   `task % ranks` assignment, no checkpoint.
 //!
 //! Beside them, a **plan compiler** ([`plan`]) translates the same job
 //! into `dmpi-dcsim` activities for the paper-scale experiments.
@@ -66,7 +66,6 @@ pub mod plan;
 mod rank;
 pub mod runtime;
 pub mod service;
-pub mod speculate;
 pub mod spillfmt;
 pub mod store;
 pub mod supervisor;
@@ -77,7 +76,6 @@ pub use config::{JobConfig, WireCompression};
 pub use fault::FaultPlan;
 pub use observe::{Observer, PhaseTotals, Profiler, SpanKind, Trace};
 pub use runtime::{run_job, JobOutput, JobStats};
-pub use speculate::{Scheduling, SpeculationConfig};
 pub use spillfmt::{KeyRange, SealedRun, SpillConfig, SpillReadCounters};
 pub use supervisor::{
     supervise_job, supervise_job_elastic, ElasticOutput, ElasticPolicy, RetryPolicy,

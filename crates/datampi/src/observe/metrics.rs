@@ -16,7 +16,9 @@ use super::histogram::Histograms;
 /// Declares the job counters: variant, wire name, unit, and whether the
 /// cross-rank aggregate sums it (`flow`) or takes the maximum (`gauge`).
 /// The order here is the order of the `tlm` line and of
-/// `job-report.json`: append, never reorder.
+/// `job-report.json`. Both carry each counter by name, so adding or
+/// removing one changes no other counter's meaning for a reader; the
+/// files under `tests/golden/` pin the bytes.
 macro_rules! counters {
     ($($(#[$doc:meta])* $variant:ident $name:literal $unit:literal $kind:ident,)*) => {
         /// One job counter. This enum is the single declaration of the
@@ -68,17 +70,6 @@ counters! {
     CombinerRecordsIn "combiner_records_in" "records" flow,
     /// Records O-side combiners shipped after folding `in - out` pairs away.
     CombinerRecordsOut "combiner_records_out" "records" flow,
-    /// Task transitions reported to the progress board (speculation only).
-    Heartbeats "heartbeats" "events" flow,
-    /// Speculative duplicate attempts launched.
-    SpeculativeAttempts "speculative_attempts" "attempts" flow,
-    /// Speculative duplicates that won the first-writer-wins commit.
-    SpeculativeCommits "speculative_commits" "attempts" flow,
-    /// O splits stolen from another rank's static queue.
-    TasksStolen "tasks_stolen" "tasks" flow,
-    // Wire-detail counters ride behind the original eighteen, and the
-    // spill-format counters behind those, so older frame layouts stay
-    // index-compatible with this one.
     /// Pre-batching frame bytes handed to the wire encoders; `wire_bytes_sent`
     /// over this is the achieved wire compression ratio.
     WireRawBytesSent "wire_raw_bytes_sent" "bytes" flow,
@@ -394,8 +385,8 @@ mod tests {
         assert_eq!(Counter::parse("no_such_counter"), None);
         let gauges: Vec<_> = Counter::ALL.into_iter().filter(|c| c.is_gauge()).collect();
         assert_eq!(gauges, [Counter::BufferHwmBytes]);
-        assert_eq!(Counter::ALL.len(), 29);
-        assert_eq!(Counter::ALL[28] as usize, 28, "ALL is in declaration order");
+        assert_eq!(Counter::ALL.len(), 25);
+        assert_eq!(Counter::ALL[24] as usize, 24, "ALL is in declaration order");
     }
 
     /// DESIGN.md prints the counter table; its rows must be the

@@ -73,7 +73,7 @@ impl ClockSync {
 /// strings [`TraceEvent`] requires; unknown keys are dropped rather than
 /// leaked.
 fn intern_arg_key(key: &str) -> Option<&'static str> {
-    const KNOWN: [&str; 18] = [
+    const KNOWN: [&str; 16] = [
         "bytes",
         "cause",
         "peer",
@@ -85,8 +85,6 @@ fn intern_arg_key(key: &str) -> Option<&'static str> {
         "shrunk",
         "next_attempt",
         "next_ranks",
-        "aborted",
-        "speculative",
         "send",
         "recv",
         "sort",
@@ -511,8 +509,8 @@ impl TelemetryAggregator {
         push_matrix_json(&mut out, &self.recv_matrix());
         out.push('}');
 
-        // The straggler/speculation timeline: recovery-lane events plus
-        // any span the runtime tagged speculative or aborted.
+        // The fault/recovery timeline: every fault, retry and recovery
+        // event, in time order.
         out.push_str(",\n  \"timeline\": [");
         let mut first = true;
         let mut timeline: Vec<&TraceEvent> = self
@@ -522,10 +520,7 @@ impl TelemetryAggregator {
                 matches!(
                     e.kind,
                     SpanKind::Fault | SpanKind::Retry | SpanKind::Recovered
-                ) || e
-                    .args
-                    .iter()
-                    .any(|(k, _)| *k == "speculative" || *k == "aborted" || *k == "shrunk")
+                )
             })
             .collect();
         timeline.sort_by_key(|e| e.ts_us);

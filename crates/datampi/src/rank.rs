@@ -10,26 +10,25 @@
 //!    TCP it also drains the sockets while O computes.
 //! 2. **O phase** — the rank pulls splits from the job's [`TaskQueues`]
 //!    and runs each through `run_o_task`: checkpoint replay, injected
-//!    faults, user code in one of two emission modes, panic → fault,
-//!    stats fold. With a [`ProgressBoard`] an idle rank also speculates on
-//!    detected stragglers. Whatever ends the phase — queue drained, failed
-//!    flag, user panic, injected death — the rank then sends its EOF to
-//!    every partition, so no peer's ingest waits forever.
+//!    faults, user code writing straight into the task's [`KvBuffer`],
+//!    panic → fault, stats fold. Whatever ends the phase — queue drained,
+//!    failed flag, user panic, injected death — the rank then sends its
+//!    EOF to every partition, so no peer's ingest waits forever.
 //! 3. **A phase** — once every peer's EOF arrived the store's groups are
 //!    pulled one at a time through the user's A function, with optional
 //!    mid-merge checkpoints.
 //!
 //! The callers differ only in what they hand in (see [`RankContext`]):
-//! the in-proc runtime shares one queue, board, checkpoint and
-//! [`JobFailure`] among its rank threads; `dmpirun` workers and the
-//! resident service run [`crate::distrib::run_mesh_rank`], which supplies
-//! the static queue, no board, no checkpoint and a process-private
-//! failure cell. Endpoint teardown and wire-stat recording stay with the
-//! caller.
+//! the in-proc runtime shares one queue, checkpoint and [`JobFailure`]
+//! among its rank threads; `dmpirun` workers and the resident service run
+//! [`crate::distrib::run_mesh_rank`], which supplies the `task % ranks`
+//! queue, no checkpoint and a process-private failure cell. Endpoint
+//! teardown and wire-stat recording stay with the caller.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -37,13 +36,12 @@ use parking_lot::Mutex;
 use dmpi_common::kv::RecordBatch;
 use dmpi_common::{ser, Error, FaultCause, FaultKind, Result};
 
-use crate::buffer::{BufferStats, KvBuffer};
+use crate::buffer::KvBuffer;
 use crate::checkpoint::{CheckpointStore, MergeCheckpoint};
 use crate::comm::Frame;
 use crate::config::JobConfig;
 use crate::observe::{Counter, HistKind, Observer, PhaseTotals, SpanKind, Tracer};
 use crate::runtime::JobStats;
-use crate::speculate::{ProgressBoard, TaskQueues};
 use crate::store::{PartitionStore, StoreStats};
 use crate::task::{BatchCollector, Collector, GroupedValues};
 use crate::transport::{FrameReceiver, FrameSender};
@@ -87,6 +85,38 @@ impl JobFailure {
     }
 }
 
+/// The split dispenser an O phase pulls task indices from. In-proc,
+/// every rank thread shares one queue and a free rank takes the next
+/// split (the paper's dynamic scheduling); on a mesh, where no queue
+/// spans processes, task `t` is pinned to rank `t % ranks`, which every
+/// process computes alike.
+pub(crate) struct TaskQueues {
+    /// One queue every rank shares, or one per rank.
+    queues: Vec<Mutex<VecDeque<usize>>>,
+}
+
+impl TaskQueues {
+    /// One queue of tasks `0..tasks` that every rank pulls from.
+    pub(crate) fn shared(tasks: usize) -> Self {
+        TaskQueues {
+            queues: vec![Mutex::new((0..tasks).collect())],
+        }
+    }
+
+    /// Task `t` queued for rank `t % ranks` only.
+    pub(crate) fn pinned(tasks: usize, ranks: usize) -> Self {
+        let queues = (0..ranks)
+            .map(|r| Mutex::new((r..tasks).step_by(ranks).collect()))
+            .collect();
+        TaskQueues { queues }
+    }
+
+    /// The next split for `rank`, or `None` once its queue is drained.
+    pub(crate) fn next(&self, rank: usize) -> Option<usize> {
+        self.queues[rank % self.queues.len()].lock().pop_front()
+    }
+}
+
 /// Everything that differs between the callers of [`run_rank`].
 pub(crate) struct RankContext<'a, I> {
     /// The job's configuration.
@@ -101,9 +131,6 @@ pub(crate) struct RankContext<'a, I> {
     pub inputs: &'a [I],
     /// The split dispenser this rank pulls from.
     pub queues: &'a TaskQueues,
-    /// Speculation's heartbeat sink and commit ledger. Its presence
-    /// switches every task to capture-then-commit emission.
-    pub board: Option<&'a ProgressBoard>,
     /// O-task and merge checkpoints, when the job is restartable.
     pub checkpoint: Option<&'a CheckpointStore>,
     /// The job's failed flag.
@@ -186,17 +213,6 @@ struct Rank<'a, I, O> {
     stats: JobStats,
 }
 
-/// How one attempt at an O task ended.
-enum Emitted {
-    /// The task's output went out through its [`KvBuffer`].
-    Shipped(BufferStats),
-    /// Another attempt committed first; this many captured bytes are
-    /// discarded.
-    Lost(u64),
-    /// User code panicked after flushing or capturing this many bytes.
-    Panicked(u64),
-}
-
 impl<I, O> Rank<'_, I, O>
 where
     I: Sync,
@@ -224,29 +240,12 @@ where
     fn o_phase(&mut self) {
         let cx = self.cx;
         while !cx.failure.is_set() {
-            let Some(dispensed) = cx.queues.next(cx.rank) else {
-                // Nothing left to start. Without a progress board the
-                // rank is done; with one it idles until every task
-                // commits, speculating on detected stragglers meanwhile.
-                let Some(board) = cx.board else { break };
-                if board.all_done() {
-                    break;
-                }
-                match board.claim_speculation() {
-                    Some(victim) => self.run_o_task(victim, true),
-                    None => std::thread::sleep(board.poll()),
-                }
-                continue;
+            let Some(task) = cx.queues.next(cx.rank) else {
+                break;
             };
-            if dispensed.stolen {
-                self.stats.tasks_stolen += 1;
-                if let Some(t) = &self.tracer {
-                    t.registry().add(Counter::TasksStolen, 1);
-                }
-            }
-            match cx.checkpoint.filter(|cp| cp.is_complete(dispensed.task)) {
-                Some(cp) => self.replay_checkpointed(dispensed.task, cp),
-                None => self.run_o_task(dispensed.task, false),
+            match cx.checkpoint.filter(|cp| cp.is_complete(task)) {
+                Some(cp) => self.replay_checkpointed(task, cp),
+                None => self.run_o_task(task),
             }
         }
     }
@@ -268,15 +267,10 @@ where
             t.registry().add(Counter::RecoveredTasks, 1);
         }
         self.stats.o_tasks_recovered += 1;
-        if let Some(board) = cx.board {
-            board.try_commit(task);
-        }
     }
 
     /// Builds `task`'s emit buffer with the checkpoint tee, tracer,
-    /// combiner and injected corruption attached. Every emission mode
-    /// ships through a buffer built here, fed the same `emit_kv`
-    /// sequence, which is why their frames are byte-identical.
+    /// combiner and injected corruption attached.
     fn task_buffer(&self, task: usize) -> KvBuffer {
         let cx = self.cx;
         let mut buffer = KvBuffer::new(
@@ -303,52 +297,20 @@ where
         buffer
     }
 
-    /// Drops what an abandoned primary attempt left behind: its partial
-    /// checkpoint frames and its board heartbeat.
+    /// Drops the partial checkpoint frames of a task that did not finish.
     fn abandon(&self, task: usize) {
         if let Some(cp) = self.cx.checkpoint {
             cp.discard_incomplete(task);
         }
-        if let Some(board) = self.cx.board {
-            board.abort(task);
-        }
     }
 
-    /// Runs one attempt at O task `task`: the primary one a queue
-    /// dispensed, or (`speculative`) a duplicate of another rank's
-    /// straggler.
-    ///
-    /// The emission mode follows from what the rank can observe:
-    /// * a progress board ⇒ **whole-task capture**: user code emits into
-    ///   a capture only, and the attempt ships (by replaying the capture
-    ///   through the task's buffer) only if it wins the board's
-    ///   first-writer-wins commit (DESIGN.md §7);
-    /// * otherwise **direct emission**: user code writes straight into
-    ///   the task's buffer, no copy.
-    fn run_o_task(&mut self, task: usize, speculative: bool) {
+    /// Runs O task `task`: injected faults first, then user code writing
+    /// straight into the task's buffer.
+    fn run_o_task(&mut self, task: usize) {
         let cx = self.cx;
         let tracer = self.tracer.as_ref().map(|t| t.for_task(task as u64));
-        let registry = tracer.as_ref().map(Tracer::registry);
-        // Only the primary attempt heartbeats: the outlier detector
-        // times placements, and a duplicate is not one.
-        let heartbeat_board = cx.board.filter(|_| !speculative);
-        if speculative {
-            self.stats.speculative_attempts += 1;
-            if let Some(r) = registry {
-                r.add(Counter::SpeculativeAttempts, 1);
-            }
-        }
-        if let Some(board) = heartbeat_board {
-            board.start(task);
-            if let Some(r) = registry {
-                r.add(Counter::Heartbeats, 1);
-            }
-        }
         let task_start = tracer.as_ref().map(Tracer::start);
-
-        // Injected errors and delays model the task's original
-        // placement, which is exactly what a duplicate escapes.
-        if let Some(plan) = cx.config.faults.as_ref().filter(|_| !speculative) {
+        if let Some(plan) = cx.config.faults.as_ref() {
             if plan.o_task_error(task, cx.attempt) {
                 self.abandon(task);
                 self.fail(
@@ -358,123 +320,50 @@ where
                 );
                 return;
             }
-            let mut delay = Duration::ZERO;
-            let straggler = plan.straggler_delay(task, cx.attempt);
-            let slow_rank = plan.slow_rank_delay(cx.rank, cx.attempt);
-            for d in [straggler, slow_rank].into_iter().flatten() {
-                delay += d;
+            if let Some(delay) = plan.straggler_delay(task, cx.attempt) {
                 self.stats.straggler_delays += 1;
-            }
-            if !delay.is_zero() && serve_injected_delay(delay, cx.board, task) {
-                // A duplicate committed while we were stalled: abort
-                // before user code runs — zero bytes wasted. The task's
-                // checkpoint frames are now the winner's: leave them.
-                self.stats.speculative_aborts += 1;
-                if let Some(board) = cx.board {
-                    board.abort(task);
-                }
-                if let Some(r) = registry {
-                    r.add(Counter::Heartbeats, 1);
-                }
-                return;
+                std::thread::sleep(delay);
             }
         }
 
+        let mut buffer = self.task_buffer(task);
+        // User code may panic; that becomes a clean job fault so peer
+        // ranks still receive our EOFs instead of deadlocking in their A
+        // phase.
         let (o_fn, split) = (self.o_fn, &cx.inputs[task]);
-        let emitted = if let Some(board) = cx.board {
-            let mut capture = CaptureCollector { buf: Vec::new() };
-            let ran = catch_unwind(AssertUnwindSafe(|| o_fn(task, split, &mut capture))).is_ok();
-            let captured = capture.buf.len() as u64;
-            if !ran {
-                Emitted::Panicked(captured)
-            } else if board.try_commit(task) {
-                let mut buffer = self.task_buffer(task);
-                replay_capture(&capture.buf, &mut buffer);
-                Emitted::Shipped(buffer.finish())
-            } else {
-                Emitted::Lost(captured)
-            }
-        } else {
-            let mut buffer = self.task_buffer(task);
-            // User code may panic; that becomes a clean job fault so peer
-            // ranks still receive our EOFs instead of deadlocking in
-            // their A phase.
-            let ran = catch_unwind(AssertUnwindSafe(|| {
-                let mut adapter = EmitAdapter {
-                    buffer: &mut buffer,
-                };
-                o_fn(task, split, &mut adapter);
-            }))
-            .is_ok();
-            if ran {
-                Emitted::Shipped(buffer.finish())
-            } else {
-                Emitted::Panicked(buffer.stats().bytes)
-            }
-        };
-
-        // `Some(records)` if this attempt's output shipped, `None` if it
-        // lost the commit race.
-        let shipped = match emitted {
-            Emitted::Panicked(wasted) => {
-                // Whatever the half-finished attempt flushed or captured
-                // can never be recovered. A duplicate's panic is the same
-                // user-code bug its primary will hit; the primary owns
-                // the task's checkpoint frames and heartbeat.
-                self.stats.wasted_bytes += wasted;
-                if !speculative {
-                    self.abandon(task);
-                }
-                self.fail(
-                    FaultKind::TaskPanic,
-                    "O task user code panicked",
-                    Some(task),
-                );
-                return;
-            }
-            Emitted::Shipped(b) => {
-                self.stats.o_tasks_run += 1;
-                self.stats.records_emitted += b.records;
-                self.stats.bytes_emitted += b.bytes;
-                self.stats.frames += b.frames;
-                self.stats.early_flushes += b.early_flushes;
-                self.stats.combiner_records_in += b.combiner_records_in;
-                self.stats.combiner_records_out += b.combiner_records_out;
-                if let Some(cp) = cx.checkpoint {
-                    cp.mark_complete_at(task, cx.ranks);
-                }
-                if speculative {
-                    self.stats.speculative_commits += 1;
-                    if let Some(r) = registry {
-                        r.add(Counter::SpeculativeCommits, 1);
-                    }
-                }
-                Some(b.records)
-            }
-            Emitted::Lost(wasted) => {
-                self.stats.wasted_bytes += wasted;
-                self.stats.speculative_aborts += 1;
-                None
-            }
-        };
-        if let Some(t) = &tracer {
-            let mut args = Vec::new();
-            if let Some(records) = shipped {
-                args.push(("records", records.to_string()));
-            }
-            if speculative {
-                args.push(("speculative", "true".into()));
-            }
-            if shipped.is_none() {
-                args.push(("aborted", "true".into()));
-            }
-            t.span(SpanKind::OTask, task_start.unwrap_or(0), args);
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            let mut adapter = EmitAdapter {
+                buffer: &mut buffer,
+            };
+            o_fn(task, split, &mut adapter);
+        }))
+        .is_ok();
+        if !ran {
+            // Whatever the half-finished task flushed can never be
+            // recovered.
+            self.stats.wasted_bytes += buffer.stats().bytes;
+            self.abandon(task);
+            self.fail(
+                FaultKind::TaskPanic,
+                "O task user code panicked",
+                Some(task),
+            );
+            return;
         }
-        if let Some(board) = heartbeat_board {
-            board.finish(task);
-            if let Some(r) = registry {
-                r.add(Counter::Heartbeats, 1);
-            }
+        let b = buffer.finish();
+        self.stats.o_tasks_run += 1;
+        self.stats.records_emitted += b.records;
+        self.stats.bytes_emitted += b.bytes;
+        self.stats.frames += b.frames;
+        self.stats.early_flushes += b.early_flushes;
+        self.stats.combiner_records_in += b.combiner_records_in;
+        self.stats.combiner_records_out += b.combiner_records_out;
+        if let Some(cp) = cx.checkpoint {
+            cp.mark_complete_at(task, cx.ranks);
+        }
+        if let Some(t) = &tracer {
+            let args = vec![("records", b.records.to_string())];
+            t.span(SpanKind::OTask, task_start.unwrap_or(0), args);
         }
     }
 
@@ -658,56 +547,6 @@ impl Collector for EmitAdapter<'_> {
     }
 }
 
-/// Captures an attempt's emissions as `(klen, vlen, key, value)` varint
-/// frames — the same layout [`dmpi_common::ser::read_framed_kv`] decodes
-/// — for in-order replay into the task's real [`KvBuffer`].
-struct CaptureCollector {
-    buf: Vec<u8>,
-}
-
-impl Collector for CaptureCollector {
-    fn collect(&mut self, key: &[u8], value: &[u8]) {
-        ser::frame_kv(&mut self.buf, key, value);
-    }
-}
-
-/// Replays captured emissions through the task's real buffer, borrowing
-/// each pair straight out of the capture (no allocation).
-fn replay_capture(capture: &[u8], buffer: &mut KvBuffer) {
-    let mut off = 0usize;
-    while off < capture.len() {
-        let (key, value, n) = ser::read_framed_kv(&capture[off..])
-            .expect("capture buffers are well-formed by construction");
-        buffer.emit_kv(key, value);
-        off += n;
-    }
-}
-
-/// Serves an injected straggler/slow-rank delay. Without a progress
-/// board this is a plain sleep. With one, the delay is served in
-/// poll-sized slices so a primary stuck in an injected stall can abort
-/// the moment a speculative duplicate commits its task — returning
-/// `true` (task committed elsewhere; the caller must abort without
-/// running user code, wasting zero bytes).
-fn serve_injected_delay(total: Duration, board: Option<&ProgressBoard>, task: usize) -> bool {
-    let Some(board) = board else {
-        std::thread::sleep(total);
-        return false;
-    };
-    let slice = board.poll().max(Duration::from_millis(1));
-    let deadline = Instant::now() + total;
-    loop {
-        if board.is_committed(task) {
-            return true;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return false;
-        }
-        std::thread::sleep(slice.min(deadline - now));
-    }
-}
-
 /// Wraps an undecodable A-store record as the structured corruption
 /// fault the CRC gate would have raised, with rank/attempt provenance.
 fn store_decode_fault(e: Error, rank: usize, attempt: u32) -> Error {
@@ -871,5 +710,34 @@ fn ingest_partition(
         corrupt_frames,
         first_error,
         phase,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dynamic_queue_dispenses_in_order_to_any_rank() {
+        let q = TaskQueues::shared(4);
+        assert_eq!(q.next(1), Some(0));
+        assert_eq!(q.next(0), Some(1));
+        assert_eq!(q.next(1), Some(2));
+        assert_eq!(q.next(0), Some(3));
+        assert_eq!(q.next(0), None);
+    }
+
+    #[test]
+    fn static_queue_pins_tasks_modulo_ranks() {
+        let q = TaskQueues::pinned(6, 2);
+        // Rank 0 owns 0, 2, 4; rank 1 owns 1, 3, 5; no crossover.
+        for expect in [0usize, 2, 4] {
+            assert_eq!(q.next(0), Some(expect));
+        }
+        assert_eq!(q.next(0), None, "rank 0 is done");
+        for expect in [1usize, 3, 5] {
+            assert_eq!(q.next(1), Some(expect));
+        }
+        assert_eq!(q.next(1), None);
     }
 }

@@ -3,13 +3,11 @@
 //! `run_job` realizes the bipartite O/A model. This module is the **job
 //! level** only: it opens the configured [`crate::transport`] (the
 //! in-proc channel fabric or a real TCP mesh), builds what the ranks of
-//! one process can share — the split dispenser ([`TaskQueues`], dynamic
-//! by default), the speculation [`ProgressBoard`] when enabled, the
-//! caller's [`CheckpointStore`], one failed flag — and runs `run_rank`
-//! on one thread per rank. What a rank does (ingest thread, O loop,
-//! EOFs, A loop) lives in `rank.rs` and is the same code `dmpirun`
-//! workers and the resident service execute; see DESIGN.md "Execution
-//! core".
+//! one process can share — one split queue that a free rank takes the
+//! next split from, the caller's [`CheckpointStore`], one failed flag —
+//! and runs `run_rank` on one thread per rank. What a rank does (ingest
+//! thread, O loop, EOFs, A loop) lives in `rank.rs` and is the same code
+//! `dmpirun` workers and the resident service execute; see DESIGN.md §5.
 //!
 //! Failures: an O task error, rank death, or corrupt frame marks the job
 //! failed; every surviving rank still sends its EOFs so the job tears down
@@ -32,8 +30,7 @@ use dmpi_common::{Error, FaultCause, FaultKind, Result};
 use crate::checkpoint::CheckpointStore;
 use crate::config::JobConfig;
 use crate::observe::{HistKind, PhaseTotals, SpanKind};
-use crate::rank::{run_rank, JobFailure, RankContext};
-use crate::speculate::{ProgressBoard, TaskQueues};
+use crate::rank::{run_rank, JobFailure, RankContext, TaskQueues};
 use crate::task::{Collector, GroupedValues};
 use crate::transport;
 
@@ -95,19 +92,6 @@ pub struct JobStats {
     /// `combiner_records_in - combiner_records_out` pairs never touched
     /// the wire.
     pub combiner_records_out: u64,
-    /// Speculative duplicate attempts launched by idle ranks.
-    pub speculative_attempts: u64,
-    /// Speculative duplicates that won their task's first-writer-wins
-    /// commit (the task's output came from the duplicate, not the slow
-    /// primary).
-    pub speculative_commits: u64,
-    /// Attempts (primary or speculative) that lost a commit race or were
-    /// aborted pre-execution; their emissions are charged to
-    /// `wasted_bytes`.
-    pub speculative_aborts: u64,
-    /// O splits stolen from another rank's queue under static scheduling
-    /// with work stealing.
-    pub tasks_stolen: u64,
     /// Per-phase wall-time totals, summed across ranks, derived from the
     /// span log. All zero unless the config installs an
     /// [`Observer`](crate::observe::Observer).
@@ -138,10 +122,6 @@ impl JobStats {
         self.peak_resident_records = self.peak_resident_records.max(other.peak_resident_records);
         self.combiner_records_in += other.combiner_records_in;
         self.combiner_records_out += other.combiner_records_out;
-        self.speculative_attempts += other.speculative_attempts;
-        self.speculative_commits += other.speculative_commits;
-        self.speculative_aborts += other.speculative_aborts;
-        self.tasks_stolen += other.tasks_stolen;
         self.phase_us.merge(&other.phase_us);
     }
 }
@@ -248,18 +228,7 @@ where
         }
     }
 
-    let queues = TaskQueues::new(
-        config.scheduling,
-        inputs.len(),
-        ranks,
-        config.speculation.seed,
-    );
-    // The progress board exists only when speculation is on: the default
-    // path keeps its direct-emission hot loop and pays nothing.
-    let board = config
-        .speculation
-        .enabled
-        .then(|| ProgressBoard::new(config.speculation, inputs.len()));
+    let queues = TaskQueues::shared(inputs.len());
     let failure = JobFailure::default();
 
     let mut rank_results: Vec<Option<(RecordBatch, JobStats)>> = Vec::new();
@@ -275,7 +244,6 @@ where
                 attempt,
                 inputs,
                 queues: &queues,
-                board: board.as_ref(),
                 checkpoint,
                 failure: &failure,
             };
@@ -351,7 +319,6 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::observe::Observer;
     use dmpi_common::ser::Writable;
-    use std::time::{Duration, Instant};
 
     /// WordCount: O splits lines into words, A sums counts.
     fn wordcount_o(_task: usize, split: &[u8], out: &mut dyn Collector) {
@@ -680,161 +647,6 @@ mod tests {
         let out = run_job(&config, lined_inputs(4, 50), wordcount_o, wordcount_a, None).unwrap();
         assert!(out.stats.spills > 0, "budget forces spills");
         assert_eq!(out.stats.phase_us, obs.trace().phase_totals());
-    }
-
-    #[test]
-    fn capture_commit_mode_is_byte_identical_to_direct_emission() {
-        // Speculation on means *every* task runs capture-then-commit; the
-        // output must match the direct path bit for bit, including with a
-        // checkpoint tee and a combiner attached.
-        use crate::speculate::SpeculationConfig;
-        let inputs = || lined_inputs(5, 25);
-        let plain = JobConfig::new(2).with_flush_threshold(64);
-        let direct = run_job(&plain, inputs(), wordcount_o, wordcount_a, None).unwrap();
-
-        let cp = CheckpointStore::new();
-        let spec = plain
-            .clone()
-            .with_speculation(SpeculationConfig::enabled())
-            .with_combiner(crate::task::Combiner::new(wordcount_a));
-        let speced = run_job(&spec, inputs(), wordcount_o, wordcount_a, Some(&cp)).unwrap();
-        for (pa, pb) in direct.partitions.iter().zip(&speced.partitions) {
-            assert_eq!(pa.records(), pb.records());
-        }
-        assert_eq!(direct.stats.records_emitted, speced.stats.records_emitted);
-        assert_eq!(speced.stats.o_tasks_run, 5);
-        assert_eq!(cp.completed_count(), 5, "tee rides the committed replay");
-
-        // A restart against that checkpoint recovers every task.
-        let rec = run_job(&plain, inputs(), wordcount_o, wordcount_a, Some(&cp)).unwrap();
-        assert_eq!(rec.stats.o_tasks_recovered, 5);
-        for (pa, pb) in direct.partitions.iter().zip(&rec.partitions) {
-            assert_eq!(pa.records(), pb.records());
-        }
-    }
-
-    #[test]
-    fn speculation_rescues_a_seeded_slow_rank() {
-        use crate::speculate::{Scheduling, SpeculationConfig};
-        // Rank 0 is paced 400 ms per task; rank 1 is healthy. With static
-        // scheduling rank 0 owns tasks 0 and 2, so without defense the job
-        // takes ~800 ms. Speculation lets rank 1 duplicate the stalled
-        // tasks; the stalled primary aborts mid-sleep, wasting nothing.
-        let spec = SpeculationConfig::enabled()
-            .with_min_completed(1)
-            .with_min_lag(Duration::from_millis(10))
-            .with_poll(Duration::from_millis(1));
-        let config = JobConfig::new(2)
-            .with_scheduling(Scheduling::Static {
-                work_stealing: false,
-            })
-            .with_speculation(spec)
-            .with_faults(FaultPlan::new(3).slow_rank(0, 0, 400));
-        let inputs: Vec<Bytes> = (0..4)
-            .map(|i| Bytes::from(format!("w{i} shared")))
-            .collect();
-        let t0 = Instant::now();
-        let out = run_job(&config, inputs.clone(), wordcount_o, wordcount_a, None).unwrap();
-        let elapsed = t0.elapsed();
-        assert!(
-            out.stats.speculative_commits >= 1,
-            "a duplicate must have rescued a stalled task"
-        );
-        assert_eq!(
-            out.stats.o_tasks_run, 4,
-            "every task committed exactly once"
-        );
-        assert!(
-            elapsed < Duration::from_millis(700),
-            "rescue must beat the ~800 ms no-defense schedule, took {elapsed:?}"
-        );
-        // Output identical to an undisturbed run.
-        let clean = run_job(&JobConfig::new(2), inputs, wordcount_o, wordcount_a, None).unwrap();
-        assert_eq!(counts_of(out), counts_of(clean));
-    }
-
-    #[test]
-    fn stalled_primary_aborts_with_zero_waste() {
-        use crate::speculate::{Scheduling, SpeculationConfig};
-        // One long injected stall on rank 0's only task; the duplicate
-        // commits long before the 1.5 s sleep ends, so the primary aborts
-        // pre-execution and the attempt wastes exactly zero bytes.
-        let spec = SpeculationConfig::enabled()
-            .with_min_completed(1)
-            .with_min_lag(Duration::from_millis(10))
-            .with_poll(Duration::from_millis(1));
-        let config = JobConfig::new(2)
-            .with_scheduling(Scheduling::Static {
-                work_stealing: false,
-            })
-            .with_speculation(spec)
-            .with_faults(FaultPlan::new(0).slow_rank(0, 0, 1_500));
-        let inputs: Vec<Bytes> = (0..4).map(|i| Bytes::from(format!("w{i}"))).collect();
-        let t0 = Instant::now();
-        let out = run_job(&config, inputs, wordcount_o, wordcount_a, None).unwrap();
-        assert_eq!(out.stats.wasted_bytes, 0, "pre-exec aborts charge nothing");
-        assert_eq!(
-            out.stats.speculative_commits, 2,
-            "both stalled tasks rescued"
-        );
-        assert!(out.stats.speculative_aborts >= 2, "both primaries aborted");
-        assert!(
-            t0.elapsed() < Duration::from_millis(1_400),
-            "the job must not serve the full injected stalls"
-        );
-    }
-
-    #[test]
-    fn work_stealing_moves_queued_splits_and_keeps_output_identical() {
-        use crate::speculate::Scheduling;
-        // Rank 0 is paced 40 ms per task and owns a third of 12 tasks;
-        // healthy ranks drain their own queues, then steal rank 0's
-        // not-yet-started splits from the back.
-        let mk = |scheduling| {
-            JobConfig::new(3)
-                .with_scheduling(scheduling)
-                .with_faults(FaultPlan::new(0).slow_rank(0, 0, 40))
-        };
-        let inputs = || lined_inputs(12, 6);
-        let base = run_job(
-            &mk(Scheduling::Dynamic),
-            inputs(),
-            wordcount_o,
-            wordcount_a,
-            None,
-        )
-        .unwrap();
-        let pinned = run_job(
-            &mk(Scheduling::Static {
-                work_stealing: false,
-            }),
-            inputs(),
-            wordcount_o,
-            wordcount_a,
-            None,
-        )
-        .unwrap();
-        let stealing = run_job(
-            &mk(Scheduling::Static {
-                work_stealing: true,
-            }),
-            inputs(),
-            wordcount_o,
-            wordcount_a,
-            None,
-        )
-        .unwrap();
-        assert_eq!(pinned.stats.tasks_stolen, 0);
-        assert!(
-            stealing.stats.tasks_stolen >= 1,
-            "healthy ranks must relieve the slow one"
-        );
-        for (pa, pb) in base.partitions.iter().zip(&pinned.partitions) {
-            assert_eq!(pa.records(), pb.records(), "static matches dynamic");
-        }
-        for (pa, pb) in base.partitions.iter().zip(&stealing.partitions) {
-            assert_eq!(pa.records(), pb.records(), "stealing matches dynamic");
-        }
     }
 
     #[test]

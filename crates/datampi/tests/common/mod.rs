@@ -1,8 +1,12 @@
-//! What the resident-service scenarios share: a one-line client and the
-//! watchdog that turns a hang into a failed test.
+//! What the integration tests share: a one-line client and the watchdog
+//! that turns a hang into a failed test, for the resident-service
+//! scenarios, and the snapshot of what a process holds, for the leak
+//! test. Each test binary uses some of them.
+#![allow(dead_code)]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -43,5 +47,42 @@ pub fn under_watchdog(limit: Duration, scenario: fn() -> Outcome<()>) {
     match rx.recv_timeout(limit) {
         Ok(verdict) => verdict.unwrap(),
         Err(_) => panic!("scenario hung: still running after {limit:?}"),
+    }
+}
+
+/// What a finished job must give back: the process's threads and open
+/// file descriptors, and every path under a spill root.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Residue {
+    pub threads: usize,
+    pub fds: usize,
+    pub spill_entries: Vec<PathBuf>,
+}
+
+impl Residue {
+    /// Snapshots this process (`/proc/self/task`, `/proc/self/fd`) and
+    /// everything under `spill_root`.
+    pub fn of(spill_root: &Path) -> Residue {
+        let mut spill_entries = Vec::new();
+        let mut pending = vec![spill_root.to_path_buf()];
+        while let Some(dir) = pending.pop() {
+            for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
+                let path = entry.path();
+                if path.is_dir() {
+                    pending.push(path.clone());
+                }
+                spill_entries.push(path);
+            }
+        }
+        spill_entries.sort();
+        let count = |dir: &str| match std::fs::read_dir(dir) {
+            Ok(entries) => entries.count(),
+            Err(e) => panic!("{dir}: {e}"),
+        };
+        Residue {
+            threads: count("/proc/self/task"),
+            fds: count("/proc/self/fd"),
+            spill_entries,
+        }
     }
 }

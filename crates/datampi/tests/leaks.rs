@@ -1,0 +1,167 @@
+//! Every in-proc failure path gives back what it took. After a failed
+//! job returns and its checkpoint store is dropped, the process has the
+//! threads and open file descriptors it had before, and the spill
+//! directory holds what it held. The rank, ingest and sealing threads are
+//! scoped or joined before the runner returns, so the counts are exact
+//! and nothing here sleeps or polls. The file holds one `#[test]`, so no
+//! sibling test's threads share the process while it counts.
+
+mod common;
+
+use std::path::PathBuf;
+use std::time::Duration;
+
+use bytes::Bytes;
+
+use common::Residue;
+use datampi::checkpoint::CheckpointStore;
+use datampi::supervisor::{supervise_job, RetryPolicy};
+use datampi::{Backend, FaultPlan, JobConfig};
+use dmpi_common::group::{Collector, GroupedValues};
+use dmpi_common::ser::Writable;
+
+type OFn = fn(usize, &[u8], &mut dyn Collector);
+type AFn = fn(&GroupedValues, &mut dyn Collector);
+
+fn wc_o(_task: usize, split: &[u8], out: &mut dyn Collector) {
+    for word in split.split(|b| b.is_ascii_whitespace()) {
+        if !word.is_empty() {
+            out.collect(word, &1u64.to_bytes());
+        }
+    }
+}
+
+fn wc_a(g: &GroupedValues, out: &mut dyn Collector) {
+    let n: u64 = g.values.iter().map(|v| u64::from_bytes(v).unwrap()).sum();
+    out.collect(&g.key, &n.to_bytes());
+}
+
+fn panicking_o(task: usize, split: &[u8], out: &mut dyn Collector) {
+    wc_o(task, split, out);
+    assert!(task != 3, "O user code fails on task 3");
+}
+
+fn panicking_a(g: &GroupedValues, out: &mut dyn Collector) {
+    assert!(&g.key[..] != b"w7", "A user code fails on w7");
+    wc_a(g, out);
+}
+
+/// One failure point: a fault plan (firing on both attempts the
+/// supervisor allows), the spill directory and the user functions, and
+/// a fragment of the error the job must fail with.
+struct Case {
+    name: &'static str,
+    error: &'static str,
+    faults: FaultPlan,
+    spill_dir: PathBuf,
+    o: OFn,
+    a: AFn,
+}
+
+#[test]
+fn failed_jobs_leave_no_threads_fds_or_spill_files() {
+    let root = std::env::temp_dir().join(format!("dmpi-leaks-{}", std::process::id()));
+    let spill = root.join("spill");
+    std::fs::create_dir_all(&spill).unwrap();
+    // A directory cannot be created beneath a regular file, even by root.
+    let blocker = root.join("blocker");
+    std::fs::write(&blocker, b"a file, not a directory").unwrap();
+    // Twelve splits over 300 distinct words: each rank merges well past
+    // one merge-checkpoint interval, and a 256-byte budget spills.
+    let inputs: Vec<Bytes> = (0..12)
+        .map(|t| {
+            let words: Vec<String> = (0..50)
+                .map(|i| format!("w{}", (t * 37 + i) % 300))
+                .collect();
+            Bytes::from(words.join(" "))
+        })
+        .collect();
+    let twice = |plan: fn(FaultPlan, u32) -> FaultPlan| plan(plan(FaultPlan::new(7), 0), 1);
+    let cases = [
+        Case {
+            name: "fail_o_task",
+            error: "scheduled O-task failure",
+            faults: twice(|p, a| p.fail_o_task(5, a)),
+            spill_dir: spill.clone(),
+            o: wc_o,
+            a: wc_a,
+        },
+        Case {
+            name: "panicking O function",
+            error: "O task user code panicked",
+            faults: FaultPlan::new(7),
+            spill_dir: spill.clone(),
+            o: panicking_o,
+            a: wc_a,
+        },
+        Case {
+            name: "rank_panic",
+            error: "injected rank death",
+            faults: twice(|p, a| p.rank_panic(1, a)),
+            spill_dir: spill.clone(),
+            o: wc_o,
+            a: wc_a,
+        },
+        Case {
+            name: "merge_panic",
+            error: "injected merge death",
+            faults: twice(|p, a| p.merge_panic(0, a, 40)),
+            spill_dir: spill.clone(),
+            o: wc_o,
+            a: wc_a,
+        },
+        Case {
+            name: "panicking A function",
+            error: "A function user code panicked",
+            faults: FaultPlan::new(7),
+            spill_dir: spill.clone(),
+            o: wc_o,
+            a: panicking_a,
+        },
+        Case {
+            name: "spill dir beneath a regular file",
+            error: "Not a directory",
+            faults: FaultPlan::new(7),
+            spill_dir: blocker.join("spill"),
+            o: wc_o,
+            a: wc_a,
+        },
+    ];
+    let policy = RetryPolicy::new(2).with_backoff(Duration::ZERO);
+    for backend in [Backend::InProc, Backend::Tcp] {
+        let config = |case: &Case| {
+            JobConfig::new(2)
+                .with_transport(backend)
+                .with_memory_budget(256)
+                .with_spill_dir(&case.spill_dir)
+                .with_faults(case.faults.clone())
+        };
+        // A clean job first, so a one-time lazy initialisation is not
+        // counted against the first failure.
+        let clean = &cases[0];
+        let plain = config(clean).with_faults(FaultPlan::new(7));
+        let out = supervise_job(&plain, &policy, inputs.clone(), wc_o, wc_a, None).unwrap();
+        assert!(out.stats.spills > 0, "the jobs spill to files");
+        let baseline = Residue::of(&root);
+        for case in &cases {
+            let cp = CheckpointStore::new();
+            let run = supervise_job(
+                &config(case),
+                &policy,
+                inputs.clone(),
+                case.o,
+                case.a,
+                Some(&cp),
+            );
+            let err = run.expect_err(case.name).to_string();
+            assert!(
+                err.contains(case.error),
+                "{backend:?} / {}: {err}",
+                case.name
+            );
+            drop(cp);
+            assert_eq!(Residue::of(&root), baseline, "{backend:?} / {}", case.name);
+        }
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}

@@ -12,7 +12,7 @@ use datampi::checkpoint::CheckpointStore;
 use datampi::fault::FaultPlan;
 use datampi::store::PartitionStore;
 use datampi::supervisor::{supervise_job, RetryPolicy};
-use datampi::{run_job, Backend, Combiner, JobConfig, Scheduling, SpeculationConfig};
+use datampi::{run_job, Backend, Combiner, JobConfig};
 use dmpi_common::compare::sort_records;
 use dmpi_common::group::{group_sorted, Collector, GroupedValues};
 use dmpi_common::ser::{self, Writable};
@@ -467,28 +467,19 @@ proptest! {
     }
 
     #[test]
-    fn wasted_bytes_are_exact_across_retry_and_speculation_grids(
+    fn wasted_bytes_are_exact_across_retry_grids(
         inputs in corpus_strategy(),
         fails in proptest::collection::vec((0usize..8, 0u32..3), 0..5),
         seed in any::<u64>(),
-        speculation in any::<bool>(),
-        scheduling in prop_oneof![
-            Just(Scheduling::Static { work_stealing: false }),
-            Just(Scheduling::Static { work_stealing: true }),
-            Just(Scheduling::Dynamic),
-        ],
         tcp in any::<bool>(),
         checkpointed in any::<bool>(),
     ) {
         // The waste ledger is an exact quantity, not a vibe. At one rank
-        // every scheduling/speculation/backend cell runs tasks 0..n in
-        // order and the injected error fires *before* the task emits, so
-        // a failed attempt wastes precisely the clean byte-prefix of the
-        // tasks that completed ahead of its first failing task — and a
-        // checkpointed job wastes nothing, because every one of those
-        // bytes was banked. The defenses must not smear this ledger:
-        // speculation never fires on microsecond tasks (the detector's
-        // lag floor gates it) and stealing at width one is a no-op.
+        // every backend runs tasks 0..n in order and the injected error
+        // fires *before* the task emits, so a failed attempt wastes
+        // precisely the clean byte-prefix of the tasks that completed
+        // ahead of its first failing task — and a checkpointed job wastes
+        // nothing, because every one of those bytes was banked.
         let backend = if tcp { Backend::Tcp } else { Backend::InProc };
         let per_task: Vec<u64> = inputs
             .iter()
@@ -517,13 +508,9 @@ proptest! {
         let plan = fails
             .iter()
             .fold(FaultPlan::new(seed), |p, &(t, a)| p.fail_o_task(t, a));
-        let mut config = JobConfig::new(1)
+        let config = JobConfig::new(1)
             .with_transport(backend)
-            .with_scheduling(scheduling)
             .with_faults(plan);
-        if speculation {
-            config = config.with_speculation(SpeculationConfig::enabled().with_seed(seed));
-        }
         let policy = RetryPolicy::new(4).with_backoff(std::time::Duration::ZERO);
         let cp = checkpointed.then(CheckpointStore::new);
         let out = supervise_job(&config, &policy, inputs.clone(), wc_o, wc_a, cp.as_ref()).unwrap();

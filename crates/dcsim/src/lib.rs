@@ -28,7 +28,6 @@ pub mod fairshare;
 pub mod metrics;
 pub mod report;
 pub mod spec;
-pub mod straggler;
 pub mod task;
 pub mod timeline;
 
@@ -36,5 +35,4 @@ pub use engine::Simulation;
 pub use failure::{FailureSpec, RecoveryModel, RecoveryStats};
 pub use report::{SimReport, TaskRecord};
 pub use spec::{ClusterSpec, NodeId};
-pub use straggler::{SimOutcome, StragglerSim};
 pub use task::{Activity, Demand, IoTag, Resource, SlotKind, TaskId, TaskSpec};

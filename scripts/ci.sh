@@ -22,6 +22,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (deny warnings) ==" >&2
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+echo "== shell scripts parse ==" >&2
+bash -n scripts/pairs.sh
+
 echo "== size figures (ROADMAP aim 2) ==" >&2
 ./scripts/size.sh | tee target/ci/size.txt
 
@@ -134,8 +137,6 @@ dmpirun --ranks 2 --tasks 8 --verify-inproc sort
 # Rank 1 dies on attempt 0; the launcher relaunches the job one rank
 # narrower and the survivors' output must match at the final width.
 dmpirun --ranks 3 --tasks 6 --fail-rank 1 --elastic --verify-inproc wordcount
-# Rank 1 pauses before each of its O tasks.
-dmpirun --ranks 3 --tasks 6 --slow-rank 1 --slow-ms 50 --verify-inproc wordcount
 
 echo "== dmpirun one-shot repeat guard: 50 launches, 5 passes of tests/dmpirun.rs ==" >&2
 # A launch is a one-job session: start, join, submit, drain, `bye`. A

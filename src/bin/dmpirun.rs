@@ -28,14 +28,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use datampi::distrib::ENV_COORD;
 use datampi::observe::{Counter, Observer};
 use datampi::service::protocol::Line;
-use datampi::service::{
-    request, serve, submit, AdmissionConfig, JobResolver, JobSpec, PreparedJob, Seat, ServiceConfig,
-};
+use datampi::service::{request, serve, submit, AdmissionConfig, JobSpec, Seat, ServiceConfig};
 use datampi::transport::{establish_endpoint, TcpOptions};
 use datampi::JobConfig;
 use dmpi_common::crc::crc32;
@@ -65,8 +62,6 @@ options:
   --verify-inproc     re-run in-process and require identical output
   --fail-rank R       (testing) rank R dies after the mesh is up
                       (on the first attempt only, under --elastic)
-  --slow-rank R       (testing) rank R pauses before each O task
-  --slow-ms M         the per-task pause for --slow-rank (default 100)
   --elastic           on a failed attempt, relaunch the job one rank
                       narrower (at most three attempts); a retried
                       attempt's report and trace stay at FILE.attempt-N
@@ -82,8 +77,6 @@ struct Options {
     report_out: Option<PathBuf>,
     verify_inproc: bool,
     fail_rank: Option<usize>,
-    slow_rank: Option<usize>,
-    slow_ms: u64,
     elastic: bool,
     worker: bool,
 }
@@ -117,8 +110,6 @@ fn parse_args() -> Result<Options, String> {
         report_out: None,
         verify_inproc: false,
         fail_rank: None,
-        slow_rank: None,
-        slow_ms: 100,
         elastic: false,
         worker: false,
     };
@@ -137,8 +128,6 @@ fn parse_args() -> Result<Options, String> {
             "--report-out" => opts.report_out = Some(value(&arg, args.next())?),
             "--verify-inproc" => opts.verify_inproc = true,
             "--fail-rank" => opts.fail_rank = Some(value(&arg, args.next())?),
-            "--slow-rank" => opts.slow_rank = Some(value(&arg, args.next())?),
-            "--slow-ms" => opts.slow_ms = value(&arg, args.next())?,
             "--elastic" => opts.elastic = true,
             "--worker" => opts.worker = true,
             "--help" | "-h" => return Err(String::new()),
@@ -184,21 +173,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// `--slow-rank`'s straggler: the catalogue, pausing before each O task.
-struct Paced(Duration);
-
-impl JobResolver for Paced {
-    fn prepare(&self, spec: &JobSpec) -> dmpi_common::Result<PreparedJob> {
-        let mut job = CatalogueResolver.prepare(spec)?;
-        let (o_fn, pause) = (job.o_fn, self.0);
-        job.o_fn = Box::new(move |task, split, out| {
-            std::thread::sleep(pause);
-            o_fn(task, split, out)
-        });
-        Ok(job)
-    }
-}
-
 /// A worker process: joins the session at `DMPI_COORD` and serves its
 /// job, unless its seat is `--fail-rank`'s.
 fn serve_as_worker(opts: &Options) -> Result<(), String> {
@@ -230,11 +204,7 @@ fn serve_as_worker(opts: &Options) -> Result<(), String> {
     // mesh: on the job's own thread it costs more, and before the join
     // it takes a CPU from the launcher still spawning our siblings.
     opts.workload.input_for_task(0, 1, 0);
-    let resolver: Arc<dyn JobResolver> = match opts.slow_rank {
-        Some(slow) if slow == rank => Arc::new(Paced(Duration::from_millis(opts.slow_ms))),
-        _ => Arc::new(CatalogueResolver),
-    };
-    seat.serve(resolver)
+    seat.serve(Arc::new(CatalogueResolver))
         .map_err(|e| format!("rank {rank}: {e}"))
 }
 
@@ -330,10 +300,6 @@ fn run_session(
         // The injected crash fires on the first attempt only.
         if let Some(rank) = opts.fail_rank.filter(|_| attempt == 0) {
             cmd.args(["--fail-rank", &rank.to_string()]);
-        }
-        if let Some(rank) = opts.slow_rank {
-            let ms = opts.slow_ms.to_string();
-            cmd.args(["--slow-rank", &rank.to_string(), "--slow-ms", &ms]);
         }
         match cmd.arg(opts.workload.name()).spawn() {
             Ok(child) => workers.push(child),
