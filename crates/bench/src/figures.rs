@@ -432,7 +432,8 @@ pub fn fig6b() -> Result<Table> {
 pub fn fig_ext_iterations(input_gb: u64, iterations: u32) -> Result<Table> {
     use dmpi_dcsim::{NodeId, Simulation};
     use dmpi_dfs::{DfsConfig, MiniDfs};
-    use dmpi_workloads::{calib, kmeans};
+    use dmpi_workloads::model::{datampi, mapred, spark};
+    use dmpi_workloads::{calib, Workload};
 
     let cluster = ClusterSpec::paper_testbed();
     let dfs = MiniDfs::new(cluster.nodes, DfsConfig::paper_tuned())?;
@@ -447,15 +448,15 @@ pub fn fig_ext_iterations(input_gb: u64, iterations: u32) -> Result<Table> {
     // Hadoop: one full job per iteration (no residency anywhere).
     let hadoop_iteration = {
         let mut sim = Simulation::new(cluster.clone());
-        let p = kmeans::hadoop_profile(4);
-        dmpi_mapred::plan::compile(&mut sim, &p, &splits)?;
+        let p = mapred::profile(Workload::KMeans, 4);
+        mapred::compile(&mut sim, &p, &splits)?;
         sim.run()?.makespan
     };
 
     // DataMPI: cold first iteration, resident afterwards (Iteration mode).
     let datampi_run = |resident: bool| -> Result<f64> {
         let mut sim = Simulation::new(cluster.clone());
-        let mut p = kmeans::datampi_profile(4);
+        let mut p = datampi::profile(Workload::KMeans, 4);
         p.input_resident = resident;
         if resident {
             // Ranks are already up: iterations after the first pay no
@@ -463,7 +464,7 @@ pub fn fig_ext_iterations(input_gb: u64, iterations: u32) -> Result<Table> {
             p.startup_secs = 0.5;
             p.finalize_secs = 0.0;
         }
-        datampi::plan::compile(&mut sim, &p, &splits)?;
+        datampi::compile(&mut sim, &p, &splits)?;
         Ok(sim.run()?.makespan)
     };
     let datampi_cold = datampi_run(false)?;
@@ -472,16 +473,16 @@ pub fn fig_ext_iterations(input_gb: u64, iterations: u32) -> Result<Table> {
     // Spark: stage0 loads + caches once; each iteration reruns over the
     // cache. Simulate the first job (load + iter) and a cache-only job.
     let spark_times = {
-        let full = kmeans::spark_profile(splits.clone(), 4);
+        let full = spark::profile(Workload::KMeans, splits.clone(), 4, cluster.nodes)?;
         let mut sim = Simulation::new(cluster.clone());
-        dmpi_rddsim::plan::compile(&mut sim, &full)?;
+        spark::compile(&mut sim, &full)?;
         let first = sim.run()?.makespan;
 
-        let mut warm = kmeans::spark_profile(splits.clone(), 4);
+        let mut warm = spark::profile(Workload::KMeans, splits.clone(), 4, cluster.nodes)?;
         warm.startup_secs = 0.3; // driver alive, task dispatch only
         warm.stages.remove(0); // no load stage: iterate over the cache
         let mut sim = Simulation::new(cluster);
-        dmpi_rddsim::plan::compile(&mut sim, &warm)?;
+        spark::compile(&mut sim, &warm)?;
         let repeat = sim.run()?.makespan;
         (first, repeat)
     };

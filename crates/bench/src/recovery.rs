@@ -20,7 +20,8 @@ use dmpi_common::units::GB;
 use dmpi_common::Result;
 use dmpi_dcsim::{ClusterSpec, NodeId, RecoveryModel, SimReport, Simulation};
 use dmpi_dfs::{DfsConfig, MiniDfs};
-use dmpi_workloads::sort::{self, SortVariant};
+use dmpi_workloads::model::{datampi, mapred};
+use dmpi_workloads::Workload;
 
 use crate::table::Table;
 
@@ -73,12 +74,12 @@ fn build_sim(
     let mut sim = Simulation::new(cluster.clone());
     match plan {
         Plan::Hadoop => {
-            let p = sort::hadoop_profile(SortVariant::Text, 4);
-            dmpi_mapred::plan::compile(&mut sim, &p, splits)?;
+            let p = mapred::profile(Workload::TextSort, 4);
+            mapred::compile(&mut sim, &p, splits)?;
         }
         Plan::DataMpi => {
-            let p = sort::datampi_profile(SortVariant::Text, 4);
-            datampi::plan::compile(&mut sim, &p, splits)?;
+            let p = datampi::profile(Workload::TextSort, 4);
+            datampi::compile(&mut sim, &p, splits)?;
         }
     }
     Ok(sim)

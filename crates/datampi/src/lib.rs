@@ -48,9 +48,6 @@
 //!   over [`distrib`]): kept resident for many jobs by `dmpid`, or
 //!   started for one by the `dmpirun` launcher — the static
 //!   `task % ranks` assignment, no checkpoint.
-//!
-//! Beside them, a **plan compiler** ([`plan`]) translates the same job
-//! into `dmpi-dcsim` activities for the paper-scale experiments.
 
 #![warn(missing_docs)]
 
@@ -62,7 +59,6 @@ pub mod distrib;
 pub mod fault;
 pub mod iteration;
 pub mod observe;
-pub mod plan;
 mod rank;
 pub mod runtime;
 pub mod service;
@@ -106,4 +102,64 @@ pub(crate) fn design_table(header: &str) -> Vec<Vec<String>> {
         .collect();
     assert!(!rows.is_empty(), "DESIGN.md has no table headed {header:?}");
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::{Path, PathBuf};
+
+    /// Appends every `.rs` file under `dir` to `out`.
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("a readable source dir") {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    /// DESIGN.md's ablation table names the tests that check each
+    /// mechanism, as `module::tests::name` (a unit test in `module.rs` or
+    /// `module/mod.rs` under `crates/`) or `file.rs::name`; each must
+    /// name a test function that exists.
+    #[test]
+    fn design_doc_ablation_tests_exist() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let (mut crates, mut all) = (Vec::new(), Vec::new());
+        rust_files(&root.join("crates"), &mut crates);
+        rust_files(&root.join("tests"), &mut all);
+        all.extend(crates.iter().cloned());
+        let rows = crate::design_table("| ablation |");
+        let cited: Vec<&str> = rows
+            .iter()
+            .flat_map(|row| row[2].split('`'))
+            .filter(|token| token.contains("::") && !token.contains(' '))
+            .collect();
+        assert!(cited.len() >= 5, "the table cites its tests: {cited:?}");
+        for token in cited {
+            let (path, name) = token.rsplit_once("::").expect("a path");
+            let (files, wanted) = match path.strip_suffix("::tests") {
+                Some(module) => {
+                    let module = module.rsplit("::").next().expect("a module");
+                    (
+                        &crates,
+                        vec![format!("{module}.rs"), format!("{module}/mod.rs")],
+                    )
+                }
+                None => (&all, vec![path.to_string()]),
+            };
+            let defines = |file: &PathBuf| {
+                wanted.iter().any(|w| file.ends_with(w))
+                    && std::fs::read_to_string(file)
+                        .expect("a readable source file")
+                        .contains(&format!("fn {name}("))
+            };
+            assert!(
+                files.iter().any(defines),
+                "DESIGN.md's ablation table cites `{token}`, which names no test"
+            );
+        }
+    }
 }

@@ -548,8 +548,12 @@ impl Collector for EmitAdapter<'_> {
 }
 
 /// Wraps an undecodable A-store record as the structured corruption
-/// fault the CRC gate would have raised, with rank/attempt provenance.
+/// fault the CRC gate would have raised, with rank/attempt provenance;
+/// any other store error keeps its own kind.
 fn store_decode_fault(e: Error, rank: usize, attempt: u32) -> Error {
+    if !matches!(e, Error::Corrupt(_) | Error::Varint(_) | Error::Codec(_)) {
+        return e;
+    }
     Error::fault(
         FaultCause::new(
             FaultKind::CorruptFrame,

@@ -19,6 +19,7 @@ use datampi::supervisor::{supervise_job, RetryPolicy};
 use datampi::{Backend, FaultPlan, JobConfig};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
+use dmpi_common::FaultKind;
 
 type OFn = fn(usize, &[u8], &mut dyn Collector);
 type AFn = fn(&GroupedValues, &mut dyn Collector);
@@ -153,10 +154,18 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
                 case.a,
                 Some(&cp),
             );
-            let err = run.expect_err(case.name).to_string();
+            let err = run.expect_err(case.name);
+            let text = err.to_string();
             assert!(
-                err.contains(case.error),
-                "{backend:?} / {}: {err}",
+                text.contains(case.error),
+                "{backend:?} / {}: {text}",
+                case.name
+            );
+            // No case corrupts a record, so none may fail as a decode fault.
+            let kind = err.fault_cause().map(|cause| cause.kind);
+            assert!(
+                kind != Some(FaultKind::CorruptFrame) && !text.contains("decode failed"),
+                "{backend:?} / {}: {text}",
                 case.name
             );
             drop(cp);

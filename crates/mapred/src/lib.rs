@@ -14,14 +14,14 @@
 //!   latency, which dominate the small-job experiments (Figure 5);
 //! * **3× replicated output** writes through the DFS pipeline.
 //!
-//! Like `datampi`, the crate offers both a real multi-threaded runtime
-//! ([`runtime::run_mapreduce`]) and a simulator plan compiler
-//! ([`plan::compile`]). The staged structure — read, *then* sort, *then*
-//! spill, *then* shuffle — is precisely what makes its simulated phases
-//! additive where DataMPI's pipelined phases overlap.
+//! The crate is the real multi-threaded runtime
+//! ([`runtime::run_mapreduce`]); the paper-scale simulator's model of
+//! Hadoop lives in `dmpi_workloads::model::mapred`. The staged structure —
+//! read, *then* sort, *then* spill, *then* shuffle — is precisely what
+//! makes its simulated phases additive where DataMPI's pipelined phases
+//! overlap.
 
 pub mod config;
-pub mod plan;
 pub mod runtime;
 
 pub use config::MapRedConfig;

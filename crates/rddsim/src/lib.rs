@@ -14,12 +14,11 @@
 //! * **low job startup** relative to Hadoop (executors are reused; tasks
 //!   are threads, not JVMs) — the paper's small-job result (Figure 5).
 //!
-//! As with the other engines there is a real executing runtime ([`rdd`],
-//! driven through [`rdd::SparkContext`]) and a simulator plan compiler
-//! ([`plan`]) with an explicit stage list.
+//! The crate is the real executing runtime ([`rdd`], driven through
+//! [`rdd::SparkContext`]); the paper-scale simulator's model of Spark,
+//! with its explicit stage list, lives in `dmpi_workloads::model::spark`.
 
 pub mod config;
-pub mod plan;
 pub mod rdd;
 
 pub use config::SparkConfig;

@@ -17,8 +17,6 @@ use dmpi_common::ser::Writable;
 use dmpi_common::varint::{encode_u64, MAX_VARINT_LEN};
 use dmpi_common::{Error, Result};
 
-use crate::calib;
-
 /// Separator between category and word in intermediate keys (never occurs
 /// in generated words, which are lowercase ASCII).
 const SEP: u8 = 0;
@@ -210,41 +208,6 @@ pub fn train_mapred(
     let out =
         dmpi_mapred::run_mapreduce(config, inputs, count_map, Some(&count_reduce), count_reduce)?;
     NaiveBayesModel::from_counts(out.into_single_batch())
-}
-
-// ------------------------------------------------------------ simulation
-
-/// DataMPI simulation profile for one job of the Naive Bayes chain.
-pub fn datampi_profile(tasks_per_node: u32) -> datampi::plan::SimJobProfile {
-    let mut p = datampi::plan::SimJobProfile::new("bayes-datampi");
-    p.startup_secs = calib::DATAMPI_STARTUP_SECS;
-    p.finalize_secs = calib::DATAMPI_FINALIZE_SECS;
-    p.o_cpu_per_byte = 1.0 / calib::BAYES_COUNT_RATE;
-    p.emit_ratio = calib::BAYES_EMIT_RATIO;
-    p.a_cpu_per_byte = 1.0 / calib::BAYES_COUNT_RATE;
-    p.output_ratio = calib::BAYES_EMIT_RATIO;
-    p.tasks_per_node = tasks_per_node;
-    p.a_tasks_per_node = tasks_per_node;
-    p.runtime_mem_per_node = calib::DATAMPI_RUNTIME_MEM;
-    p.intermediate_mem_budget = calib::DATAMPI_INTERMEDIATE_MEM;
-    p
-}
-
-/// Hadoop simulation profile for one job of the Naive Bayes chain.
-pub fn hadoop_profile(tasks_per_node: u32) -> dmpi_mapred::plan::SimJobProfile {
-    let mut p = dmpi_mapred::plan::SimJobProfile::new("bayes-hadoop");
-    p.startup_secs = calib::HADOOP_STARTUP_SECS;
-    p.task_launch_secs = calib::HADOOP_TASK_LAUNCH_SECS;
-    p.map_cpu_per_byte = 1.0 / calib::BAYES_HADOOP_RATE;
-    p.emit_ratio = calib::BAYES_EMIT_RATIO;
-    p.reduce_cpu_per_byte = 1.0 / calib::BAYES_HADOOP_RATE;
-    p.output_ratio = calib::BAYES_EMIT_RATIO;
-    p.tasks_per_node = tasks_per_node;
-    p.reducers_per_node = tasks_per_node;
-    p.daemon_mem_per_node = calib::HADOOP_DAEMON_MEM;
-    p.task_mem = calib::HADOOP_TASK_MEM;
-    p.shuffle_spill_fraction = 0.0;
-    p
 }
 
 #[cfg(test)]

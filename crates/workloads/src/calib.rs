@@ -14,7 +14,7 @@
 //!   sorting for counting workloads) but its input locality is imperfect;
 //! * DataMPI pipelines its I/O against computation, so its phases cost
 //!   `max` rather than `sum` — that part is structural (see the plan
-//!   compilers), not a constant here.
+//!   compilers in [`crate::model`]), not a constant here.
 
 use dmpi_common::units::{GB, MB};
 

@@ -12,9 +12,6 @@ use dmpi_common::scan::find_byte;
 use dmpi_common::ser::Writable;
 use dmpi_common::varint::{encode_u64, MAX_VARINT_LEN};
 use dmpi_common::Result;
-use dmpi_dfs::InputSplit;
-
-use crate::calib;
 
 /// Counts occurrences of `needle` in `haystack` (leftmost first,
 /// non-overlapping). A longer needle is only compared where its first
@@ -114,75 +111,6 @@ pub fn run_spark(
         batch.append(&mut p);
     }
     Ok(total_of(batch))
-}
-
-// ------------------------------------------------------------ simulation
-
-/// DataMPI simulation profile for Grep.
-pub fn datampi_profile(tasks_per_node: u32) -> datampi::plan::SimJobProfile {
-    let mut p = datampi::plan::SimJobProfile::new("grep-datampi");
-    p.startup_secs = calib::DATAMPI_STARTUP_SECS;
-    p.finalize_secs = calib::DATAMPI_FINALIZE_SECS;
-    p.o_cpu_per_byte = 1.0 / calib::GREP_SCAN_RATE;
-    p.emit_ratio = calib::GREP_EMIT_RATIO;
-    p.a_cpu_per_byte = 1.0 / calib::GREP_SCAN_RATE;
-    p.output_ratio = calib::GREP_EMIT_RATIO;
-    p.tasks_per_node = tasks_per_node;
-    p.a_tasks_per_node = tasks_per_node;
-    p.runtime_mem_per_node = calib::DATAMPI_RUNTIME_MEM;
-    p.intermediate_mem_budget = calib::DATAMPI_INTERMEDIATE_MEM;
-    p
-}
-
-/// Hadoop simulation profile for Grep.
-pub fn hadoop_profile(tasks_per_node: u32) -> dmpi_mapred::plan::SimJobProfile {
-    let mut p = dmpi_mapred::plan::SimJobProfile::new("grep-hadoop");
-    p.startup_secs = calib::HADOOP_STARTUP_SECS;
-    p.task_launch_secs = calib::HADOOP_TASK_LAUNCH_SECS;
-    p.map_cpu_per_byte = 1.0 / calib::GREP_HADOOP_RATE;
-    p.emit_ratio = calib::GREP_EMIT_RATIO;
-    p.reduce_cpu_per_byte = 1.0 / calib::GREP_HADOOP_RATE;
-    p.output_ratio = calib::GREP_EMIT_RATIO;
-    p.tasks_per_node = tasks_per_node;
-    p.reducers_per_node = tasks_per_node;
-    p.daemon_mem_per_node = calib::HADOOP_DAEMON_MEM;
-    p.task_mem = calib::HADOOP_TASK_MEM;
-    p.shuffle_spill_fraction = 0.0;
-    p
-}
-
-/// Spark simulation profile for Grep.
-pub fn spark_profile(
-    splits: Vec<InputSplit>,
-    tasks_per_node: u32,
-) -> dmpi_rddsim::plan::SimJobProfile {
-    use dmpi_rddsim::plan::{SimJobProfile, StageInput, StageProfile};
-    let input_bytes: f64 = splits.iter().map(|s| s.len() as f64).sum();
-    let mut p = SimJobProfile::new("grep-spark");
-    p.startup_secs = calib::SPARK_STARTUP_SECS;
-    p.tasks_per_node = tasks_per_node;
-    p.runtime_mem_per_node = calib::SPARK_RUNTIME_MEM;
-    p.executor_mem_per_node = calib::SPARK_EXECUTOR_MEM;
-    p.mem_required_per_node = input_bytes * calib::GREP_EMIT_RATIO * calib::JAVA_EXPANSION / 8.0;
-    let mut s0 = StageProfile::new(
-        "stage0",
-        StageInput::Dfs {
-            splits,
-            local_fraction: calib::SPARK_INPUT_LOCALITY,
-        },
-    );
-    s0.cpu_per_byte = 1.0 / calib::GREP_SPARK_RATE;
-    s0.shuffle_write_ratio = calib::GREP_EMIT_RATIO;
-    let mut s1 = StageProfile::new(
-        "stage1",
-        StageInput::Shuffle {
-            bytes: input_bytes * calib::GREP_EMIT_RATIO,
-        },
-    );
-    s1.cpu_per_byte = 1.0 / calib::GREP_SPARK_RATE;
-    s1.output_dfs_ratio = 1.0;
-    p.stages = vec![s0, s1];
-    p
 }
 
 #[cfg(test)]

@@ -15,9 +15,6 @@ use dmpi_common::kv::{Record, RecordBatch};
 use dmpi_common::ser::Writable;
 use dmpi_common::{Error, Result};
 use dmpi_datagen::vectors::{vectorize, SparseVector};
-use dmpi_dfs::InputSplit;
-
-use crate::calib;
 
 /// Parameters of a K-means training run.
 #[derive(Clone, Debug)]
@@ -384,77 +381,6 @@ pub fn train_spark(
         }
     }
     Ok((centroids, params.max_iters))
-}
-
-// ------------------------------------------------------------ simulation
-
-/// DataMPI simulation profile for the first K-means iteration.
-pub fn datampi_profile(tasks_per_node: u32) -> datampi::plan::SimJobProfile {
-    let mut p = datampi::plan::SimJobProfile::new("kmeans-datampi");
-    p.startup_secs = calib::DATAMPI_STARTUP_SECS;
-    p.finalize_secs = calib::DATAMPI_FINALIZE_SECS;
-    p.o_cpu_per_byte = 1.0 / calib::KMEANS_ASSIGN_RATE;
-    p.emit_ratio = calib::KMEANS_EMIT_RATIO;
-    p.a_cpu_per_byte = 1.0 / calib::KMEANS_ASSIGN_RATE;
-    p.output_ratio = calib::KMEANS_EMIT_RATIO;
-    p.tasks_per_node = tasks_per_node;
-    p.a_tasks_per_node = tasks_per_node;
-    p.runtime_mem_per_node = calib::DATAMPI_RUNTIME_MEM;
-    p.intermediate_mem_budget = calib::DATAMPI_INTERMEDIATE_MEM;
-    p
-}
-
-/// Hadoop simulation profile for the first K-means iteration.
-pub fn hadoop_profile(tasks_per_node: u32) -> dmpi_mapred::plan::SimJobProfile {
-    let mut p = dmpi_mapred::plan::SimJobProfile::new("kmeans-hadoop");
-    p.startup_secs = calib::HADOOP_STARTUP_SECS;
-    p.task_launch_secs = calib::HADOOP_TASK_LAUNCH_SECS;
-    p.map_cpu_per_byte = 1.0 / calib::KMEANS_HADOOP_RATE;
-    p.emit_ratio = calib::KMEANS_EMIT_RATIO;
-    p.reduce_cpu_per_byte = 1.0 / calib::KMEANS_HADOOP_RATE;
-    p.output_ratio = calib::KMEANS_EMIT_RATIO;
-    p.tasks_per_node = tasks_per_node;
-    p.reducers_per_node = tasks_per_node;
-    p.daemon_mem_per_node = calib::HADOOP_DAEMON_MEM;
-    p.task_mem = calib::HADOOP_TASK_MEM;
-    p.shuffle_spill_fraction = 0.0;
-    p
-}
-
-/// Spark simulation profile for the first K-means iteration: a loading
-/// stage that caches the vectors, then the assignment over the cache.
-pub fn spark_profile(
-    splits: Vec<InputSplit>,
-    tasks_per_node: u32,
-) -> dmpi_rddsim::plan::SimJobProfile {
-    use dmpi_rddsim::plan::{SimJobProfile, StageInput, StageProfile};
-    let input_bytes: f64 = splits.iter().map(|s| s.len() as f64).sum();
-    let mut p = SimJobProfile::new("kmeans-spark");
-    p.startup_secs = calib::SPARK_STARTUP_SECS;
-    p.tasks_per_node = tasks_per_node;
-    p.runtime_mem_per_node = calib::SPARK_RUNTIME_MEM;
-    p.executor_mem_per_node = calib::SPARK_EXECUTOR_MEM;
-    // Caching is best-effort (MEMORY_ONLY evicts, it does not OOM), so
-    // K-means never hits the sort engines' hard memory wall.
-    p.mem_required_per_node = 0.0;
-    // Stage 0: load + deserialize + build and cache the RDD (the paper
-    // notes this stage is what makes Spark's *first* iteration slow).
-    let mut s0 = StageProfile::new(
-        "stage0",
-        StageInput::Dfs {
-            splits,
-            local_fraction: calib::SPARK_INPUT_LOCALITY,
-        },
-    );
-    s0.cpu_per_byte = 1.0 / calib::KMEANS_SPARK_LOAD_RATE;
-    s0.cache_ratio = 1.2;
-    // Iteration stage: assignment over the cache, tiny shuffle.
-    let mut s1 = StageProfile::new("iter0", StageInput::Cached { bytes: input_bytes });
-    s1.cpu_per_byte = 1.0 / calib::KMEANS_SPARK_RATE;
-    s1.shuffle_write_ratio = calib::KMEANS_EMIT_RATIO;
-    s1.output_dfs_ratio = calib::KMEANS_EMIT_RATIO;
-    p.stages = vec![s0, s1];
-    p
 }
 
 #[cfg(test)]

@@ -15,16 +15,17 @@
 //!   key-value records (really executable — the unit tests check
 //!   cross-engine result equality);
 //! * **drivers** running it on the DataMPI runtime, the MapReduce runtime,
-//!   and the RDD engine;
-//! * **simulation profiles** for the paper-scale experiments, built from
-//!   the calibration constants in [`calib`].
+//!   and the RDD engine.
 //!
-//! [`vectorize`] implements the Mahout-style `seq2sparse` preprocessing
-//! chain (dictionary job + vectorization job) that feeds both
-//! applications, and [`runner`] dispatches `(workload, engine, input
-//! size)` to the right plan compiler and returns job time plus the
-//! resource profile —
-//! the primitive every figure of the paper is regenerated from.
+//! The paper-scale experiments run in the simulator instead: [`model`]
+//! holds everything it assumes about the three engines — one profile per
+//! workload and engine, built from the calibration constants in
+//! [`calib`], and each engine's compiler into simulator tasks — and
+//! [`runner`] runs one `(workload, engine, input size)` cell through it
+//! and returns job time plus the resource profile, the primitive every
+//! figure of the paper is regenerated from. [`vectorize`] implements the
+//! Mahout-style `seq2sparse` preprocessing chain (dictionary job +
+//! vectorization job) that feeds both applications.
 
 pub mod bayes;
 pub mod calib;
@@ -32,6 +33,7 @@ pub mod catalog;
 pub mod exec;
 pub mod grep;
 pub mod kmeans;
+pub mod model;
 pub mod runner;
 pub mod sort;
 pub mod vectorize;

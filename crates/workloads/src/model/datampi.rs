@@ -1,7 +1,5 @@
-//! Plan compiler: DataMPI jobs as `dmpi-dcsim` task graphs.
+//! DataMPI jobs as `dmpi-dcsim` task graphs.
 //!
-//! For paper-scale inputs (8-64 GB) the runtime cannot execute for real;
-//! instead the same job structure is compiled into simulator activities.
 //! The compilation encodes exactly the behaviours the paper credits for
 //! DataMPI's wins:
 //!
@@ -16,14 +14,18 @@
 //! * **Locality** — O tasks are placed on a node holding their split's
 //!   replica (DataMPI schedules O tasks to read HDFS data locally, §4.4).
 
-use dmpi_common::{Error, Result};
-use dmpi_dcsim::{Activity, Demand, NodeId, Resource, Simulation, SlotKind, TaskId, TaskSpec};
+use dmpi_common::Result;
+use dmpi_dcsim::{Activity, Demand, NodeId, Resource, Simulation, SlotKind, TaskSpec};
 use dmpi_dfs::{simio, InputSplit};
 
+use super::{barrier, cluster_nodes, replicated_write};
+use crate::calib;
+use crate::runner::Workload;
+
 /// Slot kind for O tasks.
-pub const O_SLOT: SlotKind = SlotKind(10);
+const O_SLOT: SlotKind = SlotKind(10);
 /// Slot kind for A tasks.
-pub const A_SLOT: SlotKind = SlotKind(11);
+const A_SLOT: SlotKind = SlotKind(11);
 
 /// Cost/shape description of one DataMPI job for the simulator. CPU costs
 /// are in core-seconds per (logical, i.e. uncompressed) byte; ratios are in
@@ -53,8 +55,6 @@ pub struct SimJobProfile {
     pub tasks_per_node: u32,
     /// A tasks per node.
     pub a_tasks_per_node: u32,
-    /// Output replication factor (3 in the paper's HDFS config).
-    pub output_replication: u16,
     /// Per-node memory the runtime itself occupies (rank heaps), bytes.
     pub runtime_mem_per_node: i64,
     /// Per-node in-memory budget for intermediate data; beyond it the
@@ -79,23 +79,24 @@ pub struct SimJobProfile {
 }
 
 impl SimJobProfile {
-    /// A neutral starting profile; workloads override the cost fields.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// A job with the calibrated DataMPI runtime (startup, finalize, rank
+    /// heaps, intermediate budget) running `tasks_per_node` O and A tasks
+    /// per node, and no per-byte costs yet.
+    pub fn new(name: impl Into<String>, tasks_per_node: u32) -> Self {
         SimJobProfile {
             name: name.into(),
-            startup_secs: 7.0,
-            finalize_secs: 1.5,
+            startup_secs: calib::DATAMPI_STARTUP_SECS,
+            finalize_secs: calib::DATAMPI_FINALIZE_SECS,
             o_cpu_per_byte: 0.0,
             emit_ratio: 1.0,
             a_cpu_per_byte: 0.0,
             output_ratio: 1.0,
             input_compression: 1.0,
             decompress_cpu_per_byte: 0.0,
-            tasks_per_node: 4,
-            a_tasks_per_node: 4,
-            output_replication: 3,
-            runtime_mem_per_node: 3 << 30, // ~3 GB of rank heaps
-            intermediate_mem_budget: 8.0 * (1u64 << 30) as f64,
+            tasks_per_node,
+            a_tasks_per_node: tasks_per_node,
+            runtime_mem_per_node: calib::DATAMPI_RUNTIME_MEM,
+            intermediate_mem_budget: calib::DATAMPI_INTERMEDIATE_MEM,
             pipelined: true,
             a_staged: false,
             input_resident: false,
@@ -104,47 +105,69 @@ impl SimJobProfile {
     }
 }
 
-/// Handle to the compiled job inside the simulation.
-#[derive(Clone, Debug)]
-pub struct CompiledJob {
-    /// The startup barrier task.
-    pub startup: TaskId,
-    /// All O task ids.
-    pub o_tasks: Vec<TaskId>,
-    /// All A task ids.
-    pub a_tasks: Vec<TaskId>,
-    /// The finalize barrier task.
-    pub finalize: TaskId,
+/// The DataMPI profile of one `workload` job (for Naive Bayes, one job
+/// of its chain; for K-means, the first iteration).
+pub fn profile(workload: Workload, tasks_per_node: u32) -> SimJobProfile {
+    let name = format!("{}-datampi", super::job_name(workload));
+    let mut p = SimJobProfile::new(name, tasks_per_node);
+    let (o_rate, a_rate, emit_ratio, output_ratio) = match workload {
+        Workload::NormalSort | Workload::TextSort => {
+            (calib::SORT_PIPELINE_RATE, calib::SORT_SORT_RATE, 1.0, 1.0)
+        }
+        Workload::WordCount => (
+            calib::WC_AGGREGATE_RATE,
+            calib::WC_AGGREGATE_RATE,
+            calib::WC_EMIT_RATIO,
+            calib::WC_OUTPUT_RATIO,
+        ),
+        Workload::Grep => (
+            calib::GREP_SCAN_RATE,
+            calib::GREP_SCAN_RATE,
+            calib::GREP_EMIT_RATIO,
+            calib::GREP_EMIT_RATIO,
+        ),
+        Workload::KMeans => (
+            calib::KMEANS_ASSIGN_RATE,
+            calib::KMEANS_ASSIGN_RATE,
+            calib::KMEANS_EMIT_RATIO,
+            calib::KMEANS_EMIT_RATIO,
+        ),
+        Workload::NaiveBayes => (
+            calib::BAYES_COUNT_RATE,
+            calib::BAYES_COUNT_RATE,
+            calib::BAYES_EMIT_RATIO,
+            calib::BAYES_EMIT_RATIO,
+        ),
+    };
+    p.o_cpu_per_byte = 1.0 / o_rate;
+    p.a_cpu_per_byte = 1.0 / a_rate;
+    p.emit_ratio = emit_ratio;
+    p.output_ratio = output_ratio;
+    p.input_compression = super::input_compression(workload);
+    p.decompress_cpu_per_byte = super::decompress_cpu_per_byte(workload);
+    // Sorted output cannot stream before the merge completes.
+    p.a_staged = super::is_sort(workload);
+    p
 }
 
 /// Compiles a DataMPI job over `splits` into `sim`. The caller must have
 /// created `sim` but not configured the DataMPI slot kinds (this function
 /// does it).
-pub fn compile(
-    sim: &mut Simulation,
-    profile: &SimJobProfile,
-    splits: &[InputSplit],
-) -> Result<CompiledJob> {
-    let nodes = sim.spec().nodes;
-    if nodes == 0 {
-        return Err(Error::Config("empty cluster".into()));
-    }
-    let n = nodes as usize;
+pub fn compile(sim: &mut Simulation, profile: &SimJobProfile, splits: &[InputSplit]) -> Result<()> {
+    let n = cluster_nodes(sim)?;
     sim.configure_slots(O_SLOT, profile.tasks_per_node);
     sim.configure_slots(A_SLOT, profile.a_tasks_per_node);
 
     // Startup barrier: mpirun + rank wireup, plus the runtime's resident
     // memory on every node.
-    let mut startup_builder = TaskSpec::builder(format!("{}-startup", profile.name), NodeId(0))
-        .phase("startup")
-        .delay(profile.startup_secs);
-    for node in sim.spec().node_ids() {
-        startup_builder = startup_builder.activity(Activity::MemChange {
-            node,
-            delta: profile.runtime_mem_per_node,
-        });
-    }
-    let startup = sim.add_task(startup_builder.build())?;
+    let startup = barrier(
+        sim,
+        &profile.name,
+        "startup",
+        &[],
+        profile.startup_secs,
+        profile.runtime_mem_per_node,
+    )?;
 
     // Aggregate logical input per node to size intermediate memory.
     let total_physical: f64 = splits.iter().map(|s| s.len() as f64).sum();
@@ -260,13 +283,7 @@ pub fn compile(
         }
         let mut output = Vec::new();
         if out_per_a > 0.0 {
-            // Output replicas: primary local, remainder on the next nodes
-            // round-robin (placement detail does not matter for aggregate
-            // cost; distinctness does).
-            let replicas: Vec<NodeId> = (0..profile.output_replication as usize)
-                .map(|r| NodeId(((node.index() + r) % n) as u16))
-                .collect();
-            output.extend(simio::write_demands(node, &replicas, out_per_a));
+            output.extend(replicated_write(node, n, out_per_a));
         }
         let mut builder = TaskSpec::builder(format!("{}-a-{a}", profile.name), node)
             .phase("A")
@@ -295,49 +312,34 @@ pub fn compile(
 
     // Finalize barrier: MPI_D_Finalize + rank teardown, releasing the
     // runtime's resident memory.
-    let mut finalize_builder = TaskSpec::builder(format!("{}-finalize", profile.name), NodeId(0))
-        .phase("finalize")
-        .deps(a_tasks.iter().copied())
-        .delay(profile.finalize_secs);
-    for node in sim.spec().node_ids() {
-        finalize_builder = finalize_builder.activity(Activity::MemChange {
-            node,
-            delta: -profile.runtime_mem_per_node,
-        });
-    }
-    let finalize = sim.add_task(finalize_builder.build())?;
-
-    Ok(CompiledJob {
-        startup,
-        o_tasks,
-        a_tasks,
-        finalize,
-    })
+    barrier(
+        sim,
+        &profile.name,
+        "finalize",
+        &a_tasks,
+        profile.finalize_secs,
+        -profile.runtime_mem_per_node,
+    )?;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::splits;
     use dmpi_common::units::{GB, MB};
     use dmpi_dcsim::ClusterSpec;
     use dmpi_dfs::{DfsConfig, MiniDfs};
 
-    fn make_splits(bytes: u64) -> Vec<InputSplit> {
-        let dfs = MiniDfs::new(8, DfsConfig::paper_tuned()).unwrap();
-        dfs.create_virtual("/in", NodeId(0), bytes).unwrap();
-        dfs.splits("/in").unwrap()
-    }
-
     fn run_profile(profile: &SimJobProfile, bytes: u64) -> dmpi_dcsim::SimReport {
         let mut sim = Simulation::new(ClusterSpec::paper_testbed());
-        let splits = make_splits(bytes);
-        compile(&mut sim, profile, &splits).unwrap();
+        compile(&mut sim, profile, &splits(bytes)).unwrap();
         sim.run().unwrap()
     }
 
     #[test]
     fn job_runs_and_has_phases() {
-        let mut profile = SimJobProfile::new("t");
+        let mut profile = SimJobProfile::new("t", 4);
         profile.o_cpu_per_byte = 1.0 / (200.0 * MB as f64);
         profile.emit_ratio = 1.0;
         profile.a_cpu_per_byte = 1.0 / (400.0 * MB as f64);
@@ -354,7 +356,7 @@ mod tests {
 
     #[test]
     fn resident_input_skips_the_dfs_read() {
-        let mut profile = SimJobProfile::new("iter");
+        let mut profile = SimJobProfile::new("iter", 4);
         profile.o_cpu_per_byte = 1.0 / (50.0 * MB as f64);
         profile.emit_ratio = 0.001;
         profile.output_ratio = 0.001;
@@ -373,7 +375,7 @@ mod tests {
 
     #[test]
     fn pipelined_beats_staged() {
-        let mut profile = SimJobProfile::new("pipe");
+        let mut profile = SimJobProfile::new("pipe", 4);
         profile.o_cpu_per_byte = 1.0 / (150.0 * MB as f64);
         profile.emit_ratio = 1.0;
         let piped = run_profile(&profile, 4 * GB);
@@ -390,7 +392,7 @@ mod tests {
 
     #[test]
     fn memory_budget_overflow_adds_disk_traffic() {
-        let mut profile = SimJobProfile::new("mem");
+        let mut profile = SimJobProfile::new("mem", 4);
         profile.emit_ratio = 1.0;
         profile.intermediate_mem_budget = 64.0 * MB as f64; // force spill
         let spilled = run_profile(&profile, 8 * GB);
@@ -414,14 +416,14 @@ mod tests {
         dfs.create_virtual("/gz", NodeId(0), (8.0 * GB as f64 / 2.2) as u64)
             .unwrap();
 
-        let mut profile = SimJobProfile::new("plain");
+        let mut profile = SimJobProfile::new("plain", 4);
         profile.emit_ratio = 0.0;
         profile.output_ratio = 0.0;
         let mut sim = Simulation::new(ClusterSpec::paper_testbed());
         compile(&mut sim, &profile, &dfs.splits("/plain").unwrap()).unwrap();
         let plain = sim.run().unwrap();
 
-        let mut gz = SimJobProfile::new("gz");
+        let mut gz = SimJobProfile::new("gz", 4);
         gz.emit_ratio = 0.0;
         gz.output_ratio = 0.0;
         gz.input_compression = 2.2;
@@ -434,9 +436,10 @@ mod tests {
 
     #[test]
     fn memory_profile_rises_then_falls() {
-        let mut profile = SimJobProfile::new("memprof");
+        let mut profile = SimJobProfile::new("memprof", 4);
         profile.emit_ratio = 1.0;
         profile.o_cpu_per_byte = 1.0 / (100.0 * MB as f64);
+        profile.runtime_mem_per_node = 3 << 30;
         let report = run_profile(&profile, 4 * GB);
         let mem = &report.profile.mem_gb;
         assert!(!mem.is_empty());
@@ -452,7 +455,7 @@ mod tests {
 
     #[test]
     fn more_tasks_per_node_changes_concurrency() {
-        let mut profile = SimJobProfile::new("conc");
+        let mut profile = SimJobProfile::new("conc", 4);
         profile.o_cpu_per_byte = 1.0 / (30.0 * MB as f64); // CPU-bound
         profile.emit_ratio = 0.0;
         profile.output_ratio = 0.0;

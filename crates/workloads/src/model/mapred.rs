@@ -1,4 +1,4 @@
-//! Plan compiler: Hadoop jobs as `dmpi-dcsim` task graphs.
+//! Hadoop jobs as `dmpi-dcsim` task graphs.
 //!
 //! The compilation is deliberately **staged** — each map task reads, then
 //! computes+sorts, then writes its materialized output; reducers then
@@ -6,14 +6,18 @@
 //! durations add up, which is the structural reason Hadoop trails DataMPI
 //! in the paper even when both move the same bytes.
 
-use dmpi_common::{Error, Result};
-use dmpi_dcsim::{Activity, Demand, NodeId, Resource, Simulation, SlotKind, TaskId, TaskSpec};
+use dmpi_common::Result;
+use dmpi_dcsim::{Activity, Demand, NodeId, Resource, Simulation, SlotKind, TaskSpec};
 use dmpi_dfs::{simio, InputSplit};
 
+use super::{barrier, cluster_nodes, replicated_write};
+use crate::calib;
+use crate::runner::Workload;
+
 /// Slot kind for map tasks.
-pub const MAP_SLOT: SlotKind = SlotKind(20);
+const MAP_SLOT: SlotKind = SlotKind(20);
 /// Slot kind for reduce tasks.
-pub const REDUCE_SLOT: SlotKind = SlotKind(21);
+const REDUCE_SLOT: SlotKind = SlotKind(21);
 
 /// Cost/shape description of one Hadoop job for the simulator. CPU costs
 /// are core-seconds per logical byte; ratios are bytes per logical input
@@ -49,8 +53,6 @@ pub struct SimJobProfile {
     pub tasks_per_node: u32,
     /// Reduce tasks per node.
     pub reducers_per_node: u32,
-    /// Output replication (3).
-    pub output_replication: u16,
     /// TaskTracker + DataNode daemons resident per node (bytes).
     pub daemon_mem_per_node: i64,
     /// JVM heap per concurrently running task (bytes).
@@ -64,25 +66,18 @@ pub struct SimJobProfile {
     /// 80% CPU on Hadoop against ~40-47% for Spark/DataMPI doing the same
     /// WordCount.
     pub cpu_overhead: f64,
-    /// Straggler injection: `(map task index, slowdown factor)` — that
-    /// task's demands are multiplied by the factor (a failing disk, a
-    /// swapping node).
-    pub straggler: Option<(usize, f64)>,
-    /// Hadoop's speculative execution: when a straggler is detected, a
-    /// backup attempt launches on another node; downstream work proceeds
-    /// when the backup finishes (the original keeps burning resources
-    /// until the job ends, as the loser attempt does in Hadoop until it
-    /// is killed).
-    pub speculative: bool,
 }
 
 impl SimJobProfile {
-    /// A neutral starting profile; workloads override the cost fields.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// A job with the calibrated Hadoop costs (startup, per-task launch,
+    /// daemon and task JVM memory) running `tasks_per_node` map and reduce
+    /// tasks per node, with no per-byte costs and an intermediate small
+    /// enough that the shuffle never spills.
+    pub fn new(name: impl Into<String>, tasks_per_node: u32) -> Self {
         SimJobProfile {
             name: name.into(),
-            startup_secs: 16.0,
-            task_launch_secs: 1.2,
+            startup_secs: calib::HADOOP_STARTUP_SECS,
+            task_launch_secs: calib::HADOOP_TASK_LAUNCH_SECS,
             map_cpu_per_byte: 0.0,
             sort_cpu_per_byte: 0.0,
             emit_ratio: 1.0,
@@ -91,90 +86,104 @@ impl SimJobProfile {
             output_ratio: 1.0,
             input_compression: 1.0,
             decompress_cpu_per_byte: 0.0,
-            tasks_per_node: 4,
-            reducers_per_node: 4,
-            output_replication: 3,
-            daemon_mem_per_node: 2 << 30,
-            task_mem: 7 << 28, // ~1.75 GB per task JVM
-            shuffle_spill_fraction: 0.7,
+            tasks_per_node,
+            reducers_per_node: tasks_per_node,
+            daemon_mem_per_node: calib::HADOOP_DAEMON_MEM,
+            task_mem: calib::HADOOP_TASK_MEM,
+            shuffle_spill_fraction: 0.0,
             cpu_overhead: 1.0,
-            straggler: None,
-            speculative: false,
         }
     }
 }
 
-/// Handle to the compiled job.
-#[derive(Clone, Debug)]
-pub struct CompiledJob {
-    /// Startup barrier.
-    pub startup: TaskId,
-    /// Map task ids.
-    pub map_tasks: Vec<TaskId>,
-    /// Reduce task ids.
-    pub reduce_tasks: Vec<TaskId>,
+/// The Hadoop profile of one `workload` job (for Naive Bayes, one job of
+/// its chain; for K-means, the first iteration).
+pub fn profile(workload: Workload, tasks_per_node: u32) -> SimJobProfile {
+    let name = format!("{}-hadoop", super::job_name(workload));
+    let mut p = SimJobProfile::new(name, tasks_per_node);
+    let (map_rate, reduce_rate, emit_ratio, output_ratio) = match workload {
+        Workload::NormalSort | Workload::TextSort => {
+            (calib::SORT_PIPELINE_RATE, calib::SORT_SORT_RATE, 1.0, 1.0)
+        }
+        Workload::WordCount => (
+            calib::WC_HADOOP_MAP_RATE,
+            calib::WC_AGGREGATE_RATE,
+            calib::WC_EMIT_RATIO,
+            calib::WC_OUTPUT_RATIO,
+        ),
+        Workload::Grep => (
+            calib::GREP_HADOOP_RATE,
+            calib::GREP_HADOOP_RATE,
+            calib::GREP_EMIT_RATIO,
+            calib::GREP_EMIT_RATIO,
+        ),
+        Workload::KMeans => (
+            calib::KMEANS_HADOOP_RATE,
+            calib::KMEANS_HADOOP_RATE,
+            calib::KMEANS_EMIT_RATIO,
+            calib::KMEANS_EMIT_RATIO,
+        ),
+        Workload::NaiveBayes => (
+            calib::BAYES_HADOOP_RATE,
+            calib::BAYES_HADOOP_RATE,
+            calib::BAYES_EMIT_RATIO,
+            calib::BAYES_EMIT_RATIO,
+        ),
+    };
+    p.map_cpu_per_byte = 1.0 / map_rate;
+    p.reduce_cpu_per_byte = 1.0 / reduce_rate;
+    p.emit_ratio = emit_ratio;
+    p.output_ratio = output_ratio;
+    p.input_compression = super::input_compression(workload);
+    p.decompress_cpu_per_byte = super::decompress_cpu_per_byte(workload);
+    if super::is_sort(workload) {
+        p.sort_cpu_per_byte = 1.0 / calib::HADOOP_SORT_RATE;
+        // Map output exceeds io.sort.mb: multiple spills plus one merge pass.
+        p.spill_factor = 1.3;
+        p.shuffle_spill_fraction = 0.8;
+    }
+    p
 }
 
 /// Compiles a Hadoop job over `splits` into `sim`.
-pub fn compile(
-    sim: &mut Simulation,
-    profile: &SimJobProfile,
-    splits: &[InputSplit],
-) -> Result<CompiledJob> {
-    let nodes = sim.spec().nodes;
-    if nodes == 0 {
-        return Err(Error::Config("empty cluster".into()));
-    }
-    let n = nodes as usize;
+pub fn compile(sim: &mut Simulation, profile: &SimJobProfile, splits: &[InputSplit]) -> Result<()> {
+    let n = cluster_nodes(sim)?;
     sim.configure_slots(MAP_SLOT, profile.tasks_per_node);
     sim.configure_slots(REDUCE_SLOT, profile.reducers_per_node);
 
     // Job submission and scheduling, plus resident daemons.
-    let mut startup_builder = TaskSpec::builder(format!("{}-startup", profile.name), NodeId(0))
-        .phase("startup")
-        .delay(profile.startup_secs);
-    for node in sim.spec().node_ids() {
-        startup_builder = startup_builder.activity(Activity::MemChange {
-            node,
-            delta: profile.daemon_mem_per_node,
-        });
-    }
-    let startup = sim.add_task(startup_builder.build())?;
+    let startup = barrier(
+        sim,
+        &profile.name,
+        "startup",
+        &[],
+        profile.startup_secs,
+        profile.daemon_mem_per_node,
+    )?;
 
     let total_physical: f64 = splits.iter().map(|s| s.len() as f64).sum();
     let total_logical = total_physical * profile.input_compression;
     let emitted_total = total_logical * profile.emit_ratio;
 
     // ---- Map tasks: launch -> read -> compute+sort -> materialize ----
-    // Emits one map task for split `i`, with `slowdown` applied to its
-    // demands and `launch_delay` prepended (used by speculative backups).
-    let emit_map_task = |sim: &mut Simulation,
-                         i: usize,
-                         split: &InputSplit,
-                         node: NodeId,
-                         slowdown: f64,
-                         launch_delay: f64,
-                         suffix: &str|
-     -> Result<TaskId> {
+    let mut map_tasks = Vec::with_capacity(splits.len());
+    for (i, split) in splits.iter().enumerate() {
+        let node = split.choose_replica(split.block.replicas[0]);
         let physical = split.len() as f64;
         let logical = physical * profile.input_compression;
         let emitted = logical * profile.emit_ratio;
-        let map_cpu = (logical * profile.map_cpu_per_byte
-            + physical * profile.decompress_cpu_per_byte)
-            * slowdown;
-        let sort_cpu = emitted * profile.sort_cpu_per_byte * slowdown;
+        let map_cpu =
+            logical * profile.map_cpu_per_byte + physical * profile.decompress_cpu_per_byte;
+        let sort_cpu = emitted * profile.sort_cpu_per_byte;
 
         // Hadoop streams its input while mapping (read and map CPU
         // overlap), but the sort/spill runs behind a buffer barrier and
         // the final merge materializes to disk — those stay staged.
         let mut read_and_map = simio::block_read_demands(node, &split.block);
-        for d in read_and_map.iter_mut() {
-            d.amount *= slowdown;
-        }
         if map_cpu > 0.0 {
             read_and_map.push(Demand::new(Resource::Cpu(node), map_cpu));
         }
-        let mut builder = TaskSpec::builder(format!("{}-map-{i}{suffix}", profile.name), node)
+        let mut builder = TaskSpec::builder(format!("{}-map-{i}", profile.name), node)
             .phase("map")
             .dep(startup)
             .slot(MAP_SLOT)
@@ -182,7 +191,7 @@ pub fn compile(
                 node,
                 delta: profile.task_mem,
             })
-            .delay(profile.task_launch_secs + launch_delay)
+            .delay(profile.task_launch_secs)
             .activity(Activity::work_with_overhead(
                 read_and_map,
                 profile.cpu_overhead,
@@ -192,10 +201,7 @@ pub fn compile(
             sort_spill.push(Demand::new(Resource::Cpu(node), sort_cpu));
         }
         if emitted > 0.0 {
-            sort_spill.push(Demand::write(
-                node,
-                emitted * profile.spill_factor.max(1.0) * slowdown,
-            ));
+            sort_spill.push(Demand::write(node, emitted * profile.spill_factor.max(1.0)));
         }
         if !sort_spill.is_empty() {
             builder = builder.activity(Activity::work_with_overhead(
@@ -207,44 +213,11 @@ pub fn compile(
             node,
             delta: -profile.task_mem,
         });
-        sim.add_task(builder.build())
-    };
-
-    let mut map_tasks = Vec::with_capacity(splits.len());
-    for (i, split) in splits.iter().enumerate() {
-        let node = split.choose_replica(split.block.replicas[0]);
-        let slowdown = match profile.straggler {
-            Some((idx, factor)) if idx == i => factor.max(1.0),
-            _ => 1.0,
-        };
-        if slowdown > 1.0 && profile.speculative {
-            // Speculative backup: the straggler is detected once the
-            // normal wave finishes (approximated by one normal task
-            // duration) and a backup launches at full speed on the next
-            // node. The jobtracker kills the loser when the backup wins,
-            // so the original only burns roughly two normal durations of
-            // resources before disappearing — model it as a trimmed,
-            // non-blocking attempt.
-            let normal_secs = {
-                let logical = split.len() as f64 * profile.input_compression;
-                logical * profile.map_cpu_per_byte
-                    + split.len() as f64 / sim.spec().disk_bw
-                    + profile.task_launch_secs
-            };
-            let killed_slowdown = slowdown.min(2.0);
-            emit_map_task(sim, i, split, node, killed_slowdown, 0.0, "-killed")?;
-            let backup_node = NodeId(((node.index() + 1) % n) as u16);
-            let backup =
-                emit_map_task(sim, i, split, backup_node, 1.0, normal_secs, "-speculative")?;
-            map_tasks.push(backup);
-        } else {
-            map_tasks.push(emit_map_task(sim, i, split, node, slowdown, 0.0, "")?);
-        }
+        map_tasks.push(sim.add_task(builder.build())?);
     }
 
     // ---- Reduce tasks: launch -> shuffle -> merge+reduce -> output ----
     let reduce_count = n * profile.reducers_per_node as usize;
-    let mut reduce_tasks = Vec::with_capacity(reduce_count);
     let partition_bytes = emitted_total / reduce_count.max(1) as f64;
     let output_total = total_logical * profile.output_ratio;
     let out_per_reducer = output_total / reduce_count.max(1) as f64;
@@ -310,52 +283,33 @@ pub fn compile(
             ));
         }
         if out_per_reducer > 0.0 {
-            let replicas: Vec<NodeId> = (0..profile.output_replication as usize)
-                .map(|k| NodeId(((node.index() + k) % n) as u16))
-                .collect();
-            builder = builder.activity(Activity::Work(simio::write_demands(
-                node,
-                &replicas,
-                out_per_reducer,
-            )));
+            builder = builder.activity(Activity::Work(replicated_write(node, n, out_per_reducer)));
         }
         builder = builder.activity(Activity::MemChange {
             node,
             delta: -profile.task_mem,
         });
-        reduce_tasks.push(sim.add_task(builder.build())?);
+        sim.add_task(builder.build())?;
     }
-
-    Ok(CompiledJob {
-        startup,
-        map_tasks,
-        reduce_tasks,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{datampi, tests::splits};
     use dmpi_common::units::{GB, MB};
     use dmpi_dcsim::ClusterSpec;
-    use dmpi_dfs::{DfsConfig, MiniDfs};
-
-    fn make_splits(bytes: u64) -> Vec<InputSplit> {
-        let dfs = MiniDfs::new(8, DfsConfig::paper_tuned()).unwrap();
-        dfs.create_virtual("/in", NodeId(0), bytes).unwrap();
-        dfs.splits("/in").unwrap()
-    }
 
     fn run_profile(profile: &SimJobProfile, bytes: u64) -> dmpi_dcsim::SimReport {
         let mut sim = Simulation::new(ClusterSpec::paper_testbed());
-        let splits = make_splits(bytes);
-        compile(&mut sim, profile, &splits).unwrap();
+        compile(&mut sim, profile, &splits(bytes)).unwrap();
         sim.run().unwrap()
     }
 
     #[test]
     fn phases_are_sequential() {
-        let mut p = SimJobProfile::new("h");
+        let mut p = SimJobProfile::new("h", 4);
         p.map_cpu_per_byte = 1.0 / (100.0 * MB as f64);
         p.reduce_cpu_per_byte = 1.0 / (200.0 * MB as f64);
         let r = run_profile(&p, 4 * GB);
@@ -373,16 +327,17 @@ mod tests {
         // Same data volume, same per-byte CPU costs: Hadoop's staging,
         // startup, materialization and shuffle spills must cost more.
         let bytes = 8 * GB;
-        let mut h = SimJobProfile::new("h");
+        let mut h = SimJobProfile::new("h", 4);
         h.map_cpu_per_byte = 1.0 / (150.0 * MB as f64);
         h.reduce_cpu_per_byte = 1.0 / (300.0 * MB as f64);
+        h.shuffle_spill_fraction = 0.7;
         let hadoop = run_profile(&h, bytes);
 
-        let mut d = datampi::plan::SimJobProfile::new("d");
+        let mut d = datampi::SimJobProfile::new("d", 4);
         d.o_cpu_per_byte = 1.0 / (150.0 * MB as f64);
         d.a_cpu_per_byte = 1.0 / (300.0 * MB as f64);
         let mut sim = Simulation::new(ClusterSpec::paper_testbed());
-        datampi::plan::compile(&mut sim, &d, &make_splits(bytes)).unwrap();
+        datampi::compile(&mut sim, &d, &splits(bytes)).unwrap();
         let dmpi = sim.run().unwrap();
 
         assert!(
@@ -395,7 +350,7 @@ mod tests {
 
     #[test]
     fn spill_factor_increases_runtime() {
-        let mut p = SimJobProfile::new("spill");
+        let mut p = SimJobProfile::new("spill", 4);
         p.emit_ratio = 1.0;
         let single = run_profile(&p, 8 * GB);
         p.spill_factor = 2.0;
@@ -406,7 +361,7 @@ mod tests {
 
     #[test]
     fn startup_dominates_small_jobs() {
-        let mut p = SimJobProfile::new("small");
+        let mut p = SimJobProfile::new("small", 4);
         p.emit_ratio = 0.1;
         p.output_ratio = 0.01;
         let r = run_profile(&p, 128 * MB);
@@ -419,57 +374,9 @@ mod tests {
         );
     }
 
-    /// Splits with primaries rotated over the cluster (one generator file
-    /// per node), so map waves spread instead of queueing on node 0.
-    fn rotated_splits(bytes: u64) -> Vec<InputSplit> {
-        let dfs = MiniDfs::new(8, DfsConfig::paper_tuned()).unwrap();
-        for i in 0..8u16 {
-            dfs.create_virtual(&format!("/in/{i}"), NodeId(i), bytes / 8)
-                .unwrap();
-        }
-        dfs.splits_for_prefix("/in/").unwrap()
-    }
-
-    fn run_profile_rotated(profile: &SimJobProfile, bytes: u64) -> dmpi_dcsim::SimReport {
-        let mut sim = Simulation::new(ClusterSpec::paper_testbed());
-        compile(&mut sim, profile, &rotated_splits(bytes)).unwrap();
-        sim.run().unwrap()
-    }
-
-    #[test]
-    fn straggler_stretches_the_job_and_speculation_recovers_it() {
-        let mut p = SimJobProfile::new("spec");
-        p.map_cpu_per_byte = 1.0 / (50.0 * MB as f64);
-        p.emit_ratio = 0.01;
-        p.output_ratio = 0.01;
-        let baseline = run_profile_rotated(&p, 8 * GB);
-
-        p.straggler = Some((0, 12.0));
-        p.name = "spec-straggler".into();
-        let straggling = run_profile_rotated(&p, 8 * GB);
-        let stretch = straggling.makespan - baseline.makespan;
-        assert!(
-            stretch > 15.0,
-            "a 12x straggler must stretch the map phase: +{stretch:.1}s"
-        );
-
-        p.speculative = true;
-        p.name = "spec-backup".into();
-        let speculated = run_profile_rotated(&p, 8 * GB);
-        let residual = speculated.makespan - baseline.makespan;
-        assert!(
-            residual < stretch * 0.6,
-            "speculation must claw back most of the straggler: +{residual:.1}s vs +{stretch:.1}s"
-        );
-        assert!(
-            speculated.makespan >= baseline.makespan,
-            "the backup still costs detection latency"
-        );
-    }
-
     #[test]
     fn memory_shows_daemons_plus_tasks() {
-        let mut p = SimJobProfile::new("mem");
+        let mut p = SimJobProfile::new("mem", 4);
         p.map_cpu_per_byte = 1.0 / (50.0 * MB as f64);
         let r = run_profile(&p, 8 * GB);
         let peak = r.profile.mem_gb.iter().cloned().fold(0.0, f64::max);

@@ -1,4 +1,4 @@
-//! Plan compiler: Spark jobs as `dmpi-dcsim` task graphs.
+//! Spark jobs as `dmpi-dcsim` task graphs.
 //!
 //! A Spark job is an explicit list of **stages**. Within a stage, narrow
 //! work is pipelined (one coupled activity per task); between stages sits a
@@ -15,10 +15,14 @@
 
 use dmpi_common::{Error, Result};
 use dmpi_dcsim::{Activity, Demand, NodeId, Resource, Simulation, SlotKind, TaskId, TaskSpec};
-use dmpi_dfs::{simio, InputSplit};
+use dmpi_dfs::InputSplit;
+
+use super::{barrier, cluster_nodes, replicated_write};
+use crate::calib;
+use crate::runner::Workload;
 
 /// Slot kind for Spark tasks (executor worker threads).
-pub const WORKER_SLOT: SlotKind = SlotKind(30);
+const WORKER_SLOT: SlotKind = SlotKind(30);
 
 /// Where a stage reads its input from.
 #[derive(Clone, Debug)]
@@ -100,47 +104,122 @@ pub struct SimJobProfile {
     /// Executor memory budget per node (bytes). If
     /// `mem_required_per_node` exceeds it, compilation fails with OOM.
     pub executor_mem_per_node: f64,
-    /// Output replication for DFS writes.
-    pub output_replication: u16,
     /// JVM overhead factor (see the mapred/datampi profiles).
     pub cpu_overhead: f64,
 }
 
 impl SimJobProfile {
-    /// A skeleton with the paper's executor sizing (the authors "allocate
-    /// the memory to each worker as large as possible" on 16 GB nodes).
-    pub fn new(name: impl Into<String>) -> Self {
+    /// A job with no stages yet on the calibrated Spark deployment
+    /// (driver startup, executor memory and its usable budget) running
+    /// `tasks_per_node` worker threads per node.
+    pub fn new(name: impl Into<String>, tasks_per_node: u32) -> Self {
         SimJobProfile {
             name: name.into(),
-            startup_secs: 6.0,
+            startup_secs: calib::SPARK_STARTUP_SECS,
             stages: Vec::new(),
-            tasks_per_node: 4,
-            runtime_mem_per_node: 2 << 30,
+            tasks_per_node,
+            runtime_mem_per_node: calib::SPARK_RUNTIME_MEM,
             mem_required_per_node: 0.0,
-            executor_mem_per_node: 10.0 * (1u64 << 30) as f64,
-            output_replication: 3,
+            executor_mem_per_node: calib::SPARK_EXECUTOR_MEM,
             cpu_overhead: 1.0,
         }
     }
 }
 
-/// Handle to a compiled Spark job.
-#[derive(Clone, Debug)]
-pub struct CompiledJob {
-    /// Startup barrier.
-    pub startup: TaskId,
-    /// Task ids per stage.
-    pub stages: Vec<Vec<TaskId>>,
+/// The Spark profile of one `workload` job over `splits` on a cluster of
+/// `nodes`. Sorts hold their whole input in executor memory, so their
+/// profiles carry the requirement that fails compilation with the
+/// paper's OOM; BigDataBench 2.1 has no Spark Naive Bayes, which is an
+/// `Error::Config`.
+pub fn profile(
+    workload: Workload,
+    splits: Vec<InputSplit>,
+    tasks_per_node: u32,
+    nodes: u16,
+) -> Result<SimJobProfile> {
+    let physical: f64 = splits.iter().map(|s| s.len() as f64).sum();
+    let name = format!("{}-spark", super::job_name(workload));
+    let mut p = SimJobProfile::new(name, tasks_per_node);
+    let load = StageProfile::new(
+        "stage0",
+        StageInput::Dfs {
+            splits,
+            local_fraction: calib::SPARK_INPUT_LOCALITY,
+        },
+    );
+    p.stages = match workload {
+        Workload::NormalSort | Workload::TextSort => {
+            let compression = super::input_compression(workload);
+            let logical = physical * compression;
+            // Spark 0.8's sort holds the dataset in memory (Java-expanded).
+            p.mem_required_per_node = logical * calib::JAVA_EXPANSION / nodes as f64;
+            let mut s0 = load;
+            s0.cpu_per_byte =
+                super::decompress_cpu_per_byte(workload) + 1.0 / calib::SORT_SPARK_RATE;
+            s0.shuffle_write_ratio = compression; // logical bytes out
+            let mut s1 = StageProfile::new("stage1", StageInput::Shuffle { bytes: logical });
+            s1.cpu_per_byte = 1.0 / calib::SPARK_SORT_MERGE_RATE;
+            s1.output_dfs_ratio = 1.0;
+            // Spark 0.8 sorts the whole partition in memory before writing.
+            s1.staged = true;
+            vec![s0, s1]
+        }
+        Workload::WordCount | Workload::Grep => {
+            let (rate, emit_ratio, output_dfs_ratio) = if workload == Workload::WordCount {
+                (
+                    calib::WC_AGGREGATE_RATE,
+                    calib::WC_EMIT_RATIO,
+                    calib::WC_OUTPUT_RATIO / calib::WC_EMIT_RATIO,
+                )
+            } else {
+                (calib::GREP_SPARK_RATE, calib::GREP_EMIT_RATIO, 1.0)
+            };
+            // Counting and matching stay in hash maps: the resident set is
+            // the (small) intermediate data.
+            p.mem_required_per_node = physical * emit_ratio * calib::JAVA_EXPANSION / nodes as f64;
+            let mut s0 = load;
+            s0.cpu_per_byte = 1.0 / rate;
+            s0.shuffle_write_ratio = emit_ratio;
+            let mut s1 = StageProfile::new(
+                "stage1",
+                StageInput::Shuffle {
+                    bytes: physical * emit_ratio,
+                },
+            );
+            s1.cpu_per_byte = 1.0 / rate;
+            s1.output_dfs_ratio = output_dfs_ratio;
+            vec![s0, s1]
+        }
+        Workload::KMeans => {
+            // Caching is best-effort (MEMORY_ONLY evicts, it does not OOM),
+            // so K-means never hits the sort engines' hard memory wall.
+            // Stage 0: load + deserialize + build and cache the RDD (the
+            // paper notes this stage is what makes Spark's *first*
+            // iteration slow).
+            let mut s0 = load;
+            s0.cpu_per_byte = 1.0 / calib::KMEANS_SPARK_LOAD_RATE;
+            s0.cache_ratio = 1.2;
+            // Iteration stage: assignment over the cache, tiny shuffle.
+            let mut s1 = StageProfile::new("iter0", StageInput::Cached { bytes: physical });
+            s1.cpu_per_byte = 1.0 / calib::KMEANS_SPARK_RATE;
+            s1.shuffle_write_ratio = calib::KMEANS_EMIT_RATIO;
+            s1.output_dfs_ratio = calib::KMEANS_EMIT_RATIO;
+            vec![s0, s1]
+        }
+        Workload::NaiveBayes => {
+            return Err(Error::Config(
+                "BigDataBench 2.1 has no Spark Naive Bayes implementation".into(),
+            ))
+        }
+    };
+    Ok(p)
 }
 
 /// Compiles a Spark job into `sim`. Fails with `Error::OutOfMemory` if the
 /// job's resident set cannot fit the executors — the paper's Spark sort
 /// behaviour.
-pub fn compile(sim: &mut Simulation, profile: &SimJobProfile) -> Result<CompiledJob> {
-    let nodes = sim.spec().nodes;
-    if nodes == 0 {
-        return Err(Error::Config("empty cluster".into()));
-    }
+pub fn compile(sim: &mut Simulation, profile: &SimJobProfile) -> Result<()> {
+    let n = cluster_nodes(sim)?;
     if profile.mem_required_per_node > profile.executor_mem_per_node {
         return Err(Error::OutOfMemory {
             context: format!("{}: spark executors", profile.name),
@@ -148,21 +227,16 @@ pub fn compile(sim: &mut Simulation, profile: &SimJobProfile) -> Result<Compiled
             available: profile.executor_mem_per_node as u64,
         });
     }
-    let n = nodes as usize;
     sim.configure_slots(WORKER_SLOT, profile.tasks_per_node);
 
-    let mut startup_builder = TaskSpec::builder(format!("{}-startup", profile.name), NodeId(0))
-        .phase("startup")
-        .delay(profile.startup_secs);
-    for node in sim.spec().node_ids() {
-        startup_builder = startup_builder.activity(Activity::MemChange {
-            node,
-            delta: profile.runtime_mem_per_node,
-        });
-    }
-    let startup = sim.add_task(startup_builder.build())?;
-
-    let mut stages: Vec<Vec<TaskId>> = Vec::with_capacity(profile.stages.len());
+    let startup = barrier(
+        sim,
+        &profile.name,
+        "startup",
+        &[],
+        profile.startup_secs,
+        profile.runtime_mem_per_node,
+    )?;
     let mut prev_stage: Vec<TaskId> = vec![startup];
 
     for stage in &profile.stages {
@@ -250,10 +324,7 @@ pub fn compile(sim: &mut Simulation, profile: &SimJobProfile) -> Result<Compiled
             }
             let dfs_out = input_bytes * stage.output_dfs_ratio;
             if dfs_out > 0.0 {
-                let replicas: Vec<NodeId> = (0..profile.output_replication as usize)
-                    .map(|k| NodeId(((node.index() + k) % n) as u16))
-                    .collect();
-                output.extend(simio::write_demands(node, &replicas, dfs_out));
+                output.extend(replicated_write(node, n, dfs_out));
             }
 
             let mut builder =
@@ -288,28 +359,22 @@ pub fn compile(sim: &mut Simulation, profile: &SimJobProfile) -> Result<Compiled
             }
             tasks.push(sim.add_task(builder.build())?);
         }
-        prev_stage = tasks.clone();
-        stages.push(tasks);
+        prev_stage = tasks;
     }
-
-    Ok(CompiledJob { startup, stages })
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::splits;
     use dmpi_common::units::{GB, MB};
     use dmpi_dcsim::ClusterSpec;
     use dmpi_dfs::{DfsConfig, MiniDfs};
 
-    fn splits(bytes: u64) -> Vec<InputSplit> {
-        let dfs = MiniDfs::new(8, DfsConfig::paper_tuned()).unwrap();
-        dfs.create_virtual("/in", NodeId(0), bytes).unwrap();
-        dfs.splits("/in").unwrap()
-    }
-
     fn two_stage_profile(bytes: u64) -> SimJobProfile {
-        let mut p = SimJobProfile::new("spark");
+        let mut p = SimJobProfile::new("spark", 4);
+        p.executor_mem_per_node = 10.0 * GB as f64;
         let emitted = (bytes / 2) as f64;
         let mut s0 = StageProfile::new(
             "stage0",
@@ -360,7 +425,7 @@ mod tests {
     #[test]
     fn imperfect_locality_shows_network_traffic() {
         let mk = |local: f64| {
-            let mut p = SimJobProfile::new("loc");
+            let mut p = SimJobProfile::new("loc", 4);
             let mut s0 = StageProfile::new(
                 "stage0",
                 StageInput::Dfs {
@@ -385,7 +450,7 @@ mod tests {
     fn cached_stage_is_io_free_and_fast() {
         // First stage loads and caches; second iterates over the cache.
         let bytes = 4 * GB;
-        let mut p = SimJobProfile::new("iter");
+        let mut p = SimJobProfile::new("iter", 4);
         let mut s0 = StageProfile::new(
             "stage0",
             StageInput::Dfs {
@@ -412,5 +477,27 @@ mod tests {
             d1 < d0,
             "cached iteration beats the loading stage: {d1} vs {d0}"
         );
+    }
+
+    #[test]
+    fn spark_oom_boundary_in_profiles() {
+        let dfs = MiniDfs::new(8, DfsConfig::paper_tuned()).unwrap();
+        dfs.create_virtual("/8g", NodeId(0), 8 * GB).unwrap();
+        dfs.create_virtual("/16g", NodeId(0), 16 * GB).unwrap();
+        let text = |path| profile(Workload::TextSort, dfs.splits(path).unwrap(), 4, 8).unwrap();
+        let p8 = text("/8g");
+        let p16 = text("/16g");
+        assert!(
+            p8.mem_required_per_node <= p8.executor_mem_per_node,
+            "8 GB fits"
+        );
+        assert!(
+            p16.mem_required_per_node > p16.executor_mem_per_node,
+            "16 GB OOMs like Figure 3(b)"
+        );
+        // Normal Sort: even 4 GB compressed OOMs (Figure 3(a)).
+        dfs.create_virtual("/4gz", NodeId(0), 4 * GB).unwrap();
+        let pz = profile(Workload::NormalSort, dfs.splits("/4gz").unwrap(), 4, 8).unwrap();
+        assert!(pz.mem_required_per_node > pz.executor_mem_per_node);
     }
 }

@@ -1,12 +1,12 @@
 //! The simulation runner: one call per `(workload, engine, size)` cell of
-//! the paper's figures.
+//! the paper's figures, through the engine model in [`crate::model`].
 
 use dmpi_common::units::GB;
-use dmpi_common::{Error, Result};
+use dmpi_common::Result;
 use dmpi_dcsim::{ClusterSpec, NodeId, SimReport, Simulation};
 use dmpi_dfs::{DfsConfig, InputSplit, MiniDfs};
 
-use crate::{bayes, calib, grep, kmeans, sort, wordcount};
+use crate::{calib, model};
 
 /// Which system executes the workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -154,24 +154,13 @@ pub fn run_sim(
                     calib::DATAMPI_TASK_MEM,
                     calib::DATAMPI_RUNTIME_MEM,
                 );
-                let mut profile = match workload {
-                    Workload::NormalSort => {
-                        sort::datampi_profile(sort::SortVariant::Normal, tasks_per_node)
-                    }
-                    Workload::TextSort => {
-                        sort::datampi_profile(sort::SortVariant::Text, tasks_per_node)
-                    }
-                    Workload::WordCount => wordcount::datampi_profile(tasks_per_node),
-                    Workload::Grep => grep::datampi_profile(tasks_per_node),
-                    Workload::KMeans => kmeans::datampi_profile(tasks_per_node),
-                    Workload::NaiveBayes => bayes::datampi_profile(tasks_per_node),
-                };
+                let mut profile = model::datampi::profile(workload, tasks_per_node);
                 profile.name = format!("{}-{}", profile.name, job);
                 profile.o_cpu_per_byte *= pressure;
                 profile.a_cpu_per_byte *= pressure;
                 profile.decompress_cpu_per_byte *= pressure;
                 profile.cpu_overhead = calib::DATAMPI_CPU_OVERHEAD;
-                datampi::plan::compile(&mut sim, &profile, &job_splits)?;
+                model::datampi::compile(&mut sim, &profile, &job_splits)?;
             }
             Engine::Hadoop => {
                 let pressure = calib::concurrency_pressure(
@@ -179,25 +168,14 @@ pub fn run_sim(
                     calib::HADOOP_TASK_MEM,
                     calib::HADOOP_DAEMON_MEM,
                 );
-                let mut profile = match workload {
-                    Workload::NormalSort => {
-                        sort::hadoop_profile(sort::SortVariant::Normal, tasks_per_node)
-                    }
-                    Workload::TextSort => {
-                        sort::hadoop_profile(sort::SortVariant::Text, tasks_per_node)
-                    }
-                    Workload::WordCount => wordcount::hadoop_profile(tasks_per_node),
-                    Workload::Grep => grep::hadoop_profile(tasks_per_node),
-                    Workload::KMeans => kmeans::hadoop_profile(tasks_per_node),
-                    Workload::NaiveBayes => bayes::hadoop_profile(tasks_per_node),
-                };
+                let mut profile = model::mapred::profile(workload, tasks_per_node);
                 profile.name = format!("{}-{}", profile.name, job);
                 profile.map_cpu_per_byte *= pressure;
                 profile.sort_cpu_per_byte *= pressure;
                 profile.reduce_cpu_per_byte *= pressure;
                 profile.decompress_cpu_per_byte *= pressure;
                 profile.cpu_overhead = calib::HADOOP_CPU_OVERHEAD;
-                dmpi_mapred::plan::compile(&mut sim, &profile, &job_splits)?;
+                model::mapred::compile(&mut sim, &profile, &job_splits)?;
             }
             Engine::Spark => {
                 let pressure = calib::concurrency_pressure(
@@ -205,34 +183,14 @@ pub fn run_sim(
                     calib::SPARK_TASK_MEM,
                     calib::SPARK_RUNTIME_MEM,
                 );
-                let mut profile = match workload {
-                    Workload::NormalSort => sort::spark_profile(
-                        sort::SortVariant::Normal,
-                        job_splits,
-                        tasks_per_node,
-                        cluster.nodes,
-                    ),
-                    Workload::TextSort => sort::spark_profile(
-                        sort::SortVariant::Text,
-                        job_splits,
-                        tasks_per_node,
-                        cluster.nodes,
-                    ),
-                    Workload::WordCount => wordcount::spark_profile(job_splits, tasks_per_node),
-                    Workload::Grep => grep::spark_profile(job_splits, tasks_per_node),
-                    Workload::KMeans => kmeans::spark_profile(job_splits, tasks_per_node),
-                    Workload::NaiveBayes => {
-                        return Err(Error::Config(
-                            "BigDataBench 2.1 has no Spark Naive Bayes implementation".into(),
-                        ))
-                    }
-                };
+                let mut profile =
+                    model::spark::profile(workload, job_splits, tasks_per_node, cluster.nodes)?;
                 for stage in profile.stages.iter_mut() {
                     stage.cpu_per_byte *= pressure;
                 }
                 profile.cpu_overhead = calib::SPARK_CPU_OVERHEAD;
-                match dmpi_rddsim::plan::compile(&mut sim, &profile) {
-                    Ok(_) => {}
+                match model::spark::compile(&mut sim, &profile) {
+                    Ok(()) => {}
                     Err(e) if e.is_oom() => return Ok(Outcome::OutOfMemory),
                     Err(e) => return Err(e),
                 }

@@ -18,9 +18,6 @@ use bytes::Bytes;
 
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::Result;
-use dmpi_dfs::InputSplit;
-
-use crate::calib;
 
 /// O/map for Text Sort: each line becomes `(line, empty)`.
 pub fn text_map(_task: usize, split: &[u8], out: &mut dyn Collector) {
@@ -87,114 +84,6 @@ pub fn run_normal_mapred(
     inputs: Vec<Bytes>,
 ) -> Result<Vec<dmpi_common::RecordBatch>> {
     Ok(dmpi_mapred::run_mapreduce(config, inputs, seq_map, None, identity_reduce)?.partitions)
-}
-
-// ------------------------------------------------------------ simulation
-
-/// Which Sort variant a simulation profile describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SortVariant {
-    /// Uncompressed text input.
-    Text,
-    /// LZ77-compressed sequence-file input.
-    Normal,
-}
-
-impl SortVariant {
-    fn compression(self) -> f64 {
-        match self {
-            SortVariant::Text => 1.0,
-            SortVariant::Normal => calib::SEQFILE_COMPRESSION,
-        }
-    }
-
-    fn decompress_cost(self) -> f64 {
-        match self {
-            SortVariant::Text => 0.0,
-            SortVariant::Normal => 1.0 / calib::DECOMPRESS_RATE,
-        }
-    }
-}
-
-/// DataMPI simulation profile for Sort.
-pub fn datampi_profile(variant: SortVariant, tasks_per_node: u32) -> datampi::plan::SimJobProfile {
-    let mut p = datampi::plan::SimJobProfile::new(format!("sort-{variant:?}-datampi"));
-    p.startup_secs = calib::DATAMPI_STARTUP_SECS;
-    p.finalize_secs = calib::DATAMPI_FINALIZE_SECS;
-    p.o_cpu_per_byte = 1.0 / calib::SORT_PIPELINE_RATE;
-    p.emit_ratio = 1.0;
-    p.a_cpu_per_byte = 1.0 / calib::SORT_SORT_RATE;
-    p.output_ratio = 1.0;
-    p.input_compression = variant.compression();
-    p.decompress_cpu_per_byte = variant.decompress_cost();
-    p.tasks_per_node = tasks_per_node;
-    p.a_tasks_per_node = tasks_per_node;
-    p.runtime_mem_per_node = calib::DATAMPI_RUNTIME_MEM;
-    p.intermediate_mem_budget = calib::DATAMPI_INTERMEDIATE_MEM;
-    // Sorted output cannot stream before the merge completes.
-    p.a_staged = true;
-    p
-}
-
-/// Hadoop simulation profile for Sort.
-pub fn hadoop_profile(
-    variant: SortVariant,
-    tasks_per_node: u32,
-) -> dmpi_mapred::plan::SimJobProfile {
-    let mut p = dmpi_mapred::plan::SimJobProfile::new(format!("sort-{variant:?}-hadoop"));
-    p.startup_secs = calib::HADOOP_STARTUP_SECS;
-    p.task_launch_secs = calib::HADOOP_TASK_LAUNCH_SECS;
-    p.map_cpu_per_byte = 1.0 / calib::SORT_PIPELINE_RATE;
-    p.sort_cpu_per_byte = 1.0 / calib::HADOOP_SORT_RATE;
-    p.emit_ratio = 1.0;
-    // Map output exceeds io.sort.mb: multiple spills plus one merge pass.
-    p.spill_factor = 1.3;
-    p.reduce_cpu_per_byte = 1.0 / calib::SORT_SORT_RATE;
-    p.output_ratio = 1.0;
-    p.input_compression = variant.compression();
-    p.decompress_cpu_per_byte = variant.decompress_cost();
-    p.tasks_per_node = tasks_per_node;
-    p.reducers_per_node = tasks_per_node;
-    p.daemon_mem_per_node = calib::HADOOP_DAEMON_MEM;
-    p.task_mem = calib::HADOOP_TASK_MEM;
-    p.shuffle_spill_fraction = 0.8;
-    p
-}
-
-/// Spark simulation profile for Sort. Returns a profile whose memory
-/// requirement triggers the paper's OOM behaviour at compile time.
-pub fn spark_profile(
-    variant: SortVariant,
-    splits: Vec<InputSplit>,
-    tasks_per_node: u32,
-    nodes: u16,
-) -> dmpi_rddsim::plan::SimJobProfile {
-    use dmpi_rddsim::plan::{SimJobProfile, StageInput, StageProfile};
-    let physical: f64 = splits.iter().map(|s| s.len() as f64).sum();
-    let logical = physical * variant.compression();
-    let mut p = SimJobProfile::new(format!("sort-{variant:?}-spark"));
-    p.startup_secs = calib::SPARK_STARTUP_SECS;
-    p.tasks_per_node = tasks_per_node;
-    p.runtime_mem_per_node = calib::SPARK_RUNTIME_MEM;
-    p.executor_mem_per_node = calib::SPARK_EXECUTOR_MEM;
-    // Spark 0.8's sort holds the dataset in memory (Java-expanded).
-    p.mem_required_per_node = logical * calib::JAVA_EXPANSION / nodes as f64;
-    let mut s0 = StageProfile::new(
-        "stage0",
-        StageInput::Dfs {
-            splits,
-            local_fraction: calib::SPARK_INPUT_LOCALITY,
-        },
-    );
-    s0.cpu_per_byte = variant.decompress_cost() + 1.0 / calib::SORT_SPARK_RATE;
-    s0.shuffle_write_ratio = variant.compression(); // logical bytes out
-    let mut s1 = StageProfile::new("stage1", StageInput::Shuffle { bytes: logical });
-    s1.cpu_per_byte = 1.0 / calib::SPARK_SORT_MERGE_RATE;
-    s1.output_dfs_ratio = 1.0;
-    // Spark 0.8 sorts the whole partition in memory before writing.
-    s1.staged = true;
-    p.stages = vec![s0, s1];
-    p
 }
 
 #[cfg(test)]
@@ -312,29 +201,5 @@ mod tests {
         for (a, b) in dm.iter().zip(&mr) {
             assert_eq!(a.records(), b.records());
         }
-    }
-
-    #[test]
-    fn spark_oom_boundary_in_profiles() {
-        use dmpi_common::units::GB;
-        use dmpi_dcsim::NodeId;
-        use dmpi_dfs::{DfsConfig, MiniDfs};
-        let dfs = MiniDfs::new(8, DfsConfig::paper_tuned()).unwrap();
-        dfs.create_virtual("/8g", NodeId(0), 8 * GB).unwrap();
-        dfs.create_virtual("/16g", NodeId(0), 16 * GB).unwrap();
-        let p8 = spark_profile(SortVariant::Text, dfs.splits("/8g").unwrap(), 4, 8);
-        let p16 = spark_profile(SortVariant::Text, dfs.splits("/16g").unwrap(), 4, 8);
-        assert!(
-            p8.mem_required_per_node <= p8.executor_mem_per_node,
-            "8 GB fits"
-        );
-        assert!(
-            p16.mem_required_per_node > p16.executor_mem_per_node,
-            "16 GB OOMs like Figure 3(b)"
-        );
-        // Normal Sort: even 4 GB compressed OOMs (Figure 3(a)).
-        dfs.create_virtual("/4gz", NodeId(0), 4 * GB).unwrap();
-        let pz = spark_profile(SortVariant::Normal, dfs.splits("/4gz").unwrap(), 4, 8);
-        assert!(pz.mem_required_per_node > pz.executor_mem_per_node);
     }
 }

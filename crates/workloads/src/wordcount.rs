@@ -14,9 +14,6 @@ use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 use dmpi_common::varint::{encode_u64, MAX_VARINT_LEN};
 use dmpi_common::Result;
-use dmpi_dfs::InputSplit;
-
-use crate::calib;
 
 /// O/map function: tokenize lines, emit `(word, 1)`.
 pub fn map(_task: usize, split: &[u8], out: &mut dyn Collector) {
@@ -90,76 +87,6 @@ pub fn run_spark(
     Ok(decode_counts(batch))
 }
 
-// ------------------------------------------------------------ simulation
-
-/// DataMPI simulation profile for WordCount.
-pub fn datampi_profile(tasks_per_node: u32) -> datampi::plan::SimJobProfile {
-    let mut p = datampi::plan::SimJobProfile::new("wordcount-datampi");
-    p.startup_secs = calib::DATAMPI_STARTUP_SECS;
-    p.finalize_secs = calib::DATAMPI_FINALIZE_SECS;
-    p.o_cpu_per_byte = 1.0 / calib::WC_AGGREGATE_RATE;
-    p.emit_ratio = calib::WC_EMIT_RATIO;
-    p.a_cpu_per_byte = 1.0 / calib::WC_AGGREGATE_RATE;
-    p.output_ratio = calib::WC_OUTPUT_RATIO;
-    p.tasks_per_node = tasks_per_node;
-    p.a_tasks_per_node = tasks_per_node;
-    p.runtime_mem_per_node = calib::DATAMPI_RUNTIME_MEM;
-    p.intermediate_mem_budget = calib::DATAMPI_INTERMEDIATE_MEM;
-    p
-}
-
-/// Hadoop simulation profile for WordCount.
-pub fn hadoop_profile(tasks_per_node: u32) -> dmpi_mapred::plan::SimJobProfile {
-    let mut p = dmpi_mapred::plan::SimJobProfile::new("wordcount-hadoop");
-    p.startup_secs = calib::HADOOP_STARTUP_SECS;
-    p.task_launch_secs = calib::HADOOP_TASK_LAUNCH_SECS;
-    p.map_cpu_per_byte = 1.0 / calib::WC_HADOOP_MAP_RATE;
-    p.emit_ratio = calib::WC_EMIT_RATIO;
-    p.reduce_cpu_per_byte = 1.0 / calib::WC_AGGREGATE_RATE;
-    p.output_ratio = calib::WC_OUTPUT_RATIO;
-    p.tasks_per_node = tasks_per_node;
-    p.reducers_per_node = tasks_per_node;
-    p.daemon_mem_per_node = calib::HADOOP_DAEMON_MEM;
-    p.task_mem = calib::HADOOP_TASK_MEM;
-    p.shuffle_spill_fraction = 0.0; // intermediate is tiny
-    p
-}
-
-/// Spark simulation profile for WordCount.
-pub fn spark_profile(
-    splits: Vec<InputSplit>,
-    tasks_per_node: u32,
-) -> dmpi_rddsim::plan::SimJobProfile {
-    use dmpi_rddsim::plan::{SimJobProfile, StageInput, StageProfile};
-    let input_bytes: f64 = splits.iter().map(|s| s.len() as f64).sum();
-    let mut p = SimJobProfile::new("wordcount-spark");
-    p.startup_secs = calib::SPARK_STARTUP_SECS;
-    p.tasks_per_node = tasks_per_node;
-    p.runtime_mem_per_node = calib::SPARK_RUNTIME_MEM;
-    p.executor_mem_per_node = calib::SPARK_EXECUTOR_MEM;
-    // Counting stays in hash maps: resident set is modest.
-    p.mem_required_per_node = input_bytes * calib::WC_EMIT_RATIO * calib::JAVA_EXPANSION / 8.0;
-    let mut s0 = StageProfile::new(
-        "stage0",
-        StageInput::Dfs {
-            splits,
-            local_fraction: calib::SPARK_INPUT_LOCALITY,
-        },
-    );
-    s0.cpu_per_byte = 1.0 / calib::WC_AGGREGATE_RATE;
-    s0.shuffle_write_ratio = calib::WC_EMIT_RATIO;
-    let mut s1 = StageProfile::new(
-        "stage1",
-        StageInput::Shuffle {
-            bytes: input_bytes * calib::WC_EMIT_RATIO,
-        },
-    );
-    s1.cpu_per_byte = 1.0 / calib::WC_AGGREGATE_RATE;
-    s1.output_dfs_ratio = calib::WC_OUTPUT_RATIO / calib::WC_EMIT_RATIO;
-    p.stages = vec![s0, s1];
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,17 +133,5 @@ mod tests {
         let counts = run_datampi(&datampi::JobConfig::new(4), inputs).unwrap();
         let sum: u64 = counts.iter().map(|(_, c)| c).sum();
         assert_eq!(sum, total_words);
-    }
-
-    #[test]
-    fn profiles_reflect_engine_characteristics() {
-        let dm = datampi_profile(4);
-        let h = hadoop_profile(4);
-        assert!(
-            h.map_cpu_per_byte > dm.o_cpu_per_byte,
-            "hadoop pays the sort"
-        );
-        assert!(h.startup_secs > dm.startup_secs);
-        assert!(dm.emit_ratio < 0.01, "combining shrinks intermediate data");
     }
 }

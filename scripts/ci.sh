@@ -25,6 +25,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== shell scripts parse ==" >&2
 bash -n scripts/pairs.sh
 
+echo "== engine boundary: the simulator's model lives in dmpi-workloads ==" >&2
+# The executing engines hold only code that executes; what the simulator
+# assumes about them is `workloads::model`. datampi keeps dmpi-dcsim for
+# its profiler's resource series and admission's fair-share solver.
+if grep -rnE 'dmpi_dcsim|dmpi_dfs' crates/mapred/src crates/rddsim/src \
+    || grep -rn dmpi_dfs crates/datampi/src; then
+    echo "an engine crate uses the simulator or the simulated DFS" >&2
+    exit 1
+fi
+
 echo "== size figures (ROADMAP aim 2) ==" >&2
 ./scripts/size.sh | tee target/ci/size.txt
 

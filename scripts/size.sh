@@ -5,6 +5,8 @@
 #
 # - nontest_lines: lines of crates/datampi/src and src/bin, each file
 #   counted up to its first `#[cfg(test)]`;
+# - workspace_nontest_lines: the same count over every crate's src and
+#   src/bin, so code moved between crates is not counted as removed;
 # - entry_points: public `run_*` / `supervise_*` job runners in the
 #   non-test lines of the runtime, iteration and supervisor modules;
 # - jobconfig_with: `JobConfig::with_*` methods;
@@ -27,6 +29,8 @@ nontest() {
 }
 
 echo "nontest_lines $(nontest | wc -l)"
+# shellcheck disable=SC2046
+echo "workspace_nontest_lines $(live $(find crates/*/src src/bin -name '*.rs' | sort) | wc -l)"
 echo "entry_points $(live crates/datampi/src/{runtime,iteration,supervisor}.rs \
     | grep -cE '^pub fn (run|supervise)_')"
 echo "jobconfig_with $(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /pub fn with_/' \

@@ -10,7 +10,8 @@ use dmpi_common::units::GB;
 use datampi_suite::datagen::{SeedModel, TextGenerator};
 use datampi_suite::dcsim::{ClusterSpec, NodeId, Simulation};
 use datampi_suite::dfs::{DfsConfig, MiniDfs};
-use datampi_suite::workloads::wordcount;
+use datampi_suite::workloads::model::{datampi, mapred};
+use datampi_suite::workloads::{wordcount, Workload};
 
 fn corpus(seed: u64) -> Vec<Bytes> {
     let mut gen = TextGenerator::new(SeedModel::lda_wiki1w(), seed);
@@ -19,18 +20,16 @@ fn corpus(seed: u64) -> Vec<Bytes> {
         .collect()
 }
 
-fn sim_sort_report(
-    profile: &datampi_suite::datampi::plan::SimJobProfile,
-) -> datampi_suite::dcsim::SimReport {
+fn sim_sort_report(profile: &datampi::SimJobProfile) -> datampi_suite::dcsim::SimReport {
     let dfs = MiniDfs::new(8, DfsConfig::paper_tuned()).unwrap();
     dfs.create_virtual("/in", NodeId(0), 8 * GB).unwrap();
     let splits = dfs.splits("/in").unwrap();
     let mut sim = Simulation::new(ClusterSpec::paper_testbed());
-    datampi_suite::datampi::plan::compile(&mut sim, profile, &splits).unwrap();
+    datampi::compile(&mut sim, profile, &splits).unwrap();
     sim.run().unwrap()
 }
 
-fn sim_sort_makespan(profile: &datampi_suite::datampi::plan::SimJobProfile) -> f64 {
+fn sim_sort_makespan(profile: &datampi::SimJobProfile) -> f64 {
     sim_sort_report(profile).makespan
 }
 
@@ -61,10 +60,7 @@ fn pipelining_mechanism_and_consequence() {
 
     // Consequence (simulator): at paper scale, disabling pipelining slows
     // the job down.
-    let base = datampi_suite::workloads::sort::datampi_profile(
-        datampi_suite::workloads::sort::SortVariant::Text,
-        4,
-    );
+    let base = datampi::profile(Workload::TextSort, 4);
     let mut no_pipe = base.clone();
     no_pipe.pipelined = false;
     assert!(sim_sort_makespan(&no_pipe) > sim_sort_makespan(&base) * 1.05);
@@ -110,10 +106,10 @@ fn combiner_mechanism_and_consequence() {
     dfs.create_virtual("/in", NodeId(0), 8 * GB).unwrap();
     let splits = dfs.splits("/in").unwrap();
     let run = |emit_ratio: f64| {
-        let mut p = datampi_suite::workloads::wordcount::hadoop_profile(4);
+        let mut p = mapred::profile(Workload::WordCount, 4);
         p.emit_ratio = emit_ratio;
         let mut sim = Simulation::new(ClusterSpec::paper_testbed());
-        datampi_suite::mapred::plan::compile(&mut sim, &p, &splits).unwrap();
+        mapred::compile(&mut sim, &p, &splits).unwrap();
         sim.run().unwrap().makespan
     };
     assert!(run(1.0) > run(0.004) * 1.1, "combining pays at paper scale");
@@ -145,10 +141,7 @@ fn memory_budget_mechanism_and_consequence() {
     // Consequence: shrinking the simulated intermediate budget adds disk
     // round trips. (Latency may hide behind the CPU-bound O phase, but
     // the extra disk traffic cannot: compare disk-write volume.)
-    let base = datampi_suite::workloads::sort::datampi_profile(
-        datampi_suite::workloads::sort::SortVariant::Text,
-        4,
-    );
+    let base = datampi::profile(Workload::TextSort, 4);
     let mut starved_sim = base.clone();
     starved_sim.intermediate_mem_budget = 64.0 * (1u64 << 20) as f64;
     let writes =
