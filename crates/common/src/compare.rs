@@ -62,6 +62,33 @@ impl SortKernel {
 /// Key bytes an [`IndexEntry`] carries inline.
 const PREFIX_LEN: usize = 8;
 
+/// How many entries ahead of the one it reads a pass over a sorted index
+/// asks the CPU to fetch. Sorted order visits frame bytes at random, so
+/// without the hint every entry waits out a cache miss; 16 entries of
+/// lead is enough to cover that latency on the loops that use it, and
+/// few enough that the fetched lines are still cached when reached.
+pub const PREFETCH_AHEAD: usize = 16;
+
+/// Asks the CPU to start loading the cache line holding `frame[offset]`
+/// (clamped to the frame's end). A hint only: it changes no result, and
+/// does nothing off x86_64.
+#[inline]
+fn prefetch(frame: &[u8], offset: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let at = frame.as_ptr().wrapping_add(offset.min(frame.len()));
+        // SAFETY: `_mm_prefetch` only hints at a cache line: it reads no
+        // byte a program can observe and cannot fault, whatever the
+        // address. `at` lies within `frame` or one past its end anyway,
+        // and SSE, which the instruction needs, is part of every x86_64
+        // target.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(at.cast()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (frame, offset);
+}
+
 /// One record of a forming run: a sortable reference to where the record
 /// sits in the frame payload it arrived in. 24 bytes, against 64 for an
 /// owned `Record`, and sorting it touches no frame byte until two keys
@@ -151,6 +178,20 @@ impl IndexEntry {
         &frames[self.frame()][self.value_range()]
     }
 
+    /// Starts fetching the key's bytes from `depth` on; call it
+    /// [`PREFETCH_AHEAD`] entries before the one being read.
+    #[inline]
+    pub fn prefetch_key(&self, frames: &[Bytes], depth: usize) {
+        prefetch(&frames[self.frame()], self.key_off as usize + depth);
+    }
+
+    /// Starts fetching the value's first bytes; call it
+    /// [`PREFETCH_AHEAD`] entries before the one being read.
+    #[inline]
+    pub fn prefetch_value(&self, frames: &[Bytes]) {
+        prefetch(&frames[self.frame()], self.value_range().start);
+    }
+
     /// Key bytes past the inline prefix (callers check `key_len` first).
     fn key_tail<'a>(&self, frames: &'a [Bytes]) -> &'a [u8] {
         &self.key(frames)[PREFIX_LEN..]
@@ -192,7 +233,11 @@ fn sort_values(same_key: &mut [IndexEntry], frames: &[Bytes]) {
         same_key.sort_unstable_by(|a, b| a.value(frames).cmp(b.value(frames)));
         return;
     }
-    for e in same_key.iter_mut() {
+    for i in 0..same_key.len() {
+        if let Some(ahead) = same_key.get(i + PREFETCH_AHEAD) {
+            ahead.prefetch_value(frames);
+        }
+        let e = &mut same_key[i];
         e.prefix = key_prefix(e.value(frames));
     }
     let rank = |e: &IndexEntry| (e.prefix, e.val_len.min(PREFIX_LEN as u32 + 1));
@@ -237,7 +282,11 @@ fn refine_level(
     for same_key in done.chunk_by_mut(|a, b| a.key_len == b.key_len) {
         sort_values(same_key, frames);
     }
-    for e in rest.iter_mut() {
+    for i in 0..rest.len() {
+        if let Some(ahead) = rest.get(i + PREFETCH_AHEAD) {
+            ahead.prefetch_key(frames, depth);
+        }
+        let e = &mut rest[i];
         e.prefix = key_prefix(&e.key(frames)[depth..]);
     }
     rest.sort_unstable_by_key(|e| e.prefix);

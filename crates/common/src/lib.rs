@@ -25,6 +25,7 @@
 //! * [`error`] — the shared error type.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod codec;
 pub mod compare;

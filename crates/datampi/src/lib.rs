@@ -50,6 +50,7 @@
 //!   `task % ranks` assignment, no checkpoint.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod buffer;
 pub mod checkpoint;

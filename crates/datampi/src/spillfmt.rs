@@ -655,8 +655,9 @@ impl SealedRun {
 /// Blocks load lazily: the footer index decides whether a block is
 /// skipped (key range disjoint from the reader's restriction), and only
 /// loaded blocks are read, CRC-checked and (if compressed) decompressed
-/// — into a fresh refcounted buffer whose records are zero-copy slices,
-/// with a pooled scratch buffer staging the stored bytes of disk reads.
+/// — into a fresh refcounted buffer whose records are zero-copy slices.
+/// A raw disk block is read straight into that buffer; a pooled scratch
+/// buffer stages the stored bytes of a compressed one.
 pub struct RunReader {
     backing: Backing,
     index: Arc<RunIndex>,
@@ -715,6 +716,21 @@ impl RunReader {
                 return Ok(None);
             }
         }
+    }
+
+    /// The next block the index says is worth reading, whole: loaded,
+    /// CRC-checked and counted as [`next_record`](Self::next_record)
+    /// loads it, and the frontier moves to it. The records inside are not
+    /// filtered: a resumed reader skips whole blocks at or before its
+    /// `skip_through` bound, and the caller drops the first block's
+    /// records that still sit at or before it. Readers opened with a key
+    /// range do not call this. `None` once the run is exhausted.
+    pub(crate) fn next_block(&mut self) -> Result<Option<Bytes>> {
+        debug_assert!(self.range.is_none(), "whole blocks ignore a key range");
+        if !self.load_next_block()? {
+            return Ok(None);
+        }
+        Ok(Some(std::mem::take(&mut self.block)))
     }
 
     /// Advances to the next block the index says is worth reading.
@@ -784,19 +800,25 @@ impl RunReader {
                 }
             }
             Backing::File(f) => {
-                self.scratch.clear();
-                self.scratch.resize(stored_len, 0);
                 f.seek(SeekFrom::Start(meta.offset))
                     .map_err(|e| Error::corrupt(format!("spill seek: {e}")))?;
-                f.read_exact(&mut self.scratch)
-                    .map_err(|e| Error::corrupt(format!("spill read: {e}")))?;
+                let read = |f: &mut std::fs::File, buf: &mut [u8]| {
+                    f.read_exact(buf)
+                        .map_err(|e| Error::corrupt(format!("spill read: {e}")))
+                };
                 if meta.is_compressed() {
+                    self.scratch.clear();
+                    self.scratch.resize(stored_len, 0);
+                    read(f, &mut self.scratch)?;
                     let mut raw = Vec::with_capacity(raw_len);
                     lz4_flex::decompress_into(&self.scratch, raw_len, &mut raw)
                         .map_err(|e| Error::corrupt(format!("spill block decompress: {e}")))?;
                     Bytes::from(raw)
                 } else {
-                    Bytes::copy_from_slice(&self.scratch)
+                    // Straight into the buffer the block's records slice.
+                    let mut raw = vec![0; stored_len];
+                    read(f, &mut raw)?;
+                    Bytes::from(raw)
                 }
             }
         };

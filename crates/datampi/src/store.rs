@@ -39,7 +39,7 @@ use std::cmp::Ordering;
 
 use bytes::Bytes;
 
-use dmpi_common::compare::{index_frame, sort_index, IndexEntry, SortKernel};
+use dmpi_common::compare::{index_frame, sort_index, IndexEntry, SortKernel, PREFETCH_AHEAD};
 use dmpi_common::group::GroupedValues;
 use dmpi_common::{Error, Record, Result};
 
@@ -107,14 +107,6 @@ impl FormingRun {
     /// Orders the index by `(key, value)`; the frames stay put.
     fn sort(&mut self) {
         sort_index(&mut self.index, &self.frames);
-    }
-
-    fn key_bytes(&self, e: &IndexEntry) -> Bytes {
-        self.frames[e.frame()].slice(e.key_range())
-    }
-
-    fn value_bytes(&self, e: &IndexEntry) -> Bytes {
-        self.frames[e.frame()].slice(e.value_range())
     }
 }
 
@@ -205,8 +197,12 @@ fn seal_run(
     let wall_start = tracer.as_ref().map(|_| std::time::Instant::now());
     forming.sort();
     let mut writer = crate::spillfmt::RunWriter::new(cfg.block_bytes, cfg.compress, true);
-    for e in &forming.index {
-        writer.push_kv(e.key(&forming.frames), e.value(&forming.frames));
+    let (frames, index) = (&forming.frames, &forming.index);
+    for (i, e) in index.iter().enumerate() {
+        if let Some(ahead) = index.get(i + PREFETCH_AHEAD) {
+            ahead.prefetch_key(frames, 0);
+        }
+        writer.push_kv(e.key(frames), e.value(frames));
     }
     drop(forming);
     let (image, index) = writer.finish();
@@ -458,7 +454,7 @@ impl PartitionStore {
         let mut runs: Vec<RunCursor> = Vec::with_capacity(self.spilled.len() + 1);
         for run in &self.spilled {
             let reader = run.open(&self.read_counters, None)?;
-            runs.push(RunCursor::sealed(reader)?);
+            runs.push(RunCursor::sealed(reader, None)?);
         }
         // Last, so it keeps the newest-run place in the tiebreak.
         if !forming.index.is_empty() {
@@ -488,65 +484,137 @@ impl PartitionStore {
     }
 }
 
-/// A lazily-decoding cursor over one sorted run of the merge.
-///
-/// Sealed runs stream through an index-driven [`RunReader`], so merging
-/// them costs one decoded block of memory per run. The forming run, when a spilled partition
-/// still has one, yields records sliced from its frames in index order.
-struct RunCursor {
-    source: CursorSource,
-    /// The run's current head record (`None` = exhausted).
-    head: Option<Record>,
+/// Key bytes a merge cursor caches of its head entry.
+const HEAD_KEY_LEN: usize = 16;
+
+/// The first [`HEAD_KEY_LEN`] bytes of `key`, big-endian and
+/// zero-padded: integer order on it is byte order on those bytes. The
+/// padding makes `"a"` and `"a\0"` collide, so equal values decide
+/// nothing by themselves.
+fn head_key(key: &[u8]) -> u128 {
+    let mut padded = [0u8; HEAD_KEY_LEN];
+    let n = key.len().min(HEAD_KEY_LEN);
+    padded[..n].copy_from_slice(&key[..n]);
+    u128::from_be_bytes(padded)
 }
 
-enum CursorSource {
-    Sealed(RunReader),
-    Forming { forming: FormingRun, next: usize },
+/// The key of `e`, as a handle on the frame holding it.
+fn cut_key(frames: &[Bytes], e: &IndexEntry) -> Bytes {
+    frames[e.frame()].slice(e.key_range())
+}
+
+/// The value of `e`, as a handle on the frame holding it.
+fn cut_value(frames: &[Bytes], e: &IndexEntry) -> Bytes {
+    frames[e.frame()].slice(e.value_range())
+}
+
+/// One sorted run of the merge: frames, an index over them in
+/// `(key, value)` order, and the next entry to hand out — the same
+/// machinery the index walk uses, for both kinds of run.
+///
+/// The forming run, when a spilled partition still has one, is its own
+/// frames and sorted index. A sealed run holds one block at a time: its
+/// [`RunReader`] hands each block over whole (CRC-checked) and the
+/// cursor indexes it like an arriving frame, so merging costs one
+/// decoded block of memory per run. `Bytes` handles are cut only when a
+/// record leaves the cursor.
+struct RunCursor {
+    frames: Vec<Bytes>,
+    index: Vec<IndexEntry>,
+    next: usize,
+    /// [`head_key`] of the head entry's key (0 once exhausted), so most
+    /// matches of the loser tree compare two integers and read no block.
+    head_key: u128,
+    /// Where a sealed run's next block comes from; `None` for the
+    /// forming run.
+    reader: Option<RunReader>,
+    /// Resume filter: entries whose key is `<=` this bound are dropped
+    /// until the first one past it.
+    skip_through: Option<Bytes>,
 }
 
 impl RunCursor {
-    fn sealed(reader: RunReader) -> Result<Self> {
+    /// A cursor over a sealed run, dropping records with keys at or
+    /// before `skip_through` (a resumed merge's last emitted group).
+    fn sealed(reader: RunReader, skip_through: Option<Bytes>) -> Result<Self> {
         let mut cursor = RunCursor {
-            source: CursorSource::Sealed(reader),
-            head: None,
+            frames: Vec::with_capacity(1),
+            index: Vec::new(),
+            next: 0,
+            head_key: 0,
+            reader: Some(reader),
+            skip_through,
         };
-        cursor.head = cursor.decode_next()?;
+        cursor.settle()?;
         Ok(cursor)
     }
 
     /// `forming` must already be sorted.
     fn forming(forming: FormingRun) -> Self {
         let mut cursor = RunCursor {
-            source: CursorSource::Forming { forming, next: 0 },
-            head: None,
+            frames: forming.frames,
+            index: forming.index,
+            next: 0,
+            head_key: 0,
+            reader: None,
+            skip_through: None,
         };
-        cursor.head = cursor
-            .decode_next()
-            .expect("an indexed run cannot fail to decode");
+        cursor.cache_head_key();
         cursor
     }
 
-    fn decode_next(&mut self) -> Result<Option<Record>> {
-        match &mut self.source {
-            CursorSource::Sealed(reader) => reader.next_record(),
-            CursorSource::Forming { forming, next } => {
-                let rec = forming.index.get(*next).map(|e| Record {
-                    key: forming.key_bytes(e),
-                    value: forming.value_bytes(e),
-                });
-                *next += 1;
-                Ok(rec)
-            }
-        }
+    /// The entry the cursor hands out next (`None` = exhausted).
+    fn head(&self) -> Option<&IndexEntry> {
+        self.index.get(self.next)
     }
 
-    /// Takes the head record and advances the cursor.
-    fn pop(&mut self) -> Result<Option<Record>> {
-        let head = self.head.take();
-        if head.is_some() {
-            self.head = self.decode_next()?;
+    fn cache_head_key(&mut self) {
+        self.head_key = self.head().map_or(0, |e| head_key(e.key(&self.frames)));
+    }
+
+    /// Brings the cursor to its next live head: drops entries the resume
+    /// filter covers and loads and indexes sealed blocks while the
+    /// current one is used up, then caches the head's key bytes.
+    fn settle(&mut self) -> Result<()> {
+        loop {
+            if let Some(bound) = self.skip_through.as_deref() {
+                let rest = &self.index[self.next..];
+                match rest.iter().position(|e| e.key(&self.frames) > bound) {
+                    Some(skipped) => {
+                        self.next += skipped;
+                        self.skip_through = None;
+                    }
+                    None => self.next = self.index.len(),
+                }
+            }
+            if self.next < self.index.len() {
+                break;
+            }
+            let Some(reader) = &mut self.reader else {
+                break;
+            };
+            let Some(block) = reader.next_block()? else {
+                break;
+            };
+            self.frames.clear();
+            self.index.clear();
+            self.next = 0;
+            index_frame(&mut self.index, 0, &block)?;
+            self.frames.push(block);
         }
-        Ok(head)
+        self.cache_head_key();
+        Ok(())
+    }
+
+    /// Cuts what `take` wants out of the head entry and advances past it.
+    fn pop_with<T>(&mut self, take: impl FnOnce(&[Bytes], &IndexEntry) -> T) -> Result<Option<T>> {
+        let Some(e) = self.head() else {
+            return Ok(None);
+        };
+        let out = take(&self.frames, e);
+        self.next += 1;
+        self.settle()?;
+        Ok(Some(out))
     }
 
     /// The cursor's resume frontier: the block its head record came
@@ -554,25 +622,31 @@ impl RunCursor {
     /// forming-run cursor still holding records — such a merge cannot be
     /// resumed from block boundaries.
     fn frontier(&self) -> Option<Option<usize>> {
-        match (&self.source, self.head.is_some()) {
-            (CursorSource::Sealed(reader), _) => Some(Some(reader.frontier_block())),
+        match (&self.reader, self.head()) {
+            (Some(reader), _) => Some(Some(reader.frontier_block())),
             // A drained forming run contributes nothing to a resume —
             // report it as skippable.
-            (CursorSource::Forming { .. }, false) => Some(None),
-            (CursorSource::Forming { .. }, true) => None,
+            (None, None) => Some(None),
+            (None, Some(_)) => None,
         }
     }
 }
 
 /// Total order on run heads: `(key, value, run index)`, with exhausted
-/// runs sorting last. The `(key, value)` part matches the seed path's
-/// sort tie-break, so the merge output is identical to a global
-/// [`sort_records`] of everything.
+/// runs sorting last. The cached first 16 key bytes decide most matches;
+/// only heads that agree on them compare full keys. The `(key, value)`
+/// part matches the seed path's sort tie-break, so the merge output is
+/// identical to a global [`sort_records`] of everything.
+///
+/// [`sort_records`]: dmpi_common::compare::sort_records
 fn head_cmp(runs: &[RunCursor], a: usize, b: usize) -> Ordering {
-    match (&runs[a].head, &runs[b].head) {
-        (Some(x), Some(y)) => x.key[..]
-            .cmp(&y.key[..])
-            .then_with(|| x.value.cmp(&y.value))
+    let (x, y) = (&runs[a], &runs[b]);
+    match (x.head(), y.head()) {
+        (Some(ex), Some(ey)) => x
+            .head_key
+            .cmp(&y.head_key)
+            .then_with(|| ex.key(&x.frames).cmp(ey.key(&y.frames)))
+            .then_with(|| ex.value(&x.frames).cmp(ey.value(&y.frames)))
             .then_with(|| a.cmp(&b)),
         (Some(_), None) => Ordering::Less,
         (None, Some(_)) => Ordering::Greater,
@@ -661,21 +735,26 @@ impl LoserTreeMerge {
         }
     }
 
-    /// Pops the globally-smallest head record, replaying the winner's
-    /// path to the root.
-    fn pop(&mut self) -> Result<Option<Record>> {
+    /// The globally-smallest head entry and the frames it indexes.
+    fn peek(&self) -> Option<(&[Bytes], &IndexEntry)> {
+        let run = self.runs.get(self.tree[0])?;
+        Some((&run.frames, run.head()?))
+    }
+
+    /// Pops the globally-smallest head entry, cutting what `take` wants
+    /// out of it, and replays the winner's path to the root.
+    fn pop_with<T>(&mut self, take: impl FnOnce(&[Bytes], &IndexEntry) -> T) -> Result<Option<T>> {
         let winner = self.tree[0];
         if winner == usize::MAX {
             return Ok(None);
         }
-        let rec = match self.runs[winner].pop()? {
-            Some(rec) => rec,
-            None => return Ok(None),
+        let Some(out) = self.runs[winner].pop_with(take)? else {
+            return Ok(None);
         };
         // Replay from the winner's leaf up: at each internal node the
         // stored loser challenges the carried candidate.
         let mut node = (self.leaves + winner) / 2;
-        let mut candidate = if self.runs[winner].head.is_some() {
+        let mut candidate = if self.runs[winner].head().is_some() {
             winner
         } else {
             usize::MAX
@@ -691,7 +770,7 @@ impl LoserTreeMerge {
             node /= 2;
         }
         self.tree[0] = candidate;
-        Ok(Some(rec))
+        Ok(Some(out))
     }
 }
 
@@ -737,36 +816,34 @@ impl GroupStream {
                     .position(|e| !e.same_key(first, &forming.frames))
                     .unwrap_or(forming.index.len() - *next - 1);
                 let members = &forming.index[*next..*next + len];
-                group.key = forming.key_bytes(first);
+                group.key = cut_key(&forming.frames, first);
                 group.values.clear();
                 // Exact, so that a fresh group (`next_group`) is no
                 // larger than its values; nothing to do on a reused one.
                 group.values.reserve_exact(len);
                 group
                     .values
-                    .extend(members.iter().map(|e| forming.value_bytes(e)));
+                    .extend(members.iter().map(|e| cut_value(&forming.frames, e)));
                 *next += len;
             }
             GroupSource::Merge(merge) => {
-                let Some(first) = merge.pop()? else {
+                let cut =
+                    |frames: &[Bytes], e: &IndexEntry| (cut_key(frames, e), cut_value(frames, e));
+                let Some((key, value)) = merge.pop_with(cut)? else {
                     return Ok(false);
                 };
-                group.key = first.key;
+                group.key = key;
                 group.values.clear();
                 // As above: most groups of a sort hold one value.
                 group.values.reserve_exact(1);
-                group.values.push(first.value);
+                group.values.push(value);
                 // Keep pulling while the merge head shares the key.
-                loop {
-                    let same = match merge.tree[0] {
-                        usize::MAX => false,
-                        w => matches!(&merge.runs[w].head, Some(r) if r.key == group.key),
-                    };
-                    if !same {
-                        break;
-                    }
-                    match merge.pop()? {
-                        Some(rec) => group.values.push(rec.value),
+                while merge
+                    .peek()
+                    .is_some_and(|(frames, e)| e.key(frames) == &group.key[..])
+                {
+                    match merge.pop_with(cut_value)? {
+                        Some(value) => group.values.push(value),
                         None => break,
                     }
                 }
@@ -827,7 +904,7 @@ pub fn resume_group_stream(
     let mut cursors = Vec::with_capacity(runs.len());
     for (run, &start) in runs.iter().zip(frontier) {
         let reader = run.open_at(start, last_key.clone(), counters, None)?;
-        cursors.push(RunCursor::sealed(reader)?);
+        cursors.push(RunCursor::sealed(reader, last_key.clone())?);
     }
     Ok(GroupStream {
         source: GroupSource::Merge(LoserTreeMerge::new(cursors)),

@@ -71,6 +71,10 @@ extern "C" {
 
 fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     loop {
+        // SAFETY: `PollFd` is `#[repr(C)]` with the layout of libc's
+        // `struct pollfd`, and the pointer and count describe exactly the
+        // `fds` slice, which is borrowed mutably for the call; poll(2)
+        // writes only the `revents` fields inside it.
         let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
         if rc >= 0 {
             return Ok(rc as usize);
