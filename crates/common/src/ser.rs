@@ -162,10 +162,13 @@ pub fn frame_kv(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
 /// Parses one record frame's layout from the front of `buf`: returns
 /// `(key_start, key_len, value_len, total)` offsets without building any
 /// `Record`. Shared by the copying, zero-copy and borrowing decoders.
+/// Every failure, a malformed length varint included, is
+/// [`Error::Corrupt`]: the bytes do not frame a record.
 #[inline]
 fn frame_layout(buf: &[u8]) -> Result<(usize, usize, usize, usize)> {
-    let (klen, n1) = varint::read_u64(buf)?;
-    let (vlen, n2) = varint::read_u64(&buf[n1..])?;
+    let corrupt = |e: Error| Error::corrupt(format!("record header: {e}"));
+    let (klen, n1) = varint::read_u64(buf).map_err(corrupt)?;
+    let (vlen, n2) = varint::read_u64(&buf[n1..]).map_err(corrupt)?;
     let header = n1 + n2;
     let klen = klen as usize;
     let vlen = vlen as usize;

@@ -2,9 +2,12 @@
 //! records, block budgets, storage backends and compression settings, a
 //! sealed run must round-trip byte-identically; seeded corruption must be
 //! caught by the block CRC before any record decodes; a hostile image
-//! must be rejected by the footer parser, never panic it; and the k-way
+//! must be rejected by the footer parser, never panic it; the k-way
 //! merge must produce identical output across the whole
-//! {memory,disk} x {compressed,raw} grid.
+//! {memory,disk} x {compressed,raw} grid, and the order of a global sort
+//! on keys that collide on its cached head bytes; and a CRC-valid block
+//! whose record framing lies must fail every merge entry point with a
+//! corrupt-data error, within a bounded allocation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,12 +15,16 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use datampi::spillfmt::{parse_image, RunWriter, SpillConfig, RUN_MAGIC, TRAILER_LEN};
-use datampi::store::PartitionStore;
+use datampi::store::{resume_group_stream, GroupStream, PartitionStore};
 use datampi::{run_job, JobConfig, SealedRun, SpillReadCounters, WireCompression};
+use dmpi_common::compare::sort_records;
 use dmpi_common::crc::crc32;
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
-use dmpi_common::{ser, Record};
+use dmpi_common::{ser, varint, Error, Record};
+
+mod counting_alloc;
+use counting_alloc::peak_since;
 
 /// A unique scratch directory per proptest case, so concurrent cases
 /// (and reruns) never collide on disk.
@@ -90,17 +97,30 @@ fn text_corpus_strategy() -> impl Strategy<Value = Vec<Bytes>> {
 /// Fills a store through the real framing path, with a tiny
 /// budget so runs actually seal through the block format.
 fn fill_store(records: &[Record], budget: usize, cfg: SpillConfig) -> PartitionStore {
+    fill_store_keeping_frames(records, budget, cfg).0
+}
+
+/// [`fill_store`], also returning the frames ingested, which the forming
+/// run's records slice.
+fn fill_store_keeping_frames(
+    records: &[Record],
+    budget: usize,
+    cfg: SpillConfig,
+) -> (PartitionStore, Vec<Bytes>) {
     let mut store = PartitionStore::new(budget, true);
     store.set_spill_config(cfg);
+    let mut frames = Vec::new();
     for chunk in records.chunks(7) {
         let mut payload = Vec::new();
         for r in chunk {
             ser::frame_record(&mut payload, r);
         }
-        store.ingest(Bytes::from(payload)).unwrap();
+        let payload = Bytes::from(payload);
+        frames.push(payload.clone());
+        store.ingest(payload).unwrap();
     }
     store.finish_ingest();
-    store
+    (store, frames)
 }
 
 /// `footer` behind a trailer whose magic and footer CRC are right, so
@@ -142,6 +162,61 @@ fn drain_groups(records: &[Record], budget: usize, cfg: SpillConfig) -> Vec<(Byt
     let mut out = Vec::new();
     while let Some(g) = stream.next_group().unwrap() {
         out.push((g.key, g.values));
+    }
+    out
+}
+
+/// Keys built to collide on the merge's cached 16 head bytes: the empty
+/// key; `"a"`, `"a\0"` and `"a\0\0"`, equal once zero-padded; and keys of
+/// 7, 8, 9, 15, 16 and 17 bytes cut from one of two 16-byte stems (one
+/// all zeros), their last byte kept or replaced by 0x00, 0x01 or 0xff.
+fn colliding_key() -> impl Strategy<Value = Vec<u8>> {
+    const STEMS: [&[u8; 16]; 2] = [b"shared-16-bytes!", &[0; 16]];
+    const LENS: [usize; 6] = [7, 8, 9, 15, 16, 17];
+    const LAST: [Option<u8>; 4] = [None, Some(0), Some(1), Some(0xff)];
+    (0usize..10, 0..STEMS.len(), 0..LENS.len(), 0..LAST.len()).prop_map(
+        |(kind, stem, len, last)| match kind {
+            0 => Vec::new(),
+            // "a", "a\0", "a\0\0".
+            1..=3 => b"a\0\0"[..kind].to_vec(),
+            _ => {
+                let len = LENS[len];
+                let mut key = STEMS[stem].to_vec();
+                key.push(b'+');
+                key.truncate(len);
+                if let Some(byte) = LAST[last] {
+                    key[len - 1] = byte;
+                }
+                key
+            }
+        },
+    )
+}
+
+/// A colliding key with a value of at most two bytes over a three-byte
+/// alphabet, so that equal keys, and equal records, land in several runs.
+fn colliding_record() -> impl Strategy<Value = Record> {
+    (colliding_key(), proptest::collection::vec(0u8..3, 0..3)).prop_map(|(k, v)| Record {
+        key: Bytes::from(k),
+        value: Bytes::from(v),
+    })
+}
+
+/// Whether `value` slices one of `frames`, that is, whether the merge
+/// took it from the forming run rather than from a sealed block.
+fn from_frames(value: &Bytes, frames: &[Bytes]) -> bool {
+    let at = value.as_ptr() as usize;
+    frames.iter().any(|f| {
+        let start = f.as_ptr() as usize;
+        (start..=start + f.len()).contains(&at)
+    })
+}
+
+/// The groups `stream` yields from where it stands.
+fn drain(stream: &mut GroupStream) -> Vec<GroupedValues> {
+    let mut out = Vec::new();
+    while let Some(g) = stream.next_group().unwrap() {
+        out.push(g);
     }
     out
 }
@@ -327,6 +402,263 @@ proptest! {
                     let _ = std::fs::remove_dir_all(&d);
                 }
             }
+        }
+    }
+
+    /// Keys that agree on the merge's cached 16 head bytes, or only once
+    /// zero-padded, still leave the merge in the order of a global sort,
+    /// from memory or file runs, with or without a forming run; equal
+    /// records leave in run order, the forming run's last; and a merge
+    /// resumed from any recorded frontier yields exactly the groups after
+    /// it.
+    #[test]
+    fn merge_orders_keys_colliding_on_the_cached_head_bytes(
+        records in proptest::collection::vec(colliding_record(), 0..120),
+        budget in 64usize..1024,
+        block_bytes in 1usize..96,
+    ) {
+        let mut expected = records.clone();
+        sort_records(&mut expected);
+        for disk in [false, true] {
+            let mut cfg = SpillConfig::default().with_block_bytes(block_bytes);
+            let dir = disk.then(|| scratch_dir("collide"));
+            if let Some(d) = &dir {
+                cfg = cfg.with_dir(d.clone());
+            }
+
+            // The last frames stay in the forming run, the merge's last.
+            let (store, frames) = fill_store_keeping_frames(&records, budget, cfg.clone());
+            let merged = store.into_records().unwrap();
+            prop_assert_eq!(&merged, &expected, "with a forming run (disk={})", disk);
+            for pair in merged.windows(2) {
+                prop_assert!(
+                    pair[0] != pair[1]
+                        || !from_frames(&pair[0].value, &frames)
+                        || from_frames(&pair[1].value, &frames),
+                    "a sealed run's record left after an equal forming-run one (disk={})",
+                    disk
+                );
+            }
+
+            // Every run sealed: the merge can be resumed at any group.
+            let mut store = fill_store(&records, budget, cfg);
+            store.seal_all();
+            let runs = store.sealed_run_handles();
+            let counters = store.read_counters();
+            let mut stream = store.into_group_stream().unwrap();
+            let mut marks = vec![(stream.frontier().unwrap(), None, 0)];
+            let mut groups = Vec::new();
+            let mut group = GroupedValues::default();
+            while stream.next_group_into(&mut group).unwrap() {
+                groups.push(group.clone());
+                marks.push((stream.frontier().unwrap(), Some(group.key.clone()), groups.len()));
+            }
+            let flat: Vec<Record> = groups
+                .iter()
+                .flat_map(|g| g.values.iter().map(|v| Record { key: g.key.clone(), value: v.clone() }))
+                .collect();
+            prop_assert_eq!(&flat, &expected, "sealed runs only (disk={})", disk);
+            for (frontier, last_key, done) in marks {
+                let mut resumed = resume_group_stream(&runs, &frontier, last_key, &counters).unwrap();
+                prop_assert_eq!(
+                    &drain(&mut resumed),
+                    &groups[done..],
+                    "resumed after {} groups (disk={})",
+                    done,
+                    disk
+                );
+            }
+            drop(runs);
+            if let Some(d) = dir {
+                let _ = std::fs::remove_dir_all(&d);
+            }
+        }
+    }
+}
+
+#[test]
+fn equal_records_leave_a_sealed_run_before_the_forming_run() {
+    // The forming run wins the match for ("k", "a"), and its next head
+    // ties the sealed run's ("k", "b") on key and value: only the run
+    // index puts the sealed run's copy first.
+    let mut store = PartitionStore::new(1 << 20, true);
+    let sealed = [Record::from_strs("k", "b")];
+    let forming = [Record::from_strs("k", "a"), Record::from_strs("k", "b")];
+    let frame = |records: &[Record]| {
+        let mut payload = Vec::new();
+        for r in records {
+            ser::frame_record(&mut payload, r);
+        }
+        Bytes::from(payload)
+    };
+    store.ingest(frame(&sealed)).unwrap();
+    store.spill();
+    let forming_frame = frame(&forming);
+    store.ingest(forming_frame.clone()).unwrap();
+    let merged = store.into_records().unwrap();
+    let values: Vec<&[u8]> = merged.iter().map(|r| &r.value[..]).collect();
+    assert_eq!(values, [&b"a"[..], b"b", b"b"]);
+    let frames = [forming_frame];
+    let from_forming: Vec<bool> = merged
+        .iter()
+        .map(|r| from_frames(&r.value, &frames))
+        .collect();
+    assert_eq!(from_forming, [true, false, true]);
+}
+
+/// The varint header framing a `klen`-byte key and a `vlen`-byte value.
+fn header(klen: u64, vlen: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    varint::write_u64(&mut out, klen);
+    varint::write_u64(&mut out, vlen);
+    out
+}
+
+/// Framing lies a block can end with, by name.
+fn framing_lies() -> Vec<(&'static str, Vec<u8>)> {
+    vec![
+        (
+            "key length past the block end",
+            [header(1000, 0), b"k".to_vec()].concat(),
+        ),
+        (
+            "value length past the block end",
+            [header(1, 1000), b"k".to_vec()].concat(),
+        ),
+        (
+            "lengths whose sum overflows",
+            header(u64::MAX / 2, u64::MAX / 2 + 1),
+        ),
+        ("truncated varint", vec![0x80]),
+        ("varint over ten bytes", vec![0xff; 11]),
+        (
+            "trailing partial record",
+            [header(3, 3), b"ke".to_vec()].concat(),
+        ),
+    ]
+}
+
+/// Sets `block[at..at + 4]` so that the block's CRC-32C is `target`.
+/// The CRC is affine in the message bits, and 32 consecutive bits reach
+/// every checksum, so those bytes solve a 32 x 32 system over GF(2).
+fn forge_crc(block: &mut [u8], at: usize, target: u32) {
+    block[at..at + 4].fill(0);
+    let base = crc32(block);
+    // Each free bit as (what flipping it does to the CRC, which bits).
+    let mut rows: Vec<(u32, u32)> = (0..32)
+        .map(|bit| {
+            block[at + bit / 8] ^= 1 << (bit % 8);
+            let effect = crc32(block) ^ base;
+            block[at + bit / 8] ^= 1 << (bit % 8);
+            (effect, 1u32 << bit)
+        })
+        .collect();
+    let (mut want, mut bits) = (target ^ base, 0u32);
+    for pivot_bit in (0..32).rev().map(|b| 1u32 << b) {
+        let Some(p) = rows.iter().position(|(effect, _)| effect & pivot_bit != 0) else {
+            continue;
+        };
+        let (effect, which) = rows.swap_remove(p);
+        for row in rows.iter_mut().filter(|(e, _)| e & pivot_bit != 0) {
+            row.0 ^= effect;
+            row.1 ^= which;
+        }
+        if want & pivot_bit != 0 {
+            want ^= effect;
+            bits ^= which;
+        }
+    }
+    block[at..at + 4].copy_from_slice(&bits.to_le_bytes());
+    assert_eq!(crc32(block), target, "four free bytes reach every CRC");
+}
+
+/// Rewrites block `victim` of the raw run file at `path` as one record
+/// (key `k`, a value filling the block up to the lie) followed by `lie`,
+/// keeping the block's length and its CRC-32C: the block passes the
+/// integrity gate, and only its framing is wrong.
+fn plant_lie(path: &std::path::Path, victim: usize, lie: &[u8]) {
+    let mut image = std::fs::read(path).unwrap();
+    let meta = parse_image(&image).unwrap().blocks[victim].clone();
+    assert!(!meta.is_compressed());
+    let block = &mut image[meta.offset as usize..][..meta.raw_len as usize];
+    // A one-byte key length, a two-byte value length and the key.
+    let value_len = block.len() - lie.len() - 4;
+    assert!(
+        (128..1 << 14).contains(&value_len),
+        "block of {}",
+        block.len()
+    );
+    let mut forged = header(1, value_len as u64);
+    forged.push(b'k');
+    forged.resize(forged.len() + value_len, b'v');
+    forged.extend_from_slice(lie);
+    assert_eq!(forged.len(), block.len());
+    forge_crc(&mut forged, 4 + value_len - 4, meta.crc);
+    block.copy_from_slice(&forged);
+    std::fs::write(path, &image).unwrap();
+}
+
+/// Pulls groups until `stream` fails; a clean end fails the test.
+fn drain_to_error(stream: &mut GroupStream) -> Error {
+    let mut group = GroupedValues::default();
+    loop {
+        match stream.next_group_into(&mut group) {
+            Ok(true) => {}
+            Ok(false) => panic!("a lying block must not drain cleanly"),
+            Err(e) => return e,
+        }
+    }
+}
+
+/// Which call failed, and how.
+fn first_failure(opened: dmpi_common::Result<GroupStream>) -> (&'static str, Error) {
+    match opened {
+        Err(e) => ("open", e),
+        Ok(mut stream) => ("next_group_into", drain_to_error(&mut stream)),
+    }
+}
+
+#[test]
+fn lying_block_framing_is_a_corrupt_error_on_every_merge_entry() {
+    // What a merge of three runs may hold at once: a block and its
+    // index per run, readers, error messages. A length read from the
+    // block must never size an allocation.
+    const HELD_BOUND: usize = 64 * 1024;
+    let records: Vec<Record> = (0..200u32)
+        .map(|i| Record::new(format!("key{:05}", (i * 7919) % 1000), vec![b'v'; 40]))
+        .collect();
+    for (lie_name, lie) in framing_lies() {
+        // Block 0 fails as the merge opens, block 1 once groups flow.
+        for (victim, entry) in [(0, "open"), (1, "next_group_into")] {
+            let case = format!("{lie_name}, block {victim}");
+            let dir = scratch_dir("lie");
+            let cfg = SpillConfig::default()
+                .with_block_bytes(512)
+                .with_dir(dir.clone())
+                .with_tag("h");
+            let mut store = fill_store(&records, 4096, cfg);
+            store.seal_all();
+            assert!(
+                store.sealed_run_handles()[0].index().blocks.len() > 2,
+                "{case}"
+            );
+            plant_lie(&dir.join("h-0.spill"), victim, &lie);
+            let runs = store.sealed_run_handles();
+            let counters = store.read_counters();
+            let start = vec![0; runs.len()];
+            let (failures, held) = peak_since(|| {
+                [
+                    first_failure(store.into_group_stream()),
+                    first_failure(resume_group_stream(&runs, &start, None, &counters)),
+                ]
+            });
+            for (at, e) in failures {
+                assert_eq!(at, entry, "{case}: {e}");
+                assert!(matches!(e, Error::Corrupt(_)), "{case}: {e:?}");
+            }
+            assert!(held <= HELD_BOUND, "{case}: the merge held {held} bytes");
+            drop(runs);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }

@@ -6,9 +6,6 @@
 //! and hostile bytes must be rejected without a panic and without an
 //! allocation sized by a length field.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -23,6 +20,9 @@ use datampi::transport::Backend;
 use datampi::{run_job, JobConfig, WireCompression};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
+
+mod counting_alloc;
+use counting_alloc::peak_since;
 
 fn wc_o(_t: usize, split: &[u8], out: &mut dyn Collector) {
     for w in split.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
@@ -219,67 +219,6 @@ proptest! {
             prop_assert_eq!(p.records(), q.records());
         }
     }
-}
-
-/// The system allocator, counting the bytes each thread holds and the
-/// most it held since [`peak_since`] last asked.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-fn track(delta: isize) {
-    let _ = LIVE.try_with(|live| {
-        live.set(live.get() + delta);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters
-// are thread-local cells that never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            track(layout.size() as isize);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            track(layout.size() as isize);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        track(-(layout.size() as isize));
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new_size);
-        if !q.is_null() {
-            track(new_size as isize - layout.size() as isize);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Runs `f` and returns what it returned and the most bytes this thread
-/// held allocated meanwhile beyond what it held before.
-fn peak_since<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(base));
-    let out = f();
-    (out, (PEAK.with(Cell::get) - base).max(0) as usize)
 }
 
 /// Bytes a decoder may hold per byte it was fed: LZ4's largest expansion
