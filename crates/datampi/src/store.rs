@@ -606,15 +606,15 @@ impl RunCursor {
         Ok(())
     }
 
-    /// Cuts what `take` wants out of the head entry and advances past it.
-    fn pop_with<T>(&mut self, take: impl FnOnce(&[Bytes], &IndexEntry) -> T) -> Result<Option<T>> {
+    /// Cuts the head entry's value out of its frame and advances past it.
+    fn pop_value(&mut self) -> Result<Option<Bytes>> {
         let Some(e) = self.head() else {
             return Ok(None);
         };
-        let out = take(&self.frames, e);
+        let value = cut_value(&self.frames, e);
         self.next += 1;
         self.settle()?;
-        Ok(Some(out))
+        Ok(Some(value))
     }
 
     /// The cursor's resume frontier: the block its head record came
@@ -741,14 +741,14 @@ impl LoserTreeMerge {
         Some((&run.frames, run.head()?))
     }
 
-    /// Pops the globally-smallest head entry, cutting what `take` wants
-    /// out of it, and replays the winner's path to the root.
-    fn pop_with<T>(&mut self, take: impl FnOnce(&[Bytes], &IndexEntry) -> T) -> Result<Option<T>> {
+    /// Pops the globally-smallest head entry's value and replays the
+    /// winner's path to the root.
+    fn pop_value(&mut self) -> Result<Option<Bytes>> {
         let winner = self.tree[0];
         if winner == usize::MAX {
             return Ok(None);
         }
-        let Some(out) = self.runs[winner].pop_with(take)? else {
+        let Some(value) = self.runs[winner].pop_value()? else {
             return Ok(None);
         };
         // Replay from the winner's leaf up: at each internal node the
@@ -770,7 +770,7 @@ impl LoserTreeMerge {
             node /= 2;
         }
         self.tree[0] = candidate;
-        Ok(Some(out))
+        Ok(Some(value))
     }
 }
 
@@ -827,24 +827,19 @@ impl GroupStream {
                 *next += len;
             }
             GroupSource::Merge(merge) => {
-                let cut =
-                    |frames: &[Bytes], e: &IndexEntry| (cut_key(frames, e), cut_value(frames, e));
-                let Some((key, value)) = merge.pop_with(cut)? else {
+                let Some((frames, first)) = merge.peek() else {
                     return Ok(false);
                 };
-                group.key = key;
+                group.key = cut_key(frames, first);
                 group.values.clear();
                 // As above: most groups of a sort hold one value.
                 group.values.reserve_exact(1);
-                group.values.push(value);
                 // Keep pulling while the merge head shares the key.
-                while merge
-                    .peek()
-                    .is_some_and(|(frames, e)| e.key(frames) == &group.key[..])
-                {
-                    match merge.pop_with(cut_value)? {
-                        Some(value) => group.values.push(value),
-                        None => break,
+                while let Some(value) = merge.pop_value()? {
+                    group.values.push(value);
+                    match merge.peek() {
+                        Some((frames, e)) if e.key(frames) == &group.key[..] => {}
+                        _ => break,
                     }
                 }
             }
