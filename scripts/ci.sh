@@ -52,8 +52,8 @@ echo "== library tests in release mode: dmpi-common, datampi ==" >&2
 # Both crates hold `unsafe` blocks (the SSE4.2 CRC, the prefetch hint,
 # poll(2)), each behind a `// SAFETY:` comment clippy insists on. The
 # optimised build is where a wrong assumption behind one shows, and it
-# compiles out the `debug_assert!`s and overflow checks the runs above
-# lean on.
+# runs without the overflow checks and `debug_assert!`s of the debug
+# runs above.
 cargo test -q --release -p dmpi-common -p datampi --lib
 
 echo "== vendored bytes: tests and clippy ==" >&2
