@@ -596,7 +596,7 @@ mod tests {
             dmpi_common::FaultKind::CorruptFrame
         );
         // The checkpointed copy is the clean payload.
-        cp.mark_complete_at(4, 1);
+        cp.mark_complete(4);
         let clean = &cp.recover_frames(4)[0].1;
         match frame {
             Frame::Data { payload, .. } => assert_ne!(&payload[..], &clean[..]),

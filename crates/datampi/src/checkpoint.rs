@@ -14,21 +14,15 @@
 //! same store is the next attempt (0 on a fresh store, then counting up),
 //! which is what fault plans and fault provenance key on.
 //!
-//! Checkpoints are **width-portable**: each completed task records the
-//! rank width its frames were partitioned for, and
-//! [`CheckpointStore::recover_frames_for`] re-buckets the stored records
-//! through a fresh [`HashPartitioner`] when a restarted job runs at a
-//! different width. That is what lets the elastic supervisor shrink the
-//! mesh after a rank death instead of restarting from scratch: the A-side
-//! output is content-sorted, so re-bucketed records land byte-identically
-//! wherever they would have been emitted directly.
+//! A store serves one mesh width: the first attempt pins it, and a run
+//! at any other width is refused before any task runs, because banked
+//! frames are partitioned for the width that emitted them.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use dmpi_common::partition::{HashPartitioner, Partitioner};
-use dmpi_common::ser::read_framed_kv;
+use dmpi_common::{Error, Result};
 use parking_lot::Mutex;
 
 use crate::spillfmt::SealedRun;
@@ -64,19 +58,19 @@ pub struct CheckpointStore {
 struct Inner {
     /// Frames per completed-or-in-progress O task: `(partition, payload)`.
     frames: HashMap<usize, Vec<(usize, Bytes)>>,
-    /// Completed O tasks → the rank width their frames were partitioned
-    /// for. Lookup must stay O(1): `is_complete` runs once per task on
-    /// every restart.
-    completed: HashMap<usize, usize>,
+    /// Completed O tasks. Lookup must stay O(1): `is_complete` runs once
+    /// per task on every restart.
+    completed: HashSet<usize>,
     /// In-progress A-side merge state per rank: sealed-run handles plus
     /// the last recorded group-boundary frontier.
     merges: HashMap<usize, MergeState>,
     /// Attempts begun against this store.
     attempts: u32,
+    /// The mesh width the first attempt ran at; every later one must match.
+    width: Option<usize>,
 }
 
 struct MergeState {
-    width: usize,
     runs: Vec<SealedRun>,
     progress: Option<MergeProgress>,
 }
@@ -95,8 +89,6 @@ struct MergeProgress {
 /// had reached, and the framed output emitted so far.
 #[derive(Clone)]
 pub struct MergeCheckpoint {
-    /// Rank width the merge ran at; resume requires the same width.
-    pub width: usize,
     /// The sealed spill runs the merge was reading.
     pub runs: Vec<SealedRun>,
     /// Per-run block index to resume reading from (parallel to `runs`).
@@ -115,13 +107,21 @@ impl CheckpointStore {
         Self::default()
     }
 
-    /// Begins the next attempt run against this store and returns its
-    /// number: 0 on a fresh store, then counting up.
-    pub(crate) fn begin_attempt(&self) -> u32 {
+    /// Begins the next attempt, at a mesh of `width` ranks, and returns
+    /// its number: 0 on a fresh store, then counting up. The first
+    /// attempt pins the width; a run at another width is a config error
+    /// and does not count as an attempt.
+    pub(crate) fn begin_attempt(&self, width: usize) -> Result<u32> {
         let mut inner = self.inner.lock();
+        if let Some(pinned) = inner.width.filter(|&w| w != width) {
+            return Err(Error::Config(format!(
+                "checkpoint store was begun at {pinned} ranks, not {width}"
+            )));
+        }
+        inner.width = Some(width);
         let attempt = inner.attempts;
         inner.attempts += 1;
-        attempt
+        Ok(attempt)
     }
 
     /// Records a frame emitted by `o_task` towards `partition`.
@@ -134,25 +134,23 @@ impl CheckpointStore {
             .push((partition, payload));
     }
 
-    /// Marks `o_task` complete — its captured frames become recoverable —
-    /// recording that they were partitioned for a mesh of `width` ranks.
-    /// Idempotent (first writer keeps its width — duplicates of a
-    /// committed task never re-record).
-    pub fn mark_complete_at(&self, o_task: usize, width: usize) {
-        self.inner.lock().completed.entry(o_task).or_insert(width);
+    /// Marks `o_task` complete: its captured frames become recoverable.
+    /// Idempotent.
+    pub fn mark_complete(&self, o_task: usize) {
+        self.inner.lock().completed.insert(o_task);
     }
 
     /// Discards partial frames of an uncompleted task (failure cleanup).
     pub fn discard_incomplete(&self, o_task: usize) {
         let mut inner = self.inner.lock();
-        if !inner.completed.contains_key(&o_task) {
+        if !inner.completed.contains(&o_task) {
             inner.frames.remove(&o_task);
         }
     }
 
     /// True if `o_task` completed in a previous attempt.
     pub fn is_complete(&self, o_task: usize) -> bool {
-        self.inner.lock().completed.contains_key(&o_task)
+        self.inner.lock().completed.contains(&o_task)
     }
 
     /// Number of completed tasks.
@@ -160,69 +158,28 @@ impl CheckpointStore {
         self.inner.lock().completed.len()
     }
 
-    /// The frames of a completed task exactly as stored, for same-width
-    /// replay. Empty if not complete.
+    /// The frames of a completed task exactly as stored. Empty if not
+    /// complete.
     pub fn recover_frames(&self, o_task: usize) -> Vec<(usize, Bytes)> {
         let inner = self.inner.lock();
-        if inner.completed.contains_key(&o_task) {
+        if inner.completed.contains(&o_task) {
             inner.frames.get(&o_task).cloned().unwrap_or_default()
         } else {
             Vec::new()
         }
     }
 
-    /// The frames of a completed task, re-partitioned for a mesh of
-    /// `parts` ranks. When the recorded width already matches, the
-    /// stored frames are returned as-is; otherwise
-    /// every record is re-bucketed through `HashPartitioner::new(parts)`
-    /// into one frame per destination. Empty if not complete.
-    pub fn recover_frames_for(&self, o_task: usize, parts: usize) -> Vec<(usize, Bytes)> {
-        let (width, frames) = {
-            let inner = self.inner.lock();
-            let Some(&width) = inner.completed.get(&o_task) else {
-                return Vec::new();
-            };
-            (
-                width,
-                inner.frames.get(&o_task).cloned().unwrap_or_default(),
-            )
+    /// Registers the sealed runs rank `rank`'s merge is about to read.
+    /// Replaces any previous merge state for the rank (a fresh attempt
+    /// starts a fresh merge). Cloning the run handles here keeps
+    /// disk-backed run files alive even if the attempt dies and drops
+    /// its `PartitionStore`.
+    pub fn register_merge_runs(&self, rank: usize, runs: Vec<SealedRun>) {
+        let state = MergeState {
+            runs,
+            progress: None,
         };
-        if width == parts {
-            return frames;
-        }
-        let partitioner = HashPartitioner::new(parts);
-        let mut buckets: Vec<Vec<u8>> = vec![Vec::new(); parts];
-        for (_, payload) in &frames {
-            let mut off = 0;
-            while off < payload.len() {
-                let (key, _value, used) = read_framed_kv(&payload[off..])
-                    .expect("checkpointed frames hold well-formed framed records");
-                buckets[partitioner.partition(key)].extend_from_slice(&payload[off..off + used]);
-                off += used;
-            }
-        }
-        buckets
-            .into_iter()
-            .enumerate()
-            .filter(|(_, b)| !b.is_empty())
-            .map(|(p, b)| (p, Bytes::from(b)))
-            .collect()
-    }
-
-    /// Registers the sealed runs rank `rank`'s merge is about to read,
-    /// partitioned for a mesh of `width` ranks. Replaces any previous
-    /// merge state for the rank (a fresh attempt starts a fresh merge).
-    /// Cloning the run handles here keeps disk-backed run files alive
-    /// even if the attempt dies and drops its `PartitionStore`.
-    pub fn register_merge_runs(&self, rank: usize, width: usize, runs: Vec<SealedRun>) {
-        self.inner.lock().merges.insert(
-            rank,
-            MergeState {
-                width,
-                runs,
-                progress: None,
-            },
-        );
+        self.inner.lock().merges.insert(rank, state);
     }
 
     /// Records a group-boundary frontier for rank `rank`'s merge:
@@ -230,7 +187,7 @@ impl CheckpointStore {
     /// `last_key` the last fully-emitted group key, and `partial_output`
     /// the framed records emitted so far. No-op unless
     /// [`register_merge_runs`](Self::register_merge_runs) ran first and
-    /// the frontier width matches the registered run count.
+    /// the frontier length matches the registered run count.
     pub fn record_merge_frontier(
         &self,
         rank: usize,
@@ -252,19 +209,12 @@ impl CheckpointStore {
         }
     }
 
-    /// The latest merge checkpoint for rank `rank`, if one was recorded
-    /// at matching `width`. A width mismatch (elastic shrink between
-    /// attempts) invalidates the checkpoint: the rank's key space
-    /// changed, so the merge must restart from re-bucketed frames.
-    pub fn merge_checkpoint(&self, rank: usize, width: usize) -> Option<MergeCheckpoint> {
+    /// The latest merge checkpoint for rank `rank`, if one was recorded.
+    pub fn merge_checkpoint(&self, rank: usize) -> Option<MergeCheckpoint> {
         let inner = self.inner.lock();
         let state = inner.merges.get(&rank)?;
-        if state.width != width {
-            return None;
-        }
         let progress = state.progress.clone()?;
         Some(MergeCheckpoint {
-            width: state.width,
             runs: state.runs.clone(),
             frontier: progress.frontier,
             last_key: progress.last_key,
@@ -295,7 +245,6 @@ impl CheckpointStore {
 mod tests {
     use super::*;
     use dmpi_common::kv::Record;
-    use dmpi_common::ser::frame_record;
 
     #[test]
     fn complete_tasks_are_recoverable() {
@@ -304,7 +253,7 @@ mod tests {
         cp.record_frame(3, 1, Bytes::from_static(b"bb"));
         assert!(!cp.is_complete(3));
         assert!(cp.recover_frames(3).is_empty(), "not yet complete");
-        cp.mark_complete_at(3, 2);
+        cp.mark_complete(3);
         assert!(cp.is_complete(3));
         let frames = cp.recover_frames(3);
         assert_eq!(frames.len(), 2);
@@ -315,9 +264,22 @@ mod tests {
     #[test]
     fn attempts_count_up_from_zero_across_clones() {
         let cp = CheckpointStore::new();
-        assert_eq!(cp.begin_attempt(), 0);
-        assert_eq!(cp.clone().begin_attempt(), 1, "clones share the count");
-        assert_eq!(cp.begin_attempt(), 2);
+        assert_eq!(cp.begin_attempt(2).unwrap(), 0);
+        assert_eq!(
+            cp.clone().begin_attempt(2).unwrap(),
+            1,
+            "clones share the count"
+        );
+        assert_eq!(cp.begin_attempt(2).unwrap(), 2);
+    }
+
+    #[test]
+    fn the_first_attempt_pins_the_width() {
+        let cp = CheckpointStore::new();
+        assert_eq!(cp.begin_attempt(3).unwrap(), 0);
+        let err = cp.begin_attempt(2).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        assert_eq!(cp.begin_attempt(3).unwrap(), 1, "a refusal is no attempt");
     }
 
     #[test]
@@ -328,7 +290,7 @@ mod tests {
         assert_eq!(cp.total_bytes(), 0);
         // Discard after completion is a no-op.
         cp.record_frame(2, 0, Bytes::from_static(b"done"));
-        cp.mark_complete_at(2, 1);
+        cp.mark_complete(2);
         cp.discard_incomplete(2);
         assert_eq!(cp.recover_frames(2).len(), 1);
     }
@@ -337,14 +299,10 @@ mod tests {
     fn double_complete_is_idempotent() {
         let cp = CheckpointStore::new();
         cp.record_frame(0, 1, Bytes::from_static(b"stored"));
-        cp.mark_complete_at(0, 2);
-        cp.mark_complete_at(0, 2);
+        cp.mark_complete(0);
+        cp.mark_complete(0);
         assert_eq!(cp.completed_count(), 1);
-        // A later width record does not overwrite the first completion:
-        // recovery at the first width still returns the frames as stored.
-        cp.mark_complete_at(0, 4);
-        assert_eq!(cp.completed_count(), 1);
-        assert_eq!(cp.recover_frames_for(0, 2), cp.recover_frames(0));
+        assert_eq!(cp.recover_frames(0).len(), 1);
     }
 
     #[test]
@@ -357,7 +315,7 @@ mod tests {
                     for i in 0..100 {
                         cp.record_frame(t, i % 4, Bytes::from(vec![0u8; 10]));
                     }
-                    cp.mark_complete_at(t, 4);
+                    cp.mark_complete(t);
                 })
             })
             .collect();
@@ -366,22 +324,6 @@ mod tests {
         }
         assert_eq!(cp.completed_count(), 8);
         assert_eq!(cp.total_bytes(), 8 * 100 * 10);
-    }
-
-    /// Frames a few records, partitioned for `width` ranks, into the
-    /// store under task 0.
-    fn checkpoint_records(cp: &CheckpointStore, recs: &[Record], width: usize) {
-        let partitioner = HashPartitioner::new(width);
-        let mut buckets: Vec<Vec<u8>> = vec![Vec::new(); width];
-        for r in recs {
-            frame_record(&mut buckets[partitioner.partition(&r.key)], r);
-        }
-        for (p, b) in buckets.into_iter().enumerate() {
-            if !b.is_empty() {
-                cp.record_frame(0, p, Bytes::from(b));
-            }
-        }
-        cp.mark_complete_at(0, width);
     }
 
     fn sealed_run(n: usize) -> SealedRun {
@@ -394,13 +336,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_checkpoint_round_trips_at_matching_width() {
+    fn merge_checkpoint_round_trips() {
         let cp = CheckpointStore::new();
-        cp.register_merge_runs(1, 4, vec![sealed_run(10), sealed_run(10)]);
-        assert!(
-            cp.merge_checkpoint(1, 4).is_none(),
-            "no frontier recorded yet"
-        );
+        cp.register_merge_runs(1, vec![sealed_run(10), sealed_run(10)]);
+        assert!(cp.merge_checkpoint(1).is_none(), "no frontier recorded yet");
         cp.record_merge_frontier(
             1,
             vec![2, 0],
@@ -408,71 +347,27 @@ mod tests {
             6,
             Bytes::from_static(b"framed"),
         );
-        let m = cp.merge_checkpoint(1, 4).expect("checkpoint recorded");
-        assert_eq!(m.width, 4);
+        let m = cp.merge_checkpoint(1).expect("checkpoint recorded");
         assert_eq!(m.runs.len(), 2);
         assert_eq!(m.frontier, vec![2, 0]);
         assert_eq!(m.last_key.as_deref(), Some(b"k0005".as_slice()));
         assert_eq!(m.groups_emitted, 6);
         assert_eq!(&m.partial_output[..], b"framed");
         cp.clear_merge(1);
-        assert!(cp.merge_checkpoint(1, 4).is_none(), "cleared");
+        assert!(cp.merge_checkpoint(1).is_none(), "cleared");
     }
 
     #[test]
-    fn merge_checkpoint_invalidated_by_width_change_and_bad_frontier() {
+    fn merge_checkpoint_invalidated_by_bad_frontier_and_reregistration() {
         let cp = CheckpointStore::new();
-        cp.register_merge_runs(0, 4, vec![sealed_run(4)]);
-        // A frontier whose width disagrees with the run count is dropped.
+        cp.register_merge_runs(0, vec![sealed_run(4)]);
+        // A frontier whose length disagrees with the run count is dropped.
         cp.record_merge_frontier(0, vec![1, 1], None, 0, Bytes::new());
-        assert!(cp.merge_checkpoint(0, 4).is_none());
+        assert!(cp.merge_checkpoint(0).is_none());
         cp.record_merge_frontier(0, vec![1], None, 2, Bytes::new());
-        assert!(cp.merge_checkpoint(0, 4).is_some());
-        // An elastic shrink between attempts invalidates the checkpoint.
-        assert!(cp.merge_checkpoint(0, 3).is_none());
+        assert!(cp.merge_checkpoint(0).is_some());
         // Re-registering (fresh attempt) wipes stale progress.
-        cp.register_merge_runs(0, 4, vec![sealed_run(4)]);
-        assert!(cp.merge_checkpoint(0, 4).is_none());
-    }
-
-    #[test]
-    fn recovery_at_recorded_width_returns_stored_frames() {
-        let cp = CheckpointStore::new();
-        let recs: Vec<Record> = (0..20)
-            .map(|i| Record::from_strs(&format!("k{i}"), "v"))
-            .collect();
-        checkpoint_records(&cp, &recs, 3);
-        let same = cp.recover_frames_for(0, 3);
-        assert_eq!(same, cp.recover_frames(0));
-    }
-
-    #[test]
-    fn recovery_at_a_narrower_width_rebuckets_every_record() {
-        let cp = CheckpointStore::new();
-        let recs: Vec<Record> = (0..50)
-            .map(|i| Record::from_strs(&format!("key-{i}"), &format!("val-{i}")))
-            .collect();
-        checkpoint_records(&cp, &recs, 4);
-
-        let narrow = cp.recover_frames_for(0, 2);
-        let partitioner = HashPartitioner::new(2);
-        let mut recovered = 0usize;
-        for (p, payload) in &narrow {
-            assert!(*p < 2, "partition index fits the narrow width");
-            let mut off = 0;
-            while off < payload.len() {
-                let (key, _v, used) = read_framed_kv(&payload[off..]).unwrap();
-                assert_eq!(partitioner.partition(key), *p, "record re-bucketed");
-                off += used;
-                recovered += 1;
-            }
-        }
-        assert_eq!(recovered, recs.len(), "no record lost or duplicated");
-
-        // Growing back out works too.
-        let wide = cp.recover_frames_for(0, 8);
-        let total: usize = wide.iter().map(|(_, b)| b.len()).sum();
-        let orig: usize = cp.recover_frames(0).iter().map(|(_, b)| b.len()).sum();
-        assert_eq!(total, orig, "re-bucketing preserves every byte");
+        cp.register_merge_runs(0, vec![sealed_run(4)]);
+        assert!(cp.merge_checkpoint(0).is_none());
     }
 }

@@ -171,13 +171,6 @@ impl JobConfig {
         Ok(())
     }
 
-    /// Builder: resize the job to `ranks` worker ranks. The elastic
-    /// supervisor uses this to shrink or grow the mesh between attempts.
-    pub fn with_ranks(mut self, ranks: usize) -> Self {
-        self.ranks = ranks;
-        self
-    }
-
     /// Builder: set pipelining.
     pub fn with_pipelined(mut self, on: bool) -> Self {
         self.pipelined = on;
@@ -243,7 +236,7 @@ impl JobConfig {
 
     /// Builder: spill sealed runs to files under `dir` (the
     /// external-memory path; runs are cleaned up when their last handle
-    /// drops, covering failed and elastic attempts).
+    /// drops, covering failed attempts).
     pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
@@ -304,8 +297,7 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = JobConfig::new(2)
-            .with_ranks(5)
+        let c = JobConfig::new(5)
             .with_pipelined(false)
             .with_memory_budget(123)
             .with_flush_threshold(456)

@@ -95,7 +95,7 @@ where
     O: Fn(usize, &[T], &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
-    let attempt = checkpoint.map_or(0, CheckpointStore::begin_attempt);
+    let attempt = checkpoint.map_or(Ok(0), |cp| cp.begin_attempt(config.ranks))?;
     let o_fn =
         move |task: usize, split: &Arc<Vec<T>>, out: &mut dyn Collector| o_fn(task, split, out);
     run_job_core(config, &cache.splits, &o_fn, &a_fn, checkpoint, attempt).map_err(|e| e.0)

@@ -74,9 +74,7 @@ pub use fault::FaultPlan;
 pub use observe::{Observer, PhaseTotals, Profiler, SpanKind, Trace};
 pub use runtime::{run_job, JobOutput, JobStats};
 pub use spillfmt::{KeyRange, SealedRun, SpillConfig, SpillReadCounters};
-pub use supervisor::{
-    supervise_job, supervise_job_elastic, ElasticOutput, ElasticPolicy, RetryPolicy,
-};
+pub use supervisor::{supervise_job, RetryPolicy};
 pub use task::{Collector, Combiner, GroupedValues};
 pub use transport::{
     Backend, Endpoint, FrameReceiver, FrameSender, TcpOptions, Transport, WireStats,

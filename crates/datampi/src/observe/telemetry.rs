@@ -73,7 +73,7 @@ impl ClockSync {
 /// strings [`TraceEvent`] requires; unknown keys are dropped rather than
 /// leaked.
 fn intern_arg_key(key: &str) -> Option<&'static str> {
-    const KNOWN: [&str; 16] = [
+    const KNOWN: [&str; 14] = [
         "bytes",
         "cause",
         "peer",
@@ -82,9 +82,7 @@ fn intern_arg_key(key: &str) -> Option<&'static str> {
         "groups",
         "splits",
         "ranks",
-        "shrunk",
         "next_attempt",
-        "next_ranks",
         "send",
         "recv",
         "sort",

@@ -175,14 +175,12 @@ where
         }
     }
 
-    // A mid-merge checkpoint recorded by a previous attempt at this width
-    // lets the A phase resume from a block boundary instead of re-merging
-    // from the top; ingest then only drains (and CRC-checks) the replayed
-    // frames — the sealed runs it would rebuild already live in the
-    // checkpoint's run handles.
-    let merge_resume = cx
-        .checkpoint
-        .and_then(|cp| cp.merge_checkpoint(rank, ranks));
+    // A mid-merge checkpoint recorded by a previous attempt lets the A
+    // phase resume from a block boundary instead of re-merging from the
+    // top; ingest then only drains (and CRC-checks) the replayed frames —
+    // the sealed runs it would rebuild already live in the checkpoint's
+    // run handles.
+    let merge_resume = cx.checkpoint.and_then(|cp| cp.merge_checkpoint(rank));
     let discard = merge_resume.is_some();
     // Stamped *before* the ingest thread spawns: the rank's Recv span
     // must enclose its O-task spans (per-lane spans are either disjoint
@@ -251,11 +249,10 @@ where
     }
 
     /// Checkpoint recovery: replays a completed task's frames without
-    /// user code, re-bucketing them when the recorded width differs from
-    /// this mesh's (the elastic-shrink case).
+    /// user code.
     fn replay_checkpointed(&mut self, task: usize, cp: &CheckpointStore) {
         let cx = self.cx;
-        for (partition, payload) in cp.recover_frames_for(task, cx.ranks) {
+        for (partition, payload) in cp.recover_frames(task) {
             if let Some(t) = &self.tracer {
                 t.registry()
                     .add_frame_sent(cx.rank, partition, payload.len() as u64);
@@ -359,7 +356,7 @@ where
         self.stats.combiner_records_in += b.combiner_records_in;
         self.stats.combiner_records_out += b.combiner_records_out;
         if let Some(cp) = cx.checkpoint {
-            cp.mark_complete_at(task, cx.ranks);
+            cp.mark_complete(task);
         }
         if let Some(t) = &tracer {
             let args = vec![("records", b.records.to_string())];
@@ -392,7 +389,7 @@ where
         let merge_cp = cx.checkpoint.filter(|_| !failure.is_set());
         if let Some(cp) = merge_cp.filter(|_| merge_resume.is_none()) {
             store.seal_all();
-            cp.register_merge_runs(rank, cx.ranks, store.sealed_run_handles());
+            cp.register_merge_runs(rank, store.sealed_run_handles());
         }
         let st = store.stats();
         self.stats.spills += st.spills;

@@ -152,7 +152,9 @@ impl JobOutput {
 /// Without a `checkpoint` every call is attempt 0. With one, the call is
 /// the store's next attempt (0 on a fresh store, then counting up): it
 /// replays the O tasks earlier attempts banked there, runs the rest, and
-/// banks what it completes for the attempt after it.
+/// banks what it completes for the attempt after it. A store is pinned to
+/// the width of its first attempt: a run at another width fails with
+/// [`Error::Config`] before any task runs.
 ///
 /// # Examples
 /// ```
@@ -185,7 +187,7 @@ where
     O: Fn(usize, &[u8], &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
-    let attempt = checkpoint.map_or(0, CheckpointStore::begin_attempt);
+    let attempt = checkpoint.map_or(Ok(0), |cp| cp.begin_attempt(config.ranks))?;
     let o_fn = move |task: usize, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out);
     run_job_core(config, &inputs, &o_fn, &a_fn, checkpoint, attempt).map_err(|e| e.0)
 }
@@ -583,8 +585,26 @@ mod tests {
 
             let again = run().unwrap();
             assert_eq!(again.stats.o_tasks_recovered, inputs.len() as u64);
-            assert_eq!(cp.begin_attempt(), 3);
+            assert_eq!(cp.begin_attempt(1).unwrap(), 3);
         }
+    }
+
+    #[test]
+    fn a_store_refuses_a_run_at_another_width() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Frames banked at width 3 are partitioned for 3 ranks; replaying
+        // them into 2 would misplace records, so the run never starts.
+        let cp = CheckpointStore::new();
+        cp.begin_attempt(3).unwrap();
+        let calls = AtomicUsize::new(0);
+        let o = |t: usize, split: &[u8], out: &mut dyn Collector| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            wordcount_o(t, split, out);
+        };
+        let inputs = vec![Bytes::from_static(b"a b"), Bytes::from_static(b"c")];
+        let err = run_job(&JobConfig::new(2), inputs, o, wordcount_a, Some(&cp)).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "no O task ran");
     }
 
     #[test]

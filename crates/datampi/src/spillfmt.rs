@@ -34,8 +34,8 @@
 //! ([`RunStorage::File`]); the format is byte-identical in both, so the
 //! merge is oblivious to where a run lives. Disk-backed runs are
 //! reference-counted and self-deleting: the file is removed when the
-//! last [`SealedRun`] clone drops, which covers failed and elastic
-//! attempts without coordinator bookkeeping.
+//! last [`SealedRun`] clone drops, which covers failed attempts without
+//! coordinator bookkeeping.
 
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -75,7 +75,7 @@ pub struct SpillConfig {
     pub block_bytes: usize,
     /// Filename tag for disk runs: `{dir}/{tag}-{seq}.spill`. The
     /// runtime tags runs per rank and attempt so concurrent ranks and
-    /// elastic retries never collide.
+    /// retries never collide.
     pub tag: String,
 }
 
@@ -434,8 +434,8 @@ pub enum RunStorage {
 /// RAII owner of a run file: removes the file when the last
 /// [`SealedRun`] clone referencing it drops. Checkpoints hold clones, so
 /// a run a restart may need outlives the store that sealed it; failed
-/// and elastic attempts clean themselves up the moment nothing can use
-/// their runs any more.
+/// attempts clean themselves up the moment nothing can use their runs
+/// any more.
 #[derive(Debug)]
 pub struct RunFileGuard {
     path: PathBuf,

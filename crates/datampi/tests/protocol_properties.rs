@@ -81,7 +81,7 @@ const SPAN_KINDS: [&str; 10] = [
 
 /// Argument keys the telemetry wire interns back (others are dropped by
 /// design, so they would not round-trip).
-const ARG_KEYS: [&str; 4] = ["bytes", "cause", "peer", "next_ranks"];
+const ARG_KEYS: [&str; 4] = ["bytes", "cause", "peer", "next_attempt"];
 
 fn span() -> impl Strategy<Value = TraceEvent> {
     let args = prop::collection::vec((0usize..ARG_KEYS.len(), text()), 0..3);

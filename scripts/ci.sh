@@ -142,7 +142,7 @@ echo "== EXPERIMENTS.md is what \`figures all --write\` produces ==" >&2
 cargo run -q --release -p dmpi-bench --bin figures -- all --write target/ci/EXPERIMENTS.md
 diff target/ci/EXPERIMENTS.md EXPERIMENTS.md
 
-echo "== dmpirun smokes: each must match the in-proc reference byte for byte ==" >&2
+echo "== dmpirun smokes: two match the in-proc reference byte for byte, a dead rank fails ==" >&2
 # Everything from here on starts processes that talk to each other, so
 # every step runs under `timeout`: a control-plane hang fails the run
 # instead of stalling it.
@@ -152,9 +152,11 @@ dmpirun() { timeout 120 target/release/dmpirun "$@"; }
 dmpirun --ranks 4 --tasks 8 --verify-inproc wordcount
 # Sort's output records are slices of the frames each worker received.
 dmpirun --ranks 2 --tasks 8 --verify-inproc sort
-# Rank 1 dies on attempt 0; the launcher relaunches the job one rank
-# narrower and the survivors' output must match at the final width.
-dmpirun --ranks 3 --tasks 6 --fail-rank 1 --elastic --verify-inproc wordcount
+# Rank 1 dies once the mesh is up: the launch must fail with status 1,
+# neither succeed nor hang into timeout's 124.
+status=0
+dmpirun --ranks 3 --tasks 6 --fail-rank 1 wordcount > target/ci/fail-rank.log 2>&1 || status=$?
+[ "$status" -eq 1 ] || { echo "fail-rank smoke: exit $status, want 1" >&2; cat target/ci/fail-rank.log >&2; exit 1; }
 
 echo "== dmpirun one-shot repeat guard: 50 launches, 5 passes of tests/dmpirun.rs ==" >&2
 # A launch is a one-job session: start, join, submit, drain, `bye`. A

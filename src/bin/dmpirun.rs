@@ -61,10 +61,6 @@ options:
                       counters, histograms, peer byte matrices, faults)
   --verify-inproc     re-run in-process and require identical output
   --fail-rank R       (testing) rank R dies after the mesh is up
-                      (on the first attempt only, under --elastic)
-  --elastic           on a failed attempt, relaunch the job one rank
-                      narrower (at most three attempts); a retried
-                      attempt's report and trace stay at FILE.attempt-N
 ";
 
 struct Options {
@@ -77,7 +73,6 @@ struct Options {
     report_out: Option<PathBuf>,
     verify_inproc: bool,
     fail_rank: Option<usize>,
-    elastic: bool,
     worker: bool,
 }
 
@@ -110,7 +105,6 @@ fn parse_args() -> Result<Options, String> {
         report_out: None,
         verify_inproc: false,
         fail_rank: None,
-        elastic: false,
         worker: false,
     };
     let mut workload: Option<ExecWorkload> = None;
@@ -128,7 +122,6 @@ fn parse_args() -> Result<Options, String> {
             "--report-out" => opts.report_out = Some(value(&arg, args.next())?),
             "--verify-inproc" => opts.verify_inproc = true,
             "--fail-rank" => opts.fail_rank = Some(value(&arg, args.next())?),
-            "--elastic" => opts.elastic = true,
             "--worker" => opts.worker = true,
             "--help" | "-h" => return Err(String::new()),
             other => {
@@ -231,11 +224,10 @@ fn private_dir() -> Result<RemoveOnDrop, String> {
     Ok(RemoveOnDrop(dir))
 }
 
-/// Runs the job as one-job sessions: one, or under `--elastic` up to
-/// three, each one rank narrower than the failed one before (width 1 is
-/// the floor). `--spill-dir` becomes a fresh `job-<pid>` subdirectory (so
-/// concurrent launches sharing one spill root never collide), removed on
-/// exit with whatever run files a failed attempt left behind.
+/// Runs the job as a one-job session. `--spill-dir` becomes a fresh
+/// `job-<pid>` subdirectory (so concurrent launches sharing one spill
+/// root never collide), removed on exit with whatever run files a failed
+/// job left behind.
 fn launch(mut opts: Options) -> Result<(), String> {
     let _spill_root = match opts.spec.spill_dir.take() {
         Some(dir) => {
@@ -247,39 +239,22 @@ fn launch(mut opts: Options) -> Result<(), String> {
         }
         None => None,
     };
-    let opts = &opts;
     let traced = opts.trace_out.is_some() || opts.report_out.is_some();
-    let (mut ranks, mut attempt) = (opts.ranks, 0);
-    loop {
-        let reports = traced.then(private_dir).transpose()?;
-        let report_dir = reports.as_ref().map(|d| d.0.clone());
-        let mut outcome = run_session(opts, ranks, attempt, report_dir);
-        let retry = outcome.is_err() && opts.elastic && ranks > 1 && attempt < 2;
-        if let Some(dir) = &reports {
-            let saved = save_artifacts(opts, &dir.0, retry.then_some(attempt));
-            outcome = outcome.and_then(|done| saved.map(|()| done));
-        }
-        match outcome {
-            Ok(done) => return summarize(opts, ranks, attempt, &done),
-            Err(e) if retry => {
-                ranks -= 1;
-                eprintln!("dmpirun: attempt {attempt} failed ({e}); relaunching {ranks} ranks");
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
+    let reports = traced.then(private_dir).transpose()?;
+    let report_dir = reports.as_ref().map(|d| d.0.clone());
+    let mut outcome = run_session(&opts, report_dir);
+    if let Some(dir) = &reports {
+        let saved = save_artifacts(&opts, &dir.0);
+        outcome = outcome.and_then(|done| saved.map(|()| done));
     }
+    summarize(&opts, &outcome?)
 }
 
-/// Runs `spec` as job 0 of a one-job session over `ranks` fresh worker
+/// Runs `spec` as job 0 of a one-job session over `--ranks` fresh worker
 /// processes and returns its `jobdone` line, or why there is none. The
 /// session is drained and every worker reaped either way.
-fn run_session(
-    opts: &Options,
-    ranks: usize,
-    attempt: u32,
-    report_dir: Option<PathBuf>,
-) -> Result<String, String> {
+fn run_session(opts: &Options, report_dir: Option<PathBuf>) -> Result<String, String> {
+    let ranks = opts.ranks;
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
     let coord = listener.local_addr().map_err(|e| e.to_string())?;
@@ -297,8 +272,7 @@ fn run_session(
     for _ in 0..ranks {
         let mut cmd = Command::new(&exe);
         cmd.arg("--worker").env(ENV_COORD, coord.to_string());
-        // The injected crash fires on the first attempt only.
-        if let Some(rank) = opts.fail_rank.filter(|_| attempt == 0) {
+        if let Some(rank) = opts.fail_rank {
             cmd.args(["--fail-rank", &rank.to_string()]);
         }
         match cmd.arg(opts.workload.name()).spawn() {
@@ -327,21 +301,15 @@ fn run_session(
 }
 
 /// Moves the session's job report and trace to `--report-out` /
-/// `--trace-out`; an attempt `--elastic` retries keeps its own at
-/// `<path>.attempt-<n>`.
-fn save_artifacts(opts: &Options, dir: &Path, retried: Option<u32>) -> Result<(), String> {
+/// `--trace-out`.
+fn save_artifacts(opts: &Options, dir: &Path) -> Result<(), String> {
     let artifacts = [
         ("job-0.json", &opts.report_out, "job report"),
         ("job-0.trace.json", &opts.trace_out, "merged trace"),
     ];
     for (name, path, what) in artifacts {
         let Some(path) = path else { continue };
-        let mut path = path.clone().into_os_string();
-        if let Some(attempt) = retried {
-            path.push(format!(".attempt-{attempt}"));
-        }
         let contents = std::fs::read(dir.join(name)).map_err(|e| format!("read {name}: {e}"))?;
-        let path = Path::new(&path);
         std::fs::write(path, contents).map_err(|e| format!("write {}: {e}", path.display()))?;
         println!("dmpirun: wrote {what} to {}", path.display());
     }
@@ -356,7 +324,8 @@ fn field<'a>(done: &'a str, key: &str) -> &'a str {
 
 /// Prints the launch's summary line from the job's `jobdone` line and,
 /// with `--verify-inproc`, checks the job against the in-proc runtime.
-fn summarize(opts: &Options, ranks: usize, attempt: u32, done: &str) -> Result<(), String> {
+fn summarize(opts: &Options, done: &str) -> Result<(), String> {
+    let ranks = opts.ranks;
     let keys = "o_tasks_run records_emitted bytes_emitted frames groups out_records wire_sent \
                 wire_recv";
     let sums: Vec<String> = keys
@@ -364,14 +333,14 @@ fn summarize(opts: &Options, ranks: usize, attempt: u32, done: &str) -> Result<(
         .map(|key| format!("{key}={}", field(done, key)))
         .collect();
     println!(
-        "dmpirun: {} over {ranks} ranks ({} tasks, seed {}, attempt {attempt}): {}",
+        "dmpirun: {} over {ranks} ranks ({} tasks, seed {}): {}",
         opts.workload.name(),
         opts.spec.tasks,
         opts.spec.seed,
         sums.join(" ")
     );
     if opts.verify_inproc {
-        verify_inproc(opts, ranks, done)?;
+        verify_inproc(opts, done)?;
         println!("dmpirun: verified — {ranks} partitions byte-identical to the in-proc runtime");
     }
     Ok(())
@@ -388,10 +357,9 @@ fn framed(partition: &RecordBatch) -> Vec<u8> {
 /// every partition's framed bytes hash to the fingerprint the worker of
 /// that rank reported in `done`, and that the in-proc observer's record
 /// counter agrees with the workers' summed `records_emitted`.
-fn verify_inproc(opts: &Options, ranks: usize, done: &str) -> Result<(), String> {
+fn verify_inproc(opts: &Options, done: &str) -> Result<(), String> {
     let observer = Observer::new();
-    // `ranks` is the final width, under --elastic the narrower mesh's.
-    let config = JobConfig::new(ranks).with_observer(observer.clone());
+    let config = JobConfig::new(opts.ranks).with_observer(observer.clone());
     let spec = &opts.spec;
     let inputs = opts
         .workload

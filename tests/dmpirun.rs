@@ -281,38 +281,6 @@ fn a_killed_worker_leaves_no_spill_files() {
 }
 
 #[test]
-fn elastic_relaunch_keeps_the_failed_attempts_report() {
-    let out_dir = scratch_dir("elastic");
-    let report_path = out_dir.join("job-report.json");
-    let output = dmpirun()
-        .args([
-            "--ranks",
-            "3",
-            "--tasks",
-            "6",
-            "--fail-rank",
-            "1",
-            "--elastic",
-        ])
-        .arg("--report-out")
-        .arg(&report_path)
-        .arg("wordcount")
-        .output()
-        .expect("launcher must spawn");
-    assert!(
-        output.status.success(),
-        "the narrower relaunch must succeed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let report = std::fs::read_to_string(&report_path).expect("final report written");
-    assert!(report.contains("\"status\": \"ok\""), "{report}");
-    let failed = std::fs::read_to_string(out_dir.join("job-report.json.attempt-0"))
-        .expect("the failed attempt's report is kept");
-    assert!(failed.contains("\"status\": \"failed\""), "{failed}");
-    let _ = std::fs::remove_dir_all(&out_dir);
-}
-
-#[test]
 fn usage_errors_exit_with_code_two() {
     let output = dmpirun().arg("mystery-workload").output().unwrap();
     assert_eq!(output.status.code(), Some(2));
@@ -332,6 +300,14 @@ fn usage_errors_exit_with_code_two() {
         .output()
         .unwrap();
     assert_eq!(output.status.code(), Some(2), "--slow-rank is not a flag");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("usage: dmpirun"), "{stderr}");
+    // A launch is one session at one width: no narrower relaunch.
+    let output = dmpirun()
+        .args(["--fail-rank", "1", "--elastic", "wordcount"])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2), "the relaunch flag is gone");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("usage: dmpirun"), "{stderr}");
 }

@@ -131,7 +131,7 @@ fn merge_resumes_from_block_frontier_after_mid_merge_death() {
     .unwrap_err();
 
     // The checkpoint holds the sealed runs and the recorded boundary.
-    let mcp = cp.merge_checkpoint(0, 1).expect("merge frontier recorded");
+    let mcp = cp.merge_checkpoint(0).expect("merge frontier recorded");
     assert_eq!(mcp.groups_emitted, 288);
     let total_blocks: u64 = mcp.runs.iter().map(|r| r.index().blocks.len() as u64).sum();
     let frontier_blocks: u64 = mcp.frontier.iter().map(|&b| b as u64).sum();
@@ -182,7 +182,7 @@ fn merge_resumes_from_block_frontier_after_mid_merge_death() {
     }
     // Success reclaimed the merge checkpoint; dropping it releases the
     // last handles on the run files, which then self-delete.
-    assert!(cp.merge_checkpoint(0, 1).is_none());
+    assert!(cp.merge_checkpoint(0).is_none());
     drop(mcp);
     let leftovers = std::fs::read_dir(&spill_dir)
         .map(|it| it.count())
