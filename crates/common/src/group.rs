@@ -158,12 +158,6 @@ impl BatchCollector {
         &self.batch
     }
 
-    /// Moves `records` in behind everything collected so far.
-    pub fn append(&mut self, records: &mut RecordBatch) {
-        self.close_chunk();
-        self.batch.append(records);
-    }
-
     /// Consumes the collector, yielding everything collected, with no
     /// unused capacity left on the batch.
     pub fn into_batch(mut self) -> RecordBatch {
@@ -307,8 +301,8 @@ mod tests {
         for (i, (k, v)) in pairs.iter().enumerate() {
             c.collect(k, v);
             if i == 2 || i == 1000 {
-                // A mid-way view (what a merge checkpoint frames) is
-                // complete and does not disturb what follows.
+                // A mid-way view is complete and does not disturb what
+                // follows.
                 assert_same_batch(c.batch(), &per_record(&pairs[..=i]));
             }
         }
@@ -339,18 +333,5 @@ mod tests {
         let shared = &batch.records()[1];
         assert_eq!(shared.key.as_ptr(), key.as_ptr());
         assert_eq!(shared.value.as_ptr(), value.as_ptr());
-    }
-
-    #[test]
-    fn append_lands_behind_what_was_collected() {
-        let mut c = BatchCollector::default();
-        c.collect(b"a", b"1");
-        let mut earlier: RecordBatch = [rec("b", "2"), rec("c", "3")].into_iter().collect();
-        c.append(&mut earlier);
-        c.collect(b"d", b"4");
-        let expected: RecordBatch = [rec("a", "1"), rec("b", "2"), rec("c", "3"), rec("d", "4")]
-            .into_iter()
-            .collect();
-        assert_same_batch(&c.into_batch(), &expected);
     }
 }

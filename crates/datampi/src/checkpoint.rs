@@ -25,8 +25,6 @@ use bytes::Bytes;
 use dmpi_common::{Error, Result};
 use parking_lot::Mutex;
 
-use crate::spillfmt::SealedRun;
-
 /// Shared, thread-safe checkpoint state. Clone-cheap (`Arc` inside); pass
 /// the same store to a restarted job to recover.
 ///
@@ -61,44 +59,10 @@ struct Inner {
     /// Completed O tasks. Lookup must stay O(1): `is_complete` runs once
     /// per task on every restart.
     completed: HashSet<usize>,
-    /// In-progress A-side merge state per rank: sealed-run handles plus
-    /// the last recorded group-boundary frontier.
-    merges: HashMap<usize, MergeState>,
     /// Attempts begun against this store.
     attempts: u32,
     /// The mesh width the first attempt ran at; every later one must match.
     width: Option<usize>,
-}
-
-struct MergeState {
-    runs: Vec<SealedRun>,
-    progress: Option<MergeProgress>,
-}
-
-#[derive(Clone)]
-struct MergeProgress {
-    frontier: Vec<usize>,
-    last_key: Option<Bytes>,
-    groups_emitted: u64,
-    partial_output: Bytes,
-}
-
-/// A restartable snapshot of a rank's A-side merge, taken at a group
-/// boundary. Holds handles to the sealed runs (keeping disk-backed run
-/// files alive across attempts), the block frontier each run's cursor
-/// had reached, and the framed output emitted so far.
-#[derive(Clone)]
-pub struct MergeCheckpoint {
-    /// The sealed spill runs the merge was reading.
-    pub runs: Vec<SealedRun>,
-    /// Per-run block index to resume reading from (parallel to `runs`).
-    pub frontier: Vec<usize>,
-    /// Last group key fully emitted; resume skips records `<=` this key.
-    pub last_key: Option<Bytes>,
-    /// Groups emitted before the boundary.
-    pub groups_emitted: u64,
-    /// Framed records emitted up to the boundary, replayable as output.
-    pub partial_output: Bytes,
 }
 
 impl CheckpointStore {
@@ -169,66 +133,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Registers the sealed runs rank `rank`'s merge is about to read.
-    /// Replaces any previous merge state for the rank (a fresh attempt
-    /// starts a fresh merge). Cloning the run handles here keeps
-    /// disk-backed run files alive even if the attempt dies and drops
-    /// its `PartitionStore`.
-    pub fn register_merge_runs(&self, rank: usize, runs: Vec<SealedRun>) {
-        let state = MergeState {
-            runs,
-            progress: None,
-        };
-        self.inner.lock().merges.insert(rank, state);
-    }
-
-    /// Records a group-boundary frontier for rank `rank`'s merge:
-    /// `frontier[i]` is the block index run `i`'s cursor sits at,
-    /// `last_key` the last fully-emitted group key, and `partial_output`
-    /// the framed records emitted so far. No-op unless
-    /// [`register_merge_runs`](Self::register_merge_runs) ran first and
-    /// the frontier length matches the registered run count.
-    pub fn record_merge_frontier(
-        &self,
-        rank: usize,
-        frontier: Vec<usize>,
-        last_key: Option<Bytes>,
-        groups_emitted: u64,
-        partial_output: Bytes,
-    ) {
-        let mut inner = self.inner.lock();
-        if let Some(state) = inner.merges.get_mut(&rank) {
-            if frontier.len() == state.runs.len() {
-                state.progress = Some(MergeProgress {
-                    frontier,
-                    last_key,
-                    groups_emitted,
-                    partial_output,
-                });
-            }
-        }
-    }
-
-    /// The latest merge checkpoint for rank `rank`, if one was recorded.
-    pub fn merge_checkpoint(&self, rank: usize) -> Option<MergeCheckpoint> {
-        let inner = self.inner.lock();
-        let state = inner.merges.get(&rank)?;
-        let progress = state.progress.clone()?;
-        Some(MergeCheckpoint {
-            runs: state.runs.clone(),
-            frontier: progress.frontier,
-            last_key: progress.last_key,
-            groups_emitted: progress.groups_emitted,
-            partial_output: progress.partial_output,
-        })
-    }
-
-    /// Drops rank `rank`'s merge state (merge finished; run files may be
-    /// reclaimed once the owning store drops its handles too).
-    pub fn clear_merge(&self, rank: usize) {
-        self.inner.lock().merges.remove(&rank);
-    }
-
     /// Total checkpointed bytes (the paper-relevant cost of the mechanism).
     pub fn total_bytes(&self) -> u64 {
         self.inner
@@ -244,7 +148,6 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmpi_common::kv::Record;
 
     #[test]
     fn complete_tasks_are_recoverable() {
@@ -324,50 +227,5 @@ mod tests {
         }
         assert_eq!(cp.completed_count(), 8);
         assert_eq!(cp.total_bytes(), 8 * 100 * 10);
-    }
-
-    fn sealed_run(n: usize) -> SealedRun {
-        let mut w = crate::spillfmt::RunWriter::new(64, false, true);
-        for i in 0..n {
-            w.push(&Record::from_strs(&format!("k{i:04}"), "v"));
-        }
-        let (image, index) = w.finish();
-        SealedRun::mem(image, index)
-    }
-
-    #[test]
-    fn merge_checkpoint_round_trips() {
-        let cp = CheckpointStore::new();
-        cp.register_merge_runs(1, vec![sealed_run(10), sealed_run(10)]);
-        assert!(cp.merge_checkpoint(1).is_none(), "no frontier recorded yet");
-        cp.record_merge_frontier(
-            1,
-            vec![2, 0],
-            Some(Bytes::from_static(b"k0005")),
-            6,
-            Bytes::from_static(b"framed"),
-        );
-        let m = cp.merge_checkpoint(1).expect("checkpoint recorded");
-        assert_eq!(m.runs.len(), 2);
-        assert_eq!(m.frontier, vec![2, 0]);
-        assert_eq!(m.last_key.as_deref(), Some(b"k0005".as_slice()));
-        assert_eq!(m.groups_emitted, 6);
-        assert_eq!(&m.partial_output[..], b"framed");
-        cp.clear_merge(1);
-        assert!(cp.merge_checkpoint(1).is_none(), "cleared");
-    }
-
-    #[test]
-    fn merge_checkpoint_invalidated_by_bad_frontier_and_reregistration() {
-        let cp = CheckpointStore::new();
-        cp.register_merge_runs(0, vec![sealed_run(4)]);
-        // A frontier whose length disagrees with the run count is dropped.
-        cp.record_merge_frontier(0, vec![1, 1], None, 0, Bytes::new());
-        assert!(cp.merge_checkpoint(0).is_none());
-        cp.record_merge_frontier(0, vec![1], None, 2, Bytes::new());
-        assert!(cp.merge_checkpoint(0).is_some());
-        // Re-registering (fresh attempt) wipes stale progress.
-        cp.register_merge_runs(0, vec![sealed_run(4)]);
-        assert!(cp.merge_checkpoint(0).is_none());
     }
 }

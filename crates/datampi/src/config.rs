@@ -70,7 +70,7 @@ pub struct JobConfig {
     /// `benchmark/src/layers.rs` reads it.
     pub sorted_grouping: bool,
     /// Fault injection: a deterministic, seeded schedule of O-task
-    /// errors, rank deaths, straggler delays, and frame corruptions
+    /// errors, rank deaths, mid-merge deaths and frame corruptions
     /// ([`FaultPlan`]). `None` (the default) injects nothing.
     pub faults: Option<FaultPlan>,
     /// Observability sink: when installed, ranks record phase spans and
@@ -115,7 +115,7 @@ pub struct JobConfig {
     /// compressed form is kept only when smaller).
     pub spill_compression: WireCompression,
     /// Raw-byte budget of one spill-run block — the unit of read, CRC
-    /// check, decompression, index skip and checkpoint resume. Default
+    /// check, decompression and index skip. Default
     /// [`crate::spillfmt::DEFAULT_SPILL_BLOCK_BYTES`].
     pub spill_block_bytes: usize,
 }
@@ -164,9 +164,6 @@ impl JobConfig {
         }
         if self.spill_block_bytes == 0 {
             return Err(Error::Config("spill block size must be positive".into()));
-        }
-        if let Some(plan) = &self.faults {
-            plan.validate()?;
         }
         Ok(())
     }
@@ -290,9 +287,6 @@ mod tests {
             .with_wire_batch_bytes(0)
             .validate()
             .is_err());
-        // An invalid fault plan makes the whole config invalid.
-        let plan = FaultPlan::new(0).straggler(0, 0, FaultPlan::MAX_STRAGGLER_MS + 1);
-        assert!(JobConfig::new(1).with_faults(plan).validate().is_err());
     }
 
     #[test]

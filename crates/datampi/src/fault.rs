@@ -4,18 +4,17 @@
 //! event names its target (an O task or a rank) and the job attempt on
 //! which it fires, so a plan replays identically run after run — the
 //! property the self-healing supervisor tests and the byte-identical
-//! output property test depend on. Five fault kinds are supported:
+//! output property test depend on. Four fault kinds are supported:
 //!
-//! * **O-task errors** — the task returns an injected [`Error::Fault`]
-//!   before running user code (the original `FaultSpec` behaviour);
+//! * **O-task errors** — the task returns an injected
+//!   [`Error::Fault`](dmpi_common::Error::Fault) before running user code
+//!   (the original `FaultSpec` behaviour);
 //! * **rank panics** — a whole worker rank dies at the start of its O
 //!   phase (it still tears its streams down cleanly so peers do not
 //!   deadlock, exactly like a real process whose connections are closed
 //!   by the OS);
 //! * **mid-merge deaths** — a rank dies after emitting a set number of A
-//!   groups, the crash the merge checkpoint resumes from;
-//! * **straggler delays** — an O task is artificially slowed before its
-//!   user code runs, modelling a slow node;
+//!   groups; the restart replays its banked O-task frames and re-merges;
 //! * **frame corruption** — one wire frame of the task gets a byte
 //!   flipped *after* its CRC-32C is computed, so the receiving A partition
 //!   detects the mismatch and fails the attempt rather than silently
@@ -25,10 +24,6 @@
 //! which frame gets flipped, and with what XOR mask) through a splitmix64
 //! hash, so two plans with the same seed and events are byte-for-byte
 //! identical in effect.
-
-use std::time::Duration;
-
-use dmpi_common::{Error, Result};
 
 /// One scheduled fault in a [`FaultPlan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,17 +43,6 @@ pub enum FaultEvent {
         /// 0-based job attempt on which the rank dies.
         on_attempt: u32,
     },
-    /// O task `task` is delayed by `delay_ms` before running user code on
-    /// attempt `on_attempt`.
-    Straggler {
-        /// Target O task (split index).
-        task: usize,
-        /// 0-based job attempt on which the delay applies.
-        on_attempt: u32,
-        /// Injected delay in milliseconds (bounded by
-        /// [`FaultPlan::MAX_STRAGGLER_MS`]).
-        delay_ms: u64,
-    },
     /// The first wire frame flushed by O task `task` has one byte flipped
     /// on attempt `on_attempt` (checkpointed copies stay clean — the
     /// corruption models the network, not the stable store).
@@ -69,9 +53,7 @@ pub enum FaultEvent {
         on_attempt: u32,
     },
     /// Rank `rank` dies during its A-phase merge on attempt `on_attempt`,
-    /// after emitting `after_groups` groups — the mid-merge crash the
-    /// block-boundary merge checkpoint recovers from without re-reading
-    /// already-consumed spill blocks.
+    /// after emitting `after_groups` groups.
     MergePanic {
         /// Target worker rank.
         rank: usize,
@@ -88,7 +70,6 @@ impl FaultEvent {
         match *self {
             FaultEvent::OTaskError { on_attempt, .. }
             | FaultEvent::RankPanic { on_attempt, .. }
-            | FaultEvent::Straggler { on_attempt, .. }
             | FaultEvent::CorruptFrame { on_attempt, .. }
             | FaultEvent::MergePanic { on_attempt, .. } => on_attempt,
         }
@@ -141,10 +122,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Upper bound on an injected straggler delay; keeps plans from
-    /// turning a test run into a hang.
-    pub const MAX_STRAGGLER_MS: u64 = 5_000;
-
     /// An empty plan with the given seed.
     pub fn new(seed: u64) -> Self {
         FaultPlan {
@@ -163,16 +140,6 @@ impl FaultPlan {
     /// Builder: schedule a rank death.
     pub fn rank_panic(mut self, rank: usize, on_attempt: u32) -> Self {
         self.events.push(FaultEvent::RankPanic { rank, on_attempt });
-        self
-    }
-
-    /// Builder: schedule a straggler delay.
-    pub fn straggler(mut self, task: usize, on_attempt: u32, delay_ms: u64) -> Self {
-        self.events.push(FaultEvent::Straggler {
-            task,
-            on_attempt,
-            delay_ms,
-        });
         self
     }
 
@@ -216,21 +183,6 @@ impl FaultPlan {
         self.events.iter().map(FaultEvent::on_attempt).max()
     }
 
-    /// Validates the plan (delay bounds).
-    pub fn validate(&self) -> Result<()> {
-        for e in &self.events {
-            if let FaultEvent::Straggler { delay_ms, .. } = e {
-                if *delay_ms > Self::MAX_STRAGGLER_MS {
-                    return Err(Error::Config(format!(
-                        "straggler delay {delay_ms} ms exceeds cap {} ms",
-                        Self::MAX_STRAGGLER_MS
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Should O task `task` fail with an injected error on `attempt`?
     pub fn o_task_error(&self, task: usize, attempt: u32) -> bool {
         self.events.iter().any(|e| {
@@ -258,24 +210,6 @@ impl FaultPlan {
             } if *r == rank && *on_attempt == attempt => Some(*after_groups),
             _ => None,
         })
-    }
-
-    /// Injected delay for O task `task` on `attempt` (sums if several
-    /// straggler events target the same task/attempt).
-    pub fn straggler_delay(&self, task: usize, attempt: u32) -> Option<Duration> {
-        let ms: u64 = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::Straggler {
-                    task: t,
-                    on_attempt,
-                    delay_ms,
-                } if *t == task && *on_attempt == attempt => Some(*delay_ms),
-                _ => None,
-            })
-            .sum();
-        (ms > 0).then(|| Duration::from_millis(ms))
     }
 
     /// The deterministic corruption to apply to O task `task`'s first
@@ -317,19 +251,16 @@ mod tests {
         let plan = FaultPlan::new(7)
             .fail_o_task(3, 1)
             .rank_panic(0, 0)
-            .straggler(2, 0, 40)
             .corrupt_frame(5, 2);
         assert!(plan.o_task_error(3, 1));
         assert!(!plan.o_task_error(3, 0));
         assert!(!plan.o_task_error(2, 1));
         assert!(plan.rank_panics(0, 0));
         assert!(!plan.rank_panics(1, 0));
-        assert_eq!(plan.straggler_delay(2, 0), Some(Duration::from_millis(40)));
-        assert_eq!(plan.straggler_delay(2, 1), None);
         assert!(plan.corruption(5, 2).is_some());
         assert!(plan.corruption(5, 1).is_none());
         assert_eq!(plan.last_faulty_attempt(), Some(2));
-        assert_eq!(plan.events().len(), 4);
+        assert_eq!(plan.events().len(), 3);
         assert!(!plan.is_empty());
     }
 
@@ -350,15 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_delays_accumulate_and_validate() {
-        let plan = FaultPlan::new(0).straggler(1, 0, 10).straggler(1, 0, 15);
-        assert_eq!(plan.straggler_delay(1, 0), Some(Duration::from_millis(25)));
-        plan.validate().unwrap();
-        let too_slow = FaultPlan::new(0).straggler(0, 0, FaultPlan::MAX_STRAGGLER_MS + 1);
-        assert!(too_slow.validate().is_err());
-    }
-
-    #[test]
     fn merge_panic_targets_rank_attempt_and_reports_group_budget() {
         let plan = FaultPlan::new(0).merge_panic(1, 0, 5).merge_panic(1, 1, 9);
         assert_eq!(plan.merge_panic_after(1, 0), Some(5));
@@ -366,7 +288,6 @@ mod tests {
         assert_eq!(plan.merge_panic_after(1, 2), None);
         assert_eq!(plan.merge_panic_after(0, 0), None);
         assert_eq!(plan.last_faulty_attempt(), Some(1));
-        plan.validate().unwrap();
     }
 
     #[test]
@@ -375,6 +296,5 @@ mod tests {
         assert!(plan.is_empty());
         assert_eq!(plan.last_faulty_attempt(), None);
         assert!(!plan.o_task_error(0, 0));
-        plan.validate().unwrap();
     }
 }

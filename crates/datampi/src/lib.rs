@@ -32,8 +32,9 @@
 //! restartable, every run against the same store is its next attempt,
 //! and the bounded-retry [`supervisor`] repeats that run for the caller;
 //! the [`fault`] module injects
-//! deterministic, seeded faults (task errors, rank deaths, stragglers,
-//! wire corruption caught by per-frame CRCs) to exercise that machinery.
+//! deterministic, seeded faults (task errors, rank deaths, mid-merge
+//! deaths, wire corruption caught by per-frame CRCs) to exercise that
+//! machinery.
 //!
 //! Every executing surface runs the same per-rank program — ingest
 //! thread, O loop, EOFs, A loop (`rank.rs`; DESIGN.md §5) — and differs

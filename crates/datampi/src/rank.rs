@@ -15,8 +15,7 @@
 //!    failed flag, user panic, injected death — the rank then sends its
 //!    EOF to every partition, so no peer's ingest waits forever.
 //! 3. **A phase** — once every peer's EOF arrived the store's groups are
-//!    pulled one at a time through the user's A function, with optional
-//!    mid-merge checkpoints.
+//!    pulled one at a time through the user's A function.
 //!
 //! The callers differ only in what they hand in (see [`RankContext`]):
 //! the in-proc runtime shares one queue, checkpoint and [`JobFailure`]
@@ -30,14 +29,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 
 use dmpi_common::kv::RecordBatch;
-use dmpi_common::{ser, Error, FaultCause, FaultKind, Result};
+use dmpi_common::{Error, FaultCause, FaultKind, Result};
 
 use crate::buffer::KvBuffer;
-use crate::checkpoint::{CheckpointStore, MergeCheckpoint};
+use crate::checkpoint::CheckpointStore;
 use crate::comm::Frame;
 use crate::config::JobConfig;
 use crate::observe::{Counter, HistKind, Observer, PhaseTotals, SpanKind, Tracer};
@@ -45,12 +43,6 @@ use crate::runtime::JobStats;
 use crate::store::{PartitionStore, StoreStats};
 use crate::task::{BatchCollector, Collector, GroupedValues};
 use crate::transport::{FrameReceiver, FrameSender};
-
-/// Groups between two A-side merge frontier recordings. Each recording
-/// snapshots the cursor frontier plus the framed output so far, so the
-/// interval trades checkpoint traffic against re-merged groups on a
-/// mid-merge restart.
-const MERGE_CP_INTERVAL: u64 = 32;
 
 /// A job's failed flag and first-error cell: shared by every rank of an
 /// in-proc job, private to the process on a mesh. The first failure
@@ -131,7 +123,7 @@ pub(crate) struct RankContext<'a, I> {
     pub inputs: &'a [I],
     /// The split dispenser this rank pulls from.
     pub queues: &'a TaskQueues,
-    /// O-task and merge checkpoints, when the job is restartable.
+    /// O-task checkpoints, when the job is restartable.
     pub checkpoint: Option<&'a CheckpointStore>,
     /// The job's failed flag.
     pub failure: &'a JobFailure,
@@ -175,22 +167,14 @@ where
         }
     }
 
-    // A mid-merge checkpoint recorded by a previous attempt lets the A
-    // phase resume from a block boundary instead of re-merging from the
-    // top; ingest then only drains (and CRC-checks) the replayed frames —
-    // the sealed runs it would rebuild already live in the checkpoint's
-    // run handles.
-    let merge_resume = cx.checkpoint.and_then(|cp| cp.merge_checkpoint(rank));
-    let discard = merge_resume.is_some();
     // Stamped *before* the ingest thread spawns: the rank's Recv span
     // must enclose its O-task spans (per-lane spans are either disjoint
     // or nested), and thread scheduling could otherwise delay the ingest
     // thread's first instruction until after the O phase has begun.
     let recv_start = observer.map(Observer::now_micros);
     let ingest = std::thread::scope(|scope| {
-        let ingest = scope.spawn(move || {
-            ingest_partition(receiver, config, rank, ranks, attempt, recv_start, discard)
-        });
+        let ingest = scope
+            .spawn(move || ingest_partition(receiver, config, rank, ranks, attempt, recv_start));
         me.o_phase();
         // Close the stream to every partition exactly once.
         for s in &me.senders {
@@ -198,7 +182,7 @@ where
         }
         ingest.join().expect("ingest thread panicked")
     });
-    me.a_phase(a_fn, ingest, merge_resume)
+    me.a_phase(a_fn, ingest)
 }
 
 /// One rank's state across its O and A phases. Lives on the rank's
@@ -317,10 +301,6 @@ where
                 );
                 return;
             }
-            if let Some(delay) = plan.straggler_delay(task, cx.attempt) {
-                self.stats.straggler_delays += 1;
-                std::thread::sleep(delay);
-            }
         }
 
         let mut buffer = self.task_buffer(task);
@@ -366,12 +346,7 @@ where
 
     /// Groups and reduces the ingested partition, then closes this
     /// rank's books: store and spill-read counters, span absorption.
-    fn a_phase<A>(
-        mut self,
-        a_fn: &A,
-        ingest: IngestOutcome,
-        merge_resume: Option<MergeCheckpoint>,
-    ) -> Result<(RecordBatch, JobStats)>
+    fn a_phase<A>(mut self, a_fn: &A, ingest: IngestOutcome) -> Result<(RecordBatch, JobStats)>
     where
         A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
     {
@@ -381,16 +356,7 @@ where
         if let Some(e) = ingest.first_error {
             failure.fail_with(e);
         }
-        let mut store = ingest.store;
-        // Merge checkpointing needs every record in a seekable sealed
-        // run — a live in-memory cursor cannot name a block frontier —
-        // so the forming run is sealed through the same block format as
-        // the spills before the merge opens.
-        let merge_cp = cx.checkpoint.filter(|_| !failure.is_set());
-        if let Some(cp) = merge_cp.filter(|_| merge_resume.is_none()) {
-            store.seal_all();
-            cp.register_merge_runs(rank, store.sealed_run_handles());
-        }
+        let store = ingest.store;
         let st = store.stats();
         self.stats.spills += st.spills;
         self.stats.spilled_bytes += st.spilled_bytes;
@@ -409,7 +375,7 @@ where
         let grouped = if failure.is_set() {
             Ok(())
         } else {
-            self.reduce_groups(a_fn, store, &st, merge_resume, merge_cp, &mut collector)
+            self.reduce_groups(a_fn, store, &st, &mut collector)
         };
         let reads = read_counters.snapshot();
         self.stats.spill_blocks_read += reads.blocks_read;
@@ -436,8 +402,6 @@ where
         a_fn: &A,
         store: PartitionStore,
         st: &StoreStats,
-        merge_resume: Option<MergeCheckpoint>,
-        merge_cp: Option<&CheckpointStore>,
         collector: &mut BatchCollector,
     ) -> Result<()>
     where
@@ -455,23 +419,7 @@ where
             .as_ref()
             .and_then(|p| p.merge_panic_after(cx.rank, cx.attempt));
         let mut groups = 0u64;
-        let mut stream = match &merge_resume {
-            // Resume path: replay the output emitted before the recorded
-            // boundary, then reopen every run at its frontier block,
-            // skipping records at or before the last emitted group key.
-            Some(m) => {
-                let mut done = ser::unframe_batch(&m.partial_output)?;
-                groups = m.groups_emitted;
-                collector.append(&mut done);
-                crate::store::resume_group_stream(
-                    &m.runs,
-                    &m.frontier,
-                    m.last_key.clone(),
-                    &store.read_counters(),
-                )?
-            }
-            None => store.into_group_stream()?,
-        };
+        let mut stream = store.into_group_stream()?;
         if let Some(t) = tracer {
             t.registry().add(Counter::RecordsIn, st.records);
             t.span(
@@ -493,19 +441,6 @@ where
             }
             groups += 1;
             a_fn(&group, collector);
-            if let Some(cp) = merge_cp.filter(|_| groups.is_multiple_of(MERGE_CP_INTERVAL)) {
-                if let Some(frontier) = stream.frontier() {
-                    // `batch()` closes the collector's open chunk first,
-                    // so the framed output holds every group up to here.
-                    cp.record_merge_frontier(
-                        cx.rank,
-                        frontier,
-                        Some(group.key.clone()),
-                        groups,
-                        Bytes::from(ser::frame_batch(collector.batch())),
-                    );
-                }
-            }
             if merge_panic_at.is_some_and(|after| groups >= after) {
                 self.fail(FaultKind::RankDeath, "injected merge death", None);
                 break Ok(());
@@ -523,13 +458,7 @@ where
                 vec![("groups", groups.to_string())],
             );
         }
-        streamed?;
-        // The merge ran to completion: its checkpoint state (and the run
-        // files it pins) can be reclaimed.
-        if let Some(cp) = merge_cp.filter(|_| !cx.failure.is_set()) {
-            cp.clear_merge(cx.rank);
-        }
-        Ok(())
+        streamed
     }
 }
 
@@ -586,10 +515,8 @@ struct IngestOutcome {
 /// ingested; a corrupt frame is counted, reported as the thread's first
 /// error (with the producing rank and O task in the cause), and skipped,
 /// so a supervised retry sees the fault instead of silently wrong
-/// output. With `discard` set (merge-resume attempts, where the A phase
-/// reads the previous attempt's sealed runs) frames are drained and
-/// verified but not stored. `recv_start` is the Recv span's start,
-/// stamped by the rank thread.
+/// output. `recv_start` is the Recv span's start, stamped by the rank
+/// thread.
 fn ingest_partition(
     receiver: FrameReceiver,
     config: &JobConfig,
@@ -597,7 +524,6 @@ fn ingest_partition(
     ranks: usize,
     attempt: u32,
     recv_start: Option<u64>,
-    discard: bool,
 ) -> IngestOutcome {
     let observer = config.observer.as_ref();
     // The tracer must be built on this thread (tracers are thread-local
@@ -651,9 +577,6 @@ fn ingest_partition(
                         frame.from_rank(),
                         frame.payload_len() as u64,
                     );
-                }
-                if discard {
-                    continue;
                 }
                 if let Frame::Data { payload, .. } = frame {
                     // Streaming decode happens right here, overlapped

@@ -22,8 +22,7 @@
 //! The footer index is what turns the k-way merge from a full scan into a
 //! seekable one: a reader knows every block's key range before touching
 //! its bytes, so blocks outside the consumer's key range are *skipped* —
-//! never read, never decompressed — and a checkpointed merge can resume
-//! from a block boundary instead of re-reading the run. Integrity is a
+//! never read, never decompressed. Integrity is a
 //! CRC-32C ([`dmpi_common::crc`]: the SSE4.2 instruction where the CPU
 //! has it, slicing-by-8 tables otherwise) over the uncompressed bytes of
 //! each block, checked after decompression and **before** any record
@@ -49,8 +48,8 @@ use dmpi_common::crc::crc32;
 use dmpi_common::{ser, varint, Error, Record, Result};
 
 /// Default block budget: big enough that per-block overhead (index entry,
-/// CRC, LZ4 token stream) is noise, small enough that a resumed merge
-/// re-reads a few tens of KiB per run, not a whole run.
+/// CRC, LZ4 token stream) is noise, small enough that a merge holds a
+/// few tens of KiB per run, not a whole run.
 pub const DEFAULT_SPILL_BLOCK_BYTES: usize = 64 * 1024;
 
 /// Fixed trailer length: `footer_offset u64 | footer_crc u32 | magic u32`.
@@ -501,7 +500,7 @@ struct CounterCells {
 pub struct SpillReadSnapshot {
     /// Blocks loaded and decoded.
     pub blocks_read: u64,
-    /// Blocks skipped whole via the footer index (range or resume).
+    /// Blocks skipped whole via the footer index (key range).
     pub blocks_skipped: u64,
     /// Stored (possibly compressed) bytes read.
     pub stored_bytes_read: u64,
@@ -550,7 +549,7 @@ impl SpillReadCounters {
 
 /// A sealed spill run: its storage plus the decoded footer index. Clones
 /// share both (the index via `Arc`, disk files via [`RunFileGuard`]), so
-/// handing a run to a checkpoint costs a refcount, not a copy.
+/// a clone costs a refcount, not a copy.
 #[derive(Clone, Debug)]
 pub struct SealedRun {
     storage: RunStorage,
@@ -598,21 +597,6 @@ impl SealedRun {
     /// restricted to `range` (whole blocks outside the range are skipped
     /// via the index, without being read).
     pub fn open(&self, counters: &SpillReadCounters, range: Option<KeyRange>) -> Result<RunReader> {
-        self.open_at(0, None, counters, range)
-    }
-
-    /// Opens a reader positioned at `start_block`, additionally skipping
-    /// any record whose key is `<= skip_through` — the mid-run resume
-    /// entry point: a checkpointed merge restarts at the block boundary
-    /// it recorded and filters the records its last completed group
-    /// already consumed.
-    pub fn open_at(
-        &self,
-        start_block: usize,
-        skip_through: Option<Bytes>,
-        counters: &SpillReadCounters,
-        range: Option<KeyRange>,
-    ) -> Result<RunReader> {
         let backing = match &self.storage {
             RunStorage::Mem(image) => Backing::Mem(image.clone()),
             RunStorage::File(guard) => Backing::File(
@@ -620,27 +604,19 @@ impl SealedRun {
                     .map_err(|e| Error::corrupt(format!("open spill run: {e}")))?,
             ),
         };
-        let mut next_block = start_block.min(self.index.blocks.len());
-        counters.blocks_skipped(next_block as u64);
+        let mut next_block = 0;
         // Range + sorted run: binary-search the first candidate block so
         // the scan never visits index entries below the range either.
         if let (Some(r), true) = (&range, self.index.sorted) {
-            let lo = self
-                .index
-                .blocks
-                .partition_point(|b| b.last_key < r.lo)
-                .max(next_block);
-            counters.blocks_skipped((lo - next_block) as u64);
-            next_block = lo;
+            next_block = self.index.blocks.partition_point(|b| b.last_key < r.lo);
+            counters.blocks_skipped(next_block as u64);
         }
         Ok(RunReader {
             backing,
             index: Arc::clone(&self.index),
             counters: counters.clone(),
             range,
-            skip_through,
             next_block,
-            cur_block: usize::MAX,
             expected_pos: u64::MAX,
             block: Bytes::new(),
             offset: 0,
@@ -663,12 +639,7 @@ pub struct RunReader {
     index: Arc<RunIndex>,
     counters: SpillReadCounters,
     range: Option<KeyRange>,
-    /// Resume filter: skip records with key `<= skip_through`.
-    skip_through: Option<Bytes>,
     next_block: usize,
-    /// Block the most recently returned record came from (`usize::MAX`
-    /// before the first read).
-    cur_block: usize,
     /// File position a sequential next read would start at; a block load
     /// elsewhere counts as a seek.
     expected_pos: u64,
@@ -691,12 +662,6 @@ impl RunReader {
             while self.offset < self.block.len() {
                 let (rec, n) = ser::read_framed_record_shared(&self.block, self.offset)?;
                 self.offset += n;
-                if let Some(bound) = &self.skip_through {
-                    if rec.key <= *bound {
-                        continue;
-                    }
-                    self.skip_through = None;
-                }
                 if let Some(r) = &self.range {
                     if rec.key < r.lo {
                         continue;
@@ -718,13 +683,9 @@ impl RunReader {
         }
     }
 
-    /// The next block the index says is worth reading, whole: loaded,
-    /// CRC-checked and counted as [`next_record`](Self::next_record)
-    /// loads it, and the frontier moves to it. The records inside are not
-    /// filtered: a resumed reader skips whole blocks at or before its
-    /// `skip_through` bound, and the caller drops the first block's
-    /// records that still sit at or before it. Readers opened with a key
-    /// range do not call this. `None` once the run is exhausted.
+    /// The next block, whole: loaded, CRC-checked and counted as
+    /// [`next_record`](Self::next_record) loads it. Readers opened with
+    /// a key range do not call this. `None` once the run is exhausted.
     pub(crate) fn next_block(&mut self) -> Result<Option<Bytes>> {
         debug_assert!(self.range.is_none(), "whole blocks ignore a key range");
         if !self.load_next_block()? {
@@ -758,15 +719,7 @@ impl RunReader {
                     continue;
                 }
             }
-            if let Some(bound) = &self.skip_through {
-                if meta.last_key <= *bound {
-                    self.counters.blocks_skipped(1);
-                    self.next_block += 1;
-                    continue;
-                }
-            }
             self.load_block(&meta)?;
-            self.cur_block = self.next_block;
             self.next_block += 1;
             return Ok(true);
         }
@@ -777,7 +730,7 @@ impl RunReader {
             self.counters.seek();
         } else if self.expected_pos == u64::MAX && meta.offset != 0 {
             // First read that doesn't start at the run head is a seek
-            // too (resume / range fast-forward).
+            // too (range fast-forward).
             self.counters.seek();
         }
         let stored_len = meta.stored_len as usize;
@@ -835,20 +788,6 @@ impl RunReader {
         self.block = raw;
         self.offset = 0;
         Ok(())
-    }
-
-    /// The resume frontier: the block the reader's most recent record
-    /// came from, or one past the last block when exhausted. A merge
-    /// checkpointing at a group boundary records this per run; restart
-    /// re-reads only blocks at or after it.
-    pub fn frontier_block(&self) -> usize {
-        if self.done {
-            self.index.blocks.len()
-        } else if self.cur_block == usize::MAX {
-            self.next_block
-        } else {
-            self.cur_block
-        }
     }
 }
 
@@ -1022,40 +961,6 @@ mod tests {
         );
         assert!(snap.blocks_skipped > 0);
         assert!(snap.seeks >= 1, "range fast-forward counts as a seek");
-    }
-
-    #[test]
-    fn resume_from_block_boundary_rereads_only_the_tail() {
-        let records = sorted_records(600);
-        let (image, index) = build_run(&records, 512, false);
-        let total_blocks = index.blocks.len();
-        let run = SealedRun::mem(image, index);
-        // Read the first half, note the frontier.
-        let counters = SpillReadCounters::new();
-        let mut reader = run.open(&counters, None).unwrap();
-        let mut consumed = Vec::new();
-        for _ in 0..300 {
-            consumed.push(reader.next_record().unwrap().unwrap());
-        }
-        let frontier = reader.frontier_block();
-        let last_key = consumed.last().unwrap().key.clone();
-        // Resume: only blocks at/after the frontier are read.
-        let resumed = SpillReadCounters::new();
-        let mut reader = run
-            .open_at(frontier, Some(last_key), &resumed, None)
-            .unwrap();
-        let mut tail = Vec::new();
-        while let Some(r) = reader.next_record().unwrap() {
-            tail.push(r);
-        }
-        assert_eq!(tail, records[300..].to_vec());
-        let snap = resumed.snapshot();
-        assert_eq!(
-            snap.blocks_read + snap.blocks_skipped,
-            total_blocks as u64,
-            "every block is either read or skipped"
-        );
-        assert_eq!(snap.blocks_skipped, frontier as u64);
     }
 
     #[test]

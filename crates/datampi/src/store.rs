@@ -22,9 +22,7 @@
 //! external merge over them and the last forming run via a [loser
 //! tree], so a spilled job never re-materializes the full record set in
 //! memory: at any moment the merge holds one decoded block per run plus
-//! the group under construction, and the runs' footer indexes let a
-//! checkpoint-resumed merge ([`resume_group_stream`]) *skip* whole
-//! blocks instead of scanning them.
+//! the group under construction.
 //!
 //! Sorting overlaps the O phase *and* the ingest thread itself: a run
 //! crossing the budget is handed to a background sealing thread while
@@ -418,18 +416,15 @@ impl PartitionStore {
     }
 
     /// Seals the forming run and joins every outstanding seal, leaving
-    /// **all** records in sealed runs. A checkpointing merge calls this
-    /// before registering its runs so a restart can reopen every record
-    /// from the block format; output is unchanged because the forming
-    /// run keeps its last-run position in the merge's tiebreak order.
+    /// **all** records in sealed runs. Output is unchanged because the
+    /// forming run keeps its last-run position in the merge's tiebreak
+    /// order.
     pub fn seal_all(&mut self) {
         self.spill();
         self.collect_seals();
     }
 
-    /// Clones of the sealed runs, in spill order. Cheap (refcounts);
-    /// the checkpoint holds these so a restart can resume the merge
-    /// without the store that sealed them.
+    /// Clones of the sealed runs, in spill order. Cheap (refcounts).
     pub fn sealed_run_handles(&self) -> Vec<crate::spillfmt::SealedRun> {
         self.spilled.clone()
     }
@@ -454,7 +449,7 @@ impl PartitionStore {
         let mut runs: Vec<RunCursor> = Vec::with_capacity(self.spilled.len() + 1);
         for run in &self.spilled {
             let reader = run.open(&self.read_counters, None)?;
-            runs.push(RunCursor::sealed(reader, None)?);
+            runs.push(RunCursor::sealed(reader)?);
         }
         // Last, so it keeps the newest-run place in the tiebreak.
         if !forming.index.is_empty() {
@@ -528,22 +523,17 @@ struct RunCursor {
     /// Where a sealed run's next block comes from; `None` for the
     /// forming run.
     reader: Option<RunReader>,
-    /// Resume filter: entries whose key is `<=` this bound are dropped
-    /// until the first one past it.
-    skip_through: Option<Bytes>,
 }
 
 impl RunCursor {
-    /// A cursor over a sealed run, dropping records with keys at or
-    /// before `skip_through` (a resumed merge's last emitted group).
-    fn sealed(reader: RunReader, skip_through: Option<Bytes>) -> Result<Self> {
+    /// A cursor over a sealed run.
+    fn sealed(reader: RunReader) -> Result<Self> {
         let mut cursor = RunCursor {
             frames: Vec::with_capacity(1),
             index: Vec::new(),
             next: 0,
             head_key: 0,
             reader: Some(reader),
-            skip_through,
         };
         cursor.settle()?;
         Ok(cursor)
@@ -557,7 +547,6 @@ impl RunCursor {
             next: 0,
             head_key: 0,
             reader: None,
-            skip_through: None,
         };
         cursor.cache_head_key();
         cursor
@@ -572,24 +561,11 @@ impl RunCursor {
         self.head_key = self.head().map_or(0, |e| head_key(e.key(&self.frames)));
     }
 
-    /// Brings the cursor to its next live head: drops entries the resume
-    /// filter covers and loads and indexes sealed blocks while the
-    /// current one is used up, then caches the head's key bytes.
+    /// Brings the cursor to its next live head: loads and indexes sealed
+    /// blocks while the current one is used up, then caches the head's
+    /// key bytes.
     fn settle(&mut self) -> Result<()> {
-        loop {
-            if let Some(bound) = self.skip_through.as_deref() {
-                let rest = &self.index[self.next..];
-                match rest.iter().position(|e| e.key(&self.frames) > bound) {
-                    Some(skipped) => {
-                        self.next += skipped;
-                        self.skip_through = None;
-                    }
-                    None => self.next = self.index.len(),
-                }
-            }
-            if self.next < self.index.len() {
-                break;
-            }
+        while self.next >= self.index.len() {
             let Some(reader) = &mut self.reader else {
                 break;
             };
@@ -615,20 +591,6 @@ impl RunCursor {
         self.next += 1;
         self.settle()?;
         Ok(Some(value))
-    }
-
-    /// The cursor's resume frontier: the block its head record came
-    /// from (one past the last block when exhausted). `None` for a
-    /// forming-run cursor still holding records — such a merge cannot be
-    /// resumed from block boundaries.
-    fn frontier(&self) -> Option<Option<usize>> {
-        match (&self.reader, self.head()) {
-            (Some(reader), _) => Some(Some(reader.frontier_block())),
-            // A drained forming run contributes nothing to a resume —
-            // report it as skippable.
-            (None, None) => Some(None),
-            (None, Some(_)) => None,
-        }
     }
 }
 
@@ -846,64 +808,6 @@ impl GroupStream {
         }
         Ok(true)
     }
-
-    /// The merge's resume frontier: for each sealed-run cursor, the
-    /// block its head record came from (one past the last block when
-    /// exhausted). Recorded at a group boundary, this is everything a
-    /// restart needs to reopen the runs mid-way: blocks before the
-    /// frontier hold only records from already-emitted groups.
-    ///
-    /// `None` when a live in-memory run is part of the stream (its
-    /// records have no block addresses — call
-    /// [`PartitionStore::seal_all`] before merging to make a stream
-    /// resumable).
-    pub fn frontier(&self) -> Option<Vec<usize>> {
-        let merge = match &self.source {
-            GroupSource::Merge(merge) => merge,
-            // As with a drained forming cursor: nothing left to resume.
-            GroupSource::Index { forming, next } if *next >= forming.index.len() => {
-                return Some(Vec::new())
-            }
-            GroupSource::Index { .. } => return None,
-        };
-        let mut out = Vec::new();
-        for cursor in &merge.runs {
-            // A drained forming cursor contributes nothing to a resume.
-            if let Some(block) = cursor.frontier()? {
-                out.push(block);
-            }
-        }
-        Some(out)
-    }
-}
-
-/// Reopens a sealed-run merge mid-way: cursor `i` starts at block
-/// `frontier[i]` and skips any record whose key is `<= last_key` (the
-/// last fully-emitted group), so the resumed stream yields exactly the
-/// groups after `last_key` — while re-reading only blocks at or after
-/// each frontier. Runs must be the ones the frontier was recorded
-/// against, in the same order.
-pub fn resume_group_stream(
-    runs: &[crate::spillfmt::SealedRun],
-    frontier: &[usize],
-    last_key: Option<Bytes>,
-    counters: &SpillReadCounters,
-) -> Result<GroupStream> {
-    if runs.len() != frontier.len() {
-        return Err(Error::InvalidState(format!(
-            "merge frontier covers {} runs, checkpoint has {}",
-            frontier.len(),
-            runs.len()
-        )));
-    }
-    let mut cursors = Vec::with_capacity(runs.len());
-    for (run, &start) in runs.iter().zip(frontier) {
-        let reader = run.open_at(start, last_key.clone(), counters, None)?;
-        cursors.push(RunCursor::sealed(reader, last_key.clone())?);
-    }
-    Ok(GroupStream {
-        source: GroupSource::Merge(LoserTreeMerge::new(cursors)),
-    })
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
     let blocker = root.join("blocker");
     std::fs::write(&blocker, b"a file, not a directory").unwrap();
     // Twelve splits over 300 distinct words: each rank merges well past
-    // one merge-checkpoint interval, and a 256-byte budget spills.
+    // the 40 groups a merge death allows, and a 256-byte budget spills.
     let inputs: Vec<Bytes> = (0..12)
         .map(|t| {
             let words: Vec<String> = (0..50)

@@ -57,7 +57,6 @@ fn engine_counts(out: datampi::JobOutput) -> BTreeMap<Vec<u8>, u64> {
 enum Ev {
     Err(usize, u32),
     Panic(usize, u32),
-    Slow(usize, u32, u64),
     Corrupt(usize, u32),
 }
 
@@ -65,7 +64,6 @@ fn event_strategy() -> impl Strategy<Value = Ev> {
     prop_oneof![
         (0usize..8, 0u32..3).prop_map(|(t, a)| Ev::Err(t, a)),
         (0usize..4, 0u32..3).prop_map(|(r, a)| Ev::Panic(r, a)),
-        (0usize..8, 0u32..3, 1u64..3).prop_map(|(t, a, d)| Ev::Slow(t, a, d)),
         (0usize..8, 0u32..3).prop_map(|(t, a)| Ev::Corrupt(t, a)),
     ]
 }
@@ -392,7 +390,6 @@ proptest! {
         let plan = events.iter().fold(FaultPlan::new(seed), |p, e| match *e {
             Ev::Err(t, a) => p.fail_o_task(t, a),
             Ev::Panic(r, a) => p.rank_panic(r, a),
-            Ev::Slow(t, a, d) => p.straggler(t, a, d),
             Ev::Corrupt(t, a) => p.corrupt_frame(t, a),
         });
         let config = JobConfig::new(ranks).with_faults(plan);
@@ -448,7 +445,6 @@ proptest! {
         let plan = events.iter().fold(FaultPlan::new(seed), |p, e| match *e {
             Ev::Err(t, a) => p.fail_o_task(t, a),
             Ev::Panic(r, a) => p.rank_panic(r, a),
-            Ev::Slow(t, a, d) => p.straggler(t, a, d),
             Ev::Corrupt(t, a) => p.corrupt_frame(t, a),
         });
         let faulty = JobConfig::new(ranks)

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use datampi::spillfmt::{parse_image, RunWriter, SpillConfig, RUN_MAGIC, TRAILER_LEN};
-use datampi::store::{resume_group_stream, GroupStream, PartitionStore};
+use datampi::store::{GroupStream, PartitionStore};
 use datampi::{run_job, JobConfig, SealedRun, SpillReadCounters, WireCompression};
 use dmpi_common::compare::sort_records;
 use dmpi_common::crc::crc32;
@@ -408,9 +408,7 @@ proptest! {
     /// Keys that agree on the merge's cached 16 head bytes, or only once
     /// zero-padded, still leave the merge in the order of a global sort,
     /// from memory or file runs, with or without a forming run; equal
-    /// records leave in run order, the forming run's last; and a merge
-    /// resumed from any recorded frontier yields exactly the groups after
-    /// it.
+    /// records leave in run order, the forming run's last.
     #[test]
     fn merge_orders_keys_colliding_on_the_cached_head_bytes(
         records in proptest::collection::vec(colliding_record(), 0..120),
@@ -440,35 +438,16 @@ proptest! {
                 );
             }
 
-            // Every run sealed: the merge can be resumed at any group.
+            // Every run sealed.
             let mut store = fill_store(&records, budget, cfg);
             store.seal_all();
-            let runs = store.sealed_run_handles();
-            let counters = store.read_counters();
             let mut stream = store.into_group_stream().unwrap();
-            let mut marks = vec![(stream.frontier().unwrap(), None, 0)];
-            let mut groups = Vec::new();
-            let mut group = GroupedValues::default();
-            while stream.next_group_into(&mut group).unwrap() {
-                groups.push(group.clone());
-                marks.push((stream.frontier().unwrap(), Some(group.key.clone()), groups.len()));
-            }
+            let groups = drain(&mut stream);
             let flat: Vec<Record> = groups
                 .iter()
                 .flat_map(|g| g.values.iter().map(|v| Record { key: g.key.clone(), value: v.clone() }))
                 .collect();
             prop_assert_eq!(&flat, &expected, "sealed runs only (disk={})", disk);
-            for (frontier, last_key, done) in marks {
-                let mut resumed = resume_group_stream(&runs, &frontier, last_key, &counters).unwrap();
-                prop_assert_eq!(
-                    &drain(&mut resumed),
-                    &groups[done..],
-                    "resumed after {} groups (disk={})",
-                    done,
-                    disk
-                );
-            }
-            drop(runs);
             if let Some(d) = dir {
                 let _ = std::fs::remove_dir_all(&d);
             }
@@ -643,21 +622,10 @@ fn lying_block_framing_is_a_corrupt_error_on_every_merge_entry() {
                 "{case}"
             );
             plant_lie(&dir.join("h-0.spill"), victim, &lie);
-            let runs = store.sealed_run_handles();
-            let counters = store.read_counters();
-            let start = vec![0; runs.len()];
-            let (failures, held) = peak_since(|| {
-                [
-                    first_failure(store.into_group_stream()),
-                    first_failure(resume_group_stream(&runs, &start, None, &counters)),
-                ]
-            });
-            for (at, e) in failures {
-                assert_eq!(at, entry, "{case}: {e}");
-                assert!(matches!(e, Error::Corrupt(_)), "{case}: {e:?}");
-            }
+            let ((at, e), held) = peak_since(|| first_failure(store.into_group_stream()));
+            assert_eq!(at, entry, "{case}: {e}");
+            assert!(matches!(e, Error::Corrupt(_)), "{case}: {e:?}");
             assert!(held <= HELD_BOUND, "{case}: the merge held {held} bytes");
-            drop(runs);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

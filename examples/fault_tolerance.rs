@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Part 1 runs a WordCount whose `FaultPlan` kills O task 2 on the first
-//! two attempts, delays a straggler, and flips a byte in one frame (caught
-//! by the per-frame CRC-32C). `supervise_job` retries until the job
+//! two attempts and flips a byte in one frame (caught by the per-frame
+//! CRC-32C). `supervise_job` retries until the job
 //! completes; every retry runs against the same `CheckpointStore`, so it
 //! replays checkpointed O output instead of re-running it.
 //!
@@ -40,7 +40,6 @@ fn main() {
     let plan = FaultPlan::new(42)
         .fail_o_task(2, 0) // O task 2 errors on attempt 0...
         .fail_o_task(2, 1) // ...and again on attempt 1
-        .straggler(1, 0, 50) // O task 1 stalls 50 ms on attempt 0
         .corrupt_frame(3, 1); // one of task 3's frames arrives corrupted
     let observer = Observer::new();
     let config = JobConfig::new(2)

@@ -126,15 +126,18 @@ for workload in sort-tcp sort-spill; do
     grep -q '"correct":true' "target/ci/benchmark-$workload.log"
 done
 
-echo "== examples: sort_pipeline, quickstart, profile ==" >&2
+echo "== examples: sort_pipeline, quickstart, profile, fault_tolerance ==" >&2
 # The examples drive the library through `JobConfig::new` defaults, which
 # no test or smoke above does: sort_pipeline runs Text Sort and Normal
 # Sort (binary, compressed splits) on all three engines and cross-checks
 # their outputs; profile runs a job under the observer and the sampling
-# profiler and writes target/profile_trace.json.
+# profiler and writes target/profile_trace.json; fault_tolerance is the
+# one example that drives `supervise_job` with a `CheckpointStore`
+# through a multi-fault plan, then the simulator's node-failure recovery.
 timeout 300 cargo run -q --release --example sort_pipeline
 timeout 300 cargo run -q --release --example quickstart
 timeout 300 cargo run -q --release --example profile
+timeout 300 cargo run -q --release --example fault_tolerance
 
 echo "== EXPERIMENTS.md is what \`figures all --write\` produces ==" >&2
 # Every entry is simulator output, so the committed file must be

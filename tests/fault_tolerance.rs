@@ -103,24 +103,31 @@ fn repeated_failures_make_monotone_progress() {
     assert_eq!(out.stats.o_tasks_run, 2);
 }
 
-#[test]
-fn merge_resumes_from_block_frontier_after_mid_merge_death() {
-    // Kill the rank *inside* the A-phase merge, after the checkpoint has
-    // recorded a block frontier. The restart must (a) recover every O
-    // task, (b) resume the merge from the recorded block boundary
-    // instead of re-merging from the top — proven by the spill-read
-    // counters, not vibes — and (c) still produce the clean answer.
-    let inputs = corpus(16, 10);
-    let spill_dir = std::env::temp_dir().join(format!("dmpi-merge-resume-{}", std::process::id()));
-    let cp = CheckpointStore::new();
-    // Attempt 0 dies after 300 groups; the frontier interval is 32, so
-    // the last boundary recorded before the death is group 288.
-    let config = JobConfig::new(1)
-        .with_memory_budget(2048)
-        .with_spill_dir(spill_dir.clone())
+/// Files in `dir` (0 if it does not exist).
+fn files_in(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir).map(|it| it.count()).unwrap_or(0)
+}
+
+/// A one-rank config that spills tiny LZ4 blocks to `dir` past `budget`.
+fn spilling_config(dir: &std::path::Path, budget: usize) -> JobConfig {
+    JobConfig::new(1)
+        .with_memory_budget(budget)
+        .with_spill_dir(dir.to_path_buf())
         .with_spill_compression(WireCompression::Lz4)
         .with_spill_block_bytes(128)
-        .with_faults(FaultPlan::new(7).merge_panic(0, 0, 300));
+}
+
+#[test]
+fn a_mid_merge_death_restarts_from_the_banked_frames() {
+    // Kill the rank *inside* the A-phase merge. The restart must recover
+    // every O task from the checkpoint, re-merge the replayed frames from
+    // the top and produce the clean answer; the failed attempt's run
+    // files die with it instead of being pinned by the store.
+    let inputs = corpus(16, 10);
+    let spill_dir = std::env::temp_dir().join(format!("dmpi-merge-death-{}", std::process::id()));
+    let cp = CheckpointStore::new();
+    let config =
+        spilling_config(&spill_dir, 2048).with_faults(FaultPlan::new(7).merge_panic(0, 0, 300));
     run_job(
         &config,
         inputs.clone(),
@@ -129,17 +136,11 @@ fn merge_resumes_from_block_frontier_after_mid_merge_death() {
         Some(&cp),
     )
     .unwrap_err();
-
-    // The checkpoint holds the sealed runs and the recorded boundary.
-    let mcp = cp.merge_checkpoint(0).expect("merge frontier recorded");
-    assert_eq!(mcp.groups_emitted, 288);
-    let total_blocks: u64 = mcp.runs.iter().map(|r| r.index().blocks.len() as u64).sum();
-    let frontier_blocks: u64 = mcp.frontier.iter().map(|&b| b as u64).sum();
-    assert!(
-        mcp.runs.iter().all(|r| r.is_disk()),
-        "runs spilled to files"
+    assert_eq!(
+        files_in(&spill_dir),
+        0,
+        "the live store must not pin a failed attempt's run files"
     );
-    assert!(frontier_blocks > 0, "a mid-run boundary was recorded");
 
     let out = run_job(
         &config,
@@ -152,20 +153,6 @@ fn merge_resumes_from_block_frontier_after_mid_merge_death() {
     // Every O task was banked before the merge death.
     assert_eq!(out.stats.o_tasks_recovered as usize, inputs.len());
     assert_eq!(out.stats.o_tasks_run, 0);
-    // The resume visited every block exactly once — as a read or an
-    // index skip — and skipped at least the blocks before the frontier.
-    assert_eq!(
-        out.stats.spill_blocks_read + out.stats.spill_blocks_skipped,
-        total_blocks
-    );
-    assert!(out.stats.spill_blocks_skipped >= frontier_blocks);
-    assert!(
-        out.stats.spill_blocks_read <= total_blocks - frontier_blocks,
-        "restart re-read a block before the recorded boundary: read {} of {} (frontier {})",
-        out.stats.spill_blocks_read,
-        total_blocks,
-        frontier_blocks
-    );
 
     // Byte-identical to a clean, checkpoint-free run.
     let clean = run_job(
@@ -180,15 +167,50 @@ fn merge_resumes_from_block_frontier_after_mid_merge_death() {
     for (p, q) in out.partitions.iter().zip(&clean.partitions) {
         assert_eq!(p.records(), q.records());
     }
-    // Success reclaimed the merge checkpoint; dropping it releases the
-    // last handles on the run files, which then self-delete.
-    assert!(cp.merge_checkpoint(0).is_none());
-    drop(mcp);
-    let leftovers = std::fs::read_dir(&spill_dir)
-        .map(|it| it.count())
-        .unwrap_or(0);
-    assert_eq!(leftovers, 0, "run files must self-delete after success");
+    assert_eq!(
+        files_in(&spill_dir),
+        0,
+        "run files must self-delete after success"
+    );
     let _ = std::fs::remove_dir_all(&spill_dir);
+}
+
+#[test]
+fn a_checkpoint_store_leaves_spilling_unchanged() {
+    // A store only banks O-task frames: the A side spills, seals and
+    // merges exactly what it would without one. The budget holds a few
+    // tasks' output, so the job ends with records in its forming run.
+    const BUDGET: usize = 6000;
+    let inputs = corpus(17, 10);
+    let run = |store: Option<&CheckpointStore>| {
+        let dir = std::env::temp_dir().join(format!(
+            "dmpi-store-spill-{}-{}",
+            std::process::id(),
+            store.is_some()
+        ));
+        let out = run_job(
+            &spilling_config(&dir, BUDGET),
+            inputs.clone(),
+            wordcount::map,
+            wordcount::reduce,
+            store,
+        )
+        .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    };
+    let plain = run(None);
+    let stored = run(Some(&CheckpointStore::new()));
+    assert!(plain.stats.spills > 0, "the budget forces spills");
+    assert_eq!(stored.stats.spills, plain.stats.spills);
+    assert_eq!(stored.stats.spilled_bytes, plain.stats.spilled_bytes);
+    assert_eq!(
+        stored.stats.spill_blocks_read,
+        plain.stats.spill_blocks_read
+    );
+    for (p, q) in stored.partitions.iter().zip(&plain.partitions) {
+        assert_eq!(p.records(), q.records());
+    }
 }
 
 #[test]
