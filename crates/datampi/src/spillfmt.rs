@@ -22,11 +22,11 @@
 //! The footer index is what turns the k-way merge from a full scan into a
 //! seekable one: a reader knows every block's key range before touching
 //! its bytes, so blocks outside the consumer's key range are *skipped* —
-//! never read, never decompressed. Integrity is a
-//! CRC-32C ([`dmpi_common::crc`]: the SSE4.2 instruction where the CPU
-//! has it, slicing-by-8 tables otherwise) over the uncompressed bytes of
-//! each block, checked after decompression and **before** any record
-//! decode, plus a CRC-32C over the footer itself.
+//! never read, never decompressed. Integrity is a CRC-32C
+//! ([`dmpi_common::crc`]: the SSE4.2 instruction where the CPU has it,
+//! slicing-by-8 tables otherwise) over the uncompressed bytes of each
+//! block, checked after decompression and **before** any record decode,
+//! plus a CRC-32C over the footer itself.
 //!
 //! Runs live either in memory ([`RunStorage::Mem`], the default for
 //! small jobs) or in a file under a configurable spill directory
