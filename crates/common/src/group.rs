@@ -151,13 +151,6 @@ impl BatchCollector {
         self.pairs.clear();
     }
 
-    /// Everything collected so far, in collection order. Closes the open
-    /// chunk first, so the view is complete.
-    pub fn batch(&mut self) -> &RecordBatch {
-        self.close_chunk();
-        &self.batch
-    }
-
     /// Consumes the collector, yielding everything collected, with no
     /// unused capacity left on the batch.
     pub fn into_batch(mut self) -> RecordBatch {
@@ -241,8 +234,8 @@ mod tests {
         c.collect(b"k", b"v");
         c.collect(b"k2", b"v2");
         c.collect(b"", b"");
-        assert_eq!(c.batch().len(), 3);
         let batch = c.into_batch();
+        assert_eq!(batch.len(), 3);
         assert_eq!(batch.records()[0], rec("k", "v"));
         assert_eq!(batch.records()[1], rec("k2", "v2"));
         assert_eq!(batch.records()[2], rec("", ""));
@@ -298,13 +291,8 @@ mod tests {
         pairs.push((fill(1), fill(1)));
         pairs.push((fill(CHUNK_BYTES * 2), Vec::new())); // oversized and last
         let mut c = BatchCollector::with_capacity(16);
-        for (i, (k, v)) in pairs.iter().enumerate() {
+        for (k, v) in &pairs {
             c.collect(k, v);
-            if i == 2 || i == 1000 {
-                // A mid-way view is complete and does not disturb what
-                // follows.
-                assert_same_batch(c.batch(), &per_record(&pairs[..=i]));
-            }
         }
         let got = c.into_batch();
         assert_same_batch(&got, &per_record(&pairs));

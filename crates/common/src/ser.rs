@@ -9,8 +9,8 @@
 //!   centroids, …),
 //! * [`frame_record`] / [`read_framed_record`] — the length-prefixed record
 //!   format used by sequence files, spill files and network transfers,
-//! * [`RecordReader`] / [`RecordWriter`] — streaming views over framed byte
-//!   buffers.
+//! * [`frame_batch`] / [`RecordReader`] — a whole batch framed into one
+//!   buffer, and a streaming view that decodes such a buffer.
 
 use bytes::Bytes;
 
@@ -161,7 +161,8 @@ pub fn frame_kv(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
 
 /// Parses one record frame's layout from the front of `buf`: returns
 /// `(key_start, key_len, value_len, total)` offsets without building any
-/// `Record`. Shared by the copying, zero-copy and borrowing decoders.
+/// `Record`. Shared by the copying and zero-copy decoders and the span
+/// walk.
 /// Every failure, a malformed length varint included, is
 /// [`Error::Corrupt`]: the bytes do not frame a record.
 #[inline]
@@ -211,19 +212,6 @@ pub fn read_framed_record_shared(payload: &Bytes, offset: usize) -> Result<(Reco
     let key = payload.slice(offset + header..offset + header + klen);
     let value = payload.slice(offset + header + klen..offset + total);
     Ok((Record { key, value }, total))
-}
-
-/// Borrowing decode of one framed record: returns `(key, value)` slices
-/// into `buf` plus the bytes consumed, allocating nothing. The hot-path
-/// decode for callers that immediately re-emit or re-frame the pair (e.g.
-/// replaying a worker's captured emissions into a send buffer).
-pub fn read_framed_kv(buf: &[u8]) -> Result<(&[u8], &[u8], usize)> {
-    let (header, klen, _vlen, total) = frame_layout(buf)?;
-    Ok((
-        &buf[header..header + klen],
-        &buf[header + klen..total],
-        total,
-    ))
 }
 
 /// Where one framed record's key and value sit inside the buffer it was
@@ -289,36 +277,6 @@ pub fn unframe_batch(buf: &[u8]) -> Result<RecordBatch> {
         batch.push(rec);
     }
     Ok(batch)
-}
-
-/// Streaming writer that frames records into an owned buffer.
-#[derive(Default)]
-pub struct RecordWriter {
-    buf: Vec<u8>,
-    records: u64,
-}
-
-impl RecordWriter {
-    /// New empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Frames one record.
-    pub fn write(&mut self, rec: &Record) {
-        frame_record(&mut self.buf, rec);
-        self.records += 1;
-    }
-
-    /// Number of records written so far.
-    pub fn record_count(&self) -> u64 {
-        self.records
-    }
-
-    /// Finishes, yielding the framed bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
 }
 
 /// Streaming reader over a buffer of framed records.
@@ -410,12 +368,10 @@ mod tests {
 
     #[test]
     fn writer_reader_streaming() {
-        let mut w = RecordWriter::new();
-        for i in 0..100 {
-            w.write(&Record::from_strs(&format!("k{i}"), &format!("v{i}")));
-        }
-        assert_eq!(w.record_count(), 100);
-        let bytes = w.into_bytes();
+        let batch: RecordBatch = (0..100)
+            .map(|i| Record::from_strs(&format!("k{i}"), &format!("v{i}")))
+            .collect();
+        let bytes = frame_batch(&batch);
         let mut r = RecordReader::new(&bytes);
         let mut count = 0;
         while let Some(rec) = r.next_record().unwrap() {
@@ -465,19 +421,6 @@ mod tests {
         assert!(cut.by_ref().take(recs.len() - 1).all(|s| s.is_ok()));
         assert!(cut.next().unwrap().is_err());
         assert!(cut.next().is_none());
-    }
-
-    #[test]
-    fn borrowing_kv_decode_matches_framing() {
-        let mut buf = Vec::new();
-        frame_record(&mut buf, &Record::from_strs("alpha", "beta"));
-        frame_record(&mut buf, &Record::from_strs("", "x"));
-        let (k, v, n) = read_framed_kv(&buf).unwrap();
-        assert_eq!((k, v), (&b"alpha"[..], &b"beta"[..]));
-        let (k2, v2, n2) = read_framed_kv(&buf[n..]).unwrap();
-        assert_eq!((k2, v2), (&b""[..], &b"x"[..]));
-        assert_eq!(n + n2, buf.len());
-        assert!(read_framed_kv(&buf[..n - 1]).is_err());
     }
 
     #[test]

@@ -35,7 +35,6 @@ use std::net::SocketAddr;
 
 use bytes::Bytes;
 
-use dmpi_common::kv::RecordBatch;
 use dmpi_common::Result;
 
 use crate::config::JobConfig;
@@ -78,7 +77,11 @@ impl RankTable {
     /// Parses a broadcast line. Any `v<N>` is accepted, so a peer that
     /// numbers its tables still parses.
     pub fn parse(line: &str) -> Option<RankTable> {
-        let mut line = Line::of(line, "peers")?;
+        Line::of(line, "peers").and_then(RankTable::from_line)
+    }
+
+    /// [`parse`](Self::parse) of a line already split off its verb.
+    pub(crate) fn from_line(mut line: Line<'_>) -> Option<RankTable> {
         line.word()?.strip_prefix('v')?.parse::<u64>().ok()?;
         let mut peers = Vec::new();
         while let Some(addr) = line.word() {
@@ -94,22 +97,25 @@ impl RankTable {
 /// split dispenser is the static `task % ranks` assignment every process
 /// computes locally, there is no checkpoint, the attempt is 0, and the
 /// failed flag is private to this process (peers learn of a failure from
-/// their streams). The caller owns mesh teardown; the channels die with
-/// this call.
-pub(crate) fn run_mesh_rank<O, A>(
+/// their streams). The rank's A output goes into `sink`, which comes back
+/// with the counters. The caller owns mesh teardown; the channels die
+/// with this call.
+pub(crate) fn run_mesh_rank<O, A, S>(
     config: &JobConfig,
     rank: usize,
-    ranks: usize,
     channels: JobChannels,
     inputs: &[Bytes],
     o_fn: O,
     a_fn: A,
-) -> Result<(RecordBatch, JobStats)>
+    sink: S,
+) -> Result<(S, JobStats)>
 where
     O: Fn(usize, &[u8], &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
+    S: Collector,
 {
     config.validate()?;
+    let ranks = config.ranks;
     if let Some(obs) = config.observer.as_ref() {
         obs.begin_job(ranks);
     }
@@ -126,12 +132,13 @@ where
         failure: &failure,
     };
     let o_fn = move |task: usize, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out);
-    let (partition, mut stats) = run_rank(&cx, &o_fn, &a_fn, channels.senders, channels.receiver)?;
+    let (senders, receiver) = (channels.senders, channels.receiver);
+    let (sink, mut stats) = run_rank(&cx, &o_fn, &a_fn, senders, receiver, |_| sink)?;
     if let Some(e) = failure.take() {
         return Err(e);
     }
     stats.attempts = 1;
-    Ok((partition, stats))
+    Ok((sink, stats))
 }
 
 #[cfg(test)]

@@ -15,14 +15,15 @@
 //!    failed flag, user panic, injected death — the rank then sends its
 //!    EOF to every partition, so no peer's ingest waits forever.
 //! 3. **A phase** — once every peer's EOF arrived the store's groups are
-//!    pulled one at a time through the user's A function.
+//!    pulled one at a time through the user's A function into the
+//!    caller's sink.
 //!
 //! The callers differ only in what they hand in (see [`RankContext`]):
 //! the in-proc runtime shares one queue, checkpoint and [`JobFailure`]
 //! among its rank threads; `dmpirun` workers and the resident service run
 //! [`crate::distrib::run_mesh_rank`], which supplies the `task % ranks`
-//! queue, no checkpoint and a process-private failure cell. Endpoint
-//! teardown and wire-stat recording stay with the caller.
+//! queue, no checkpoint, a process-private failure cell and a part sink.
+//! Endpoint teardown and wire-stat recording stay with the caller.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,7 +32,6 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use dmpi_common::kv::RecordBatch;
 use dmpi_common::{Error, FaultCause, FaultKind, Result};
 
 use crate::buffer::KvBuffer;
@@ -41,7 +41,7 @@ use crate::config::JobConfig;
 use crate::observe::{Counter, HistKind, Observer, PhaseTotals, SpanKind, Tracer};
 use crate::runtime::JobStats;
 use crate::store::{PartitionStore, StoreStats};
-use crate::task::{BatchCollector, Collector, GroupedValues};
+use crate::task::{Collector, GroupedValues};
 use crate::transport::{FrameReceiver, FrameSender};
 
 /// A job's failed flag and first-error cell: shared by every rank of an
@@ -129,22 +129,25 @@ pub(crate) struct RankContext<'a, I> {
     pub failure: &'a JobFailure,
 }
 
-/// Runs one rank of a job over its mesh attachment and returns its A
-/// partition and counters. `Ok` does not mean the job succeeded — a rank
-/// that stopped on the failed flag returns its partial counters, which
-/// the supervisor turns into wasted-work accounting; the caller reads
-/// the verdict from `cx.failure`.
-pub(crate) fn run_rank<I, O, A>(
+/// Runs one rank of a job over its mesh attachment and returns the sink
+/// its A output went into, `sink(records in)`, and its counters. `Ok`
+/// does not mean the job succeeded — a rank that stopped on the failed
+/// flag returns its partial counters, which the supervisor turns into
+/// wasted-work accounting; the caller reads the verdict from
+/// `cx.failure`.
+pub(crate) fn run_rank<I, O, A, S>(
     cx: &RankContext<'_, I>,
     o_fn: &O,
     a_fn: &A,
     senders: Vec<FrameSender>,
     receiver: FrameReceiver,
-) -> Result<(RecordBatch, JobStats)>
+    sink: impl FnOnce(u64) -> S,
+) -> Result<(S, JobStats)>
 where
     I: Sync,
     O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
+    S: Collector,
 {
     let (config, rank, ranks, attempt) = (cx.config, cx.rank, cx.ranks, cx.attempt);
     let observer = config.observer.as_ref();
@@ -182,7 +185,7 @@ where
         }
         ingest.join().expect("ingest thread panicked")
     });
-    me.a_phase(a_fn, ingest)
+    me.a_phase(a_fn, ingest, sink)
 }
 
 /// One rank's state across its O and A phases. Lives on the rank's
@@ -344,11 +347,17 @@ where
         }
     }
 
-    /// Groups and reduces the ingested partition, then closes this
-    /// rank's books: store and spill-read counters, span absorption.
-    fn a_phase<A>(mut self, a_fn: &A, ingest: IngestOutcome) -> Result<(RecordBatch, JobStats)>
+    /// Groups and reduces the ingested partition into `sink`, then closes
+    /// this rank's books: store and spill-read counters, span absorption.
+    fn a_phase<A, S>(
+        mut self,
+        a_fn: &A,
+        ingest: IngestOutcome,
+        sink: impl FnOnce(u64) -> S,
+    ) -> Result<(S, JobStats)>
     where
         A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
+        S: Collector,
     {
         let cx = self.cx;
         let (config, rank, failure) = (cx.config, cx.rank, cx.failure);
@@ -367,15 +376,11 @@ where
             .max(st.peak_resident_records);
         let read_counters = store.read_counters();
 
-        // An identity-shaped A function (Sort) emits a record per record
-        // in; reserving for that up front spares the output vector its
-        // doublings, and `into_batch` returns what a folding one leaves
-        // unused.
-        let mut collector = BatchCollector::with_capacity(st.records as usize);
+        let mut sink = sink(st.records);
         let grouped = if failure.is_set() {
             Ok(())
         } else {
-            self.reduce_groups(a_fn, store, &st, &mut collector)
+            self.reduce_groups(a_fn, store, &st, &mut sink)
         };
         let reads = read_counters.snapshot();
         self.stats.spill_blocks_read += reads.blocks_read;
@@ -392,17 +397,17 @@ where
         }
         self.stats.phase_us.merge(&ingest.phase);
         grouped.map_err(|e| store_decode_fault(e, rank, cx.attempt))?;
-        Ok((collector.into_batch(), self.stats))
+        Ok((sink, self.stats))
     }
 
     /// Pulls one key group at a time from the store's merge — grouped
-    /// data is never all resident — through `a_fn` into `collector`.
+    /// data is never all resident — through `a_fn` into `sink`.
     fn reduce_groups<A>(
         &mut self,
         a_fn: &A,
         store: PartitionStore,
         st: &StoreStats,
-        collector: &mut BatchCollector,
+        sink: &mut dyn Collector,
     ) -> Result<()>
     where
         A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
@@ -440,7 +445,7 @@ where
                 Err(e) => break Err(e),
             }
             groups += 1;
-            a_fn(&group, collector);
+            a_fn(&group, sink);
             if merge_panic_at.is_some_and(|after| groups >= after) {
                 self.fail(FaultKind::RankDeath, "injected merge death", None);
                 break Ok(());

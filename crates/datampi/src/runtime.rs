@@ -31,7 +31,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::config::JobConfig;
 use crate::observe::{HistKind, PhaseTotals, SpanKind};
 use crate::rank::{run_rank, JobFailure, RankContext, TaskQueues};
-use crate::task::{Collector, GroupedValues};
+use crate::task::{BatchCollector, Collector, GroupedValues};
 use crate::transport;
 
 /// Aggregate counters of a finished job.
@@ -247,13 +247,17 @@ where
                 failure: &failure,
             };
             handles.push(scope.spawn(move || {
+                // A record reserved per record in spares an identity A (Sort)
+                // the output's doublings; `into_batch` frees the rest.
                 let result = run_rank(
                     &cx,
                     o_fn,
                     a_fn,
                     endpoint.senders(),
                     endpoint.take_receiver(),
-                );
+                    |records| BatchCollector::with_capacity(records as usize),
+                )
+                .map(|(sink, stats)| (sink.into_batch(), stats));
                 // Tear the endpoint down (every sender clone died with
                 // `run_rank`, so TCP writers see disconnect and flush all
                 // queued frames to the sockets) and record the wire-level

@@ -13,27 +13,26 @@
 //! carries one job: it joins, may act on its seat (the launcher's test
 //! injections), and serves.
 
+use std::fs::File;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use dmpi_common::crc::crc32;
-use dmpi_common::kv::RecordBatch;
-use dmpi_common::ser::RecordWriter;
+use dmpi_common::crc::Crc32;
+use dmpi_common::ser::frame_kv;
 use dmpi_common::{Error, FaultCause, FaultKind, Result};
 
 use crate::config::JobConfig;
 use crate::distrib::{run_mesh_rank, RankTable};
 use crate::observe::{Clock, ClockSync, HistKind, Histograms, Observer, TelemetryFrame};
-use crate::runtime::JobStats;
 use crate::task::{Collector, GroupedValues};
-use crate::transport::{establish_endpoint, TcpOptions, WireStats};
+use crate::transport::{establish_endpoint, TcpOptions};
 
 use super::mesh::JobMux;
 use super::protocol::{read_known_line, JobSpec, Line, LineWriter, WorkerDone, WorkerEvent};
@@ -123,10 +122,10 @@ impl Seat {
         let mut sync = ClockSync::default();
         let mut rank: Option<usize> = None;
         let mut traced = false;
-        let mut table: Option<RankTable> = None;
         // The handshake answers arrive in order (clock, rank, peers) but
         // tolerate reordering and — forward compatibility — unknown verbs.
-        while table.is_none() {
+        // The first table that parses ends it.
+        let table = loop {
             let n = read_known_line(&mut control, &mut line, |v| {
                 matches!(v, "clock" | "rank" | "peers")
             })
@@ -136,7 +135,9 @@ impl Seat {
                     "coordinator closed the stream mid-handshake".into(),
                 ));
             }
-            let mut reply = Line::parse(&line).expect("read_known_line accepted its verb");
+            let Some(mut reply) = Line::parse(&line) else {
+                continue;
+            };
             match reply.verb() {
                 "clock" => {
                     if let Some(coord_now) = reply.pos::<u64>() {
@@ -147,10 +148,13 @@ impl Seat {
                     rank = reply.pos();
                     traced = reply.get("tlm").is_some_and(|v| v.flag());
                 }
-                _ => table = RankTable::parse(&line),
+                _ => {
+                    if let Some(table) = RankTable::from_line(reply) {
+                        break table;
+                    }
+                }
             }
-        }
-        let table = table.expect("loop exits with a table");
+        };
         let rank = rank.ok_or_else(|| service_fault("coordinator never assigned a rank".into()))?;
         if rank >= table.ranks() {
             return Err(service_fault(format!(
@@ -255,7 +259,7 @@ struct Tracing {
 }
 
 /// Runs one dispatched job on its own thread: resolve, attach to the
-/// mux, execute, write the partition, report. Every outcome produces
+/// mux, execute into the part sink, report. Every outcome produces
 /// exactly one terminal line (`jobdone` or `jobfail`) on the control
 /// stream; a panic that escapes the job (user code panics are already
 /// faults) is caught, sends this rank's EOFs so no peer waits on it, and
@@ -264,7 +268,6 @@ struct Tracing {
 /// clock, and its final `jobtlm` frame — spans mapped onto the
 /// coordinator's timeline by the sync — precedes the terminal line
 /// whatever the outcome.
-#[allow(clippy::too_many_arguments)]
 fn run_one_job(
     spec: JobSpec,
     resolver: &dyn JobResolver,
@@ -281,11 +284,16 @@ fn run_one_job(
     let mesh_before = trace
         .as_ref()
         .map_or_else(Vec::new, |t| t.mesh.snapshot_all());
+    let part = spec
+        .out
+        .as_deref()
+        .map(|dir| Path::new(dir).join(format!("part-{rank:05}")));
     let outcome = mux.open_job(spec.id).and_then(|channels| {
         let eof_senders = channels.senders.clone();
         let mut ran_body = false;
         let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<WorkerDone> {
             let prepared = resolver.prepare(&spec)?;
+            let sink = PartSink::create(part.clone())?;
             let mut config = JobConfig::new(ranks);
             if let Some(obs) = &observer {
                 config = config.with_observer(obs.clone());
@@ -310,11 +318,11 @@ fn run_one_job(
             let result = run_mesh_rank(
                 &config,
                 rank,
-                ranks,
                 channels,
                 &prepared.inputs,
                 prepared.o_fn,
                 prepared.a_fn,
+                sink,
             );
             // The store's run-file guards already deleted every sealed run
             // they owned; this sweeps the (now empty, or crash-littered)
@@ -322,12 +330,27 @@ fn run_one_job(
             if let Some(dir) = &spill_dir {
                 let _ = std::fs::remove_dir_all(dir);
             }
-            let (partition, stats) = result?;
+            let (sink, stats) = result?;
             let wire = wire_handle.snapshot();
             if let Some(obs) = &observer {
                 obs.registry().add_wire_stats(&wire);
             }
-            report_partition(&spec, rank, &partition, &stats, &wire, started)
+            let out = sink.finish()?;
+            Ok(WorkerDone {
+                job: spec.id,
+                rank,
+                crc: out.crc.finalize(),
+                elapsed_us: started.elapsed().as_micros() as u64,
+                out_records: out.records,
+                out_bytes: out.bytes,
+                records_emitted: stats.records_emitted,
+                groups: stats.groups,
+                wire_sent: wire.bytes_sent,
+                wire_recv: wire.bytes_received,
+                o_tasks_run: stats.o_tasks_run,
+                bytes_emitted: stats.bytes_emitted,
+                frames: stats.frames,
+            })
         }));
         // The rank body sends this rank's EOFs. A failure before it (a
         // resolver error, a spill directory that cannot be made) or a
@@ -346,6 +369,11 @@ fn run_one_job(
         })
     });
     mux.finish_job(spec.id);
+    // A rank's part file exists only if the rank reports `jobdone`: a
+    // failed body leaves no partial one.
+    if let (Err(_), Some(part)) = (&outcome, &part) {
+        let _ = std::fs::remove_file(part);
+    }
     let (job, mut events) = (spec.id, Vec::with_capacity(2));
     if let Some((observer, trace)) = observer.zip(trace) {
         // The mesh's samples while the job ran: exactly the job's own
@@ -370,44 +398,72 @@ fn run_one_job(
     send_events(control, &events);
 }
 
-/// What a worker does with its finished partition: frames it,
-/// fingerprints the bytes, writes them to `<out>/part-NNNNN` when the
-/// job asks, and fills in the rank's `jobdone`.
-fn report_partition(
-    spec: &JobSpec,
-    rank: usize,
-    partition: &RecordBatch,
-    stats: &JobStats,
-    wire: &WireStats,
-    started: Instant,
-) -> Result<WorkerDone> {
-    let mut writer = RecordWriter::new();
-    for rec in partition.iter() {
-        writer.write(rec);
-    }
-    let framed = writer.into_bytes();
-    if let Some(dir) = spec.out.as_deref().map(Path::new) {
+/// Framed bytes a [`PartSink`] gathers before it hashes and writes them.
+const PART_CHUNK: usize = 64 * 1024;
+
+/// A worker's A output, framed once as its groups finish. Whenever the
+/// buffer holds a chunk, its bytes feed the CRC and, if the job names an
+/// `out` dir, go straight to `<out>/part-NNNNN`; `finish` returns the
+/// first write error.
+#[derive(Default)]
+struct PartSink {
+    /// Framed pairs not yet hashed: grows on demand to a chunk plus a pair.
+    chunk: Vec<u8>,
+    crc: Crc32,
+    records: u64,
+    bytes: u64,
+    file: Option<(File, PathBuf)>,
+    error: Option<Error>,
+}
+
+impl PartSink {
+    /// A sink that writes to the file at `path`, made with its
+    /// directory, or with no path only hashes.
+    fn create(path: Option<PathBuf>) -> Result<PartSink> {
+        let Some(path) = path else {
+            return Ok(PartSink::default());
+        };
+        let dir = path.parent().unwrap_or(Path::new(""));
         std::fs::create_dir_all(dir)
             .map_err(|e| service_fault(format!("create {}: {e}", dir.display())))?;
-        let path = dir.join(format!("part-{rank:05}"));
-        std::fs::write(&path, &framed)
-            .map_err(|e| service_fault(format!("write {}: {e}", path.display())))?;
+        let file = File::create(&path)
+            .map_err(|e| service_fault(format!("create {}: {e}", path.display())))?;
+        let file = Some((file, path));
+        Ok(PartSink {
+            file,
+            ..PartSink::default()
+        })
     }
-    Ok(WorkerDone {
-        job: spec.id,
-        rank,
-        crc: crc32(&framed),
-        elapsed_us: started.elapsed().as_micros() as u64,
-        out_records: partition.len() as u64,
-        out_bytes: framed.len() as u64,
-        records_emitted: stats.records_emitted,
-        groups: stats.groups,
-        wire_sent: wire.bytes_sent,
-        wire_recv: wire.bytes_received,
-        o_tasks_run: stats.o_tasks_run,
-        bytes_emitted: stats.bytes_emitted,
-        frames: stats.frames,
-    })
+
+    /// Hashes the gathered bytes, writes them to the part file if there
+    /// is one, and empties the buffer.
+    fn write_chunk(&mut self) {
+        self.crc.update(&self.chunk);
+        self.bytes += self.chunk.len() as u64;
+        if let Some((file, path)) = &mut self.file {
+            if let (Err(e), None) = (file.write_all(&self.chunk), &self.error) {
+                self.error = Some(service_fault(format!("write {}: {e}", path.display())));
+            }
+        }
+        self.chunk.clear();
+    }
+
+    /// Writes what is left: the finished sink, whose `crc`, `records`
+    /// and `bytes` are the partition's, or the first write error.
+    fn finish(mut self) -> Result<PartSink> {
+        self.write_chunk();
+        self.error.take().map_or(Ok(self), Err)
+    }
+}
+
+impl Collector for PartSink {
+    fn collect(&mut self, key: &[u8], value: &[u8]) {
+        frame_kv(&mut self.chunk, key, value);
+        self.records += 1;
+        if self.chunk.len() >= PART_CHUNK {
+            self.write_chunk();
+        }
+    }
 }
 
 /// Writes `events` to the coordinator as one write, so that no other
@@ -423,4 +479,58 @@ fn send_events(control: &Mutex<TcpStream>, events: &[WorkerEvent]) {
 /// ([`Seat::serve`]).
 pub fn run_resident_worker(coord: SocketAddr, resolver: Arc<dyn JobResolver>) -> Result<()> {
     Seat::join(coord)?.serve(resolver)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmpi_common::crc::crc32;
+    use dmpi_common::kv::{Record, RecordBatch};
+    use dmpi_common::ser::frame_batch;
+
+    /// Feeds `batch` through a part sink without a file and with one, and
+    /// checks both against `frame_batch`'s bytes and their CRC.
+    fn assert_frames_like_frame_batch(batch: &RecordBatch, case: &str) {
+        let framed = frame_batch(batch);
+        let dir = std::env::temp_dir().join(format!("part-sink-{case}-{}", std::process::id()));
+        let path = dir.join("part-00000");
+        for path in [None, Some(path)] {
+            let mut sink = PartSink::create(path.clone()).unwrap();
+            for rec in batch {
+                sink.collect(&rec.key, &rec.value);
+            }
+            let done = sink.finish().unwrap();
+            let summary = (done.crc.finalize(), done.records, done.bytes);
+            let want = (crc32(&framed), batch.len() as u64, framed.len() as u64);
+            assert_eq!(summary, want, "{case}, file {path:?}");
+            if let Some(path) = path {
+                assert!(
+                    std::fs::read(&path).unwrap() == framed,
+                    "{case}: file bytes"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn part_sink_gives_the_bytes_and_crc_of_frame_batch() {
+        let small: RecordBatch = (0..20_000u32)
+            .map(|i| Record::new(format!("key-{i}"), (i * 7).to_string()))
+            .collect();
+        assert!(frame_batch(&small).len() > 3 * PART_CHUNK);
+        assert_frames_like_frame_batch(&small, "several-chunks");
+
+        let big = vec![7u8; 2 * PART_CHUNK + 3];
+        let oversized: RecordBatch = [
+            Record::from_strs("a", "1"),
+            Record::new(b"big".to_vec(), big),
+            Record::from_strs("b", "2"),
+        ]
+        .into_iter()
+        .collect();
+        assert_frames_like_frame_batch(&oversized, "pair-over-a-chunk");
+
+        assert_frames_like_frame_batch(&RecordBatch::new(), "empty");
+    }
 }

@@ -8,7 +8,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub type Outcome<T> = std::result::Result<T, String>;
 
@@ -83,6 +83,21 @@ impl Residue {
             threads: count("/proc/self/task"),
             fds: count("/proc/self/fd"),
             spill_entries,
+        }
+    }
+
+    /// [`of`](Self::of), retaken until it lists `threads` threads or
+    /// `patience` has passed. The kernel wakes a thread's joiner before
+    /// it drops the thread from `/proc/self/task`, so a thread joined a
+    /// moment ago can still be counted; one that leaked stays counted.
+    pub fn settled(spill_root: &Path, threads: usize, patience: Duration) -> Residue {
+        let deadline = Instant::now() + patience;
+        loop {
+            let residue = Residue::of(spill_root);
+            if residue.threads == threads || Instant::now() >= deadline {
+                return residue;
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }

@@ -2,9 +2,11 @@
 //! job returns and its checkpoint store is dropped, the process has the
 //! threads and open file descriptors it had before, and the spill
 //! directory holds what it held. The rank, ingest and sealing threads are
-//! scoped or joined before the runner returns, so the counts are exact
-//! and nothing here sleeps or polls. The file holds one `#[test]`, so no
-//! sibling test's threads share the process while it counts.
+//! scoped or joined before the runner returns, so the counts are exact.
+//! Only the thread count is polled, for at most `SETTLE`, because a
+//! thread can stay listed for a moment after its `join` returned. The
+//! file holds one `#[test]`, so no sibling test's threads share the
+//! process while it counts.
 
 mod common;
 
@@ -20,6 +22,9 @@ use datampi::{Backend, FaultPlan, JobConfig};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 use dmpi_common::FaultKind;
+
+/// How long the thread count may take to come back to the baseline's.
+const SETTLE: Duration = Duration::from_secs(5);
 
 type OFn = fn(usize, &[u8], &mut dyn Collector);
 type AFn = fn(&GroupedValues, &mut dyn Collector);
@@ -67,6 +72,8 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
     // A directory cannot be created beneath a regular file, even by root.
     let blocker = root.join("blocker");
     std::fs::write(&blocker, b"a file, not a directory").unwrap();
+    // No job has run yet: every thread listed now is the harness's.
+    let idle_threads = Residue::of(&root).threads;
     // Twelve splits over 300 distinct words: each rank merges well past
     // the 40 groups a merge death allows, and a 256-byte budget spills.
     let inputs: Vec<Bytes> = (0..12)
@@ -143,7 +150,8 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
         let plain = config(clean).with_faults(FaultPlan::new(7));
         let out = supervise_job(&plain, &policy, inputs.clone(), wc_o, wc_a, None).unwrap();
         assert!(out.stats.spills > 0, "the jobs spill to files");
-        let baseline = Residue::of(&root);
+        let baseline = Residue::settled(&root, idle_threads, SETTLE);
+        assert_eq!(baseline.threads, idle_threads, "{backend:?}: a clean job");
         for case in &cases {
             let cp = CheckpointStore::new();
             let run = supervise_job(
@@ -169,7 +177,8 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
                 case.name
             );
             drop(cp);
-            assert_eq!(Residue::of(&root), baseline, "{backend:?} / {}", case.name);
+            let residue = Residue::settled(&root, baseline.threads, SETTLE);
+            assert_eq!(residue, baseline, "{backend:?} / {}", case.name);
         }
     }
     std::fs::remove_dir_all(&root).unwrap();

@@ -29,6 +29,7 @@ use datampi::service::{
 };
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::partition::{HashPartitioner, Partitioner};
+use dmpi_common::ser::unframe_batch;
 use dmpi_common::{Error, Result};
 
 const RANKS: usize = 2;
@@ -147,13 +148,23 @@ fn scenario() -> std::result::Result<(), String> {
     if !err.is_some_and(|e| e.contains("panicked") && e.contains("task panic [task 0] [rank 0]")) {
         return Err(format!("panicking job must end in jobfail, got {failed:?}"));
     }
-    // So does a panic in the A function, on the rank that owns the key.
-    let failed = submit(addr, "aboom")?;
+    // So does a panic in the A function, on the rank that owns the key,
+    // and that rank leaves no part file behind, partial or whole.
+    let out = std::env::temp_dir().join(format!("service-faults-out-{}", std::process::id()));
+    let with_out = |workload| JobSpec {
+        out: Some(out.display().to_string()),
+        ..spec(workload, 4)
+    };
+    let part = |rank: usize| out.join(format!("part-{rank:05}"));
+    let failed = submit_with(addr, &with_out("aboom"))?;
     let err = Line::of(&failed, "jobfail").and_then(|l| l.get("err")?.text());
     let owner = HashPartitioner::new(RANKS).partition(b"shared");
     let want = format!("task panic [rank {owner}] [attempt 0]: A function user code panicked");
     if !err.is_some_and(|e| e.contains(&want)) {
         return Err(format!("an A panic must end in jobfail, got {failed:?}"));
+    }
+    if part(owner).exists() {
+        return Err(format!("a failed rank left {}", part(owner).display()));
     }
     // A panic that escapes the job on one rank only: its job thread still
     // sends the EOFs the peer's ingest waits for.
@@ -180,10 +191,36 @@ fn scenario() -> std::result::Result<(), String> {
             ))
         }
     }
-    let done = submit(addr, "fine")?;
+    let done = submit_with(addr, &with_out("fine"))?;
     if !done.starts_with("jobdone") || !done.contains("out_records=5") {
         return Err(format!("the next job must complete, got {done:?}"));
     }
+    // Its two part files hold its five records: each word of the four
+    // splits `w<t> shared w<t % 2>`, counted.
+    let mut records = Vec::new();
+    for rank in 0..RANKS {
+        let bytes = std::fs::read(part(rank)).map_err(|e| format!("part {rank}: {e}"))?;
+        let batch = unframe_batch(&bytes).map_err(|e| format!("part {rank}: {e}"))?;
+        records.extend(batch.iter().map(|r| (r.key_utf8(), r.value_utf8())));
+    }
+    records.sort();
+    let want = [
+        ("shared", "4"),
+        ("w0", "3"),
+        ("w1", "3"),
+        ("w2", "1"),
+        ("w3", "1"),
+    ];
+    if records
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .ne(want)
+    {
+        return Err(format!(
+            "the part files must hold the job's records: {records:?}"
+        ));
+    }
+    let _ = std::fs::remove_dir_all(&out);
 
     request(addr, "drain", |l| l.starts_with("drained"))?;
     let summary = coordinator

@@ -25,7 +25,7 @@ use datampi::service::{
 use datampi::{run_job, JobConfig};
 use dmpi_common::crc::crc32;
 use dmpi_common::group::{Collector, GroupedValues};
-use dmpi_common::ser::{RecordWriter, Writable};
+use dmpi_common::ser::{frame_batch, Writable};
 use dmpi_common::Result;
 
 use common::{under_watchdog, Outcome};
@@ -107,11 +107,7 @@ fn spans(trace: &str) -> Vec<(String, u64, u64, u64)> {
 fn inproc_crcs(seed: u64) -> Vec<String> {
     let config = JobConfig::new(RANKS);
     let output = run_job(&config, inputs(seed), wc_o, wc_a, None).unwrap();
-    let framed = |partition: &dmpi_common::kv::RecordBatch| {
-        let mut writer = RecordWriter::new();
-        partition.iter().for_each(|rec| writer.write(rec));
-        crc32(&writer.into_bytes()).to_string()
-    };
+    let framed = |partition| crc32(&frame_batch(partition)).to_string();
     output.partitions.iter().map(framed).collect()
 }
 

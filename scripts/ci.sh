@@ -155,6 +155,12 @@ dmpirun() { timeout 120 target/release/dmpirun "$@"; }
 dmpirun --ranks 4 --tasks 8 --verify-inproc wordcount
 # Sort's output records are slices of the frames each worker received.
 dmpirun --ranks 2 --tasks 8 --verify-inproc sort
+# About 16 MiB per rank goes through each worker's part sink, hundreds
+# of chunks, into its part file; the smokes above write less than one.
+rm -rf target/ci/sink-smoke
+dmpirun --ranks 2 --tasks 16 --bytes-per-task 2097152 --spill-dir target/ci/sink-smoke/spill \
+    --out target/ci/sink-smoke/out --verify-inproc sort
+rm -rf target/ci/sink-smoke
 # Rank 1 dies once the mesh is up: the launch must fail with status 1,
 # neither succeed nor hang into timeout's 124.
 status=0

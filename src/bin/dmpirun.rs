@@ -37,7 +37,7 @@ use datampi::transport::{establish_endpoint, TcpOptions};
 use datampi::JobConfig;
 use dmpi_common::crc::crc32;
 use dmpi_common::kv::RecordBatch;
-use dmpi_common::ser::RecordWriter;
+use dmpi_common::ser::frame_batch;
 use dmpi_workloads::{CatalogueResolver, ExecWorkload};
 
 const USAGE: &str = "\
@@ -346,13 +346,6 @@ fn summarize(opts: &Options, done: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A partition as the part files and the `crcs=` fingerprints frame it.
-fn framed(partition: &RecordBatch) -> Vec<u8> {
-    let mut writer = RecordWriter::new();
-    partition.iter().for_each(|rec| writer.write(rec));
-    writer.into_bytes()
-}
-
 /// Re-runs the job on the in-process threaded runtime and checks that
 /// every partition's framed bytes hash to the fingerprint the worker of
 /// that rank reported in `done`, and that the in-proc observer's record
@@ -368,7 +361,7 @@ fn verify_inproc(opts: &Options, done: &str) -> Result<(), String> {
         .workload
         .run_raw(&config, inputs)
         .map_err(|e| format!("in-proc verification run failed: {e}"))?;
-    let crc = |p: &RecordBatch| crc32(&framed(p)).to_string();
+    let crc = |p: &RecordBatch| crc32(&frame_batch(p)).to_string();
     let inproc: Vec<String> = output.partitions.iter().map(crc).collect();
     let (inproc, workers) = (inproc.join(","), field(done, "crcs"));
     if inproc != workers {

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use datampi::JobConfig;
-use dmpi_common::ser::RecordWriter;
+use dmpi_common::ser::frame_batch;
 use dmpi_workloads::ExecWorkload;
 
 const RANKS: usize = 4;
@@ -58,11 +58,7 @@ fn multiprocess_wordcount_is_byte_identical_to_inproc() {
     let baseline = workload.run_raw(&JobConfig::new(RANKS), inputs).unwrap();
     assert!(baseline.stats.records_emitted > 0);
     for (rank, partition) in baseline.partitions.iter().enumerate() {
-        let mut writer = RecordWriter::new();
-        for rec in partition.iter() {
-            writer.write(rec);
-        }
-        let expected = writer.into_bytes();
+        let expected = frame_batch(partition);
         let path = out_dir.join(format!("part-{rank:05}"));
         let actual =
             std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
