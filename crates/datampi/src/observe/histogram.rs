@@ -335,7 +335,7 @@ impl HistogramSnapshot {
 }
 
 /// The registry's fixed set of histogram channels. Handles are `Arc`s so
-/// hot paths (transport threads, the store's sealing threads) clone one
+/// hot paths (transport threads, the store's ingest thread) clone one
 /// channel out once and record without touching the registry again.
 #[derive(Clone, Debug)]
 pub struct Histograms {

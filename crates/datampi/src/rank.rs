@@ -542,8 +542,8 @@ fn ingest_partition(
     );
     if let Some(o) = observer {
         // The store gets the Send+Sync observer, not this thread's
-        // tracer: its sealing sites (background threads included) build
-        // their own tracers from it.
+        // tracer: it moves to the rank thread after ingest, and each
+        // seal builds its own tracer from it.
         store.set_observer(o.clone(), rank as u32, attempt);
     }
     // Wire-path histograms: how long each mailbox wait took, and how big
@@ -618,9 +618,7 @@ fn ingest_partition(
             }
         }
     }
-    // Barrier: join any still-running background seals so the outcome
-    // carries fully-materialized spill images, and fold the sealing
-    // sites' traced phase time into this thread's totals.
+    // Fold the seals' traced phase time into this thread's totals.
     let sealing_phase = store.finish_ingest();
     if let Some(t) = &tracer {
         t.span(

@@ -647,9 +647,9 @@ mod tests {
     }
 
     #[test]
-    fn phase_totals_stay_consistent_under_background_seals() {
-        // stats.phase_us must equal the span log's totals even when
-        // background seals record phase time off the rank threads.
+    fn phase_totals_stay_consistent_under_spill_pressure() {
+        // stats.phase_us must equal the span log's totals when seals
+        // record phase time on tracers of their own.
         let obs = Observer::new();
         let config = JobConfig::new(2)
             .with_memory_budget(256)

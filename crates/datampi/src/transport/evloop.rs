@@ -634,43 +634,39 @@ impl Poller {
     /// is gone.
     fn feed(&mut self, i: usize, n: usize) -> bool {
         let conn = &mut self.ins[i];
-        let mut start = 0usize;
-        if conn.decoder.is_none() {
-            conn.hs.extend_from_slice(&self.scratch[..n]);
-            match wire::parse_handshake(&conn.hs) {
-                Ok(None) => return true,
-                Ok(Some(hs)) => {
-                    conn.peer = hs.from_rank;
-                    let mut dec = FrameDecoder::new(hs.features);
-                    dec.extend(&conn.hs[wire::HANDSHAKE_LEN..]);
-                    conn.decoder = Some(dec);
-                    conn.hs = Vec::new();
-                    // Handshake bytes are preamble, not frame traffic:
-                    // keep the received counter symmetric with the send
-                    // side, which never counts its own handshake.
-                    self.recv
-                        .bytes
-                        .fetch_sub(wire::HANDSHAKE_LEN as u64, Ordering::Relaxed);
-                    start = n; // everything already handed to the decoder
-                }
-                Err(e) => {
-                    conn.done = true;
-                    self.send_mailbox(Err(e));
-                    return false;
+        let bytes = &self.scratch[..n];
+        let dec = match &mut conn.decoder {
+            Some(dec) => {
+                dec.extend(bytes);
+                dec
+            }
+            None => {
+                conn.hs.extend_from_slice(bytes);
+                match wire::parse_handshake(&conn.hs) {
+                    Ok(None) => return true,
+                    Ok(Some(hs)) => {
+                        conn.peer = hs.from_rank;
+                        let dec = conn.decoder.insert(FrameDecoder::new(hs.features));
+                        dec.extend(&conn.hs[wire::HANDSHAKE_LEN..]);
+                        conn.hs = Vec::new();
+                        // Handshake bytes are preamble, not frame traffic:
+                        // keep the received counter symmetric with the send
+                        // side, which never counts its own handshake.
+                        self.recv
+                            .bytes
+                            .fetch_sub(wire::HANDSHAKE_LEN as u64, Ordering::Relaxed);
+                        dec
+                    }
+                    Err(e) => {
+                        conn.done = true;
+                        self.send_mailbox(Err(e));
+                        return false;
+                    }
                 }
             }
-        }
-        let conn = &mut self.ins[i];
-        if start < n {
-            conn.decoder
-                .as_mut()
-                .expect("decoder set above")
-                .extend(&self.scratch[start..n]);
-        }
+        };
         loop {
-            let conn = &mut self.ins[i];
-            let dec = conn.decoder.as_mut().expect("decoder set above");
-            match dec.next_frame() {
+            let item = match dec.next_frame() {
                 Ok(Some(frame)) => {
                     let stats = dec.stats();
                     let new_batches = stats.batches - conn.batches_seen;
@@ -682,18 +678,26 @@ impl Poller {
                     if matches!(frame, Frame::Eof { .. }) {
                         conn.saw_eof = true;
                     }
-                    self.send_mailbox(Ok(frame));
-                    if self.mailbox.is_none() {
-                        return false;
-                    }
+                    Ok(frame)
                 }
                 Ok(None) => return true,
                 Err(e) => {
-                    let peer = conn.peer;
                     conn.done = true;
-                    self.send_mailbox(Err(fault_with_rank(e, peer)));
-                    return false;
+                    Err(fault_with_rank(e, conn.peer))
                 }
+            };
+            let failed = item.is_err();
+            // `send_mailbox`, inlined: `dec` still borrows `self.ins`.
+            let delivered = self
+                .mailbox
+                .as_ref()
+                .is_some_and(|tx| tx.send(item).is_ok());
+            if !delivered {
+                self.stop_reading();
+                return false;
+            }
+            if failed {
+                return false;
             }
         }
     }
@@ -782,18 +786,21 @@ fn write_out(
                     hist.record_elapsed_us(start);
                 }
                 while n > 0 {
-                    let left = conn.queue[0].len() - conn.head;
-                    if n >= left {
-                        n -= left;
-                        conn.head = 0;
-                        let mut done = conn.queue.pop_front().expect("non-empty");
+                    let Some(front) = conn.queue.front() else {
+                        break;
+                    };
+                    let left = front.len() - conn.head;
+                    if n < left {
+                        conn.head += n;
+                        break;
+                    }
+                    n -= left;
+                    conn.head = 0;
+                    if let Some(mut done) = conn.queue.pop_front() {
                         if free.len() < 4 {
                             done.clear();
                             free.push(done);
                         }
-                    } else {
-                        conn.head += n;
-                        n = 0;
                     }
                 }
             }

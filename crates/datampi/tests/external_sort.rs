@@ -2,10 +2,13 @@
 //! memory budget, the A side must complete through disk-backed spill
 //! runs while its resident footprint stays pinned near the budget.
 
+mod counting_alloc;
+
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
+use counting_alloc::peak_since;
 use datampi::store::{GroupStream, PartitionStore};
 use datampi::{run_job, JobConfig, SpillConfig, WireCompression};
 use dmpi_common::group::{Collector, GroupedValues};
@@ -80,40 +83,47 @@ fn drain_groups(mut stream: GroupStream) -> BTreeMap<Bytes, Vec<Bytes>> {
     seen
 }
 
-#[test]
-fn external_sort_completes_with_bounded_residency() {
-    const BUDGET: usize = 4096;
-    let records = gen_records(6_000, 42);
+/// Sorts `n` generated records through a store at `budget` whose runs
+/// spill to disk, checks the residency counters, that every run went to
+/// disk and that the merge reproduces the reference grouping, and
+/// returns the most heap the ingesting thread held while ingesting.
+fn sort_externally(budget: usize, n: usize) -> usize {
+    let records = gen_records(n, 42);
     let input_bytes: usize = records.iter().map(|r| r.key.len() + r.value.len()).sum();
     assert!(
-        input_bytes >= 8 * BUDGET,
+        input_bytes >= 6 * budget,
         "input must dwarf the budget: {input_bytes} < {}",
-        8 * BUDGET
+        6 * budget
     );
 
-    let dir = scratch_dir("store");
-    let mut store = PartitionStore::new(BUDGET, true);
+    let dir = scratch_dir(&format!("store-{budget}-{n}"));
+    let mut store = PartitionStore::new(budget, true);
     store.set_spill_config(
         SpillConfig::default()
             .with_dir(dir.clone())
             .with_compression(true)
-            .with_block_bytes(1024),
+            .with_block_bytes(budget / 4),
     );
-    let max_frame = ingest_framed(&mut store, &records, 16);
+    let (max_frame, held) = peak_since(|| ingest_framed(&mut store, &records, 16));
 
     let st = store.stats();
-    // The residency proof: the forming run never holds more than the
-    // budget plus the frame that tipped it over, no matter how large
-    // the input grows.
+    // `peak_mem_bytes` counts only the forming run's frame bytes: it
+    // never holds more than the budget plus the frame that tipped it
+    // over, no matter how large the input grows.
     assert!(
-        st.peak_mem_bytes as usize <= BUDGET + max_frame,
+        st.peak_mem_bytes as usize <= budget + max_frame,
         "peak resident bytes {} exceed budget {} + frame {}",
         st.peak_mem_bytes,
-        BUDGET,
+        budget,
         max_frame
     );
-    assert!(st.spills >= 8, "expected many disk runs, got {}", st.spills);
-    assert!(st.spilled_bytes as usize >= input_bytes - BUDGET - max_frame);
+    let runs = input_bytes / budget / 2;
+    assert!(
+        st.spills as usize >= runs,
+        "expected ≥ {runs} disk runs, got {}",
+        st.spills
+    );
+    assert!(st.spilled_bytes as usize >= input_bytes - budget - max_frame);
     assert!(
         store.sealed_run_handles().iter().all(|r| r.is_disk()),
         "every sealed run must live on disk"
@@ -127,6 +137,29 @@ fn external_sort_completes_with_bounded_residency() {
     let leftovers = std::fs::read_dir(&dir).map(|it| it.count()).unwrap_or(0);
     assert_eq!(leftovers, 0, "run files must self-delete after the merge");
     let _ = std::fs::remove_dir_all(&dir);
+    held
+}
+
+#[test]
+fn external_sort_completes_with_bounded_residency() {
+    // About 40 budgets of input at 4 KiB. The heap is not bounded here:
+    // at this budget, costs that do not scale with it (the compressor,
+    // each sealed run's in-memory index) outweigh it.
+    sort_externally(4096, 6_000);
+    // About 6 and 25 budgets at 256 KiB. The ingesting thread seals
+    // each run itself, so everything it holds — the forming run, its
+    // index, the image written from it — is freed before the next run
+    // forms, and its heap stays a fixed multiple of the budget whatever
+    // the input's size.
+    const BUDGET: usize = 256 * 1024;
+    for n in [60_000, 240_000] {
+        let held = sort_externally(BUDGET, n);
+        assert!(
+            held <= 8 * BUDGET,
+            "{n} records: ingest held {held} bytes, {:.2}x the {BUDGET}-byte budget",
+            held as f64 / BUDGET as f64
+        );
+    }
 }
 
 fn wc_o(_t: usize, split: &[u8], out: &mut dyn Collector) {

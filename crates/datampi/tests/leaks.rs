@@ -1,8 +1,8 @@
 //! Every in-proc failure path gives back what it took. After a failed
 //! job returns and its checkpoint store is dropped, the process has the
 //! threads and open file descriptors it had before, and the spill
-//! directory holds what it held. The rank, ingest and sealing threads are
-//! scoped or joined before the runner returns, so the counts are exact.
+//! directory holds what it held. The rank and ingest threads are scoped
+//! or joined before the runner returns, so the counts are exact.
 //! Only the thread count is polled, for at most `SETTLE`, because a
 //! thread can stay listed for a moment after its `join` returned. The
 //! file holds one `#[test]`, so no sibling test's threads share the

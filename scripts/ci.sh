@@ -155,11 +155,16 @@ dmpirun() { timeout 120 target/release/dmpirun "$@"; }
 dmpirun --ranks 4 --tasks 8 --verify-inproc wordcount
 # Sort's output records are slices of the frames each worker received.
 dmpirun --ranks 2 --tasks 8 --verify-inproc sort
-# About 16 MiB per rank goes through each worker's part sink, hundreds
-# of chunks, into its part file; the smokes above write less than one.
+# About 80 MiB per rank, more than a worker's 64 MiB default budget: each
+# worker seals a run into its spill dir and streams its output through
+# its part sink, over a thousand chunks, into its part file. The smokes
+# above write less than one chunk and never spill. The job report's
+# aggregate must count at least 2 spills, one per rank at this size.
 rm -rf target/ci/sink-smoke
-dmpirun --ranks 2 --tasks 16 --bytes-per-task 2097152 --spill-dir target/ci/sink-smoke/spill \
-    --out target/ci/sink-smoke/out --verify-inproc sort
+dmpirun --ranks 2 --tasks 80 --bytes-per-task 2097152 --spill-dir target/ci/sink-smoke/spill \
+    --out target/ci/sink-smoke/out --report-out target/ci/sink-smoke/report.json --verify-inproc sort
+spills=$(grep '"aggregate"' target/ci/sink-smoke/report.json | grep -oE '"spills": [0-9]+' | grep -oE '[0-9]+$')
+[ "${spills:-0}" -ge 2 ] || { echo "sink smoke: ${spills:-no} spills, want >= 2" >&2; exit 1; }
 rm -rf target/ci/sink-smoke
 # Rank 1 dies once the mesh is up: the launch must fail with status 1,
 # neither succeed nor hang into timeout's 124.
