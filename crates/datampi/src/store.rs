@@ -134,6 +134,79 @@ pub struct PartitionStore {
     seal_phase: PhaseTotals,
 }
 
+/// What one seal produced: the sealed run (or the I/O error that
+/// prevented it) plus the phase totals the seal recorded.
+struct SealOutcome {
+    run: Result<crate::spillfmt::SealedRun>,
+    phase: PhaseTotals,
+}
+
+/// Sorts and seals one run through the indexed block format — to a
+/// spill file when the config has a directory, or to an in-memory
+/// image — recording the `Spill` span and counters against a tracer
+/// built from `observer` on the calling thread.
+fn seal_run(
+    mut forming: FormingRun,
+    observer: Option<&(Observer, u32, u32)>,
+    cfg: &SpillConfig,
+    seq: u64,
+) -> SealOutcome {
+    let tracer = observer.map(|(o, rank, attempt)| o.rank_tracer(*rank, *attempt));
+    let spill_start = tracer.as_ref().map(Tracer::start);
+    let wall_start = tracer.as_ref().map(|_| std::time::Instant::now());
+    forming.sort();
+    let mut writer = crate::spillfmt::RunWriter::new(cfg.block_bytes, cfg.compress, true);
+    let (frames, index) = (&forming.frames, &forming.index);
+    for (i, e) in index.iter().enumerate() {
+        if let Some(ahead) = index.get(i + PREFETCH_AHEAD) {
+            ahead.prefetch_key(frames, 0);
+        }
+        writer.push_kv(e.key(frames), e.value(frames));
+    }
+    drop(forming);
+    let (image, index) = writer.finish();
+    let run = match &cfg.dir {
+        Some(dir) => crate::spillfmt::SealedRun::to_file(
+            &image,
+            index,
+            dir.join(format!("{}-{seq}.spill", cfg.tag)),
+        ),
+        None => Ok(crate::spillfmt::SealedRun::mem(image, index)),
+    };
+    if let Some(t) = &tracer {
+        if let Ok(run) = &run {
+            let idx = run.index();
+            t.registry().add(Counter::Spills, 1);
+            t.registry().add(Counter::SpillBytes, idx.raw_bytes);
+            t.registry().add(Counter::SpillWireBytes, idx.file_len);
+            let block_hist = t.registry().histograms().handle(HistKind::SpillBlock);
+            for b in &idx.blocks {
+                block_hist.record(b.stored_len as u64);
+            }
+            t.span(
+                SpanKind::Spill,
+                spill_start.unwrap_or(0),
+                vec![
+                    ("bytes", idx.raw_bytes.to_string()),
+                    ("stored", idx.file_len.to_string()),
+                    ("blocks", idx.blocks.len().to_string()),
+                ],
+            );
+        }
+        if let Some(start) = wall_start {
+            t.registry()
+                .histograms()
+                .handle(HistKind::SpillSeal)
+                .record_elapsed_us(start);
+        }
+    }
+    let phase = match (observer, &tracer) {
+        (Some((obs, _, _)), Some(t)) => obs.absorb(t),
+        _ => PhaseTotals::default(),
+    };
+    SealOutcome { run, phase }
+}
+
 impl PartitionStore {
     /// Creates a store with the given per-partition memory budget. The
     /// `bool` does nothing: every store groups by key-sorted merge. Kept
@@ -216,7 +289,9 @@ impl PartitionStore {
         self.stats.spilled_bytes += self.stats.mem_bytes;
         self.stats.mem_bytes = 0;
         let forming = std::mem::take(&mut self.current);
-        match self.seal_run(forming, seq) {
+        let sealed = seal_run(forming, self.observer.as_ref(), &self.spill_cfg, seq);
+        self.seal_phase.merge(&sealed.phase);
+        match sealed.run {
             Ok(run) => {
                 self.stats.spilled_wire_bytes += run.index().file_len;
                 self.spilled.push(run);
@@ -225,71 +300,6 @@ impl PartitionStore {
                 self.seal_error.get_or_insert(e);
             }
         }
-    }
-
-    /// Sorts `forming` and writes it through the indexed block format as
-    /// run `seq`, recording the `Spill` span and counters against a
-    /// tracer built on this thread.
-    fn seal_run(
-        &mut self,
-        mut forming: FormingRun,
-        seq: u64,
-    ) -> Result<crate::spillfmt::SealedRun> {
-        let observer = self.observer.as_ref();
-        let tracer = observer.map(|(o, rank, attempt)| o.rank_tracer(*rank, *attempt));
-        let spill_start = tracer.as_ref().map(Tracer::start);
-        let wall_start = tracer.as_ref().map(|_| std::time::Instant::now());
-        forming.sort();
-        let cfg = &self.spill_cfg;
-        let mut writer = crate::spillfmt::RunWriter::new(cfg.block_bytes, cfg.compress, true);
-        let (frames, index) = (&forming.frames, &forming.index);
-        for (i, e) in index.iter().enumerate() {
-            if let Some(ahead) = index.get(i + PREFETCH_AHEAD) {
-                ahead.prefetch_key(frames, 0);
-            }
-            writer.push_kv(e.key(frames), e.value(frames));
-        }
-        drop(forming);
-        let (image, index) = writer.finish();
-        let run = match &cfg.dir {
-            Some(dir) => crate::spillfmt::SealedRun::to_file(
-                &image,
-                index,
-                dir.join(format!("{}-{seq}.spill", cfg.tag)),
-            ),
-            None => Ok(crate::spillfmt::SealedRun::mem(image, index)),
-        };
-        if let Some(t) = &tracer {
-            if let Ok(run) = &run {
-                let idx = run.index();
-                t.registry().add(Counter::Spills, 1);
-                t.registry().add(Counter::SpillBytes, idx.raw_bytes);
-                t.registry().add(Counter::SpillWireBytes, idx.file_len);
-                let block_hist = t.registry().histograms().handle(HistKind::SpillBlock);
-                for b in &idx.blocks {
-                    block_hist.record(b.stored_len as u64);
-                }
-                t.span(
-                    SpanKind::Spill,
-                    spill_start.unwrap_or(0),
-                    vec![
-                        ("bytes", idx.raw_bytes.to_string()),
-                        ("stored", idx.file_len.to_string()),
-                        ("blocks", idx.blocks.len().to_string()),
-                    ],
-                );
-            }
-            if let Some(start) = wall_start {
-                t.registry()
-                    .histograms()
-                    .handle(HistKind::SpillSeal)
-                    .record_elapsed_us(start);
-            }
-        }
-        if let (Some((obs, _, _)), Some(t)) = (observer, &tracer) {
-            self.seal_phase.merge(&obs.absorb(t));
-        }
-        run
     }
 
     /// The end of ingest: returns the phase totals the seals recorded,

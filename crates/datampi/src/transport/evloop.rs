@@ -785,10 +785,7 @@ fn write_out(
                 if let (Some(hist), Some(start)) = (hist, start) {
                     hist.record_elapsed_us(start);
                 }
-                while n > 0 {
-                    let Some(front) = conn.queue.front() else {
-                        break;
-                    };
+                while let Some(front) = conn.queue.front() {
                     let left = front.len() - conn.head;
                     if n < left {
                         conn.head += n;
