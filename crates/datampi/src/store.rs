@@ -30,9 +30,10 @@
 //! runs while the senders are still computing — before that thread
 //! indexes the next frame. Only the final in-memory run (bounded by the
 //! budget) is sorted at merge time. When runs go to disk, sealing in
-//! place bounds the ingest thread's heap by a fixed multiple of the
-//! budget — the forming run, its index and the image written from it —
-//! whatever the input's size (`tests/external_sort.rs` holds it to 8×).
+//! place bounds the ingest thread's heap by a multiple of the budget —
+//! the forming run, its index and the image written from it — plus the
+//! sealed runs' block indexes, which grow with the input
+//! (`tests/external_sort.rs` holds it to 8× at 6 and 25 budgets).
 //!
 //! [loser tree]: https://en.wikipedia.org/wiki/K-way_merge_algorithm
 use std::cmp::Ordering;
