@@ -23,57 +23,107 @@ pub const DEFAULT_ZIPF_S: f64 = 1.05;
 
 /// A trained seed model: the unit BigDataBench scales to produce synthetic
 /// corpora.
-/// The tables live behind `Arc` so cloning a model is pointer-cheap:
-/// training one costs ~10k RNG draws plus 10k `powf` calls, and hot
-/// paths (resident job prepare, per-task generators) clone freely.
+///
+/// Training draws the vocabulary (about three RNG draws per word) and
+/// sums the Zipf law (one `powf` per rank): a few milliseconds for the
+/// default 10,000 words. The trained tables sit behind one `Arc`, so
+/// cloning a model is pointer-cheap and hot paths (resident job prepare,
+/// per-task generators) clone freely.
 #[derive(Clone, Debug)]
 pub struct SeedModel {
     name: String,
-    vocab: Arc<Vec<String>>,
-    /// Cumulative probability per rank, for inverse-CDF sampling.
-    cumulative: Arc<Vec<f64>>,
+    tables: Arc<Tables>,
 }
+
+/// What training produces; read-only afterwards.
+#[derive(Debug)]
+struct Tables {
+    /// Every word in rank order, each in a [`SLOT`]-byte slot padded
+    /// with spaces: rank `r`'s word starts at `r * SLOT`.
+    arena: String,
+    /// Each rank's word length.
+    lens: Vec<u8>,
+    /// Cumulative probability per rank, for inverse-CDF sampling: a draw
+    /// `u` picks the first rank whose entry is `>= u`. The last rank's
+    /// entry, 1, is above every draw and is not stored; a draw past every
+    /// stored entry picks the last rank.
+    cumulative: Vec<f64>,
+    /// The guide table: `guide[b]` is the first rank whose cumulative
+    /// entry is `>= b / G`, for `b` in `0..=G`, where `G` is the number of
+    /// equal buckets `[0, 1)` is cut into. `G` is a power of two.
+    guide: Vec<u32>,
+    /// `G` as an `f64`.
+    buckets: f64,
+}
+
+/// Bytes per arena slot: more than the longest word (9 bytes) and its
+/// space, so one fixed-size copy, trimmed after, appends any word.
+pub(crate) const SLOT: usize = 16;
 
 impl SeedModel {
     /// Builds a model with an explicit vocabulary size and Zipf exponent.
     pub fn with_params(name: &str, vocab_size: usize, zipf_s: f64) -> Self {
         assert!(vocab_size > 0, "vocabulary must be non-empty");
+        assert!(
+            u32::try_from(vocab_size).is_ok(),
+            "vocabulary must have fewer than 2^32 words"
+        );
         assert!(zipf_s > 0.0, "Zipf exponent must be positive");
         let mut rng = StdRng::seed_from_u64(fnv1a(name.as_bytes()));
-        let mut vocab = Vec::with_capacity(vocab_size);
+        let mut arena = String::with_capacity(vocab_size * SLOT);
+        let mut lens = Vec::with_capacity(vocab_size);
         let mut seen = std::collections::HashSet::with_capacity(vocab_size);
-        while vocab.len() < vocab_size {
-            let len = rng.gen_range(3..=9);
+        while lens.len() < vocab_size {
+            let len = rng.gen_range(3..=9u8);
             let word: String = (0..len)
                 .map(|_| (b'a' + rng.gen_range(0..26u8)) as char)
                 .collect();
             if seen.insert(word.clone()) {
-                vocab.push(word);
+                arena.push_str(&word);
+                arena.extend(std::iter::repeat_n(' ', SLOT - word.len()));
+                lens.push(len);
             }
         }
-        // Zipf cumulative distribution over ranks 1..=n.
+        // Zipf cumulative distribution over ranks 1..=n; the last entry,
+        // the total, divides to 1 and is dropped.
         let mut cumulative = Vec::with_capacity(vocab_size);
         let mut total = 0.0;
         for rank in 1..=vocab_size {
             total += 1.0 / (rank as f64).powf(zipf_s);
             cumulative.push(total);
         }
+        cumulative.pop();
         for c in cumulative.iter_mut() {
             *c /= total;
         }
-        // Guard against FP drift at the top end.
-        *cumulative.last_mut().expect("non-empty") = 1.0;
+        // About four buckets per rank. `G` a power of two makes `u * G`
+        // and `b / G` exact, so bucket `b` is exactly `[b / G, (b + 1) / G)`.
+        let buckets = (4 * vocab_size).next_power_of_two();
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut rank = 0;
+        for b in 0..=buckets {
+            let lower = b as f64 / buckets as f64;
+            while rank < cumulative.len() && cumulative[rank] < lower {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
         SeedModel {
             name: name.to_string(),
-            vocab: Arc::new(vocab),
-            cumulative: Arc::new(cumulative),
+            tables: Arc::new(Tables {
+                arena,
+                lens,
+                cumulative,
+                guide,
+                buckets: buckets as f64,
+            }),
         }
     }
 
     /// The `lda_wiki1w` model (Wikipedia entries) used by the
     /// micro-benchmarks. Trained once per process: a resident worker
-    /// resolves this on every job's critical path, so the ~5ms training
-    /// cost must not recur per submission.
+    /// resolves this on every job's critical path, so the training cost
+    /// must not recur per submission.
     pub fn lda_wiki1w() -> Self {
         static MODEL: OnceLock<SeedModel> = OnceLock::new();
         MODEL
@@ -113,35 +163,132 @@ impl SeedModel {
 
     /// Vocabulary size.
     pub fn vocab_size(&self) -> usize {
-        self.vocab.len()
+        self.tables.lens.len()
     }
 
     /// Samples one word according to the Zipf law.
     pub fn sample_word<R: Rng>(&self, rng: &mut R) -> &str {
+        self.word_at_rank(self.sample_rank(rng))
+    }
+
+    /// Appends one sampled word and a space to `out` with one
+    /// fixed-size copy from the arena: the Text Generator's inner loop.
+    #[inline]
+    pub(crate) fn push_sample<R: Rng>(&self, rng: &mut R, out: &mut String) {
+        let t = &*self.tables;
+        let rank = self.sample_rank(rng);
+        let end = out.len() + t.lens[rank] as usize + 1;
+        out.push_str(&t.arena[rank * SLOT..(rank + 1) * SLOT]);
+        out.truncate(end);
+    }
+
+    /// Draws one `f64` `u` and returns the first rank whose cumulative
+    /// probability is `>= u`: what a binary search of the whole table,
+    /// `cumulative.partition_point(|&c| c < u)`, returns.
+    ///
+    /// `u` falls in bucket `b = u * G`, rounded down, so
+    /// `b / G <= u < (b + 1) / G`. The rank is therefore at least
+    /// `guide[b]` and at most `guide[b + 1]`, and a forward scan between
+    /// the two finds it, mostly in zero or one step.
+    #[inline]
+    fn sample_rank<R: Rng>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        let idx = self.cumulative.partition_point(|&c| c < u);
-        &self.vocab[idx.min(self.vocab.len() - 1)]
+        let t = &*self.tables;
+        let b = (u * t.buckets) as usize;
+        let (mut rank, end) = (t.guide[b] as usize, t.guide[b + 1] as usize);
+        while rank < end && t.cumulative[rank] < u {
+            rank += 1;
+        }
+        rank
     }
 
     /// The `rank`-th most frequent word (0-based).
     pub fn word_at_rank(&self, rank: usize) -> &str {
-        &self.vocab[rank]
+        let start = rank * SLOT;
+        &self.tables.arena[start..start + self.tables.lens[rank] as usize]
     }
 
     /// Expected probability of the rank-`r` word (0-based), for tests.
     pub fn rank_probability(&self, rank: usize) -> f64 {
-        let prev = if rank == 0 {
-            0.0
-        } else {
-            self.cumulative[rank - 1]
-        };
-        self.cumulative[rank] - prev
+        let cumulative = &self.tables.cumulative;
+        let upper = cumulative.get(rank).copied().unwrap_or(1.0);
+        let lower = if rank == 0 { 0.0 } else { cumulative[rank - 1] };
+        upper - lower
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
+
+    /// Replays scripted `u64`s: each `k << 11` makes `gen::<f64>()`
+    /// return exactly `k * 2^-53`.
+    struct Scripted(std::vec::IntoIter<u64>);
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("script exhausted")
+        }
+    }
+
+    /// The table the guide sampler replaced, built as it was: the whole
+    /// Zipf CDF with its last entry forced to 1.
+    fn reference_cdf(vocab_size: usize, zipf_s: f64) -> Vec<f64> {
+        let mut cumulative = Vec::with_capacity(vocab_size);
+        let mut total = 0.0;
+        for rank in 1..=vocab_size {
+            total += 1.0 / (rank as f64).powf(zipf_s);
+            cumulative.push(total);
+        }
+        for c in cumulative.iter_mut() {
+            *c /= total;
+        }
+        *cumulative.last_mut().unwrap() = 1.0;
+        cumulative
+    }
+
+    /// The draws `k` (for `u = k * 2^-53`) the sampler must get right:
+    /// 0, every bucket edge `b / G` and the `f64` just below it,
+    /// `1 - 2^-53`, and `random` uniform draws.
+    fn probe_draws(model: &SeedModel, random: usize) -> Vec<u64> {
+        let buckets = model.tables.guide.len() as u64 - 1;
+        let shift = 53 - buckets.trailing_zeros();
+        let mut ks = vec![0, (1 << 53) - 1];
+        for b in 1..buckets {
+            ks.extend([b << shift, (b << shift) - 1]);
+        }
+        let mut rng = StdRng::seed_from_u64(0x5A3B);
+        ks.extend((0..random).map(|_| rng.next_u64() >> 11));
+        ks
+    }
+
+    #[test]
+    fn guide_sampler_matches_binary_search_of_the_cdf() {
+        let models = [
+            (DEFAULT_VOCAB, DEFAULT_ZIPF_S, SeedModel::lda_wiki1w()),
+            (1, 1.05, SeedModel::with_params("one", 1, 1.05)),
+            (2, 3.0, SeedModel::with_params("two", 2, 3.0)),
+            (100, 0.5, SeedModel::with_params("flat", 100, 0.5)),
+            (100, 3.0, SeedModel::with_params("steep", 100, 3.0)),
+            (1000, 1.2, SeedModel::with_params("mid", 1000, 1.2)),
+        ];
+        for (vocab_size, zipf_s, model) in &models {
+            let cdf = reference_cdf(*vocab_size, *zipf_s);
+            let ks = probe_draws(model, 100_000);
+            let mut rng = Scripted(ks.iter().map(|k| k << 11).collect::<Vec<_>>().into_iter());
+            for &k in &ks {
+                let u = k as f64 / (1u64 << 53) as f64;
+                let rank = cdf.partition_point(|&c| c < u).min(vocab_size - 1);
+                assert_eq!(
+                    model.sample_word(&mut rng),
+                    model.word_at_rank(rank),
+                    "{} at u = {k} * 2^-53",
+                    model.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn models_are_deterministic() {

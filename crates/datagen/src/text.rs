@@ -14,12 +14,14 @@ use dmpi_common::Result;
 use dmpi_dcsim::NodeId;
 use dmpi_dfs::MiniDfs;
 
-use crate::seedmodel::SeedModel;
+use crate::seedmodel::{SeedModel, SLOT};
 
 /// Line-length bounds (words per line), loosely matching sentence lengths
 /// in the wiki corpus.
 const MIN_WORDS_PER_LINE: usize = 5;
 const MAX_WORDS_PER_LINE: usize = 15;
+/// The most room writing one line can need: a whole arena slot per word.
+const LINE_ROOM: usize = MAX_WORDS_PER_LINE * SLOT;
 
 /// A deterministic, seedable text stream.
 ///
@@ -51,16 +53,21 @@ impl TextGenerator {
         &self.model
     }
 
+    /// Appends one line of space-separated words (no newline) to `out`:
+    /// one draw for the line's word count, then one per word. Every
+    /// public generator writes through this.
+    fn write_line(&mut self, out: &mut String) {
+        let words = self.rng.gen_range(MIN_WORDS_PER_LINE..=MAX_WORDS_PER_LINE);
+        for _ in 0..words {
+            self.model.push_sample(&mut self.rng, out);
+        }
+        out.pop(); // the last word's space
+    }
+
     /// Generates one line of space-separated words (no trailing newline).
     pub fn line(&mut self) -> String {
-        let words = self.rng.gen_range(MIN_WORDS_PER_LINE..=MAX_WORDS_PER_LINE);
-        let mut line = String::with_capacity(words * 8);
-        for i in 0..words {
-            if i > 0 {
-                line.push(' ');
-            }
-            line.push_str(self.model.sample_word(&mut self.rng));
-        }
+        let mut line = String::with_capacity(LINE_ROOM);
+        self.write_line(&mut line);
         line
     }
 
@@ -68,7 +75,7 @@ impl TextGenerator {
     pub fn document(&mut self, lines: usize) -> String {
         let mut doc = String::with_capacity(lines * 64);
         for _ in 0..lines {
-            doc.push_str(&self.line());
+            self.write_line(&mut doc);
             doc.push('\n');
         }
         doc
@@ -77,12 +84,12 @@ impl TextGenerator {
     /// Generates at least `min_bytes` of newline-terminated text (stops at
     /// the first line boundary past the target).
     pub fn generate_bytes(&mut self, min_bytes: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(min_bytes + 128);
+        let mut out = String::with_capacity(min_bytes + LINE_ROOM);
         while out.len() < min_bytes {
-            out.extend_from_slice(self.line().as_bytes());
-            out.push(b'\n');
+            self.write_line(&mut out);
+            out.push('\n');
         }
-        out
+        out.into_bytes()
     }
 
     /// Generates a corpus of `total_bytes` spread over `files` DFS files

@@ -304,7 +304,14 @@ impl Transport for TcpTransport {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("establish thread panicked"))
+                .enumerate()
+                .map(|(rank, h)| {
+                    h.join().unwrap_or_else(|_| {
+                        Err(transport_fault(format!(
+                            "rank {rank}: endpoint establish thread panicked"
+                        )))
+                    })
+                })
                 .collect()
         })
     }

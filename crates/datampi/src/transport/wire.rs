@@ -169,6 +169,16 @@ pub fn parse_handshake(buf: &[u8]) -> Result<Option<Handshake>> {
 /// Encodes one frame onto the stream (caller provides buffering).
 /// Returns the encoded length: 21 + payload for data, 5 for EOF.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
+    let mut encoded = Vec::new();
+    let len = encode_frame(&mut encoded, frame);
+    w.write_all(&encoded)?;
+    Ok(len)
+}
+
+/// Appends one frame's encoding to `out` and returns its length: 21 +
+/// payload for data, 5 for EOF.
+fn encode_frame(out: &mut Vec<u8>, frame: &Frame) -> u64 {
+    let start = out.len();
     match frame {
         Frame::Data {
             from_rank,
@@ -176,21 +186,20 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
             payload,
             crc,
         } => {
-            let len = payload.len() as u32;
-            w.write_all(&[TAG_DATA])?;
-            w.write_all(&(*from_rank as u32).to_le_bytes())?;
-            w.write_all(&(*o_task as u64).to_le_bytes())?;
-            w.write_all(&crc.to_le_bytes())?;
-            w.write_all(&len.to_le_bytes())?;
-            w.write_all(payload)?;
-            Ok(21 + payload.len() as u64)
+            out.reserve(21 + payload.len());
+            out.push(TAG_DATA);
+            out.extend_from_slice(&(*from_rank as u32).to_le_bytes());
+            out.extend_from_slice(&(*o_task as u64).to_le_bytes());
+            out.extend_from_slice(&crc.to_le_bytes());
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(payload);
         }
         Frame::Eof { from_rank } => {
-            w.write_all(&[TAG_EOF])?;
-            w.write_all(&(*from_rank as u32).to_le_bytes())?;
-            Ok(5)
+            out.push(TAG_EOF);
+            out.extend_from_slice(&(*from_rank as u32).to_le_bytes());
         }
     }
+    (out.len() - start) as u64
 }
 
 /// Attempts to parse one plain (non-batch) frame from the front of
@@ -297,7 +306,7 @@ impl BatchEncoder {
     /// (logical, uncompressed) length in bytes.
     pub fn push(&mut self, frame: &Frame) -> u64 {
         self.count += 1;
-        write_frame(&mut self.body, frame).expect("Vec write is infallible")
+        encode_frame(&mut self.body, frame)
     }
 
     /// True when nothing has been pushed since the last seal.

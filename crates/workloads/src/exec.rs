@@ -205,4 +205,53 @@ mod tests {
             "the fixed pattern must appear in the corpus"
         );
     }
+
+    /// FNV-1a of each task's split in `inputs(32, 2 MiB, 42)`: the
+    /// benchmark's `grep-inproc` input, whose first 16 tasks are its Sort
+    /// input and first 4 its WordCount input.
+    const BENCHMARK_INPUT_DIGESTS: [u64; 32] = [
+        0x95438cd739cc7b07,
+        0x9eecd2ee427892c6,
+        0xa94991d105e65efa,
+        0xb529e0cfbf60a8cf,
+        0x669414714bf8888d,
+        0x0e9de4761965bafa,
+        0x9c18e83da7f4fd74,
+        0x050335f0e5d27eb8,
+        0x7ec24a6567e4d411,
+        0x2c7490a2595cb2c0,
+        0x4d456ddd54d8aab1,
+        0x4243f6f5a9276372,
+        0x35e923ed2dc6b29a,
+        0x41769b0d3026fc25,
+        0x8f050f73b2c9bb18,
+        0xee8bd523bf453f05,
+        0x214825779e0aa1e6,
+        0x8f20810a5602eddc,
+        0x011cb7b253d2aac5,
+        0x805db911d2a6820f,
+        0xc03b94ed7d1fd6c6,
+        0x13e04a38d247f732,
+        0xd514f0ec059b3165,
+        0x512736e6a17402b8,
+        0x7407fe61f6994f7b,
+        0x8e022de6f33d05a7,
+        0x2a254e8b1b9be9ba,
+        0x109c0801f927102b,
+        0xf2ff31d85ed3a0bf,
+        0x8d6e2a533b09527e,
+        0x208913c65909c513,
+        0xd5fb32176f1cbad4,
+    ];
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "generates 64 MiB; run with --release")]
+    fn benchmark_inputs_match_their_digests() {
+        let got: Vec<u64> = ExecWorkload::Grep
+            .inputs(32, 2 << 20, 42)
+            .iter()
+            .map(|split| dmpi_common::hashing::fnv1a(split))
+            .collect();
+        assert_eq!(got, BENCHMARK_INPUT_DIGESTS);
+    }
 }

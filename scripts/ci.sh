@@ -48,13 +48,14 @@ timeout 1200 bash -c 'for pass in $(seq 10); do
         || { echo "workspace tests: pass $pass failed" >&2; cat target/ci/workspace-tests.log >&2; exit 1; }
 done'
 
-echo "== library tests in release mode: dmpi-common, datampi ==" >&2
-# Both crates hold `unsafe` blocks (the SSE4.2 CRC, the prefetch hint,
-# poll(2)), each behind a `// SAFETY:` comment clippy insists on. The
-# optimised build is where a wrong assumption behind one shows, and it
-# runs without the overflow checks and `debug_assert!`s of the debug
-# runs above.
-cargo test -q --release -p dmpi-common -p datampi --lib
+echo "== library tests in release mode: dmpi-common, datampi, dmpi-datagen, dmpi-workloads ==" >&2
+# dmpi-common and datampi hold `unsafe` blocks (the SSE4.2 CRC, the
+# prefetch hint, poll(2)), each behind a `// SAFETY:` comment clippy
+# insists on. The optimised build is where a wrong assumption behind one
+# shows, and it runs without the overflow checks and `debug_assert!`s of
+# the debug runs above. dmpi-workloads holds the release-only test that
+# pins every byte of the benchmark's generated input (64 MiB).
+cargo test -q --release -p dmpi-common -p datampi -p dmpi-datagen -p dmpi-workloads --lib
 
 echo "== vendored bytes: tests and clippy ==" >&2
 # vendor/ is outside the workspace, so nothing above compiles this crate's
