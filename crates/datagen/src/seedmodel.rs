@@ -52,8 +52,6 @@ struct Tables {
     /// entry is `>= b / G`, for `b` in `0..=G`, where `G` is the number of
     /// equal buckets `[0, 1)` is cut into. `G` is a power of two.
     guide: Vec<u32>,
-    /// `G` as an `f64`.
-    buckets: f64,
 }
 
 /// Bytes per arena slot: more than the longest word (9 bytes) and its
@@ -96,7 +94,7 @@ impl SeedModel {
         for c in cumulative.iter_mut() {
             *c /= total;
         }
-        // About four buckets per rank. `G` a power of two makes `u * G`
+        // Four to eight buckets per rank. `G` a power of two makes `u * G`
         // and `b / G` exact, so bucket `b` is exactly `[b / G, (b + 1) / G)`.
         let buckets = (4 * vocab_size).next_power_of_two();
         let mut guide = Vec::with_capacity(buckets + 1);
@@ -115,7 +113,6 @@ impl SeedModel {
                 lens,
                 cumulative,
                 guide,
-                buckets: buckets as f64,
             }),
         }
     }
@@ -189,12 +186,13 @@ impl SeedModel {
     /// `u` falls in bucket `b = u * G`, rounded down, so
     /// `b / G <= u < (b + 1) / G`. The rank is therefore at least
     /// `guide[b]` and at most `guide[b + 1]`, and a forward scan between
-    /// the two finds it, mostly in zero or one step.
+    /// the two finds it, mostly in zero or one step. The bound also keeps
+    /// the scan inside `cumulative`, which has no entry for the last rank.
     #[inline]
     fn sample_rank<R: Rng>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         let t = &*self.tables;
-        let b = (u * t.buckets) as usize;
+        let b = (u * (t.guide.len() - 1) as f64) as usize;
         let (mut rank, end) = (t.guide[b] as usize, t.guide[b + 1] as usize);
         while rank < end && t.cumulative[rank] < u {
             rank += 1;
