@@ -166,8 +166,8 @@ pub fn parse_handshake(buf: &[u8]) -> Result<Option<Handshake>> {
     }))
 }
 
-/// Encodes one frame onto the stream (caller provides buffering).
-/// Returns the encoded length: 21 + payload for data, 5 for EOF.
+/// Encodes one frame onto the stream in one `write_all`. Returns the
+/// encoded length: 21 + payload for data, 5 for EOF.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
     let mut encoded = Vec::new();
     let len = encode_frame(&mut encoded, frame);
