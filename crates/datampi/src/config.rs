@@ -63,8 +63,10 @@ pub struct JobConfig {
     /// shipped in one step — the "staged" ablation that mimics Hadoop's
     /// materialize-then-shuffle behaviour.
     pub pipelined: bool,
-    /// Per-rank in-memory budget for the A-side intermediate store; beyond
-    /// it partitions spill to simulated disk.
+    /// Per-rank budget, in bytes, of the A-side store's forming run:
+    /// past it the run is sorted and sealed into a file under
+    /// [`spill_dir`](Self::spill_dir). Without a spill dir nothing seals
+    /// and the budget bounds nothing.
     pub memory_budget: usize,
     /// Unused since every job groups by key-sorted merge; kept because
     /// `benchmark/src/layers.rs` reads it.
@@ -104,11 +106,12 @@ pub struct JobConfig {
     /// (one kernel, see [`dmpi_common::compare::sort_index`]); kept
     /// because the benchmark package reads the field.
     pub sort_kernel: SortKernel,
-    /// Spill directory for the A-side store: when set, sealed runs are
-    /// written as indexed, block-formatted files under it (the
-    /// external-memory path for data ≫ RAM); `None` (the default) keeps
-    /// runs as in-memory images in the same format. Grouped output is
-    /// byte-identical either way — see DESIGN.md §12.
+    /// Spill directory for the A-side store: when set, a run past the
+    /// memory budget is sealed into an indexed, block-formatted file
+    /// under it, a block at a time (the external-memory path for data ≫
+    /// RAM); `None` (the default) never seals, and each partition groups
+    /// from memory. Grouped output is byte-identical either way — see
+    /// DESIGN.md §12.
     pub spill_dir: Option<std::path::PathBuf>,
     /// LZ4 block compression for sealed spill runs (reuses the wire
     /// codec; each block's CRC covers the uncompressed bytes, and the
@@ -335,7 +338,8 @@ mod tests {
         );
         assert!(spill.compress);
         assert_eq!(spill.block_bytes, 4096);
-        // Default: in-memory, uncompressed, default block budget.
+        // Default: no spill dir (nothing seals), uncompressed, default
+        // block budget.
         let spill = JobConfig::new(1).spill_config();
         assert!(spill.dir.is_none());
         assert!(!spill.compress);

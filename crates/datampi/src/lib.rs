@@ -104,6 +104,30 @@ pub(crate) fn design_table(header: &str) -> Vec<Vec<String>> {
     rows
 }
 
+/// A scratch directory of one unit test's own, removed on drop.
+#[cfg(test)]
+pub(crate) struct ScratchDir(pub(crate) std::path::PathBuf);
+
+#[cfg(test)]
+impl ScratchDir {
+    pub(crate) fn new() -> Self {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        ScratchDir(std::env::temp_dir().join(format!(
+            "dmpi-unit-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        )))
+    }
+}
+
+#[cfg(test)]
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::path::{Path, PathBuf};

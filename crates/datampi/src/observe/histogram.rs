@@ -34,7 +34,7 @@ pub enum HistKind {
     /// Time producers spent blocked on a full per-peer send window
     /// before a frame was accepted, µs.
     WindowWait,
-    /// Spill-run seal duration (sort + frame into the spill image), µs.
+    /// Spill-run seal duration (sort + write into the run file), µs.
     SpillSeal,
     /// Stored sizes of sealed spill-run blocks (post-compression),
     /// bytes.

@@ -395,7 +395,10 @@ mod tests {
     fn spilled_job_streams_instead_of_materializing() {
         // A tiny A-side budget forces many spill runs; the streamed merge
         // must bound the forming run far below the total record count.
-        let config = JobConfig::new(2).with_memory_budget(128);
+        let dir = crate::ScratchDir::new();
+        let config = JobConfig::new(2)
+            .with_memory_budget(128)
+            .with_spill_dir(&dir.0);
         let inputs: Vec<Bytes> = (0..40)
             .map(|i| Bytes::from(format!("a{i} b{i} c{i} d{i} e{i} f{i} g{i} h{i}")))
             .collect();
@@ -478,7 +481,10 @@ mod tests {
 
     #[test]
     fn tiny_memory_budget_spills_but_stays_correct() {
-        let config = JobConfig::new(2).with_memory_budget(64);
+        let dir = crate::ScratchDir::new();
+        let config = JobConfig::new(2)
+            .with_memory_budget(64)
+            .with_spill_dir(&dir.0);
         let inputs: Vec<Bytes> = (0..20)
             .map(|i| Bytes::from(format!("k{} k{} k{}", i % 5, i % 7, i)))
             .collect();
@@ -651,8 +657,10 @@ mod tests {
         // stats.phase_us must equal the span log's totals when seals
         // record phase time on tracers of their own.
         let obs = Observer::new();
+        let dir = crate::ScratchDir::new();
         let config = JobConfig::new(2)
             .with_memory_budget(256)
+            .with_spill_dir(&dir.0)
             .with_observer(obs.clone());
         let out = run_job(&config, lined_inputs(4, 50), wordcount_o, wordcount_a, None).unwrap();
         assert!(out.stats.spills > 0, "budget forces spills");

@@ -251,7 +251,7 @@ pub struct JobSpec {
     pub out: Option<String>,
     /// When set, workers seal this job's spill runs to block-indexed
     /// files under `<spill_dir>/job-<id>/`, cleaned up when the job
-    /// finishes (success or failure).
+    /// finishes (success or failure). Without one, nothing seals.
     pub spill_dir: Option<String>,
     /// LZ4-compress spill-run blocks.
     pub spill_compress: bool,

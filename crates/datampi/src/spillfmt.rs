@@ -28,13 +28,12 @@
 //! block, checked after decompression and **before** any record decode,
 //! plus a CRC-32C over the footer itself.
 //!
-//! Runs live either in memory ([`RunStorage::Mem`], the default for
-//! small jobs) or in a file under a configurable spill directory
-//! ([`RunStorage::File`]); the format is byte-identical in both, so the
-//! merge is oblivious to where a run lives. Disk-backed runs are
-//! reference-counted and self-deleting: the file is removed when the
-//! last [`SealedRun`] clone drops, which covers failed attempts without
-//! coordinator bookkeeping.
+//! Every sealed run is a file under the spill directory, written a block
+//! at a time by a [`RunWriter`] that keeps only the index (a `Vec<u8>`
+//! sink gives a whole image instead, which [`parse_image`] reads). Run
+//! files are reference-counted and self-deleting: the file is removed
+//! when the last [`SealedRun`] clone drops, or when its write fails,
+//! which covers failed attempts without coordinator bookkeeping.
 
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -64,15 +63,14 @@ const FLAG_SORTED: u64 = 1;
 /// How sealed runs are produced: destination, compression, block budget.
 #[derive(Clone, Debug)]
 pub struct SpillConfig {
-    /// Spill directory; `None` keeps runs as in-memory images (the
-    /// default, right for jobs whose spill volume fits comfortably in
-    /// RAM).
+    /// Spill directory. `None` (the default) seals nothing: the store
+    /// keeps its whole partition in memory, whatever its budget.
     pub dir: Option<PathBuf>,
     /// LZ4-compress blocks (kept only when smaller than the raw bytes).
     pub compress: bool,
     /// Per-block raw-byte budget; a block closes once it reaches this.
     pub block_bytes: usize,
-    /// Filename tag for disk runs: `{dir}/{tag}-{seq}.spill`. The
+    /// Filename tag for run files: `{dir}/{tag}-{seq}.spill`. The
     /// runtime tags runs per rank and attempt so concurrent ranks and
     /// retries never collide.
     pub tag: String,
@@ -108,7 +106,7 @@ impl SpillConfig {
         self
     }
 
-    /// Builder: filename tag for disk runs.
+    /// Builder: filename tag for run files.
     pub fn with_tag(mut self, tag: impl Into<String>) -> Self {
         self.tag = tag.into();
         self
@@ -244,21 +242,25 @@ impl RunIndex {
     }
 }
 
-/// Builds one run image block by block.
+/// Writes one run block by block into a sink: a run file, or a
+/// `Vec<u8>` for a whole image in memory.
 ///
 /// Records are framed (`varint klen | varint vlen | key | value`) into a
 /// forming block; when the block reaches its raw-byte budget it is
 /// CRC-summed, optionally LZ4-compressed (one reusable
-/// [`lz4_flex::Compressor`] hash table for the whole run), and appended
-/// to the image. Records never straddle blocks. The per-block key range
-/// is kept as two ranges into the forming block and copied out when the
-/// block closes: a key-sorted run takes its first and last record, an
+/// [`lz4_flex::Compressor`] hash table for the whole run), and written
+/// to the sink, so the writer holds one block and the index, never the
+/// image. Records never straddle blocks. The per-block key range is kept
+/// as two ranges into the forming block and copied out when the block
+/// closes: a key-sorted run takes its first and last record, an
 /// arrival-order run tracks the running min/max, so the index stays
 /// honest either way.
-pub struct RunWriter {
+pub struct RunWriter<W: Write = Vec<u8>> {
+    sink: W,
+    /// The sink's first write error; nothing is written after it.
+    error: Option<std::io::Error>,
     block_bytes: usize,
     compress: bool,
-    image: Vec<u8>,
     raw: Vec<u8>,
     packed: Vec<u8>,
     compressor: lz4_flex::Compressor,
@@ -270,14 +272,30 @@ pub struct RunWriter {
 }
 
 impl RunWriter {
-    /// A writer with the given per-block raw budget. `sorted` records the
+    /// A writer building the image in memory. `sorted` records the
     /// run-level ordering promise in the footer flags; the caller must
     /// then push records in key order.
     pub fn new(block_bytes: usize, compress: bool, sorted: bool) -> Self {
+        RunWriter::with_sink(Vec::new(), block_bytes, compress, sorted)
+    }
+
+    /// Closes the final block, appends footer and trailer, and returns
+    /// the finished image plus its index. A `Vec` takes every write, so
+    /// there is no error to return.
+    pub fn finish(mut self) -> (Vec<u8>, RunIndex) {
+        self.write_tail();
+        (self.sink, self.index)
+    }
+}
+
+impl<W: Write> RunWriter<W> {
+    /// [`RunWriter::new`] into `sink`.
+    pub(crate) fn with_sink(sink: W, block_bytes: usize, compress: bool, sorted: bool) -> Self {
         RunWriter {
+            sink,
+            error: None,
             block_bytes: block_bytes.max(1),
             compress,
-            image: Vec::new(),
             raw: Vec::new(),
             packed: Vec::new(),
             compressor: lz4_flex::Compressor::new(),
@@ -339,16 +357,19 @@ impl RunWriter {
         } else {
             &self.raw
         };
+        if self.error.is_none() {
+            self.error = self.sink.write_all(stored).err();
+        }
         let meta = BlockMeta {
             first_key: Bytes::copy_from_slice(&self.raw[self.first_key.clone()]),
             last_key: Bytes::copy_from_slice(&self.raw[self.last_key.clone()]),
-            offset: self.image.len() as u64,
+            // Blocks sit back to back from the start of the run.
+            offset: self.index.stored_bytes,
             raw_len,
             stored_len: stored.len() as u32,
             records: self.block_records,
             crc,
         };
-        self.image.extend_from_slice(stored);
         self.index.raw_bytes += meta.raw_len as u64;
         self.index.stored_bytes += meta.stored_len as u64;
         self.index.records += meta.records as u64;
@@ -357,19 +378,34 @@ impl RunWriter {
         self.block_records = 0;
     }
 
-    /// Closes the final block, appends footer and trailer, and returns
-    /// the finished image plus its index.
-    pub fn finish(mut self) -> (Vec<u8>, RunIndex) {
+    /// Closes the final block and writes the footer and trailer.
+    fn write_tail(&mut self) {
         self.flush_block();
-        let footer_offset = self.image.len() as u64;
-        let footer = self.index.encode_footer();
-        let footer_crc = crc32(&footer);
-        self.image.extend_from_slice(&footer);
-        self.image.extend_from_slice(&footer_offset.to_le_bytes());
-        self.image.extend_from_slice(&footer_crc.to_le_bytes());
-        self.image.extend_from_slice(&RUN_MAGIC.to_le_bytes());
-        self.index.file_len = self.image.len() as u64;
-        (self.image, self.index)
+        let footer_offset = self.index.stored_bytes;
+        let mut tail = self.index.encode_footer();
+        let footer_crc = crc32(&tail);
+        tail.extend_from_slice(&footer_offset.to_le_bytes());
+        tail.extend_from_slice(&footer_crc.to_le_bytes());
+        tail.extend_from_slice(&RUN_MAGIC.to_le_bytes());
+        self.index.file_len = footer_offset + tail.len() as u64;
+        if self.error.is_none() {
+            self.error = self
+                .sink
+                .write_all(&tail)
+                .and_then(|()| self.sink.flush())
+                .err();
+        }
+    }
+
+    /// Closes the final block, writes footer and trailer, flushes the
+    /// sink, and returns it with the run's index — or the sink's first
+    /// write error.
+    pub(crate) fn close(mut self) -> std::io::Result<(W, RunIndex)> {
+        self.write_tail();
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok((self.sink, self.index)),
+        }
     }
 }
 
@@ -421,30 +457,13 @@ pub fn parse_image(image: &[u8]) -> Result<RunIndex> {
     Ok(index)
 }
 
-/// Where a sealed run's bytes live.
-#[derive(Clone, Debug)]
-pub enum RunStorage {
-    /// In-memory image (blocks + footer + trailer), the small-job path.
-    Mem(Bytes),
-    /// Disk file owned by this run, deleted when the last handle drops.
-    File(Arc<RunFileGuard>),
-}
-
 /// RAII owner of a run file: removes the file when the last
-/// [`SealedRun`] clone referencing it drops. Checkpoints hold clones, so
-/// a run a restart may need outlives the store that sealed it; failed
-/// attempts clean themselves up the moment nothing can use their runs
-/// any more.
+/// [`SealedRun`] clone referencing it drops, or when the run's write
+/// fails, so failed attempts clean themselves up the moment nothing can
+/// use their runs any more.
 #[derive(Debug)]
-pub struct RunFileGuard {
+struct RunFileGuard {
     path: PathBuf,
-}
-
-impl RunFileGuard {
-    /// The run file's path.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
 }
 
 impl Drop for RunFileGuard {
@@ -478,7 +497,7 @@ impl KeyRange {
 }
 
 /// Shared read-side counters: how many blocks a merge actually touched
-/// versus skipped via the index, stored bytes read off disk/memory, raw
+/// versus skipped via the index, stored bytes read off disk, raw
 /// bytes decompressed, and non-sequential block loads (seeks). Cloneable
 /// handle over atomics so every reader of a partition feeds one tally.
 #[derive(Clone, Debug, Default)]
@@ -547,40 +566,44 @@ impl SpillReadCounters {
     }
 }
 
-/// A sealed spill run: its storage plus the decoded footer index. Clones
-/// share both (the index via `Arc`, disk files via [`RunFileGuard`]), so
-/// a clone costs a refcount, not a copy.
+/// A sealed spill run: its file plus the decoded footer index. Clones
+/// share both (the index via `Arc`, the file via its guard), so a
+/// clone costs a refcount, not a copy.
 #[derive(Clone, Debug)]
 pub struct SealedRun {
-    storage: RunStorage,
+    file: Arc<RunFileGuard>,
     index: Arc<RunIndex>,
 }
 
 impl SealedRun {
-    /// Wraps a finished in-memory image.
-    pub fn mem(image: Vec<u8>, index: RunIndex) -> Self {
-        SealedRun {
-            storage: RunStorage::Mem(Bytes::from(image)),
-            index: Arc::new(index),
-        }
-    }
-
-    /// Writes a finished image to `path` (creating parent directories)
-    /// and returns a disk-backed run that deletes the file when its last
-    /// handle drops.
-    pub fn to_file(image: &[u8], index: RunIndex, path: PathBuf) -> Result<Self> {
+    /// Creates the run file at `path` (and its parent directories) and
+    /// hands it to `write`, which writes the run and returns its index.
+    /// The file's guard exists before the first byte is written, so a
+    /// run whose write fails (a full disk, an I/O error) deletes its
+    /// partial file, and the error names the path.
+    pub(crate) fn create(
+        path: PathBuf,
+        write: impl FnOnce(std::fs::File) -> std::io::Result<RunIndex>,
+    ) -> Result<Self> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)
                 .map_err(|e| Error::Config(format!("spill dir {}: {e}", parent.display())))?;
         }
-        let mut f = std::fs::File::create(&path)
+        let file = std::fs::File::create(&path)
             .map_err(|e| Error::Config(format!("spill file {}: {e}", path.display())))?;
-        f.write_all(image)
-            .map_err(|e| Error::Config(format!("spill write {}: {e}", path.display())))?;
+        let guard = RunFileGuard { path };
+        let index = write(file)
+            .map_err(|e| Error::Config(format!("spill write {}: {e}", guard.path.display())))?;
         Ok(SealedRun {
-            storage: RunStorage::File(Arc::new(RunFileGuard { path })),
+            file: Arc::new(guard),
             index: Arc::new(index),
         })
+    }
+
+    /// Writes a finished image to a new run file at `path`, which is
+    /// deleted when the last handle drops or the write fails.
+    pub fn to_file(image: &[u8], index: RunIndex, path: PathBuf) -> Result<Self> {
+        Self::create(path, |mut file| file.write_all(image).map(|()| index))
     }
 
     /// The run's footer index.
@@ -588,22 +611,12 @@ impl SealedRun {
         &self.index
     }
 
-    /// Whether the run's bytes live on disk.
-    pub fn is_disk(&self) -> bool {
-        matches!(self.storage, RunStorage::File(_))
-    }
-
     /// Opens a sequential reader over the whole run, optionally
     /// restricted to `range` (whole blocks outside the range are skipped
     /// via the index, without being read).
     pub fn open(&self, counters: &SpillReadCounters, range: Option<KeyRange>) -> Result<RunReader> {
-        let backing = match &self.storage {
-            RunStorage::Mem(image) => Backing::Mem(image.clone()),
-            RunStorage::File(guard) => Backing::File(
-                std::fs::File::open(&guard.path)
-                    .map_err(|e| Error::corrupt(format!("open spill run: {e}")))?,
-            ),
-        };
+        let file = std::fs::File::open(&self.file.path)
+            .map_err(|e| Error::corrupt(format!("open spill run: {e}")))?;
         let mut next_block = 0;
         // Range + sorted run: binary-search the first candidate block so
         // the scan never visits index entries below the range either.
@@ -612,7 +625,7 @@ impl SealedRun {
             counters.blocks_skipped(next_block as u64);
         }
         Ok(RunReader {
-            backing,
+            file,
             index: Arc::clone(&self.index),
             counters: counters.clone(),
             range,
@@ -632,10 +645,10 @@ impl SealedRun {
 /// skipped (key range disjoint from the reader's restriction), and only
 /// loaded blocks are read, CRC-checked and (if compressed) decompressed
 /// — into a fresh refcounted buffer whose records are zero-copy slices.
-/// A raw disk block is read straight into that buffer; a pooled scratch
+/// A raw block is read straight into that buffer; a pooled scratch
 /// buffer stages the stored bytes of a compressed one.
 pub struct RunReader {
-    backing: Backing,
+    file: std::fs::File,
     index: Arc<RunIndex>,
     counters: SpillReadCounters,
     range: Option<KeyRange>,
@@ -647,11 +660,6 @@ pub struct RunReader {
     offset: usize,
     scratch: Vec<u8>,
     done: bool,
-}
-
-enum Backing {
-    Mem(Bytes),
-    File(std::fs::File),
 }
 
 impl RunReader {
@@ -735,45 +743,26 @@ impl RunReader {
         }
         let stored_len = meta.stored_len as usize;
         let raw_len = meta.raw_len as usize;
-        let offset = usize::try_from(meta.offset).map_err(|_| Error::corrupt("block offset"))?;
-        let raw: Bytes = match &mut self.backing {
-            Backing::Mem(image) => {
-                let end = offset
-                    .checked_add(stored_len)
-                    .filter(|&e| e <= image.len())
-                    .ok_or_else(|| Error::corrupt("block span out of bounds"))?;
-                let stored = image.slice(offset..end);
-                if meta.is_compressed() {
-                    let mut raw = Vec::with_capacity(raw_len);
-                    lz4_flex::decompress_into(&stored, raw_len, &mut raw)
-                        .map_err(|e| Error::corrupt(format!("spill block decompress: {e}")))?;
-                    Bytes::from(raw)
-                } else {
-                    stored
-                }
-            }
-            Backing::File(f) => {
-                f.seek(SeekFrom::Start(meta.offset))
-                    .map_err(|e| Error::corrupt(format!("spill seek: {e}")))?;
-                let read = |f: &mut std::fs::File, buf: &mut [u8]| {
-                    f.read_exact(buf)
-                        .map_err(|e| Error::corrupt(format!("spill read: {e}")))
-                };
-                if meta.is_compressed() {
-                    self.scratch.clear();
-                    self.scratch.resize(stored_len, 0);
-                    read(f, &mut self.scratch)?;
-                    let mut raw = Vec::with_capacity(raw_len);
-                    lz4_flex::decompress_into(&self.scratch, raw_len, &mut raw)
-                        .map_err(|e| Error::corrupt(format!("spill block decompress: {e}")))?;
-                    Bytes::from(raw)
-                } else {
-                    // Straight into the buffer the block's records slice.
-                    let mut raw = vec![0; stored_len];
-                    read(f, &mut raw)?;
-                    Bytes::from(raw)
-                }
-            }
+        let f = &mut self.file;
+        f.seek(SeekFrom::Start(meta.offset))
+            .map_err(|e| Error::corrupt(format!("spill seek: {e}")))?;
+        let read = |f: &mut std::fs::File, buf: &mut [u8]| {
+            f.read_exact(buf)
+                .map_err(|e| Error::corrupt(format!("spill read: {e}")))
+        };
+        let raw = if meta.is_compressed() {
+            self.scratch.clear();
+            self.scratch.resize(stored_len, 0);
+            read(f, &mut self.scratch)?;
+            let mut raw = Vec::with_capacity(raw_len);
+            lz4_flex::decompress_into(&self.scratch, raw_len, &mut raw)
+                .map_err(|e| Error::corrupt(format!("spill block decompress: {e}")))?;
+            Bytes::from(raw)
+        } else {
+            // Straight into the buffer the block's records slice.
+            let mut raw = vec![0; stored_len];
+            read(f, &mut raw)?;
+            Bytes::from(raw)
         };
         // Integrity gate: the CRC covers the uncompressed bytes and is
         // checked before any record decode touches them.
@@ -818,6 +807,21 @@ mod tests {
             .collect()
     }
 
+    /// A run-file path no other test uses; the file's guard removes it.
+    fn run_path() -> PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "dmpi-spillfmt-{}-{}.spill",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
+
+    /// `image` as a run file.
+    fn on_disk(image: &[u8], index: RunIndex) -> SealedRun {
+        SealedRun::to_file(image, index, run_path()).unwrap()
+    }
+
     fn read_all(run: &SealedRun, counters: &SpillReadCounters) -> Vec<Record> {
         let mut reader = run.open(counters, None).unwrap();
         let mut out = Vec::new();
@@ -828,14 +832,14 @@ mod tests {
     }
 
     #[test]
-    fn mem_round_trip_across_block_sizes() {
+    fn round_trip_across_block_sizes() {
         let records = sorted_records(300);
         for block_bytes in [1usize, 17, 64, 1024, 1 << 20] {
             for compress in [false, true] {
                 let (image, index) = build_run(&records, block_bytes, compress);
                 assert_eq!(index.records, 300);
                 assert_eq!(index.file_len as usize, image.len());
-                let run = SealedRun::mem(image, index);
+                let run = on_disk(&image, index);
                 let counters = SpillReadCounters::new();
                 assert_eq!(read_all(&run, &counters), records);
                 let snap = counters.snapshot();
@@ -858,19 +862,51 @@ mod tests {
     }
 
     #[test]
+    fn file_sink_writes_the_image_a_vec_sink_builds() {
+        // One writer: run straight into a file, a block at a time, it
+        // leaves the same bytes and index as the in-memory image.
+        let records = sorted_records(300);
+        for (block_bytes, compress) in [(1usize, false), (64, true), (1024, false)] {
+            let (image, index) = build_run(&records, block_bytes, compress);
+            let run = SealedRun::create(run_path(), |file| {
+                let mut w = RunWriter::with_sink(file, block_bytes, compress, true);
+                for r in &records {
+                    w.push(r);
+                }
+                w.close().map(|(_, index)| index)
+            })
+            .unwrap();
+            assert_eq!(std::fs::read(&run.file.path).unwrap(), image);
+            assert_eq!(run.index().encode_footer(), index.encode_footer());
+            assert_eq!(run.index().file_len, index.file_len);
+            assert_eq!(read_all(&run, &SpillReadCounters::new()), records);
+        }
+    }
+
+    #[test]
+    fn failed_write_deletes_the_partial_file() {
+        let path = run_path();
+        let err = SealedRun::create(path.clone(), |mut file| {
+            file.write_all(b"half a block")?;
+            assert!(path.exists());
+            Err(std::io::Error::other("disk gone"))
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("disk gone"), "{err}");
+        assert!(!path.exists(), "a failed seal must delete its file");
+    }
+
+    #[test]
     fn file_round_trip_and_guard_deletes() {
-        let dir = std::env::temp_dir().join(format!("dmpi-spillfmt-{}", std::process::id()));
         let records = sorted_records(100);
         let (image, index) = build_run(&records, 512, true);
-        let path = dir.join("t-0.spill");
+        let path = run_path();
         let run = SealedRun::to_file(&image, index, path.clone()).unwrap();
-        assert!(run.is_disk());
         assert!(path.exists());
         let counters = SpillReadCounters::new();
         assert_eq!(read_all(&run, &counters), records);
         drop(run);
         assert!(!path.exists(), "guard must delete the run file");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -881,7 +917,7 @@ mod tests {
             // Flip a byte inside the first block's stored span.
             let target = (index.blocks[0].offset + 1) as usize;
             image[target] ^= 0x40;
-            let run = SealedRun::mem(image, index);
+            let run = on_disk(&image, index);
             let counters = SpillReadCounters::new();
             let mut reader = run.open(&counters, None).unwrap();
             let err = match reader.next_record() {
@@ -943,7 +979,7 @@ mod tests {
         let (image, index) = build_run(&records, 512, false);
         let total_blocks = index.blocks.len();
         assert!(total_blocks > 8, "need enough blocks to skip");
-        let run = SealedRun::mem(image, index);
+        let run = on_disk(&image, index);
         let counters = SpillReadCounters::new();
         let range = KeyRange::new(&b"key00400"[..], &b"key00449"[..]);
         let mut reader = run.open(&counters, Some(range)).unwrap();
@@ -975,7 +1011,7 @@ mod tests {
         for b in &index.blocks {
             assert!(b.first_key <= b.last_key);
         }
-        let run = SealedRun::mem(image, index);
+        let run = on_disk(&image, index);
         assert_eq!(read_all(&run, &SpillReadCounters::new()), records);
     }
 
@@ -1013,7 +1049,7 @@ mod tests {
         assert_eq!(index.blocks.len(), 0);
         let reparsed = parse_image(&image).unwrap();
         assert_eq!(reparsed.blocks.len(), 0);
-        let run = SealedRun::mem(image, index);
+        let run = on_disk(&image, index);
         let mut reader = run.open(&SpillReadCounters::new(), None).unwrap();
         assert!(reader.next_record().unwrap().is_none());
     }

@@ -8,12 +8,12 @@
 //! [`IndexEntry`] per record (key prefix, frame number, offsets), never
 //! an owned `Record` per pair. Sorting the run sorts the index; the
 //! frame bytes do not move. When the partition outgrows its memory
-//! budget the run is sorted and sealed through the indexed,
-//! block-compressed run format of [`crate::spillfmt`], key and value
-//! slices streaming straight from the frames into blocks — to a file
-//! under the configured spill directory (the genuinely external-memory
-//! path), or to an in-memory image in the identical format (the default
-//! for small jobs).
+//! budget and a spill directory is configured, the run is sorted and
+//! sealed into a file under it in the indexed, block-compressed run
+//! format of [`crate::spillfmt`], key and value slices streaming straight
+//! from the frames into blocks and each block reaching the file as it
+//! closes. Without a spill directory nothing seals: the budget bounds
+//! nothing and the whole partition stays in memory.
 //!
 //! Groups leave the store one way, in key order, through
 //! [`PartitionStore::into_group_stream`]. A partition that never spilled
@@ -28,12 +28,12 @@
 //! sealed right away on the thread that called
 //! [`ingest`](PartitionStore::ingest) — the rank's ingest thread, which
 //! runs while the senders are still computing — before that thread
-//! indexes the next frame. Only the final in-memory run (bounded by the
-//! budget) is sorted at merge time. When runs go to disk, sealing in
-//! place bounds the ingest thread's heap by a multiple of the budget —
-//! the forming run, its index and the image written from it — plus the
+//! indexes the next frame. Only the final forming run (bounded by the
+//! budget when runs can seal) is sorted at merge time. Sealing in place
+//! bounds the ingest thread's heap by a multiple of the budget — the
+//! forming run, its index and the one block being written — plus the
 //! sealed runs' block indexes, which grow with the input
-//! (`tests/external_sort.rs` holds it to 8× at 6 and 25 budgets).
+//! (`tests/external_sort.rs` holds it to 5× at 6 and 25 budgets).
 //!
 //! [loser tree]: https://en.wikipedia.org/wiki/K-way_merge_algorithm
 use std::cmp::Ordering;
@@ -45,7 +45,7 @@ use dmpi_common::group::GroupedValues;
 use dmpi_common::{Error, Record, Result};
 
 use crate::observe::{Counter, HistKind, Observer, PhaseTotals, SpanKind, Tracer};
-use crate::spillfmt::{RunReader, SpillConfig, SpillReadCounters};
+use crate::spillfmt::{RunReader, RunWriter, SealedRun, SpillConfig, SpillReadCounters};
 
 /// Counters for one partition's store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -53,16 +53,17 @@ pub struct StoreStats {
     /// Bytes currently resident in memory (the forming run).
     pub mem_bytes: u64,
     /// High-water mark of `mem_bytes` — the external-sort residency
-    /// proof: under a tight budget this stays near the budget no matter
-    /// how large the input grows.
+    /// proof: with a spill directory and a tight budget this stays near
+    /// the budget no matter how large the input grows.
     pub peak_mem_bytes: u64,
-    /// Raw (uncompressed, framed-record) bytes spilled to disk.
+    /// Raw (uncompressed, framed-record) bytes sealed into spill files.
     pub spilled_bytes: u64,
-    /// Bytes the sealed runs actually occupy on disk / in their images
-    /// (blocks post-compression, plus footer index and trailer) —
-    /// compare against `spilled_bytes` to see the compression win.
+    /// Bytes the spill files occupy on disk (blocks post-compression,
+    /// plus footer index and trailer) — compare against `spilled_bytes`
+    /// to see the compression win.
     pub spilled_wire_bytes: u64,
-    /// Number of spill events (= number of sealed sorted runs).
+    /// Number of spill events (= number of sealed sorted runs); always 0
+    /// without a spill directory.
     pub spills: u64,
     /// Frames ingested.
     pub frames: u64,
@@ -109,10 +110,9 @@ pub struct PartitionStore {
     /// The forming run, in arrival order (sorted lazily when sealed or
     /// when grouping starts).
     current: FormingRun,
-    /// Sealed, key-sorted runs in the indexed block format (disk files
-    /// or in-memory images per `spill_cfg`), in spill order.
-    spilled: Vec<crate::spillfmt::SealedRun>,
-    /// How runs seal: destination dir (or memory), compression, block
+    /// Sealed, key-sorted run files, in spill order.
+    spilled: Vec<SealedRun>,
+    /// How runs seal: destination dir (none: never), compression, block
     /// budget, filename tag.
     spill_cfg: SpillConfig,
     /// First sealing failure (disk full, unwritable spill dir, …),
@@ -138,42 +138,36 @@ pub struct PartitionStore {
 /// What one seal produced: the sealed run (or the I/O error that
 /// prevented it) plus the phase totals the seal recorded.
 struct SealOutcome {
-    run: Result<crate::spillfmt::SealedRun>,
+    run: Result<SealedRun>,
     phase: PhaseTotals,
 }
 
-/// Sorts and seals one run through the indexed block format — to a
-/// spill file when the config has a directory, or to an in-memory
-/// image — recording the `Spill` span and counters against a tracer
-/// built from `observer` on the calling thread.
+/// Sorts one run and seals it into the spill file at `path` in the
+/// indexed block format, a block at a time, recording the `Spill` span
+/// and counters against a tracer built from `observer` on the calling
+/// thread.
 fn seal_run(
     mut forming: FormingRun,
     observer: Option<&(Observer, u32, u32)>,
     cfg: &SpillConfig,
-    seq: u64,
+    path: std::path::PathBuf,
 ) -> SealOutcome {
     let tracer = observer.map(|(o, rank, attempt)| o.rank_tracer(*rank, *attempt));
     let spill_start = tracer.as_ref().map(Tracer::start);
     let wall_start = tracer.as_ref().map(|_| std::time::Instant::now());
     forming.sort();
-    let mut writer = crate::spillfmt::RunWriter::new(cfg.block_bytes, cfg.compress, true);
-    let (frames, index) = (&forming.frames, &forming.index);
-    for (i, e) in index.iter().enumerate() {
-        if let Some(ahead) = index.get(i + PREFETCH_AHEAD) {
-            ahead.prefetch_key(frames, 0);
+    let run = SealedRun::create(path, |file| {
+        let sink = std::io::BufWriter::new(file);
+        let mut writer = RunWriter::with_sink(sink, cfg.block_bytes, cfg.compress, true);
+        let (frames, index) = (&forming.frames, &forming.index);
+        for (i, e) in index.iter().enumerate() {
+            if let Some(ahead) = index.get(i + PREFETCH_AHEAD) {
+                ahead.prefetch_key(frames, 0);
+            }
+            writer.push_kv(e.key(frames), e.value(frames));
         }
-        writer.push_kv(e.key(frames), e.value(frames));
-    }
-    drop(forming);
-    let (image, index) = writer.finish();
-    let run = match &cfg.dir {
-        Some(dir) => crate::spillfmt::SealedRun::to_file(
-            &image,
-            index,
-            dir.join(format!("{}-{seq}.spill", cfg.tag)),
-        ),
-        None => Ok(crate::spillfmt::SealedRun::mem(image, index)),
-    };
+        writer.close().map(|(_, index)| index)
+    });
     if let Some(t) = &tracer {
         if let Ok(run) = &run {
             let idx = run.index();
@@ -226,9 +220,9 @@ impl PartitionStore {
         }
     }
 
-    /// Configures how runs seal: spill directory (or in-memory images),
-    /// LZ4 block compression, block budget and filename tag. Takes
-    /// effect for runs sealed after the call.
+    /// Configures how runs seal: spill directory (none: never), LZ4
+    /// block compression, block budget and filename tag. Takes effect for
+    /// runs sealed after the call.
     pub fn set_spill_config(&mut self, cfg: SpillConfig) {
         self.spill_cfg = cfg;
     }
@@ -253,7 +247,7 @@ impl PartitionStore {
     /// Ingests one frame payload: indexes its records into the forming
     /// run immediately (streaming — this runs on the ingest thread,
     /// overlapped with the O phase), keeping the payload itself as the
-    /// records' storage, and seals the run into a spill image if the
+    /// records' storage, and seals the run into a spill file if the
     /// partition crossed its memory budget.
     ///
     /// A decode failure means corruption slipped past the per-frame CRC
@@ -275,22 +269,28 @@ impl PartitionStore {
         Ok(())
     }
 
-    /// Seals the forming run, on the calling thread, into a spill image
-    /// (a file under the spill dir, or memory). Spill images re-frame
+    /// Seals the forming run, on the calling thread, into a file under
+    /// the spill dir; does nothing without one. Spill files re-frame
     /// exactly the ingested records, so the run's `mem_bytes` move to
     /// `spilled_bytes` (the `total_bytes_is_conserved_*` test pins
     /// this). A failed seal is kept for the merge to report. Also used
     /// to force residency out, e.g. by tests.
     pub fn spill(&mut self) {
+        let Some(dir) = &self.spill_cfg.dir else {
+            return;
+        };
         if self.current.index.is_empty() {
             return;
         }
-        let seq = self.stats.spills;
+        let path = dir.join(format!(
+            "{}-{}.spill",
+            self.spill_cfg.tag, self.stats.spills
+        ));
         self.stats.spills += 1;
         self.stats.spilled_bytes += self.stats.mem_bytes;
         self.stats.mem_bytes = 0;
         let forming = std::mem::take(&mut self.current);
-        let sealed = seal_run(forming, self.observer.as_ref(), &self.spill_cfg, seq);
+        let sealed = seal_run(forming, self.observer.as_ref(), &self.spill_cfg, path);
         self.seal_phase.merge(&sealed.phase);
         match sealed.run {
             Ok(run) => {
@@ -319,16 +319,12 @@ impl PartitionStore {
         self.stats.mem_bytes + self.stats.spilled_bytes
     }
 
-    /// Seals the forming run, leaving **all** records in sealed runs.
-    /// Output is unchanged because the forming run keeps its last-run
-    /// position in the merge's tiebreak order.
+    /// Seals the forming run, leaving **all** records in sealed runs, or
+    /// does nothing without a spill dir. Output is unchanged because the
+    /// forming run keeps its last-run position in the merge's tiebreak
+    /// order.
     pub fn seal_all(&mut self) {
         self.spill();
-    }
-
-    /// Clones of the sealed runs, in spill order. Cheap (refcounts).
-    pub fn sealed_run_handles(&self) -> Vec<crate::spillfmt::SealedRun> {
-        self.spilled.clone()
     }
 
     /// Turns the filled store into a streaming group source, in key
@@ -714,6 +710,7 @@ impl GroupStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScratchDir;
     use dmpi_common::compare::{is_sorted, sort_records};
     use dmpi_common::{ser, RecordBatch};
 
@@ -724,6 +721,13 @@ mod tests {
 
     fn rec(k: &str, v: &str) -> Record {
         Record::from_strs(k, v)
+    }
+
+    /// A store at `budget` whose runs seal into `dir`.
+    fn spilling_store(budget: usize, dir: &ScratchDir) -> PartitionStore {
+        let mut s = PartitionStore::new(budget, true);
+        s.set_spill_config(SpillConfig::default().with_dir(dir.0.clone()));
+        s
     }
 
     #[test]
@@ -740,7 +744,8 @@ mod tests {
 
     #[test]
     fn over_budget_spills_and_merge_is_correct() {
-        let mut s = PartitionStore::new(64, true);
+        let dir = ScratchDir::new();
+        let mut s = spilling_store(64, &dir);
         let mut expected = Vec::new();
         for i in (0..50).rev() {
             let r = rec(&format!("key{i:03}"), &format!("{i}"));
@@ -758,7 +763,8 @@ mod tests {
 
     #[test]
     fn spill_pressure_bounds_resident_records() {
-        let mut s = PartitionStore::new(64, true);
+        let dir = ScratchDir::new();
+        let mut s = spilling_store(64, &dir);
         for i in 0..200 {
             s.ingest(frame_of(&[rec(&format!("key{i:03}"), "valuevalue")]))
                 .unwrap();
@@ -778,11 +784,13 @@ mod tests {
 
     #[test]
     fn group_stream_merges_across_runs() {
-        let mut s = PartitionStore::new(1 << 20, true);
+        let dir = ScratchDir::new();
+        let mut s = spilling_store(1 << 20, &dir);
         s.ingest(frame_of(&[rec("b", "1"), rec("a", "1")])).unwrap();
         s.spill();
         s.ingest(frame_of(&[rec("a", "2"), rec("c", "1")])).unwrap();
         s.spill();
+        assert_eq!(s.stats().spills, 2);
         s.ingest(frame_of(&[rec("a", "3"), rec("b", "2")])).unwrap();
         let mut stream = s.into_group_stream().unwrap();
         let a = stream.next_group().unwrap().unwrap();
@@ -824,9 +832,10 @@ mod tests {
     #[test]
     fn refilled_group_equals_fresh_groups_on_every_source() {
         // Spill half-way or not: loser-tree merge or index walk.
+        let dir = ScratchDir::new();
         for spill in [false, true] {
             let fill = || {
-                let mut s = PartitionStore::new(1 << 20, true);
+                let mut s = spilling_store(1 << 20, &dir);
                 for i in 0..60 {
                     if spill && i == 30 {
                         s.spill();
@@ -834,6 +843,7 @@ mod tests {
                     let r = rec(&format!("k{}", (i * 13) % 7), &format!("v{:02}", i % 10));
                     s.ingest(frame_of(&[r])).unwrap();
                 }
+                assert_eq!(s.stats().spills, u64::from(spill));
                 s.into_group_stream().unwrap()
             };
             let mut fresh = Vec::new();
@@ -856,13 +866,15 @@ mod tests {
     fn merge_matches_seed_semantics_exactly() {
         // The correctness bar: for any ingest order, the streamed merge
         // equals decode-everything + global sort_records.
-        let mut s = PartitionStore::new(48, true);
+        let dir = ScratchDir::new();
+        let mut s = spilling_store(48, &dir);
         let mut all = Vec::new();
         for i in 0..60 {
             let r = rec(&format!("k{}", (i * 13) % 7), &format!("v{:02}", i % 10));
             all.push(r.clone());
             s.ingest(frame_of(&[r])).unwrap();
         }
+        assert!(s.stats().spills > 0);
         let merged = s.into_records().unwrap();
         sort_records(&mut all);
         assert_eq!(merged, all);
@@ -870,15 +882,17 @@ mod tests {
 
     #[test]
     fn total_bytes_is_conserved_across_spills() {
-        let mut s = PartitionStore::new(16, true);
+        let dir = ScratchDir::new();
+        let mut s = spilling_store(16, &dir);
         let mut sent = 0u64;
         for i in 0..10 {
             let f = frame_of(&[rec(&format!("{i}"), "abcdefgh")]);
             sent += f.len() as u64;
             s.ingest(f).unwrap();
         }
-        // Spill images re-frame the same records, so byte totals are
+        // Spill files re-frame the same records, so byte totals are
         // conserved exactly.
+        assert!(s.stats().spills > 0);
         assert_eq!(s.total_bytes(), sent);
     }
 
@@ -897,9 +911,11 @@ mod tests {
 
     #[test]
     fn manual_spill_then_more_ingest() {
-        let mut s = PartitionStore::new(1 << 20, true);
+        let dir = ScratchDir::new();
+        let mut s = spilling_store(1 << 20, &dir);
         s.ingest(frame_of(&[rec("z", "1")])).unwrap();
         s.spill();
+        assert_eq!(s.stats().spills, 1);
         s.ingest(frame_of(&[rec("a", "2")])).unwrap();
         let records = s.into_records().unwrap();
         assert_eq!(records[0].key_utf8(), "a");
@@ -919,7 +935,8 @@ mod tests {
         // Runs of a real budget's size: the merged output must still
         // equal a global sort, every spill must leave one sealed run,
         // and byte accounting must be conserved.
-        let mut s = PartitionStore::new(128 * 1024, true);
+        let dir = ScratchDir::new();
+        let mut s = spilling_store(128 * 1024, &dir);
         let big_value = "x".repeat(512);
         let mut all = Vec::new();
         let mut sent = 0u64;
@@ -941,7 +958,8 @@ mod tests {
     #[test]
     fn sealing_records_spill_phase_when_observed() {
         let obs = Observer::new();
-        let mut s = PartitionStore::new(128 * 1024, true);
+        let dir = ScratchDir::new();
+        let mut s = spilling_store(128 * 1024, &dir);
         s.set_observer(obs.clone(), 0, 0);
         let big_value = "z".repeat(1024);
         for i in 0..400 {
@@ -962,17 +980,45 @@ mod tests {
     #[test]
     fn many_runs_stress_the_loser_tree() {
         // Non-power-of-two run counts exercise the phantom leaves.
+        let dir = ScratchDir::new();
         for runs in [1usize, 2, 3, 5, 7, 9] {
-            let mut s = PartitionStore::new(1, true); // every frame spills
+            let mut s = spilling_store(1, &dir); // every frame spills
             let mut all = Vec::new();
             for i in 0..runs * 4 {
                 let r = rec(&format!("k{:03}", (i * 17) % 23), &format!("{i}"));
                 all.push(r.clone());
                 s.ingest(frame_of(&[r])).unwrap();
             }
+            assert_eq!(s.stats().spills as usize, runs * 4);
             let merged = s.into_records().unwrap();
             sort_records(&mut all);
             assert_eq!(merged, all, "runs={runs}");
         }
+    }
+
+    #[test]
+    fn without_a_spill_dir_nothing_seals() {
+        // The budget is far below the input, but with nowhere to spill
+        // the store keeps every frame and groups by walking its index.
+        let mut s = PartitionStore::new(16, true);
+        let mut all = Vec::new();
+        for i in 0..200 {
+            let r = rec(&format!("k{:03}", (i * 31) % 97), &format!("v{i}"));
+            all.push(r.clone());
+            s.ingest(frame_of(&[r])).unwrap();
+        }
+        s.spill();
+        s.seal_all();
+        let st = s.stats();
+        assert_eq!(
+            (st.spills, st.spilled_bytes, st.spilled_wire_bytes),
+            (0, 0, 0)
+        );
+        assert_eq!(st.peak_resident_records, 200);
+        assert!(st.peak_mem_bytes > 16 * 100);
+        assert!(s.spilled.is_empty());
+        let merged = s.into_records().unwrap();
+        sort_records(&mut all);
+        assert_eq!(merged, all);
     }
 }

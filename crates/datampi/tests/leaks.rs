@@ -1,7 +1,8 @@
 //! Every in-proc failure path gives back what it took. After a failed
 //! job returns and its checkpoint store is dropped, the process has the
 //! threads and open file descriptors it had before, and the spill
-//! directory holds what it held. The rank and ingest threads are scoped
+//! directory holds what it held — less the `/dev/full` links a full-disk
+//! case plants, which the seals that fail through them remove. The rank and ingest threads are scoped
 //! or joined before the runner returns, so the counts are exact.
 //! Only the thread count is polled, for at most `SETTLE`, because a
 //! thread can stay listed for a moment after its `join` returned. The
@@ -10,7 +11,7 @@
 
 mod common;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -54,14 +55,32 @@ fn panicking_a(g: &GroupedValues, out: &mut dyn Collector) {
 
 /// One failure point: a fault plan (firing on both attempts the
 /// supervisor allows), the spill directory and the user functions, and
-/// a fragment of the error the job must fail with.
+/// a fragment of the error the job must fail with. A `full_disk` case's
+/// first seals write into `/dev/full`.
 struct Case {
     name: &'static str,
     error: &'static str,
     faults: FaultPlan,
     spill_dir: PathBuf,
+    full_disk: bool,
     o: OFn,
     a: AFn,
+}
+
+/// Links each rank's and attempt's first run file in `dir` to
+/// `/dev/full`, where every write fails with ENOSPC, and returns the
+/// links. A seal opens its file through the link and removes the link
+/// when its write fails.
+fn plant_dev_full(dir: &Path) -> Vec<PathBuf> {
+    let mut links = Vec::new();
+    for rank in 0..2 {
+        for attempt in 0..2 {
+            let link = dir.join(format!("r{rank}-a{attempt}-0.spill"));
+            std::os::unix::fs::symlink("/dev/full", &link).unwrap();
+            links.push(link);
+        }
+    }
+    links
 }
 
 #[test]
@@ -72,6 +91,8 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
     // A directory cannot be created beneath a regular file, even by root.
     let blocker = root.join("blocker");
     std::fs::write(&blocker, b"a file, not a directory").unwrap();
+    let full = root.join("full");
+    std::fs::create_dir_all(&full).unwrap();
     // No job has run yet: every thread listed now is the harness's.
     let idle_threads = Residue::of(&root).threads;
     // Twelve splits over 300 distinct words: each rank merges well past
@@ -91,6 +112,7 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
             error: "scheduled O-task failure",
             faults: twice(|p, a| p.fail_o_task(5, a)),
             spill_dir: spill.clone(),
+            full_disk: false,
             o: wc_o,
             a: wc_a,
         },
@@ -99,6 +121,7 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
             error: "O task user code panicked",
             faults: FaultPlan::new(7),
             spill_dir: spill.clone(),
+            full_disk: false,
             o: panicking_o,
             a: wc_a,
         },
@@ -107,6 +130,7 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
             error: "injected rank death",
             faults: twice(|p, a| p.rank_panic(1, a)),
             spill_dir: spill.clone(),
+            full_disk: false,
             o: wc_o,
             a: wc_a,
         },
@@ -115,6 +139,7 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
             error: "injected merge death",
             faults: twice(|p, a| p.merge_panic(0, a, 40)),
             spill_dir: spill.clone(),
+            full_disk: false,
             o: wc_o,
             a: wc_a,
         },
@@ -123,6 +148,7 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
             error: "A function user code panicked",
             faults: FaultPlan::new(7),
             spill_dir: spill.clone(),
+            full_disk: false,
             o: wc_o,
             a: panicking_a,
         },
@@ -131,6 +157,16 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
             error: "Not a directory",
             faults: FaultPlan::new(7),
             spill_dir: blocker.join("spill"),
+            full_disk: false,
+            o: wc_o,
+            a: wc_a,
+        },
+        Case {
+            name: "full spill dir",
+            error: "No space left on device",
+            faults: FaultPlan::new(7),
+            spill_dir: full.clone(),
+            full_disk: true,
             o: wc_o,
             a: wc_a,
         },
@@ -153,6 +189,11 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
         let baseline = Residue::settled(&root, idle_threads, SETTLE);
         assert_eq!(baseline.threads, idle_threads, "{backend:?}: a clean job");
         for case in &cases {
+            let planted = if case.full_disk {
+                plant_dev_full(&case.spill_dir)
+            } else {
+                Vec::new()
+            };
             let cp = CheckpointStore::new();
             let run = supervise_job(
                 &config(case),
@@ -177,7 +218,19 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
                 case.name
             );
             drop(cp);
-            let residue = Residue::settled(&root, baseline.threads, SETTLE);
+            let mut residue = Residue::settled(&root, baseline.threads, SETTLE);
+            // The failed seal whose error the job reports removed its link;
+            // a link no seal reached may stay, and goes before the next run.
+            if let Some(link) = text.split("spill write ").nth(1) {
+                let link = Path::new(link.split(": ").next().unwrap_or_default());
+                assert!(planted.iter().any(|p| p == link), "{text}");
+                assert!(link.symlink_metadata().is_err(), "{link:?} is left");
+            }
+            assert!(case.full_disk == text.contains("spill write"), "{text}");
+            residue.spill_entries.retain(|p| !planted.contains(p));
+            for link in planted.iter().filter(|p| p.symlink_metadata().is_ok()) {
+                std::fs::remove_file(link).unwrap();
+            }
             assert_eq!(residue, baseline, "{backend:?} / {}", case.name);
         }
     }

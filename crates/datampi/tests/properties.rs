@@ -12,7 +12,7 @@ use datampi::checkpoint::CheckpointStore;
 use datampi::fault::FaultPlan;
 use datampi::store::PartitionStore;
 use datampi::supervisor::{supervise_job, RetryPolicy};
-use datampi::{run_job, Backend, Combiner, JobConfig};
+use datampi::{run_job, Backend, Combiner, JobConfig, SpillConfig};
 use dmpi_common::compare::sort_records;
 use dmpi_common::group::{group_sorted, Collector, GroupedValues};
 use dmpi_common::ser::{self, Writable};
@@ -166,10 +166,17 @@ fn heavy_key_records() -> impl Strategy<Value = Vec<Record>> {
 
 /// Ingests `records`, `per_frame` to a frame, under one of three spill
 /// regimes: 0 = nothing spills, 1 = exactly one run is sealed half-way,
-/// 2 = a budget so small that nearly every frame seals a run.
-fn filled_store(records: &[Record], per_frame: usize, regime: usize) -> PartitionStore {
+/// 2 = a budget so small that nearly every frame seals a run. Runs seal
+/// into `dir`.
+fn filled_store(
+    records: &[Record],
+    per_frame: usize,
+    regime: usize,
+    dir: &ScratchDir,
+) -> PartitionStore {
     let budget = if regime == 2 { 24 } else { 1 << 20 };
     let mut store = PartitionStore::new(budget, true);
+    store.set_spill_config(SpillConfig::default().with_dir(dir.0.clone()));
     let frames: Vec<&[Record]> = records.chunks(per_frame).collect();
     let (mut total, mut largest) = (0, 0);
     for (i, frame) in frames.iter().enumerate() {
@@ -224,15 +231,26 @@ fn lines_strategy() -> impl Strategy<Value = Vec<Bytes>> {
     )
 }
 
-/// A unique spill directory per case, so concurrent cases never collide.
-fn spill_dir() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "dmpi-props-shared-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
+/// A spill directory of one case's own, so concurrent cases never
+/// collide; removed on drop.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new() -> Self {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        ScratchDir(std::env::temp_dir().join(format!(
+            "dmpi-props-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        )))
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// The sort descends one level per eight key bytes off a list, not by
@@ -285,7 +303,8 @@ proptest! {
         per_frame in 1usize..9,
         regime in 0usize..3,
     ) {
-        let store = filled_store(&records, per_frame, regime);
+        let dir = ScratchDir::new();
+        let store = filled_store(&records, per_frame, regime, &dir);
         prop_assert_eq!(store.stats().records, records.len() as u64);
         let mut expected = records;
         sort_records(&mut expected);
@@ -302,7 +321,8 @@ proptest! {
         per_frame in 1usize..40,
         regime in 0usize..3,
     ) {
-        let store = filled_store(&records, per_frame, regime);
+        let dir = ScratchDir::new();
+        let store = filled_store(&records, per_frame, regime, &dir);
         let mut stream = store.into_group_stream().unwrap();
         let mut groups = Vec::new();
         while let Some(g) = stream.next_group().unwrap() {
@@ -322,7 +342,8 @@ proptest! {
         per_frame in 1usize..64,
         regime in 0usize..3,
     ) {
-        let store = filled_store(&records, per_frame, regime);
+        let dir = ScratchDir::new();
+        let store = filled_store(&records, per_frame, regime, &dir);
         let mut expected = records;
         sort_records(&mut expected);
         prop_assert_eq!(store.into_records().unwrap(), expected);
@@ -352,9 +373,14 @@ proptest! {
         inputs in corpus_strategy(),
         budget in 32usize..4096,
     ) {
-        let config = JobConfig::new(2).with_memory_budget(budget);
+        let dir = ScratchDir::new();
+        let config = JobConfig::new(2)
+            .with_memory_budget(budget)
+            .with_spill_dir(&dir.0);
         let expected = reference_counts(&inputs);
         let out = run_job(&config, inputs, wc_o, wc_a, None).unwrap();
+        // Past two budgets of input, some partition went over.
+        prop_assert!(out.stats.spills > 0 || out.stats.bytes_emitted <= 2 * budget as u64);
         prop_assert_eq!(engine_counts(out), expected);
     }
 
@@ -414,12 +440,16 @@ proptest! {
         // running it early as an O-side combiner must not change a single
         // output byte — even when the tiny memory budget forces the A side
         // through key-sorted spills and the external merge.
+        let dir = ScratchDir::new();
         let plain = JobConfig::new(ranks)
             .with_memory_budget(budget)
+            .with_spill_dir(&dir.0)
             .with_flush_threshold(flush);
         let combined = plain.clone().with_combiner(Combiner::new(wc_a));
         let a = run_job(&plain, inputs.clone(), wc_o, wc_a, None).unwrap();
         let b = run_job(&combined, inputs, wc_o, wc_a, None).unwrap();
+        // Past `ranks` budgets of input, some partition went over.
+        prop_assert!(a.stats.spills > 0 || a.stats.bytes_emitted <= (budget * ranks) as u64);
         prop_assert_eq!(a.partitions.len(), b.partitions.len());
         for (p, q) in a.partitions.iter().zip(&b.partitions) {
             prop_assert_eq!(p.records(), q.records());
@@ -447,8 +477,10 @@ proptest! {
             Ev::Panic(r, a) => p.rank_panic(r, a),
             Ev::Corrupt(t, a) => p.corrupt_frame(t, a),
         });
+        let dir = ScratchDir::new();
         let faulty = JobConfig::new(ranks)
             .with_memory_budget(256)
+            .with_spill_dir(&dir.0)
             .with_faults(plan)
             .with_combiner(Combiner::new(wc_a));
         let policy = RetryPolicy::new(4).with_backoff(std::time::Duration::ZERO);
@@ -524,9 +556,9 @@ proptest! {
         ranks in 1usize..4,
         spilled in any::<bool>(),
     ) {
-        let dir = spill_dir();
+        let dir = ScratchDir::new();
         let config = if spilled {
-            JobConfig::new(ranks).with_memory_budget(64).with_spill_dir(dir.clone())
+            JobConfig::new(ranks).with_memory_budget(64).with_spill_dir(&dir.0)
         } else {
             JobConfig::new(ranks)
         };
@@ -545,7 +577,6 @@ proptest! {
         for (p, q) in shared.partitions.iter().zip(&copied.partitions) {
             prop_assert_eq!(ser::frame_batch(p), ser::frame_batch(q));
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

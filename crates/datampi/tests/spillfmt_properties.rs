@@ -1,13 +1,13 @@
 //! Property-based tests of the indexed spill-run format: for arbitrary
-//! records, block budgets, storage backends and compression settings, a
-//! sealed run must round-trip byte-identically; seeded corruption must be
-//! caught by the block CRC before any record decodes; a hostile image
+//! records, block budgets and compression settings, a sealed run file
+//! must round-trip byte-identically; seeded corruption in a run file must
+//! be caught by the block CRC before any record decodes; a hostile image
 //! must be rejected by the footer parser, never panic it; the k-way
-//! merge must produce identical output across the whole
-//! {memory,disk} x {compressed,raw} grid, and the order of a global sort
-//! on keys that collide on its cached head bytes; and a CRC-valid block
-//! whose record framing lies must fail every merge entry point with a
-//! corrupt-data error, within a bounded allocation.
+//! merge over run files must produce the grouping of memory alone,
+//! compressed or raw, and the order of a global sort on keys that
+//! collide on its cached head bytes; and a CRC-valid block whose record
+//! framing lies must fail every merge entry point with a corrupt-data
+//! error, within a bounded allocation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,9 +58,7 @@ fn build_run(records: &[Record], block_bytes: usize, compress: bool) -> (Vec<u8>
         w.push(r);
     }
     let (image, index) = w.finish();
-    let blocks = index.blocks.len();
-    let _ = SealedRun::mem(image.clone(), index);
-    (image, blocks)
+    (image, index.blocks.len())
 }
 
 fn read_all(run: &SealedRun) -> Vec<Record> {
@@ -94,8 +92,8 @@ fn text_corpus_strategy() -> impl Strategy<Value = Vec<Bytes>> {
     )
 }
 
-/// Fills a store through the real framing path, with a tiny
-/// budget so runs actually seal through the block format.
+/// Fills a store through the real framing path, with a tiny budget so
+/// runs actually seal through the block format when `cfg` has a dir.
 fn fill_store(records: &[Record], budget: usize, cfg: SpillConfig) -> PartitionStore {
     fill_store_keeping_frames(records, budget, cfg).0
 }
@@ -224,11 +222,11 @@ fn drain(stream: &mut GroupStream) -> Vec<GroupedValues> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any record multiset, any block budget, raw or LZ4, memory or
-    /// disk: the sealed run yields exactly the pushed records in order,
-    /// and the reparsed footer matches the writer's totals.
+    /// Any record multiset, any block budget, raw or LZ4: the run file
+    /// yields exactly the pushed records in order, and the reparsed
+    /// footer matches the writer's totals.
     #[test]
-    fn runs_round_trip_any_records_block_size_and_storage(
+    fn runs_round_trip_any_records_and_block_size(
         records in corpus_strategy(),
         block_bytes in 1usize..512,
         compress in any::<bool>(),
@@ -246,22 +244,20 @@ proptest! {
         prop_assert_eq!(reparsed.raw_bytes, index.raw_bytes);
         prop_assert_eq!(reparsed.stored_bytes, index.stored_bytes);
 
-        let mem = SealedRun::mem(image.clone(), index.clone());
-        prop_assert_eq!(read_all(&mem), records.clone());
-
         let dir = scratch_dir("rt");
         let path = dir.join("run-0.spill");
         let disk = SealedRun::to_file(&image, index, path.clone()).unwrap();
-        prop_assert!(disk.is_disk());
+        prop_assert!(path.exists());
         prop_assert_eq!(read_all(&disk), records);
         drop(disk);
         prop_assert!(!path.exists(), "run file must self-delete");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Flipping any single bit inside any stored block is caught by the
-    /// per-block CRC (or the LZ4 container) before a single record from
-    /// that block decodes; blocks ahead of the corruption still stream.
+    /// Flipping any single bit inside any stored block of a run file is
+    /// caught by the per-block CRC (or the LZ4 container) before a single
+    /// record from that block decodes; blocks ahead of the corruption
+    /// still stream.
     #[test]
     fn seeded_corruption_is_caught_by_block_crc_before_decode(
         records in proptest::collection::vec(record_strategy(), 1..60),
@@ -279,7 +275,8 @@ proptest! {
         let at = meta.offset as usize + poke.index(meta.stored_len as usize);
         image[at] ^= 1 << bit;
 
-        let run = SealedRun::mem(image, index.clone());
+        let dir = scratch_dir("flip");
+        let run = SealedRun::to_file(&image, index.clone(), dir.join("run-0.spill")).unwrap();
         let counters = SpillReadCounters::new();
         let mut reader = run.open(&counters, None).unwrap();
         let before: u64 = index.blocks[..victim].iter().map(|b| b.records as u64).sum();
@@ -307,6 +304,9 @@ proptest! {
             "unexpected error: {}", msg
         );
         prop_assert_eq!(yielded, before, "all pre-corruption blocks stream first");
+        drop(reader);
+        drop(run);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The footer parser on hostile input: arbitrary bytes (also as a
@@ -339,35 +339,29 @@ proptest! {
         parse_is_safe(&flipped)?;
     }
 
-    /// The loser-tree merge's grouped output is identical across every
-    /// cell of the {memory,disk} x {raw,lz4} grid.
+    /// The loser-tree merge over run files groups exactly as memory
+    /// alone does (no spill dir, so nothing seals), raw or LZ4.
     #[test]
-    fn merge_is_identical_across_storage_compression_and_skip_grid(
+    fn merge_is_identical_across_compression_grid(
         records in proptest::collection::vec(record_strategy(), 0..80),
         budget in 32usize..512,
         block_bytes in 1usize..128,
     ) {
         let base = SpillConfig::default().with_block_bytes(block_bytes);
         let baseline = drain_groups(&records, budget, base.clone());
-        for disk in [false, true] {
-            for compress in [false, true] {
-                let mut cfg = base.clone().with_compression(compress);
-                let dir = disk.then(|| scratch_dir("grid"));
-                if let Some(d) = &dir {
-                    cfg = cfg.with_dir(d.clone());
-                }
-                let full = drain_groups(&records, budget, cfg);
-                prop_assert_eq!(&full, &baseline, "full merge (disk={}, lz4={})", disk, compress);
-                if let Some(d) = dir {
-                    let _ = std::fs::remove_dir_all(&d);
-                }
-            }
+        for compress in [false, true] {
+            let dir = scratch_dir("grid");
+            let cfg = base.clone().with_compression(compress).with_dir(dir.clone());
+            let full = drain_groups(&records, budget, cfg);
+            prop_assert_eq!(&full, &baseline, "full merge (lz4={})", compress);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
     /// End-to-end: a full job's partition outputs are byte-identical
-    /// whether spill runs live in memory or on disk, raw or compressed —
-    /// under a budget small enough that every rank actually spills.
+    /// whether the A side groups from memory (no spill dir) or through
+    /// run files, raw or compressed — under a budget small enough that
+    /// every rank with more than a budget of input spills.
     #[test]
     fn jobs_are_byte_identical_across_the_spill_grid(
         inputs in text_corpus_strategy(),
@@ -377,38 +371,39 @@ proptest! {
         let baseline_cfg = JobConfig::new(ranks)
             .with_memory_budget(budget);
         let baseline = run_job(&baseline_cfg, inputs.clone(), wc_o, wc_a, None).unwrap();
-        for disk in [false, true] {
-            for compress in [false, true] {
-                let mut config = baseline_cfg.clone().with_spill_block_bytes(97);
-                let dir = disk.then(|| scratch_dir("job"));
-                if let Some(d) = &dir {
-                    config = config.with_spill_dir(d.clone());
-                }
-                if compress {
-                    config = config.with_spill_compression(WireCompression::Lz4);
-                }
-                let out = run_job(&config, inputs.clone(), wc_o, wc_a, None).unwrap();
-                prop_assert_eq!(out.partitions.len(), baseline.partitions.len());
-                for (p, q) in out.partitions.iter().zip(&baseline.partitions) {
-                    prop_assert_eq!(p.records(), q.records());
-                }
-                if let Some(d) = dir {
-                    // Runs are reference-counted and self-deleting; once
-                    // the job is done its spill dir holds no files.
-                    let leftovers = std::fs::read_dir(&d)
-                        .map(|it| it.count())
-                        .unwrap_or(0);
-                    prop_assert_eq!(leftovers, 0, "spill files must self-delete");
-                    let _ = std::fs::remove_dir_all(&d);
-                }
+        prop_assert_eq!(baseline.stats.spills, 0);
+        for compress in [false, true] {
+            let dir = scratch_dir("job");
+            let mut config = baseline_cfg
+                .clone()
+                .with_spill_block_bytes(97)
+                .with_spill_dir(dir.clone());
+            if compress {
+                config = config.with_spill_compression(WireCompression::Lz4);
             }
+            let out = run_job(&config, inputs.clone(), wc_o, wc_a, None).unwrap();
+            // Past `ranks` budgets of input, some partition went over.
+            prop_assert!(
+                out.stats.spills > 0 || out.stats.bytes_emitted <= (budget * ranks) as u64
+            );
+            prop_assert_eq!(out.partitions.len(), baseline.partitions.len());
+            for (p, q) in out.partitions.iter().zip(&baseline.partitions) {
+                prop_assert_eq!(p.records(), q.records());
+            }
+            // Runs are reference-counted and self-deleting; once the job
+            // is done its spill dir holds no files.
+            let leftovers = std::fs::read_dir(&dir)
+                .map(|it| it.count())
+                .unwrap_or(0);
+            prop_assert_eq!(leftovers, 0, "spill files must self-delete");
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
     /// Keys that agree on the merge's cached 16 head bytes, or only once
-    /// zero-padded, still leave the merge in the order of a global sort,
-    /// from memory or file runs, with or without a forming run; equal
-    /// records leave in run order, the forming run's last.
+    /// zero-padded, still leave the store in the order of a global sort,
+    /// from memory alone or from run files, with or without a forming
+    /// run; equal records leave in run order, the forming run's last.
     #[test]
     fn merge_orders_keys_colliding_on_the_cached_head_bytes(
         records in proptest::collection::vec(colliding_record(), 0..120),
@@ -438,7 +433,7 @@ proptest! {
                 );
             }
 
-            // Every run sealed.
+            // Every run sealed, when there is a dir to seal into.
             let mut store = fill_store(&records, budget, cfg);
             store.seal_all();
             let mut stream = store.into_group_stream().unwrap();
@@ -460,7 +455,9 @@ fn equal_records_leave_a_sealed_run_before_the_forming_run() {
     // The forming run wins the match for ("k", "a"), and its next head
     // ties the sealed run's ("k", "b") on key and value: only the run
     // index puts the sealed run's copy first.
+    let dir = scratch_dir("tie");
     let mut store = PartitionStore::new(1 << 20, true);
+    store.set_spill_config(SpillConfig::default().with_dir(dir.clone()));
     let sealed = [Record::from_strs("k", "b")];
     let forming = [Record::from_strs("k", "a"), Record::from_strs("k", "b")];
     let frame = |records: &[Record]| {
@@ -472,6 +469,7 @@ fn equal_records_leave_a_sealed_run_before_the_forming_run() {
     };
     store.ingest(frame(&sealed)).unwrap();
     store.spill();
+    assert_eq!(store.stats().spills, 1);
     let forming_frame = frame(&forming);
     store.ingest(forming_frame.clone()).unwrap();
     let merged = store.into_records().unwrap();
@@ -483,6 +481,7 @@ fn equal_records_leave_a_sealed_run_before_the_forming_run() {
         .map(|r| from_frames(&r.value, &frames))
         .collect();
     assert_eq!(from_forming, [true, false, true]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The varint header framing a `klen`-byte key and a `vlen`-byte value.
@@ -617,11 +616,10 @@ fn lying_block_framing_is_a_corrupt_error_on_every_merge_entry() {
                 .with_tag("h");
             let mut store = fill_store(&records, 4096, cfg);
             store.seal_all();
-            assert!(
-                store.sealed_run_handles()[0].index().blocks.len() > 2,
-                "{case}"
-            );
-            plant_lie(&dir.join("h-0.spill"), victim, &lie);
+            let run = dir.join("h-0.spill");
+            let blocks = parse_image(&std::fs::read(&run).unwrap()).unwrap().blocks;
+            assert!(blocks.len() > 2, "{case}");
+            plant_lie(&run, victim, &lie);
             let ((at, e), held) = peak_since(|| first_failure(store.into_group_stream()));
             assert_eq!(at, entry, "{case}: {e}");
             assert!(matches!(e, Error::Corrupt(_)), "{case}: {e:?}");

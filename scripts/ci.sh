@@ -167,6 +167,13 @@ dmpirun --ranks 2 --tasks 80 --bytes-per-task 2097152 --spill-dir target/ci/sink
 spills=$(grep '"aggregate"' target/ci/sink-smoke/report.json | grep -oE '"spills": [0-9]+' | grep -oE '[0-9]+$')
 [ "${spills:-0}" -ge 2 ] || { echo "sink smoke: ${spills:-no} spills, want >= 2" >&2; exit 1; }
 rm -rf target/ci/sink-smoke
+# The same job with no spill dir: nothing may seal, however far past its
+# budget a worker's partition grows, and the output must still verify.
+dmpirun --ranks 2 --tasks 80 --bytes-per-task 2097152 \
+    --out target/ci/sink-smoke/out --report-out target/ci/sink-smoke/report.json --verify-inproc sort
+spills=$(grep '"aggregate"' target/ci/sink-smoke/report.json | grep -oE '"spills": [0-9]+' | grep -oE '[0-9]+$')
+[ "${spills:-}" = 0 ] || { echo "no-dir smoke: ${spills:-no} spills, want 0" >&2; exit 1; }
+rm -rf target/ci/sink-smoke
 # Rank 1 dies once the mesh is up: the launch must fail with status 1,
 # neither succeed nor hang into timeout's 124.
 status=0

@@ -119,8 +119,11 @@ fn combiner_mechanism_and_consequence() {
 fn memory_budget_mechanism_and_consequence() {
     // Mechanism: a starved A-side store spills to disk but stays correct.
     let inputs = corpus(33);
+    let spill_dir = std::env::temp_dir().join(format!("dmpi-sim-budget-{}", std::process::id()));
     let starved = datampi_suite::datampi::run_job(
-        &datampi_suite::datampi::JobConfig::new(2).with_memory_budget(4096),
+        &datampi_suite::datampi::JobConfig::new(2)
+            .with_memory_budget(4096)
+            .with_spill_dir(&spill_dir),
         inputs.clone(),
         wordcount::map,
         wordcount::reduce,
@@ -135,6 +138,7 @@ fn memory_budget_mechanism_and_consequence() {
         None,
     )
     .unwrap();
+    let _ = std::fs::remove_dir_all(&spill_dir);
     assert!(starved.stats.spills > 0);
     assert_eq!(roomy.stats.spills, 0);
 
