@@ -28,6 +28,9 @@ pub enum FaultKind {
     /// peer's stream closed before its EOF frame, or a wire frame could
     /// not be decoded.
     Transport,
+    /// A spill run could not be written: a full disk, or another I/O
+    /// error of the spill dir.
+    Spill,
     /// A fault with no richer classification.
     Other,
 }
@@ -95,6 +98,7 @@ impl fmt::Display for FaultCause {
             FaultKind::CorruptFrame => "corrupt frame",
             FaultKind::NodeFailure => "node failure",
             FaultKind::Transport => "transport failure",
+            FaultKind::Spill => "spill failure",
             FaultKind::Other => "fault",
         };
         write!(f, "{kind}")?;

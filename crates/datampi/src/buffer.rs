@@ -303,6 +303,13 @@ impl Collector for FrameCollector<'_> {
     }
 }
 
+/// An O task's user code emits straight into its task's buffer.
+impl Collector for KvBuffer {
+    fn collect(&mut self, key: &[u8], value: &[u8]) {
+        self.emit_kv(key, value);
+    }
+}
+
 impl KvBuffer {
     /// Creates a buffer for O task `o_task` running on `from_rank`.
     /// `senders[p]` ships to partition `p` over whichever transport the

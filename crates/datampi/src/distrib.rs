@@ -17,7 +17,8 @@
 //! 3. runs each dispatched job's rank through `run_mesh_rank` (the
 //!    same per-rank body as an in-proc rank thread, `rank.rs`), pulling
 //!    from the static `task % ranks == rank` assignment, so every process
-//!    derives the same schedule with no further coordination;
+//!    derives the same schedule with no further coordination, and
+//!    derives only its own tasks' splits;
 //! 4. reports each job as a
 //!    [`WorkerEvent`](crate::service::protocol::WorkerEvent): an optional
 //!    final `jobtlm` frame, then `jobdone <id> rank=… …` or `jobfail <id>
@@ -32,8 +33,6 @@
 //! [`establish_endpoint`]: crate::transport::establish_endpoint
 
 use std::net::SocketAddr;
-
-use bytes::Bytes;
 
 use dmpi_common::Result;
 
@@ -93,24 +92,24 @@ impl RankTable {
 
 /// Runs one rank of one job over its attachment to an established mesh:
 /// the body of every resident job, `dmpirun`'s job 0 included. It is
-/// [`run_rank`] with what separate processes cannot share left out: the
-/// split dispenser is the static `task % ranks` assignment every process
-/// computes locally, there is no checkpoint, the attempt is 0, and the
-/// failed flag is private to this process (peers learn of a failure from
-/// their streams). The rank's A output goes into `sink`, which comes back
-/// with the counters. The caller owns mesh teardown; the channels die
-/// with this call.
+/// [`run_rank`] with what separate processes cannot share left out: of
+/// `tasks`, this rank runs the static `task % ranks` share every process
+/// computes locally (`o_fn` derives each task's split), there is no
+/// checkpoint, the attempt is 0, and the failed flag is private to this
+/// process (peers learn of a failure from their streams). The rank's A
+/// output goes into `sink`, which comes back with the counters. The
+/// caller owns mesh teardown; the channels die with this call.
 pub(crate) fn run_mesh_rank<O, A, S>(
     config: &JobConfig,
     rank: usize,
     channels: JobChannels,
-    inputs: &[Bytes],
+    tasks: usize,
     o_fn: O,
     a_fn: A,
     sink: S,
 ) -> Result<(S, JobStats)>
 where
-    O: Fn(usize, &[u8], &mut dyn Collector) + Send + Sync,
+    O: Fn(usize, &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
     S: Collector,
 {
@@ -119,19 +118,17 @@ where
     if let Some(obs) = config.observer.as_ref() {
         obs.begin_job(ranks);
     }
-    let queues = TaskQueues::pinned(inputs.len(), ranks);
+    let queues = TaskQueues::pinned(tasks, ranks);
     let failure = JobFailure::default();
     let cx = RankContext {
         config,
         rank,
         ranks,
         attempt: 0,
-        inputs,
         queues: &queues,
         checkpoint: None,
         failure: &failure,
     };
-    let o_fn = move |task: usize, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out);
     let (senders, receiver) = (channels.senders, channels.receiver);
     let (sink, mut stats) = run_rank(&cx, &o_fn, &a_fn, senders, receiver, |_| sink)?;
     if let Some(e) = failure.take() {

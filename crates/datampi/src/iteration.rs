@@ -96,9 +96,9 @@ where
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
     let attempt = checkpoint.map_or(Ok(0), |cp| cp.begin_attempt(config.ranks))?;
-    let o_fn =
-        move |task: usize, split: &Arc<Vec<T>>, out: &mut dyn Collector| o_fn(task, split, out);
-    run_job_core(config, &cache.splits, &o_fn, &a_fn, checkpoint, attempt).map_err(|e| e.0)
+    let splits = &cache.splits;
+    let o_fn = |t: usize, out: &mut dyn Collector| o_fn(t, &splits[t], out);
+    run_job_core(config, splits.len(), &o_fn, &a_fn, checkpoint, attempt).map_err(|e| e.0)
 }
 
 #[cfg(test)]

@@ -8,10 +8,11 @@
 //!    *concurrently with the O phase*. With bounded mailboxes that
 //!    concurrency is what keeps the job deadlock-free (see `comm.rs`); on
 //!    TCP it also drains the sockets while O computes.
-//! 2. **O phase** — the rank pulls splits from the job's [`TaskQueues`]
-//!    and runs each through `run_o_task`: checkpoint replay, injected
-//!    faults, user code writing straight into the task's [`KvBuffer`],
-//!    panic → fault, stats fold. Whatever ends the phase — queue drained,
+//! 2. **O phase** — the rank pulls task indices from the job's
+//!    [`TaskQueues`] and runs each through `run_o_task`: checkpoint
+//!    replay, injected faults, the O function getting its own split and
+//!    writing straight into the task's [`KvBuffer`], panic → fault,
+//!    stats fold. Whatever ends the phase — queue drained,
 //!    failed flag, user panic, injected death — the rank then sends its
 //!    EOF to every partition, so no peer's ingest waits forever.
 //! 3. **A phase** — once every peer's EOF arrived the store's groups are
@@ -20,9 +21,11 @@
 //!
 //! The callers differ only in what they hand in (see [`RankContext`]):
 //! the in-proc runtime shares one queue, checkpoint and [`JobFailure`]
-//! among its rank threads; `dmpirun` workers and the resident service run
+//! among its rank threads, and its O function indexes resident splits;
+//! `dmpirun` workers and the resident service run
 //! [`crate::distrib::run_mesh_rank`], which supplies the `task % ranks`
-//! queue, no checkpoint, a process-private failure cell and a part sink.
+//! queue, no checkpoint, a process-private failure cell, a part sink and
+//! an O function that derives each split as its task starts.
 //! Endpoint teardown and wire-stat recording stay with the caller.
 
 use std::collections::VecDeque;
@@ -77,9 +80,9 @@ impl JobFailure {
     }
 }
 
-/// The split dispenser an O phase pulls task indices from. In-proc,
-/// every rank thread shares one queue and a free rank takes the next
-/// split (the paper's dynamic scheduling); on a mesh, where no queue
+/// The dispenser an O phase pulls task indices from. In-proc, every
+/// rank thread shares one queue and a free rank takes the next task
+/// (the paper's dynamic scheduling); on a mesh, where no queue
 /// spans processes, task `t` is pinned to rank `t % ranks`, which every
 /// process computes alike.
 pub(crate) struct TaskQueues {
@@ -103,14 +106,14 @@ impl TaskQueues {
         TaskQueues { queues }
     }
 
-    /// The next split for `rank`, or `None` once its queue is drained.
+    /// The next task for `rank`, or `None` once its queue is drained.
     pub(crate) fn next(&self, rank: usize) -> Option<usize> {
         self.queues[rank % self.queues.len()].lock().pop_front()
     }
 }
 
 /// Everything that differs between the callers of [`run_rank`].
-pub(crate) struct RankContext<'a, I> {
+pub(crate) struct RankContext<'a> {
     /// The job's configuration.
     pub config: &'a JobConfig,
     /// This rank.
@@ -119,9 +122,7 @@ pub(crate) struct RankContext<'a, I> {
     pub ranks: usize,
     /// Attempt number, for fault plans, spans and fault provenance.
     pub attempt: u32,
-    /// The full task table; `inputs[t]` is O task `t`'s split.
-    pub inputs: &'a [I],
-    /// The split dispenser this rank pulls from.
+    /// The task dispenser this rank pulls from.
     pub queues: &'a TaskQueues,
     /// O-task checkpoints, when the job is restartable.
     pub checkpoint: Option<&'a CheckpointStore>,
@@ -135,8 +136,8 @@ pub(crate) struct RankContext<'a, I> {
 /// flag returns its partial counters, which the supervisor turns into
 /// wasted-work accounting; the caller reads the verdict from
 /// `cx.failure`.
-pub(crate) fn run_rank<I, O, A, S>(
-    cx: &RankContext<'_, I>,
+pub(crate) fn run_rank<O, A, S>(
+    cx: &RankContext<'_>,
     o_fn: &O,
     a_fn: &A,
     senders: Vec<FrameSender>,
@@ -144,8 +145,7 @@ pub(crate) fn run_rank<I, O, A, S>(
     sink: impl FnOnce(u64) -> S,
 ) -> Result<(S, JobStats)>
 where
-    I: Sync,
-    O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
+    O: Fn(usize, &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
     S: Collector,
 {
@@ -190,18 +190,17 @@ where
 
 /// One rank's state across its O and A phases. Lives on the rank's
 /// thread only (the tracer is `!Send`).
-struct Rank<'a, I, O> {
-    cx: &'a RankContext<'a, I>,
+struct Rank<'a, O> {
+    cx: &'a RankContext<'a>,
     o_fn: &'a O,
     senders: Vec<FrameSender>,
     tracer: Option<Tracer>,
     stats: JobStats,
 }
 
-impl<I, O> Rank<'_, I, O>
+impl<O> Rank<'_, O>
 where
-    I: Sync,
-    O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
+    O: Fn(usize, &mut dyn Collector) + Send + Sync,
 {
     /// Records a fault on this rank's lane and fails the job with it.
     fn fail(&self, kind: FaultKind, cause: &'static str, task: Option<usize>) {
@@ -221,7 +220,7 @@ where
         self.cx.failure.fail_with(Error::fault(fault));
     }
 
-    /// Pulls splits until the queue is drained or the job failed.
+    /// Pulls tasks until the queue is drained or the job failed.
     fn o_phase(&mut self) {
         let cx = self.cx;
         while !cx.failure.is_set() {
@@ -288,8 +287,8 @@ where
         }
     }
 
-    /// Runs O task `task`: injected faults first, then user code writing
-    /// straight into the task's buffer.
+    /// Runs O task `task`: injected faults first, then the O function
+    /// writing straight into the task's buffer.
     fn run_o_task(&mut self, task: usize) {
         let cx = self.cx;
         let tracer = self.tracer.as_ref().map(|t| t.for_task(task as u64));
@@ -310,14 +309,7 @@ where
         // User code may panic; that becomes a clean job fault so peer
         // ranks still receive our EOFs instead of deadlocking in their A
         // phase.
-        let (o_fn, split) = (self.o_fn, &cx.inputs[task]);
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            let mut adapter = EmitAdapter {
-                buffer: &mut buffer,
-            };
-            o_fn(task, split, &mut adapter);
-        }))
-        .is_ok();
+        let ran = catch_unwind(AssertUnwindSafe(|| (self.o_fn)(task, &mut buffer))).is_ok();
         if !ran {
             // Whatever the half-finished task flushed can never be
             // recovered.
@@ -396,7 +388,7 @@ where
             self.stats.phase_us = obs.absorb(t);
         }
         self.stats.phase_us.merge(&ingest.phase);
-        grouped.map_err(|e| store_decode_fault(e, rank, cx.attempt))?;
+        grouped.map_err(|e| store_fault(e, rank, cx.attempt))?;
         Ok((sink, self.stats))
     }
 
@@ -467,32 +459,20 @@ where
     }
 }
 
-/// Direct emission: user code writes straight into the task's buffer.
-struct EmitAdapter<'a> {
-    buffer: &'a mut KvBuffer,
-}
-
-impl Collector for EmitAdapter<'_> {
-    fn collect(&mut self, key: &[u8], value: &[u8]) {
-        self.buffer.emit_kv(key, value);
-    }
-}
-
-/// Wraps an undecodable A-store record as the structured corruption
-/// fault the CRC gate would have raised, with rank/attempt provenance;
-/// any other store error keeps its own kind.
-fn store_decode_fault(e: Error, rank: usize, attempt: u32) -> Error {
-    if !matches!(e, Error::Corrupt(_) | Error::Varint(_) | Error::Codec(_)) {
-        return e;
-    }
-    Error::fault(
-        FaultCause::new(
+/// Gives a store error rank/attempt provenance: an undecodable A-store
+/// record becomes the structured corruption fault the CRC gate would
+/// have raised, and a failed seal's fault (a full spill disk) is located
+/// on this rank; any other store error keeps its own kind.
+fn store_fault(e: Error, rank: usize, attempt: u32) -> Error {
+    let cause = match e {
+        Error::Corrupt(_) | Error::Varint(_) | Error::Codec(_) => FaultCause::new(
             FaultKind::CorruptFrame,
             format!("A-side store decode failed: {e}"),
-        )
-        .rank(rank)
-        .attempt(attempt),
-    )
+        ),
+        Error::Fault(cause) => cause,
+        e => return e,
+    };
+    Error::fault(cause.rank(rank).attempt(attempt))
 }
 
 /// What one partition's ingest thread produced. Freely `Send`: the store
@@ -596,7 +576,7 @@ fn ingest_partition(
                                 vec![("cause", "store decode failed".into())],
                             );
                         }
-                        first_error.get_or_insert(store_decode_fault(e, rank, attempt));
+                        first_error.get_or_insert(store_fault(e, rank, attempt));
                     }
                 }
             }

@@ -3,9 +3,11 @@
 //! `run_job` realizes the bipartite O/A model. This module is the **job
 //! level** only: it opens the configured [`crate::transport`] (the
 //! in-proc channel fabric or a real TCP mesh), builds what the ranks of
-//! one process can share — one split queue that a free rank takes the
-//! next split from, the caller's [`CheckpointStore`], one failed flag —
-//! and runs `run_rank` on one thread per rank. What a rank does (ingest
+//! one process can share — one task queue that a free rank takes the
+//! next task index from, the caller's [`CheckpointStore`], one failed
+//! flag — and runs `run_rank` on one thread per rank. The runtime hands
+//! out task indices only; each surface's O function gets its own split
+//! from the index. What a rank does (ingest
 //! thread, O loop, EOFs, A loop) lives in `rank.rs` and is the same code
 //! `dmpirun` workers and the resident service execute; see DESIGN.md §5.
 //!
@@ -185,25 +187,25 @@ where
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
     let attempt = checkpoint.map_or(Ok(0), |cp| cp.begin_attempt(config.ranks))?;
-    let o_fn = move |task: usize, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out);
-    run_job_core(config, &inputs, &o_fn, &a_fn, checkpoint, attempt).map_err(|e| e.0)
+    let o_fn = |t: usize, out: &mut dyn Collector| o_fn(t, &inputs[t], out);
+    run_job_core(config, inputs.len(), &o_fn, &a_fn, checkpoint, attempt).map_err(|e| e.0)
 }
 
 /// The runner behind the byte-split surface ([`run_job`]), Iteration mode
-/// (O tasks consume an arbitrary resident split type `I`) and the
-/// supervisor. On failure it also returns the partial stats of the
-/// attempt, so the supervisor can account wasted work across retries.
-pub(crate) fn run_job_core<I, O, A>(
+/// and the supervisor: it schedules O tasks `0..tasks`, and `o_fn` gets
+/// its own split from the task index. On failure it also returns the
+/// partial stats of the attempt, so the supervisor can account wasted
+/// work across retries.
+pub(crate) fn run_job_core<O, A>(
     config: &JobConfig,
-    inputs: &[I],
+    tasks: usize,
     o_fn: &O,
     a_fn: &A,
     checkpoint: Option<&CheckpointStore>,
     attempt: u32,
 ) -> std::result::Result<JobOutput, Box<(Error, JobStats)>>
 where
-    I: Sync,
-    O: Fn(usize, &I, &mut dyn Collector) + Send + Sync,
+    O: Fn(usize, &mut dyn Collector) + Send + Sync,
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
     if let Err(e) = config.validate() {
@@ -227,7 +229,7 @@ where
         }
     }
 
-    let queues = TaskQueues::shared(inputs.len());
+    let queues = TaskQueues::shared(tasks);
     let failure = JobFailure::default();
 
     let mut rank_results: Vec<Option<(RecordBatch, JobStats)>> = Vec::new();
@@ -241,7 +243,6 @@ where
                 rank,
                 ranks,
                 attempt,
-                inputs,
                 queues: &queues,
                 checkpoint,
                 failure: &failure,

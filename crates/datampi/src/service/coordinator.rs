@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -217,7 +217,7 @@ impl Scheduler {
         let table = RankTable::new(
             self.joiners
                 .iter()
-                .map(|(_, p)| format!("127.0.0.1:{p}").parse().expect("loopback addr"))
+                .map(|&(_, port)| SocketAddr::from((Ipv4Addr::LOCALHOST, port)))
                 .collect(),
         );
         let table_line = table.wire_line() + "\n";

@@ -21,7 +21,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 
 use dmpi_common::crc::Crc32;
@@ -37,16 +36,16 @@ use crate::transport::{establish_endpoint, TcpOptions};
 use super::mesh::JobMux;
 use super::protocol::{read_known_line, JobSpec, Line, LineWriter, WorkerDone, WorkerEvent};
 
-/// A boxed O (map-side) function, as resolved from a job spec.
-pub type BoxedOFn = Box<dyn Fn(usize, &[u8], &mut dyn Collector) + Send + Sync>;
+/// A boxed O (map-side) function, as resolved from a job spec: given a
+/// task index, it derives that task's split and emits its pairs.
+pub type BoxedOFn = Box<dyn Fn(usize, &mut dyn Collector) + Send + Sync>;
 /// A boxed A (reduce-side) function, as resolved from a job spec.
 pub type BoxedAFn = Box<dyn Fn(&GroupedValues, &mut dyn Collector) + Send + Sync>;
 
-/// A job the resolver has made runnable: deterministic inputs plus the
-/// O and A functions.
+/// A job the resolver has made runnable. A rank hands the O function
+/// only its own share of the spec's task indices, so no worker derives
+/// or holds the job's whole input.
 pub struct PreparedJob {
-    /// The full task table (every rank derives the same one).
-    pub inputs: Vec<Bytes>,
     /// The O (map-side) function.
     pub o_fn: BoxedOFn,
     /// The A (reduce-side) function.
@@ -56,7 +55,8 @@ pub struct PreparedJob {
 /// Turns a [`JobSpec`] into a runnable job. The trait keeps
 /// `datampi::service` free of any workload-catalogue dependency — the
 /// `dmpid` binary injects the catalogue from `dmpi_workloads`, tests
-/// inject tiny closures.
+/// inject tiny closures. Every process's O function must derive the
+/// same split for task `t` (from the spec's seed, say).
 pub trait JobResolver: Send + Sync {
     /// Resolves `spec` or explains why it cannot run (unknown workload,
     /// bad parameters). Called on the job's own thread.
@@ -319,7 +319,7 @@ fn run_one_job(
                 &config,
                 rank,
                 channels,
-                &prepared.inputs,
+                spec.tasks,
                 prepared.o_fn,
                 prepared.a_fn,
                 sink,

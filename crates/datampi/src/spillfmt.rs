@@ -37,14 +37,14 @@
 
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 
 use dmpi_common::crc::crc32;
-use dmpi_common::{ser, varint, Error, Record, Result};
+use dmpi_common::{ser, varint, Error, FaultCause, FaultKind, Record, Result};
 
 /// Default block budget: big enough that per-block overhead (index entry,
 /// CRC, LZ4 token stream) is noise, small enough that a merge holds a
@@ -580,20 +580,22 @@ impl SealedRun {
     /// hands it to `write`, which writes the run and returns its index.
     /// The file's guard exists before the first byte is written, so a
     /// run whose write fails (a full disk, an I/O error) deletes its
-    /// partial file, and the error names the path.
+    /// partial file. Every failure is a [`FaultKind::Spill`] fault that
+    /// names the path and the OS error; the rank adds its provenance.
     pub(crate) fn create(
         path: PathBuf,
         write: impl FnOnce(std::fs::File) -> std::io::Result<RunIndex>,
     ) -> Result<Self> {
+        let fault = |what: &str, path: &Path, e: std::io::Error| {
+            let detail = format!("{what} {}: {e}", path.display());
+            Error::fault(FaultCause::new(FaultKind::Spill, detail))
+        };
         if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| Error::Config(format!("spill dir {}: {e}", parent.display())))?;
+            std::fs::create_dir_all(parent).map_err(|e| fault("spill dir", parent, e))?;
         }
-        let file = std::fs::File::create(&path)
-            .map_err(|e| Error::Config(format!("spill file {}: {e}", path.display())))?;
+        let file = std::fs::File::create(&path).map_err(|e| fault("spill file", &path, e))?;
         let guard = RunFileGuard { path };
-        let index = write(file)
-            .map_err(|e| Error::Config(format!("spill write {}: {e}", guard.path.display())))?;
+        let index = write(file).map_err(|e| fault("spill write", &guard.path, e))?;
         Ok(SealedRun {
             file: Arc::new(guard),
             index: Arc::new(index),

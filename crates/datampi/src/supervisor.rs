@@ -142,7 +142,7 @@ where
     A: Fn(&GroupedValues, &mut dyn Collector) + Send + Sync,
 {
     policy.validate()?;
-    let o_fn = move |task: usize, split: &Bytes, out: &mut dyn Collector| o_fn(task, split, out);
+    let o_fn = |t: usize, out: &mut dyn Collector| o_fn(t, &inputs[t], out);
     let mut wasted = 0u64;
     let mut last_err: Option<Error> = None;
 
@@ -157,7 +157,7 @@ where
         // plan must still see them advance. A store pinned to another
         // width is refused here, and no retry can change that.
         let attempt = store.map_or(Ok(retry), |s| s.begin_attempt(config.ranks))?;
-        match run_job_core(config, &inputs, &o_fn, &a_fn, store, attempt) {
+        match run_job_core(config, inputs.len(), &o_fn, &a_fn, store, attempt) {
             Ok(mut out) => {
                 out.stats.attempts = retry + 1;
                 out.stats.wasted_bytes += wasted;

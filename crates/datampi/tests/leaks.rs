@@ -221,10 +221,17 @@ fn failed_jobs_leave_no_threads_fds_or_spill_files() {
             let mut residue = Residue::settled(&root, baseline.threads, SETTLE);
             // The failed seal whose error the job reports removed its link;
             // a link no seal reached may stay, and goes before the next run.
+            // Its fault names the rank and attempt the link was planted for.
             if let Some(link) = text.split("spill write ").nth(1) {
                 let link = Path::new(link.split(": ").next().unwrap_or_default());
                 assert!(planted.iter().any(|p| p == link), "{text}");
                 assert!(link.symlink_metadata().is_err(), "{link:?} is left");
+                let cause = err.fault_cause().expect("a seal failure is a fault");
+                assert_eq!(cause.kind, FaultKind::Spill, "{text}");
+                let (rank, attempt) = (cause.rank.unwrap(), cause.attempt.unwrap());
+                let name = format!("r{rank}-a{attempt}-0.spill");
+                assert!(link.ends_with(name), "{text}");
+                assert_eq!(attempt, 1, "the last of two attempts fails last: {text}");
             }
             assert!(case.full_disk == text.contains("spill write"), "{text}");
             residue.spill_entries.retain(|p| !planted.contains(p));

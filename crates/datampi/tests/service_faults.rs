@@ -20,8 +20,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use bytes::Bytes;
-
 use datampi::service::protocol::Line;
 use datampi::service::{
     run_resident_worker, serve, submit as client_submit, AdmissionConfig, JobResolver, JobSpec,
@@ -59,14 +57,12 @@ impl JobResolver for PanickyResolver {
         let boom = spec.workload == "boom";
         let aboom = spec.workload == "aboom";
         Ok(PreparedJob {
-            inputs: (0..spec.tasks)
-                .map(|t| Bytes::from(format!("w{t} shared w{}", t % 2)))
-                .collect(),
-            o_fn: Box::new(move |task, split, out| {
+            o_fn: Box::new(move |task, out| {
                 if boom && task == 0 {
                     panic!("user code exploded");
                 }
-                for word in split.split(|&b| b == b' ') {
+                let split = format!("w{task} shared w{}", task % 2);
+                for word in split.as_bytes().split(|&b| b == b' ') {
                     out.collect(word, b"1");
                 }
             }),
@@ -259,10 +255,7 @@ impl JobResolver for GatedResolver {
         let started = self.started.lock().unwrap().clone();
         let release = Arc::clone(&self.release);
         Ok(PreparedJob {
-            inputs: (0..spec.tasks)
-                .map(|t| Bytes::from(format!("w{t}")))
-                .collect(),
-            o_fn: Box::new(move |task, split, out| {
+            o_fn: Box::new(move |task, out| {
                 if gated && task == 0 {
                     panic!("task 0 fails at once");
                 }
@@ -271,7 +264,7 @@ impl JobResolver for GatedResolver {
                     let _ = release.lock().unwrap().recv();
                     panic!("task 1 fails once released");
                 }
-                out.collect(split, b"1");
+                out.collect(format!("w{task}").as_bytes(), b"1");
             }),
             a_fn: Box::new(|g: &GroupedValues, out: &mut dyn Collector| {
                 out.collect(&g.key, g.values.len().to_string().as_bytes());

@@ -65,9 +65,9 @@ struct WordCount;
 
 impl JobResolver for WordCount {
     fn prepare(&self, spec: &JobSpec) -> Result<PreparedJob> {
+        let splits = inputs(spec.seed);
         Ok(PreparedJob {
-            inputs: inputs(spec.seed),
-            o_fn: Box::new(wc_o),
+            o_fn: Box::new(move |t, out| wc_o(t, &splits[t], out)),
             a_fn: Box::new(wc_a),
         })
     }

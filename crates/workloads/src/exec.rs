@@ -4,7 +4,8 @@
 //! functions with a deterministic input generator, so every process of a
 //! multi-process job — and the in-proc runtime used to verify it — can
 //! derive identical inputs from `(seed, task)` alone and no split data
-//! ever crosses the control plane. The A side groups by key-sorted merge
+//! ever crosses the control plane; a worker derives only its own tasks'
+//! splits, one at a time. The A side groups by key-sorted merge
 //! on every surface and the A functions are order-insensitive, which is
 //! what makes the output byte-identical between the in-proc and
 //! multi-process surfaces.
@@ -25,8 +26,8 @@ use crate::{grep, sort, wordcount};
 /// letter is the only pattern guaranteed to appear in every split.
 pub const GREP_PATTERN: &str = "a";
 
-/// A boxed O function as the runtime consumes it.
-type BoxedOFn = Box<dyn Fn(usize, &[u8], &mut dyn Collector) + Send + Sync>;
+/// A boxed O function over a split.
+type SplitOFn = Box<dyn Fn(usize, &[u8], &mut dyn Collector) + Send + Sync>;
 
 /// A workload `dmpirun` can execute end-to-end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,7 +87,7 @@ impl ExecWorkload {
             .collect()
     }
 
-    fn o_fn(&self) -> BoxedOFn {
+    fn o_fn(&self) -> SplitOFn {
         match self {
             ExecWorkload::WordCount => Box::new(wordcount::map),
             ExecWorkload::TextSort => Box::new(sort::text_map),
@@ -128,16 +129,16 @@ impl ExecWorkload {
 /// inject this to resolve submitted workload names — same deterministic
 /// inputs, same O/A functions as [`ExecWorkload::run_raw`] — which is
 /// what keeps multi-process outputs byte-identical to in-proc runs of
-/// the same seeds.
+/// the same seeds. Task `t`'s split lives only while the task runs.
 pub struct CatalogueResolver;
 
 impl JobResolver for CatalogueResolver {
     fn prepare(&self, spec: &JobSpec) -> Result<PreparedJob> {
         let w = ExecWorkload::parse(&spec.workload)
             .ok_or_else(|| Error::Config(format!("unknown workload {:?}", spec.workload)))?;
+        let (o_fn, bytes, seed) = (w.o_fn(), spec.bytes_per_task, spec.seed);
         Ok(PreparedJob {
-            inputs: w.inputs(spec.tasks, spec.bytes_per_task, spec.seed),
-            o_fn: w.o_fn(),
+            o_fn: Box::new(move |t, out| o_fn(t, &w.input_for_task(t, bytes, seed), out)),
             a_fn: Box::new(w.a_fn()),
         })
     }

@@ -146,7 +146,7 @@ echo "== EXPERIMENTS.md is what \`figures all --write\` produces ==" >&2
 cargo run -q --release -p dmpi-bench --bin figures -- all --write target/ci/EXPERIMENTS.md
 diff target/ci/EXPERIMENTS.md EXPERIMENTS.md
 
-echo "== dmpirun smokes: two match the in-proc reference byte for byte, a dead rank fails ==" >&2
+echo "== dmpirun smokes: three match the in-proc reference byte for byte, a dead rank fails ==" >&2
 # Everything from here on starts processes that talk to each other, so
 # every step runs under `timeout`: a control-plane hang fails the run
 # instead of stalling it.
@@ -156,6 +156,9 @@ dmpirun() { timeout 120 target/release/dmpirun "$@"; }
 dmpirun --ranks 4 --tasks 8 --verify-inproc wordcount
 # Sort's output records are slices of the frames each worker received.
 dmpirun --ranks 2 --tasks 8 --verify-inproc sort
+# Grep on an uneven width: rank 0 runs three of the seven tasks and
+# derives only their splits, ranks 1 and 2 two each.
+dmpirun --ranks 3 --tasks 7 --verify-inproc grep
 # About 80 MiB per rank, more than a worker's 64 MiB default budget: each
 # worker seals a run into its spill dir and streams its output through
 # its part sink, over a thousand chunks, into its part file. The smokes
