@@ -12,9 +12,9 @@
 //!    [`TaskQueues`] and runs each through `run_o_task`: checkpoint
 //!    replay, injected faults, the O function getting its own split and
 //!    writing straight into the task's [`KvBuffer`], panic → fault,
-//!    stats fold. Whatever ends the phase — queue drained,
-//!    failed flag, user panic, injected death — the rank then sends its
-//!    EOF to every partition, so no peer's ingest waits forever.
+//!    stats fold. Whatever ends the phase — queue drained, failed flag,
+//!    user panic, injected death — the rank then sends its EOF to every
+//!    partition, so no peer's ingest waits forever.
 //! 3. **A phase** — once every peer's EOF arrived the store's groups are
 //!    pulled one at a time through the user's A function into the
 //!    caller's sink.
