@@ -15,39 +15,6 @@ use crate::transport::Backend;
 /// the send window runs dry, so latency never waits on this).
 pub const DEFAULT_WIRE_BATCH_BYTES: usize = 256 * KB as usize;
 
-/// Per-batch wire compression for the TCP backend (see DESIGN.md §9:
-/// the batch body is compressed after per-frame CRC stamping, so the
-/// receiver's integrity gate is unchanged).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WireCompression {
-    /// Ship raw batch bodies (the default — loopback and fast networks
-    /// are rarely compression-bound).
-    #[default]
-    None,
-    /// LZ4-block-compress each sealed batch, keeping the compressed body
-    /// only when it is actually smaller.
-    Lz4,
-}
-
-impl WireCompression {
-    /// Stable lowercase name, used by CLI flags and artifact JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireCompression::None => "none",
-            WireCompression::Lz4 => "lz4",
-        }
-    }
-
-    /// Parses a compression name: `none` (or `off`) or `lz4`.
-    pub fn parse(s: &str) -> Option<WireCompression> {
-        match s {
-            "none" | "off" => Some(WireCompression::None),
-            "lz4" => Some(WireCompression::Lz4),
-            _ => None,
-        }
-    }
-}
-
 /// Configuration of one DataMPI job.
 #[derive(Clone, Debug)]
 pub struct JobConfig {
@@ -93,9 +60,6 @@ pub struct JobConfig {
     /// 4 KiB..=64 MiB). Batches also seal whenever the peer's send
     /// window runs dry, so this bounds batching, it never adds latency.
     pub wire_batch_bytes: usize,
-    /// TCP backend only: per-batch wire compression
-    /// ([`WireCompression::Lz4`] or the default `None`).
-    pub wire_compression: WireCompression,
     /// O-side pre-aggregation ([`Combiner`]): when set, each O task's
     /// per-destination buffer is key-grouped and folded through this
     /// function before its frame is shipped, cutting wire bytes for
@@ -113,12 +77,8 @@ pub struct JobConfig {
     /// from memory. Grouped output is byte-identical either way — see
     /// DESIGN.md §12.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// LZ4 block compression for sealed spill runs (reuses the wire
-    /// codec; each block's CRC covers the uncompressed bytes, and the
-    /// compressed form is kept only when smaller).
-    pub spill_compression: WireCompression,
-    /// Raw-byte budget of one spill-run block — the unit of read, CRC
-    /// check, decompression and index skip. Default
+    /// Byte budget of one spill-run block — the unit of read, CRC check
+    /// and index skip. Default
     /// [`crate::spillfmt::DEFAULT_SPILL_BLOCK_BYTES`].
     pub spill_block_bytes: usize,
 }
@@ -137,11 +97,9 @@ impl JobConfig {
             transport: Backend::InProc,
             mailbox_capacity: DEFAULT_MAILBOX_CAPACITY,
             wire_batch_bytes: DEFAULT_WIRE_BATCH_BYTES,
-            wire_compression: WireCompression::default(),
             combiner: None,
             sort_kernel: SortKernel::default(),
             spill_dir: None,
-            spill_compression: WireCompression::default(),
             spill_block_bytes: crate::spillfmt::DEFAULT_SPILL_BLOCK_BYTES,
         }
     }
@@ -214,12 +172,6 @@ impl JobConfig {
         self
     }
 
-    /// Builder: set per-batch wire compression for the TCP backend.
-    pub fn with_wire_compression(mut self, compression: WireCompression) -> Self {
-        self.wire_compression = compression;
-        self
-    }
-
     /// Builder: install an O-side combiner (pre-aggregation before the
     /// shuffle). The combiner must be an associative, commutative
     /// reduction compatible with the job's A function — see
@@ -242,13 +194,7 @@ impl JobConfig {
         self
     }
 
-    /// Builder: LZ4-compress spill-run blocks.
-    pub fn with_spill_compression(mut self, compression: WireCompression) -> Self {
-        self.spill_compression = compression;
-        self
-    }
-
-    /// Builder: set the spill-run block budget (raw bytes per block).
+    /// Builder: set the spill-run block budget (bytes per block).
     pub fn with_spill_block_bytes(mut self, bytes: usize) -> Self {
         self.spill_block_bytes = bytes;
         self
@@ -259,7 +205,6 @@ impl JobConfig {
     pub fn spill_config(&self) -> crate::spillfmt::SpillConfig {
         crate::spillfmt::SpillConfig {
             dir: self.spill_dir.clone(),
-            compress: self.spill_compression == WireCompression::Lz4,
             block_bytes: self.spill_block_bytes,
             ..crate::spillfmt::SpillConfig::default()
         }
@@ -309,26 +254,16 @@ mod tests {
     }
 
     #[test]
-    fn wire_knobs_build_and_parse() {
-        let c = JobConfig::new(2)
-            .with_wire_batch_bytes(64 * 1024)
-            .with_wire_compression(WireCompression::Lz4);
+    fn wire_knobs_build() {
+        let c = JobConfig::new(2).with_wire_batch_bytes(64 * 1024);
         assert_eq!(c.wire_batch_bytes, 64 * 1024);
-        assert_eq!(c.wire_compression, WireCompression::Lz4);
         c.validate().unwrap();
-        assert_eq!(WireCompression::parse("lz4"), Some(WireCompression::Lz4));
-        assert_eq!(WireCompression::parse("none"), Some(WireCompression::None));
-        assert_eq!(WireCompression::parse("off"), Some(WireCompression::None));
-        assert_eq!(WireCompression::parse("zstd"), None);
-        assert_eq!(WireCompression::Lz4.name(), "lz4");
-        assert_eq!(WireCompression::None.name(), "none");
     }
 
     #[test]
     fn spill_knobs_build_and_validate() {
         let c = JobConfig::new(2)
             .with_spill_dir("/tmp/dmpi-spill")
-            .with_spill_compression(WireCompression::Lz4)
             .with_spill_block_bytes(4096);
         c.validate().unwrap();
         let spill = c.spill_config();
@@ -336,13 +271,10 @@ mod tests {
             spill.dir.as_deref(),
             Some(std::path::Path::new("/tmp/dmpi-spill"))
         );
-        assert!(spill.compress);
         assert_eq!(spill.block_bytes, 4096);
-        // Default: no spill dir (nothing seals), uncompressed, default
-        // block budget.
+        // Default: no spill dir (nothing seals), default block budget.
         let spill = JobConfig::new(1).spill_config();
         assert!(spill.dir.is_none());
-        assert!(!spill.compress);
         assert_eq!(
             spill.block_bytes,
             crate::spillfmt::DEFAULT_SPILL_BLOCK_BYTES

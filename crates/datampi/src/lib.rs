@@ -70,7 +70,7 @@ pub mod supervisor;
 pub mod task;
 pub mod transport;
 
-pub use config::{JobConfig, WireCompression};
+pub use config::JobConfig;
 pub use fault::FaultPlan;
 pub use observe::{Observer, PhaseTotals, Profiler, SpanKind, Trace};
 pub use runtime::{run_job, JobOutput, JobStats};

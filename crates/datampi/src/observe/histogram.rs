@@ -36,8 +36,7 @@ pub enum HistKind {
     WindowWait,
     /// Spill-run seal duration (sort + write into the run file), µs.
     SpillSeal,
-    /// Stored sizes of sealed spill-run blocks (post-compression),
-    /// bytes.
+    /// Sizes of sealed spill-run blocks, bytes.
     SpillBlock,
 }
 

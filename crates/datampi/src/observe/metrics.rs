@@ -54,7 +54,7 @@ counters! {
     BytesReceived "bytes_received" "bytes" flow,
     /// A-store spills.
     Spills "spills" "runs" flow,
-    /// Raw (uncompressed) bytes written by spills.
+    /// Framed-record bytes written by spills.
     SpillBytes "spill_bytes" "bytes" flow,
     /// High-water mark of any single O-side partition buffer.
     BufferHwmBytes "buffer_hwm_bytes" "bytes" gauge,
@@ -71,7 +71,7 @@ counters! {
     /// Records O-side combiners shipped after folding `in - out` pairs away.
     CombinerRecordsOut "combiner_records_out" "records" flow,
     /// Pre-batching frame bytes handed to the wire encoders; `wire_bytes_sent`
-    /// over this is the achieved wire compression ratio.
+    /// exceeds this by the batch headers.
     WireRawBytesSent "wire_raw_bytes_sent" "bytes" flow,
     /// Logical frames the wire encoders packed into batches.
     WireFramesSent "wire_frames_sent" "frames" flow,
@@ -86,8 +86,8 @@ counters! {
     WireBatchesReceived "wire_batches_received" "batches" flow,
     /// Socket read syscalls issued by transport pollers.
     WireRecvSyscalls "wire_recv_syscalls" "syscalls" flow,
-    /// Stored bytes sealed runs occupy (blocks post-compression plus footer
-    /// index); over `spill_bytes` this is the achieved spill compression ratio.
+    /// Bytes sealed runs occupy on disk (blocks plus footer index and
+    /// trailer); the excess over `spill_bytes` is the index overhead.
     SpillWireBytes "spill_wire_bytes" "bytes" flow,
     /// Spill-run blocks loaded and decoded by merges and lookups.
     SpillBlocksRead "spill_blocks_read" "blocks" flow,

@@ -53,13 +53,11 @@ pub struct JobStats {
     pub early_flushes: u64,
     /// A-store spill events.
     pub spills: u64,
-    /// A-store raw (uncompressed) bytes sealed into spill runs.
+    /// A-store framed-record bytes sealed into spill runs.
     pub spilled_bytes: u64,
-    /// Stored bytes the sealed runs actually occupy — block bodies after
-    /// compression plus each run's footer index. With spill compression
-    /// off this slightly exceeds `spilled_bytes` (framing + index); with
-    /// it on, `spilled_wire_bytes / spilled_bytes` is the achieved
-    /// spill compression ratio.
+    /// Bytes the sealed runs occupy on disk: the blocks plus each run's
+    /// footer index and trailer, so it exceeds `spilled_bytes` by the
+    /// index overhead.
     pub spilled_wire_bytes: u64,
     /// Spill-run blocks read and decoded by A-side merges and lookups.
     pub spill_blocks_read: u64,

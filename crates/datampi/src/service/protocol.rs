@@ -253,7 +253,9 @@ pub struct JobSpec {
     /// files under `<spill_dir>/job-<id>/`, cleaned up when the job
     /// finishes (success or failure). Without one, nothing seals.
     pub spill_dir: Option<String>,
-    /// LZ4-compress spill-run blocks.
+    /// Does nothing, and no longer rides the wire; kept because
+    /// `benchmark/src/service.rs`'s struct literal names it, and ROADMAP
+    /// 1a unpins it.
     pub spill_compress: bool,
 }
 
@@ -270,9 +272,6 @@ impl JobSpec {
         }
         if let Some(dir) = &self.spill_dir {
             line = line.text("spilldir", dir);
-        }
-        if self.spill_compress {
-            line = line.field("spillcomp", 1);
         }
         line.finish()
     }
@@ -310,7 +309,6 @@ impl JobSpec {
                 "seed" => spec.seed = value.num()?,
                 "out" => spec.out = Some(value.text()?),
                 "spilldir" => spec.spill_dir = Some(value.text()?),
-                "spillcomp" => spec.spill_compress = value.flag(),
                 _ => {} // forward compatibility: ignore unknown fields
             }
         }
@@ -512,7 +510,7 @@ mod tests {
             o_parallelism: 1,
             out: Some("/tmp/out dir".into()),
             spill_dir: Some("/tmp/spill root".into()),
-            spill_compress: true,
+            spill_compress: false,
         };
         assert_eq!(JobSpec::parse_job(&spec.wire_line()).unwrap(), spec);
         let submitted = JobSpec::parse_submit(&spec.submit_line()).unwrap();
@@ -520,7 +518,6 @@ mod tests {
         assert_eq!(submitted.tenant, spec.tenant);
         assert_eq!(submitted.out, spec.out);
         assert_eq!(submitted.spill_dir, spec.spill_dir);
-        assert!(submitted.spill_compress);
         assert!(JobSpec::parse_job("job x tenant=a workload=w tasks=1").is_none());
         assert!(
             JobSpec::parse_job("job 1 tenant=a workload=w tasks=0").is_none(),
@@ -537,6 +534,18 @@ mod tests {
         let line = "submit tenant=a workload=wordcount tasks=4 bytes=2048 seed=7";
         let spec = JobSpec::parse_submit(line).expect("a valid submit line");
         assert_eq!(JobSpec::parse_submit(&format!("{line} par=4")), Some(spec));
+    }
+
+    #[test]
+    fn an_old_clients_spillcomp_field_is_skipped() {
+        // Clients from before spill-block compression was removed send
+        // `spillcomp=1`; it is skipped like any unknown field.
+        let line = "submit tenant=a workload=sort tasks=4 bytes=2048 seed=7 spilldir=/tmp/s";
+        let spec = JobSpec::parse_submit(line).expect("a valid submit line");
+        assert_eq!(
+            JobSpec::parse_submit(&format!("{line} spillcomp=1")),
+            Some(spec)
+        );
     }
 
     #[test]

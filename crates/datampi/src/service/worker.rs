@@ -310,9 +310,6 @@ fn run_one_job(
                     .map_err(|e| service_fault(format!("create {}: {e}", dir.display())))?;
                 config = config.with_spill_dir(dir.clone());
             }
-            if spec.spill_compress {
-                config = config.with_spill_compression(crate::WireCompression::Lz4);
-            }
             let wire_handle = Arc::clone(&channels.wire);
             ran_body = true;
             let result = run_mesh_rank(

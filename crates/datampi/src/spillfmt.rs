@@ -1,32 +1,29 @@
-//! Indexed, block-compressed spill-run format.
+//! Indexed, block-structured spill-run format.
 //!
 //! A sealed spill run stops being an opaque framed byte stream and
 //! becomes a real external-memory file format:
 //!
 //! ```text
-//! +----------------+----------------+-- ... --+-----------------+---------+
-//! | block 0 stored | block 1 stored |         | footer (index)  | trailer |
-//! +----------------+----------------+-- ... --+-----------------+---------+
+//! +---------+---------+-- ... --+-----------------+---------+
+//! | block 0 | block 1 |         | footer (index)  | trailer |
+//! +---------+---------+-- ... --+-----------------+---------+
 //!
-//! block (stored):   framed records, LZ4-block-compressed when that is
-//!                   smaller than the raw framing (kept-only-if-smaller,
-//!                   so stored_len < raw_len  <=>  compressed)
+//! block:            framed records (varint klen | varint vlen | key | value)
 //! footer:           varint flags (bit0 = key-sorted), varint block count,
 //!                   then per block:
 //!                   first_key last_key offset raw_len stored_len records crc
-//!                   (keys length-prefixed; integers LEB128; crc over the
-//!                   UNCOMPRESSED block bytes)
+//!                   (keys length-prefixed; integers LEB128;
+//!                   stored_len == raw_len; crc over the block bytes)
 //! trailer (16 B):   footer_offset u64 LE | footer CRC-32C u32 LE | "SPL1"
 //! ```
 //!
 //! The footer index is what turns the k-way merge from a full scan into a
 //! seekable one: a reader knows every block's key range before touching
 //! its bytes, so blocks outside the consumer's key range are *skipped* —
-//! never read, never decompressed. Integrity is a CRC-32C
-//! ([`dmpi_common::crc`]: the SSE4.2 instruction where the CPU has it,
-//! slicing-by-8 tables otherwise) over the uncompressed bytes of each
-//! block, checked after decompression and **before** any record decode,
-//! plus a CRC-32C over the footer itself.
+//! never read. Integrity is a CRC-32C ([`dmpi_common::crc`]: the SSE4.2
+//! instruction where the CPU has it, slicing-by-8 tables otherwise) over
+//! the bytes of each block, checked **before** any record decode, plus a
+//! CRC-32C over the footer itself.
 //!
 //! Every sealed run is a file under the spill directory, written a block
 //! at a time by a [`RunWriter`] that keeps only the index (a `Vec<u8>`
@@ -47,8 +44,8 @@ use dmpi_common::crc::crc32;
 use dmpi_common::{ser, varint, Error, FaultCause, FaultKind, Record, Result};
 
 /// Default block budget: big enough that per-block overhead (index entry,
-/// CRC, LZ4 token stream) is noise, small enough that a merge holds a
-/// few tens of KiB per run, not a whole run.
+/// CRC, one read) is noise, small enough that a merge holds a few tens of
+/// KiB per run, not a whole run.
 pub const DEFAULT_SPILL_BLOCK_BYTES: usize = 64 * 1024;
 
 /// Fixed trailer length: `footer_offset u64 | footer_crc u32 | magic u32`.
@@ -60,15 +57,13 @@ pub const RUN_MAGIC: u32 = u32::from_le_bytes(*b"SPL1");
 /// Footer flag bit: the run's records are key-sorted (merge/seek-able).
 const FLAG_SORTED: u64 = 1;
 
-/// How sealed runs are produced: destination, compression, block budget.
+/// How sealed runs are produced: destination, block budget, file names.
 #[derive(Clone, Debug)]
 pub struct SpillConfig {
     /// Spill directory. `None` (the default) seals nothing: the store
     /// keeps its whole partition in memory, whatever its budget.
     pub dir: Option<PathBuf>,
-    /// LZ4-compress blocks (kept only when smaller than the raw bytes).
-    pub compress: bool,
-    /// Per-block raw-byte budget; a block closes once it reaches this.
+    /// Per-block byte budget; a block closes once it reaches this.
     pub block_bytes: usize,
     /// Filename tag for run files: `{dir}/{tag}-{seq}.spill`. The
     /// runtime tags runs per rank and attempt so concurrent ranks and
@@ -80,7 +75,6 @@ impl Default for SpillConfig {
     fn default() -> Self {
         SpillConfig {
             dir: None,
-            compress: false,
             block_bytes: DEFAULT_SPILL_BLOCK_BYTES,
             tag: "run".to_string(),
         }
@@ -94,13 +88,7 @@ impl SpillConfig {
         self
     }
 
-    /// Builder: LZ4 block compression on/off.
-    pub fn with_compression(mut self, on: bool) -> Self {
-        self.compress = on;
-        self
-    }
-
-    /// Builder: per-block raw-byte budget.
+    /// Builder: per-block byte budget.
     pub fn with_block_bytes(mut self, block_bytes: usize) -> Self {
         self.block_bytes = block_bytes.max(1);
         self
@@ -122,22 +110,14 @@ pub struct BlockMeta {
     pub last_key: Bytes,
     /// Byte offset of the block's stored bytes within the run.
     pub offset: u64,
-    /// Uncompressed (framed-record) length.
+    /// Framed-record length.
     pub raw_len: u32,
-    /// Stored length; `stored_len < raw_len` iff the block is
-    /// LZ4-compressed (kept-only-if-smaller).
+    /// Length on disk: always `raw_len`, which [`parse_image`] checks.
     pub stored_len: u32,
     /// Records framed in the block.
     pub records: u32,
-    /// CRC-32C over the *uncompressed* block bytes.
+    /// CRC-32C over the block bytes.
     pub crc: u32,
-}
-
-impl BlockMeta {
-    /// Whether the stored bytes are LZ4-compressed.
-    pub fn is_compressed(&self) -> bool {
-        self.stored_len < self.raw_len
-    }
 }
 
 /// The decoded footer of one run: per-block index plus run totals.
@@ -148,9 +128,9 @@ pub struct RunIndex {
     /// The run's records are key-sorted (block key ranges are disjoint
     /// and ascending, enabling binary search and early exit).
     pub sorted: bool,
-    /// Total uncompressed block bytes.
+    /// Total framed-record block bytes.
     pub raw_bytes: u64,
-    /// Total stored block bytes (post-compression).
+    /// Total block bytes on disk: `raw_bytes`.
     pub stored_bytes: u64,
     /// Total records.
     pub records: u64,
@@ -246,24 +226,19 @@ impl RunIndex {
 /// `Vec<u8>` for a whole image in memory.
 ///
 /// Records are framed (`varint klen | varint vlen | key | value`) into a
-/// forming block; when the block reaches its raw-byte budget it is
-/// CRC-summed, optionally LZ4-compressed (one reusable
-/// [`lz4_flex::Compressor`] hash table for the whole run), and written
-/// to the sink, so the writer holds one block and the index, never the
-/// image. Records never straddle blocks. The per-block key range is kept
-/// as two ranges into the forming block and copied out when the block
-/// closes: a key-sorted run takes its first and last record, an
-/// arrival-order run tracks the running min/max, so the index stays
-/// honest either way.
+/// forming block; when the block reaches its byte budget it is
+/// CRC-summed and written to the sink, so the writer holds one block and
+/// the index, never the image. Records never straddle blocks. The
+/// per-block key range is kept as two ranges into the forming block and
+/// copied out when the block closes: a key-sorted run takes its first and
+/// last record, an arrival-order run tracks the running min/max, so the
+/// index stays honest either way.
 pub struct RunWriter<W: Write = Vec<u8>> {
     sink: W,
     /// The sink's first write error; nothing is written after it.
     error: Option<std::io::Error>,
     block_bytes: usize,
-    compress: bool,
     raw: Vec<u8>,
-    packed: Vec<u8>,
-    compressor: lz4_flex::Compressor,
     /// Where the block's smallest and largest keys sit in `raw`.
     first_key: Range<usize>,
     last_key: Range<usize>,
@@ -274,9 +249,11 @@ pub struct RunWriter<W: Write = Vec<u8>> {
 impl RunWriter {
     /// A writer building the image in memory. `sorted` records the
     /// run-level ordering promise in the footer flags; the caller must
-    /// then push records in key order.
-    pub fn new(block_bytes: usize, compress: bool, sorted: bool) -> Self {
-        RunWriter::with_sink(Vec::new(), block_bytes, compress, sorted)
+    /// then push records in key order. The `compress` `bool` does
+    /// nothing; it is kept because `benchmark/` passes it, and ROADMAP 1a
+    /// unpins it.
+    pub fn new(block_bytes: usize, _compress: bool, sorted: bool) -> Self {
+        RunWriter::with_sink(Vec::new(), block_bytes, sorted)
     }
 
     /// Closes the final block, appends footer and trailer, and returns
@@ -290,15 +267,12 @@ impl RunWriter {
 
 impl<W: Write> RunWriter<W> {
     /// [`RunWriter::new`] into `sink`.
-    pub(crate) fn with_sink(sink: W, block_bytes: usize, compress: bool, sorted: bool) -> Self {
+    pub(crate) fn with_sink(sink: W, block_bytes: usize, sorted: bool) -> Self {
         RunWriter {
             sink,
             error: None,
             block_bytes: block_bytes.max(1),
-            compress,
             raw: Vec::new(),
-            packed: Vec::new(),
-            compressor: lz4_flex::Compressor::new(),
             first_key: 0..0,
             last_key: 0..0,
             block_records: 0,
@@ -344,29 +318,18 @@ impl<W: Write> RunWriter<W> {
         if self.block_records == 0 {
             return;
         }
-        let raw_len = self.raw.len() as u32;
+        let len = self.raw.len() as u32;
         let crc = crc32(&self.raw);
-        let stored: &[u8] = if self.compress {
-            self.packed.clear();
-            self.compressor.compress_into(&self.raw, &mut self.packed);
-            if self.packed.len() < self.raw.len() {
-                &self.packed
-            } else {
-                &self.raw
-            }
-        } else {
-            &self.raw
-        };
         if self.error.is_none() {
-            self.error = self.sink.write_all(stored).err();
+            self.error = self.sink.write_all(&self.raw).err();
         }
         let meta = BlockMeta {
             first_key: Bytes::copy_from_slice(&self.raw[self.first_key.clone()]),
             last_key: Bytes::copy_from_slice(&self.raw[self.last_key.clone()]),
             // Blocks sit back to back from the start of the run.
             offset: self.index.stored_bytes,
-            raw_len,
-            stored_len: stored.len() as u32,
+            raw_len: len,
+            stored_len: len,
             records: self.block_records,
             crc,
         };
@@ -411,9 +374,8 @@ impl<W: Write> RunWriter<W> {
 
 /// Parses trailer + footer out of a complete run image: checks the
 /// magic, the footer span and its CRC, decodes the footer, and checks
-/// that every block lies before the footer and claims no more raw bytes
-/// than LZ4 can expand its stored bytes into, so no reader sizes a
-/// buffer from a span the run cannot hold.
+/// that every block stores exactly its raw bytes and lies before the
+/// footer, so no reader sizes a buffer from a span the run cannot hold.
 pub fn parse_image(image: &[u8]) -> Result<RunIndex> {
     let Some((head, trailer)) = image.split_last_chunk::<TRAILER_LEN>() else {
         return Err(Error::corrupt("run shorter than its trailer"));
@@ -435,6 +397,12 @@ pub fn parse_image(image: &[u8]) -> Result<RunIndex> {
     }
     let mut index = RunIndex::decode_footer(footer)?;
     for b in &index.blocks {
+        if b.stored_len != b.raw_len {
+            return Err(Error::corrupt(format!(
+                "block at {} stores {} bytes for {} raw",
+                b.offset, b.stored_len, b.raw_len
+            )));
+        }
         if b.offset
             .checked_add(b.stored_len as u64)
             .is_none_or(|end| end > footer_offset)
@@ -442,14 +410,6 @@ pub fn parse_image(image: &[u8]) -> Result<RunIndex> {
             return Err(Error::corrupt(format!(
                 "block span {}+{} runs past the footer at {footer_offset}",
                 b.offset, b.stored_len
-            )));
-        }
-        // An LZ4 sequence grows its output by at most 255 bytes per
-        // input byte (one match-length extension byte).
-        if b.is_compressed() && u64::from(b.raw_len) > 255 * u64::from(b.stored_len) {
-            return Err(Error::corrupt(format!(
-                "block claims {} raw bytes from {} stored, past LZ4's 255x",
-                b.raw_len, b.stored_len
             )));
         }
     }
@@ -497,9 +457,9 @@ impl KeyRange {
 }
 
 /// Shared read-side counters: how many blocks a merge actually touched
-/// versus skipped via the index, stored bytes read off disk, raw
-/// bytes decompressed, and non-sequential block loads (seeks). Cloneable
-/// handle over atomics so every reader of a partition feeds one tally.
+/// versus skipped via the index, bytes read off disk, and non-sequential
+/// block loads (seeks). Cloneable handle over atomics so every reader of
+/// a partition feeds one tally.
 #[derive(Clone, Debug, Default)]
 pub struct SpillReadCounters {
     inner: Arc<CounterCells>,
@@ -510,7 +470,6 @@ struct CounterCells {
     blocks_read: AtomicU64,
     blocks_skipped: AtomicU64,
     stored_bytes_read: AtomicU64,
-    raw_bytes_decoded: AtomicU64,
     seeks: AtomicU64,
 }
 
@@ -521,10 +480,8 @@ pub struct SpillReadSnapshot {
     pub blocks_read: u64,
     /// Blocks skipped whole via the footer index (key range).
     pub blocks_skipped: u64,
-    /// Stored (possibly compressed) bytes read.
+    /// Block bytes read.
     pub stored_bytes_read: u64,
-    /// Uncompressed bytes produced by block decode.
-    pub raw_bytes_decoded: u64,
     /// Non-sequential block loads.
     pub seeks: u64,
 }
@@ -542,19 +499,15 @@ impl SpillReadCounters {
             blocks_read: c.blocks_read.load(Ordering::Relaxed),
             blocks_skipped: c.blocks_skipped.load(Ordering::Relaxed),
             stored_bytes_read: c.stored_bytes_read.load(Ordering::Relaxed),
-            raw_bytes_decoded: c.raw_bytes_decoded.load(Ordering::Relaxed),
             seeks: c.seeks.load(Ordering::Relaxed),
         }
     }
 
-    fn block_read(&self, stored: u64, raw: u64) {
+    fn block_read(&self, bytes: u64) {
         self.inner.blocks_read.fetch_add(1, Ordering::Relaxed);
         self.inner
             .stored_bytes_read
-            .fetch_add(stored, Ordering::Relaxed);
-        self.inner
-            .raw_bytes_decoded
-            .fetch_add(raw, Ordering::Relaxed);
+            .fetch_add(bytes, Ordering::Relaxed);
     }
 
     fn blocks_skipped(&self, n: u64) {
@@ -635,7 +588,6 @@ impl SealedRun {
             expected_pos: u64::MAX,
             block: Bytes::new(),
             offset: 0,
-            scratch: Vec::new(),
             done: false,
         })
     }
@@ -645,10 +597,8 @@ impl SealedRun {
 ///
 /// Blocks load lazily: the footer index decides whether a block is
 /// skipped (key range disjoint from the reader's restriction), and only
-/// loaded blocks are read, CRC-checked and (if compressed) decompressed
-/// — into a fresh refcounted buffer whose records are zero-copy slices.
-/// A raw block is read straight into that buffer; a pooled scratch
-/// buffer stages the stored bytes of a compressed one.
+/// loaded blocks are read and CRC-checked, straight into a fresh
+/// refcounted buffer whose records are zero-copy slices.
 pub struct RunReader {
     file: std::fs::File,
     index: Arc<RunIndex>,
@@ -660,7 +610,6 @@ pub struct RunReader {
     expected_pos: u64,
     block: Bytes,
     offset: usize,
-    scratch: Vec<u8>,
     done: bool,
 }
 
@@ -743,40 +692,26 @@ impl RunReader {
             // too (range fast-forward).
             self.counters.seek();
         }
-        let stored_len = meta.stored_len as usize;
-        let raw_len = meta.raw_len as usize;
-        let f = &mut self.file;
-        f.seek(SeekFrom::Start(meta.offset))
+        let len = meta.stored_len as usize;
+        self.file
+            .seek(SeekFrom::Start(meta.offset))
             .map_err(|e| Error::corrupt(format!("spill seek: {e}")))?;
-        let read = |f: &mut std::fs::File, buf: &mut [u8]| {
-            f.read_exact(buf)
-                .map_err(|e| Error::corrupt(format!("spill read: {e}")))
-        };
-        let raw = if meta.is_compressed() {
-            self.scratch.clear();
-            self.scratch.resize(stored_len, 0);
-            read(f, &mut self.scratch)?;
-            let mut raw = Vec::with_capacity(raw_len);
-            lz4_flex::decompress_into(&self.scratch, raw_len, &mut raw)
-                .map_err(|e| Error::corrupt(format!("spill block decompress: {e}")))?;
-            Bytes::from(raw)
-        } else {
-            // Straight into the buffer the block's records slice.
-            let mut raw = vec![0; stored_len];
-            read(f, &mut raw)?;
-            Bytes::from(raw)
-        };
-        // Integrity gate: the CRC covers the uncompressed bytes and is
-        // checked before any record decode touches them.
-        if raw.len() != raw_len || crc32(&raw) != meta.crc {
+        // Straight into the buffer the block's records slice.
+        let mut raw = vec![0; len];
+        self.file
+            .read_exact(&mut raw)
+            .map_err(|e| Error::corrupt(format!("spill read: {e}")))?;
+        // Integrity gate, checked before any record decode touches the
+        // bytes.
+        if meta.raw_len != meta.stored_len || crc32(&raw) != meta.crc {
             return Err(Error::corrupt(format!(
                 "spill block crc mismatch at offset {}",
                 meta.offset
             )));
         }
-        self.counters.block_read(stored_len as u64, raw_len as u64);
-        self.expected_pos = meta.offset + stored_len as u64;
-        self.block = raw;
+        self.counters.block_read(len as u64);
+        self.expected_pos = meta.offset + len as u64;
+        self.block = Bytes::from(raw);
         self.offset = 0;
         Ok(())
     }
@@ -790,8 +725,8 @@ mod tests {
         Record::from_strs(k, v)
     }
 
-    fn build_run(records: &[Record], block_bytes: usize, compress: bool) -> (Vec<u8>, RunIndex) {
-        let mut w = RunWriter::new(block_bytes, compress, true);
+    fn build_run(records: &[Record], block_bytes: usize) -> (Vec<u8>, RunIndex) {
+        let mut w = RunWriter::new(block_bytes, false, true);
         for r in records {
             w.push(r);
         }
@@ -837,30 +772,17 @@ mod tests {
     fn round_trip_across_block_sizes() {
         let records = sorted_records(300);
         for block_bytes in [1usize, 17, 64, 1024, 1 << 20] {
-            for compress in [false, true] {
-                let (image, index) = build_run(&records, block_bytes, compress);
-                assert_eq!(index.records, 300);
-                assert_eq!(index.file_len as usize, image.len());
-                let run = on_disk(&image, index);
-                let counters = SpillReadCounters::new();
-                assert_eq!(read_all(&run, &counters), records);
-                let snap = counters.snapshot();
-                assert_eq!(snap.blocks_read, run.index().blocks.len() as u64);
-                assert_eq!(snap.raw_bytes_decoded, run.index().raw_bytes);
-            }
+            let (image, index) = build_run(&records, block_bytes);
+            assert_eq!(index.records, 300);
+            assert_eq!(index.file_len as usize, image.len());
+            assert_eq!(index.stored_bytes, index.raw_bytes);
+            let run = on_disk(&image, index);
+            let counters = SpillReadCounters::new();
+            assert_eq!(read_all(&run, &counters), records);
+            let snap = counters.snapshot();
+            assert_eq!(snap.blocks_read, run.index().blocks.len() as u64);
+            assert_eq!(snap.stored_bytes_read, run.index().raw_bytes);
         }
-    }
-
-    #[test]
-    fn compression_shrinks_compressible_blocks() {
-        let records: Vec<Record> = (0..200)
-            .map(|i| rec(&format!("k{i:04}"), "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"))
-            .collect();
-        let (_, raw_index) = build_run(&records, 4096, false);
-        let (_, lz4_index) = build_run(&records, 4096, true);
-        assert_eq!(raw_index.stored_bytes, raw_index.raw_bytes);
-        assert!(lz4_index.stored_bytes < lz4_index.raw_bytes);
-        assert!(lz4_index.blocks.iter().all(BlockMeta::is_compressed));
     }
 
     #[test]
@@ -868,10 +790,10 @@ mod tests {
         // One writer: run straight into a file, a block at a time, it
         // leaves the same bytes and index as the in-memory image.
         let records = sorted_records(300);
-        for (block_bytes, compress) in [(1usize, false), (64, true), (1024, false)] {
-            let (image, index) = build_run(&records, block_bytes, compress);
+        for block_bytes in [1usize, 64, 1024] {
+            let (image, index) = build_run(&records, block_bytes);
             let run = SealedRun::create(run_path(), |file| {
-                let mut w = RunWriter::with_sink(file, block_bytes, compress, true);
+                let mut w = RunWriter::with_sink(file, block_bytes, true);
                 for r in &records {
                     w.push(r);
                 }
@@ -901,7 +823,7 @@ mod tests {
     #[test]
     fn file_round_trip_and_guard_deletes() {
         let records = sorted_records(100);
-        let (image, index) = build_run(&records, 512, true);
+        let (image, index) = build_run(&records, 512);
         let path = run_path();
         let run = SealedRun::to_file(&image, index, path.clone()).unwrap();
         assert!(path.exists());
@@ -913,43 +835,53 @@ mod tests {
 
     #[test]
     fn corrupt_block_fails_before_record_decode() {
-        let records = sorted_records(150);
-        for compress in [false, true] {
-            let (mut image, index) = build_run(&records, 256, compress);
-            // Flip a byte inside the first block's stored span.
-            let target = (index.blocks[0].offset + 1) as usize;
-            image[target] ^= 0x40;
-            let run = on_disk(&image, index);
-            let counters = SpillReadCounters::new();
-            let mut reader = run.open(&counters, None).unwrap();
-            let err = match reader.next_record() {
-                Ok(Some(_)) => panic!("corrupt block must not yield records"),
-                Ok(None) => panic!("corruption must surface as an error"),
-                Err(e) => e,
-            };
-            let msg = format!("{err}");
-            assert!(
-                msg.contains("crc mismatch") || msg.contains("decompress"),
-                "unexpected error: {msg}"
-            );
-        }
+        let (mut image, index) = build_run(&sorted_records(150), 256);
+        // Flip a byte inside the first block's stored span.
+        let target = (index.blocks[0].offset + 1) as usize;
+        image[target] ^= 0x40;
+        let run = on_disk(&image, index);
+        let counters = SpillReadCounters::new();
+        let mut reader = run.open(&counters, None).unwrap();
+        let err = match reader.next_record() {
+            Ok(Some(_)) => panic!("corrupt block must not yield records"),
+            Ok(None) => panic!("corruption must surface as an error"),
+            Err(e) => e,
+        };
+        let msg = format!("{err}");
+        assert!(msg.contains("crc mismatch"), "unexpected error: {msg}");
     }
 
     #[test]
     fn corrupt_footer_is_rejected() {
-        let (mut image, _) = build_run(&sorted_records(10), 64, false);
+        let (mut image, _) = build_run(&sorted_records(10), 64);
         let at = image.len() - TRAILER_LEN - 1;
         image[at] ^= 1;
         assert!(parse_image(&image).is_err());
     }
 
+    /// `image` with its last block's `(offset, stored_len, raw_len)`
+    /// replaced, under a footer whose CRC is right.
+    fn forge_last_block(image: &[u8], index: &RunIndex, span: (u64, u32, u32)) -> Vec<u8> {
+        let footer_offset = image.len() - TRAILER_LEN - index.encode_footer().len();
+        let mut bad = index.clone();
+        let block = bad.blocks.last_mut().unwrap();
+        (block.offset, block.stored_len, block.raw_len) = span;
+        let footer = bad.encode_footer();
+        let mut forged = image[..footer_offset].to_vec();
+        forged.extend_from_slice(&footer);
+        forged.extend_from_slice(&(footer_offset as u64).to_le_bytes());
+        forged.extend_from_slice(&crc32(&footer).to_le_bytes());
+        forged.extend_from_slice(&RUN_MAGIC.to_le_bytes());
+        forged
+    }
+
     #[test]
     fn block_span_past_the_footer_is_rejected() {
         // A footer whose CRC is right but whose block spans run past the
-        // blocks region, or whose block claims a raw length no stored
-        // bytes can decompress to: the parser must refuse it before any
-        // reader sizes a buffer from `stored_len` or `raw_len`.
-        let (image, index) = build_run(&sorted_records(100), 256, false);
+        // blocks region, or whose block claims more raw bytes than it
+        // stores: the parser must refuse it before any reader sizes a
+        // buffer from `stored_len` or `raw_len`.
+        let (image, index) = build_run(&sorted_records(100), 256);
         let footer_offset = image.len() - TRAILER_LEN - index.encode_footer().len();
         let last = index.blocks.last().unwrap();
         let (offset, stored, raw) = (last.offset, last.stored_len, last.raw_len);
@@ -959,26 +891,30 @@ mod tests {
             (footer_offset as u64 + 1, stored, raw), // starts past the footer
             (offset, 1, u32::MAX),                   // 1 byte "expands" to 4 GiB
         ];
-        for (case, (offset, stored_len, raw_len)) in hostile.into_iter().enumerate() {
-            let mut bad = index.clone();
-            let block = bad.blocks.last_mut().unwrap();
-            block.offset = offset;
-            block.stored_len = stored_len;
-            block.raw_len = raw_len;
-            let footer = bad.encode_footer();
-            let mut forged = image[..footer_offset].to_vec();
-            forged.extend_from_slice(&footer);
-            forged.extend_from_slice(&(footer_offset as u64).to_le_bytes());
-            forged.extend_from_slice(&crc32(&footer).to_le_bytes());
-            forged.extend_from_slice(&RUN_MAGIC.to_le_bytes());
+        for (case, span) in hostile.into_iter().enumerate() {
+            let forged = forge_last_block(&image, &index, span);
             assert!(parse_image(&forged).is_err(), "case {case}: parse_image");
         }
     }
 
     #[test]
+    fn a_block_storing_fewer_bytes_than_it_frames_is_rejected() {
+        // `stored_len < raw_len` once marked an LZ4-compressed block; a
+        // block now stores exactly its framed records, so any other
+        // length is a corrupt footer, refused before a reader sizes a
+        // buffer from it.
+        let (image, index) = build_run(&sorted_records(100), 256);
+        let last = index.blocks.last().unwrap();
+        let (offset, stored) = (last.offset, last.stored_len);
+        let forged = forge_last_block(&image, &index, (offset, stored - 1, stored));
+        let err = parse_image(&forged).unwrap_err();
+        assert!(err.to_string().contains("raw"), "{err}");
+    }
+
+    #[test]
     fn range_scan_skips_out_of_range_blocks() {
         let records = sorted_records(1000);
-        let (image, index) = build_run(&records, 512, false);
+        let (image, index) = build_run(&records, 512);
         let total_blocks = index.blocks.len();
         assert!(total_blocks > 8, "need enough blocks to skip");
         let run = on_disk(&image, index);
@@ -1028,8 +964,8 @@ mod tests {
         }
         records.insert(0, rec("", "empty key first"));
         for block_bytes in [1usize, 64, 700, 1 << 20] {
-            let (sorted_image, sorted_index) = build_run(&records, block_bytes, true);
-            let mut w = RunWriter::new(block_bytes, true, false);
+            let (sorted_image, sorted_index) = build_run(&records, block_bytes);
+            let mut w = RunWriter::new(block_bytes, false, false);
             for r in &records {
                 w.push_kv(&r.key, &r.value);
             }
@@ -1047,7 +983,7 @@ mod tests {
 
     #[test]
     fn empty_run_round_trips() {
-        let (image, index) = build_run(&[], 64, true);
+        let (image, index) = build_run(&[], 64);
         assert_eq!(index.blocks.len(), 0);
         let reparsed = parse_image(&image).unwrap();
         assert_eq!(reparsed.blocks.len(), 0);
@@ -1059,7 +995,7 @@ mod tests {
     #[test]
     fn footer_round_trips_through_parse_image() {
         let records = sorted_records(64);
-        let (image, index) = build_run(&records, 128, true);
+        let (image, index) = build_run(&records, 128);
         let reparsed = parse_image(&image).unwrap();
         assert_eq!(reparsed.blocks, index.blocks);
         assert_eq!(reparsed.sorted, index.sorted);

@@ -9,7 +9,7 @@
 //! an owned `Record` per pair. Sorting the run sorts the index; the
 //! frame bytes do not move. When the partition outgrows its memory
 //! budget and a spill directory is configured, the run is sorted and
-//! sealed into a file under it in the indexed, block-compressed run
+//! sealed into a file under it in the indexed, block-structured run
 //! format of [`crate::spillfmt`], key and value slices streaming straight
 //! from the frames into blocks and each block reaching the file as it
 //! closes. Without a spill directory nothing seals: the budget bounds
@@ -56,11 +56,11 @@ pub struct StoreStats {
     /// proof: with a spill directory and a tight budget this stays near
     /// the budget no matter how large the input grows.
     pub peak_mem_bytes: u64,
-    /// Raw (uncompressed, framed-record) bytes sealed into spill files.
+    /// Framed-record bytes sealed into spill files.
     pub spilled_bytes: u64,
-    /// Bytes the spill files occupy on disk (blocks post-compression,
-    /// plus footer index and trailer) — compare against `spilled_bytes`
-    /// to see the compression win.
+    /// Bytes the spill files occupy on disk: the blocks plus each run's
+    /// footer index and trailer, so the excess over `spilled_bytes` is
+    /// the index overhead.
     pub spilled_wire_bytes: u64,
     /// Number of spill events (= number of sealed sorted runs); always 0
     /// without a spill directory.
@@ -112,8 +112,8 @@ pub struct PartitionStore {
     current: FormingRun,
     /// Sealed, key-sorted run files, in spill order.
     spilled: Vec<SealedRun>,
-    /// How runs seal: destination dir (none: never), compression, block
-    /// budget, filename tag.
+    /// How runs seal: destination dir (none: never), block budget,
+    /// filename tag.
     spill_cfg: SpillConfig,
     /// First sealing failure (disk full, unwritable spill dir, …),
     /// surfaced when the merge starts. `ingest` does not return it: the
@@ -158,7 +158,7 @@ fn seal_run(
     forming.sort();
     let run = SealedRun::create(path, |file| {
         let sink = std::io::BufWriter::new(file);
-        let mut writer = RunWriter::with_sink(sink, cfg.block_bytes, cfg.compress, true);
+        let mut writer = RunWriter::with_sink(sink, cfg.block_bytes, true);
         let (frames, index) = (&forming.frames, &forming.index);
         for (i, e) in index.iter().enumerate() {
             if let Some(ahead) = index.get(i + PREFETCH_AHEAD) {
@@ -220,9 +220,9 @@ impl PartitionStore {
         }
     }
 
-    /// Configures how runs seal: spill directory (none: never), LZ4
-    /// block compression, block budget and filename tag. Takes effect for
-    /// runs sealed after the call.
+    /// Configures how runs seal: spill directory (none: never), block
+    /// budget and filename tag. Takes effect for runs sealed after the
+    /// call.
     pub fn set_spill_config(&mut self, cfg: SpillConfig) {
         self.spill_cfg = cfg;
     }

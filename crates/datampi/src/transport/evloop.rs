@@ -184,8 +184,6 @@ pub(crate) struct PollerSetup {
     pub(crate) accept_deadline: Instant,
     /// Coalescing watermark (raw batch bytes before a seal).
     pub(crate) batch_bytes: usize,
-    /// Compress sealed batches with LZ4 when it pays.
-    pub(crate) lz4: bool,
     pub(crate) send_hist: Option<Arc<LogHistogram>>,
     pub(crate) recv: Arc<RecvCounters>,
 }
@@ -279,7 +277,7 @@ impl Poller {
             .map(|(stream, window)| OutConn {
                 stream,
                 window,
-                enc: BatchEncoder::new(setup.batch_bytes, setup.lz4),
+                enc: BatchEncoder::new(setup.batch_bytes, false),
                 queue: VecDeque::new(),
                 head: 0,
                 queued_bytes: 0,

@@ -9,10 +9,10 @@
 //!   process, bounded mailboxes).
 //! * [`TcpTransport`] — a real TCP mesh with a length-prefixed wire
 //!   format ([`wire`]), driven by one readiness event-loop thread per
-//!   rank (`evloop`) that coalesces frames into large wire batches
-//!   (optionally LZ4-compressed), with connect retry with exponential
-//!   backoff and jitter, bounded per-peer send windows for
-//!   backpressure, and graceful EOF/teardown semantics.
+//!   rank (`evloop`) that coalesces frames into large wire batches,
+//!   with connect retry with exponential backoff and jitter, bounded
+//!   per-peer send windows for backpressure, and graceful EOF/teardown
+//!   semantics.
 //!
 //! A [`Transport`] opens one [`Endpoint`] per rank. An endpoint exposes
 //! the same shape on both backends: a [`FrameSender`] per peer (indexed
@@ -252,7 +252,7 @@ impl FrameReceiver {
 /// Wire-level traffic counters for one endpoint, returned by
 /// [`Endpoint::close`]. Zero on the in-proc backend (no encoding
 /// happens); on TCP the byte counters count actual post-handshake
-/// socket traffic (batch headers and compression included), which
+/// socket traffic (batch headers included), which
 /// `observe` records alongside the logical per-peer matrices. The
 /// batch/syscall counters are what the benchmark reports as its
 /// `transport.tcp_batches` and `transport.tcp_*_syscalls` rows.
@@ -263,8 +263,8 @@ pub struct WireStats {
     /// Actual bytes this endpoint read from its peers' sockets
     /// (handshakes excluded, mirroring the send side).
     pub bytes_received: u64,
-    /// Uncompressed logical frame-encoding bytes pushed into batches —
-    /// `bytes_sent / raw_bytes_sent` below 1.0 is the compression win.
+    /// Logical frame-encoding bytes pushed into batches; `bytes_sent`
+    /// exceeds it by the batch headers.
     pub raw_bytes_sent: u64,
     /// Logical frames this endpoint sent.
     pub frames_sent: u64,

@@ -37,7 +37,7 @@ use crossbeam::channel::bounded;
 use dmpi_common::{Error, FaultCause, FaultKind, Result};
 
 use crate::comm::{Frame, DEFAULT_MAILBOX_CAPACITY};
-use crate::config::{JobConfig, WireCompression, DEFAULT_WIRE_BATCH_BYTES};
+use crate::config::{JobConfig, DEFAULT_WIRE_BATCH_BYTES};
 use crate::observe::LogHistogram;
 
 use super::evloop::{self, LoopCtl, PollerSetup, RecvCounters, Waker};
@@ -55,8 +55,6 @@ pub struct TcpOptions {
     pub mailbox_capacity: usize,
     /// Coalescing watermark: raw batch bytes before a wire batch seals.
     pub batch_bytes: usize,
-    /// Per-batch wire compression.
-    pub compression: WireCompression,
     /// How many times to dial a peer before giving up.
     pub connect_attempts: u32,
     /// Backoff before the second dial; doubles per attempt.
@@ -79,7 +77,6 @@ impl Default for TcpOptions {
             send_window: DEFAULT_SEND_WINDOW,
             mailbox_capacity: DEFAULT_MAILBOX_CAPACITY,
             batch_bytes: DEFAULT_WIRE_BATCH_BYTES,
-            compression: WireCompression::None,
             connect_attempts: 20,
             connect_base_delay: Duration::from_millis(5),
             connect_max_delay: Duration::from_millis(500),
@@ -91,13 +88,11 @@ impl Default for TcpOptions {
 }
 
 impl TcpOptions {
-    /// Options derived from a job config (mailbox, coalescing, and
-    /// compression knobs).
+    /// Options derived from a job config (mailbox and coalescing knobs).
     pub fn from_config(config: &JobConfig) -> Self {
         TcpOptions {
             mailbox_capacity: config.mailbox_capacity,
             batch_bytes: config.wire_batch_bytes,
-            compression: config.wire_compression,
             ..TcpOptions::default()
         }
     }
@@ -198,8 +193,6 @@ pub fn establish_endpoint(
     let (waker, wake_rx) = Waker::pair()
         .map_err(|e| transport_fault(format!("rank {rank}: wake pipe failed: {e}")))?;
     let ctl = LoopCtl::new(Arc::clone(&waker));
-    let lz4 = opts.compression == WireCompression::Lz4;
-    let features = wire::FEATURE_COALESCE | if lz4 { wire::FEATURE_LZ4 } else { 0 };
 
     // Dial every peer, advertise our wire features, and park each stream
     // behind a bounded send window. The dials complete against the
@@ -208,7 +201,7 @@ pub fn establish_endpoint(
     let mut outbound = Vec::with_capacity(ranks);
     for (peer, &addr) in peers.iter().enumerate() {
         let mut stream = connect_with_retry(addr, rank, peer, opts)?;
-        wire::write_handshake(&mut stream, rank, features).map_err(|e| {
+        wire::write_handshake(&mut stream, rank, wire::FEATURE_COALESCE).map_err(|e| {
             Error::fault(
                 FaultCause::new(
                     FaultKind::Transport,
@@ -237,7 +230,6 @@ pub fn establish_endpoint(
         ctl: Arc::clone(&ctl),
         accept_deadline,
         batch_bytes: opts.batch_bytes,
-        lz4,
         send_hist: opts.send_hist.clone(),
         recv: Arc::clone(&recv),
     };
@@ -329,8 +321,9 @@ mod tests {
         }
     }
 
-    fn mesh_round_trip(opts: TcpOptions) {
-        let mut fabric = TcpTransport::loopback(2, opts);
+    #[test]
+    fn two_rank_mesh_round_trips_frames() {
+        let mut fabric = TcpTransport::loopback(2, tiny_opts());
         let mut eps = fabric.open().unwrap();
         let mut ep1 = eps.pop().unwrap();
         let ep0 = eps.pop().unwrap();
@@ -374,33 +367,15 @@ mod tests {
         assert_eq!(w0.frames_sent, 3);
         assert!(w0.batches_sent >= 1 && w0.batches_sent <= 3);
         assert!(w0.send_syscalls >= w0.batches_sent.div_ceil(16));
-        if w0.bytes_sent == w0.raw_bytes_sent + wire::BATCH_HEADER_LEN as u64 * w0.batches_sent {
-            // Uncompressed batches: exact accounting holds.
-        } else {
-            // Compressed config: wire bytes can only shrink per batch.
-            assert!(
-                w0.bytes_sent
-                    <= w0.raw_bytes_sent + wire::BATCH_HEADER_LEN as u64 * w0.batches_sent
-            );
-        }
+        assert_eq!(
+            w0.bytes_sent,
+            w0.raw_bytes_sent + wire::BATCH_HEADER_LEN as u64 * w0.batches_sent
+        );
         // ep1 decoded everything ep0 sent it (29 + 5 logical) plus its
         // own loopback EOF (5 logical), each inside a batch envelope.
         assert_eq!(w1.frames_received, 3);
         assert!(w1.batches_received >= 2, "two senders, at least 2 batches");
         assert!(w1.bytes_received > 0 && w1.recv_syscalls > 0);
-    }
-
-    #[test]
-    fn two_rank_mesh_round_trips_frames() {
-        mesh_round_trip(tiny_opts());
-    }
-
-    #[test]
-    fn two_rank_mesh_round_trips_compressed() {
-        mesh_round_trip(TcpOptions {
-            compression: WireCompression::Lz4,
-            ..tiny_opts()
-        });
     }
 
     #[test]
@@ -497,13 +472,12 @@ mod tests {
     }
 
     #[test]
-    fn larger_mesh_with_compression_moves_bulk_data() {
-        // 3 ranks, bulk payloads with repetitive content: exercises the
-        // size-watermark seal path (not just idle flush) and compressed
-        // batch decode across several peers at once.
+    fn larger_mesh_moves_bulk_data() {
+        // 3 ranks, bulk payloads: exercises the size-watermark seal path
+        // (not just idle flush) and batch decode across several peers at
+        // once.
         let opts = TcpOptions {
             batch_bytes: 8 * 1024,
-            compression: WireCompression::Lz4,
             ..tiny_opts()
         };
         let mut fabric = TcpTransport::loopback(3, opts);
@@ -543,12 +517,10 @@ mod tests {
         let w0 = ep0.close();
         let w1 = ep1.close();
         ep2.close();
-        // Highly repetitive payloads must compress on the wire.
-        assert!(
-            w0.bytes_sent < w0.raw_bytes_sent / 4,
-            "sent {} wire bytes for {} raw",
+        // The wire carries the frames plus one header per batch.
+        assert_eq!(
             w0.bytes_sent,
-            w0.raw_bytes_sent
+            w0.raw_bytes_sent + wire::BATCH_HEADER_LEN as u64 * w0.batches_sent
         );
         // Coalescing must beat one-write-per-frame by a wide margin.
         assert!(

@@ -9,27 +9,24 @@
 //! handshake:   [magic u32 = "DMPI"][version u16][from_rank u32][features u32]
 //! data frame:  [tag u8 = 1][from_rank u32][o_task u64][crc u32][len u32][payload: len bytes]
 //! eof frame:   [tag u8 = 2][from_rank u32]
-//! batch frame: [tag u8 = 3][flags u8][count u32][raw_len u32][body_len u32][body: body_len bytes]
+//! batch frame: [tag u8 = 3][flags u8 = 0][count u32][raw_len u32][body_len u32][body: body_len bytes]
 //! ```
 //!
 //! All integers are little-endian. A **batch** carries `count` logical
 //! frames: `body` is the concatenation of their ordinary data/eof
-//! encodings (`raw_len` bytes), optionally LZ4-block-compressed to
-//! `body_len` bytes when [`BATCH_FLAG_LZ4`] is set (compression is used
-//! only when it actually shrinks the body). Because the batch body is
-//! built from the *uncompressed* per-frame encodings, the sender-stamped
-//! payload CRC-32C carried in each data frame survives compression
-//! unchanged: receivers run the same [`Frame::verify`] integrity gate as
-//! the in-proc backend, so wire corruption (real bit rot or the
-//! fault-injection harness) fails the attempt with a structured cause
-//! naming the producing rank and O task.
+//! encodings, so `body_len == raw_len` and `flags` is 0; a decoder
+//! refuses any other value of either. Each data frame keeps its
+//! sender-stamped payload CRC-32C inside the batch: receivers run the
+//! same [`Frame::verify`] integrity gate as the in-proc backend, so wire
+//! corruption (real bit rot or the fault-injection harness) fails the
+//! attempt with a structured cause naming the producing rank and O task.
 //!
 //! Because every connection in the mesh is one-directional, feature
 //! negotiation is advertisement, not agreement: the dialing side declares
-//! in the handshake which encodings it may use ([`FEATURE_COALESCE`],
-//! [`FEATURE_LZ4`]), and the receiving side rejects any frame that uses
-//! an unadvertised feature. Every peer is spawned from this build, so any
-//! handshake version other than [`VERSION`] is refused.
+//! in the handshake whether it may send batches ([`FEATURE_COALESCE`]),
+//! and the receiving side rejects a batch it was not told of. Every peer
+//! is spawned from this build, so any handshake version other than
+//! [`VERSION`] is refused.
 //!
 //! Decode problems below the frame level (bad magic, truncated header,
 //! oversized length, corrupt batch) surface as [`FaultKind::Transport`]
@@ -56,11 +53,6 @@ pub const MAX_PAYLOAD: u32 = 256 * 1024 * 1024;
 
 /// Handshake feature bit: the sender may emit [`TAG_BATCH`] frames.
 pub const FEATURE_COALESCE: u32 = 1;
-/// Handshake feature bit: batch bodies may be LZ4-block-compressed.
-pub const FEATURE_LZ4: u32 = 1 << 1;
-
-/// Batch flag bit: the body is LZ4-block-compressed.
-pub const BATCH_FLAG_LZ4: u8 = 1;
 
 /// Hard ceiling on the coalescing watermark a [`BatchEncoder`] accepts.
 pub const MAX_COALESCE_BYTES: usize = 64 * 1024 * 1024;
@@ -68,14 +60,13 @@ pub const MAX_COALESCE_BYTES: usize = 64 * 1024 * 1024;
 /// header overhead).
 pub const MIN_COALESCE_BYTES: usize = 4 * 1024;
 
-/// Largest raw (uncompressed) batch body a decoder will accept: the
-/// watermark ceiling plus one maximal frame that straddled the seal
-/// point, plus header slack.
+/// Largest batch body a decoder will accept: the watermark ceiling plus
+/// one maximal frame that straddled the seal point, plus header slack.
 const MAX_BATCH_RAW: u32 = MAX_PAYLOAD + MAX_COALESCE_BYTES as u32 + 1024;
 
 const TAG_DATA: u8 = 1;
 const TAG_EOF: u8 = 2;
-/// Frame tag for a coalesced (optionally compressed) batch of frames.
+/// Frame tag for a coalesced batch of frames.
 pub const TAG_BATCH: u8 = 3;
 
 /// Byte length of a batch frame header (tag, flags, count, raw_len,
@@ -122,7 +113,7 @@ fn le_u64(buf: &[u8], at: usize) -> u64 {
 pub struct Handshake {
     /// Rank of the connecting (sending) side.
     pub from_rank: usize,
-    /// Advertised [`FEATURE_COALESCE`]/[`FEATURE_LZ4`] bits.
+    /// Advertised feature bits ([`FEATURE_COALESCE`]).
     pub features: u32,
 }
 
@@ -251,17 +242,15 @@ fn parse_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>> {
 }
 
 /// Statistics from sealing one batch, for the transport's syscall and
-/// compression-ratio accounting.
+/// byte accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchSeal {
     /// Logical frames packed into the batch.
     pub frames: u32,
-    /// Uncompressed body length in bytes.
+    /// Body length in bytes: the frames' encodings.
     pub raw_len: u64,
-    /// Bytes appended to the wire (header + possibly-compressed body).
+    /// Bytes appended to the wire: header plus body.
     pub wire_len: u64,
-    /// Whether the body went out LZ4-compressed.
-    pub compressed: bool,
 }
 
 /// Accumulates logical frames into a coalesced batch body and seals them
@@ -270,40 +259,34 @@ pub struct BatchSeal {
 /// The owner pushes frames as they drain from the send windows and seals
 /// when [`BatchEncoder::should_seal`] fires (the size watermark) or when
 /// the windows run dry (the imminent-idle watermark) — the two-watermark
-/// policy described in DESIGN.md §9. Compression is attempted per batch
-/// and kept only when it shrinks the body.
+/// policy described in DESIGN.md §9.
 pub struct BatchEncoder {
     body: Vec<u8>,
     count: u32,
     watermark: usize,
-    lz4: bool,
-    compressor: lz4_flex::Compressor,
-    packed: Vec<u8>,
 }
 
 impl BatchEncoder {
-    /// An encoder sealing at roughly `watermark` bytes of raw body
-    /// (clamped to [`MIN_COALESCE_BYTES`]..=[`MAX_COALESCE_BYTES`]),
-    /// compressing sealed bodies when `lz4` is set.
-    pub fn new(watermark: usize, lz4: bool) -> Self {
+    /// An encoder sealing at roughly `watermark` bytes of body (clamped
+    /// to [`MIN_COALESCE_BYTES`]..=[`MAX_COALESCE_BYTES`]). The `bool`
+    /// does nothing; it is kept because `benchmark/` passes it, and
+    /// ROADMAP 1a unpins it.
+    pub fn new(watermark: usize, _compress: bool) -> Self {
         BatchEncoder {
             body: Vec::new(),
             count: 0,
             watermark: watermark.clamp(MIN_COALESCE_BYTES, MAX_COALESCE_BYTES),
-            lz4,
-            compressor: lz4_flex::Compressor::new(),
-            packed: Vec::new(),
         }
     }
 
     /// The feature bits a sender using this encoder must advertise in
     /// its handshake.
     pub fn features(&self) -> u32 {
-        FEATURE_COALESCE | if self.lz4 { FEATURE_LZ4 } else { 0 }
+        FEATURE_COALESCE
     }
 
-    /// Appends one frame to the open batch; returns its encoded
-    /// (logical, uncompressed) length in bytes.
+    /// Appends one frame to the open batch; returns its encoded length
+    /// in bytes.
     pub fn push(&mut self, frame: &Frame) -> u64 {
         self.count += 1;
         encode_frame(&mut self.body, frame)
@@ -330,31 +313,17 @@ impl BatchEncoder {
         if self.count == 0 {
             return None;
         }
-        let raw_len = self.body.len();
-        let mut flags = 0u8;
-        let body: &[u8] = if self.lz4 {
-            self.packed.clear();
-            self.compressor.compress_into(&self.body, &mut self.packed);
-            if self.packed.len() < raw_len {
-                flags |= BATCH_FLAG_LZ4;
-                &self.packed
-            } else {
-                &self.body
-            }
-        } else {
-            &self.body
-        };
+        let len = (self.body.len() as u32).to_le_bytes();
         out.push(TAG_BATCH);
-        out.push(flags);
+        out.push(0); // flags
         out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&(raw_len as u32).to_le_bytes());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(body);
+        out.extend_from_slice(&len); // raw_len
+        out.extend_from_slice(&len); // body_len
+        out.extend_from_slice(&self.body);
         let seal = BatchSeal {
             frames: self.count,
-            raw_len: raw_len as u64,
-            wire_len: (BATCH_HEADER_LEN + body.len()) as u64,
-            compressed: flags & BATCH_FLAG_LZ4 != 0,
+            raw_len: self.body.len() as u64,
+            wire_len: (BATCH_HEADER_LEN + self.body.len()) as u64,
         };
         self.body.clear();
         self.count = 0;
@@ -370,8 +339,7 @@ pub struct DecodeStats {
     pub frames: u64,
     /// Batch frames decoded.
     pub batches: u64,
-    /// Uncompressed logical bytes decoded (frame encodings, not wire
-    /// bytes — a compressed batch contributes its `raw_len`).
+    /// Logical bytes decoded: frame encodings, without batch headers.
     pub raw_bytes: u64,
 }
 
@@ -389,7 +357,6 @@ pub struct FrameDecoder {
     buf: Vec<u8>,
     pos: usize,
     pending: VecDeque<Frame>,
-    raw: Vec<u8>,
     stats: DecodeStats,
 }
 
@@ -401,7 +368,6 @@ impl FrameDecoder {
             buf: Vec::new(),
             pos: 0,
             pending: VecDeque::new(),
-            raw: Vec::new(),
             stats: DecodeStats::default(),
         }
     }
@@ -462,31 +428,12 @@ impl FrameDecoder {
             let count = le_u32(avail, 2);
             let raw_len = le_u32(avail, 6);
             let body_len = le_u32(avail, 10);
-            if flags & !BATCH_FLAG_LZ4 != 0 {
+            if flags != 0 {
                 return Err(transport_fault(format!("unknown batch flags {flags:#04x}")));
             }
-            if flags & BATCH_FLAG_LZ4 != 0 && self.features & FEATURE_LZ4 == 0 {
-                return Err(transport_fault(
-                    "peer sent a compressed batch without advertising FEATURE_LZ4".into(),
-                ));
-            }
-            if raw_len > MAX_BATCH_RAW || body_len > raw_len || count == 0 {
+            if raw_len > MAX_BATCH_RAW || body_len != raw_len || count == 0 {
                 return Err(transport_fault(format!(
                     "malformed batch header: count={count} raw_len={raw_len} body_len={body_len}"
-                )));
-            }
-            if flags & BATCH_FLAG_LZ4 == 0 && body_len != raw_len {
-                return Err(transport_fault(format!(
-                    "uncompressed batch with body_len {body_len} != raw_len {raw_len}"
-                )));
-            }
-            // An LZ4 sequence grows its output by at most 255 bytes per
-            // input byte, so a larger claim is a lie the decompressor
-            // would size its output buffer by.
-            if flags & BATCH_FLAG_LZ4 != 0 && u64::from(raw_len) > 255 * u64::from(body_len) {
-                return Err(transport_fault(format!(
-                    "compressed batch claims raw_len {raw_len} from body_len {body_len}, \
-                     past LZ4's 255x"
                 )));
             }
             let total = BATCH_HEADER_LEN + body_len as usize;
@@ -494,18 +441,9 @@ impl FrameDecoder {
                 return Ok(None);
             }
             let body = &avail[BATCH_HEADER_LEN..total];
-            let raw: &[u8] = if flags & BATCH_FLAG_LZ4 != 0 {
-                self.raw.clear();
-                lz4_flex::decompress_into(body, raw_len as usize, &mut self.raw).map_err(|e| {
-                    transport_fault(format!("batch body failed to decompress: {e}"))
-                })?;
-                &self.raw
-            } else {
-                body
-            };
             let mut off = 0usize;
             for i in 0..count {
-                match parse_frame(&raw[off..])
+                match parse_frame(&body[off..])
                     .map_err(|e| transport_fault(format!("corrupt frame {i} inside batch: {e}")))?
                 {
                     Some((frame, used)) => {
@@ -519,14 +457,14 @@ impl FrameDecoder {
                     }
                 }
             }
-            if off != raw.len() {
+            if off != body.len() {
                 return Err(transport_fault(format!(
                     "batch body has {} trailing bytes after {count} frames",
-                    raw.len() - off
+                    body.len() - off
                 )));
             }
             self.stats.batches += 1;
-            self.stats.raw_bytes += raw_len as u64;
+            self.stats.raw_bytes += body_len as u64;
             self.pos += total;
         }
     }
@@ -660,13 +598,13 @@ mod tests {
     #[test]
     fn handshake_round_trips_and_rejects_garbage() {
         let mut buf = Vec::new();
-        write_handshake(&mut buf, 7, FEATURE_COALESCE | FEATURE_LZ4).unwrap();
+        write_handshake(&mut buf, 7, FEATURE_COALESCE).unwrap();
         assert_eq!(buf.len(), HANDSHAKE_LEN);
         // Frame bytes behind the handshake are not its business.
         buf.push(TAG_EOF);
         let hs = parse_handshake(&buf).unwrap().unwrap();
         assert_eq!(hs.from_rank, 7);
-        assert_eq!(hs.features, FEATURE_COALESCE | FEATURE_LZ4);
+        assert_eq!(hs.features, FEATURE_COALESCE);
         assert_transport_fault(parse_handshake(&[0xFFu8; 14]).unwrap_err());
     }
 
@@ -693,8 +631,8 @@ mod tests {
         ]
     }
 
-    fn seal_batch(frames: &[Frame], lz4: bool) -> (Vec<u8>, BatchSeal) {
-        let mut enc = BatchEncoder::new(MIN_COALESCE_BYTES, lz4);
+    fn seal_batch(frames: &[Frame]) -> (Vec<u8>, BatchSeal) {
+        let mut enc = BatchEncoder::new(MIN_COALESCE_BYTES, false);
         for f in frames {
             enc.push(f);
         }
@@ -705,41 +643,36 @@ mod tests {
     }
 
     #[test]
-    fn batches_round_trip_uncompressed_and_compressed() {
+    fn batches_round_trip() {
         let frames = sample_frames();
-        for lz4 in [false, true] {
-            let (wire, seal) = seal_batch(&frames, lz4);
-            assert_eq!(seal.frames as usize, frames.len());
-            if lz4 {
-                assert!(seal.compressed, "4 KiB of 0xAB must compress");
-                assert!(seal.wire_len < seal.raw_len + BATCH_HEADER_LEN as u64);
-            }
-            let mut dec = FrameDecoder::new(FEATURE_COALESCE | FEATURE_LZ4);
-            dec.extend(&wire);
-            let mut got = Vec::new();
-            while let Some(f) = dec.next_frame().unwrap() {
-                got.push(f);
-            }
-            assert!(dec.is_drained());
-            assert_eq!(got, frames);
-            for f in &got {
-                f.verify().unwrap();
-            }
-            assert_eq!(dec.stats().batches, 1);
-            assert_eq!(dec.stats().frames, frames.len() as u64);
-            assert_eq!(dec.stats().raw_bytes, seal.raw_len);
+        let (wire, seal) = seal_batch(&frames);
+        assert_eq!(seal.frames as usize, frames.len());
+        assert_eq!(seal.wire_len, seal.raw_len + BATCH_HEADER_LEN as u64);
+        let mut dec = FrameDecoder::new(FEATURE_COALESCE);
+        dec.extend(&wire);
+        let mut got = Vec::new();
+        while let Some(f) = dec.next_frame().unwrap() {
+            got.push(f);
         }
+        assert!(dec.is_drained());
+        assert_eq!(got, frames);
+        for f in &got {
+            f.verify().unwrap();
+        }
+        assert_eq!(dec.stats().batches, 1);
+        assert_eq!(dec.stats().frames, frames.len() as u64);
+        assert_eq!(dec.stats().raw_bytes, seal.raw_len);
     }
 
     #[test]
     fn decoder_handles_arbitrary_split_points() {
         let frames = sample_frames();
-        let (wire, _) = seal_batch(&frames, true);
+        let (wire, _) = seal_batch(&frames);
         // Also mix in a plain frame after the batch.
         let mut wire = wire;
         write_frame(&mut wire, &Frame::data(0, 9, Bytes::from_static(b"tail"))).unwrap();
         for chunk in [1usize, 2, 3, 7, 13, wire.len()] {
-            let mut dec = FrameDecoder::new(FEATURE_COALESCE | FEATURE_LZ4);
+            let mut dec = FrameDecoder::new(FEATURE_COALESCE);
             let mut got = Vec::new();
             for piece in wire.chunks(chunk) {
                 dec.extend(piece);
@@ -755,57 +688,71 @@ mod tests {
 
     #[test]
     fn unadvertised_features_are_rejected() {
-        let frames = sample_frames();
-        let (wire, _) = seal_batch(&frames, false);
+        let (wire, _) = seal_batch(&sample_frames());
         let mut dec = FrameDecoder::new(0);
         dec.extend(&wire);
         let err = dec.next_frame().unwrap_err();
         assert!(err.to_string().contains("FEATURE_COALESCE"), "{err}");
-
-        let (wire, seal) = seal_batch(&frames, true);
-        assert!(seal.compressed);
-        let mut dec = FrameDecoder::new(FEATURE_COALESCE);
-        dec.extend(&wire);
-        let err = dec.next_frame().unwrap_err();
-        assert!(err.to_string().contains("FEATURE_LZ4"), "{err}");
     }
 
     #[test]
-    fn forged_lz4_batch_cannot_size_the_decompression_buffer() {
+    fn a_flagged_batch_is_a_fault_even_after_a_handshake_that_advertised_lz4() {
+        // Handshake bit 1 << 1 and batch flag 0x01 once meant an
+        // LZ4-compressed body. A peer may still set the bit, but a batch
+        // whose flags are not 0 is refused, however valid its body.
         let mut wire = Vec::new();
-        write_handshake(&mut wire, 1, FEATURE_COALESCE | FEATURE_LZ4).unwrap();
+        write_handshake(&mut wire, 1, FEATURE_COALESCE | 1 << 1).unwrap();
         let hs = parse_handshake(&wire).unwrap().unwrap();
-        // A 15-byte batch: one body byte claiming ~300 MiB of output,
-        // under MAX_BATCH_RAW.
-        let raw_len: u32 = 300 << 20;
-        assert!(raw_len <= MAX_BATCH_RAW);
-        let mut batch = vec![TAG_BATCH, BATCH_FLAG_LZ4];
+        let mut raw = Vec::new();
+        write_frame(&mut raw, &Frame::data(1, 2, Bytes::from(vec![0xAB; 4096]))).unwrap();
+        // A valid LZ4 block of `raw`: 22 literals (the frame header and
+        // one payload byte), a 4090-byte match at offset 1, then the 5
+        // literals a block ends on.
+        let mut body = vec![0xFF, 22 - 15];
+        body.extend_from_slice(&raw[..22]);
+        body.extend_from_slice(&1u16.to_le_bytes());
+        body.extend_from_slice(&[0xFF; 15]);
+        body.push((4090 - 4 - 15 - 15 * 255) as u8);
+        body.push(0x50);
+        body.extend_from_slice(&raw[raw.len() - 5..]);
+        let mut batch = vec![TAG_BATCH, 0x01];
         batch.extend_from_slice(&1u32.to_le_bytes());
-        batch.extend_from_slice(&raw_len.to_le_bytes());
-        batch.extend_from_slice(&1u32.to_le_bytes());
-        batch.push(0xF0);
-        assert_eq!(batch.len(), BATCH_HEADER_LEN + 1);
-        let mut dec = decoder_over(&batch, hs.features);
-        assert_transport_fault(dec.next_frame().unwrap_err());
-        assert!(
-            dec.raw.capacity() < 1 << 20,
-            "a header reserved {} bytes",
-            dec.raw.capacity()
-        );
+        batch.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+        batch.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        batch.extend_from_slice(&body);
+        let err = decoder_over(&batch, hs.features).next_frame().unwrap_err();
+        assert!(err.to_string().contains("unknown batch flags"), "{err}");
+        assert_transport_fault(err);
+    }
+
+    #[test]
+    fn a_batch_whose_body_len_is_not_its_raw_len_is_refused_on_its_header() {
+        // Each forged header is refused as soon as it has arrived, so no
+        // claimed length makes the decoder wait for or buffer a body.
+        let (wire, seal) = seal_batch(&sample_frames());
+        let raw = seal.raw_len as u32;
+        for (raw_len, body_len) in [(300 << 20, raw), (raw, raw - 1), (raw, raw + 1)] {
+            let mut forged = wire[..BATCH_HEADER_LEN].to_vec();
+            forged[6..10].copy_from_slice(&raw_len.to_le_bytes());
+            forged[10..14].copy_from_slice(&body_len.to_le_bytes());
+            let err = decoder_over(&forged, FEATURE_COALESCE)
+                .next_frame()
+                .unwrap_err();
+            assert!(err.to_string().contains("malformed batch header"), "{err}");
+            assert_transport_fault(err);
+        }
     }
 
     #[test]
     fn corrupt_batch_bodies_fault_instead_of_panicking() {
-        let frames = sample_frames();
-        let (wire, seal) = seal_batch(&frames, true);
-        assert!(seal.compressed);
-        // Flip a byte inside the compressed body: either the LZ4 stream
-        // breaks (transport fault) or it decodes to different bytes, in
-        // which case the per-frame CRC gate catches it downstream.
+        let (wire, _) = seal_batch(&sample_frames());
+        // Flip a byte inside the body: either a frame header breaks
+        // (transport fault) or a payload changes, in which case the
+        // per-frame CRC gate catches it downstream.
         let mut bad = wire.clone();
         let idx = BATCH_HEADER_LEN + (bad.len() - BATCH_HEADER_LEN) / 2;
         bad[idx] ^= 0x41;
-        let mut dec = FrameDecoder::new(FEATURE_COALESCE | FEATURE_LZ4);
+        let mut dec = FrameDecoder::new(FEATURE_COALESCE);
         dec.extend(&bad);
         let mut crc_failures = 0;
         loop {
@@ -833,7 +780,7 @@ mod tests {
     #[test]
     fn truncated_batch_waits_then_clean_close_is_not_drained() {
         let frames = sample_frames();
-        let (wire, _) = seal_batch(&frames, false);
+        let (wire, _) = seal_batch(&frames);
         let mut dec = FrameDecoder::new(FEATURE_COALESCE);
         dec.extend(&wire[..wire.len() - 1]);
         assert!(
@@ -851,33 +798,9 @@ mod tests {
     }
 
     #[test]
-    fn incompressible_batches_fall_back_to_raw() {
-        // A xorshift byte stream does not compress; the encoder must
-        // keep the raw body rather than expand the wire.
-        let mut state = 0x1234_5678_9ABC_DEFFu64;
-        let noise: Vec<u8> = (0..8192)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state as u8
-            })
-            .collect();
-        let frames = vec![Frame::data(2, 7, Bytes::from(noise))];
-        let (wire, seal) = seal_batch(&frames, true);
-        assert!(!seal.compressed);
-        assert_eq!(seal.wire_len, seal.raw_len + BATCH_HEADER_LEN as u64);
-        let mut dec = FrameDecoder::new(FEATURE_COALESCE | FEATURE_LZ4);
-        dec.extend(&wire);
-        let got = dec.next_frame().unwrap().unwrap();
-        assert_eq!(got, frames[0]);
-        got.verify().unwrap();
-    }
-
-    #[test]
     fn every_prefix_of_a_valid_stream_waits_instead_of_panicking() {
         let mut handshake = Vec::new();
-        write_handshake(&mut handshake, 3, FEATURE_COALESCE | FEATURE_LZ4).unwrap();
+        write_handshake(&mut handshake, 3, FEATURE_COALESCE).unwrap();
         for cut in 0..handshake.len() {
             assert!(
                 parse_handshake(&handshake[..cut]).unwrap().is_none(),
@@ -892,17 +815,10 @@ mod tests {
         .unwrap();
         let mut eof = Vec::new();
         write_frame(&mut eof, &Frame::Eof { from_rank: 3 }).unwrap();
-        let (plain_batch, _) = seal_batch(&sample_frames(), false);
-        let (lz4_batch, seal) = seal_batch(&sample_frames(), true);
-        assert!(seal.compressed);
-        for (name, wire) in [
-            ("data", data),
-            ("eof", eof),
-            ("batch", plain_batch),
-            ("lz4 batch", lz4_batch),
-        ] {
+        let (batch, _) = seal_batch(&sample_frames());
+        for (name, wire) in [("data", data), ("eof", eof), ("batch", batch)] {
             for cut in 0..wire.len() {
-                let mut dec = decoder_over(&wire[..cut], FEATURE_COALESCE | FEATURE_LZ4);
+                let mut dec = decoder_over(&wire[..cut], FEATURE_COALESCE);
                 assert!(dec.next_frame().unwrap().is_none(), "{name} cut={cut}");
                 assert_eq!(dec.is_drained(), cut == 0, "{name} cut={cut}");
             }

@@ -1,10 +1,10 @@
 //! Property-based tests of the indexed spill-run format: for arbitrary
-//! records, block budgets and compression settings, a sealed run file
-//! must round-trip byte-identically; seeded corruption in a run file must
-//! be caught by the block CRC before any record decodes; a hostile image
-//! must be rejected by the footer parser, never panic it; the k-way
-//! merge over run files must produce the grouping of memory alone,
-//! compressed or raw, and the order of a global sort on keys that
+//! records and block budgets, a sealed run file must round-trip
+//! byte-identically; seeded corruption in a run file must be caught by
+//! the block CRC before any record decodes; a hostile image must be
+//! rejected by the footer parser, never panic it; the k-way merge over
+//! run files must produce the grouping of memory alone, and the order of
+//! a global sort on keys that
 //! collide on its cached head bytes; and a CRC-valid block whose record
 //! framing lies must fail every merge entry point with a corrupt-data
 //! error, within a bounded allocation.
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use datampi::spillfmt::{parse_image, RunWriter, SpillConfig, RUN_MAGIC, TRAILER_LEN};
 use datampi::store::{GroupStream, PartitionStore};
-use datampi::{run_job, JobConfig, SealedRun, SpillReadCounters, WireCompression};
+use datampi::{run_job, JobConfig, SealedRun, SpillReadCounters};
 use dmpi_common::compare::sort_records;
 use dmpi_common::crc::crc32;
 use dmpi_common::group::{Collector, GroupedValues};
@@ -52,8 +52,8 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Record>> {
     proptest::collection::vec(record_strategy(), 0..60)
 }
 
-fn build_run(records: &[Record], block_bytes: usize, compress: bool) -> (Vec<u8>, usize) {
-    let mut w = RunWriter::new(block_bytes, compress, false);
+fn build_run(records: &[Record], block_bytes: usize) -> (Vec<u8>, usize) {
+    let mut w = RunWriter::new(block_bytes, false, false);
     for r in records {
         w.push(r);
     }
@@ -222,16 +222,15 @@ fn drain(stream: &mut GroupStream) -> Vec<GroupedValues> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any record multiset, any block budget, raw or LZ4: the run file
-    /// yields exactly the pushed records in order, and the reparsed
-    /// footer matches the writer's totals.
+    /// Any record multiset, any block budget: the run file yields
+    /// exactly the pushed records in order, and the reparsed footer
+    /// matches the writer's totals.
     #[test]
     fn runs_round_trip_any_records_and_block_size(
         records in corpus_strategy(),
         block_bytes in 1usize..512,
-        compress in any::<bool>(),
     ) {
-        let mut w = RunWriter::new(block_bytes, compress, false);
+        let mut w = RunWriter::new(block_bytes, false, false);
         for r in &records {
             w.push(r);
         }
@@ -255,18 +254,16 @@ proptest! {
     }
 
     /// Flipping any single bit inside any stored block of a run file is
-    /// caught by the per-block CRC (or the LZ4 container) before a single
-    /// record from that block decodes; blocks ahead of the corruption
-    /// still stream.
+    /// caught by the per-block CRC before a single record from that
+    /// block decodes; blocks ahead of the corruption still stream.
     #[test]
     fn seeded_corruption_is_caught_by_block_crc_before_decode(
         records in proptest::collection::vec(record_strategy(), 1..60),
         block_bytes in 1usize..256,
-        compress in any::<bool>(),
         poke in any::<prop::sample::Index>(),
         bit in 0u8..8,
     ) {
-        let (mut image, _) = build_run(&records, block_bytes, compress);
+        let (mut image, _) = build_run(&records, block_bytes);
         let index = parse_image(&image).unwrap();
         prop_assert!(!index.blocks.is_empty());
         // Pick a victim block and a byte inside its stored span.
@@ -299,10 +296,7 @@ proptest! {
             }
         };
         let msg = format!("{err}");
-        prop_assert!(
-            msg.contains("crc mismatch") || msg.contains("decompress"),
-            "unexpected error: {}", msg
-        );
+        prop_assert!(msg.contains("crc mismatch"), "unexpected error: {}", msg);
         prop_assert_eq!(yielded, before, "all pre-corruption blocks stream first");
         drop(reader);
         drop(run);
@@ -320,14 +314,13 @@ proptest! {
         blocks_len in 0usize..64,
         records in proptest::collection::vec(record_strategy(), 0..40),
         block_bytes in 1usize..128,
-        compress in any::<bool>(),
         poke in any::<prop::sample::Index>(),
         mask in 1u8..=255,
     ) {
         parse_is_safe(&noise)?;
         parse_is_safe(&image_with_footer(&vec![0; blocks_len], &noise))?;
 
-        let (image, _) = build_run(&records, block_bytes, compress);
+        let (image, _) = build_run(&records, block_bytes);
         for len in 0..image.len() {
             parse_is_safe(&image[..len])?;
         }
@@ -340,27 +333,24 @@ proptest! {
     }
 
     /// The loser-tree merge over run files groups exactly as memory
-    /// alone does (no spill dir, so nothing seals), raw or LZ4.
+    /// alone does (no spill dir, so nothing seals).
     #[test]
-    fn merge_is_identical_across_compression_grid(
+    fn merge_over_run_files_groups_as_memory_alone(
         records in proptest::collection::vec(record_strategy(), 0..80),
         budget in 32usize..512,
         block_bytes in 1usize..128,
     ) {
         let base = SpillConfig::default().with_block_bytes(block_bytes);
         let baseline = drain_groups(&records, budget, base.clone());
-        for compress in [false, true] {
-            let dir = scratch_dir("grid");
-            let cfg = base.clone().with_compression(compress).with_dir(dir.clone());
-            let full = drain_groups(&records, budget, cfg);
-            prop_assert_eq!(&full, &baseline, "full merge (lz4={})", compress);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = scratch_dir("grid");
+        let full = drain_groups(&records, budget, base.with_dir(dir.clone()));
+        prop_assert_eq!(&full, &baseline, "full merge");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// End-to-end: a full job's partition outputs are byte-identical
     /// whether the A side groups from memory (no spill dir) or through
-    /// run files, raw or compressed — under a budget small enough that
+    /// run files — under a budget small enough that
     /// every rank with more than a budget of input spills.
     #[test]
     fn jobs_are_byte_identical_across_the_spill_grid(
@@ -372,32 +362,27 @@ proptest! {
             .with_memory_budget(budget);
         let baseline = run_job(&baseline_cfg, inputs.clone(), wc_o, wc_a, None).unwrap();
         prop_assert_eq!(baseline.stats.spills, 0);
-        for compress in [false, true] {
-            let dir = scratch_dir("job");
-            let mut config = baseline_cfg
-                .clone()
-                .with_spill_block_bytes(97)
-                .with_spill_dir(dir.clone());
-            if compress {
-                config = config.with_spill_compression(WireCompression::Lz4);
-            }
-            let out = run_job(&config, inputs.clone(), wc_o, wc_a, None).unwrap();
-            // Past `ranks` budgets of input, some partition went over.
-            prop_assert!(
-                out.stats.spills > 0 || out.stats.bytes_emitted <= (budget * ranks) as u64
-            );
-            prop_assert_eq!(out.partitions.len(), baseline.partitions.len());
-            for (p, q) in out.partitions.iter().zip(&baseline.partitions) {
-                prop_assert_eq!(p.records(), q.records());
-            }
-            // Runs are reference-counted and self-deleting; once the job
-            // is done its spill dir holds no files.
-            let leftovers = std::fs::read_dir(&dir)
-                .map(|it| it.count())
-                .unwrap_or(0);
-            prop_assert_eq!(leftovers, 0, "spill files must self-delete");
-            let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("job");
+        let config = baseline_cfg
+            .clone()
+            .with_spill_block_bytes(97)
+            .with_spill_dir(dir.clone());
+        let out = run_job(&config, inputs, wc_o, wc_a, None).unwrap();
+        // Past `ranks` budgets of input, some partition went over.
+        prop_assert!(
+            out.stats.spills > 0 || out.stats.bytes_emitted <= (budget * ranks) as u64
+        );
+        prop_assert_eq!(out.partitions.len(), baseline.partitions.len());
+        for (p, q) in out.partitions.iter().zip(&baseline.partitions) {
+            prop_assert_eq!(p.records(), q.records());
         }
+        // Runs are reference-counted and self-deleting; once the job
+        // is done its spill dir holds no files.
+        let leftovers = std::fs::read_dir(&dir)
+            .map(|it| it.count())
+            .unwrap_or(0);
+        prop_assert_eq!(leftovers, 0, "spill files must self-delete");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Keys that agree on the merge's cached 16 head bytes, or only once
@@ -557,7 +542,7 @@ fn forge_crc(block: &mut [u8], at: usize, target: u32) {
 fn plant_lie(path: &std::path::Path, victim: usize, lie: &[u8]) {
     let mut image = std::fs::read(path).unwrap();
     let meta = parse_image(&image).unwrap().blocks[victim].clone();
-    assert!(!meta.is_compressed());
+    assert_eq!(meta.stored_len, meta.raw_len);
     let block = &mut image[meta.offset as usize..][..meta.raw_len as usize];
     // A one-byte key length, a two-byte value length and the key.
     let value_len = block.len() - lie.len() - 4;

@@ -1,6 +1,6 @@
 //! Property-based tests of the v2 wire codec: coalesced batches must
 //! round-trip arbitrary frame sequences through arbitrary socket split
-//! points, compression must never change a delivered byte, injected
+//! points, carrying exactly the frames' encodings, injected
 //! corruption must never be delivered silently — at the codec level and
 //! end-to-end through real TCP jobs under the seeded fault injector —
 //! and hostile bytes must be rejected without a panic and without an
@@ -13,11 +13,11 @@ use datampi::comm::Frame;
 use datampi::fault::FaultPlan;
 use datampi::supervisor::{supervise_job, RetryPolicy};
 use datampi::transport::wire::{
-    parse_handshake, write_handshake, BatchEncoder, FrameDecoder, FEATURE_COALESCE, FEATURE_LZ4,
-    HANDSHAKE_LEN, MIN_COALESCE_BYTES, TAG_BATCH,
+    parse_handshake, write_frame, write_handshake, BatchEncoder, FrameDecoder, BATCH_HEADER_LEN,
+    FEATURE_COALESCE, HANDSHAKE_LEN, MIN_COALESCE_BYTES, TAG_BATCH,
 };
 use datampi::transport::Backend;
-use datampi::{run_job, JobConfig, WireCompression};
+use datampi::{run_job, JobConfig};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 
@@ -35,14 +35,13 @@ fn wc_a(g: &GroupedValues, out: &mut dyn Collector) {
     out.collect(&g.key, &total.to_bytes());
 }
 
-/// Frames with a payload mix that exercises both compressor branches:
-/// repetitive text that compresses and uniform-random bytes that do not,
-/// plus empty payloads and EOF markers.
+/// Frames with a payload mix: repetitive text, uniform-random bytes,
+/// empty payloads and EOF markers.
 fn frame_strategy() -> impl Strategy<Value = Frame> {
     let payload = prop_oneof![
-        // Compressible: a short word repeated many times.
+        // A short word repeated many times.
         ("[a-f]{1,8}", 1usize..400).prop_map(|(w, n)| Bytes::from(w.repeat(n))),
-        // Incompressible: uniform random bytes.
+        // Uniform random bytes.
         proptest::collection::vec(any::<u8>(), 0..1500).prop_map(Bytes::from),
         Just(Bytes::new()),
     ];
@@ -61,8 +60,8 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
 /// imminent-idle path). Returns the wire bytes and how many batches were
 /// sealed, so a multi-batch stream really has frames straddling seal
 /// boundaries.
-fn encode_stream(frames: &[Frame], lz4: bool) -> (Vec<u8>, usize) {
-    let mut enc = BatchEncoder::new(MIN_COALESCE_BYTES, lz4);
+fn encode_stream(frames: &[Frame]) -> (Vec<u8>, usize) {
+    let mut enc = BatchEncoder::new(MIN_COALESCE_BYTES, false);
     let mut wire = Vec::new();
     let mut batches = 0;
     for f in frames {
@@ -81,7 +80,7 @@ fn encode_stream(frames: &[Frame], lz4: bool) -> (Vec<u8>, usize) {
 /// every frame after each piece — the readiness-driven partial-read
 /// pattern the event loop's ingest path performs.
 fn decode_chunked(wire: &[u8], chunk: usize) -> (Vec<Frame>, FrameDecoder) {
-    let mut dec = FrameDecoder::new(FEATURE_COALESCE | FEATURE_LZ4);
+    let mut dec = FrameDecoder::new(FEATURE_COALESCE);
     let mut got = Vec::new();
     for piece in wire.chunks(chunk.max(1)) {
         dec.extend(piece);
@@ -96,15 +95,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary frame sequences survive coalescing, sealing at the
-    /// watermark (so batches straddle frame boundaries), optional
-    /// compression, and reassembly from arbitrary socket split points.
+    /// watermark (so batches straddle frame boundaries), and reassembly
+    /// from arbitrary socket split points.
     #[test]
     fn coalesced_batches_round_trip_through_arbitrary_split_points(
         frames in proptest::collection::vec(frame_strategy(), 1..24),
-        lz4 in any::<bool>(),
         chunk in 1usize..512,
     ) {
-        let (wire, batches) = encode_stream(&frames, lz4);
+        let (wire, batches) = encode_stream(&frames);
         prop_assert!(batches >= 1);
         let (got, dec) = decode_chunked(&wire, chunk);
         prop_assert!(dec.is_drained(), "no partial frame left buffered");
@@ -117,21 +115,22 @@ proptest! {
         prop_assert_eq!(stats.batches, batches as u64);
     }
 
-    /// Compression is invisible above the codec: the same frames encoded
-    /// with and without LZ4 decode to identical sequences, and the
-    /// compressed wire never exceeds the uncompressed wire.
+    /// Batching is invisible above the codec: the wire is the frames'
+    /// own encodings plus one header per batch, and it decodes to the
+    /// frames it was built from.
     #[test]
-    fn compression_never_changes_a_delivered_byte(
+    fn batching_never_changes_a_delivered_byte(
         frames in proptest::collection::vec(frame_strategy(), 1..24),
         chunk in 1usize..256,
     ) {
-        let (plain_wire, _) = encode_stream(&frames, false);
-        let (lz4_wire, _) = encode_stream(&frames, true);
-        prop_assert!(lz4_wire.len() <= plain_wire.len(), "stored fallback caps inflation");
-        let (plain, _) = decode_chunked(&plain_wire, chunk);
-        let (packed, _) = decode_chunked(&lz4_wire, chunk);
+        let (wire, batches) = encode_stream(&frames);
+        let mut encodings = Vec::new();
+        for f in &frames {
+            write_frame(&mut encodings, f).unwrap();
+        }
+        prop_assert_eq!(wire.len(), encodings.len() + BATCH_HEADER_LEN * batches);
+        let (plain, _) = decode_chunked(&wire, chunk);
         prop_assert_eq!(&plain, &frames);
-        prop_assert_eq!(&packed, &frames);
     }
 
     /// Flipping any single wire byte never panics the decoder and never
@@ -143,15 +142,14 @@ proptest! {
     #[test]
     fn single_byte_corruption_is_never_silent_on_payloads(
         frames in proptest::collection::vec(frame_strategy(), 1..16),
-        lz4 in any::<bool>(),
         victim in any::<prop::sample::Index>(),
         flip in 1u8..=255,
     ) {
-        let (mut wire, _) = encode_stream(&frames, lz4);
+        let (mut wire, _) = encode_stream(&frames);
         let idx = victim.index(wire.len());
         wire[idx] ^= flip;
 
-        let mut dec = FrameDecoder::new(FEATURE_COALESCE | FEATURE_LZ4);
+        let mut dec = FrameDecoder::new(FEATURE_COALESCE);
         dec.extend(&wire);
         let mut got = Vec::new();
         let mut faulted = false;
@@ -187,13 +185,13 @@ proptest! {
     // Each case launches real TCP meshes; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// End-to-end byte identity of the compressed wire under the seeded
-    /// corruption injector: a TCP job with LZ4 batches and a FaultPlan
-    /// that corrupts frames mid-flight must fail the poisoned attempts
-    /// at the CRC gate, recover under the supervisor, and end up
-    /// byte-identical to a fault-free in-proc run.
+    /// End-to-end byte identity of the wire under the seeded corruption
+    /// injector: a TCP job with a FaultPlan that corrupts frames
+    /// mid-flight must fail the poisoned attempts at the CRC gate,
+    /// recover under the supervisor, and end up byte-identical to a
+    /// fault-free in-proc run.
     #[test]
-    fn compressed_wire_is_byte_identical_under_corruption_injection(
+    fn wire_is_byte_identical_under_corruption_injection(
         seed in any::<u64>(),
         corruptions in proptest::collection::vec((0usize..6, 0u32..3), 1..3),
         batch_bytes in prop_oneof![Just(4 * 1024usize), Just(64 * 1024)],
@@ -208,7 +206,6 @@ proptest! {
             .fold(FaultPlan::new(seed), |p, &(t, a)| p.corrupt_frame(t, a));
         let config = JobConfig::new(2)
             .with_transport(Backend::Tcp)
-            .with_wire_compression(WireCompression::Lz4)
             .with_wire_batch_bytes(batch_bytes)
             .with_faults(plan);
         let policy = RetryPolicy::new(4).with_backoff(std::time::Duration::ZERO);
@@ -221,11 +218,10 @@ proptest! {
     }
 }
 
-/// Bytes a decoder may hold per byte it was fed: LZ4's largest expansion
-/// (255x) times a generous 32 bytes kept per decoded byte (the pending
-/// frame queue, payload copies, buffer doubling). A length field read
-/// from the input must never raise the bound.
-const HELD_PER_FED_BYTE: usize = 255 * 32;
+/// Bytes a decoder may hold per byte it was fed: a generous 32 (the
+/// pending frame queue, payload copies, buffer doubling). A length field
+/// read from the input must never raise the bound.
+const HELD_PER_FED_BYTE: usize = 32;
 /// Fixed allowance: error messages and the first small allocations.
 const HELD_SLACK: usize = 64 * 1024;
 
@@ -235,7 +231,7 @@ fn hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
     let noise = || proptest::collection::vec(any::<u8>(), 0..300);
     // Small lengths a body can meet, large ones under every cap, any.
     let len = || prop_oneof![0u32..64, (1u32 << 16)..(1 << 28), any::<u32>()];
-    let flags = prop_oneof![Just(1u8), 0u8..4]; // 1: LZ4
+    let flags = prop_oneof![Just(0u8), 0u8..4]; // 0: the one valid value
     let batch = (flags, 0u32..4, len(), len(), noise()).prop_map(
         |(flags, count, raw_len, body_len, tail)| {
             let mut b = vec![TAG_BATCH, flags];
@@ -306,7 +302,7 @@ proptest! {
     /// proportion to what it was fed.
     #[test]
     fn bare_decoder_bounds_memory_by_bytes_fed(
-        features in prop_oneof![Just(FEATURE_COALESCE | FEATURE_LZ4), 0u32..4],
+        features in prop_oneof![Just(FEATURE_COALESCE), 0u32..4],
         bytes in hostile_bytes(),
         chunk in 1usize..64,
     ) {
@@ -319,7 +315,7 @@ proptest! {
     #[test]
     fn decoder_behind_a_handshake_bounds_memory_by_bytes_fed(
         from_rank in 0usize..1024,
-        features in prop_oneof![Just(FEATURE_COALESCE | FEATURE_LZ4), any::<u32>()],
+        features in prop_oneof![Just(FEATURE_COALESCE), any::<u32>()],
         bytes in hostile_bytes(),
         chunk in 1usize..64,
     ) {

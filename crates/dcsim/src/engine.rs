@@ -25,6 +25,8 @@ use crate::spec::{ClusterSpec, NodeId};
 use crate::task::{Activity, IoTag, Resource, SlotKind, TaskId, TaskSpec};
 
 const EPS: f64 = 1e-9;
+/// Width of the metrics time-series buckets, seconds.
+const BUCKET_SECS: f64 = 1.0;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
@@ -81,7 +83,6 @@ pub struct Simulation {
     /// engines enforce their own budgets; we only track).
     node_mem: Vec<i64>,
     clock: f64,
-    bucket_secs: f64,
     /// Injected node failures, sorted by time, not yet fired.
     failures: Vec<FailureSpec>,
     /// Synthetic reboot tasks in flight -> the node each brings back.
@@ -114,7 +115,6 @@ impl Simulation {
             slot_sizes: HashMap::new(),
             node_mem,
             clock: 0.0,
-            bucket_secs: 1.0,
             failures: Vec::new(),
             reboots: HashMap::new(),
             recovery: RecoveryStats::default(),
@@ -125,12 +125,6 @@ impl Simulation {
     /// Cluster spec in use.
     pub fn spec(&self) -> &ClusterSpec {
         &self.spec
-    }
-
-    /// Sets the metrics bucket width (default 1 s).
-    pub fn set_bucket_secs(&mut self, secs: f64) {
-        assert!(secs > 0.0);
-        self.bucket_secs = secs;
     }
 
     /// Declares `per_node` slots of `kind` on every node. Tasks referencing
@@ -200,11 +194,6 @@ impl Simulation {
         Ok(id)
     }
 
-    /// Number of submitted tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Schedules a node failure at simulated time `at`: every task running
     /// or queued on `node` loses its progress, the node's slots vanish for
     /// `downtime` seconds, and `recovery` decides the fate of already
@@ -247,7 +236,7 @@ impl Simulation {
 
     /// Runs the simulation to completion.
     pub fn run(mut self) -> Result<SimReport> {
-        let mut recorder = MetricsRecorder::new(&self.spec, self.bucket_secs);
+        let mut recorder = MetricsRecorder::new(&self.spec, BUCKET_SECS);
         let mut records: Vec<TaskRecord> = Vec::with_capacity(self.tasks.len());
         let mut running: Vec<TaskId> = Vec::new();
 

@@ -91,11 +91,6 @@ impl ClusterSpec {
         }
         Ok(())
     }
-
-    /// Total aggregate disk bandwidth of the cluster (bytes/s).
-    pub fn aggregate_disk_bw(&self) -> f64 {
-        self.disk_bw * self.nodes as f64
-    }
 }
 
 impl Default for ClusterSpec {

@@ -117,11 +117,6 @@ impl SparkContext {
         &self.inner.stats
     }
 
-    /// Bytes currently held by the block manager.
-    pub fn cached_bytes(&self) -> usize {
-        self.inner.cache_bytes.load(Ordering::SeqCst)
-    }
-
     /// Creates a source RDD from in-memory partitions.
     pub fn parallelize(&self, partitions: Vec<RecordBatch>) -> Rdd {
         self.mk(RddNode::Parallelize { partitions })

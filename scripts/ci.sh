@@ -35,6 +35,16 @@ if grep -rnE 'dmpi_dcsim|dmpi_dfs' crates/mapred/src crates/rddsim/src \
     exit 1
 fi
 
+echo "== no first-party use of lz4_flex ==" >&2
+# Wire batches and spill blocks have one encoding, uncompressed. The
+# lz4_flex dependency edge stays in the manifests until the benchmark's
+# lockfile can be rewritten with it (ROADMAP 1a); until then nothing may
+# start using it again.
+if grep -rn lz4_flex crates/*/src crates/*/tests src tests examples; then
+    echo "first-party code names lz4_flex" >&2
+    exit 1
+fi
+
 echo "== size figures (ROADMAP aim 2) ==" >&2
 ./scripts/size.sh | tee target/ci/size.txt
 

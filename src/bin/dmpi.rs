@@ -25,7 +25,6 @@ dmpi — client for the dmpid resident job service
       --out DIR           write each rank's partition to DIR/part-NNNNN
       --spill-dir DIR     workers seal spill runs to files under
                           DIR/job-<id>/ (removed when the job ends)
-      --spill-compress    LZ4-compress spill-run blocks
   dmpi status --coord ADDR
   dmpi drain  --coord ADDR
 ";
@@ -77,7 +76,6 @@ fn parse_and_run() -> Result<(), String> {
             }
             "--out" => spec.out = Some(value("--out")?),
             "--spill-dir" => spec.spill_dir = Some(value("--spill-dir")?),
-            "--spill-compress" => spec.spill_compress = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return Ok(());

@@ -53,7 +53,6 @@ options:
   --seed S            input-generation seed (default 42)
   --spill-dir DIR     seal A-store spill runs to files under
                       DIR/job-<pid>/, removed when the launch ends
-  --spill-compress    LZ4-compress spill-run blocks
   --out DIR           write each rank's partition to DIR/part-NNNNN
   --trace-out FILE    write a merged Chrome trace, one process row per
                       rank (chrome://tracing or ui.perfetto.dev)
@@ -116,7 +115,6 @@ fn parse_args() -> Result<Options, String> {
             "--bytes-per-task" => opts.spec.bytes_per_task = value(&arg, args.next())?,
             "--seed" => opts.spec.seed = value(&arg, args.next())?,
             "--spill-dir" => opts.spec.spill_dir = Some(value(&arg, args.next())?),
-            "--spill-compress" => opts.spec.spill_compress = true,
             "--out" => opts.spec.out = Some(value(&arg, args.next())?),
             "--trace-out" => opts.trace_out = Some(value(&arg, args.next())?),
             "--report-out" => opts.report_out = Some(value(&arg, args.next())?),

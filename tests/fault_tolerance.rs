@@ -5,7 +5,7 @@ use bytes::Bytes;
 use datampi_suite::common::ser::Writable;
 use datampi_suite::datagen::{SeedModel, TextGenerator};
 use datampi_suite::datampi::checkpoint::CheckpointStore;
-use datampi_suite::datampi::{run_job, FaultPlan, JobConfig, JobOutput, WireCompression};
+use datampi_suite::datampi::{run_job, FaultPlan, JobConfig, JobOutput};
 use datampi_suite::dcsim::NodeId;
 use datampi_suite::dfs::{DfsConfig, MiniDfs};
 use datampi_suite::workloads::wordcount;
@@ -108,12 +108,11 @@ fn files_in(dir: &std::path::Path) -> usize {
     std::fs::read_dir(dir).map(|it| it.count()).unwrap_or(0)
 }
 
-/// A one-rank config that spills tiny LZ4 blocks to `dir` past `budget`.
+/// A one-rank config that spills tiny blocks to `dir` past `budget`.
 fn spilling_config(dir: &std::path::Path, budget: usize) -> JobConfig {
     JobConfig::new(1)
         .with_memory_budget(budget)
         .with_spill_dir(dir.to_path_buf())
-        .with_spill_compression(WireCompression::Lz4)
         .with_spill_block_bytes(128)
 }
 
