@@ -17,7 +17,6 @@ use bytes::Bytes;
 
 use dmpi_common::hashing::fnv1a;
 use dmpi_common::partition::{HashPartitioner, Partitioner};
-use dmpi_common::Record;
 use dmpi_common::{ser, varint};
 
 use crate::checkpoint::CheckpointStore;
@@ -357,14 +356,9 @@ impl KvBuffer {
     }
 
     /// Installs an observability tracer (usually task-scoped via
-    /// [`Tracer::for_task`]).
+    /// `Tracer::for_task`).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
-    }
-
-    /// Emits one key-value pair.
-    pub fn emit(&mut self, record: &Record) {
-        self.emit_kv(&record.key, &record.value);
     }
 
     /// Emits a raw key/value pair without constructing a `Record`: the
@@ -491,6 +485,7 @@ mod tests {
     use crate::comm::DEFAULT_MAILBOX_CAPACITY;
     use crate::transport::inproc::mailboxes;
     use crossbeam::channel::Receiver;
+    use dmpi_common::Record;
 
     fn drain(rx: &Receiver<Frame>) -> Vec<Frame> {
         let mut frames = Vec::new();
@@ -509,7 +504,7 @@ mod tests {
         for i in 0..100 {
             let r = Record::from_strs(&format!("key{i}"), "v");
             expected[part.partition(&r.key)] += 1;
-            buf.emit(&r);
+            buf.emit_kv(&r.key, &r.value);
         }
         let stats = buf.finish();
         assert_eq!(stats.records, 100);
@@ -943,7 +938,7 @@ mod tests {
         use dmpi_common::ser::Writable;
         for i in 0..40 {
             let rec = Record::new(format!("k{}", i % 5).into_bytes(), 1u64.to_bytes().to_vec());
-            a.emit(&rec);
+            a.emit_kv(&rec.key, &rec.value);
             b.emit_kv(&rec.key, &rec.value);
         }
         assert_eq!(a.finish(), b.finish());
@@ -969,7 +964,7 @@ mod tests {
         let mut b = KvBuffer::new(senders_b, 0, 0, usize::MAX, true);
         for i in 0..20 {
             let rec = Record::from_strs(&format!("k{i}"), &format!("v{i}"));
-            a.emit(&rec);
+            a.emit_kv(&rec.key, &rec.value);
             b.emit_kv(&rec.key, &rec.value);
         }
         let sa = a.finish();

@@ -30,8 +30,7 @@ use parking_lot::Mutex;
 ///
 /// # Examples
 /// ```
-/// use datampi::checkpoint::CheckpointStore;
-/// use datampi::{run_job, FaultPlan, JobConfig};
+/// use datampi::{run_job, CheckpointStore, FaultPlan, JobConfig};
 /// use dmpi_common::group::{Collector, GroupedValues};
 ///
 /// // Task 2 fails on attempt 0 only; the second run against the same

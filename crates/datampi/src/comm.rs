@@ -17,7 +17,7 @@
 //! mailbox, two ranks could block forever on each other's full mailboxes.
 //! The runtime avoids the cycle structurally: every rank drains its
 //! mailbox on a dedicated ingest thread *from job start*, concurrently
-//! with its O phase ([`crate::runtime`]). The ingest thread consumes
+//! with its O phase ([`run_job`](crate::run_job)). The ingest thread consumes
 //! frames into the A-side store and never sends, so it never blocks on
 //! another mailbox; a producer blocked on a full mailbox is therefore
 //! always unblocked by that mailbox's ingester, and the wait-for graph

@@ -43,7 +43,7 @@ pub struct JobConfig {
     /// ([`FaultPlan`]). `None` (the default) injects nothing.
     pub faults: Option<FaultPlan>,
     /// Observability sink: when installed, ranks record phase spans and
-    /// live counters into it ([`crate::observe`]). `None` (the default)
+    /// live counters into it. `None` (the default)
     /// is the no-op sink — every hook is a skipped `Option` check.
     pub observer: Option<Observer>,
     /// Which interconnect moves frames between ranks: the in-process
@@ -56,7 +56,7 @@ pub struct JobConfig {
     pub mailbox_capacity: usize,
     /// TCP backend only: the frame-coalescing watermark — raw bytes a
     /// wire batch accumulates before sealing (default
-    /// [`DEFAULT_WIRE_BATCH_BYTES`]; clamped by the encoder to
+    /// `DEFAULT_WIRE_BATCH_BYTES`; clamped by the encoder to
     /// 4 KiB..=64 MiB). Batches also seal whenever the peer's send
     /// window runs dry, so this bounds batching, it never adds latency.
     pub wire_batch_bytes: usize,

@@ -103,7 +103,7 @@ impl Corruption {
 ///
 /// # Examples
 /// ```
-/// use datampi::fault::FaultPlan;
+/// use datampi::FaultPlan;
 ///
 /// // Task 2 fails on attempts 0 and 1, and one of task 0's frames is
 /// // corrupted on attempt 0 — a supervisor with 3+ attempts survives.

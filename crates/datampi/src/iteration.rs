@@ -26,7 +26,7 @@ use crate::runtime::{run_job_core, JobOutput};
 ///
 /// # Examples
 /// ```
-/// use datampi::iteration::IterationCache;
+/// use datampi::IterationCache;
 ///
 /// let inputs = vec![bytes::Bytes::from_static(b"1 2 3")];
 /// let cache: IterationCache<u32> = IterationCache::load(&inputs, |split| {

@@ -12,26 +12,26 @@
 //!
 //! The library implements the "4D" characteristics the paper summarizes:
 //!
-//! * **Dichotomic** — the O/A bipartite communication model ([`runtime`]);
+//! * **Dichotomic** — the O/A bipartite communication model ([`run_job`]);
 //! * **Dynamic** — tasks are scheduled dynamically onto worker ranks (the
 //!   runtime's shared queue hands splits to whichever rank is free);
 //! * **Data-centric** — emitted pairs are partitioned and buffered at the
 //!   A-side worker ([`store`]), so A tasks read their input locally;
-//! * **Diversified** — [`task`] exposes MapReduce mode (key-sorted
-//!   groups, with an optional O-side combiner), and [`iteration`]
-//!   implements Iteration mode (deserialized splits stay resident in
-//!   worker memory across jobs, the pattern K-means uses).
+//! * **Diversified** — MapReduce mode (key-sorted [`GroupedValues`], with
+//!   an optional O-side [`Combiner`]) and Iteration mode
+//!   ([`run_iteration`]: deserialized splits stay resident in worker
+//!   memory across jobs in an [`IterationCache`], the pattern K-means
+//!   uses).
 //!
 //! Communication is **pipelined**: O-task computation overlaps with
 //! key-value movement ([`buffer::KvBuffer`] flushes asynchronously while
 //! the task keeps producing), which the paper credits for most of
 //! DataMPI's speedup. Intermediate data stays in worker memory (spilling
 //! only under pressure), avoiding Hadoop's redundant disk materialization.
-//! Fault tolerance is key-value checkpoint/restart ([`checkpoint`]): a
-//! run given a [`CheckpointStore`](checkpoint::CheckpointStore) is
-//! restartable, every run against the same store is its next attempt,
-//! and the bounded-retry [`supervisor`] repeats that run for the caller;
-//! the [`fault`] module injects
+//! Fault tolerance is key-value checkpoint/restart: a run given a
+//! [`CheckpointStore`] is restartable, every run against the same store
+//! is its next attempt, and [`supervise_job`] repeats that run for the
+//! caller under a bounded [`RetryPolicy`]; a [`FaultPlan`] injects
 //! deterministic, seeded faults (task errors, rank deaths, mid-merge
 //! deaths, wire corruption caught by per-frame CRCs) to exercise that
 //! machinery.
@@ -40,46 +40,52 @@
 //! thread, O loop, EOFs, A loop (`rank.rs`; DESIGN.md §5) — and differs
 //! only in where its ranks live and what they can share:
 //!
-//! * the **in-proc runtime** ([`runtime`]): ranks are threads of one
+//! * the **in-proc runtime** ([`run_job`]): ranks are threads of one
 //!   process connected by a pluggable [`transport`] (the in-proc channel
 //!   fabric or a real TCP mesh), sharing one task queue, checkpoint and
 //!   failed flag — the surface of the test suite, the benchmark
-//!   package's data workloads and the [`supervisor`];
-//! * **one rank per process**, in a job service session ([`service`]
-//!   over [`distrib`]): kept resident for many jobs by `dmpid`, or
-//!   started for one by the `dmpirun` launcher — the static
-//!   `task % ranks` assignment, no checkpoint.
+//!   package's data workloads and [`supervise_job`];
+//! * **one rank per process**, in a job [`service`] session: kept
+//!   resident for many jobs by `dmpid`, or started for one by the
+//!   `dmpirun` launcher — the static `task % ranks` assignment, no
+//!   checkpoint.
+//!
+//! The public surface is what the binaries, the sibling crates, the
+//! examples and the benchmark package name: the modules above and the
+//! re-exports below. Everything else is private, so an item nothing
+//! calls is a `dead_code` warning (DESIGN.md §2).
 
 #![warn(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod buffer;
-pub mod checkpoint;
+mod checkpoint;
 pub mod comm;
-pub mod config;
-pub mod distrib;
-pub mod fault;
-pub mod iteration;
-pub mod observe;
+mod config;
+mod distrib;
+mod fault;
+mod iteration;
+mod observe;
 mod rank;
-pub mod runtime;
+mod runtime;
 pub mod service;
 pub mod spillfmt;
 pub mod store;
-pub mod supervisor;
-pub mod task;
+mod supervisor;
+mod task;
 pub mod transport;
 
+pub use checkpoint::CheckpointStore;
 pub use config::JobConfig;
+pub use distrib::ENV_COORD;
 pub use fault::FaultPlan;
-pub use observe::{Observer, PhaseTotals, Profiler, SpanKind, Trace};
+pub use iteration::{run_iteration, IterationCache};
+pub use observe::{Counter, Observer, Profiler};
 pub use runtime::{run_job, JobOutput, JobStats};
-pub use spillfmt::{KeyRange, SealedRun, SpillConfig, SpillReadCounters};
+pub use spillfmt::{SealedRun, SpillReadCounters};
 pub use supervisor::{supervise_job, RetryPolicy};
 pub use task::{Collector, Combiner, GroupedValues};
-pub use transport::{
-    Backend, Endpoint, FrameReceiver, FrameSender, TcpOptions, Transport, WireStats,
-};
+pub use transport::{Backend, TcpOptions, Transport, WireStats};
 
 /// The body rows of the DESIGN.md table whose header row starts with
 /// `header`, each as its cells with spaces and backticks trimmed. The

@@ -34,14 +34,6 @@ impl Clock {
 }
 
 /// A hand-advanced clock shared between a test and the observer.
-///
-/// # Examples
-/// ```
-/// use datampi::observe::ManualClock;
-/// let clock = ManualClock::new();
-/// clock.advance_micros(250);
-/// assert_eq!(clock.now_micros(), 250);
-/// ```
 #[derive(Clone, Debug, Default)]
 pub struct ManualClock {
     micros: Arc<AtomicU64>,
@@ -89,6 +81,7 @@ mod tests {
         assert_eq!(c.now_micros(), 0);
         m.advance_micros(10);
         m.advance_micros(5);
+        assert_eq!(m.now_micros(), 15);
         assert_eq!(c.now_micros(), 15);
         m.set_micros(100);
         assert_eq!(c.now_micros(), 100);

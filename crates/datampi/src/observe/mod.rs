@@ -33,16 +33,11 @@ mod profiler;
 mod telemetry;
 mod trace;
 
-pub use clock::{Clock, ManualClock};
-pub use histogram::{
-    bucket_bound, bucket_index, HistKind, HistogramSnapshot, Histograms, LogHistogram,
-    HISTOGRAM_BUCKETS,
-};
-pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
-pub use profiler::{
-    integrate, process_cpu_secs, process_rss_bytes, ProfileSource, Profiler, Sample, SampleSeries,
-};
-pub use telemetry::{ClockSync, RankTelemetry, TelemetryAggregator, TelemetryFrame};
+pub use clock::Clock;
+pub use histogram::{HistKind, Histograms, LogHistogram};
+pub use metrics::{Counter, MetricsRegistry};
+pub use profiler::Profiler;
+pub use telemetry::{ClockSync, TelemetryAggregator, TelemetryFrame};
 pub use trace::{PhaseTotals, SpanKind, Trace, TraceEvent, JOB_LANE};
 
 use std::cell::RefCell;
@@ -61,7 +56,7 @@ struct Inner {
 /// The shared observability sink for one job (or one supervised run).
 ///
 /// Cheap to clone (an `Arc`); all recording goes through per-rank
-/// [`Tracer`]s or the atomic [`MetricsRegistry`], so cloning and passing
+/// `Tracer`s or the atomic `MetricsRegistry`, so cloning and passing
 /// it around costs nothing on hot paths.
 #[derive(Clone, Debug)]
 pub struct Observer {
@@ -80,8 +75,8 @@ impl Observer {
         Self::with_clock(Clock::real())
     }
 
-    /// An observer on an explicit clock — pass a
-    /// [`ManualClock`](Clock::Manual) for deterministic tests.
+    /// An observer on an explicit clock — pass a `Clock::Manual` for
+    /// deterministic tests.
     pub fn with_clock(clock: Clock) -> Self {
         Observer {
             inner: Arc::new(Inner {
@@ -233,7 +228,12 @@ impl Tracer {
 }
 
 #[cfg(test)]
+#[path = "../../tests/unit/observe.rs"]
+mod jobs;
+
+#[cfg(test)]
 mod tests {
+    use super::clock::ManualClock;
     use super::*;
 
     #[test]

@@ -100,12 +100,6 @@ impl SampleSeries {
     }
 }
 
-/// Integral of a flow series (`value/s` per bucket) over the whole run:
-/// `sum(series) * bucket_secs`, in the series' own value unit × seconds.
-pub fn integrate(series: &[f64], bucket_secs: f64) -> f64 {
-    series.iter().sum::<f64>() * bucket_secs
-}
-
 /// Cumulative process CPU seconds (user + system) from `/proc/self/stat`.
 /// `None` off Linux or if the file is unreadable.
 pub fn process_cpu_secs() -> Option<f64> {
@@ -178,7 +172,7 @@ impl ProfileSource {
 /// Background sampling thread over a live [`Observer`].
 ///
 /// ```no_run
-/// use datampi::observe::{Observer, Profiler};
+/// use datampi::{Observer, Profiler};
 /// use std::time::Duration;
 /// let observer = Observer::new();
 /// let profiler = Profiler::spawn(observer.clone(), Duration::from_millis(5), 0.025, 2);
@@ -252,7 +246,7 @@ impl Profiler {
     }
 
     /// [`stop`](Self::stop), plus where the process-level series came
-    /// from. When the source is [`ProfileSource::Unavailable`] the
+    /// from. When the source is `ProfileSource::Unavailable` the
     /// CPU/memory series are zeros and must be labelled or dropped, not
     /// reported as measurements.
     pub fn stop_with_source(self) -> (ResourceProfile, ProfileSource) {
@@ -260,6 +254,13 @@ impl Profiler {
         let (series, source) = self.handle.join().expect("profiler thread panicked");
         (series.finish(), source)
     }
+}
+
+#[cfg(test)]
+/// Integral of a flow series (`value/s` per bucket) over the whole run:
+/// `sum(series) * bucket_secs`, in the series' own value unit × seconds.
+pub(crate) fn integrate(series: &[f64], bucket_secs: f64) -> f64 {
+    series.iter().sum::<f64>() * bucket_secs
 }
 
 #[cfg(test)]

@@ -253,13 +253,6 @@ impl TelemetryFrame {
         line.finish()
     }
 
-    /// Parses a [`wire_line`](Self::wire_line). Returns `None` for
-    /// non-telemetry lines or malformed frames.
-    pub fn parse(line: &str) -> Option<TelemetryFrame> {
-        let line = Line::parse(line)?;
-        Self::parse_fields(line.verb(), line)
-    }
-
     /// Parses the fields behind a `tlm` token — the leading verb of a
     /// bare frame, or the token after the job id of a `jobtlm` line.
     pub(crate) fn parse_fields(verb: &str, line: Line<'_>) -> Option<TelemetryFrame> {
@@ -381,11 +374,6 @@ impl TelemetryAggregator {
     /// the merged timeline.
     pub fn record(&mut self, event: TraceEvent) {
         self.spans.push(event);
-    }
-
-    /// Per-rank state, indexed by rank.
-    pub fn per_rank(&self) -> &[RankTelemetry] {
-        &self.per_rank
     }
 
     /// Ranks whose final frame arrived.
@@ -588,7 +576,15 @@ fn push_histograms_json(out: &mut String, hists: &[(HistKind, HistogramSnapshot)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::{Clock, LogHistogram, ManualClock};
+    use crate::observe::clock::ManualClock;
+    use crate::observe::{Clock, LogHistogram};
+
+    /// Parses a bare `tlm` frame line the way a coordinator parses the
+    /// token after a `jobtlm` line's job id.
+    fn parse(line: &str) -> Option<TelemetryFrame> {
+        let line = Line::parse(line)?;
+        TelemetryFrame::parse_fields(line.verb(), line)
+    }
 
     #[test]
     fn clock_sync_midpoint_and_application() {
@@ -709,7 +705,7 @@ mod tests {
             line,
             include_str!("../../tests/golden/tlm_line.txt").trim_end()
         );
-        assert_eq!(TelemetryFrame::parse(&line), Some(frame));
+        assert_eq!(parse(&line), Some(frame));
 
         let mut agg = TelemetryAggregator::new(2);
         agg.absorb(golden_frame(0));
@@ -723,7 +719,7 @@ mod tests {
         let frame = sample_frame(2, 1);
         let line = frame.wire_line();
         assert!(!line.contains('\n'));
-        let parsed = TelemetryFrame::parse(&line).expect("parse own encoding");
+        let parsed = parse(&line).expect("parse own encoding");
         assert_eq!(parsed, frame);
         assert!(parsed.is_final);
         assert_eq!(parsed.counters[Counter::RecordsOut], 12);
@@ -733,8 +729,8 @@ mod tests {
         // Offset correction applied at collection: the manual clock was
         // at 0, the offset 500.
         assert_eq!(parsed.spans[0].ts_us, 500);
-        assert!(TelemetryFrame::parse("done rank=0 crc=1").is_none());
-        assert!(TelemetryFrame::parse("tlm rank=x").is_none());
+        assert!(parse("done rank=0 crc=1").is_none());
+        assert!(parse("tlm rank=x").is_none());
     }
 
     #[test]
@@ -757,7 +753,7 @@ mod tests {
         }
         let total = agg.aggregate_counters();
         let per_rank_wire: u64 = agg
-            .per_rank()
+            .per_rank
             .iter()
             .map(|r| r.counters.as_ref().map_or(0, |c| c[Counter::WireBytesSent]))
             .sum();
@@ -784,7 +780,7 @@ mod tests {
         stale.spans.clear();
         agg.absorb(stale);
         assert_eq!(
-            agg.per_rank()[0].counters.as_ref().unwrap()[Counter::RecordsOut],
+            agg.per_rank[0].counters.as_ref().unwrap()[Counter::RecordsOut],
             100,
             "stale frame must not roll the rank back"
         );

@@ -20,7 +20,7 @@ pub struct Submission {
 }
 
 /// Submits `spec` and returns once it is accepted (`Err`: the rejection),
-/// so `dmpirun` can drain its session before [`Submission::outcome`].
+/// so `dmpirun` can drain its session before `Submission::outcome`.
 pub fn submit(coord: SocketAddr, spec: &JobSpec) -> Result<Submission, String> {
     let mut reader = client(coord, &spec.submit_line())?;
     let accepted = reply(&mut reader, ["accepted", "rejected", "reason"]);

@@ -110,16 +110,6 @@ impl JobMux {
         mux
     }
 
-    /// This endpoint's rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Mesh width.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     /// Opens `job` on this rank: registers its demux route and replays
     /// any frames that arrived before the job line did.
     pub fn open_job(&self, job: u64) -> Result<JobChannels> {

@@ -399,13 +399,6 @@ worker_done! {
     frames: u64,
 }
 
-impl WorkerDone {
-    /// Parses a [`wire_line`](Self::wire_line).
-    pub fn parse(line: &str) -> Option<WorkerDone> {
-        Self::parse_fields(Line::of(line, "jobdone")?)
-    }
-}
-
 /// What a worker tells its coordinator over its control stream.
 #[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // the fields are named for what they are
@@ -474,6 +467,10 @@ impl WorkerEvent {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "../../tests/unit/protocol_properties.rs"]
+mod properties;
 
 #[cfg(test)]
 mod tests {
@@ -565,7 +562,9 @@ mod tests {
             bytes_emitted: 480,
             frames: 4,
         };
-        assert_eq!(WorkerDone::parse(&done.wire_line()).unwrap(), done);
+        let line = done.wire_line();
+        let parsed = WorkerDone::parse_fields(Line::of(&line, "jobdone").unwrap());
+        assert_eq!(parsed.unwrap(), done);
         let frame = TelemetryFrame {
             rank: 1,
             seq: 2,

@@ -27,7 +27,9 @@
 //!
 //! Every sealed run is a file under the spill directory, written a block
 //! at a time by a [`RunWriter`] that keeps only the index (a `Vec<u8>`
-//! sink gives a whole image instead, which [`parse_image`] reads). Run
+//! sink gives a whole image instead). The writer keeps each run's
+//! [`RunIndex`] in memory, so nothing parses a footer back at run time;
+//! the tests' footer reader pins the layout above. Run
 //! files are reference-counted and self-deleting: the file is removed
 //! when the last [`SealedRun`] clone drops, or when its write fails,
 //! which covers failed attempts without coordinator bookkeeping.
@@ -47,9 +49,6 @@ use dmpi_common::{ser, varint, Error, FaultCause, FaultKind, Record, Result};
 /// CRC, one read) is noise, small enough that a merge holds a few tens of
 /// KiB per run, not a whole run.
 pub const DEFAULT_SPILL_BLOCK_BYTES: usize = 64 * 1024;
-
-/// Fixed trailer length: `footer_offset u64 | footer_crc u32 | magic u32`.
-pub const TRAILER_LEN: usize = 16;
 
 /// Trailer magic, `"SPL1"` little-endian.
 pub const RUN_MAGIC: u32 = u32::from_le_bytes(*b"SPL1");
@@ -112,7 +111,7 @@ pub struct BlockMeta {
     pub offset: u64,
     /// Framed-record length.
     pub raw_len: u32,
-    /// Length on disk: always `raw_len`, which [`parse_image`] checks.
+    /// Length on disk: always `raw_len`.
     pub stored_len: u32,
     /// Records framed in the block.
     pub records: u32,
@@ -143,18 +142,6 @@ fn write_key(out: &mut Vec<u8>, key: &[u8]) {
     out.extend_from_slice(key);
 }
 
-fn read_key(buf: &[u8]) -> Result<(Bytes, usize)> {
-    let (len, header) = varint::read_u64(buf)?;
-    let len = usize::try_from(len).map_err(|_| Error::corrupt("key length overflow"))?;
-    let end = header
-        .checked_add(len)
-        .ok_or_else(|| Error::corrupt("key length overflow"))?;
-    if buf.len() < end {
-        return Err(Error::corrupt("truncated footer key"));
-    }
-    Ok((Bytes::copy_from_slice(&buf[header..end]), end))
-}
-
 impl RunIndex {
     /// Serializes the footer (no trailer).
     pub fn encode_footer(&self) -> Vec<u8> {
@@ -172,53 +159,6 @@ impl RunIndex {
             varint::write_u64(&mut out, b.crc as u64);
         }
         out
-    }
-
-    /// Decodes a footer previously produced by
-    /// [`encode_footer`](Self::encode_footer). `file_len` is filled by
-    /// the caller (it lives in the trailer, not the footer).
-    pub fn decode_footer(buf: &[u8]) -> Result<RunIndex> {
-        let read_u32 = |v: u64, what: &str| -> Result<u32> {
-            u32::try_from(v).map_err(|_| Error::corrupt(format!("footer {what} overflow")))
-        };
-        let (flags, mut at) = varint::read_u64(buf)?;
-        let (count, n) = varint::read_u64(&buf[at..])?;
-        at += n;
-        let count = usize::try_from(count).map_err(|_| Error::corrupt("block count overflow"))?;
-        let mut index = RunIndex {
-            blocks: Vec::with_capacity(count.min(buf.len())),
-            sorted: flags & FLAG_SORTED != 0,
-            ..RunIndex::default()
-        };
-        for _ in 0..count {
-            let (first_key, n) = read_key(&buf[at..])?;
-            at += n;
-            let (last_key, n) = read_key(&buf[at..])?;
-            at += n;
-            let mut ints = [0u64; 5];
-            for slot in &mut ints {
-                let (v, n) = varint::read_u64(&buf[at..])?;
-                at += n;
-                *slot = v;
-            }
-            let meta = BlockMeta {
-                first_key,
-                last_key,
-                offset: ints[0],
-                raw_len: read_u32(ints[1], "raw_len")?,
-                stored_len: read_u32(ints[2], "stored_len")?,
-                records: read_u32(ints[3], "records")?,
-                crc: read_u32(ints[4], "crc")?,
-            };
-            index.raw_bytes += meta.raw_len as u64;
-            index.stored_bytes += meta.stored_len as u64;
-            index.records += meta.records as u64;
-            index.blocks.push(meta);
-        }
-        if at != buf.len() {
-            return Err(Error::corrupt("trailing garbage after footer"));
-        }
-        Ok(index)
     }
 }
 
@@ -370,51 +310,6 @@ impl<W: Write> RunWriter<W> {
             None => Ok((self.sink, self.index)),
         }
     }
-}
-
-/// Parses trailer + footer out of a complete run image: checks the
-/// magic, the footer span and its CRC, decodes the footer, and checks
-/// that every block stores exactly its raw bytes and lies before the
-/// footer, so no reader sizes a buffer from a span the run cannot hold.
-pub fn parse_image(image: &[u8]) -> Result<RunIndex> {
-    let Some((head, trailer)) = image.split_last_chunk::<TRAILER_LEN>() else {
-        return Err(Error::corrupt("run shorter than its trailer"));
-    };
-    // `footer_offset u64 | footer_crc u32 | magic u32`, all little-endian.
-    let trailer = u128::from_le_bytes(*trailer);
-    let footer_offset = trailer as u64;
-    let footer_crc = (trailer >> 64) as u32;
-    let magic = (trailer >> 96) as u32;
-    if magic != RUN_MAGIC {
-        return Err(Error::corrupt("bad run magic"));
-    }
-    let footer = usize::try_from(footer_offset)
-        .ok()
-        .and_then(|offset| head.get(offset..))
-        .ok_or_else(|| Error::corrupt("footer span out of bounds"))?;
-    if crc32(footer) != footer_crc {
-        return Err(Error::corrupt("footer crc mismatch"));
-    }
-    let mut index = RunIndex::decode_footer(footer)?;
-    for b in &index.blocks {
-        if b.stored_len != b.raw_len {
-            return Err(Error::corrupt(format!(
-                "block at {} stores {} bytes for {} raw",
-                b.offset, b.stored_len, b.raw_len
-            )));
-        }
-        if b.offset
-            .checked_add(b.stored_len as u64)
-            .is_none_or(|end| end > footer_offset)
-        {
-            return Err(Error::corrupt(format!(
-                "block span {}+{} runs past the footer at {footer_offset}",
-                b.offset, b.stored_len
-            )));
-        }
-    }
-    index.file_len = image.len() as u64;
-    Ok(index)
 }
 
 /// RAII owner of a run file: removes the file when the last
@@ -718,7 +613,12 @@ impl RunReader {
 }
 
 #[cfg(test)]
+#[path = "../tests/unit/spillfmt_footer.rs"]
+mod footer;
+
+#[cfg(test)]
 mod tests {
+    use super::footer::{parse_image, TRAILER_LEN};
     use super::*;
 
     fn rec(k: &str, v: &str) -> Record {

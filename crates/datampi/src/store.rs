@@ -42,7 +42,7 @@ use bytes::Bytes;
 
 use dmpi_common::compare::{index_frame, sort_index, IndexEntry, SortKernel, PREFETCH_AHEAD};
 use dmpi_common::group::GroupedValues;
-use dmpi_common::{Error, Record, Result};
+use dmpi_common::{Error, Result};
 
 use crate::observe::{Counter, HistKind, Observer, PhaseTotals, SpanKind, Tracer};
 use crate::spillfmt::{RunReader, RunWriter, SealedRun, SpillConfig, SpillReadCounters};
@@ -314,11 +314,6 @@ impl PartitionStore {
         self.stats
     }
 
-    /// Total ingested bytes (resident + spilled).
-    pub fn total_bytes(&self) -> u64 {
-        self.stats.mem_bytes + self.stats.spilled_bytes
-    }
-
     /// Seals the forming run, leaving **all** records in sealed runs, or
     /// does nothing without a spill dir. Output is unchanged because the
     /// forming run keeps its last-run position in the merge's tiebreak
@@ -355,24 +350,6 @@ impl PartitionStore {
         Ok(GroupStream {
             source: GroupSource::Merge(LoserTreeMerge::new(runs)),
         })
-    }
-
-    /// Convenience: drains the whole store into a flat, key-sorted
-    /// record vector. Tests and small tools use this; the runtime
-    /// streams via
-    /// [`into_group_stream`](Self::into_group_stream) instead.
-    pub fn into_records(self) -> Result<Vec<Record>> {
-        let mut out = Vec::new();
-        let mut stream = self.into_group_stream()?;
-        while let Some(g) = stream.next_group()? {
-            for v in g.values {
-                out.push(Record {
-                    key: g.key.clone(),
-                    value: v,
-                });
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -712,7 +689,31 @@ mod tests {
     use super::*;
     use crate::ScratchDir;
     use dmpi_common::compare::{is_sorted, sort_records};
-    use dmpi_common::{ser, RecordBatch};
+    use dmpi_common::{ser, Record, RecordBatch};
+
+    impl PartitionStore {
+        /// Total ingested bytes (resident + spilled).
+        fn total_bytes(&self) -> u64 {
+            self.stats.mem_bytes + self.stats.spilled_bytes
+        }
+
+        /// Drains the whole store into a flat, key-sorted record vector
+        /// (the runtime streams via
+        /// [`into_group_stream`](Self::into_group_stream) instead).
+        fn into_records(self) -> Result<Vec<Record>> {
+            let mut out = Vec::new();
+            let mut stream = self.into_group_stream()?;
+            while let Some(g) = stream.next_group()? {
+                for v in g.values {
+                    out.push(Record {
+                        key: g.key.clone(),
+                        value: v,
+                    });
+                }
+            }
+            Ok(out)
+        }
+    }
 
     fn frame_of(records: &[Record]) -> Bytes {
         let batch: RecordBatch = records.iter().cloned().collect();

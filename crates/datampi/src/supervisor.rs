@@ -106,10 +106,7 @@ impl RetryPolicy {
 ///
 /// # Examples
 /// ```
-/// use datampi::checkpoint::CheckpointStore;
-/// use datampi::fault::FaultPlan;
-/// use datampi::supervisor::{supervise_job, RetryPolicy};
-/// use datampi::JobConfig;
+/// use datampi::{supervise_job, CheckpointStore, FaultPlan, JobConfig, RetryPolicy};
 /// use dmpi_common::group::{Collector, GroupedValues};
 ///
 /// // Task 1 fails on attempts 0 and 1; the supervisor absorbs both.

@@ -14,7 +14,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-pub use dmpi_common::group::{group_sorted, BatchCollector, Collector, GroupedValues};
+pub use dmpi_common::group::{BatchCollector, Collector, GroupedValues};
 
 /// An O-side pre-aggregation function ("combiner" in MapReduce terms),
 /// installed via [`JobConfig::with_combiner`](crate::JobConfig::with_combiner).

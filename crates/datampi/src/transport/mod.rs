@@ -24,12 +24,12 @@
 //! table.
 
 mod evloop;
-pub mod inproc;
-pub mod tcp;
+pub(crate) mod inproc;
+mod tcp;
 pub mod wire;
 
 pub use inproc::InProcTransport;
-pub use tcp::{establish_endpoint, jitter_state, retry_backoff, TcpOptions, TcpTransport};
+pub use tcp::{establish_endpoint, TcpOptions, TcpTransport};
 
 use std::sync::Arc;
 use std::thread::JoinHandle;

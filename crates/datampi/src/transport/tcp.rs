@@ -66,8 +66,7 @@ pub struct TcpOptions {
     /// Seed for the deterministic backoff jitter.
     pub jitter_seed: u64,
     /// When telemetry is on, each batch write's syscall latency lands
-    /// here (the
-    /// [`HistKind::SendLatency`](crate::observe::HistKind) channel).
+    /// here (the `HistKind::SendLatency` channel).
     pub send_hist: Option<Arc<LogHistogram>>,
 }
 
@@ -113,7 +112,7 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// Mixes a jitter seed with a dialer's identity so every (rank, peer)
 /// pair walks a distinct — but reproducible — jitter stream.
-pub fn jitter_state(seed: u64, rank: usize, peer: usize) -> u64 {
+fn jitter_state(seed: u64, rank: usize, peer: usize) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(((rank as u64) << 32) ^ peer as u64)
         .max(1)
@@ -126,7 +125,7 @@ pub fn jitter_state(seed: u64, rank: usize, peer: usize) -> u64 {
 /// behaviour is reproducible; distinct per (rank, peer) seed, so a
 /// thundering herd of workers redialing one coordinator decorrelates
 /// instead of reconverging on the same schedule.
-pub fn retry_backoff(attempt: u32, base: Duration, cap: Duration, state: &mut u64) -> Duration {
+fn retry_backoff(attempt: u32, base: Duration, cap: Duration, state: &mut u64) -> Duration {
     let exp = base.saturating_mul(1u32 << attempt.min(10));
     let capped = exp.min(cap);
     let frac = 500 + (xorshift(state) % 500) as u32;

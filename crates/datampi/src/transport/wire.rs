@@ -157,15 +157,6 @@ pub fn parse_handshake(buf: &[u8]) -> Result<Option<Handshake>> {
     }))
 }
 
-/// Encodes one frame onto the stream in one `write_all`. Returns the
-/// encoded length: 21 + payload for data, 5 for EOF.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
-    let mut encoded = Vec::new();
-    let len = encode_frame(&mut encoded, frame);
-    w.write_all(&encoded)?;
-    Ok(len)
-}
-
 /// Appends one frame's encoding to `out` and returns its length: 21 +
 /// payload for data, 5 for EOF.
 fn encode_frame(out: &mut Vec<u8>, frame: &Frame) -> u64 {
@@ -295,11 +286,6 @@ impl BatchEncoder {
     /// True when nothing has been pushed since the last seal.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Raw bytes in the open batch body.
-    pub fn body_len(&self) -> usize {
-        self.body.len()
     }
 
     /// True once the open body has reached the size watermark.
@@ -473,6 +459,69 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Encodes one frame onto the stream in one `write_all`. Returns the
+    /// encoded length: 21 + payload for data, 5 for EOF.
+    fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
+        let mut encoded = Vec::new();
+        let len = encode_frame(&mut encoded, frame);
+        w.write_all(&encoded)?;
+        Ok(len)
+    }
+
+    proptest! {
+        /// The wire codec is lossless for arbitrary frames: whatever bytes
+        /// go in come out, CRC intact, and the reported wire size matches
+        /// the header-plus-payload layout.
+        #[test]
+        fn prop_wire_round_trips_arbitrary_frames(
+            from_rank in 0usize..64,
+            o_task in 0u64..1_000_000,
+            payload in proptest::collection::vec(any::<u8>(), 0..2048),
+        ) {
+            let frame = Frame::data(from_rank, o_task as usize, Bytes::from(payload.clone()));
+            let mut buf = Vec::new();
+            let written = write_frame(&mut buf, &frame).unwrap();
+            prop_assert_eq!(written, 21 + payload.len() as u64);
+            let mut decoder = FrameDecoder::new(0);
+            decoder.extend(&buf);
+            let decoded = decoder.next_frame().unwrap().unwrap();
+            prop_assert_eq!(decoder.stats().raw_bytes, written);
+            prop_assert!(decoder.is_drained());
+            decoded.verify().unwrap();
+            prop_assert_eq!(decoded.from_rank(), from_rank);
+            prop_assert_eq!(decoded.o_task(), Some(o_task as usize));
+            match decoded {
+                Frame::Data { payload: p, .. } => prop_assert_eq!(p.as_ref(), payload.as_slice()),
+                other => prop_assert!(false, "unexpected {:?}", other),
+            }
+        }
+
+        /// Any single corrupted payload byte still decodes at the wire layer
+        /// (the transport is CRC-oblivious by design) but fails the
+        /// receiver's integrity gate with full provenance.
+        #[test]
+        fn prop_corrupted_payload_fails_verify_with_provenance(
+            payload in proptest::collection::vec(any::<u8>(), 1..512),
+            victim in any::<prop::sample::Index>(),
+            flip in 1u8..=255,
+        ) {
+            let frame = Frame::data(3, 9, Bytes::from(payload.clone()));
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &frame).unwrap();
+            let idx = buf.len() - payload.len() + victim.index(payload.len());
+            buf[idx] ^= flip;
+            let mut decoder = FrameDecoder::new(0);
+            decoder.extend(&buf);
+            let decoded = decoder.next_frame().unwrap().unwrap();
+            let err = decoded.verify().unwrap_err();
+            let cause = err.fault_cause().expect("structured fault");
+            prop_assert_eq!(cause.kind, FaultKind::CorruptFrame);
+            prop_assert_eq!(cause.rank, Some(3));
+            prop_assert_eq!(cause.task, Some(9));
+        }
+    }
 
     /// A fresh decoder, for a peer that advertised `features`, fed `wire`.
     fn decoder_over(wire: &[u8], features: u32) -> FrameDecoder {
@@ -835,7 +884,7 @@ mod tests {
             pushed += enc.push(&Frame::data(0, 0, payload.clone()));
         }
         assert!(pushed >= MIN_COALESCE_BYTES as u64);
-        assert!(enc.body_len() >= MIN_COALESCE_BYTES);
+        assert!(enc.body.len() >= MIN_COALESCE_BYTES);
         let mut out = Vec::new();
         let seal = enc.seal_into(&mut out).unwrap();
         assert_eq!(seal.raw_len, pushed);

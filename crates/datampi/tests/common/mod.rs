@@ -1,7 +1,8 @@
 //! What the integration tests share: a one-line client and the watchdog
 //! that turns a hang into a failed test, for the resident-service
-//! scenarios, and the snapshot of what a process holds, for the leak
-//! test. Each test binary uses some of them.
+//! scenarios, the snapshot of what a process holds, for the leak test,
+//! and a store's records in merge order, for the store's properties.
+//! Each test binary uses some of them.
 #![allow(dead_code)]
 
 use std::io::{BufRead, BufReader, Write};
@@ -9,6 +10,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
+
+use datampi::store::PartitionStore;
+use dmpi_common::Record;
 
 pub type Outcome<T> = std::result::Result<T, String>;
 
@@ -100,4 +104,17 @@ impl Residue {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
+}
+
+/// Drains the filled `store` into a flat, key-sorted record vector.
+pub fn into_records(store: PartitionStore) -> Vec<Record> {
+    let mut stream = store.into_group_stream().unwrap();
+    let mut out = Vec::new();
+    while let Some(g) = stream.next_group().unwrap() {
+        out.extend(g.values.into_iter().map(|value| Record {
+            key: g.key.clone(),
+            value,
+        }));
+    }
+    out
 }

@@ -9,8 +9,9 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 
 use counting_alloc::peak_since;
+use datampi::spillfmt::SpillConfig;
 use datampi::store::{GroupStream, PartitionStore};
-use datampi::{run_job, JobConfig, SpillConfig};
+use datampi::{run_job, JobConfig};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 use dmpi_common::{ser, Record};

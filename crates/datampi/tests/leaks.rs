@@ -17,9 +17,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use common::Residue;
-use datampi::checkpoint::CheckpointStore;
-use datampi::supervisor::{supervise_job, RetryPolicy};
-use datampi::{Backend, FaultPlan, JobConfig};
+use datampi::{supervise_job, Backend, CheckpointStore, FaultPlan, JobConfig, RetryPolicy};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 use dmpi_common::FaultKind;

@@ -8,15 +8,18 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use datampi::checkpoint::CheckpointStore;
-use datampi::fault::FaultPlan;
+use datampi::spillfmt::SpillConfig;
 use datampi::store::PartitionStore;
-use datampi::supervisor::{supervise_job, RetryPolicy};
-use datampi::{run_job, Backend, Combiner, JobConfig, SpillConfig};
+use datampi::{
+    run_job, supervise_job, Backend, CheckpointStore, Combiner, FaultPlan, JobConfig, RetryPolicy,
+};
 use dmpi_common::compare::sort_records;
 use dmpi_common::group::{group_sorted, Collector, GroupedValues};
 use dmpi_common::ser::{self, Writable};
 use dmpi_common::Record;
+
+mod common;
+use common::into_records;
 
 fn wc_o(_t: usize, split: &[u8], out: &mut dyn Collector) {
     for line in split.split(|&b| b == b'\n') {
@@ -274,7 +277,7 @@ fn store_sorts_64_kib_keys_differing_in_the_last_byte_on_a_small_stack() {
                 ser::frame_kv(&mut payload, b"all-equal-key", &[(i % 7) as u8]);
                 store.ingest(Bytes::from(payload)).unwrap();
             }
-            store.into_records().unwrap()
+            into_records(store)
         })
         .unwrap();
     let records = sorter
@@ -308,7 +311,7 @@ proptest! {
         prop_assert_eq!(store.stats().records, records.len() as u64);
         let mut expected = records;
         sort_records(&mut expected);
-        prop_assert_eq!(store.into_records().unwrap(), expected);
+        prop_assert_eq!(into_records(store), expected);
     }
 
     /// Keys that tie for up to four levels of the refinement sort come
@@ -346,7 +349,7 @@ proptest! {
         let store = filled_store(&records, per_frame, regime, &dir);
         let mut expected = records;
         sort_records(&mut expected);
-        prop_assert_eq!(store.into_records().unwrap(), expected);
+        prop_assert_eq!(into_records(store), expected);
     }
 }
 

@@ -22,10 +22,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use datampi::comm::Frame;
-use datampi::distrib::RankTable;
-use datampi::service::protocol::Line;
 use datampi::service::{
-    run_resident_worker, serve, submit, AdmissionConfig, JobResolver, JobSpec, PreparedJob,
+    run_resident_worker, serve, submit, AdmissionConfig, JobResolver, JobSpec, Line, PreparedJob,
     ServiceConfig, ServiceSummary,
 };
 use datampi::transport::wire;
@@ -91,7 +89,8 @@ fn joined<T>(handle: JoinHandle<Result<T>>, who: &str) -> Outcome<T> {
 /// listener, the peers' dials it accepted there, and its control stream.
 struct FakeWorker {
     rank: usize,
-    table: RankTable,
+    /// The data addresses of the `peers` broadcast, indexed by rank.
+    peers: Vec<SocketAddr>,
     control: BufReader<TcpStream>,
     data: TcpListener,
     heard: Vec<TcpStream>,
@@ -117,11 +116,15 @@ impl FakeWorker {
             }
             if let Some(mut seat) = Line::of(&line, "rank") {
                 rank = seat.pos();
-            } else if let Some(table) = RankTable::parse(&line) {
+            } else if let Some(mut table) = Line::of(&line, "peers") {
                 let rank = rank.ok_or("table before seat")?;
+                table.word(); // the table's version, `v0`
+                let peers = std::iter::from_fn(|| table.word())
+                    .map(|addr| addr.parse().map_err(|e| format!("peer {addr}: {e}")))
+                    .collect::<Outcome<_>>()?;
                 return Ok(FakeWorker {
                     rank,
-                    table,
+                    peers,
                     control,
                     data,
                     heard: Vec::new(),
@@ -151,17 +154,21 @@ impl FakeWorker {
     /// Dials every real peer's data port and completes this rank's side
     /// of the mesh there: a handshake, then the teardown EOF.
     fn dial_peers(&self) -> Outcome<()> {
-        for (peer, addr) in self.table.peers.iter().enumerate() {
+        for (peer, addr) in self.peers.iter().enumerate() {
             if peer == self.rank {
                 continue;
             }
             let mut stream = TcpStream::connect(addr)
                 .map_err(|e| format!("rank {peer}'s data listener is gone: {e}"))?;
-            wire::write_handshake(&mut stream, self.rank, 0).map_err(|e| e.to_string())?;
-            let eof = Frame::Eof {
+            let mut batch = wire::BatchEncoder::new(wire::MIN_COALESCE_BYTES, false);
+            wire::write_handshake(&mut stream, self.rank, batch.features())
+                .map_err(|e| e.to_string())?;
+            batch.push(&Frame::Eof {
                 from_rank: self.rank,
-            };
-            wire::write_frame(&mut stream, &eof).map_err(|e| e.to_string())?;
+            });
+            let mut eof = Vec::new();
+            batch.seal_into(&mut eof);
+            stream.write_all(&eof).map_err(|e| e.to_string())?;
         }
         Ok(())
     }
@@ -171,7 +178,7 @@ impl FakeWorker {
     /// mesh set-up still needs this rank: hanging up after it cannot
     /// reset a handshake or send a dialler into its connect-retry backoff.
     fn hear_peers(&mut self) -> Outcome<()> {
-        for _ in 1..self.table.peers.len() {
+        for _ in 1..self.peers.len() {
             let (mut stream, _) = self.data.accept().map_err(|e| format!("accept: {e}"))?;
             let mut handshake = [0u8; wire::HANDSHAKE_LEN];
             stream

@@ -20,10 +20,9 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use datampi::service::protocol::Line;
 use datampi::service::{
     run_resident_worker, serve, submit as client_submit, AdmissionConfig, JobResolver, JobSpec,
-    PreparedJob, ServiceConfig,
+    Line, PreparedJob, ServiceConfig,
 };
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::partition::{HashPartitioner, Partitioner};

@@ -16,10 +16,8 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use datampi::observe::JOB_LANE;
-use datampi::service::protocol::Line;
 use datampi::service::{
-    run_resident_worker, serve, submit, AdmissionConfig, JobResolver, JobSpec, PreparedJob,
+    run_resident_worker, serve, submit, AdmissionConfig, JobResolver, JobSpec, Line, PreparedJob,
     ServiceConfig,
 };
 use datampi::{run_job, JobConfig};
@@ -103,6 +101,15 @@ fn spans(trace: &str) -> Vec<(String, u64, u64, u64)> {
         .collect()
 }
 
+/// The pid of the process row a Chrome trace names `coordinator`: the
+/// lane of the job's own spans.
+fn coordinator_pid(trace: &str) -> Option<u64> {
+    trace
+        .split("{\"name\":\"process_name\"")
+        .find(|row| row.contains("\"args\":{\"name\":\"coordinator\"}"))
+        .and_then(|row| numbers(row, "pid").first().copied())
+}
+
 /// The framed-partition fingerprints of the in-proc run of `seed`'s job.
 fn inproc_crcs(seed: u64) -> Vec<String> {
     let config = JobConfig::new(RANKS);
@@ -142,8 +149,10 @@ fn check_job(dir: &Path, id: u64, seed: u64, done: &str) -> Outcome<()> {
         .max()
         .unwrap_or(0);
 
-    let trace = spans(&read(format!("job-{id}.trace.json"))?);
-    let lane = JOB_LANE as u64;
+    let trace = read(format!("job-{id}.trace.json"))?;
+    let lane = coordinator_pid(&trace)
+        .ok_or_else(|| format!("job {id}'s trace has no coordinator row"))?;
+    let trace = spans(&trace);
     let (from, to) = match trace.iter().find(|s| s.1 == lane) {
         Some((_, _, ts, end)) => (ts.saturating_sub(rtt), end + rtt),
         None => return Err(format!("job {id}'s trace has no coordinator span")),

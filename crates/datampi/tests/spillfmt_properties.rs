@@ -1,20 +1,20 @@
 //! Property-based tests of the indexed spill-run format: for arbitrary
 //! records and block budgets, a sealed run file must round-trip
 //! byte-identically; seeded corruption in a run file must be caught by
-//! the block CRC before any record decodes; a hostile image must be
-//! rejected by the footer parser, never panic it; the k-way merge over
-//! run files must produce the grouping of memory alone, and the order of
-//! a global sort on keys that
-//! collide on its cached head bytes; and a CRC-valid block whose record
-//! framing lies must fail every merge entry point with a corrupt-data
-//! error, within a bounded allocation.
+//! the block CRC before any record decodes; the k-way merge over run
+//! files must produce the grouping of memory alone, and the order of a
+//! global sort on keys that collide on its cached head bytes; and a
+//! CRC-valid block whose record framing lies must fail every merge entry
+//! point with a corrupt-data error, within a bounded allocation. (The
+//! footer parser's own properties are unit tests of `spillfmt`: no
+//! production path reads a footer back.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use datampi::spillfmt::{parse_image, RunWriter, SpillConfig, RUN_MAGIC, TRAILER_LEN};
+use datampi::spillfmt::{BlockMeta, RunIndex, RunWriter, SpillConfig};
 use datampi::store::{GroupStream, PartitionStore};
 use datampi::{run_job, JobConfig, SealedRun, SpillReadCounters};
 use dmpi_common::compare::sort_records;
@@ -23,7 +23,9 @@ use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 use dmpi_common::{ser, varint, Error, Record};
 
+mod common;
 mod counting_alloc;
+use common::into_records;
 use counting_alloc::peak_since;
 
 /// A unique scratch directory per proptest case, so concurrent cases
@@ -52,13 +54,12 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Record>> {
     proptest::collection::vec(record_strategy(), 0..60)
 }
 
-fn build_run(records: &[Record], block_bytes: usize) -> (Vec<u8>, usize) {
-    let mut w = RunWriter::new(block_bytes, false, false);
+fn build_run(records: &[Record], block_bytes: usize, sorted: bool) -> (Vec<u8>, RunIndex) {
+    let mut w = RunWriter::new(block_bytes, false, sorted);
     for r in records {
         w.push(r);
     }
-    let (image, index) = w.finish();
-    (image, index.blocks.len())
+    w.finish()
 }
 
 fn read_all(run: &SealedRun) -> Vec<Record> {
@@ -121,39 +122,6 @@ fn fill_store_keeping_frames(
     (store, frames)
 }
 
-/// `footer` behind a trailer whose magic and footer CRC are right, so
-/// the parser gets past both and decodes the footer bytes.
-fn image_with_footer(blocks: &[u8], footer: &[u8]) -> Vec<u8> {
-    let mut image = blocks.to_vec();
-    image.extend_from_slice(footer);
-    image.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
-    image.extend_from_slice(&crc32(footer).to_le_bytes());
-    image.extend_from_slice(&RUN_MAGIC.to_le_bytes());
-    image
-}
-
-/// `parse_image` on hostile bytes: an error, or an index whose every
-/// block lies before the footer the trailer names. A panic fails the
-/// case on its own.
-fn parse_is_safe(image: &[u8]) -> Result<(), proptest::test_runner::TestCaseError> {
-    let Ok(index) = parse_image(image) else {
-        return Ok(());
-    };
-    let trailer = &image[image.len() - TRAILER_LEN..];
-    let footer_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap());
-    for b in &index.blocks {
-        let end = b.offset.checked_add(b.stored_len as u64);
-        prop_assert!(
-            end.is_some_and(|end| end <= footer_offset),
-            "block {}+{} past the footer at {}",
-            b.offset,
-            b.stored_len,
-            footer_offset
-        );
-    }
-    Ok(())
-}
-
 fn drain_groups(records: &[Record], budget: usize, cfg: SpillConfig) -> Vec<(Bytes, Vec<Bytes>)> {
     let store = fill_store(records, budget, cfg);
     let mut stream = store.into_group_stream().unwrap();
@@ -210,38 +178,19 @@ fn from_frames(value: &Bytes, frames: &[Bytes]) -> bool {
     })
 }
 
-/// The groups `stream` yields from where it stands.
-fn drain(stream: &mut GroupStream) -> Vec<GroupedValues> {
-    let mut out = Vec::new();
-    while let Some(g) = stream.next_group().unwrap() {
-        out.push(g);
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Any record multiset, any block budget: the run file yields
-    /// exactly the pushed records in order, and the reparsed footer
-    /// matches the writer's totals.
+    /// exactly the pushed records in order.
     #[test]
     fn runs_round_trip_any_records_and_block_size(
         records in corpus_strategy(),
         block_bytes in 1usize..512,
     ) {
-        let mut w = RunWriter::new(block_bytes, false, false);
-        for r in &records {
-            w.push(r);
-        }
-        let (image, index) = w.finish();
+        let (image, index) = build_run(&records, block_bytes, false);
         prop_assert_eq!(index.records as usize, records.len());
         prop_assert_eq!(index.file_len as usize, image.len());
-
-        let reparsed = parse_image(&image).unwrap();
-        prop_assert_eq!(&reparsed.blocks, &index.blocks);
-        prop_assert_eq!(reparsed.raw_bytes, index.raw_bytes);
-        prop_assert_eq!(reparsed.stored_bytes, index.stored_bytes);
 
         let dir = scratch_dir("rt");
         let path = dir.join("run-0.spill");
@@ -263,8 +212,7 @@ proptest! {
         poke in any::<prop::sample::Index>(),
         bit in 0u8..8,
     ) {
-        let (mut image, _) = build_run(&records, block_bytes);
-        let index = parse_image(&image).unwrap();
+        let (mut image, index) = build_run(&records, block_bytes, false);
         prop_assert!(!index.blocks.is_empty());
         // Pick a victim block and a byte inside its stored span.
         let victim = poke.index(index.blocks.len());
@@ -301,35 +249,6 @@ proptest! {
         drop(reader);
         drop(run);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The footer parser on hostile input: arbitrary bytes (also as a
-    /// footer behind a valid trailer), every truncation of a valid
-    /// image, and a valid image with one byte of its footer or trailer
-    /// changed. Each is rejected or yields blocks that fit before the
-    /// footer; none panics.
-    #[test]
-    fn footer_parser_rejects_hostile_images_without_panicking(
-        noise in proptest::collection::vec(any::<u8>(), 0..256),
-        blocks_len in 0usize..64,
-        records in proptest::collection::vec(record_strategy(), 0..40),
-        block_bytes in 1usize..128,
-        poke in any::<prop::sample::Index>(),
-        mask in 1u8..=255,
-    ) {
-        parse_is_safe(&noise)?;
-        parse_is_safe(&image_with_footer(&vec![0; blocks_len], &noise))?;
-
-        let (image, _) = build_run(&records, block_bytes);
-        for len in 0..image.len() {
-            parse_is_safe(&image[..len])?;
-        }
-
-        let index = parse_image(&image).unwrap();
-        let footer_at = image.len() - TRAILER_LEN - index.encode_footer().len();
-        let mut flipped = image.clone();
-        flipped[footer_at + poke.index(image.len() - footer_at)] ^= mask;
-        parse_is_safe(&flipped)?;
     }
 
     /// The loser-tree merge over run files groups exactly as memory
@@ -406,7 +325,7 @@ proptest! {
 
             // The last frames stay in the forming run, the merge's last.
             let (store, frames) = fill_store_keeping_frames(&records, budget, cfg.clone());
-            let merged = store.into_records().unwrap();
+            let merged = into_records(store);
             prop_assert_eq!(&merged, &expected, "with a forming run (disk={})", disk);
             for pair in merged.windows(2) {
                 prop_assert!(
@@ -421,13 +340,7 @@ proptest! {
             // Every run sealed, when there is a dir to seal into.
             let mut store = fill_store(&records, budget, cfg);
             store.seal_all();
-            let mut stream = store.into_group_stream().unwrap();
-            let groups = drain(&mut stream);
-            let flat: Vec<Record> = groups
-                .iter()
-                .flat_map(|g| g.values.iter().map(|v| Record { key: g.key.clone(), value: v.clone() }))
-                .collect();
-            prop_assert_eq!(&flat, &expected, "sealed runs only (disk={})", disk);
+            prop_assert_eq!(&into_records(store), &expected, "sealed runs only (disk={})", disk);
             if let Some(d) = dir {
                 let _ = std::fs::remove_dir_all(&d);
             }
@@ -457,7 +370,7 @@ fn equal_records_leave_a_sealed_run_before_the_forming_run() {
     assert_eq!(store.stats().spills, 1);
     let forming_frame = frame(&forming);
     store.ingest(forming_frame.clone()).unwrap();
-    let merged = store.into_records().unwrap();
+    let merged = into_records(store);
     let values: Vec<&[u8]> = merged.iter().map(|r| &r.value[..]).collect();
     assert_eq!(values, [&b"a"[..], b"b", b"b"]);
     let frames = [forming_frame];
@@ -535,13 +448,29 @@ fn forge_crc(block: &mut [u8], at: usize, target: u32) {
     assert_eq!(crc32(block), target, "four free bytes reach every CRC");
 }
 
-/// Rewrites block `victim` of the raw run file at `path` as one record
+/// The blocks of the run file at `path`, which `fill_store` sealed from
+/// the first frames of `records` (7 records a frame) in key order: the
+/// index of the one such prefix whose sorted run, written in blocks of
+/// `block_bytes`, is the file byte for byte.
+fn sealed_blocks(path: &std::path::Path, records: &[Record], block_bytes: usize) -> Vec<BlockMeta> {
+    let image = std::fs::read(path).unwrap();
+    (7..records.len() + 7)
+        .step_by(7)
+        .find_map(|end| {
+            let mut run = records[..end.min(records.len())].to_vec();
+            sort_records(&mut run);
+            let (written, index) = build_run(&run, block_bytes, true);
+            (written == image).then_some(index.blocks)
+        })
+        .expect("the run file is the sorted run of a prefix of the frames")
+}
+
+/// Rewrites block `meta` of the raw run file at `path` as one record
 /// (key `k`, a value filling the block up to the lie) followed by `lie`,
 /// keeping the block's length and its CRC-32C: the block passes the
 /// integrity gate, and only its framing is wrong.
-fn plant_lie(path: &std::path::Path, victim: usize, lie: &[u8]) {
+fn plant_lie(path: &std::path::Path, meta: &BlockMeta, lie: &[u8]) {
     let mut image = std::fs::read(path).unwrap();
-    let meta = parse_image(&image).unwrap().blocks[victim].clone();
     assert_eq!(meta.stored_len, meta.raw_len);
     let block = &mut image[meta.offset as usize..][..meta.raw_len as usize];
     // A one-byte key length, a two-byte value length and the key.
@@ -602,9 +531,9 @@ fn lying_block_framing_is_a_corrupt_error_on_every_merge_entry() {
             let mut store = fill_store(&records, 4096, cfg);
             store.seal_all();
             let run = dir.join("h-0.spill");
-            let blocks = parse_image(&std::fs::read(&run).unwrap()).unwrap().blocks;
+            let blocks = sealed_blocks(&run, &records, 512);
             assert!(blocks.len() > 2, "{case}");
-            plant_lie(&run, victim, &lie);
+            plant_lie(&run, &blocks[victim], &lie);
             let ((at, e), held) = peak_since(|| first_failure(store.into_group_stream()));
             assert_eq!(at, entry, "{case}: {e}");
             assert!(matches!(e, Error::Corrupt(_)), "{case}: {e:?}");

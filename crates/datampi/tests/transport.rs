@@ -4,14 +4,10 @@
 //! results to the in-proc backend, including under supervised recovery.
 
 use bytes::Bytes;
-use proptest::prelude::*;
 
 use datampi::comm::Frame;
-use datampi::fault::FaultPlan;
-use datampi::observe::{Counter, Observer};
-use datampi::supervisor::{supervise_job, RetryPolicy};
-use datampi::transport::{wire, Backend, TcpOptions, TcpTransport, Transport};
-use datampi::{run_job, JobConfig};
+use datampi::transport::{Backend, TcpOptions, TcpTransport, Transport};
+use datampi::{run_job, supervise_job, Counter, FaultPlan, JobConfig, Observer, RetryPolicy};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 use dmpi_common::FaultKind;
@@ -31,59 +27,6 @@ fn corpus(tasks: usize) -> Vec<Bytes> {
     (0..tasks)
         .map(|i| Bytes::from(format!("w{} w{} w{} shared", i, (i * 7) % 5, (i * 3) % 11)))
         .collect()
-}
-
-proptest! {
-    /// The wire codec is lossless for arbitrary frames: whatever bytes
-    /// go in come out, CRC intact, and the reported wire size matches
-    /// the header-plus-payload layout.
-    #[test]
-    fn prop_wire_round_trips_arbitrary_frames(
-        from_rank in 0usize..64,
-        o_task in 0u64..1_000_000,
-        payload in proptest::collection::vec(any::<u8>(), 0..2048),
-    ) {
-        let frame = Frame::data(from_rank, o_task as usize, Bytes::from(payload.clone()));
-        let mut buf = Vec::new();
-        let written = wire::write_frame(&mut buf, &frame).unwrap();
-        prop_assert_eq!(written, 21 + payload.len() as u64);
-        let mut decoder = wire::FrameDecoder::new(0);
-        decoder.extend(&buf);
-        let decoded = decoder.next_frame().unwrap().unwrap();
-        prop_assert_eq!(decoder.stats().raw_bytes, written);
-        prop_assert!(decoder.is_drained());
-        decoded.verify().unwrap();
-        prop_assert_eq!(decoded.from_rank(), from_rank);
-        prop_assert_eq!(decoded.o_task(), Some(o_task as usize));
-        match decoded {
-            Frame::Data { payload: p, .. } => prop_assert_eq!(p.as_ref(), payload.as_slice()),
-            other => prop_assert!(false, "unexpected {:?}", other),
-        }
-    }
-
-    /// Any single corrupted payload byte still decodes at the wire layer
-    /// (the transport is CRC-oblivious by design) but fails the
-    /// receiver's integrity gate with full provenance.
-    #[test]
-    fn prop_corrupted_payload_fails_verify_with_provenance(
-        payload in proptest::collection::vec(any::<u8>(), 1..512),
-        victim in any::<prop::sample::Index>(),
-        flip in 1u8..=255,
-    ) {
-        let frame = Frame::data(3, 9, Bytes::from(payload.clone()));
-        let mut buf = Vec::new();
-        wire::write_frame(&mut buf, &frame).unwrap();
-        let idx = buf.len() - payload.len() + victim.index(payload.len());
-        buf[idx] ^= flip;
-        let mut decoder = wire::FrameDecoder::new(0);
-        decoder.extend(&buf);
-        let decoded = decoder.next_frame().unwrap().unwrap();
-        let err = decoded.verify().unwrap_err();
-        let cause = err.fault_cause().expect("structured fault");
-        prop_assert_eq!(cause.kind, FaultKind::CorruptFrame);
-        prop_assert_eq!(cause.rank, Some(3));
-        prop_assert_eq!(cause.task, Some(9));
-    }
 }
 
 /// A raw loopback mesh delivers every sender's frames in send order

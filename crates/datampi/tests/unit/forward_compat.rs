@@ -3,15 +3,16 @@
 //! error on them. The property holds at three layers — the raw
 //! [`read_known_line`] primitive, the worker's side of the `join`
 //! handshake ([`Seat::join`]), and the coordinator's ([`serve`]) — so
-//! either side of the wire can be upgraded first.
+//! either side of the wire can be upgraded first. Compiled into
+//! `service`'s unit tests.
 
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::{TcpListener, TcpStream};
 
 use proptest::prelude::*;
 
-use datampi::service::protocol::read_known_line;
-use datampi::service::{request, serve, AdmissionConfig, Seat, ServiceConfig};
+use super::protocol::read_known_line;
+use super::{request, serve, AdmissionConfig, Seat, ServiceConfig};
 
 /// A verb no current or past protocol version uses: anything
 /// alphanumeric that is not in the known set. Blank and whitespace-only

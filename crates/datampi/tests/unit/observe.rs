@@ -3,17 +3,14 @@
 //! per lane, the metrics registry must agree with `JobStats`, the
 //! bucketed profiler series must integrate back to the counter totals,
 //! and a supervised recovery must leave both attempts in the trace.
+//! Compiled into `observe`'s unit tests.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use datampi::checkpoint::CheckpointStore;
-use datampi::fault::FaultPlan;
-use datampi::observe::{
-    integrate, Counter, Observer, Sample, SampleSeries, SpanKind, Trace, JOB_LANE,
-};
-use datampi::supervisor::{supervise_job, RetryPolicy};
-use datampi::{run_job, JobConfig};
+use super::profiler::{integrate, Sample, SampleSeries};
+use super::{Counter, Observer, SpanKind, Trace, JOB_LANE};
+use crate::{run_job, supervise_job, CheckpointStore, FaultPlan, JobConfig, RetryPolicy};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 

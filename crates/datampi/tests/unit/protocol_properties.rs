@@ -1,23 +1,20 @@
-//! Property tests of the control-plane line codec
-//! (`datampi::service::protocol`) and of every verb that rides on it,
+//! Property tests of the control-plane line codec (`service::protocol`)
+//! and of every verb that rides on it,
 //! the `tlm` frame included: whatever a writer produces parses back to
 //! the value it was given; unknown fields and unknown verbs are passed
 //! over; and no input — arbitrary bytes, a truncated line, a line with
 //! one byte changed — makes a parser or the line reader panic. They
-//! answer `None` or an error instead.
+//! answer `None` or an error instead. Compiled into `protocol`'s unit
+//! tests.
 
 use std::io::{BufReader, Cursor};
 use std::net::{Ipv4Addr, SocketAddr};
 
 use proptest::prelude::*;
 
-use datampi::distrib::RankTable;
-use datampi::observe::{
-    Counter, HistKind, LogHistogram, MetricsSnapshot, SpanKind, TelemetryFrame, TraceEvent,
-};
-use datampi::service::protocol::{
-    read_known_line, JobSpec, Line, LineWriter, WorkerDone, WorkerEvent,
-};
+use super::{read_known_line, JobSpec, Line, LineWriter, WorkerDone, WorkerEvent};
+use crate::distrib::RankTable;
+use crate::observe::{Counter, HistKind, LogHistogram, SpanKind, TelemetryFrame, TraceEvent};
 
 /// Free-form values: printable ASCII, plus one that holds every
 /// separator of every line protocol, control characters and non-ASCII.
@@ -107,7 +104,7 @@ fn telemetry_frame() -> impl Strategy<Value = TelemetryFrame> {
     let samples = prop::collection::vec(prop::collection::vec(any::<u64>(), 0..6), 0..3);
     let spans = prop::collection::vec(span(), 0..4);
     (numbers, rows, samples, spans).prop_map(|(n, rows, samples, spans)| {
-        let mut counters = MetricsSnapshot::default();
+        let mut counters = TelemetryFrame::default().counters;
         for (counter, value) in Counter::ALL.into_iter().zip(&n[5..]) {
             counters[counter] = *value;
         }
@@ -204,15 +201,22 @@ fn valid_line() -> impl Strategy<Value = String> {
     ]
 }
 
+/// A bare `tlm` line's frame, parsed as a coordinator parses the token
+/// after a `jobtlm` line's job id.
+fn parse_tlm(line: &str) -> Option<TelemetryFrame> {
+    let line = Line::parse(line)?;
+    TelemetryFrame::parse_fields(line.verb(), line)
+}
+
 /// Runs every parser of the control plane over `line`, and every getter
 /// of the codec over its tokens. The results do not matter here: the
 /// property is that all of them return.
 fn parse_with_everything(line: &str) {
     let _ = JobSpec::parse_job(line);
     let _ = JobSpec::parse_submit(line);
-    let _ = WorkerDone::parse(line);
+    let _ = Line::of(line, "jobdone").map(WorkerDone::parse_fields);
     let _ = WorkerEvent::parse(line);
-    let _ = TelemetryFrame::parse(line);
+    let _ = parse_tlm(line);
     let _ = RankTable::parse(line);
     let Some(mut cursor) = Line::parse(line) else {
         return;
@@ -255,9 +259,9 @@ proptest! {
     fn telemetry_frames_round_trip(frame in telemetry_frame()) {
         let line = frame.wire_line();
         prop_assert!(!line.contains('\n'));
-        prop_assert_eq!(TelemetryFrame::parse(&line), Some(frame.clone()));
+        prop_assert_eq!(parse_tlm(&line), Some(frame.clone()));
         let extended = format!("{line} stage=merge");
-        prop_assert_eq!(TelemetryFrame::parse(&extended), Some(frame));
+        prop_assert_eq!(parse_tlm(&extended), Some(frame));
     }
 
     #[test]

@@ -10,14 +10,11 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use datampi::comm::Frame;
-use datampi::fault::FaultPlan;
-use datampi::supervisor::{supervise_job, RetryPolicy};
 use datampi::transport::wire::{
-    parse_handshake, write_frame, write_handshake, BatchEncoder, FrameDecoder, BATCH_HEADER_LEN,
+    parse_handshake, write_handshake, BatchEncoder, FrameDecoder, BATCH_HEADER_LEN,
     FEATURE_COALESCE, HANDSHAKE_LEN, MIN_COALESCE_BYTES, TAG_BATCH,
 };
-use datampi::transport::Backend;
-use datampi::{run_job, JobConfig};
+use datampi::{run_job, supervise_job, Backend, FaultPlan, JobConfig, RetryPolicy};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::ser::Writable;
 
@@ -124,11 +121,16 @@ proptest! {
         chunk in 1usize..256,
     ) {
         let (wire, batches) = encode_stream(&frames);
-        let mut encodings = Vec::new();
-        for f in &frames {
-            write_frame(&mut encodings, f).unwrap();
-        }
-        prop_assert_eq!(wire.len(), encodings.len() + BATCH_HEADER_LEN * batches);
+        // A frame's own encoding: a 21-byte header and the payload for
+        // data, 5 bytes for an EOF.
+        let encodings: usize = frames
+            .iter()
+            .map(|f| match f {
+                Frame::Data { payload, .. } => 21 + payload.len(),
+                Frame::Eof { .. } => 5,
+            })
+            .sum();
+        prop_assert_eq!(wire.len(), encodings + BATCH_HEADER_LEN * batches);
         let (plain, _) = decode_chunked(&wire, chunk);
         prop_assert_eq!(&plain, &frames);
     }

@@ -271,8 +271,9 @@ mod tests {
     }
 
     // Edge cases hardened before the port into the live service
-    // admission controller (`datampi::service::admission`), which runs
-    // this algorithm against real tenants instead of simulated flows.
+    // admission controller (`datampi::service::FairShareAdmission`),
+    // which runs this algorithm against real tenants instead of
+    // simulated flows.
 
     #[test]
     fn zero_demand_flow_with_finite_cap_completes_at_cap() {

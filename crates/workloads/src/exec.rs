@@ -12,9 +12,8 @@
 
 use bytes::Bytes;
 
-use datampi::runtime::{run_job, JobOutput};
 use datampi::service::{JobResolver, JobSpec, PreparedJob};
-use datampi::{Combiner, JobConfig};
+use datampi::{run_job, Combiner, JobConfig, JobOutput};
 use dmpi_common::group::{Collector, GroupedValues};
 use dmpi_common::{Error, Result};
 use dmpi_datagen::{SeedModel, TextGenerator};

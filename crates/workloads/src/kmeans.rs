@@ -248,7 +248,7 @@ pub fn train(
 }
 
 /// Trains on DataMPI's **Iteration mode**: vectors are deserialized once
-/// into an [`datampi::iteration::IterationCache`] and stay resident across
+/// into an [`datampi::IterationCache`] and stay resident across
 /// iterations — the library's counterpart to Spark's RDD cache, and the
 /// "detail performance comparison between Spark and DataMPI in the
 /// iterative applications" the paper defers to future work. Returns the
@@ -256,7 +256,7 @@ pub fn train(
 /// per input, however many iterations ran).
 pub fn train_iterative(params: &KMeans, inputs: &[Bytes]) -> Result<(Vec<Vec<f64>>, usize, u64)> {
     let mut parses = 0u64;
-    let cache = datampi::iteration::IterationCache::load(inputs, |split| {
+    let cache = datampi::IterationCache::load(inputs, |split| {
         parses += 1;
         let mut reader = dmpi_common::ser::RecordReader::new(split);
         let mut vectors = Vec::new();
@@ -277,7 +277,7 @@ pub fn train_iterative(params: &KMeans, inputs: &[Bytes]) -> Result<(Vec<Vec<f64
     for iter in 0..params.max_iters {
         let cents = centroids.clone();
         let dims = params.dims;
-        let output = datampi::iteration::run_iteration(
+        let output = datampi::run_iteration(
             &config,
             &cache,
             move |_task, vectors: &[SparseVector], out: &mut dyn Collector| {

@@ -70,7 +70,7 @@ pub struct SimJobProfile {
     pub a_staged: bool,
     /// Iteration mode: the input is already resident in worker memory
     /// (deserialized by a previous iteration), so O tasks skip the DFS
-    /// read entirely. See `datampi::iteration`.
+    /// read entirely. See `datampi::run_iteration`.
     pub input_resident: bool,
     /// JVM overhead factor: CPU burned per core-second of productive work
     /// (GC and service threads). Does not slow tasks on an idle node; it

@@ -18,9 +18,9 @@
 use bytes::Bytes;
 use datampi_suite::common::group::{Collector, GroupedValues};
 use datampi_suite::common::ser::Writable;
-use datampi_suite::datampi::checkpoint::CheckpointStore;
-use datampi_suite::datampi::observe::{Counter, Observer};
-use datampi_suite::datampi::{supervise_job, FaultPlan, JobConfig, RetryPolicy};
+use datampi_suite::datampi::{
+    supervise_job, CheckpointStore, Counter, FaultPlan, JobConfig, Observer, RetryPolicy,
+};
 use datampi_suite::dcsim::{Activity, ClusterSpec, NodeId, RecoveryModel, Simulation, TaskSpec};
 use std::time::Duration;
 

@@ -18,8 +18,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use datampi_suite::common::group::{Collector, GroupedValues};
 use datampi_suite::common::ser::Writable;
-use datampi_suite::datampi::observe::{Counter, Observer, Profiler};
-use datampi_suite::datampi::{run_job, JobConfig};
+use datampi_suite::datampi::{run_job, Counter, JobConfig, Observer, Profiler};
 
 fn wc_o(_task: usize, split: &[u8], out: &mut dyn Collector) {
     for line in split.split(|&b| b == b'\n') {

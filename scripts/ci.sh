@@ -45,6 +45,17 @@ if grep -rn lz4_flex crates/*/src crates/*/tests src tests examples; then
     exit 1
 fi
 
+echo "== no allow(dead_code) in first-party library or binary code ==" >&2
+# A datampi module is public only if a binary, a sibling crate, an example
+# or the benchmark package names it (DESIGN.md §2), so rustc's `dead_code`
+# lint sees every other item, and the clippy step above fails on a
+# library item that nothing calls. `allow(dead_code)`, or the `unused`
+# group it belongs to, would silence exactly that.
+if grep -rnE 'allow\([^)]*\b(dead_code|unused)\b' crates/*/src src; then
+    echo "first-party code silences the dead_code lint" >&2
+    exit 1
+fi
+
 echo "== size figures (ROADMAP aim 2) ==" >&2
 ./scripts/size.sh | tee target/ci/size.txt
 

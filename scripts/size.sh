@@ -12,7 +12,9 @@
 # - jobconfig_with: `JobConfig::with_*` methods;
 # - dmpirun_flags: flags `dmpirun` parses;
 # - nontest_unwrap_expect: `unwrap()` and `expect(` sites in the same
-#   non-test lines.
+#   non-test lines;
+# - pub_mods: `pub mod` lines in crates/datampi/src, the modules code
+#   outside the crate may name (`pub(crate) mod` is not counted);
 # - design_lines: lines of DESIGN.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,4 +39,5 @@ echo "jobconfig_with $(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /pub fn wit
     crates/datampi/src/config.rs | wc -l)"
 echo "dmpirun_flags $(grep -cE '^[[:space:]]*"--[a-z-]+"[^=]*=>' src/bin/dmpirun.rs)"
 echo "nontest_unwrap_expect $(nontest | grep -oE 'unwrap\(\)|expect\(' | wc -l)"
+echo "pub_mods $(grep -rhE --include='*.rs' '^[[:space:]]*pub mod ' crates/datampi/src | wc -l)"
 echo "design_lines $(wc -l < DESIGN.md)"

@@ -9,6 +9,8 @@
 //!   slot usage included);
 //! * `dmpi drain` — graceful shutdown: running jobs finish, new ones
 //!   are rejected, workers deregister.
+//!
+//! A usage error exits 2; a failed job or connection exits 1.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -29,9 +31,18 @@ dmpi — client for the dmpid resident job service
   dmpi drain  --coord ADDR
 ";
 
-fn parse_and_run() -> Result<(), String> {
+/// What the command line asks for.
+enum Mode {
+    Submit(SocketAddr, JobSpec),
+    Status(SocketAddr),
+    Drain(SocketAddr),
+    Help,
+}
+
+/// Parses the command line; an `Err` is a usage error.
+fn parse_args() -> Result<Mode, String> {
     let mut args = std::env::args().skip(1);
-    let mode = args.next().ok_or_else(|| USAGE.to_string())?;
+    let mode = args.next().ok_or("a mode is required")?;
     let mut coord: Option<SocketAddr> = None;
     let mut spec = JobSpec {
         id: 0,
@@ -76,43 +87,60 @@ fn parse_and_run() -> Result<(), String> {
             }
             "--out" => spec.out = Some(value("--out")?),
             "--spill-dir" => spec.spill_dir = Some(value("--spill-dir")?),
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(());
-            }
+            "--help" | "-h" => return Ok(Mode::Help),
             other if !other.starts_with('-') && spec.workload.is_empty() => {
                 spec.workload = other.to_string();
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    let coord = coord.ok_or("--coord ADDR is required")?;
-    let reply = match mode.as_str() {
-        "submit" => {
-            if spec.tenant.is_empty() {
-                return Err("submit requires --tenant NAME".into());
-            }
-            if spec.workload.is_empty() {
-                return Err("submit requires a WORKLOAD argument".into());
-            }
+    let coord = || coord.ok_or("--coord ADDR is required");
+    match mode.as_str() {
+        "submit" if spec.tenant.is_empty() => Err("submit requires --tenant NAME".into()),
+        "submit" if spec.workload.is_empty() => Err("submit requires a WORKLOAD argument".into()),
+        "submit" => Ok(Mode::Submit(coord()?, spec)),
+        "status" => Ok(Mode::Status(coord()?)),
+        "drain" => Ok(Mode::Drain(coord()?)),
+        other => Err(format!("unknown mode {other:?}")),
+    }
+}
+
+/// Runs `mode` and prints the coordinator's reply; an `Err` is a failed
+/// job or a failed connection.
+fn run(mode: Mode) -> Result<(), String> {
+    let reply = match mode {
+        Mode::Submit(coord, spec) => {
             let job = submit(coord, &spec)?;
             let accepted = job.accepted.clone();
             format!("{accepted}\n{}", job.outcome()?)
         }
-        "status" => request(coord, "status", "status")?,
-        "drain" => request(coord, "drain", "drained")?,
-        other => return Err(format!("unknown mode {other:?}\n\n{USAGE}")),
+        Mode::Status(coord) => request(coord, "status", "status")?,
+        Mode::Drain(coord) => request(coord, "drain", "drained")?,
+        Mode::Help => {
+            print!("{USAGE}");
+            return Ok(());
+        }
     };
     println!("{reply}");
     Ok(())
 }
 
+/// Usage errors exit 2, as `dmpirun`'s do; a failed job or connection
+/// exits 1.
 fn main() -> ExitCode {
-    match parse_and_run() {
+    let mode = match parse_args() {
+        Ok(mode) => mode,
+        Err(e) => {
+            eprintln!("dmpi: {e}");
+            eprint!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(mode) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("dmpi: {e}");
-            ExitCode::from(1)
+            ExitCode::FAILURE
         }
     }
 }

@@ -29,12 +29,11 @@ use std::process::{Command, ExitCode};
 use std::str::FromStr;
 use std::sync::Arc;
 
-use datampi::distrib::ENV_COORD;
-use datampi::observe::{Counter, Observer};
-use datampi::service::protocol::Line;
-use datampi::service::{request, serve, submit, AdmissionConfig, JobSpec, Seat, ServiceConfig};
+use datampi::service::{
+    request, serve, submit, AdmissionConfig, JobSpec, Line, Seat, ServiceConfig,
+};
 use datampi::transport::{establish_endpoint, TcpOptions};
-use datampi::JobConfig;
+use datampi::{Counter, JobConfig, Observer, ENV_COORD};
 use dmpi_common::crc::crc32;
 use dmpi_common::kv::RecordBatch;
 use dmpi_common::ser::frame_batch;

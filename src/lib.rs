@@ -17,3 +17,9 @@ pub use dmpi_dfs as dfs;
 pub use dmpi_mapred as mapred;
 pub use dmpi_rddsim as rddsim;
 pub use dmpi_workloads as workloads;
+
+/// README.md's Rust examples, run as doctests, so the paths they name
+/// stay public.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -4,8 +4,7 @@
 use bytes::Bytes;
 use datampi_suite::common::ser::Writable;
 use datampi_suite::datagen::{SeedModel, TextGenerator};
-use datampi_suite::datampi::checkpoint::CheckpointStore;
-use datampi_suite::datampi::{run_job, FaultPlan, JobConfig, JobOutput};
+use datampi_suite::datampi::{run_job, CheckpointStore, FaultPlan, JobConfig, JobOutput};
 use datampi_suite::dcsim::NodeId;
 use datampi_suite::dfs::{DfsConfig, MiniDfs};
 use datampi_suite::workloads::wordcount;

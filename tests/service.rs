@@ -239,3 +239,36 @@ fn drain_rejects_new_submissions() {
 
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn dmpi_usage_errors_exit_with_code_two() {
+    // An address nothing listens on: bound, then released.
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .unwrap()
+        .to_string();
+    let usage_errors: [&[&str]; 7] = [
+        &[],
+        &["status"],
+        &["status", "--coord", &dead, "--bogus"],
+        &["status", "--coord", &dead, "--tasks"],
+        &["submit", "--coord", &dead, "wordcount"],
+        &["submit", "--coord", &dead, "--tenant", "alice"],
+        &["frobnicate", "--coord", &dead],
+    ];
+    for args in usage_errors {
+        let output = dmpi().args(args).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "dmpi {args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("dmpi submit --coord"), "{args:?}: {stderr}");
+    }
+    // A well-formed request that cannot reach its coordinator failed,
+    // and says so with 1.
+    for args in [
+        &["status", "--coord", &dead][..],
+        &["submit", "--coord", &dead, "--tenant", "alice", "wordcount"],
+    ] {
+        let output = dmpi().args(args).output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "dmpi {args:?}");
+    }
+}
