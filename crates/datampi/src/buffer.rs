@@ -926,66 +926,4 @@ mod tests {
         assert_eq!(stats.combiner_records_out, 2 * keys.len() as u64);
         assert_eq!(drain(&rxs[0]).len(), 2);
     }
-
-    #[test]
-    fn combiner_emit_and_emit_kv_agree() {
-        let (senders_a, rx_a) = mailboxes(2, DEFAULT_MAILBOX_CAPACITY);
-        let (senders_b, rx_b) = mailboxes(2, DEFAULT_MAILBOX_CAPACITY);
-        let mut a = KvBuffer::new(senders_a, 0, 0, usize::MAX, true);
-        let mut b = KvBuffer::new(senders_b, 0, 0, usize::MAX, true);
-        a.set_combiner(sum_combiner());
-        b.set_combiner(sum_combiner());
-        use dmpi_common::ser::Writable;
-        for i in 0..40 {
-            let rec = Record::new(format!("k{}", i % 5).into_bytes(), 1u64.to_bytes().to_vec());
-            a.emit_kv(&rec.key, &rec.value);
-            b.emit_kv(&rec.key, &rec.value);
-        }
-        assert_eq!(a.finish(), b.finish());
-        for (ra, rb) in rx_a.iter().zip(&rx_b) {
-            let payload = |rx: &Receiver<Frame>| -> Vec<u8> {
-                drain(rx)
-                    .iter()
-                    .flat_map(|f| match f {
-                        Frame::Data { payload, .. } => payload.to_vec(),
-                        _ => vec![],
-                    })
-                    .collect()
-            };
-            assert_eq!(payload(ra), payload(rb));
-        }
-    }
-
-    #[test]
-    fn emit_and_emit_kv_agree() {
-        let (senders_a, rx_a) = mailboxes(2, DEFAULT_MAILBOX_CAPACITY);
-        let (senders_b, rx_b) = mailboxes(2, DEFAULT_MAILBOX_CAPACITY);
-        let mut a = KvBuffer::new(senders_a, 0, 0, usize::MAX, true);
-        let mut b = KvBuffer::new(senders_b, 0, 0, usize::MAX, true);
-        for i in 0..20 {
-            let rec = Record::from_strs(&format!("k{i}"), &format!("v{i}"));
-            a.emit_kv(&rec.key, &rec.value);
-            b.emit_kv(&rec.key, &rec.value);
-        }
-        let sa = a.finish();
-        let sb = b.finish();
-        assert_eq!(sa, sb);
-        for (ra, rb) in rx_a.iter().zip(&rx_b) {
-            let da: Vec<u8> = drain(ra)
-                .iter()
-                .flat_map(|f| match f {
-                    Frame::Data { payload, .. } => payload.to_vec(),
-                    _ => vec![],
-                })
-                .collect();
-            let db: Vec<u8> = drain(rb)
-                .iter()
-                .flat_map(|f| match f {
-                    Frame::Data { payload, .. } => payload.to_vec(),
-                    _ => vec![],
-                })
-                .collect();
-            assert_eq!(da, db);
-        }
-    }
 }
