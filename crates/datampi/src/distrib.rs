@@ -13,7 +13,7 @@
 //! 2. builds the full TCP mesh with [`establish_endpoint`] — exactly the
 //!    fabric the threaded runtime uses for
 //!    [`Backend::Tcp`](crate::transport::Backend) — and wraps it in a
-//!    [`JobMux`](crate::service::JobMux);
+//!    `JobMux` (`service/mesh.rs`);
 //! 3. runs each dispatched job's rank through `run_mesh_rank` (the
 //!    same per-rank body as an in-proc rank thread, `rank.rs`), pulling
 //!    from the static `task % ranks == rank` assignment, so every process

@@ -19,8 +19,8 @@
 //! * [`Profiler`] — a background thread sampling process CPU/RSS plus the
 //!   registry into the simulator's own `ResourceProfile`, so real runs and
 //!   simulated runs emit comparable Figure-4 curves.
-//! * [`Clock`] / [`ManualClock`] — injectable time, so tests drive spans
-//!   deterministically.
+//! * [`Clock`] / [`ManualClock`](clock::ManualClock) — injectable
+//!   time, so tests drive spans deterministically.
 //!
 //! Export a merged trace with [`Trace::to_chrome_json`] and load it in
 //! `chrome://tracing` or <https://ui.perfetto.dev>: ranks appear as

@@ -242,19 +242,23 @@ fn drain_rejects_new_submissions() {
 
 #[test]
 fn dmpi_usage_errors_exit_with_code_two() {
-    // An address nothing listens on: bound, then released.
-    let dead = std::net::TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .unwrap()
-        .to_string();
+    // A coordinator that hangs up on the two requests that get as far as
+    // dialling it; a usage error never dials.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let hang_up = std::thread::spawn(move || {
+        for stream in listener.incoming().take(2) {
+            drop(stream.unwrap());
+        }
+    });
     let usage_errors: [&[&str]; 7] = [
         &[],
         &["status"],
-        &["status", "--coord", &dead, "--bogus"],
-        &["status", "--coord", &dead, "--tasks"],
-        &["submit", "--coord", &dead, "wordcount"],
-        &["submit", "--coord", &dead, "--tenant", "alice"],
-        &["frobnicate", "--coord", &dead],
+        &["status", "--coord", &addr, "--bogus"],
+        &["status", "--coord", &addr, "--tasks"],
+        &["submit", "--coord", &addr, "wordcount"],
+        &["submit", "--coord", &addr, "--tenant", "alice"],
+        &["frobnicate", "--coord", &addr],
     ];
     for args in usage_errors {
         let output = dmpi().args(args).output().unwrap();
@@ -262,13 +266,14 @@ fn dmpi_usage_errors_exit_with_code_two() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(stderr.contains("dmpi submit --coord"), "{args:?}: {stderr}");
     }
-    // A well-formed request that cannot reach its coordinator failed,
-    // and says so with 1.
+    // A well-formed request whose coordinator hangs up failed, and says
+    // so with 1.
     for args in [
-        &["status", "--coord", &dead][..],
-        &["submit", "--coord", &dead, "--tenant", "alice", "wordcount"],
+        &["status", "--coord", &addr][..],
+        &["submit", "--coord", &addr, "--tenant", "alice", "wordcount"],
     ] {
         let output = dmpi().args(args).output().unwrap();
         assert_eq!(output.status.code(), Some(1), "dmpi {args:?}");
     }
+    hang_up.join().unwrap();
 }
